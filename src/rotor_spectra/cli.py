@@ -25,7 +25,7 @@ from .config import CASE_STUDY_JSON, RunConfig, load_config, parse_config
 from .errors import AmbiguousLabelling, ConfigError, RotorSpectraError
 from .model import validate_admissibility
 from .oracle import oracle_crosscheck
-from .response import order_check, response_data
+from .response import check_eps_grid, order_check, response_data
 from .simulate import detect_cycles, simulate, ulam_analytic
 from .spectra import spectrum
 from .zero_noise import limit_basis, spectrum_convergence
@@ -150,15 +150,16 @@ def cmd_limit(args) -> int:
 
 def cmd_response(args) -> int:
     cfg = _load(args)
+    grid = args.eps or [1e-2, 1e-3, 1e-4, 1e-5]
+    check_eps_grid(cfg.gen, grid)
     out = _outdir(args)
     ks = args.k or list(cfg.ks)
-    grid = args.eps or [1e-2, 1e-3, 1e-4, 1e-5]
     for k in ks:
         resp = response_data(cfg.model, cfg.gen, k)
         writers.write_response_csv(out / f"response_k{k}.csv", resp)
         writers.write_vectors_csv(out / f"fhat_k{k}.csv", k, resp.f_hat)
         for ell in _leading_labels(cfg.model):
-            oc = order_check(cfg.model, cfg.gen, k, ell, grid)
+            oc = order_check(cfg.model, cfg.gen, k, ell, grid, resp)
             writers.write_ordercheck_csv(out / f"ordercheck_k{k}_ell{ell + 1}.csv", oc)
     _manifest(out, "response", cfg, ks=ks, grid=grid)
     return 0

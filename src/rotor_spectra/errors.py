@@ -84,6 +84,14 @@ class EpsZero(RotorSpectraError):
     """Speed response at eps = 0 is discontinuous and refused by design."""
 
 
+class InvalidEpsGrid(RotorSpectraError, ValueError):
+    """An order-check eps grid is too short, non-positive or above eps_max."""
+
+
+class ResponseMismatch(RotorSpectraError):
+    """Precomputed response data belong to another Fourier index or model."""
+
+
 # --- oracle ---
 
 class NotLaplacian(RotorSpectraError):

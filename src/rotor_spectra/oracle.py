@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import MismatchBeyondTolerance, NotLaplacian
 from .model import BandModel, NoiseGenerator, _freeze, laplacian_generator
-from .zero_noise import assemble_limit_matrix, limit_eigenbasis, projective_distance
+from .zero_noise import (assemble_limit_matrix, limit_eigenbasis, projective_distance,
+                         sign_gauge, sorted_eigenbasis)
 
 CASE_FIRST = "first"
 CASE_INTERIOR = "interior"
@@ -98,9 +99,7 @@ def closed_form_eigendata(model: BandModel, k: int) -> ClosedFormEigen:
     cases: list[str] = []
     if model.S == 1:
         # reflecting at both ends: no closed form, numerical fallback
-        rho, v = np.linalg.eigh(gen.wdot)
-        order = np.argsort(-rho)
-        rho, v = rho[order], v[:, order]
+        rho, v = sorted_eigenbasis(gen.wdot)
         lam_hat[:] = np.exp(-2j * np.pi * k * model.beta[0]) * rho
         vectors[:, :] = v
         cases = [CASE_FALLBACK] * model.N
@@ -112,10 +111,7 @@ def closed_form_eigendata(model: BandModel, k: int) -> ClosedFormEigen:
             lam_hat[sl] = np.exp(-2j * np.pi * k * model.beta[s]) * rho
             vectors[sl, sl] = v
             cases += [case] * model.L[s]
-    for i in range(model.N):
-        nz = np.nonzero(np.abs(vectors[:, i]) > 1e-12 * np.max(np.abs(vectors[:, i])))[0][0]
-        if vectors[nz, i] < 0:
-            vectors[:, i] = -vectors[:, i]
+        vectors = sign_gauge(vectors)
     phat = assemble_limit_matrix(model, gen, k).phat
     residual = np.linalg.norm(phat @ vectors - lam_hat[None, :] * vectors, axis=0)
     return ClosedFormEigen(k=int(k), lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),

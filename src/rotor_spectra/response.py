@@ -34,10 +34,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import (DegenerateFirstOrder, EigsNotSimple, EpsZero, GammaViolated,
-                     NonOrthogonal)
+                     InvalidEpsGrid, NonOrthogonal, ResponseMismatch)
 from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
 from .spectra import assemble_fourier_block, eig_dense_complex, label_spectrum
-from .zero_noise import LimitBasis, check_gamma, limit_basis, projective_distance
+from .zero_noise import (LimitBasis, check_gamma, limit_basis, projective_distance,
+                         sorted_eigenbasis)
 
 
 def _inner(u, v):
@@ -88,23 +89,49 @@ def first_order_basis(model: BandModel, gen: NoiseGenerator, k: int):
     limit basis, which requires distinct band phases at this k.
     """
     if model.S == 1 or k == 0:
-        rho, v = np.linalg.eigh(gen.wdot)
-        order = np.argsort(-rho)
-        rho, v = rho[order], v[:, order]
+        rho, v = sorted_eigenbasis(gen.wdot)
         phase = np.exp(-2j * np.pi * k * model.alpha[0])
-        lam_hat = phase * rho
-        return v.astype(float), lam_hat, model.band_index
+        return v, phase * rho, model.band_index
     basis = limit_basis(model, gen, k)
     return np.asarray(basis.vectors), np.asarray(basis.lambda_hat), np.asarray(basis.band)
 
 
-def _response_ingredients(model: BandModel, gen: NoiseGenerator, k: int,
-                          basis: LimitBasis | None):
+def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int,
+                     basis: LimitBasis | None, checked=(), gap_tol: float = 1e-9):
+    """lhathat and the fhat columns of every label, from one limit basis.
+
+    With A = D Wdot F, B = Wdot D* F and inv[j, ell] = 1/(e_{s_ell} - e_{s_j})
+    off the own band of ell (0 on it), the module-docstring sums become
+    H = B^H (A * inv), lhathat = diag(H), the in-band coefficients
+    H[r, ell] / (lhat_ell - lhat_r) and the out-of-band ones (F^T A) * inv.
+    Raises DegenerateFirstOrder when a label in ``checked`` shares its
+    first-order eigenvalue with another label of its band.
+    """
     if basis is None:
         basis = limit_basis(model, gen, k)
-    phases = np.exp(-2j * np.pi * k * np.asarray(model.beta))
+    elif not check_gamma(model, k):
+        raise GammaViolated(f"band phases coincide at k={k}")
+    f = np.asarray(basis.vectors)
+    band = np.asarray(basis.band)
+    lam_hat = np.asarray(basis.lambda_hat)
+    e = np.exp(-2j * np.pi * k * np.asarray(model.beta))[band]
     d = np.exp(-2j * np.pi * k * model.alpha)
-    return basis, phases, d
+    across = band[:, None] != band[None, :]
+    within = ~across & ~np.eye(model.N, dtype=bool)      # [r, ell]: r != ell, same band
+    gap = lam_hat[None, :] - lam_hat[:, None]            # [r, ell]: lhat_ell - lhat_r
+    checked = list(checked)
+    degenerate = within & (np.abs(gap) <= gap_tol * float(np.max(np.abs(lam_hat))))
+    bad = np.argwhere(degenerate[:, checked].T)
+    if len(bad):
+        raise DegenerateFirstOrder(f"first-order eigenvalues coincide for labels "
+                                   f"{checked[bad[0][0]]} and {bad[0][1]} at k={k}")
+    inv = np.zeros((model.N, model.N), dtype=complex)
+    np.divide(1.0, e[None, :] - e[:, None], out=inv, where=across)
+    a = d[:, None] * (gen.wdot @ f)                      # D Wdot F
+    b = gen.wdot @ (np.conj(d)[:, None] * f)             # Wdot D* F
+    h = b.conj().T @ (a * inv)
+    coeff = (f.T @ a) * inv + h / np.where(within, gap, np.inf)
+    return np.diag(h), f @ coeff
 
 
 def second_order_eigenvalue(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
@@ -112,20 +139,7 @@ def second_order_eigenvalue(model: BandModel, gen: NoiseGenerator, k: int, ell: 
     """The eps^2 coefficient of the eigenvalue expansion for label ell."""
     if model.S == 1 or k == 0:
         return 0.0 + 0.0j
-    if not check_gamma(model, k):
-        raise GammaViolated(f"band phases coincide at k={k}")
-    basis, phases, d = _response_ingredients(model, gen, k, basis)
-    s_l = int(basis.band[ell])
-    f = basis.vectors[:, ell].astype(complex)
-    a = d * (gen.wdot @ f)                    # D Wdot f
-    b = gen.wdot @ (np.conj(d) * f)           # Wdot D* f
-    acc = 0.0 + 0.0j
-    for s in range(model.S):
-        if s == s_l:
-            continue
-        sl = model.band_slice(s)
-        acc += _inner(a[sl], b[sl]) / (phases[s_l] - phases[s])
-    return complex(acc)
+    return complex(_expansion_terms(model, gen, k, basis)[0][ell])
 
 
 def eigenvector_response(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
@@ -134,54 +148,21 @@ def eigenvector_response(model: BandModel, gen: NoiseGenerator, k: int, ell: int
     """First-order eigenvector term fhat for label ell; orthogonal to f."""
     if model.S == 1 or k == 0:
         return np.zeros(model.N, dtype=complex)
-    if not check_gamma(model, k):
-        raise GammaViolated(f"band phases coincide at k={k}")
-    basis, phases, d = _response_ingredients(model, gen, k, basis)
-    s_l = int(basis.band[ell])
-    f = basis.vectors[:, ell].astype(complex)
-    lam_hat = basis.lambda_hat
-    a = d * (gen.wdot @ f)                    # D Wdot f
-    out = np.zeros(model.N, dtype=complex)
-    scale = float(np.max(np.abs(lam_hat)))
-    for r in range(model.N):
-        if r == ell:
-            continue
-        fr = basis.vectors[:, r].astype(complex)
-        s_r = int(basis.band[r])
-        if s_r == s_l:
-            if abs(lam_hat[ell] - lam_hat[r]) <= gap_tol * scale:
-                raise DegenerateFirstOrder(
-                    f"first-order eigenvalues coincide for labels {ell} and {r} at k={k}")
-            br = gen.wdot @ (np.conj(d) * fr)
-            c = 0.0 + 0.0j
-            for s in range(model.S):
-                if s == s_l:
-                    continue
-                sl = model.band_slice(s)
-                c += _inner(a[sl], br[sl]) / (phases[s_l] - phases[s])
-            c /= (lam_hat[ell] - lam_hat[r])
-        else:
-            c = _inner(a, fr) / (phases[s_l] - phases[s_r])
-        out += c * fr
-    return out
+    return _expansion_terms(model, gen, k, basis, [ell], gap_tol)[1][:, ell]
 
 
 def response_data(model: BandModel, gen: NoiseGenerator, k: int) -> ResponseData:
-    """lhat, lhathat and fhat for every label at Fourier index k."""
+    """lhat, lhathat and fhat for every label at Fourier index k, from one limit basis."""
+    n = model.N
     if model.S == 1 or k == 0:
         v, lam_hat, band = first_order_basis(model, gen, k)
-        n = model.N
         basis = LimitBasis(k=int(k), lambda_hat=_freeze(lam_hat.astype(complex)),
                            vectors=_freeze(v), band=_freeze(np.asarray(band)), model=model)
-        return ResponseData(k=int(k), lambda_hat=basis.lambda_hat,
-                            lambda_hathat=_freeze(np.zeros(n, dtype=complex)),
-                            f_hat=_freeze(np.zeros((n, n), dtype=complex)),
-                            band=basis.band, basis=basis)
-    basis = limit_basis(model, gen, k)
-    lhh = np.array([second_order_eigenvalue(model, gen, k, ell, basis)
-                    for ell in range(model.N)])
-    fh = np.column_stack([eigenvector_response(model, gen, k, ell, basis)
-                          for ell in range(model.N)])
+        lhh = np.zeros(n, dtype=complex)
+        fh = np.zeros((n, n), dtype=complex)
+    else:
+        basis = limit_basis(model, gen, k)
+        lhh, fh = _expansion_terms(model, gen, k, basis, range(n))
     return ResponseData(k=int(k), lambda_hat=basis.lambda_hat, lambda_hathat=_freeze(lhh),
                         f_hat=_freeze(fh), band=basis.band, basis=basis)
 
@@ -254,28 +235,42 @@ def _refine_eigenpair(a_xd, lam, vec, iters=2):
     return lam, v / np.sqrt(np.abs(v @ v.conj()))
 
 
+def check_eps_grid(gen: NoiseGenerator, eps_grid) -> np.ndarray:
+    """The distinct points of an order-check grid, descending.
+
+    Raises InvalidEpsGrid unless there are at least 4 of them, all finite and
+    positive, and none above ``gen.eps_max``.
+    """
+    grid = np.asarray(sorted(set(float(e) for e in eps_grid), reverse=True))
+    if len(grid) < 4:
+        raise InvalidEpsGrid("eps grid needs at least 4 distinct points")
+    if not np.all(np.isfinite(grid) & (grid > 0)):
+        raise InvalidEpsGrid(f"eps grid points must be finite and positive, got {grid.tolist()}")
+    if grid[0] > gen.eps_max:
+        raise InvalidEpsGrid(f"eps grid exceeds eps_max={gen.eps_max:.3g}")
+    return grid
+
+
 def order_check(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
-                eps_grid) -> OrderCheck:
+                eps_grid, resp: ResponseData | None = None) -> OrderCheck:
     """Validate the expansion orders against the exact spectrum on an eps grid.
 
     Eigenvalues at each eps are identified with labels by minimum-cost
     assignment against the second-order predictions, which keeps the ladder
     consistent across the grid.  The matched eigenpair is Newton-polished in
     extended precision so the residual ladders resolve below the
-    double-precision eigensolver floor.
+    double-precision eigensolver floor.  ``resp`` is the response_data of
+    (model, gen, k), computed here when not given.
     """
-    eps_grid = np.asarray(sorted(set(float(e) for e in eps_grid), reverse=True))
-    if len(eps_grid) < 4:
-        raise ValueError("eps grid needs at least 4 distinct points")
-    if eps_grid[0] > gen.eps_max:
-        raise ValueError(f"eps grid exceeds eps_max={gen.eps_max:.3g}")
-    v, lam_hat, band = first_order_basis(model, gen, k)
-    banded = model.S > 1 and k != 0
-    lhh = np.array([second_order_eigenvalue(model, gen, k, i) for i in range(model.N)]) \
-        if banded else np.zeros(model.N, dtype=complex)
-    fhat = eigenvector_response(model, gen, k, ell) if banded \
-        else np.zeros(model.N, dtype=complex)
-    f = v[:, ell].astype(complex)
+    eps_grid = check_eps_grid(gen, eps_grid)
+    if resp is None:
+        resp = response_data(model, gen, k)
+    elif resp.k != k or resp.basis.model is not model:
+        raise ResponseMismatch(
+            f"response data (k={resp.k}) do not belong to this model at k={k}")
+    lam_hat, lhh = resp.lambda_hat, resp.lambda_hathat
+    f = resp.basis.vectors[:, ell].astype(complex)
+    fhat = resp.f_hat[:, ell]
     alpha_xd = model.alpha.astype(np.longdouble)
     lam0_xd = np.exp(np.clongdouble(-2j) * np.pi * k * alpha_xd)
     lam0 = lam0_xd.astype(complex)

@@ -65,6 +65,26 @@ def check_gamma(model: BandModel, k: int, tol: float = 1e-9) -> bool:
     return True
 
 
+def sign_gauge(vectors) -> np.ndarray:
+    """Copy of real ``vectors`` with each column's first nonzero entry positive.
+
+    Entries below 1e-12 of the column's largest magnitude count as zero.
+    """
+    v = np.array(vectors, dtype=float)
+    mag = np.abs(v)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    flip = v[first, np.arange(v.shape[1])] < 0
+    v[:, flip] = -v[:, flip]
+    return v
+
+
+def sorted_eigenbasis(sym):
+    """Eigenpairs (rho, v) of a real symmetric matrix, rho descending, v sign-gauged."""
+    rho, v = np.linalg.eigh(sym)
+    order = np.argsort(-rho)
+    return rho[order], sign_gauge(v[:, order])
+
+
 def assemble_limit_matrix(model: BandModel, gen: NoiseGenerator, k: int) -> LimitMatrix:
     """Discard off-band couplings and scale each band block by its phase."""
     phat = np.zeros((model.N, model.N), dtype=complex)
@@ -81,7 +101,7 @@ def assemble_limit_matrix(model: BandModel, gen: NoiseGenerator, k: int) -> Limi
 def limit_eigenbasis(lim: LimitMatrix, gap_tol: float = 1e-9) -> LimitBasis:
     """Solve each real symmetric band block and embed into fibre coordinates.
 
-    Vectors are kept real (first nonzero entry positive); the unitary band
+    Vectors are kept real (see :func:`sign_gauge`); the unitary band
     phase multiplies only the eigenvalue.  Raises DegenerateBlock when a block
     eigenvalue gap falls below ``gap_tol`` times the block spectral radius.
     """
@@ -91,18 +111,12 @@ def limit_eigenbasis(lim: LimitMatrix, gap_tol: float = 1e-9) -> LimitBasis:
     for s in range(model.S):
         sl = model.band_slice(s)
         wh = gen.wdot[sl, sl]
-        rho, v = np.linalg.eigh(0.5 * (wh + wh.T))
+        rho, v = sorted_eigenbasis(0.5 * (wh + wh.T))   # rho descending: |lam_eps| descending
         if len(rho) > 1:
-            gap = float(np.min(np.diff(rho)))
+            gap = float(np.min(-np.diff(rho)))
             if gap <= gap_tol * float(np.max(np.abs(rho))):
                 raise DegenerateBlock(
                     f"band {s} eigenvalue gap {gap:.3e} below tolerance")
-        order = np.argsort(-rho)             # rho descending: |lam_eps| descending
-        rho, v = rho[order], v[:, order]
-        for i in range(v.shape[1]):
-            nz = np.nonzero(np.abs(v[:, i]) > 1e-12 * np.max(np.abs(v[:, i])))[0][0]
-            if v[nz, i] < 0:
-                v[:, i] = -v[:, i]
         phase = np.exp(-2j * np.pi * lim.k * model.beta[s])
         lam_hat[sl] = phase * rho
         vectors[sl, sl] = v

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from rotor_spectra import zero_noise
 from rotor_spectra.cli import main
 from rotor_spectra.config import CASE_STUDY_JSON
 
@@ -105,6 +106,36 @@ class TestOtherCommands:
         assert main(["response", "--config", str(p), "--out", str(out)]) == 0
         _, rows = read_csv(out / "response_k2.csv")
         assert all(float(r[5]) == 0 and float(r[6]) == 0 for r in rows)
+
+    @pytest.mark.parametrize("eps, message", [
+        ("0.01,0.001,0.0001", "at least 4 distinct points"),
+        ("5,0.01,0.001,0.0001", "exceeds eps_max"),
+        ("0.01,0.001,0.0001,0", "finite and positive"),
+        ("0.01,0.001,nan,0.0001", "finite and positive"),
+    ])
+    def test_response_bad_grid_exit1(self, case_cfg, tmp_path, capsys, eps, message):
+        out = tmp_path / "resp"
+        assert main(["response", "--config", str(case_cfg), "--out", str(out),
+                     "--eps", eps]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_response_builds_one_limit_basis_per_k(self, case_cfg, tmp_path, monkeypatch):
+        # three leading labels each used to rebuild the basis N + 2 times
+        builds = []
+        real = zero_noise.limit_eigenbasis
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(zero_noise, "limit_eigenbasis", counted)
+        out = tmp_path / "resp"
+        assert main(["response", "--config", str(case_cfg), "--out", str(out),
+                     "--k", "1,2"]) == 0
+        assert 0 < len(builds) <= 2
+        assert (out / "ordercheck_k2_ell19.csv").exists()
 
     def test_oracle_exit_codes(self, case_cfg, tmp_path):
         out = tmp_path / "orc"

@@ -1,13 +1,72 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model,
                            eigenvector_response, laplacian_generator, limit_basis,
                            order_check, projection_expansion, response_data,
                            second_order_eigenvalue, spectrum, w_epsilon)
-from rotor_spectra.errors import EigsNotSimple, EpsZero, GammaViolated, NonOrthogonal
+from rotor_spectra.errors import (DegenerateFirstOrder, EigsNotSimple, EpsZero, GammaViolated,
+                                  InvalidEpsGrid, NonOrthogonal, ResponseMismatch)
 from rotor_spectra.response import first_order_basis
+from rotor_spectra.zero_noise import sorted_eigenbasis
+
+
+def loop_second_order(model, gen, k, ell, basis):
+    """Reference: the per-label sum over bands of the module docstring."""
+    phases = np.exp(-2j * np.pi * k * np.asarray(model.beta))
+    d = np.exp(-2j * np.pi * k * model.alpha)
+    s_l = int(basis.band[ell])
+    f = basis.vectors[:, ell].astype(complex)
+    a = d * (gen.wdot @ f)
+    b = gen.wdot @ (np.conj(d) * f)
+    acc = 0.0 + 0.0j
+    for s in range(model.S):
+        if s != s_l:
+            sl = model.band_slice(s)
+            acc += np.vdot(b[sl], a[sl]) / (phases[s_l] - phases[s])
+    return acc
+
+
+def loop_eigenvector_response(model, gen, k, ell, basis):
+    """Reference: fhat of one label as a loop over the other labels."""
+    phases = np.exp(-2j * np.pi * k * np.asarray(model.beta))
+    d = np.exp(-2j * np.pi * k * model.alpha)
+    s_l = int(basis.band[ell])
+    f = basis.vectors[:, ell].astype(complex)
+    lam_hat = basis.lambda_hat
+    a = d * (gen.wdot @ f)
+    out = np.zeros(model.N, dtype=complex)
+    for r in range(model.N):
+        if r == ell:
+            continue
+        fr = basis.vectors[:, r].astype(complex)
+        s_r = int(basis.band[r])
+        if s_r == s_l:
+            br = gen.wdot @ (np.conj(d) * fr)
+            c = 0.0 + 0.0j
+            for s in range(model.S):
+                if s != s_l:
+                    sl = model.band_slice(s)
+                    c += np.vdot(br[sl], a[sl]) / (phases[s_l] - phases[s])
+            c /= (lam_hat[ell] - lam_hat[r])
+        else:
+            c = np.vdot(fr, a) / (phases[s_l] - phases[s_r])
+        out += c * fr
+    return out
+
+
+def assert_matches_loop_reference(resp, model, gen, k, atol):
+    for ell in range(model.N):
+        assert abs(resp.lambda_hathat[ell]
+                   - loop_second_order(model, gen, k, ell, resp.basis)) <= atol
+        assert_allclose(resp.f_hat[:, ell],
+                        loop_eigenvector_response(model, gen, k, ell, resp.basis),
+                        rtol=0, atol=atol)
 
 
 def fd_eigendata(model, gen, k, eps, pred):
@@ -136,6 +195,62 @@ class TestResponseData:
             assert min(d, 2 * np.pi - d) <= 1e-12
 
 
+class TestVectorisedTerms:
+    """response_data's matrix form against the per-label loops it replaced."""
+
+    @pytest.mark.parametrize("which", ["case", "two_band", "width2"])
+    def test_matches_loop_reference(self, which, case_model, case_gen,
+                                    two_band_model, two_band_gen):
+        model, gen = {
+            "case": (case_model, case_gen),
+            "two_band": (two_band_model, two_band_gen),
+            "width2": (build_band_model([0.1, 0.35], [2, 1]), laplacian_generator(3)),
+        }[which]
+        # summation order differs from the loops: a few ulps of the O(1) terms
+        assert_matches_loop_reference(response_data(model, gen, 1), model, gen, 1, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+           data=st.data())
+    def test_random_admissible_models(self, widths, data):
+        n = sum(widths)
+        assume(n <= 12)
+        beta = data.draw(st.lists(st.floats(-1, 1), min_size=len(widths),
+                                  max_size=len(widths), unique=True), label="beta")
+        k = data.draw(st.integers(1, 3), label="k")
+        rates = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * (n - 1) // 2,
+                                   max_size=n * (n - 1) // 2), label="rates")
+        wdot = np.zeros((n, n))
+        wdot[np.triu_indices(n, 1)] = rates
+        wdot += wdot.T
+        wdot -= np.diag(wdot.sum(axis=1))
+        model = build_band_model(beta, widths)
+        gen = NoiseGenerator.from_matrix(wdot)
+        phases = np.exp(-2j * np.pi * k * np.asarray(beta))
+        assume(min(abs(p - q) for i, p in enumerate(phases) for q in phases[i + 1:]) > 1e-2)
+        # well-separated first-order eigenvalues within each band
+        gaps = [np.min(np.diff(np.linalg.eigvalsh(wdot[sl, sl])))
+                for sl in map(model.band_slice, range(model.S)) if sl.stop - sl.start > 1]
+        assume(min(gaps, default=1.0) > 1e-2)
+        resp = response_data(model, gen, k)
+        scale = 1.0 + float(np.max(np.abs(resp.f_hat)))
+        assert_matches_loop_reference(resp, model, gen, k, atol=1e-13 * scale)
+        f = np.asarray(resp.basis.vectors)
+        assert np.max(np.abs(np.diag(f.T @ resp.f_hat))) <= 1e-12 * scale
+
+    def test_degenerate_first_order_only_for_the_requested_label(self):
+        # band 0 holds two first-order eigenvalues 2e-12 apart
+        c = 1e-12
+        wdot = np.array([[-1.0, c, 1 - c], [c, -1.0, 1 - c], [1 - c, 1 - c, -2 + 2 * c]])
+        m = build_band_model([0.1, 0.35], [2, 1])
+        g = NoiseGenerator.from_matrix(wdot)
+        basis = limit_basis(m, g, 1, gap_tol=1e-13)
+        with pytest.raises(DegenerateFirstOrder, match="labels 0 and 1 at k=1"):
+            eigenvector_response(m, g, 1, 0, basis)
+        eigenvector_response(m, g, 1, 2, basis)
+        second_order_eigenvalue(m, g, 1, 0, basis)
+
+
 class TestProjectionExpansion:
     def test_rank_one_at_eps0(self):
         f = np.array([1.0, 0.0])
@@ -192,6 +307,30 @@ class TestOrderCheck:
         with pytest.raises(ValueError):
             order_check(two_band_model, two_band_gen, 1, 0, [5.0, 1e-2, 1e-3, 1e-4])
 
+    def test_grid_errors_are_typed(self, two_band_model, two_band_gen):
+        for grid in ([1e-2, 1e-3, 1e-4, 1e-4], [5.0, 1e-2, 1e-3, 1e-4],
+                     [1e-2, 1e-3, 1e-4, 0.0], [1e-2, 1e-3, np.nan, 1e-4]):
+            with pytest.raises(InvalidEpsGrid):
+                order_check(two_band_model, two_band_gen, 1, 0, grid)
+
+    @pytest.mark.parametrize("k, ell", [(1, 0), (1, 11), (0, 4)])
+    def test_precomputed_response_gives_identical_ladders(self, case_model, case_gen, k, ell):
+        grid = [1e-2, 1e-3, 1e-4, 1e-5]
+        given_resp = order_check(case_model, case_gen, k, ell, grid,
+                                 response_data(case_model, case_gen, k))
+        own = order_check(case_model, case_gen, k, ell, grid)
+        for field in dataclasses.fields(own):
+            assert np.array_equal(getattr(given_resp, field.name), getattr(own, field.name))
+
+    def test_mismatched_response_refused(self, case_model, case_gen):
+        grid = [1e-2, 1e-3, 1e-4, 1e-5]
+        resp = response_data(case_model, case_gen, 2)
+        with pytest.raises(ResponseMismatch):
+            order_check(case_model, case_gen, 1, 0, grid, resp)
+        twin = build_band_model(case_model.beta, case_model.L)
+        with pytest.raises(ResponseMismatch):
+            order_check(twin, case_gen, 2, 0, grid, resp)
+
 
 class TestFirstOrderBasis:
     def test_k0_uses_full_generator(self, case_model, case_gen):
@@ -201,6 +340,14 @@ class TestFirstOrderBasis:
         # vectors diagonalise Wdot globally, no band support here
         resid = np.asarray(case_gen.wdot) @ v - lam_hat.real[None, :] * v
         assert np.max(np.abs(resid)) <= 1e-12
+
+    def test_global_basis_is_the_shared_sorted_gauged_one(self, case_model, case_gen):
+        v, lam_hat, _ = first_order_basis(case_model, case_gen, 0)
+        rho, ref = sorted_eigenbasis(case_gen.wdot)
+        assert np.array_equal(v, ref)
+        assert np.all(np.diff(lam_hat.real) <= 0)
+        first = np.argmax(np.abs(v) > 1e-12 * np.abs(v).max(axis=0), axis=0)
+        assert np.all(v[first, np.arange(v.shape[1])] > 0)
 
 
 class TestAlphaResponse:
