@@ -181,18 +181,19 @@ def cmd_oracle(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    out = _outdir(args)
     eps = args.eps[0] if args.eps else (cfg.epsilons[0] if cfg.epsilons else 0.1)
     delta = cfg.delta if args.delta is None else args.delta
     op = ulam_analytic(cfg.model, cfg.gen, eps, delta, args.bins)
     report = detect_cycles(op, cfg.model, args.top_m)
+    batch = (simulate(cfg.model, cfg.gen, eps, delta, args.paths, args.steps, args.seed)
+             if args.paths else None)
+    out = _outdir(args)
     writers.write_cycles_json(out / "cycles.json", report)
     for i, c in enumerate(report.cycles):
         print(f"cycle {i + 1}: |lam|={c.magnitude:.6f} arg={c.arg:+.6f} "
               f"period={c.period_steps:.4f} steps band={c.band + 1} "
               f"masses={[round(m, 4) for m in c.band_masses]}")
-    if args.paths > 0:
-        batch = simulate(cfg.model, cfg.gen, eps, delta, args.paths, args.steps, args.seed)
+    if batch is not None:
         writers.write_trajectory_csv(out / "trajectories.csv", batch)
     _manifest(out, "simulate", cfg, eps=eps, delta=delta, bins=args.bins,
               seed=args.seed, paths=args.paths, steps=args.steps, top_m=args.top_m)

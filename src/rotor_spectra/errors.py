@@ -104,6 +104,10 @@ class MismatchBeyondTolerance(RotorSpectraError):
 
 # --- simulate ---
 
+class InvalidSimulationInput(RotorSpectraError, ValueError):
+    """Fewer than 2 bins, fewer than 1 cycle requested, or negative path/step counts."""
+
+
 class InsufficientData(RotorSpectraError):
     """Too many empty rows in the empirical transition estimate."""
 

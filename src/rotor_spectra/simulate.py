@@ -12,6 +12,16 @@ Dominant nonreal eigenvalues of the cell matrix signal approximately cyclic
 motion: 2 pi / |arg| estimates the period in steps (modulo the usual
 sampled-rotation aliasing for speeds above half a revolution per step), and
 the eigenvector mass locates the cycle's bands.
+
+The exact cell matrix is blockdiag_j(C_j) (W_eps x I_M) with circulant C_j,
+so the circle-bin DFT splits it into M blocks Diag(qhat(m)) W_eps of size
+N x N, where qhat_j(m) = sum_d q_j[d] e^{2 pi i m d / M} and q_j is fibre
+j's kernel row; sector m's eigenvector u gives the cell eigenvector
+u_j e^{2 pi i m a / M}.  Sector M - m is the conjugate of sector m, so
+detect_cycles solves sectors 0..M/2 only ("sector" path).  Counted
+operators have no such structure: their eigenvalues come from a dense
+solve and each reported cycle's eigenvector from inverse iteration
+("dense" path), or from Arnoldi above DENSE_EIG_LIMIT cells ("arnoldi").
 """
 
 from __future__ import annotations
@@ -22,11 +32,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InsufficientData, NoComplexEigenvalues
+from .errors import (InsufficientData, InvalidSimulationInput, NoComplexEigenvalues,
+                     NoConvergence)
 from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
 
-#: cell count above which detect_cycles switches from dense to Arnoldi
+#: cell count above which detect_cycles switches a counted operator from dense to Arnoldi
 DENSE_EIG_LIMIT = 4096
+#: worst relative eigenpair residual ||A v - lam v|| / ||v|| a cycle report accepts
+RESIDUAL_TOL = 1e-10
+#: inverse-iteration solves per targeted eigenvector on the dense path
+INVERSE_STEPS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,13 +64,21 @@ class TrajectoryBatch:
 
 @dataclass(frozen=True, eq=False)
 class UlamOperator:
-    """Row-stochastic cell transition matrix on N*M cells, fibre-major."""
+    """Row-stochastic cell transition matrix on N*M cells, fibre-major.
+
+    Analytic operators also keep the circulant structure the matrix is built
+    from: ``kernel_rows`` (N, M), fibre j's landing-bin probabilities from
+    bin 0, and ``w_eps`` (N, N).  detect_cycles solves their bin-DFT sectors
+    instead of the cell matrix.
+    """
 
     M: int
     matrix: sp.csr_matrix
     mode: str                    # "analytic" | "empirical"
     model: BandModel
     flagged_rows: tuple[int, ...] = ()
+    kernel_rows: np.ndarray | None = None
+    w_eps: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -76,9 +99,14 @@ class Cycle:
 
 @dataclass(frozen=True)
 class CycleReport:
+    """Detected cycles, the solver path ("sector", "dense" or "arnoldi") and the
+    worst relative eigenpair residual over the reported cycles."""
+
     cycles: tuple[Cycle, ...]
     M: int
     top_m: int
+    solver: str
+    max_residual: float
 
 
 def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
@@ -90,6 +118,9 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
     optionally fixes the initial states as a pair of arrays (j0, x0) with
     0-based fibre indices; the stream layout does not change with it.
     """
+    if n_paths < 0 or n_steps < 0:
+        raise InvalidSimulationInput(
+            f"path and step counts must be >= 0, got n_paths={n_paths}, n_steps={n_steps}")
     w = w_epsilon(gen, eps)
     cum = np.cumsum(w, axis=1)
     cum[:, -1] = 1.0 + 1e-12     # guard rounding: every uniform draw must land
@@ -153,17 +184,25 @@ def _fibre_kernel_row(alpha_j: float, delta: float, M: int) -> np.ndarray:
     return q
 
 
+def _check_bins(M: int) -> None:
+    if M < 2:
+        raise InvalidSimulationInput(f"need at least 2 bins, got M={M}")
+
+
 def ulam_analytic(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
                   M: int) -> UlamOperator:
     """Exact cell transition matrix of the annealed dynamics."""
-    if M < 2:
-        raise ValueError(f"need at least 2 bins, got M={M}")
+    _check_bins(M)
     w = w_epsilon(gen, eps)
     n = model.N
+    # fibres of a band share alpha, hence their kernel row
+    band_rows = np.array([_fibre_kernel_row(float(model.alpha[c]), delta, M)
+                          for c in model.cum[:-1]])
+    kernel = band_rows[model.band_index]
     rows, cols, data = [], [], []
     a = np.arange(M)
     for j in range(n):
-        q = _fibre_kernel_row(float(model.alpha[j]), delta, M)
+        q = kernel[j]
         supp = np.nonzero(q)[0]
         dest_bins = (a[:, None] + supp[None, :]) % M          # (M, |supp|)
         src = np.repeat(j * M + a, len(supp))
@@ -174,7 +213,8 @@ def ulam_analytic(model: BandModel, gen: NoiseGenerator, eps: float, delta: floa
     mat = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n * M, n * M)).tocsr()
-    return UlamOperator(M=int(M), matrix=mat, mode="analytic", model=model)
+    return UlamOperator(M=int(M), matrix=mat, mode="analytic", model=model,
+                        kernel_rows=_freeze(kernel), w_eps=_freeze(w))
 
 
 def ulam_empirical(batch: TrajectoryBatch, M: int,
@@ -184,6 +224,7 @@ def ulam_empirical(batch: TrajectoryBatch, M: int,
     Rows never visited become self-loops and are flagged; more than
     ``max_empty_fraction`` empty rows raises InsufficientData.
     """
+    _check_bins(M)
     if batch.n_paths == 0 or batch.n_steps == 0:
         raise InsufficientData("empty trajectory batch")
     n = batch.model.N
@@ -209,16 +250,88 @@ def ulam_empirical(batch: TrajectoryBatch, M: int,
                         model=batch.model, flagged_rows=tuple(int(r) for r in empty))
 
 
-def _top_eigenpairs(op: UlamOperator, want: int):
-    """Leading eigenpairs by magnitude; dense below DENSE_EIG_LIMIT, else Arnoldi."""
-    size = op.size
+def _pick_cycles(values: np.ndarray, top_m: int, imag_tol: float) -> list:
+    """(lower-half-plane representative, index into values) of the top_m cycles.
+
+    Nonreal eigenvalues are folded into the lower half plane, sorted by
+    decreasing magnitude (ties by real, then imaginary part), and
+    representatives within 1e-9 relative of a picked one are dropped, so each
+    conjugate pair counts once.
+    """
+    nonreal = np.nonzero(np.abs(values.imag) > imag_tol)[0]
+    if len(nonreal) == 0:
+        raise NoComplexEigenvalues("spectrum is numerically real")
+    reps = sorted(((values[i] if values[i].imag < 0 else np.conj(values[i]), i)
+                   for i in nonreal), key=lambda t: (-abs(t[0]), t[0].real, t[0].imag))
+    picked = []
+    for rep, i in reps:
+        if any(abs(rep - r) <= 1e-9 * max(1.0, abs(rep)) for r, _ in picked):
+            continue
+        picked.append((rep, i))
+        if len(picked) == top_m:
+            break
+    return picked
+
+
+def _residual(a, lam: complex, v: np.ndarray) -> float:
+    return float(np.linalg.norm(a @ v - lam * v) / np.linalg.norm(v))
+
+
+def _sector_cycles(op: UlamOperator, top_m: int, imag_tol: float) -> list:
+    """(rep, per-fibre mass, residual) per cycle from the bin-DFT sectors 0..M/2."""
+    qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()      # (N, M//2 + 1)
+    blocks = qhat.T[:, :, None] * op.w_eps                   # Diag(qhat(m)) W_eps
+    values = np.linalg.eigvals(blocks)
+    n = op.w_eps.shape[0]
+    eigs, out = {}, []
+    for rep, i in _pick_cycles(values.ravel(), top_m, imag_tol):
+        m, lam = i // n, values.flat[i]
+        if m not in eigs:
+            eigs[m] = np.linalg.eig(blocks[m])
+        vals, vecs = eigs[m]
+        u = vecs[:, np.argmin(np.abs(vals - lam))]
+        # |u_j e^{2 pi i m a / M}|^2 = |u_j|^2 in every bin of fibre j
+        out.append((rep, np.abs(u) ** 2, _residual(blocks[m], lam, u)))
+    return out
+
+
+def _inverse_iteration(matrix, lam: complex) -> np.ndarray:
+    """Unit eigenvector of ``matrix`` for the computed eigenvalue ``lam``."""
+    n = matrix.shape[0]
+
+    def factor(shift):
+        return spla.splu((matrix - shift * sp.identity(n)).tocsc())
+
+    try:
+        lu = factor(lam)
+    except RuntimeError:        # lam is exactly an eigenvalue of the stored matrix
+        lu = factor(lam + 1e-13 * max(1.0, abs(lam)))
+    rng = np.random.default_rng(0)        # fixed start: deterministic runs
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for _ in range(INVERSE_STEPS):
+        x = lu.solve(x)
+        x /= np.linalg.norm(x)
+    return x
+
+
+def _cell_cycles(op: UlamOperator, top_m: int, imag_tol: float) -> tuple[str, list]:
+    """Solver path and (rep, per-fibre mass, residual) per cycle from the cell matrix."""
+    size, mat = op.size, op.matrix
     if size <= DENSE_EIG_LIMIT:
-        values, vectors = np.linalg.eig(op.matrix.toarray())
-        return values, vectors
-    k = min(max(2 * want + 10, 24), size - 2)
-    v0 = np.full(size, 1.0 / np.sqrt(size))     # fixed start: deterministic runs
-    values, vectors = spla.eigs(op.matrix, k=k, which="LM", v0=v0)
-    return values, vectors
+        values = np.linalg.eigvals(mat.toarray())
+        picked = [(rep, _inverse_iteration(mat, rep)) for rep, _ in
+                  _pick_cycles(values, top_m, imag_tol)]
+        solver = "dense"
+    else:
+        k = min(max(2 * top_m + 10, 24), size - 2)
+        v0 = np.full(size, 1.0 / np.sqrt(size))     # fixed start: deterministic runs
+        values, vectors = spla.eigs(mat, k=k, which="LM", v0=v0)
+        # for a real matrix, rep = conj(lam) has eigenvector conj(v)
+        picked = [(rep, vectors[:, i] if values[i].imag < 0 else vectors[:, i].conj())
+                  for rep, i in _pick_cycles(values, top_m, imag_tol)]
+        solver = "arnoldi"
+    return solver, [(rep, (np.abs(v) ** 2).reshape(-1, op.M).sum(axis=1),
+                     _residual(mat, rep, v)) for rep, v in picked]
 
 
 def detect_cycles(op: UlamOperator, model: BandModel, top_m: int,
@@ -228,35 +341,24 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int,
     Conjugate pairs are reported once, by their lower-half-plane member.  A
     cycle's per-band mass comes from the squared magnitudes of its eigenvector
     summed over each band's cells; the band with the largest mass is the
-    attributed support.
+    attributed support.  Analytic operators are solved by bin-DFT sector,
+    others by their cell matrix (see the module docstring).  A reported
+    eigenpair with relative residual above RESIDUAL_TOL raises NoConvergence.
     """
     if top_m < 1:
-        raise ValueError("top_m must be >= 1")
-    values, vectors = _top_eigenpairs(op, top_m)
-    nonreal = np.nonzero(np.abs(values.imag) > imag_tol)[0]
-    if len(nonreal) == 0:
-        raise NoComplexEigenvalues("spectrum is numerically real")
-    # canonical representative: lower half plane
-    reps = []
-    for i in nonreal:
-        lam = values[i]
-        rep = lam if lam.imag < 0 else np.conj(lam)
-        reps.append((rep, i))
-    reps.sort(key=lambda t: (-abs(t[0]), t[0].real, t[0].imag))
-    picked = []
-    for rep, i in reps:
-        if any(abs(rep - r) <= 1e-9 * max(1.0, abs(rep)) for r, _ in picked):
-            continue
-        picked.append((rep, i))
-        if len(picked) == top_m:
-            break
+        raise InvalidSimulationInput(f"top_m must be >= 1, got {top_m}")
+    if op.kernel_rows is not None:
+        solver, found = "sector", _sector_cycles(op, top_m, imag_tol)
+    else:
+        solver, found = _cell_cycles(op, top_m, imag_tol)
+    worst = max(res for _, _, res in found)
+    if worst > RESIDUAL_TOL:
+        raise NoConvergence(
+            f"{solver} eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:g}", partial=found)
 
     cycles = []
-    for rep, i in picked:
-        v = vectors[:, i]
-        mass = np.abs(v) ** 2
-        mass = mass / mass.sum()
-        per_fibre = mass.reshape(model.N, op.M).sum(axis=1)
+    for rep, per_fibre, _ in found:
+        per_fibre = per_fibre / per_fibre.sum()
         band_masses = tuple(float(per_fibre[model.band_slice(s)].sum())
                             for s in range(model.S))
         arg = float(np.angle(rep))
@@ -264,4 +366,5 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int,
             eigenvalue=complex(rep), magnitude=float(abs(rep)), arg=arg,
             period_steps=float(2 * np.pi / abs(arg)),
             band_masses=band_masses, band=int(np.argmax(band_masses))))
-    return CycleReport(cycles=tuple(cycles), M=op.M, top_m=int(top_m))
+    return CycleReport(cycles=tuple(cycles), M=op.M, top_m=int(top_m), solver=solver,
+                       max_residual=worst)

@@ -121,6 +121,8 @@ def write_cycles_json(path, report):
     doc = {
         "M": report.M,
         "top_m": report.top_m,
+        "solver": report.solver,
+        "max_residual": report.max_residual,
         "cycles": [
             {
                 "eigenvalue": [c.eigenvalue.real, c.eigenvalue.imag],

@@ -156,9 +156,26 @@ class TestOtherCommands:
                      "--seed", "11"]) == 0
         doc = json.loads((out / "cycles.json").read_text())
         assert len(doc["cycles"]) == 2
+        assert doc["solver"] == "sector" and 0 <= doc["max_residual"] <= 1e-10
         header, rows = read_csv(out / "trajectories.csv")
         assert header == ["path", "step", "j", "x"]
         assert len(rows) == 3 * 6
+
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--bins", "1"], "at least 2 bins"),
+        (["--bins", "0"], "at least 2 bins"),
+        (["--top-m", "0"], "top_m must be >= 1"),
+        (["--steps", "-5", "--paths", "2"], "n_steps=-5"),
+        (["--paths", "-1"], "n_paths=-1"),
+    ])
+    def test_simulate_bad_input_exit1(self, case_cfg, tmp_path, capsys, extra, message):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(case_cfg), "--out", str(out),
+                     "--bins", "8", *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
 
 class TestCaseStudy:

@@ -1,17 +1,47 @@
+import importlib
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rotor_spectra import (NoiseGenerator, build_band_model, detect_cycles,
-                           laplacian_generator, simulate, spectrum, ulam_analytic,
-                           ulam_empirical)
-from rotor_spectra.errors import InsufficientData, NoComplexEigenvalues
-from rotor_spectra.simulate import UlamOperator, _fibre_kernel_row
+from rotor_spectra import (NoiseGenerator, build_band_model, case_study_config,
+                           detect_cycles, laplacian_generator, simulate, spectrum,
+                           ulam_analytic, ulam_empirical)
+from rotor_spectra.errors import (InsufficientData, InvalidSimulationInput,
+                                  NoComplexEigenvalues, NoConvergence, RotorSpectraError)
+from rotor_spectra.simulate import UlamOperator, _fibre_kernel_row, _pick_cycles
 import scipy.sparse as sp
+
+# the package re-exports the function simulate over its submodule
+simulate_module = importlib.import_module("rotor_spectra.simulate")
 
 
 def single_fibre_model(speed):
     return build_band_model([speed], [1]), NoiseGenerator.from_matrix([[0.0]])
+
+
+def full_eig_cycles(op, model, top_m, imag_tol=1e-9):
+    """Reference: every eigenpair of the dense cell matrix, ranked by the shared rule."""
+    values, vectors = np.linalg.eig(op.matrix.toarray())
+    out = []
+    for rep, i in _pick_cycles(values, top_m, imag_tol):
+        mass = (np.abs(vectors[:, i]) ** 2).reshape(model.N, op.M).sum(axis=1)
+        mass /= mass.sum()
+        out.append((rep, [mass[model.band_slice(s)].sum() for s in range(model.S)]))
+    return values, out
+
+
+def assert_matches_full_eig(report, op, model):
+    _, ref = full_eig_cycles(op, model, report.top_m)
+    assert len(report.cycles) == len(ref)
+    for c, (rep, masses) in zip(report.cycles, ref):
+        assert abs(c.eigenvalue - rep) <= 1e-12 * abs(rep)
+        assert_allclose(c.band_masses, masses, rtol=0, atol=1e-12)
+        assert masses[c.band] >= max(masses) - 1e-12
+    assert report.max_residual <= 1e-10
 
 
 class TestSimulate:
@@ -108,6 +138,37 @@ class TestUlamAnalytic:
         args = sorted(abs(c.arg) for c in report.cycles)
         assert abs(args[0] - 2 * np.pi * 0.1) <= 1e-2
         assert abs(args[1] - 2 * np.pi * 0.3) <= 1e-2
+
+
+    def test_one_kernel_row_per_band(self, case_model, case_gen, monkeypatch):
+        calls = []
+        real = simulate_module._fibre_kernel_row
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulate_module, "_fibre_kernel_row", counted)
+        op = ulam_analytic(case_model, case_gen, 0.1, 0.1, 16)
+        assert len(calls) == case_model.S
+        for j in (0, 10, 11, 32):
+            assert_allclose(op.kernel_rows[j], real(case_model.alpha[j], 0.1, 16), atol=0)
+        assert_allclose(op.w_eps, np.eye(33) + 0.1 * np.asarray(case_gen.wdot), atol=0)
+
+    def test_bad_bin_counts_are_typed(self, two_band_model, two_band_gen):
+        batch = simulate(two_band_model, two_band_gen, 0.1, 0.1, 4, 10, seed=1)
+        for M in (1, 0, -3):
+            with pytest.raises(InvalidSimulationInput, match="at least 2 bins"):
+                ulam_analytic(two_band_model, two_band_gen, 0.1, 0.1, M)
+            with pytest.raises(InvalidSimulationInput, match="at least 2 bins"):
+                ulam_empirical(batch, M)
+        assert issubclass(InvalidSimulationInput, RotorSpectraError)
+        assert issubclass(InvalidSimulationInput, ValueError)
+
+    def test_negative_counts_are_typed(self, two_band_model, two_band_gen):
+        for paths, steps in ((-1, 10), (2, -5)):
+            with pytest.raises(InvalidSimulationInput):
+                simulate(two_band_model, two_band_gen, 0.1, 0.1, paths, steps, seed=1)
 
 
 class TestUlamEmpirical:
@@ -210,3 +271,127 @@ class TestDetectCycles:
 
         e16, e64 = worst_arg_error(16), worst_arg_error(64)
         assert e64 <= e16 / 2
+
+    def test_top_m_below_one_is_typed(self, two_band_model, two_band_gen):
+        op = ulam_analytic(two_band_model, two_band_gen, 0.1, 0.1, 8)
+        with pytest.raises(InvalidSimulationInput, match="top_m"):
+            detect_cycles(op, two_band_model, top_m=0)
+
+
+HAND_MODELS = {
+    # name: (beta, widths, eps, delta, M, top_m)
+    "quarter-rotation": ([0.25], [1], 0.0, 0.0, 8, 3),
+    "sector-identity": ([0.1, 0.3], [1, 1], 0.05, 0.0, 8, 3),
+    "k1-args": ([0.1, 0.3], [1, 1], 0.01, 0.0, 64, 2),
+    "arg-refinement": ([0.1, 0.3], [1, 1], 1e-3, 0.05, 16, 2),
+    "two-bands": ([0.1, 0.3], [2, 2], 0.05, 0.05, 32, 2),
+    "odd-bins": ([0.1, 0.3, 0.45], [2, 1, 2], 0.2, 0.02, 15, 3),
+    # W_eps indefinite: cycles in the real sector m = M/2
+    "half-turn-sector": ([0.0, 0.5], [2, 1], 0.8, 0.0, 2, 1),
+    "quarter-turn-sectors": ([0.0, 0.5, 0.25], [1, 1, 1], 0.8, 0.0, 4, 3),
+}
+
+
+class TestSectorPath:
+    @pytest.mark.parametrize("name", sorted(HAND_MODELS))
+    def test_matches_full_eig_on_hand_models(self, name):
+        beta, widths, eps, delta, M, top_m = HAND_MODELS[name]
+        m = build_band_model(beta, widths)
+        g = laplacian_generator(m.N) if m.N > 1 else NoiseGenerator.from_matrix([[0.0]])
+        op = ulam_analytic(m, g, eps, delta, M)
+        report = detect_cycles(op, m, top_m)
+        assert report.solver == "sector"
+        assert_matches_full_eig(report, op, m)
+
+    def test_matches_full_eig_on_case_study(self, case_model, case_gen):
+        op = ulam_analytic(case_model, case_gen, 0.1, 0.1, 8)
+        assert_matches_full_eig(detect_cycles(op, case_model, 3), op, case_model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
+    def test_random_admissible_models(self, widths, data):
+        n = sum(widths)
+        M = data.draw(st.integers(2, 300 // n), label="M")
+        beta = data.draw(st.lists(st.floats(-1, 1), min_size=len(widths),
+                                  max_size=len(widths), unique=True), label="beta")
+        rates = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * (n - 1) // 2,
+                                   max_size=n * (n - 1) // 2), label="rates")
+        wdot = np.zeros((n, n))
+        wdot[np.triu_indices(n, 1)] = rates
+        wdot += wdot.T
+        wdot -= np.diag(wdot.sum(axis=1))
+        gen = NoiseGenerator.from_matrix(wdot)
+        eps = data.draw(st.floats(0.0, 1.0), label="eps_fraction") * min(gen.eps_max, 1.0)
+        delta = data.draw(st.floats(0.0, 0.3), label="delta")
+        top_m = data.draw(st.integers(1, 3), label="top_m")
+        model = build_band_model(beta, widths)
+        op = ulam_analytic(model, gen, eps, delta, M)
+        values, ref = None, None
+        try:
+            values, ref = full_eig_cycles(op, model, top_m)
+        except NoComplexEigenvalues:
+            with pytest.raises(NoComplexEigenvalues):
+                detect_cycles(op, model, top_m)
+            return
+        # the comparison is meaningful where the top_m picks, their order and
+        # their eigenvectors are well defined: simple eigenvalues, no candidate
+        # near the realness cut, and distinct magnitudes down to the next
+        # candidate (symmetric models tie exactly, and roundoff breaks the tie)
+        for rep, _ in ref:
+            others = np.abs(values - rep) > 1e-12 * abs(rep)
+            near = np.abs(values - rep) <= 1e-3
+            assume(not np.any(near & others) and np.sum(~others) == 1)
+            assume(abs(rep.imag) > 1e-6)
+        mags = [abs(rep) for rep, _ in _pick_cycles(values, top_m + 1, 1e-9)]
+        assume(all(a - b > 1e-9 * a for a, b in zip(mags, mags[1:])))
+        report = detect_cycles(op, model, top_m)
+        assert report.solver == "sector"
+        assert_matches_full_eig(report, op, model)
+
+    def test_case_study_never_calls_arnoldi(self, case_model, case_gen, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Arnoldi called on the analytic path")
+
+        monkeypatch.setattr(spla, "eigs", refuse)
+        op = ulam_analytic(case_model, case_gen, 0.1, 0.1, 128)
+        report = detect_cycles(op, case_model, top_m=3)
+        assert report.solver == "sector" and len(report.cycles) == 3
+
+
+class TestCellMatrixPath:
+    @pytest.fixture(scope="class")
+    def empirical(self):
+        cfg = case_study_config()
+        batch = simulate(cfg.model, cfg.gen, 0.1, 0.1, 100, 400, seed=5)
+        return ulam_empirical(batch, 8, max_empty_fraction=0.2), cfg.model
+
+    def test_targeted_eigenvectors_match_full_eig(self, empirical):
+        op, model = empirical
+        report = detect_cycles(op, model, top_m=3)
+        assert report.solver == "dense"
+        assert_matches_full_eig(report, op, model)
+
+    def test_arnoldi_matches_dense(self, empirical, monkeypatch):
+        op, model = empirical
+        dense = detect_cycles(op, model, top_m=3)
+        monkeypatch.setattr(simulate_module, "DENSE_EIG_LIMIT", 10)
+        arnoldi = detect_cycles(op, model, top_m=3)
+        assert arnoldi.solver == "arnoldi" and arnoldi.max_residual <= 1e-10
+        for a, d in zip(arnoldi.cycles, dense.cycles, strict=True):
+            assert abs(a.eigenvalue - d.eigenvalue) <= 1e-10
+            assert_allclose(a.band_masses, d.band_masses, rtol=0, atol=1e-8)
+
+    def test_unconverged_eigenvector_raises(self, empirical, monkeypatch):
+        op, model = empirical
+        monkeypatch.setattr(simulate_module, "INVERSE_STEPS", 0)
+        with pytest.raises(NoConvergence, match="dense eigenpair residual"):
+            detect_cycles(op, model, top_m=3)
+
+    def test_shift_at_an_exact_eigenvalue(self):
+        # eigenvalues +-i are exact, so P + iI is exactly singular
+        m, _ = single_fibre_model(0.25)
+        op = UlamOperator(M=2, matrix=sp.csr_matrix([[0.0, -1.0], [1.0, 0.0]]),
+                          mode="empirical", model=m)
+        report = detect_cycles(op, m, top_m=1)
+        assert report.cycles[0].eigenvalue == -1j
+        assert report.max_residual <= 1e-15
