@@ -1,12 +1,12 @@
 """Command-line surface.
 
 Subcommands: validate, spectrum, limit, response, oracle, simulate,
-casestudy.  Every run writes into one output directory together with a
-manifest recording the command, the config hash, the seed and the library
-version, so reruns are bit-identical on the same platform.
+casestudy.  Each takes only the flags it reads (``COMMANDS``).  Every run
+writes into one output directory together with a manifest recording the
+command, the config hash, the seed and the library version, so reruns are
+bit-identical on the same platform.
 
-Exit codes: 0 success, 1 validation or math error, 2 config error.
-``ROTOR_SPECTRA_THREADS`` caps the per-(k, eps) worker threads.
+Exit codes: 0 success, 1 validation or math error, 2 config or usage error.
 """
 
 from __future__ import annotations
@@ -14,11 +14,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
 
 from . import __version__, writers
 from .config import CASE_STUDY_JSON, RunConfig, load_config, parse_config
@@ -31,28 +29,31 @@ from .spectra import spectrum
 from .zero_noise import limit_basis, spectrum_convergence
 
 
-def _thread_cap() -> int:
-    env = os.environ.get("ROTOR_SPECTRA_THREADS", "")
-    if env.strip():
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
+    return value
+
+
+def _list_of(parse):
+    """Argument type: a nonempty comma-separated list of ``parse`` values."""
+    def parse_list(text):
         try:
-            return max(1, int(env))
+            values = [parse(t) for t in text.split(",") if t.strip()]
         except ValueError as exc:
-            raise ConfigError(f"ROTOR_SPECTRA_THREADS must be an integer: {env!r}") from exc
-    return min(8, os.cpu_count() or 1)
-
-
-def _float_list(text):
-    try:
-        return [float(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _int_list(text):
-    try:
-        return [int(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+            raise argparse.ArgumentTypeError(str(exc))
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return values
+    return parse_list
 
 
 def _outdir(args) -> Path:
@@ -72,20 +73,43 @@ def _manifest(out: Path, command: str, cfg: RunConfig, **params):
 
 
 def _load(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(args.config)
     if args.command == "casestudy":
         return parse_config(CASE_STUDY_JSON)
     raise ConfigError("--config is required")
 
 
-def _eps_tag(eps: float) -> str:
-    return f"{eps:g}"
+def _leading_labels(model):
+    """First label of each band (0-based): the largest-|lam| member."""
+    return [model.cum[s] for s in range(model.S)]
+
+
+def _write_spectrum(out: Path, model, k: int, eps: float, spec) -> None:
+    tag = f"k{k}_eps{eps:g}"
+    writers.write_spectrum_csv(out / f"spectrum_{tag}.csv", spec)
+    writers.write_vectors_csv(out / f"vectors_{tag}.csv", k, spec.vectors)
+    writers.write_circles_csv(out / f"circles_{tag}.csv", model, k,
+                              spec.sinc, spec.gersh_radius)
+
+
+def _write_limit(out: Path, cfg: RunConfig, k: int, eps_list) -> None:
+    basis = limit_basis(cfg.model, cfg.gen, k)
+    writers.write_limit_csv(out / f"limit_basis_k{k}.csv", basis)
+    rows = spectrum_convergence(cfg.model, cfg.gen, k, eps_list, basis)
+    writers.write_convergence_csv(out / f"convergence_k{k}.csv", rows)
+
+
+def _write_response(out: Path, cfg: RunConfig, k: int):
+    resp = response_data(cfg.model, cfg.gen, k)
+    writers.write_response_csv(out / f"response_k{k}.csv", resp)
+    writers.write_vectors_csv(out / f"fhat_k{k}.csv", k, resp.f_hat)
+    return resp
 
 
 def cmd_validate(args) -> int:
     cfg = _load(args)
-    report = validate_admissibility(cfg.gen, cfg.model, gap_tol=args.tol or 1e-9)
+    report = validate_admissibility(cfg.gen, cfg.model, gap_tol=args.tol)
     for name, ok in [("stochastic-generator", report.item_stochastic),
                      ("distinct-spectrum", report.item_distinct_full),
                      ("distinct-block-spectra", report.item_distinct_blocks)]:
@@ -105,32 +129,21 @@ def cmd_validate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = _load(args)
-    out = _outdir(args)
     ks = args.k or list(cfg.ks)
     eps_list = args.eps or list(cfg.epsilons)
     delta = cfg.delta if args.delta is None else args.delta
-    tol = args.tol or 1e-11
-
-    def run(pair):
-        k, eps = pair
-        try:
-            return k, eps, spectrum(cfg.model, cfg.gen, k, eps, delta, tol), None
-        except AmbiguousLabelling as exc:
-            # reported per (k, eps) without aborting the sweep
-            return k, eps, None, str(exc)
-
-    with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        results = list(pool.map(run, [(k, e) for k in ks for e in eps_list]))
-    for k, eps, spec, failure in results:
-        if failure is not None:
-            print(f"ambiguous labelling at k={k}, eps={eps}: {failure}", file=sys.stderr)
-            continue
-        tag = f"k{k}_eps{_eps_tag(eps)}"
-        writers.write_spectrum_csv(out / f"spectrum_{tag}.csv", spec)
-        writers.write_vectors_csv(out / f"vectors_{tag}.csv", k, spec.vectors)
-        writers.write_circles_csv(out / f"circles_{tag}.csv", cfg.model, k,
-                             spec.sinc, spec.gersh_radius)
-    _manifest(out, "spectrum", cfg, ks=ks, epsilons=eps_list, delta=delta, tol=tol)
+    spectra = []
+    for k in ks:
+        for eps in eps_list:
+            try:
+                spectra.append((k, eps, spectrum(cfg.model, cfg.gen, k, eps, delta, args.tol)))
+            except AmbiguousLabelling as exc:
+                # reported per (k, eps) without aborting the sweep
+                print(f"ambiguous labelling at k={k}, eps={eps}: {exc}", file=sys.stderr)
+    out = _outdir(args)
+    for k, eps, spec in spectra:
+        _write_spectrum(out, cfg.model, k, eps, spec)
+    _manifest(out, "spectrum", cfg, ks=ks, epsilons=eps_list, delta=delta, tol=args.tol)
     return 0
 
 
@@ -138,30 +151,23 @@ def cmd_limit(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     ks = args.k or list(cfg.ks)
-    eps_list = args.eps or [1e-1, 1e-2, 1e-3, 1e-4]
     for k in ks:
-        basis = limit_basis(cfg.model, cfg.gen, k)
-        writers.write_limit_csv(out / f"limit_basis_k{k}.csv", basis)
-        rows = spectrum_convergence(cfg.model, cfg.gen, k, eps_list, basis)
-        writers.write_convergence_csv(out / f"convergence_k{k}.csv", rows)
-    _manifest(out, "limit", cfg, ks=ks, epsilons=eps_list)
+        _write_limit(out, cfg, k, args.eps)
+    _manifest(out, "limit", cfg, ks=ks, epsilons=args.eps)
     return 0
 
 
 def cmd_response(args) -> int:
     cfg = _load(args)
-    grid = args.eps or [1e-2, 1e-3, 1e-4, 1e-5]
-    check_eps_grid(cfg.gen, grid)
+    check_eps_grid(cfg.gen, args.eps)
     out = _outdir(args)
     ks = args.k or list(cfg.ks)
     for k in ks:
-        resp = response_data(cfg.model, cfg.gen, k)
-        writers.write_response_csv(out / f"response_k{k}.csv", resp)
-        writers.write_vectors_csv(out / f"fhat_k{k}.csv", k, resp.f_hat)
+        resp = _write_response(out, cfg, k)
         for ell in _leading_labels(cfg.model):
-            oc = order_check(cfg.model, cfg.gen, k, ell, grid, resp)
+            oc = order_check(cfg.model, cfg.gen, k, ell, args.eps, resp)
             writers.write_ordercheck_csv(out / f"ordercheck_k{k}_ell{ell + 1}.csv", oc)
-    _manifest(out, "response", cfg, ks=ks, grid=grid)
+    _manifest(out, "response", cfg, ks=ks, grid=args.eps)
     return 0
 
 
@@ -169,13 +175,12 @@ def cmd_oracle(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     ks = args.k or list(cfg.ks)
-    tol = args.tol or 1e-10
     for k in ks:
-        report = oracle_crosscheck(cfg.model, cfg.gen, k, tol)
+        report = oracle_crosscheck(cfg.model, cfg.gen, k, args.tol)
         writers.write_oracle_csv(out / f"oracle_k{k}.csv", report)
         print(f"k={k}: max |lhat diff| = {report.max_abs_diff:.3e}, "
               f"max vector distance = {report.max_vec_dist:.3e}")
-    _manifest(out, "oracle", cfg, ks=ks, tol=tol)
+    _manifest(out, "oracle", cfg, ks=ks, tol=args.tol)
     return 0
 
 
@@ -200,40 +205,55 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _leading_labels(model):
-    """First label of each band (0-based): the largest-|lam| member."""
-    return [model.cum[s] for s in range(model.S)]
-
-
 def cmd_casestudy(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     k = args.k[0] if args.k else cfg.ks[0]
     eps = args.eps[0] if args.eps else cfg.epsilons[0]
     delta = cfg.delta if args.delta is None else args.delta
-    leading = _leading_labels(cfg.model)
 
     spec = spectrum(cfg.model, cfg.gen, k, eps, delta)
-    writers.write_spectrum_csv(out / f"spectrum_k{k}_eps{_eps_tag(eps)}.csv", spec)
-    writers.write_vectors_csv(out / f"vectors_k{k}_eps{_eps_tag(eps)}.csv", k, spec.vectors)
-    writers.write_circles_csv(out / f"circles_k{k}_eps{_eps_tag(eps)}.csv", cfg.model, k,
-                         spec.sinc, spec.gersh_radius)
-
-    basis = limit_basis(cfg.model, cfg.gen, k)
-    writers.write_limit_csv(out / f"limit_basis_k{k}.csv", basis)
-
-    resp = response_data(cfg.model, cfg.gen, k)
-    writers.write_response_csv(out / f"response_k{k}.csv", resp)
-    writers.write_vectors_csv(out / f"fhat_k{k}.csv", k, resp.f_hat)
-
-    rows = spectrum_convergence(cfg.model, cfg.gen, k, [1e-1, 1e-2, 1e-3, 1e-4], basis)
-    writers.write_convergence_csv(out / f"convergence_k{k}.csv", rows)
-
+    _write_spectrum(out, cfg.model, k, eps, spec)
+    _write_limit(out, cfg, k, LIMIT_GRID)
+    _write_response(out, cfg, k)
     writers.write_grid_csv(out / f"eigenfunction_grid_k{k}.csv", k, spec.vectors,
-                      leading, x_res=args.x_res)
+                           _leading_labels(cfg.model), x_res=args.x_res)
     _manifest(out, "casestudy", cfg, k=k, eps=eps, delta=delta, x_res=args.x_res)
     print(f"case-study outputs written to {out}")
     return 0
+
+
+#: argparse keywords of every flag; its default comes from the subcommand's row
+FLAGS = {
+    "--config": dict(help="model configuration JSON"),
+    "--out": dict(help="output directory"),
+    "--k": dict(type=_list_of(int), help="comma-separated Fourier indices"),
+    "--eps": dict(type=_list_of(_finite), help="comma-separated noise levels"),
+    "--delta": dict(type=_finite, help="fibre noise radius (overrides config)"),
+    "--tol": dict(type=_positive, help="tolerance"),
+    "--bins": dict(type=int, help="circle bins per fibre"),
+    "--seed": dict(type=int, help="simulation seed"),
+    "--paths": dict(type=int, help="trajectory paths to dump (0 = none)"),
+    "--steps": dict(type=int, help="steps per path"),
+    "--top-m": dict(type=int, help="cycles to report"),
+    "--x-res": dict(type=int, help="circle samples in eigenfunction grids"),
+}
+
+#: the convergence grid of ``limit`` and ``casestudy``
+LIMIT_GRID = [1e-1, 1e-2, 1e-3, 1e-4]
+
+#: each subcommand and the flags it reads besides --config and --out, with
+#: their defaults (None: unset, or the config's value)
+COMMANDS = {
+    "validate": (cmd_validate, {"--out": None, "--tol": 1e-9}),
+    "spectrum": (cmd_spectrum, {"--k": None, "--eps": None, "--delta": None, "--tol": 1e-11}),
+    "limit": (cmd_limit, {"--k": None, "--eps": LIMIT_GRID}),
+    "response": (cmd_response, {"--k": None, "--eps": [1e-2, 1e-3, 1e-4, 1e-5]}),
+    "oracle": (cmd_oracle, {"--k": None, "--tol": 1e-10}),
+    "simulate": (cmd_simulate, {"--eps": None, "--delta": None, "--bins": 128, "--seed": 0,
+                                "--paths": 0, "--steps": 1000, "--top-m": 3}),
+    "casestudy": (cmd_casestudy, {"--k": None, "--eps": None, "--delta": None, "--x-res": 256}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,38 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rotor-spectra",
         description="Spectral analysis of noisy banded rotations on a discretised cylinder")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "validate": cmd_validate,
-        "spectrum": cmd_spectrum,
-        "limit": cmd_limit,
-        "response": cmd_response,
-        "oracle": cmd_oracle,
-        "simulate": cmd_simulate,
-        "casestudy": cmd_casestudy,
-    }
-    for name, fn in commands.items():
+    for name, (fn, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        p.add_argument("--config", help="model configuration JSON")
-        p.add_argument("--out", default=None if name == "validate" else "out",
-                       help="output directory")
-        p.add_argument("--k", type=_int_list, default=None,
-                       help="comma-separated Fourier indices")
-        p.add_argument("--eps", type=_float_list, default=None,
-                       help="comma-separated noise levels")
-        p.add_argument("--delta", type=float, default=None,
-                       help="fibre noise radius (overrides config)")
-        p.add_argument("--bins", type=int, default=128, help="circle bins per fibre")
-        p.add_argument("--seed", type=int, default=0, help="simulation seed")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--x-res", dest="x_res", type=int, default=256,
-                       help="circle samples in eigenfunction grids")
-        if name == "simulate":
-            p.add_argument("--paths", type=int, default=0,
-                           help="trajectory paths to dump (0 = none)")
-            p.add_argument("--steps", type=int, default=1000, help="steps per path")
-            p.add_argument("--top-m", dest="top_m", type=int, default=3,
-                           help="cycles to report")
+        for flag, default in {"--config": None, "--out": "out", **flags}.items():
+            kwargs = dict(FLAGS[flag], default=default)
+            if name == "response" and flag == "--eps":
+                # check_eps_grid refuses a bad grid, non-finite points included
+                kwargs["type"] = _list_of(float)
+            p.add_argument(flag, **kwargs)
     return parser
 
 

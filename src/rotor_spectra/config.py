@@ -13,7 +13,8 @@ Schema (all keys except ``beta`` and ``L`` optional)::
 
 Only the three listed string tokens are accepted for irrational speeds, so
 the case-study model is expressible exactly; everything else must be a
-decimal literal.
+decimal literal.  Non-finite numbers (``NaN``, ``Infinity`` or a literal that
+overflows) are refused with ConfigError.
 """
 
 from __future__ import annotations
@@ -54,9 +55,20 @@ def _speed(value):
     raise ConfigError(f"speed must be a number or token, got {value!r}")
 
 
+def _non_finite(token: str):
+    raise ConfigError(f"non-finite number {token} in config")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):         # an overflowing literal such as 1e999
+        _non_finite(token)
+    return value
+
+
 def parse_config(text: str) -> RunConfig:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -100,8 +100,9 @@ def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int,
                      basis: LimitBasis | None, checked=(), gap_tol: float = 1e-9):
     """lhathat and the fhat columns of every label, from one limit basis.
 
-    With A = D Wdot F, B = Wdot D* F and inv[j, ell] = 1/(e_{s_ell} - e_{s_j})
-    off the own band of ell (0 on it), the module-docstring sums become
+    With A = D Wdot F, B = Wdot D* F, d = diag(D) (so d_j = e_{s_j}) and
+    inv[j, ell] = 1/(d_ell - d_j) off the own band of ell (0 on it), the
+    module-docstring sums become
     H = B^H (A * inv), lhathat = diag(H), the in-band coefficients
     H[r, ell] / (lhat_ell - lhat_r) and the out-of-band ones (F^T A) * inv.
     Raises DegenerateFirstOrder when a label in ``checked`` shares its
@@ -114,7 +115,6 @@ def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int,
     f = np.asarray(basis.vectors)
     band = np.asarray(basis.band)
     lam_hat = np.asarray(basis.lambda_hat)
-    e = np.exp(-2j * np.pi * k * np.asarray(model.beta))[band]
     d = np.exp(-2j * np.pi * k * model.alpha)
     across = band[:, None] != band[None, :]
     within = ~across & ~np.eye(model.N, dtype=bool)      # [r, ell]: r != ell, same band
@@ -126,7 +126,7 @@ def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int,
         raise DegenerateFirstOrder(f"first-order eigenvalues coincide for labels "
                                    f"{checked[bad[0][0]]} and {bad[0][1]} at k={k}")
     inv = np.zeros((model.N, model.N), dtype=complex)
-    np.divide(1.0, e[None, :] - e[:, None], out=inv, where=across)
+    np.divide(1.0, d[None, :] - d[:, None], out=inv, where=across)
     a = d[:, None] * (gen.wdot @ f)                      # D Wdot F
     b = gen.wdot @ (np.conj(d)[:, None] * f)             # Wdot D* F
     h = b.conj().T @ (a * inv)
@@ -274,7 +274,6 @@ def order_check(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
     alpha_xd = model.alpha.astype(np.longdouble)
     lam0_xd = np.exp(np.clongdouble(-2j) * np.pi * k * alpha_xd)
     lam0 = lam0_xd.astype(complex)
-    phases_xd = np.exp(np.clongdouble(-2j) * np.pi * k * alpha_xd)
     wdot_xd = np.asarray(gen.wdot, dtype=np.longdouble)
 
     r0, r1, r2, vec_r = [], [], [], []
@@ -283,8 +282,8 @@ def order_check(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
         eig = eig_dense_complex(block.matrix)
         pred = lam0 + eps * lam_hat + eps ** 2 * lhh
         order = _match_to_predictions(eig.values, pred)
-        a_xd = phases_xd[:, None] * (np.eye(model.N, dtype=np.longdouble)
-                                     + np.clongdouble(eps) * wdot_xd)
+        a_xd = lam0_xd[:, None] * (np.eye(model.N, dtype=np.longdouble)
+                                   + np.clongdouble(eps) * wdot_xd)
         lam, vec = _refine_eigenpair(a_xd, eig.values[order[ell]],
                                      eig.vectors[:, order[ell]])
         e = np.clongdouble(eps)

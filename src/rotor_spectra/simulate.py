@@ -254,7 +254,8 @@ def _pick_cycles(values: np.ndarray, top_m: int, imag_tol: float) -> list:
     """(lower-half-plane representative, index into values) of the top_m cycles.
 
     Nonreal eigenvalues are folded into the lower half plane, sorted by
-    decreasing magnitude (ties by real, then imaginary part), and
+    decreasing magnitude rounded to a relative 1e-12 (ties by real, then
+    imaginary part, so equal magnitudes are not ordered by roundoff), and
     representatives within 1e-9 relative of a picked one are dropped, so each
     conjugate pair counts once.
     """
@@ -262,7 +263,8 @@ def _pick_cycles(values: np.ndarray, top_m: int, imag_tol: float) -> list:
     if len(nonreal) == 0:
         raise NoComplexEigenvalues("spectrum is numerically real")
     reps = sorted(((values[i] if values[i].imag < 0 else np.conj(values[i]), i)
-                   for i in nonreal), key=lambda t: (-abs(t[0]), t[0].real, t[0].imag))
+                   for i in nonreal),
+                  key=lambda t: (-float(f"{abs(t[0]):.12e}"), t[0].real, t[0].imag))
     picked = []
     for rep, i in reps:
         if any(abs(rep - r) <= 1e-9 * max(1.0, abs(rep)) for r, _ in picked):

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from rotor_spectra import zero_noise
+from rotor_spectra import cli, zero_noise
 from rotor_spectra.cli import main
 from rotor_spectra.config import CASE_STUDY_JSON
+from rotor_spectra.errors import AmbiguousLabelling
 
 
 @pytest.fixture()
@@ -80,12 +81,71 @@ class TestSpectrum:
         _, rows = read_csv(out / "spectrum_k1_eps0.csv")
         assert max(float(r[9]) for r in rows) <= 1e-13
 
-    def test_thread_cap_env(self, case_cfg, tmp_path, monkeypatch):
-        monkeypatch.setenv("ROTOR_SPECTRA_THREADS", "2")
-        out = tmp_path / "thr"
+    def test_k_eps_sweep(self, case_cfg, tmp_path):
+        out = tmp_path / "sweep"
         assert main(["spectrum", "--config", str(case_cfg), "--out", str(out),
                      "--k", "1,2", "--eps", "0.1,0.01"]) == 0
         assert len(list(out.glob("spectrum_*.csv"))) == 4
+
+    def test_ambiguous_pairs_reported_in_input_order(self, case_cfg, tmp_path, capsys,
+                                                     monkeypatch):
+        real = cli.spectrum
+
+        def ambiguous_at_001(model, gen, k, eps, *args):
+            if eps == 0.01:
+                raise AmbiguousLabelling(f"disks overlap at k={k}")
+            return real(model, gen, k, eps, *args)
+
+        monkeypatch.setattr(cli, "spectrum", ambiguous_at_001)
+        out = tmp_path / "sweep"
+        assert main(["spectrum", "--config", str(case_cfg), "--out", str(out),
+                     "--k", "2,1", "--eps", "0.01,0.1"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "ambiguous labelling at k=2, eps=0.01: disks overlap at k=2",
+            "ambiguous labelling at k=1, eps=0.01: disks overlap at k=1"]
+        assert sorted(p.name for p in out.glob("spectrum_*.csv")) == [
+            "spectrum_k1_eps0.1.csv", "spectrum_k2_eps0.1.csv"]
+
+    @pytest.mark.parametrize("config, extra", [
+        ('{"beta": [0.1, 0.3], "L": [1, 1], "delta": NaN}', []),
+        ('{"beta": [0.1, 0.3], "L": [1, 1], "delta": Infinity}', []),
+        ('{"beta": [0.1, 0.3], "L": [1, 1], "delta": 1e999}', []),
+        ('{"beta": [NaN, 0.3], "L": [1, 1]}', []),
+        ('{"beta": [0.1, 0.3], "L": [1, 1],'
+         ' "generator": [[-0.5, 0.5], [0.5, NaN]]}', []),
+        ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--eps", "nan"]),
+        ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--eps", "0.1,inf"]),
+        ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--delta", "inf"]),
+        ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--tol", "nan"]),
+        ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--tol", "0"]),
+    ], ids=["delta-nan", "delta-infinity", "delta-overflow", "beta-nan", "generator-nan",
+            "eps-nan", "eps-inf", "delta-inf", "tol-nan", "tol-zero"])
+    def test_non_finite_input_exit2(self, tmp_path, capsys, config, extra):
+        p = tmp_path / "model.json"
+        p.write_text(config, encoding="utf-8")
+        out = tmp_path / "spec"
+        try:
+            code = main(["spectrum", "--config", str(p), "--out", str(out), *extra])
+        except SystemExit as exc:       # usage error from argparse
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") or "error: argument" in err
+        assert not list(out.glob("spectrum_*.csv"))
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["limit", "--bins", "8"],
+        ["validate", "--x-res", "8"],
+        ["oracle", "--delta", "0"],
+        ["simulate", "--tol", "1"],
+    ])
+    def test_subcommands_refuse_flags_they_do_not_read(self, case_cfg, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(case_cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestOtherCommands:
@@ -190,6 +250,19 @@ class TestCaseStudy:
         assert main(["casestudy", "--out", str(out2), "--x-res", "16"]) == 0
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_outputs_match_the_subcommands(self, case_cfg, tmp_path):
+        case = tmp_path / "case"
+        assert main(["casestudy", "--out", str(case), "--x-res", "8"]) == 0
+        for command, names in [
+                ("spectrum", ["spectrum_k1_eps0.1.csv", "vectors_k1_eps0.1.csv",
+                              "circles_k1_eps0.1.csv"]),
+                ("limit", ["limit_basis_k1.csv", "convergence_k1.csv"]),
+                ("response", ["response_k1.csv", "fhat_k1.csv"])]:
+            out = tmp_path / command
+            assert main([command, "--config", str(case_cfg), "--out", str(out)]) == 0
+            for name in names:
+                assert (case / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_grid_shape(self, tmp_path):
         out = tmp_path / "g"

@@ -54,6 +54,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config('{"beta": [0.1], "L": [2], "delta": -0.2}')
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_numbers(self, number):
+        with pytest.raises(ConfigError, match="non-finite"):
+            parse_config(f'{{"beta": [0.1], "L": [2], "epsilons": [{number}]}}')
+
     def test_bad_epsilons(self):
         with pytest.raises(ConfigError):
             parse_config('{"beta": [0.1], "L": [2], "epsilons": [-1.0]}')

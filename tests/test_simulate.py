@@ -348,6 +348,18 @@ class TestSectorPath:
         assert report.solver == "sector"
         assert_matches_full_eig(report, op, model)
 
+    def test_equal_magnitudes_ordered_by_real_part(self):
+        # -0.125-0.6495j and +0.125-0.6495j have the same magnitude; the sector
+        # path and the full spectrum must break that tie the same way
+        m = build_band_model([0.25], [2])
+        g = laplacian_generator(2)
+        op = ulam_analytic(m, g, g.eps_max, 0.0, 3)
+        (rep, _), = _pick_cycles(np.linalg.eigvals(op.matrix.toarray()), 1, 1e-9)
+        report = detect_cycles(op, m, top_m=1)
+        assert report.solver == "sector"
+        assert abs(report.cycles[0].eigenvalue - rep) <= 1e-12
+        assert rep.real < 0
+
     def test_case_study_never_calls_arnoldi(self, case_model, case_gen, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("Arnoldi called on the analytic path")
