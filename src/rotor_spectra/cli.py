@@ -43,6 +43,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _list_of(parse):
     """Argument type: a nonempty comma-separated list of ``parse`` values."""
     def parse_list(text):
@@ -186,7 +193,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    eps = args.eps[0] if args.eps else (cfg.epsilons[0] if cfg.epsilons else 0.1)
+    eps = args.eps[0] if args.eps else cfg.epsilons[0]
     delta = cfg.delta if args.delta is None else args.delta
     op = ulam_analytic(cfg.model, cfg.gen, eps, delta, args.bins)
     report = detect_cycles(op, cfg.model, args.top_m)
@@ -236,7 +243,7 @@ FLAGS = {
     "--paths": dict(type=int, help="trajectory paths to dump (0 = none)"),
     "--steps": dict(type=int, help="steps per path"),
     "--top-m": dict(type=int, help="cycles to report"),
-    "--x-res": dict(type=int, help="circle samples in eigenfunction grids"),
+    "--x-res": dict(type=_positive_int, help="circle samples in eigenfunction grids"),
 }
 
 #: the convergence grid of ``limit`` and ``casestudy``

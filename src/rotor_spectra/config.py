@@ -14,7 +14,8 @@ Schema (all keys except ``beta`` and ``L`` optional)::
 Only the three listed string tokens are accepted for irrational speeds, so
 the case-study model is expressible exactly; everything else must be a
 decimal literal.  Non-finite numbers (``NaN``, ``Infinity`` or a literal that
-overflows) are refused with ConfigError.
+overflows a float, integer literals included) and empty ``epsilons`` or
+``ks`` are refused with ConfigError.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ def _speed(value):
 
 
 def _non_finite(token: str):
-    raise ConfigError(f"non-finite number {token} in config")
+    shown = token if len(token) <= 24 else f"{token[:12]}... ({len(token)} characters)"
+    raise ConfigError(f"non-finite number {shown} in config")
 
 
 def _finite_float(token: str) -> float:
@@ -66,9 +68,15 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _finite_int(token: str) -> int:
+    _finite_float(token)                 # an integer literal beyond the float range
+    return int(token)
+
+
 def parse_config(text: str) -> RunConfig:
     try:
-        doc = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float)
+        doc = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float,
+                         parse_int=_finite_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -109,12 +117,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"delta must be a nonnegative number, got {delta!r}")
     eps = doc.get("epsilons", [0.1])
     ks = doc.get("ks", [1])
-    if not isinstance(eps, list) or not all(
+    if not isinstance(eps, list) or not eps or not all(
             isinstance(e, (int, float)) and not isinstance(e, bool) and e >= 0 for e in eps):
-        raise ConfigError("'epsilons' must be an array of nonnegative numbers")
-    if not isinstance(ks, list) or not all(
+        raise ConfigError("'epsilons' must be a nonempty array of nonnegative numbers")
+    if not isinstance(ks, list) or not ks or not all(
             isinstance(k, int) and not isinstance(k, bool) for k in ks):
-        raise ConfigError("'ks' must be an array of integers")
+        raise ConfigError("'ks' must be a nonempty array of integers")
     return RunConfig(model=model, gen=gen, delta=float(delta),
                      epsilons=tuple(float(e) for e in eps),
                      ks=tuple(int(k) for k in ks), raw=text)

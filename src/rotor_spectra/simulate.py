@@ -118,9 +118,10 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
     optionally fixes the initial states as a pair of arrays (j0, x0) with
     0-based fibre indices; the stream layout does not change with it.
     """
-    if n_paths < 0 or n_steps < 0:
+    if seed < 0 or n_paths < 0 or n_steps < 0:
         raise InvalidSimulationInput(
-            f"path and step counts must be >= 0, got n_paths={n_paths}, n_steps={n_steps}")
+            f"seed, path and step counts must be >= 0, got seed={seed}, "
+            f"n_paths={n_paths}, n_steps={n_steps}")
     w = w_epsilon(gen, eps)
     cum = np.cumsum(w, axis=1)
     cum[:, -1] = 1.0 + 1e-12     # guard rounding: every uniform draw must land

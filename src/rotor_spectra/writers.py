@@ -1,124 +1,130 @@
 """CSV and JSON writers for every documented file format.
 
-All CSVs are UTF-8 with a header row and '.' decimal separator; label and
-fibre indices (ell, j, band) are written 1-based to match the mathematical
-convention, while the library is 0-based internally.  Complex-valued single
-columns (oracle report) use Python complex syntax ``a+bj``.
+Each CSV writer states its row format once, as a ``%`` format, and hands
+``_write`` whole columns.  CSVs are UTF-8 with a header row, '.' decimal
+separator and CRLF row ends.  Reals are written ``%.17g``; label and fibre
+indices (ell, j, band) are 1-based, while the library is 0-based internally;
+the oracle's complex columns use Python's ``a+bj`` syntax.
+
+Columns round as scalar arithmetic does, to the last bit: a modulus is
+``np.hypot(re, im)``, equal to ``abs(complex)`` where a vectorised ``np.abs``
+may differ, and complex products are spelt out in real and imaginary parts,
+because numpy's vectorised complex product may round differently.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
-
-def _fmt(x) -> str:
-    if isinstance(x, (complex, np.complexfloating)):
-        return f"{complex(x).real:.17g}{complex(x).imag:+.17g}j"
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    return str(x)
+#: samples per plotted circle
+CIRCLE_SAMPLES = 256
 
 
-def _write(path, header, rows):
+def _open(path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+    return open(path, "w", newline="", encoding="utf-8")
+
+
+def _write(path, header, fmt, columns, footer=()):
+    """Write the header, one ``fmt`` row per element of the broadcast
+    ``columns`` (arrays or scalars, in C order), then the ``footer`` lines."""
+    cols = [c.ravel().tolist() for c in np.broadcast_arrays(*map(np.asarray, columns))]
+    row = fmt + "\r\n"
+    with _open(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % values for values in zip(*cols))
+        fh.writelines(line + "\r\n" for line in footer)
+
+
+def _write_json(path, doc) -> None:
+    with _open(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _abs(z):
+    return np.hypot(z.real, z.imag)
+
+
+def _labels(n):
+    return np.arange(1, n + 1)
 
 
 def write_spectrum_csv(path, spec):
-    rows = []
-    for ell in range(len(spec.lam)):
-        lam, tgt = spec.lam[ell], spec.target[ell]
-        rows.append([spec.k, ell + 1, int(spec.band[ell]) + 1,
-                     lam.real, lam.imag, abs(lam), np.angle(lam),
-                     tgt.real, tgt.imag, abs(lam - tgt),
-                     spec.gersh_radius, spec.residual[ell]])
+    lam, tgt = spec.lam, spec.target
     _write(path, ["k", "ell", "band", "re", "im", "abs", "arg",
-                  "target_re", "target_im", "dist_to_target",
-                  "gersh_radius", "residual"], rows)
+                  "target_re", "target_im", "dist_to_target", "gersh_radius", "residual"],
+           "%d,%d,%d" + ",%.17g" * 9,
+           [spec.k, _labels(len(lam)), spec.band + 1, lam.real, lam.imag, _abs(lam),
+            np.angle(lam), tgt.real, tgt.imag, _abs(lam - tgt), spec.gersh_radius,
+            spec.residual])
 
 
-def write_vectors_csv(path, k, vectors, ells=None):
+def write_vectors_csv(path, k, vectors):
     """Shared layout for eigenvector and response-vector tables."""
-    vectors = np.asarray(vectors)
-    ells = range(vectors.shape[1]) if ells is None else ells
-    rows = []
-    for ell in ells:
-        for j in range(vectors.shape[0]):
-            v = complex(vectors[j, ell])
-            rows.append([k, ell + 1, j + 1, v.real, v.imag, abs(v)])
-    _write(path, ["k", "ell", "j", "re", "im", "abs"], rows)
+    v = np.asarray(vectors).T                    # row ell, column j
+    _write(path, ["k", "ell", "j", "re", "im", "abs"], "%d,%d,%d,%.17g,%.17g,%.17g",
+           [k, _labels(v.shape[0])[:, None], _labels(v.shape[1]), v.real, v.imag, _abs(v)])
 
 
-def write_circles_csv(path, model, k, sinc, radius, samples=256):
+def write_circles_csv(path, model, k, sinc, radius):
     """Unit-circle and per-band Gershgorin-circle samples for plotting."""
-    t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
-    rows = [["unit", 0, float(np.cos(a)), float(np.sin(a))] for a in t]
-    for s, b in enumerate(model.beta):
-        c = sinc * np.exp(-2j * np.pi * k * b)
-        for a in t:
-            rows.append(["gersh", s + 1,
-                         float(c.real + radius * np.cos(a)),
-                         float(c.imag + radius * np.sin(a))])
-    _write(path, ["kind", "idx", "x", "y"], rows)
+    t = np.linspace(0.0, 2 * np.pi, CIRCLE_SAMPLES, endpoint=False)
+    centre = sinc * np.exp(-2j * np.pi * k * np.asarray(model.beta))[:, None]
+    S = len(model.beta)
+    _write(path, ["kind", "idx", "x", "y"], "%s,%d,%.17g,%.17g",
+           [np.repeat(["unit", "gersh"], [CIRCLE_SAMPLES, S * CIRCLE_SAMPLES]),
+            np.repeat(np.arange(S + 1), CIRCLE_SAMPLES),
+            np.concatenate([np.cos(t), (centre.real + radius * np.cos(t)).ravel()]),
+            np.concatenate([np.sin(t), (centre.imag + radius * np.sin(t)).ravel()])])
 
 
 def write_limit_csv(path, basis):
-    rows = []
+    lh = basis.lambda_hat[:, None]
     n = len(basis.lambda_hat)
-    for ell in range(n):
-        lh = basis.lambda_hat[ell]
-        for j in range(n):
-            rows.append([basis.k, ell + 1, int(basis.band[ell]) + 1,
-                         lh.real, lh.imag, j + 1, float(basis.vectors[j, ell])])
-    _write(path, ["k", "ell", "band", "lambda_hat_re", "lambda_hat_im", "j", "f_j"], rows)
+    _write(path, ["k", "ell", "band", "lambda_hat_re", "lambda_hat_im", "j", "f_j"],
+           "%d,%d,%d,%.17g,%.17g,%d,%.17g",
+           [basis.k, _labels(n)[:, None], basis.band[:, None] + 1, lh.real, lh.imag,
+            _labels(n), basis.vectors.T])
 
 
 def write_convergence_csv(path, rows):
     """rows: (k, ell 0-based, eps, proj_distance, projector_gap, mass_outside)."""
-    _write(path, ["k", "ell", "eps", "proj_distance", "projector_gap",
-                  "mass_outside_band"],
-           [[k, ell + 1, eps, pd, pg, mo] for (k, ell, eps, pd, pg, mo) in rows])
+    k, ell, *rest = np.reshape(np.asarray(rows, dtype=float), (-1, 6)).T
+    _write(path, ["k", "ell", "eps", "proj_distance", "projector_gap", "mass_outside_band"],
+           "%d,%d" + ",%.17g" * 4, [k, ell + 1, *rest])
 
 
 def write_response_csv(path, resp):
-    rows = []
-    for ell in range(len(resp.lambda_hat)):
-        lh, lhh = resp.lambda_hat[ell], resp.lambda_hathat[ell]
-        rows.append([resp.k, ell + 1, int(resp.band[ell]) + 1,
-                     lh.real, lh.imag, lhh.real, lhh.imag])
-    _write(path, ["k", "ell", "band", "lhat_re", "lhat_im", "lhathat_re", "lhathat_im"], rows)
+    lh, lhh = resp.lambda_hat, resp.lambda_hathat
+    _write(path, ["k", "ell", "band", "lhat_re", "lhat_im", "lhathat_re", "lhathat_im"],
+           "%d,%d,%d" + ",%.17g" * 4,
+           [resp.k, _labels(len(lh)), resp.band + 1, lh.real, lh.imag, lhh.real, lhh.imag])
 
 
 def write_ordercheck_csv(path, oc):
-    rows = [[oc.k, oc.ell + 1, oc.eps_grid[i], oc.r0[i], oc.r1[i], oc.r2[i], oc.vec_r[i]]
-            for i in range(len(oc.eps_grid))]
-    rows.append(["slopes", "", "", oc.slope0, oc.slope1, oc.slope2, oc.slope_vec])
-    _write(path, ["k", "ell", "eps", "r0", "r1", "r2", "vec_r"], rows)
+    _write(path, ["k", "ell", "eps", "r0", "r1", "r2", "vec_r"], "%d,%d" + ",%.17g" * 5,
+           [oc.k, oc.ell + 1, oc.eps_grid, oc.r0, oc.r1, oc.r2, oc.vec_r],
+           ["slopes,,,%.17g,%.17g,%.17g,%.17g"
+            % (oc.slope0, oc.slope1, oc.slope2, oc.slope_vec)])
 
 
 def write_oracle_csv(path, report):
-    rows = []
-    for ell in range(len(report.abs_diff)):
-        rows.append([report.k, ell + 1, int(report.band[ell]) + 1, report.case[ell],
-                     report.lhat_closed[ell], report.lhat_numeric[ell],
-                     report.abs_diff[ell], report.vec_proj_dist[ell]])
+    closed, numeric = report.lhat_closed, report.lhat_numeric
     _write(path, ["k", "ell", "band", "case", "lhat_closed", "lhat_numeric",
-                  "abs_diff", "vec_proj_dist"], rows)
+                  "abs_diff", "vec_proj_dist"],
+           "%d,%d,%d,%s" + ",%.17g%+.17gj" * 2 + ",%.17g,%.17g",
+           [report.k, _labels(len(report.abs_diff)), report.band + 1, report.case,
+            closed.real, closed.imag, numeric.real, numeric.imag,
+            report.abs_diff, report.vec_proj_dist])
 
 
 def write_cycles_json(path, report):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
+    _write_json(path, {
         "M": report.M,
         "top_m": report.top_m,
         "solver": report.solver,
@@ -134,36 +140,30 @@ def write_cycles_json(path, report):
             }
             for c in report.cycles
         ],
-    }
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    })
 
 
 def write_trajectory_csv(path, batch):
-    rows = []
-    for p in range(batch.n_paths):
-        for t in range(batch.n_steps + 1):
-            rows.append([p, t, int(batch.j[p, t]) + 1, float(batch.x[p, t])])
-    _write(path, ["path", "step", "j", "x"], rows)
+    """Path and step are 0-based; the fibre j is 1-based."""
+    _write(path, ["path", "step", "j", "x"], "%d,%d,%d,%.17g",
+           [np.arange(batch.n_paths)[:, None], np.arange(batch.n_steps + 1),
+            batch.j + 1, batch.x])
 
 
 def write_grid_csv(path, k, vectors, ells, x_res=256):
     """Full-cylinder eigenfunction samples |f(j) e^{2 pi i k x}| and arguments."""
-    vectors = np.asarray(vectors)
+    f = np.asarray(vectors)[:, list(ells)].T[:, :, None]    # (ell, j, 1)
     xs = np.arange(x_res) / x_res
-    rows = []
-    for ell in ells:
-        f = vectors[:, ell]
-        for j in range(vectors.shape[0]):
-            for x in xs:
-                val = complex(f[j]) * np.exp(2j * np.pi * k * x)
-                rows.append([ell + 1, j + 1, float(x), abs(val), float(np.angle(val))])
-    _write(path, ["ell", "j", "x", "abs", "arg"], rows)
+    e = np.exp(2j * np.pi * k * xs)
+    re = f.real * e.real - f.imag * e.imag
+    im = f.real * e.imag + f.imag * e.real
+    _write(path, ["ell", "j", "x", "abs", "arg"], "%d,%d,%.17g,%.17g,%.17g",
+           [(np.asarray(ells) + 1)[:, None, None], _labels(f.shape[1])[:, None], xs,
+            np.hypot(re, im), np.arctan2(im, re)])
 
 
 def write_admissibility_json(path, report):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
+    _write_json(path, {
         "row_sum_defect": report.row_sum_defect,
         "symmetry_defect": report.symmetry_defect,
         "min_offdiag": report.min_offdiag,
@@ -175,5 +175,4 @@ def write_admissibility_json(path, report):
         "item_distinct_full": report.item_distinct_full,
         "item_distinct_blocks": report.item_distinct_blocks,
         "passed": report.passed,
-    }
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    })

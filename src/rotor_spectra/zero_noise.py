@@ -125,13 +125,13 @@ def limit_eigenbasis(lim: LimitMatrix, gap_tol: float = 1e-9) -> LimitBasis:
 
 
 def limit_basis(model: BandModel, gen: NoiseGenerator, k: int,
-                gap_tol: float = 1e-9, require_gamma: bool = True) -> LimitBasis:
+                gap_tol: float = 1e-9) -> LimitBasis:
     """Convenience wrapper: assemble the limit matrix and solve it.
 
-    With ``require_gamma`` the band phases must be pairwise distinct at this
-    k, otherwise GammaViolated is raised (no convergence claim exists there).
+    The band phases must be pairwise distinct at this k, otherwise
+    GammaViolated is raised (no convergence claim exists there).
     """
-    if require_gamma and model.S > 1 and not check_gamma(model, k):
+    if model.S > 1 and not check_gamma(model, k):
         raise GammaViolated(f"band phases coincide at k={k}")
     return limit_eigenbasis(assemble_limit_matrix(model, gen, k), gap_tol)
 

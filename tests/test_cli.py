@@ -8,6 +8,9 @@ from rotor_spectra.cli import main
 from rotor_spectra.config import CASE_STUDY_JSON
 from rotor_spectra.errors import AmbiguousLabelling
 
+#: an integer literal beyond the float range
+BIG = "1" * 400
+
 
 @pytest.fixture()
 def case_cfg(tmp_path):
@@ -118,8 +121,15 @@ class TestSpectrum:
         ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--delta", "inf"]),
         ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--tol", "nan"]),
         ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--tol", "0"]),
+        ('{"beta": [0.1, 0.3], "L": [1, 1], "ks": []}', []),
+        ('{"beta": [0.1, 0.3], "L": [1, 1], "epsilons": []}', []),
+        (f'{{"beta": [{BIG}, 0.3], "L": [1, 1]}}', []),
+        (f'{{"beta": [0.1, 0.3], "L": [1, 1], "delta": {BIG}}}', []),
+        (f'{{"beta": [0.1, 0.3], "L": [1, 1], "epsilons": [{BIG}]}}', []),
+        (f'{{"beta": [0.1, 0.3], "L": [1, 1], "ks": [{BIG}]}}', []),
     ], ids=["delta-nan", "delta-infinity", "delta-overflow", "beta-nan", "generator-nan",
-            "eps-nan", "eps-inf", "delta-inf", "tol-nan", "tol-zero"])
+            "eps-nan", "eps-inf", "delta-inf", "tol-nan", "tol-zero", "ks-empty", "eps-empty",
+            "beta-int-overflow", "delta-int-overflow", "eps-int-overflow", "ks-int-overflow"])
     def test_non_finite_input_exit2(self, tmp_path, capsys, config, extra):
         p = tmp_path / "model.json"
         p.write_text(config, encoding="utf-8")
@@ -132,6 +142,13 @@ class TestSpectrum:
         assert code == 2
         assert err.startswith("config error: ") or "error: argument" in err
         assert not list(out.glob("spectrum_*.csv"))
+
+    def test_casestudy_empty_ks_exit2(self, tmp_path, capsys):
+        p = tmp_path / "model.json"
+        p.write_text(CASE_STUDY_JSON.replace('"ks": [1]', '"ks": []'), encoding="utf-8")
+        assert main(["casestudy", "--config", str(p), "--out", str(tmp_path / "case")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "case").exists()
 
 
 class TestFlags:
@@ -146,6 +163,15 @@ class TestFlags:
             main([*argv, "--config", str(case_cfg), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("x_res", ["0", "-3", "2.5"])
+    def test_x_res_must_be_a_positive_integer(self, tmp_path, capsys, x_res):
+        with pytest.raises(SystemExit) as exc:
+            main(["casestudy", "--out", str(tmp_path / "case"), "--x-res", x_res])
+        assert exc.value.code == 2
+        assert "argument --x-res" in capsys.readouterr().err
+        assert not (tmp_path / "case").exists()
 
 
 class TestOtherCommands:
@@ -228,6 +254,7 @@ class TestOtherCommands:
         (["--top-m", "0"], "top_m must be >= 1"),
         (["--steps", "-5", "--paths", "2"], "n_steps=-5"),
         (["--paths", "-1"], "n_paths=-1"),
+        (["--seed", "-1", "--paths", "2"], "seed=-1"),
     ])
     def test_simulate_bad_input_exit1(self, case_cfg, tmp_path, capsys, extra, message):
         out = tmp_path / "sim"

@@ -6,6 +6,9 @@ import pytest
 from rotor_spectra import case_study_config, load_config, parse_config
 from rotor_spectra.errors import ConfigError
 
+#: an integer literal beyond the float range
+BIG = "1" * 400
+
 
 class TestParseConfig:
     def test_case_study_exact_speeds(self):
@@ -54,18 +57,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config('{"beta": [0.1], "L": [2], "delta": -0.2}')
 
-    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999",
+                                        pytest.param(BIG, id="int-400-digits"),
+                                        pytest.param("9" * 5000, id="int-5000-digits")])
     def test_non_finite_numbers(self, number):
         with pytest.raises(ConfigError, match="non-finite"):
             parse_config(f'{{"beta": [0.1], "L": [2], "epsilons": [{number}]}}')
 
     def test_bad_epsilons(self):
-        with pytest.raises(ConfigError):
-            parse_config('{"beta": [0.1], "L": [2], "epsilons": [-1.0]}')
+        for eps in ["[-1.0]", "[]"]:
+            with pytest.raises(ConfigError, match="'epsilons'"):
+                parse_config(f'{{"beta": [0.1], "L": [2], "epsilons": {eps}}}')
 
     def test_bad_ks(self):
-        with pytest.raises(ConfigError):
-            parse_config('{"beta": [0.1], "L": [2], "ks": [1.5]}')
+        for ks in ["[1.5]", "[]", f"[-{BIG}]"]:
+            with pytest.raises(ConfigError):
+                parse_config(f'{{"beta": [0.1], "L": [2], "ks": {ks}}}')
 
 
 class TestLoadConfig:
