@@ -50,12 +50,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _index(text: str) -> int:
+    """A Fourier index; like the config, refuse integers beyond the float range."""
+    value = int(text)
+    float(value)                         # OverflowError beyond the float range
+    return value
+
+
 def _list_of(parse):
     """Argument type: a nonempty comma-separated list of ``parse`` values."""
     def parse_list(text):
         try:
             values = [parse(t) for t in text.split(",") if t.strip()]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(str(exc))
         if not values:
             raise argparse.ArgumentTypeError("expected at least one value")
@@ -234,7 +241,7 @@ def cmd_casestudy(args) -> int:
 FLAGS = {
     "--config": dict(help="model configuration JSON"),
     "--out": dict(help="output directory"),
-    "--k": dict(type=_list_of(int), help="comma-separated Fourier indices"),
+    "--k": dict(type=_list_of(_index), help="comma-separated Fourier indices"),
     "--eps": dict(type=_list_of(_finite), help="comma-separated noise levels"),
     "--delta": dict(type=_finite, help="fibre noise radius (overrides config)"),
     "--tol": dict(type=_positive, help="tolerance"),

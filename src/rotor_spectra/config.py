@@ -13,9 +13,10 @@ Schema (all keys except ``beta`` and ``L`` optional)::
 
 Only the three listed string tokens are accepted for irrational speeds, so
 the case-study model is expressible exactly; everything else must be a
-decimal literal.  Non-finite numbers (``NaN``, ``Infinity`` or a literal that
-overflows a float, integer literals included) and empty ``epsilons`` or
-``ks`` are refused with ConfigError.
+decimal literal.  ``L`` holds JSON integers, one per speed.  Non-finite
+numbers (``NaN``, ``Infinity`` or a literal that overflows a float, integer
+literals included) and empty ``epsilons`` or ``ks`` are refused with
+ConfigError.
 """
 
 from __future__ import annotations
@@ -89,10 +90,12 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc["beta"], list) or not isinstance(doc["L"], list):
         raise ConfigError("'beta' and 'L' must be arrays")
     beta = [_speed(b) for b in doc["beta"]]
-    try:
-        L = [int(x) for x in doc["L"]]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'L' must be integers: {exc}") from exc
+    L = doc["L"]
+    bad = [x for x in L if not isinstance(x, int) or isinstance(x, bool)]
+    if bad:
+        raise ConfigError(f"'L' must be an array of integers, got {bad[0]!r}")
+    if len(beta) != len(L):
+        raise ConfigError(f"'beta' and 'L' differ in length: {len(beta)} vs {len(L)}")
     try:
         model = build_band_model(beta, L)
     except RotorSpectraError as exc:

@@ -65,7 +65,8 @@ class OrderCheck:
     r0 = |lam_eps - lam_0|, r1 = |lam_eps - lam_0 - eps*lhat|,
     r2 = |lam_eps - lam_0 - eps*lhat - eps^2*lhathat|, and vec_r is the
     projective distance between f_eps and f + eps*fhat.  Slopes are
-    least-squares fits on the log-log grid.
+    least-squares fits on the log-log grid.  Ladder cells are exact only
+    down to the clongdouble floor (ulp 1.08e-19); see order_check.
     """
 
     k: int
@@ -191,45 +192,33 @@ def _match_to_predictions(values, pred):
     return rows[np.argsort(cols)]
 
 
-def _solve_xd(a, b):
-    """Partial-pivot LU solve in extended precision (clongdouble)."""
-    a = a.copy()
-    b = b.copy()
-    n = a.shape[0]
-    for col in range(n - 1):
-        p = col + int(np.argmax(np.abs(a[col:, col])))
-        if p != col:
-            a[[col, p]] = a[[p, col]]
-            b[[col, p]] = b[[p, col]]
-        f = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col:] -= f[:, None] * a[col, col:]
-        b[col + 1:] -= f * b[col]
-    x = np.zeros(n, dtype=a.dtype)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x
+#: refinement steps per eigenpair; each shrinks the error by about the
+#: complex128 roundoff times the Jacobian's condition number
+REFINE_STEPS = 3
 
 
-def _refine_eigenpair(a_xd, lam, vec, iters=2):
-    """Newton-polish one simple eigenpair in 80-bit extended precision.
+def _refine_eigenpair(a_xd, lam, vec):
+    """Polish one simple eigenpair to the 80-bit extended-precision floor.
 
     Double-precision eigenvalues carry ~1e-15 absolute error, which buries
-    the second-order expansion remainders measured on fine eps grids; two
-    bordered-Newton steps push the error to the extended-precision floor.
+    the second-order expansion remainders measured on fine eps grids.
+    Mixed-precision iterative refinement (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 12) removes it: the bordered Jacobian
+    [[A - lam0 I, -v0], [v0^H, 0]] of the dense eigenpair (lam0, v0) is
+    formed once in complex128, every residual (A v - lam v, 1 - v0^H v) in
+    clongdouble, and each correction is solved in complex128.
     """
     n = a_xd.shape[0]
+    anchor = vec.conj()
+    jac = np.zeros((n + 1, n + 1), dtype=complex)
+    jac[:n, :n] = a_xd.astype(complex) - lam * np.eye(n)
+    jac[:n, n] = -vec
+    jac[n, :n] = anchor
     lam = np.clongdouble(lam)
-    anchor = vec.conj().astype(np.clongdouble)
     v = vec.astype(np.clongdouble)
-    v = v / (anchor @ v)
-    eye = np.eye(n, dtype=np.clongdouble)
-    for _ in range(iters):
-        jac = np.zeros((n + 1, n + 1), dtype=np.clongdouble)
-        jac[:n, :n] = a_xd - lam * eye
-        jac[:n, n] = -v
-        jac[n, :n] = anchor
-        rhs = np.concatenate([-(a_xd @ v - lam * v), [1 - anchor @ v]])
-        step = _solve_xd(jac, rhs)
+    for _ in range(REFINE_STEPS):
+        rhs = np.concatenate([lam * v - a_xd @ v, [1 - anchor @ v]])
+        step = np.linalg.solve(jac, rhs.astype(complex))
         v = v + step[:n]
         lam = lam + step[n]
     return lam, v / np.sqrt(np.abs(v @ v.conj()))
@@ -257,10 +246,18 @@ def order_check(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
 
     Eigenvalues at each eps are identified with labels by minimum-cost
     assignment against the second-order predictions, which keeps the ladder
-    consistent across the grid.  The matched eigenpair is Newton-polished in
-    extended precision so the residual ladders resolve below the
-    double-precision eigensolver floor.  ``resp`` is the response_data of
-    (model, gen, k), computed here when not given.
+    consistent across the grid.  The matched eigenpair is polished to the
+    extended-precision floor (_refine_eigenpair), so the residual ladders
+    resolve below the double-precision eigensolver's ~1e-15 but not below
+    the clongdouble ulp of 1.08e-19.  On the default grid r2 at eps = 1e-5
+    can lie under that floor (2.4e-20 to 8.3e-20 for the leading labels at
+    N = 99, k = 1), and the eigenvector there is only good to about 1e-13,
+    so the last cells and the slope2 and slope_vec fits through them carry
+    rounding noise: swapping this polish for 2 or 4 clongdouble Newton
+    steps moves slope2 by up to 0.38, slope_vec by up to 0.08 and r1 by up
+    to 1.9e-5 relative (k = 1, 2, 3, every label of the case study and of
+    N = 99).  ``resp`` is the response_data of (model, gen, k), computed
+    here when not given.
     """
     eps_grid = check_eps_grid(gen, eps_grid)
     if resp is None:

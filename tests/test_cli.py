@@ -127,9 +127,14 @@ class TestSpectrum:
         (f'{{"beta": [0.1, 0.3], "L": [1, 1], "delta": {BIG}}}', []),
         (f'{{"beta": [0.1, 0.3], "L": [1, 1], "epsilons": [{BIG}]}}', []),
         (f'{{"beta": [0.1, 0.3], "L": [1, 1], "ks": [{BIG}]}}', []),
+        ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--k", f"1,{BIG}"]),
+        ('{"beta": [0.1, 0.2], "L": [1]}', []),
+        ('{"beta": [0.1, 0.2], "L": [1.5, 2]}', []),
+        ('{"beta": [0.1, 0.2], "L": [true, "2"]}', []),
     ], ids=["delta-nan", "delta-infinity", "delta-overflow", "beta-nan", "generator-nan",
             "eps-nan", "eps-inf", "delta-inf", "tol-nan", "tol-zero", "ks-empty", "eps-empty",
-            "beta-int-overflow", "delta-int-overflow", "eps-int-overflow", "ks-int-overflow"])
+            "beta-int-overflow", "delta-int-overflow", "eps-int-overflow", "ks-int-overflow",
+            "k-flag-int-overflow", "beta-L-length", "L-float", "L-bool-string"])
     def test_non_finite_input_exit2(self, tmp_path, capsys, config, extra):
         p = tmp_path / "model.json"
         p.write_text(config, encoding="utf-8")

@@ -53,6 +53,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config('{"beta": [0.1, 0.1], "L": [1, 1]}')
 
+    @pytest.mark.parametrize("beta, L", [("[0.1, 0.2]", "[1]"), ("[0.1, 0.2]", "[1.5, 2]"),
+                                         ("[0.1, 0.2]", '[true, "2"]'), ("[0.1]", "[2.0]")],
+                             ids=["length", "float", "bool-string", "integral-float"])
+    def test_bad_widths(self, beta, L):
+        with pytest.raises(ConfigError, match="'L'"):
+            parse_config(f'{{"beta": {beta}, "L": {L}}}')
+
     def test_negative_delta(self):
         with pytest.raises(ConfigError):
             parse_config('{"beta": [0.1], "L": [2], "delta": -0.2}')

@@ -8,11 +8,12 @@ from numpy.testing import assert_allclose
 
 from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model,
                            eigenvector_response, laplacian_generator, limit_basis,
-                           order_check, projection_expansion, response_data,
+                           order_check, projection_expansion, response, response_data,
                            second_order_eigenvalue, spectrum, w_epsilon)
 from rotor_spectra.errors import (DegenerateFirstOrder, EigsNotSimple, EpsZero, GammaViolated,
                                   InvalidEpsGrid, NonOrthogonal, ResponseMismatch)
-from rotor_spectra.response import first_order_basis
+from rotor_spectra.response import _match_to_predictions, _refine_eigenpair, first_order_basis
+from rotor_spectra.spectra import assemble_fourier_block, eig_dense_complex
 from rotor_spectra.zero_noise import sorted_eigenbasis
 
 
@@ -330,6 +331,75 @@ class TestOrderCheck:
         twin = build_band_model(case_model.beta, case_model.L)
         with pytest.raises(ResponseMismatch):
             order_check(twin, case_gen, 2, 0, grid, resp)
+
+
+def _solve_xd(a, b):
+    """Reference: partial-pivot LU solve in extended precision (clongdouble)."""
+    a = a.copy()
+    b = b.copy()
+    n = a.shape[0]
+    for col in range(n - 1):
+        p = col + int(np.argmax(np.abs(a[col:, col])))
+        if p != col:
+            a[[col, p]] = a[[p, col]]
+            b[[col, p]] = b[[p, col]]
+        f = a[col + 1:, col] / a[col, col]
+        a[col + 1:, col:] -= f[:, None] * a[col, col:]
+        b[col + 1:] -= f * b[col]
+    x = np.zeros(n, dtype=a.dtype)
+    for i in range(n - 1, -1, -1):
+        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
+    return x
+
+
+def newton_reference(a_xd, lam, vec, iters=4):
+    """Reference: bordered-Newton polish with every step solved in clongdouble."""
+    n = a_xd.shape[0]
+    lam = np.clongdouble(lam)
+    anchor = vec.conj().astype(np.clongdouble)
+    v = vec.astype(np.clongdouble)
+    v = v / (anchor @ v)
+    eye = np.eye(n, dtype=np.clongdouble)
+    for _ in range(iters):
+        jac = np.zeros((n + 1, n + 1), dtype=np.clongdouble)
+        jac[:n, :n] = a_xd - lam * eye
+        jac[:n, n] = -v
+        jac[n, :n] = anchor
+        rhs = np.concatenate([-(a_xd @ v - lam * v), [1 - anchor @ v]])
+        step = _solve_xd(jac, rhs)
+        v = v + step[:n]
+        lam = lam + step[n]
+    return lam, v / np.sqrt(np.abs(v @ v.conj()))
+
+
+def ladder_eigenpairs(model, gen, k, ell, eps_grid):
+    """(A_xd, lam, vec) of label ell at each eps, matched as order_check matches them."""
+    resp = response_data(model, gen, k)
+    lam0_xd = np.exp(np.clongdouble(-2j) * np.pi * k * model.alpha.astype(np.longdouble))
+    wdot_xd = np.asarray(gen.wdot, dtype=np.longdouble)
+    for eps in eps_grid:
+        eig = eig_dense_complex(assemble_fourier_block(model, gen, k, eps).matrix)
+        pred = lam0_xd.astype(complex) + eps * resp.lambda_hat + eps ** 2 * resp.lambda_hathat
+        i = _match_to_predictions(eig.values, pred)[ell]
+        a_xd = lam0_xd[:, None] * (np.eye(model.N, dtype=np.longdouble)
+                                   + np.clongdouble(eps) * wdot_xd)
+        yield a_xd, eig.values[i], eig.vectors[:, i]
+
+
+class TestRefineEigenpair:
+    @pytest.mark.parametrize("ell", [0, 11, 18])
+    def test_reaches_the_extended_precision_floor(self, case_model, case_gen, ell):
+        ulp = np.finfo(np.longdouble).eps
+        for a_xd, lam0, vec0 in ladder_eigenpairs(case_model, case_gen, 1, ell,
+                                                  [1e-2, 1e-3, 1e-4, 1e-5]):
+            lam, v = _refine_eigenpair(a_xd, lam0, vec0)
+            residual = np.sqrt(np.sum(np.abs(a_xd @ v - lam * v) ** 2))
+            assert residual <= 4 * ulp * np.linalg.norm(a_xd.astype(complex), 2)
+            lam_ref, _ = newton_reference(a_xd, lam0, vec0)
+            assert abs(lam - lam_ref) <= 2 * ulp * abs(lam_ref)
+
+    def test_no_extended_precision_lu_in_the_package(self):
+        assert not hasattr(response, "_solve_xd")
 
 
 class TestFirstOrderBasis:
