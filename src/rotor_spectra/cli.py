@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, writers
-from .config import CASE_STUDY_JSON, RunConfig, load_config, parse_config
+from .config import CASE_STUDY_JSON, MAX_INDEX, RunConfig, load_config, parse_config
 from .errors import AmbiguousLabelling, ConfigError, RotorSpectraError
 from .model import validate_admissibility
 from .oracle import oracle_crosscheck
@@ -51,9 +51,10 @@ def _positive_int(text: str) -> int:
 
 
 def _index(text: str) -> int:
-    """A Fourier index; like the config, refuse integers beyond the float range."""
+    """A Fourier index; like the config, refuse |k| > MAX_INDEX."""
     value = int(text)
-    float(value)                         # OverflowError beyond the float range
+    if abs(value) > MAX_INDEX:
+        raise ValueError("Fourier indices must lie within +-2**32")
     return value
 
 
@@ -62,7 +63,7 @@ def _list_of(parse):
     def parse_list(text):
         try:
             values = [parse(t) for t in text.split(",") if t.strip()]
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
         if not values:
             raise argparse.ArgumentTypeError("expected at least one value")

@@ -13,10 +13,12 @@ Schema (all keys except ``beta`` and ``L`` optional)::
 
 Only the three listed string tokens are accepted for irrational speeds, so
 the case-study model is expressible exactly; everything else must be a
-decimal literal.  ``L`` holds JSON integers, one per speed.  Non-finite
-numbers (``NaN``, ``Infinity`` or a literal that overflows a float, integer
-literals included) and empty ``epsilons`` or ``ks`` are refused with
-ConfigError.
+decimal literal.  ``L`` holds JSON integers, one per speed.  Every
+Fourier index in ``ks`` has ``|k| <= MAX_INDEX`` (2**32), where ``k*alpha``
+still resolves the turn fraction to about 5e-7 for ``|alpha| <= 1``.
+Non-finite numbers (``NaN``, ``Infinity`` or a literal that overflows a
+float, integer literals included), empty ``epsilons`` or ``ks`` and larger
+indices are refused with ConfigError.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from pathlib import Path
 
 from .errors import ConfigError, RotorSpectraError
 from .model import BandModel, NoiseGenerator, build_band_model, laplacian_generator
+
+#: the largest |k| accepted, from the config and from ``--k``
+MAX_INDEX = 2 ** 32
 
 SPEED_TOKENS = {
     "pi/20": math.pi / 20.0,
@@ -126,6 +131,8 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(ks, list) or not ks or not all(
             isinstance(k, int) and not isinstance(k, bool) for k in ks):
         raise ConfigError("'ks' must be a nonempty array of integers")
+    if max(abs(k) for k in ks) > MAX_INDEX:
+        raise ConfigError("'ks' entries must lie within +-2**32")
     return RunConfig(model=model, gen=gen, delta=float(delta),
                      epsilons=tuple(float(e) for e in eps),
                      ks=tuple(int(k) for k in ks), raw=text)

@@ -57,6 +57,13 @@ class BandModel:
         """Length-N array mapping fibre index to band index."""
         return _freeze(np.repeat(np.arange(self.S), self.L))
 
+    def phase_gap(self, k: int) -> float:
+        """Smallest distance between two band phases exp(-2 pi i k beta_s); inf for one band."""
+        phases = np.exp(-2j * np.pi * k * np.asarray(self.beta))
+        gaps = np.abs(phases[:, None] - phases[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        return float(gaps.min())
+
 
 @dataclass(frozen=True, eq=False)
 class NoiseGenerator:

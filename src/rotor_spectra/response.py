@@ -31,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (DegenerateFirstOrder, EigsNotSimple, EpsZero, GammaViolated,
                      InvalidEpsGrid, NonOrthogonal, ResponseMismatch)
 from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
-from .spectra import assemble_fourier_block, eig_dense_complex, label_spectrum
+from .spectra import (assemble_fourier_block, eig_dense_complex, label_spectrum,
+                      nearest_assignment)
 from .zero_noise import (LimitBasis, check_gamma, limit_basis, projective_distance,
                          sorted_eigenbasis)
 
@@ -185,13 +185,6 @@ def _fit_slope(eps_grid, values, floor=1e-300):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _match_to_predictions(values, pred):
-    """Minimum-cost assignment of eigenvalues to per-label predictions."""
-    cost = np.abs(values[:, None] - pred[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return rows[np.argsort(cols)]
-
-
 #: refinement steps per eigenpair; each shrinks the error by about the
 #: complex128 roundoff times the Jacobian's condition number
 REFINE_STEPS = 3
@@ -244,9 +237,9 @@ def order_check(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
                 eps_grid, resp: ResponseData | None = None) -> OrderCheck:
     """Validate the expansion orders against the exact spectrum on an eps grid.
 
-    Eigenvalues at each eps are identified with labels by minimum-cost
-    assignment against the second-order predictions, which keeps the ladder
-    consistent across the grid.  The matched eigenpair is polished to the
+    Eigenvalues at each eps are labelled by nearest second-order prediction,
+    one per label (nearest_assignment), which keeps the ladder consistent
+    across the grid.  The matched eigenpair is polished to the
     extended-precision floor (_refine_eigenpair), so the residual ladders
     resolve below the double-precision eigensolver's ~1e-15 but not below
     the clongdouble ulp of 1.08e-19.  On the default grid r2 at eps = 1e-5
@@ -278,11 +271,11 @@ def order_check(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
         block = assemble_fourier_block(model, gen, k, eps)
         eig = eig_dense_complex(block.matrix)
         pred = lam0 + eps * lam_hat + eps ** 2 * lhh
-        order = _match_to_predictions(eig.values, pred)
+        label = nearest_assignment(np.abs(eig.values[:, None] - pred[None, :]), [1] * model.N)
+        i = int(np.argmax(label == ell))
         a_xd = lam0_xd[:, None] * (np.eye(model.N, dtype=np.longdouble)
                                    + np.clongdouble(eps) * wdot_xd)
-        lam, vec = _refine_eigenpair(a_xd, eig.values[order[ell]],
-                                     eig.vectors[:, order[ell]])
+        lam, vec = _refine_eigenpair(a_xd, eig.values[i], eig.vectors[:, i])
         e = np.clongdouble(eps)
         r0.append(float(np.abs(lam - lam0_xd[ell])))
         r1.append(float(np.abs(lam - lam0_xd[ell] - e * np.clongdouble(lam_hat[ell]))))

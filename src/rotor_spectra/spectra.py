@@ -2,8 +2,8 @@
 
 The transfer operator acts on circular Fourier mode k through the N x N
 matrix D_{k,alpha} W_eps, with D_{k,alpha} = Diag(exp(-2 pi i k alpha_j)).
-Eigenvalues are matched to their zero-noise targets exp(-2 pi i k alpha_ell)
-by minimum-cost assignment and validated against the Gershgorin radius.
+Eigenvalues are labelled by their nearest band phase exp(-2 pi i k beta_s),
+band s taking L_s of them, and validated against the Gershgorin radius.
 Uniform fibre noise of radius delta only rescales mode-k eigenvalues by
 sin(2 pi k delta) / (2 pi k delta); eigenvectors are unaffected.
 """
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import AmbiguousLabelling, NoConvergence
 from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
@@ -114,52 +113,61 @@ def gershgorin_bound(gen: NoiseGenerator, eps: float) -> float:
     return 2.0 * float(np.max(np.abs(np.diag(gen.wdot)))) * float(eps)
 
 
+def nearest_assignment(cost: np.ndarray, room) -> np.ndarray:
+    """Column of each row, taking the (row, column) pairs cheapest first.
+
+    Each row takes one column, column c at most ``room[c]`` rows; ties go to
+    the lower row, then the lower column.  If every row's nearest column has
+    room for all the rows that prefer it, each row gets it: that is the
+    minimum-cost assignment.
+    """
+    col, room, flat = [-1] * len(cost), list(room), cost.ravel()
+    # every row's nearest pair costs at most ``cut``, so the pairs up to it
+    # mostly place every row; dearer pairs are sorted only for rows left over
+    cut = cost.min(axis=1).max()
+    for part in (flat <= cut, flat > cut):
+        pairs = np.flatnonzero(part)
+        for pair in pairs[np.argsort(flat[pairs], kind="stable")].tolist():
+            r, c = divmod(pair, cost.shape[1])
+            if col[r] < 0 and room[c] > 0:
+                col[r], room[c] = c, room[c] - 1
+        if min(col) >= 0:
+            break
+    return np.array(col)
+
+
 def label_spectrum(block: FourierBlock, eig: EigResult,
                    tol: float = DEFAULT_RESIDUAL_TOL) -> LabelledSpectrum:
-    """Match raw eigenpairs to their zero-noise targets.
+    """Label raw eigenpairs by their nearest band phase exp(-2 pi i k beta_s).
 
-    Minimum-cost bijective assignment under |lam - target|, then band-internal
-    reordering by descending |lam|.  When the per-band Gershgorin disks are
-    pairwise disjoint the assignment is validated against the disk radius;
-    AmbiguousLabelling signals eps too large for the asymptotic labelling.
+    Pairs are taken cheapest first, band s holding L_s eigenvalues, and labels
+    run by descending |lam| within a band.  With pairwise disjoint band
+    Gershgorin disks this is the minimum-cost assignment to the targets, and
+    it is validated against the disk radius; AmbiguousLabelling signals eps
+    too large for the asymptotic labelling.
     """
     model = block.model
     if not np.all(eig.converged):
         raise NoConvergence(
             f"{int(np.sum(~eig.converged))} eigenpairs exceed the residual tolerance",
             partial=eig)
-    targets = np.exp(-2j * np.pi * block.k * model.alpha)
-    cost = np.abs(eig.values[:, None] - targets[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    order = rows[np.argsort(cols)]          # eigenpair index assigned to label ell
-    lam = eig.values[order]
-    vec = eig.vectors[:, order]
-    res = eig.residuals[order]
-
-    # reorder within each band by descending |lam|
-    for s in range(model.S):
-        sl = model.band_slice(s)
-        sub = np.argsort(-np.abs(lam[sl]), kind="stable")
-        lam[sl], res[sl] = lam[sl][sub], res[sl][sub]
-        vec[:, sl] = vec[:, sl][:, sub]
+    phases = np.exp(-2j * np.pi * block.k * np.asarray(model.beta))
+    band = nearest_assignment(np.abs(eig.values[:, None] - phases[None, :]), model.L)
+    order = np.lexsort((-np.abs(eig.values), band))     # eigenpair index of label ell
+    lam, targets = eig.values[order], phases[model.band_index]
 
     radius = gershgorin_bound(block.gen, block.eps)
-    band_targets = np.exp(-2j * np.pi * block.k * np.asarray(model.beta))
-    disjoint = True
-    for s1 in range(model.S):
-        for s2 in range(s1 + 1, model.S):
-            if np.abs(band_targets[s1] - band_targets[s2]) <= 2 * radius:
-                disjoint = False
     worst = float(np.max(np.abs(lam - targets)))
-    if disjoint and worst > radius * (1 + 1e-8) + 1e-13:
+    if model.phase_gap(block.k) > 2 * radius and worst > radius * (1 + 1e-8) + 1e-13:
         raise AmbiguousLabelling(
             f"assignment cost {worst:.3e} exceeds Gershgorin radius {radius:.3e} "
             f"at k={block.k}, eps={block.eps}")
 
     return LabelledSpectrum(
         k=block.k, eps=block.eps, delta=0.0, sinc=1.0,
-        lam=_freeze(lam), target=_freeze(targets), vectors=_freeze(_phase_fix(vec)),
-        residual=_freeze(res), band=model.band_index, gersh_radius=radius)
+        lam=_freeze(lam), target=_freeze(targets), residual=_freeze(eig.residuals[order]),
+        vectors=_freeze(_phase_fix(eig.vectors[:, order])), band=model.band_index,
+        gersh_radius=radius)
 
 
 def delta_factor(k: int, delta: float) -> float:

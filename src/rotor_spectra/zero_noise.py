@@ -57,12 +57,7 @@ def check_gamma(model: BandModel, k: int, tol: float = 1e-9) -> bool:
     Distinctness is tested numerically: phases closer than ``tol`` count as
     equal.  Always true for a single band; always false for k = 0 with S > 1.
     """
-    phases = np.exp(-2j * np.pi * k * np.asarray(model.beta))
-    for s1 in range(model.S):
-        for s2 in range(s1 + 1, model.S):
-            if abs(phases[s1] - phases[s2]) < tol:
-                return False
-    return True
+    return model.phase_gap(k) >= tol
 
 
 def sign_gauge(vectors) -> np.ndarray:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,13 +132,18 @@ class TestSpectrum:
         (f'{{"beta": [0.1, 0.3], "L": [1, 1], "epsilons": [{BIG}]}}', []),
         (f'{{"beta": [0.1, 0.3], "L": [1, 1], "ks": [{BIG}]}}', []),
         ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--k", f"1,{BIG}"]),
+        ('{"beta": [0.1, 0.3], "L": [1, 1], "ks": [4294967297]}', []),
+        ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--k", "1" + "0" * 300]),
+        ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--k", "9007199254740993"]),
+        ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--k=-4294967297"]),
         ('{"beta": [0.1, 0.2], "L": [1]}', []),
         ('{"beta": [0.1, 0.2], "L": [1.5, 2]}', []),
         ('{"beta": [0.1, 0.2], "L": [true, "2"]}', []),
     ], ids=["delta-nan", "delta-infinity", "delta-overflow", "beta-nan", "generator-nan",
             "eps-nan", "eps-inf", "delta-inf", "tol-nan", "tol-zero", "ks-empty", "eps-empty",
             "beta-int-overflow", "delta-int-overflow", "eps-int-overflow", "ks-int-overflow",
-            "k-flag-int-overflow", "beta-L-length", "L-float", "L-bool-string"])
+            "k-flag-int-overflow", "ks-beyond-2**32", "k-flag-301-digits", "k-flag-2**53+1",
+            "k-flag-below-minus-2**32", "beta-L-length", "L-float", "L-bool-string"])
     def test_non_finite_input_exit2(self, tmp_path, capsys, config, extra):
         p = tmp_path / "model.json"
         p.write_text(config, encoding="utf-8")
@@ -305,3 +314,14 @@ class TestCaseStudy:
         assert len(rows) == 3 * 33 * 8
         ells = sorted({int(r[0]) for r in rows})
         assert ells == [1, 12, 19]
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # labelling needs no assignment solver; keep its import cost out of startup
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, rotor_spectra.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

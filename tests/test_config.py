@@ -81,6 +81,15 @@ class TestParseConfig:
             with pytest.raises(ConfigError):
                 parse_config(f'{{"beta": [0.1], "L": [2], "ks": {ks}}}')
 
+    @pytest.mark.parametrize("k", [2 ** 32 + 1, -(2 ** 32) - 1, 10 ** 300, 2 ** 53 + 1])
+    def test_ks_beyond_2_to_32(self, k):
+        with pytest.raises(ConfigError, match="2\\*\\*32"):
+            parse_config(f'{{"beta": [0.1], "L": [2], "ks": [1, {k}]}}')
+
+    def test_ks_at_2_to_32(self):
+        cfg = parse_config(f'{{"beta": [0.1], "L": [2], "ks": [{2 ** 32}, {-(2 ** 32)}]}}')
+        assert cfg.ks == (2 ** 32, -(2 ** 32))
+
 
 class TestLoadConfig:
     def test_missing_file(self, tmp_path):

@@ -44,6 +44,13 @@ class TestBuildBandModel:
         assert case_model.band_of(18) == 2
         assert case_model.band_of(32) == 2
 
+    def test_phase_gap(self):
+        m = build_band_model([0.0, 0.25, 0.6], [1, 2, 1])
+        assert m.phase_gap(1) == pytest.approx(abs(1 - np.exp(-2j * np.pi * 0.25)))
+        assert m.phase_gap(4) == pytest.approx(0.0, abs=1e-15)   # 0 and 0.25 coincide
+        assert m.phase_gap(0) == 0.0
+        assert build_band_model([0.3], [4]).phase_gap(1) == np.inf
+
     def test_immutable(self, case_model):
         with pytest.raises(ValueError):
             case_model.alpha[0] = 99.0

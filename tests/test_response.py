@@ -12,8 +12,8 @@ from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model,
                            second_order_eigenvalue, spectrum, w_epsilon)
 from rotor_spectra.errors import (DegenerateFirstOrder, EigsNotSimple, EpsZero, GammaViolated,
                                   InvalidEpsGrid, NonOrthogonal, ResponseMismatch)
-from rotor_spectra.response import _match_to_predictions, _refine_eigenpair, first_order_basis
-from rotor_spectra.spectra import assemble_fourier_block, eig_dense_complex
+from rotor_spectra.response import _refine_eigenpair, first_order_basis
+from rotor_spectra.spectra import assemble_fourier_block, eig_dense_complex, nearest_assignment
 from rotor_spectra.zero_noise import sorted_eigenbasis
 
 
@@ -380,7 +380,8 @@ def ladder_eigenpairs(model, gen, k, ell, eps_grid):
     for eps in eps_grid:
         eig = eig_dense_complex(assemble_fourier_block(model, gen, k, eps).matrix)
         pred = lam0_xd.astype(complex) + eps * resp.lambda_hat + eps ** 2 * resp.lambda_hathat
-        i = _match_to_predictions(eig.values, pred)[ell]
+        label = nearest_assignment(np.abs(eig.values[:, None] - pred[None, :]), [1] * model.N)
+        i = int(np.argmax(label == ell))
         a_xd = lam0_xd[:, None] * (np.eye(model.N, dtype=np.longdouble)
                                    + np.clongdouble(eps) * wdot_xd)
         yield a_xd, eig.values[i], eig.vectors[:, i]

@@ -1,13 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rotor_spectra import (assemble_fourier_block, delta_factor,
+from rotor_spectra import (assemble_fourier_block, build_band_model, delta_factor,
                            eig_dense_complex, full_spectrum, gershgorin_bound,
                            label_spectrum, laplacian_generator, spectrum, w_epsilon)
 from rotor_spectra.errors import AmbiguousLabelling
 from rotor_spectra.model import NoiseGenerator
+from rotor_spectra.response import first_order_basis
+from rotor_spectra.spectra import EigResult, nearest_assignment
 from conftest import random_banded_model
+
+
+def permuted(eig, perm):
+    """The same eigenpairs in another output order."""
+    return EigResult(values=eig.values[perm], vectors=eig.vectors[:, perm],
+                     residuals=eig.residuals[perm], converged=eig.converged[perm])
 
 
 class TestAssemble:
@@ -60,6 +72,43 @@ class TestEigDenseComplex:
             r = np.linalg.norm(a @ res.vectors[:, i] - res.values[i] * res.vectors[:, i])
             assert r == pytest.approx(res.residuals[i], abs=1e-16)
             assert r <= 1e-11 * np.linalg.norm(a, 2)
+
+
+class TestNearestAssignment:
+    def test_nearest_column_when_it_has_room(self):
+        cost = np.array([[0.1, 0.9], [0.8, 0.2], [0.3, 0.7]])
+        assert nearest_assignment(cost, [2, 1]).tolist() == [0, 1, 0]
+
+    def test_full_column_passes_rows_on_cheapest_first(self):
+        cost = np.array([[0.1, 0.9, 0.5], [0.2, 0.3, 0.4], [0.15, 0.6, 0.35]])
+        # column 0 holds one row: row 0 takes it, then row 1 and row 2 take the rest
+        assert nearest_assignment(cost, [1, 1, 1]).tolist() == [0, 1, 2]
+
+    def test_equal_costs_go_to_the_lower_row_then_column(self):
+        assert nearest_assignment(np.ones((3, 2)), [1, 2]).tolist() == [0, 1, 1]
+
+    def test_matches_the_greedy_over_every_pair(self):
+        # the pairs above the cut are sorted lazily; the order must not change
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            rows, cols = rng.integers(1, 9, size=2)
+            cost = rng.integers(0, 4, size=(rows, cols)).astype(float)   # many ties
+            room = rng.multinomial(rows, np.ones(cols) / cols)
+            col, left = [-1] * rows, list(room)
+            for pair in np.argsort(cost, axis=None, kind="stable"):
+                r, c = divmod(int(pair), cols)
+                if col[r] < 0 and left[c] > 0:
+                    col[r], left[c] = c, left[c] - 1
+            assert nearest_assignment(cost, room).tolist() == col
+
+    def test_is_the_minimum_cost_assignment_when_nearest_fits(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            cost = rng.uniform(size=(5, 5))
+            cost[np.arange(5), rng.permutation(5)] -= 1.0     # distinct nearest columns
+            best = min(itertools.permutations(range(5)),
+                       key=lambda p: cost[np.arange(5), list(p)].sum())
+            assert nearest_assignment(cost, [1] * 5).tolist() == list(best)
 
 
 class TestLabelSpectrum:
@@ -120,10 +169,7 @@ class TestGershgorin:
             eps = float(rng.uniform(0, 0.2))
             k = int(rng.integers(-3, 4))
             radius = gershgorin_bound(g, eps)
-            targets = np.exp(-2j * np.pi * k * np.asarray(m.beta))
-            disjoint = all(abs(targets[a] - targets[b]) > 2 * radius
-                           for a in range(m.S) for b in range(a + 1, m.S))
-            if not disjoint:
+            if m.phase_gap(k) <= 2 * radius:
                 continue
             spec = spectrum(m, g, k, eps)
             assert np.max(np.abs(spec.lam - spec.target)) <= radius + 1e-12
@@ -187,6 +233,44 @@ class TestSpectrumInvariants:
         mu = np.linalg.eigvalsh(np.asarray(case_gen.wdot))
         assert_allclose(np.sort(spec.lam.real), np.sort(1 + 0.2 * mu), atol=1e-12)
         assert int(np.sum(np.abs(spec.lam - 1) <= 1e-12)) == 1
+
+    def test_k0_labels_follow_descending_eigenvalue(self, case_model, case_gen):
+        # every band phase is 1 at k = 0, so labels must not rest on the
+        # eigensolver's output order; they match the k = 0 limit basis
+        block = assemble_fourier_block(case_model, case_gen, 0, 0.2)
+        eig = eig_dense_complex(block.matrix)
+        spec = label_spectrum(block, eig)
+        _, lam_hat, _ = first_order_basis(case_model, case_gen, 0)
+        assert np.max(np.abs(spec.lam - (1 + 0.2 * lam_hat))) <= 1e-13
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            again = label_spectrum(block, permuted(eig, rng.permutation(case_model.N)))
+            assert np.array_equal(again.lam, spec.lam)
+            assert np.array_equal(again.vectors, spec.vectors)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(widths=st.lists(st.integers(1, 8), min_size=1, max_size=4), data=st.data())
+    def test_labels_of_random_admissible_models(self, widths, data):
+        assume(sum(widths) >= 2)
+        beta = data.draw(st.lists(st.integers(-99, 99), min_size=len(widths),
+                                  max_size=len(widths), unique=True), label="beta")
+        model = build_band_model([b / 100 for b in beta], widths)
+        gen = laplacian_generator(model.N)
+        k = data.draw(st.integers(1, 3), label="k")
+        # the band disks stay disjoint up to eps = phase_gap / (2 * radius per eps)
+        limit = model.phase_gap(k) / (2 * gershgorin_bound(gen, 1.0))
+        assume(limit > 1e-3)
+        eps = data.draw(st.floats(1e-4, min(limit / 2, gen.eps_max)), label="eps")
+        block = assemble_fourier_block(model, gen, k, eps)
+        eig = eig_dense_complex(block.matrix)
+        spec = label_spectrum(block, eig)
+        perm = data.draw(st.permutations(range(model.N)), label="perm")
+        again = label_spectrum(block, permuted(eig, np.asarray(perm)))
+        assert np.array_equal(again.lam, spec.lam)
+        assert np.array_equal(again.vectors, spec.vectors)
+        minus = spectrum(model, gen, -k, eps)
+        assert_allclose(minus.lam, np.conj(spec.lam), rtol=0, atol=1e-12)
+        assert_allclose(minus.target, np.conj(spec.target), rtol=0, atol=1e-15)
 
     def test_bilinear_orthogonality(self, case_model, case_gen):
         # <f_l, D conj(f_m)> vanishes for l != m while eigenvalues stay distinct
