@@ -96,7 +96,7 @@ def _load(args) -> RunConfig:
 
 
 def _leading_labels(model):
-    """First label of each band (0-based): the largest-|lam| member."""
+    """First label of each band (0-based): the largest-rho member."""
     return [model.cum[s] for s in range(model.S)]
 
 

@@ -31,6 +31,18 @@ class DimensionTooSmall(RotorSpectraError):
     """Generator stencil needs at least two fibres."""
 
 
+class InvalidMatrix(RotorSpectraError, ValueError):
+    """A generator or eigensolver matrix is not square, nonempty and finite."""
+
+
+class InvalidSpeeds(RotorSpectraError, ValueError):
+    """A speed profile is not a nonempty 1-d array."""
+
+
+class DimensionMismatch(RotorSpectraError, ValueError):
+    """Sizes that must agree differ: speeds and widths, generator and model, direction."""
+
+
 class EpsOutOfRange(RotorSpectraError):
     """Id + eps*Wdot leaves the interval [0, 1] entrywise."""
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooSmall, DuplicateSpeed, EmptyBand, EpsOutOfRange, NonBandable
+from .errors import (DimensionMismatch, DimensionTooSmall, DuplicateSpeed, EmptyBand,
+                     EpsOutOfRange, InvalidMatrix, InvalidSpeeds, NonBandable)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -80,7 +81,7 @@ class NoiseGenerator:
     def from_matrix(wdot) -> "NoiseGenerator":
         w = np.asarray(wdot, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"generator must be square, got shape {w.shape}")
+            raise InvalidMatrix(f"generator must be square, got shape {w.shape}")
         return NoiseGenerator(wdot=_freeze(w), N=w.shape[0])
 
     @property
@@ -124,7 +125,7 @@ def build_band_model(beta, L) -> BandModel:
     beta = tuple(float(b) for b in beta)
     L = tuple(int(x) for x in L)
     if len(beta) != len(L):
-        raise ValueError(f"beta and L length mismatch: {len(beta)} vs {len(L)}")
+        raise DimensionMismatch(f"beta and L length mismatch: {len(beta)} vs {len(L)}")
     if len(beta) == 0:
         raise EmptyBand("model needs at least one band")
     if any(x < 1 for x in L):
@@ -144,7 +145,7 @@ def detect_bands(alpha) -> BandModel:
     """
     a = np.asarray(alpha, dtype=float)
     if a.ndim != 1 or a.size == 0:
-        raise ValueError("alpha must be a nonempty 1-d array")
+        raise InvalidSpeeds("alpha must be a nonempty 1-d array")
     beta, L = [], []
     for v in a:
         if beta and v == beta[-1]:
@@ -178,7 +179,7 @@ def validate_admissibility(gen: NoiseGenerator, model: BandModel,
     spectral radius of the matrix under test.
     """
     if gen.N != model.N:
-        raise ValueError(f"generator dimension {gen.N} != model dimension {model.N}")
+        raise DimensionMismatch(f"generator dimension {gen.N} != model dimension {model.N}")
     w = gen.wdot
     sym = float(np.max(np.abs(w - w.T))) if w.size else 0.0
     row = float(np.max(np.abs(w.sum(axis=1))))

@@ -32,18 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateFirstOrder, EigsNotSimple, EpsZero, GammaViolated,
-                     InvalidEpsGrid, NonOrthogonal, ResponseMismatch)
-from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
+from .errors import (DegenerateFirstOrder, DimensionMismatch, EigsNotSimple, EpsZero,
+                     GammaViolated, InvalidEpsGrid, NonOrthogonal, ResponseMismatch)
+from .model import BandModel, NoiseGenerator, _freeze
 from .spectra import (assemble_fourier_block, eig_dense_complex, label_spectrum,
                       nearest_assignment)
 from .zero_noise import (LimitBasis, check_gamma, limit_basis, projective_distance,
                          sorted_eigenbasis)
-
-
-def _inner(u, v):
-    """<u, v> = sum_j u_j conj(v_j), linear in the first argument."""
-    return np.vdot(v, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +60,8 @@ class OrderCheck:
     r0 = |lam_eps - lam_0|, r1 = |lam_eps - lam_0 - eps*lhat|,
     r2 = |lam_eps - lam_0 - eps*lhat - eps^2*lhathat|, and vec_r is the
     projective distance between f_eps and f + eps*fhat.  Slopes are
-    least-squares fits on the log-log grid.  Ladder cells are exact only
-    down to the clongdouble floor (ulp 1.08e-19); see order_check.
+    least-squares fits on the log-log grid.  When S = 1 or k = 0 the first
+    order is exact, so r1, r2 and vec_r are rounding only; see order_check.
     """
 
     k: int
@@ -172,7 +167,7 @@ def projection_expansion(f_limit, f_hat, eps: float, tol: float = 1e-10) -> np.n
     """First-order expansion f f* + eps (fhat f* + f fhat*) of the eigenprojector."""
     f = np.asarray(f_limit, dtype=complex).ravel()
     fh = np.asarray(f_hat, dtype=complex).ravel()
-    ip = abs(_inner(f, fh))
+    ip = abs(np.vdot(f, fh))
     if ip > tol * max(1.0, float(np.linalg.norm(fh))):
         raise NonOrthogonal(f"<f, fhat> = {ip:.3e} exceeds tolerance {tol:.1e}")
     proj = np.outer(f, np.conj(f))
@@ -190,31 +185,25 @@ def _fit_slope(eps_grid, values, floor=1e-300):
 REFINE_STEPS = 3
 
 
-def _refine_eigenpair(a_xd, lam, vec):
-    """Polish one simple eigenpair to the 80-bit extended-precision floor.
+def _refine_eigenpair(a, mu, vec):
+    """Polish one simple eigenpair (mu, vec) of the shifted matrix ``a``.
 
-    Double-precision eigenvalues carry ~1e-15 absolute error, which buries
-    the second-order expansion remainders measured on fine eps grids.
-    Mixed-precision iterative refinement (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 12) removes it: the bordered Jacobian
-    [[A - lam0 I, -v0], [v0^H, 0]] of the dense eigenpair (lam0, v0) is
-    formed once in complex128, every residual (A v - lam v, 1 - v0^H v) in
-    clongdouble, and each correction is solved in complex128.
+    Newton refinement on the bordered Jacobian [[a - mu0 I, -v0], [v0^H, 0]]
+    of the dense eigenpair (mu0, v0), formed once; residuals
+    (a v - mu v, 1 - v0^H v) and corrections are all complex128.
     """
-    n = a_xd.shape[0]
+    n = a.shape[0]
     anchor = vec.conj()
     jac = np.zeros((n + 1, n + 1), dtype=complex)
-    jac[:n, :n] = a_xd.astype(complex) - lam * np.eye(n)
+    jac[:n, :n] = a - mu * np.eye(n)
     jac[:n, n] = -vec
     jac[n, :n] = anchor
-    lam = np.clongdouble(lam)
-    v = vec.astype(np.clongdouble)
+    v = vec
     for _ in range(REFINE_STEPS):
-        rhs = np.concatenate([lam * v - a_xd @ v, [1 - anchor @ v]])
-        step = np.linalg.solve(jac, rhs.astype(complex))
+        step = np.linalg.solve(jac, np.concatenate([mu * v - a @ v, [1 - anchor @ v]]))
         v = v + step[:n]
-        lam = lam + step[n]
-    return lam, v / np.sqrt(np.abs(v @ v.conj()))
+        mu = mu + step[n]
+    return mu, v / np.linalg.norm(v)
 
 
 def check_eps_grid(gen: NoiseGenerator, eps_grid) -> np.ndarray:
@@ -239,18 +228,15 @@ def order_check(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
 
     Eigenvalues at each eps are labelled by nearest second-order prediction,
     one per label (nearest_assignment), which keeps the ladder consistent
-    across the grid.  The matched eigenpair is polished to the
-    extended-precision floor (_refine_eigenpair), so the residual ladders
-    resolve below the double-precision eigensolver's ~1e-15 but not below
-    the clongdouble ulp of 1.08e-19.  On the default grid r2 at eps = 1e-5
-    can lie under that floor (2.4e-20 to 8.3e-20 for the leading labels at
-    N = 99, k = 1), and the eigenvector there is only good to about 1e-13,
-    so the last cells and the slope2 and slope_vec fits through them carry
-    rounding noise: swapping this polish for 2 or 4 clongdouble Newton
-    steps moves slope2 by up to 0.38, slope_vec by up to 0.08 and r1 by up
-    to 1.9e-5 relative (k = 1, 2, 3, every label of the case study and of
-    N = 99).  ``resp`` is the response_data of (model, gen, k), computed
-    here when not given.
+    across the grid.  The matched eigenpair is then polished
+    (_refine_eigenpair) as an eigenpair of the shifted matrix
+    D (Id + eps*Wdot) - lam_0 Id = Diag(d - d_ell) + eps D Wdot, d = diag(D),
+    whose diagonal is exactly 0 on the band of ell.  Its eigenvalue
+    mu = lam_eps - lam_0 is O(eps) and no entry of size 1 is rounded, so the
+    ladders carry complex128's relative precision down the grid instead of
+    an absolute floor.  When S = 1 or k = 0 the expansion terminates and the
+    r1, r2 and vec_r ladders (and their slopes) are rounding only.  ``resp``
+    is the response_data of (model, gen, k), computed here when not given.
     """
     eps_grid = check_eps_grid(gen, eps_grid)
     if resp is None:
@@ -258,30 +244,25 @@ def order_check(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
     elif resp.k != k or resp.basis.model is not model:
         raise ResponseMismatch(
             f"response data (k={resp.k}) do not belong to this model at k={k}")
-    lam_hat, lhh = resp.lambda_hat, resp.lambda_hathat
+    lhat, lhh = resp.lambda_hat[ell], resp.lambda_hathat[ell]
     f = resp.basis.vectors[:, ell].astype(complex)
     fhat = resp.f_hat[:, ell]
-    alpha_xd = model.alpha.astype(np.longdouble)
-    lam0_xd = np.exp(np.clongdouble(-2j) * np.pi * k * alpha_xd)
-    lam0 = lam0_xd.astype(complex)
-    wdot_xd = np.asarray(gen.wdot, dtype=np.longdouble)
+    d = np.exp(-2j * np.pi * k * model.alpha)
+    shift = np.diag(d - d[ell])                          # exactly 0 on the band of ell
 
     r0, r1, r2, vec_r = [], [], [], []
     for eps in eps_grid:
         block = assemble_fourier_block(model, gen, k, eps)
         eig = eig_dense_complex(block.matrix)
-        pred = lam0 + eps * lam_hat + eps ** 2 * lhh
+        pred = d + eps * resp.lambda_hat + eps ** 2 * resp.lambda_hathat
         label = nearest_assignment(np.abs(eig.values[:, None] - pred[None, :]), [1] * model.N)
         i = int(np.argmax(label == ell))
-        a_xd = lam0_xd[:, None] * (np.eye(model.N, dtype=np.longdouble)
-                                   + np.clongdouble(eps) * wdot_xd)
-        lam, vec = _refine_eigenpair(a_xd, eig.values[i], eig.vectors[:, i])
-        e = np.clongdouble(eps)
-        r0.append(float(np.abs(lam - lam0_xd[ell])))
-        r1.append(float(np.abs(lam - lam0_xd[ell] - e * np.clongdouble(lam_hat[ell]))))
-        r2.append(float(np.abs(lam - lam0_xd[ell] - e * np.clongdouble(lam_hat[ell])
-                               - e * e * np.clongdouble(lhh[ell]))))
-        vec_r.append(projective_distance(vec.astype(complex), f + eps * fhat))
+        a = shift + eps * (d[:, None] * gen.wdot)
+        mu, vec = _refine_eigenpair(a, eig.values[i] - d[ell], eig.vectors[:, i])
+        r0.append(abs(mu))
+        r1.append(abs(mu - eps * lhat))
+        r2.append(abs(mu - eps * lhat - eps ** 2 * lhh))
+        vec_r.append(projective_distance(vec, f + eps * fhat))
 
     return OrderCheck(
         k=int(k), ell=int(ell), eps_grid=_freeze(eps_grid),
@@ -297,7 +278,8 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
 
     The derivative of the phase diagonal in direction u is
     Diag(-2 pi i k u_j exp(-2 pi i k alpha_j)); dlam contracts it against the
-    left/right eigenvectors of the simple eigenvalue, and df solves the
+    left/right eigenvectors of the simple eigenvalue (the left one is a row of
+    the inverse eigenvector matrix), and df solves the
     differentiated eigenvalue equation on the complement of span{f} under the
     gauge <f, df> = 0.
     """
@@ -305,8 +287,7 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
         raise EpsZero("the eps=0 speed response is discontinuous; refused by design")
     u = np.asarray(direction, dtype=float).ravel()
     if u.shape != (model.N,):
-        raise ValueError(f"direction must have shape ({model.N},)")
-    w = w_epsilon(gen, eps)
+        raise DimensionMismatch(f"direction must have shape ({model.N},)")
     block = assemble_fourier_block(model, gen, k, eps)
     p = np.asarray(block.matrix)
     eig = eig_dense_complex(p)
@@ -319,13 +300,10 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     spec = label_spectrum(block, eig)
     lam = spec.lam[ell]
     f = spec.vectors[:, ell]
+    left = np.linalg.inv(eig.vectors)[int(np.argmin(np.abs(eig.values - lam)))]
 
-    lam_left, vec_left = np.linalg.eig(p.conj().T)
-    mu = vec_left[:, int(np.argmin(np.abs(lam_left - np.conj(lam))))]
-
-    d_diag = -2j * np.pi * k * u * np.exp(-2j * np.pi * k * model.alpha)
-    dp = d_diag[:, None] * w
-    dlam = _inner(dp @ f, mu) / _inner(f, mu)
+    dp = (-2j * np.pi * k * u)[:, None] * p
+    dlam = (left @ dp @ f) / (left @ f)
 
     # (P - lam) df = -(dP - dlam) f on the complement of span{f}, <f, df> = 0
     aug = np.vstack([p - lam * np.eye(model.N), np.conj(f)[None, :]])

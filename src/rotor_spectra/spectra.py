@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousLabelling, NoConvergence
+from .errors import AmbiguousLabelling, InvalidMatrix, NoConvergence
 from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
 
 #: relative eigensolver residual accepted by default
@@ -47,7 +47,9 @@ class EigResult:
 class LabelledSpectrum:
     """Eigenpairs ordered by label ell: lam[ell] -> target[ell] as eps -> 0.
 
-    Within each band, members are ordered by descending |lam|.  Vectors are
+    Within each band, members are ordered by descending Re(lam * conj(e_s)),
+    e_s the band phase: about 1 + eps*rho, so the order of descending rho of
+    the limit basis.  Vectors are
     unit norm with the largest-magnitude entry made real positive.  When a
     delta factor was applied, ``sinc`` records it and both ``lam`` and
     ``target`` carry the scaling.
@@ -82,9 +84,9 @@ def eig_dense_complex(matrix: np.ndarray, tol: float = DEFAULT_RESIDUAL_TOL) -> 
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
+        raise InvalidMatrix(f"need a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+        raise InvalidMatrix("matrix has non-finite entries")
     try:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -141,7 +143,8 @@ def label_spectrum(block: FourierBlock, eig: EigResult,
     """Label raw eigenpairs by their nearest band phase exp(-2 pi i k beta_s).
 
     Pairs are taken cheapest first, band s holding L_s eigenvalues, and labels
-    run by descending |lam| within a band.  With pairwise disjoint band
+    run by descending Re(lam * conj(e_s)) within band s, e_s its phase (at
+    k = 0, descending lam).  With pairwise disjoint band
     Gershgorin disks this is the minimum-cost assignment to the targets, and
     it is validated against the disk radius; AmbiguousLabelling signals eps
     too large for the asymptotic labelling.
@@ -153,7 +156,8 @@ def label_spectrum(block: FourierBlock, eig: EigResult,
             partial=eig)
     phases = np.exp(-2j * np.pi * block.k * np.asarray(model.beta))
     band = nearest_assignment(np.abs(eig.values[:, None] - phases[None, :]), model.L)
-    order = np.lexsort((-np.abs(eig.values), band))     # eigenpair index of label ell
+    along = (eig.values * np.conj(phases[band])).real   # about 1 + eps*rho
+    order = np.lexsort((-along, band))                  # eigenpair index of label ell
     lam, targets = eig.values[order], phases[model.band_index]
 
     radius = gershgorin_bound(block.gen, block.eps)

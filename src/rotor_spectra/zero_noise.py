@@ -41,7 +41,7 @@ class LimitBasis:
     Column ell of ``vectors`` is the real unit vector for label ell; its
     eigenvalue is lambda_hat[ell] = exp(-2 pi i k beta_s) * rho with rho <= 0.
     Within each band, labels are ordered by descending rho, matching the
-    descending-|lam| order of the finite-eps labelled spectrum.
+    band-internal order of the finite-eps labelled spectrum.
     """
 
     k: int
@@ -106,7 +106,7 @@ def limit_eigenbasis(lim: LimitMatrix, gap_tol: float = 1e-9) -> LimitBasis:
     for s in range(model.S):
         sl = model.band_slice(s)
         wh = gen.wdot[sl, sl]
-        rho, v = sorted_eigenbasis(0.5 * (wh + wh.T))   # rho descending: |lam_eps| descending
+        rho, v = sorted_eigenbasis(0.5 * (wh + wh.T))   # rho descending, as the labels
         if len(rho) > 1:
             gap = float(np.min(-np.diff(rho)))
             if gap <= gap_tol * float(np.max(np.abs(rho))):
@@ -171,7 +171,7 @@ def spectrum_convergence(model: BandModel, gen: NoiseGenerator, k: int, eps_list
 
     Returns one row (k, ell, eps, proj_distance, projector_gap, mass_outside)
     per label and eps, with labels paired through the shared ordering
-    convention (band-internal descending magnitude).
+    convention (band-internal descending rho).
     """
     from .spectra import spectrum as _spectrum
     if basis is None:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from rotor_spectra import (NoiseGenerator, build_band_model, detect_bands,
-                           laplacian_generator, validate_admissibility, w_epsilon)
-from rotor_spectra.errors import (DimensionTooSmall, DuplicateSpeed, EmptyBand,
-                                  EpsOutOfRange, NonBandable)
+from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model, detect_bands,
+                           eig_dense_complex, laplacian_generator, validate_admissibility,
+                           w_epsilon)
+from rotor_spectra.errors import (DimensionMismatch, DimensionTooSmall, DuplicateSpeed,
+                                  EmptyBand, EpsOutOfRange, InvalidMatrix, InvalidSpeeds,
+                                  NonBandable, RotorSpectraError)
 from conftest import CASE_BETA, random_banded_model
 
 
@@ -178,3 +180,22 @@ class TestWEpsilon:
             assert_allclose(w.sum(axis=0), 1.0, atol=1e-12)
             assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
             assert w.min() >= 0.0 and w.max() <= 1.0
+
+
+@pytest.mark.parametrize("error, call", [
+    (InvalidMatrix, lambda: NoiseGenerator.from_matrix([[0.0, 1.0]])),
+    (DimensionMismatch, lambda: build_band_model([0.1, 0.2], [1])),
+    (InvalidSpeeds, lambda: detect_bands([])),
+    (DimensionMismatch, lambda: validate_admissibility(laplacian_generator(3),
+                                                       build_band_model([0.1], [2]))),
+    (InvalidMatrix, lambda: eig_dense_complex(np.ones((2, 3)))),
+    (InvalidMatrix, lambda: eig_dense_complex([[1.0, np.nan], [0.0, 1.0]])),
+    (DimensionMismatch, lambda: alpha_response(build_band_model([0.0, 0.25], [1, 1]),
+                                              laplacian_generator(2), 1, 0.01, 0, [1.0])),
+], ids=["from_matrix", "band_lengths", "detect_bands", "admissibility_dimension",
+        "eig_not_square", "eig_non_finite", "alpha_direction"])
+def test_boundary_errors_are_typed(error, call):
+    # typed library errors that still satisfy callers catching ValueError
+    assert issubclass(error, RotorSpectraError) and issubclass(error, ValueError)
+    with pytest.raises(error):
+        call()

@@ -236,11 +236,16 @@ class TestSpectrumInvariants:
 
     def test_k0_labels_follow_descending_eigenvalue(self, case_model, case_gen):
         # every band phase is 1 at k = 0, so labels must not rest on the
-        # eigensolver's output order; they match the k = 0 limit basis
+        # eigensolver's output order; they match the k = 0 limit basis, also
+        # past eps ~ 0.5, where the lowest eigenvalues turn negative
+        _, lam_hat, _ = first_order_basis(case_model, case_gen, 0)
+        for eps in (0.6, 1.0):
+            spec = spectrum(case_model, case_gen, 0, eps)
+            assert np.min(spec.lam.real) < 0
+            assert np.max(np.abs(spec.lam - (1 + eps * lam_hat))) <= 1e-13
         block = assemble_fourier_block(case_model, case_gen, 0, 0.2)
         eig = eig_dense_complex(block.matrix)
         spec = label_spectrum(block, eig)
-        _, lam_hat, _ = first_order_basis(case_model, case_gen, 0)
         assert np.max(np.abs(spec.lam - (1 + 0.2 * lam_hat))) <= 1e-13
         rng = np.random.default_rng(0)
         for _ in range(5):
