@@ -117,7 +117,7 @@ class MismatchBeyondTolerance(RotorSpectraError):
 # --- simulate ---
 
 class InvalidSimulationInput(RotorSpectraError, ValueError):
-    """Fewer than 2 bins, fewer than 1 cycle requested, or negative path/step counts."""
+    """Bins < 2, top_m < 1, negative counts, off-grid initial states, too many cells to densify."""
 
 
 class InsufficientData(RotorSpectraError):

@@ -278,8 +278,8 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
 
     The derivative of the phase diagonal in direction u is
     Diag(-2 pi i k u_j exp(-2 pi i k alpha_j)); dlam contracts it against the
-    left/right eigenvectors of the simple eigenvalue (the left one is a row of
-    the inverse eigenvector matrix), and df solves the
+    left/right eigenvectors of the simple eigenvalue (the left one is
+    exp(2 pi i k alpha) f, as W_eps is real symmetric), and df solves the
     differentiated eigenvalue equation on the complement of span{f} under the
     gauge <f, df> = 0.
     """
@@ -300,7 +300,8 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     spec = label_spectrum(block, eig)
     lam = spec.lam[ell]
     f = spec.vectors[:, ell]
-    left = np.linalg.inv(eig.vectors)[int(np.argmin(np.abs(eig.values - lam)))]
+    # y^T P = f^T W_eps = lam y^T; unlike W_eps f = lam y, y is nonzero when lam = 0
+    left = np.exp(2j * np.pi * k * model.alpha) * f
 
     dp = (-2j * np.pi * k * u)[:, None] * p
     dlam = (left @ dp @ f) / (left @ f)

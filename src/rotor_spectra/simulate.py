@@ -21,7 +21,7 @@ u_j e^{2 pi i m a / M}.  Sector M - m is the conjugate of sector m, so
 detect_cycles solves sectors 0..M/2 only ("sector" path).  Counted
 operators have no such structure: their eigenvalues come from a dense
 solve and each reported cycle's eigenvector from inverse iteration
-("dense" path), or from Arnoldi above DENSE_EIG_LIMIT cells ("arnoldi").
+("dense" path), up to DENSE_EIG_LIMIT cells.
 """
 
 from __future__ import annotations
@@ -32,12 +32,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (InsufficientData, InvalidSimulationInput, NoComplexEigenvalues,
-                     NoConvergence)
+from .errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
+                     NoComplexEigenvalues, NoConvergence)
 from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
 
-#: cell count above which detect_cycles switches a counted operator from dense to Arnoldi
+#: most cells of a counted operator detect_cycles densifies; larger ones are refused
 DENSE_EIG_LIMIT = 4096
+#: |imag| above which an eigenvalue counts as nonreal
+IMAG_TOL = 1e-9
 #: worst relative eigenpair residual ||A v - lam v|| / ||v|| a cycle report accepts
 RESIDUAL_TOL = 1e-10
 #: inverse-iteration solves per targeted eigenvector on the dense path
@@ -64,25 +66,39 @@ class TrajectoryBatch:
 
 @dataclass(frozen=True, eq=False)
 class UlamOperator:
-    """Row-stochastic cell transition matrix on N*M cells, fibre-major.
+    """Row-stochastic cell transition operator on N*M cells, fibre-major.
 
-    Analytic operators also keep the circulant structure the matrix is built
-    from: ``kernel_rows`` (N, M), fibre j's landing-bin probabilities from
-    bin 0, and ``w_eps`` (N, N).  detect_cycles solves their bin-DFT sectors
-    instead of the cell matrix.
+    Analytic operators keep only ``kernel_rows`` (N, M), fibre j's landing-bin
+    probabilities from bin 0, and ``w_eps`` (N, N); empirical ones store their
+    cell matrix as ``csr``.
     """
 
     M: int
-    matrix: sp.csr_matrix
     mode: str                    # "analytic" | "empirical"
     model: BandModel
+    csr: sp.csr_matrix | None = None
     flagged_rows: tuple[int, ...] = ()
     kernel_rows: np.ndarray | None = None
     w_eps: np.ndarray | None = None
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.model.N * self.M
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """Cell matrix; analytic operators build it on every read, one product q w per entry."""
+        if self.kernel_rows is None:
+            return self.csr
+        n, M = self.kernel_rows.shape
+        fibre, offset = np.nonzero(self.kernel_rows)
+        rows = fibre[:, None] * M + np.arange(M)
+        cols = fibre[:, None] * M + (rows + offset[:, None]) % M
+        circulants = sp.csr_matrix((np.repeat(self.kernel_rows[fibre, offset], M),
+                                    (rows.ravel(), cols.ravel())), shape=(n * M, n * M))
+        mat = circulants @ sp.kron(self.w_eps, sp.identity(M), format="csr")
+        mat.sort_indices()
+        return mat
 
 
 @dataclass(frozen=True)
@@ -99,8 +115,8 @@ class Cycle:
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Detected cycles, the solver path ("sector", "dense" or "arnoldi") and the
-    worst relative eigenpair residual over the reported cycles."""
+    """Detected cycles, the solver path ("sector" or "dense") and the worst
+    relative eigenpair residual over the reported cycles."""
 
     cycles: tuple[Cycle, ...]
     M: int
@@ -115,8 +131,8 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
 
     Per path the stream order is: two initial-state uniforms, the walk
     uniforms for all steps, then the noise uniforms for all steps.  ``init``
-    optionally fixes the initial states as a pair of arrays (j0, x0) with
-    0-based fibre indices; the stream layout does not change with it.
+    optionally fixes the initial states as a pair (j0, x0) of one or n_paths
+    fibres in [0, N) and positions in [0, 1); the stream layout does not change.
     """
     if seed < 0 or n_paths < 0 or n_steps < 0:
         raise InvalidSimulationInput(
@@ -141,9 +157,14 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
         j[:, 0] = np.minimum((u_init[:, 0] * model.N).astype(np.int32), model.N - 1)
         x[:, 0] = u_init[:, 1]
     else:
-        j0, x0 = init
-        j[:, 0] = np.broadcast_to(np.asarray(j0, dtype=np.int32), (n_paths,))
-        x[:, 0] = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths,))
+        j0, x0 = (np.asarray(v) for v in init)
+        # NaN fails every comparison, so the range test refuses NaN and inf too
+        if (j0.dtype.kind not in "iu" or x0.dtype.kind not in "iuf"
+                or {j0.shape, x0.shape} - {(), (1,), (n_paths,)}
+                or not (np.all((0 <= j0) & (j0 < model.N)) and np.all((0 <= x0) & (x0 < 1)))):
+            raise InvalidSimulationInput(f"initial states need one or {n_paths} integer fibres "
+                                         f"in [0, {model.N}) and positions in [0, 1)")
+        j[:, 0], x[:, 0] = j0, x0
     alpha = np.asarray(model.alpha)
     for t in range(n_steps):
         jt = j[:, t]
@@ -192,30 +213,14 @@ def _check_bins(M: int) -> None:
 
 def ulam_analytic(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
                   M: int) -> UlamOperator:
-    """Exact cell transition matrix of the annealed dynamics."""
+    """Exact cell transition operator of the annealed dynamics, kept as kernel rows and W_eps."""
     _check_bins(M)
     w = w_epsilon(gen, eps)
-    n = model.N
     # fibres of a band share alpha, hence their kernel row
     band_rows = np.array([_fibre_kernel_row(float(model.alpha[c]), delta, M)
                           for c in model.cum[:-1]])
-    kernel = band_rows[model.band_index]
-    rows, cols, data = [], [], []
-    a = np.arange(M)
-    for j in range(n):
-        q = kernel[j]
-        supp = np.nonzero(q)[0]
-        dest_bins = (a[:, None] + supp[None, :]) % M          # (M, |supp|)
-        src = np.repeat(j * M + a, len(supp))
-        for j2 in np.nonzero(w[j])[0]:
-            rows.append(src)
-            cols.append((j2 * M + dest_bins).ravel())
-            data.append(np.tile(w[j, j2] * q[supp], M))
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * M, n * M)).tocsr()
-    return UlamOperator(M=int(M), matrix=mat, mode="analytic", model=model,
-                        kernel_rows=_freeze(kernel), w_eps=_freeze(w))
+    return UlamOperator(M=int(M), mode="analytic", model=model,
+                        kernel_rows=_freeze(band_rows[model.band_index]), w_eps=_freeze(w))
 
 
 def ulam_empirical(batch: TrajectoryBatch, M: int,
@@ -247,8 +252,8 @@ def ulam_empirical(batch: TrajectoryBatch, M: int,
     if len(empty):
         mat = (mat + sp.coo_matrix(
             (np.ones(len(empty)), (empty, empty)), shape=(size, size))).tocsr()
-    return UlamOperator(M=int(M), matrix=sp.csr_matrix(mat), mode="empirical",
-                        model=batch.model, flagged_rows=tuple(int(r) for r in empty))
+    return UlamOperator(M=int(M), mode="empirical", model=batch.model,
+                        csr=sp.csr_matrix(mat), flagged_rows=tuple(int(r) for r in empty))
 
 
 def _pick_cycles(values: np.ndarray, top_m: int, imag_tol: float) -> list:
@@ -280,15 +285,14 @@ def _residual(a, lam: complex, v: np.ndarray) -> float:
     return float(np.linalg.norm(a @ v - lam * v) / np.linalg.norm(v))
 
 
-def _sector_cycles(op: UlamOperator, top_m: int, imag_tol: float) -> list:
+def _sector_cycles(op: UlamOperator, top_m: int) -> list:
     """(rep, per-fibre mass, residual) per cycle from the bin-DFT sectors 0..M/2."""
     qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()      # (N, M//2 + 1)
     blocks = qhat.T[:, :, None] * op.w_eps                   # Diag(qhat(m)) W_eps
     values = np.linalg.eigvals(blocks)
-    n = op.w_eps.shape[0]
     eigs, out = {}, []
-    for rep, i in _pick_cycles(values.ravel(), top_m, imag_tol):
-        m, lam = i // n, values.flat[i]
+    for rep, i in _pick_cycles(values.ravel(), top_m, IMAG_TOL):
+        m, lam = i // op.model.N, values.flat[i]
         if m not in eigs:
             eigs[m] = np.linalg.eig(blocks[m])
         vals, vecs = eigs[m]
@@ -317,43 +321,37 @@ def _inverse_iteration(matrix, lam: complex) -> np.ndarray:
     return x
 
 
-def _cell_cycles(op: UlamOperator, top_m: int, imag_tol: float) -> tuple[str, list]:
-    """Solver path and (rep, per-fibre mass, residual) per cycle from the cell matrix."""
-    size, mat = op.size, op.matrix
-    if size <= DENSE_EIG_LIMIT:
-        values = np.linalg.eigvals(mat.toarray())
-        picked = [(rep, _inverse_iteration(mat, rep)) for rep, _ in
-                  _pick_cycles(values, top_m, imag_tol)]
-        solver = "dense"
-    else:
-        k = min(max(2 * top_m + 10, 24), size - 2)
-        v0 = np.full(size, 1.0 / np.sqrt(size))     # fixed start: deterministic runs
-        values, vectors = spla.eigs(mat, k=k, which="LM", v0=v0)
-        # for a real matrix, rep = conj(lam) has eigenvector conj(v)
-        picked = [(rep, vectors[:, i] if values[i].imag < 0 else vectors[:, i].conj())
-                  for rep, i in _pick_cycles(values, top_m, imag_tol)]
-        solver = "arnoldi"
-    return solver, [(rep, (np.abs(v) ** 2).reshape(-1, op.M).sum(axis=1),
-                     _residual(mat, rep, v)) for rep, v in picked]
+def _dense_cycles(op: UlamOperator, top_m: int) -> list:
+    """(rep, per-fibre mass, residual) per cycle from the counted cell matrix."""
+    if op.size > DENSE_EIG_LIMIT:
+        raise InvalidSimulationInput(f"{op.size} cells exceed the dense limit {DENSE_EIG_LIMIT}")
+    mat, out = op.csr, []
+    for rep, _ in _pick_cycles(np.linalg.eigvals(mat.toarray()), top_m, IMAG_TOL):
+        v = _inverse_iteration(mat, rep)
+        out.append((rep, (np.abs(v) ** 2).reshape(-1, op.M).sum(axis=1),
+                    _residual(mat, rep, v)))
+    return out
 
 
-def detect_cycles(op: UlamOperator, model: BandModel, top_m: int,
-                  imag_tol: float = 1e-9) -> CycleReport:
+def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport:
     """Report the top_m largest-magnitude nonreal eigenvalues as cycles.
 
     Conjugate pairs are reported once, by their lower-half-plane member.  A
     cycle's per-band mass comes from the squared magnitudes of its eigenvector
     summed over each band's cells; the band with the largest mass is the
     attributed support.  Analytic operators are solved by bin-DFT sector,
-    others by their cell matrix (see the module docstring).  A reported
-    eigenpair with relative residual above RESIDUAL_TOL raises NoConvergence.
+    counted ones by their cell matrix (see the module docstring).  Band widths
+    other than ``op.model``'s raise DimensionMismatch, and a reported eigenpair
+    with relative residual above RESIDUAL_TOL raises NoConvergence.
     """
     if top_m < 1:
         raise InvalidSimulationInput(f"top_m must be >= 1, got {top_m}")
+    if model.L != op.model.L:
+        raise DimensionMismatch(f"band widths {model.L} differ from the operator's {op.model.L}")
     if op.kernel_rows is not None:
-        solver, found = "sector", _sector_cycles(op, top_m, imag_tol)
+        solver, found = "sector", _sector_cycles(op, top_m)
     else:
-        solver, found = _cell_cycles(op, top_m, imag_tol)
+        solver, found = "dense", _dense_cycles(op, top_m)
     worst = max(res for _, _, res in found)
     if worst > RESIDUAL_TOL:
         raise NoConvergence(

@@ -15,6 +15,7 @@ from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model,
 from rotor_spectra.errors import (DegenerateFirstOrder, EigsNotSimple, EpsZero, GammaViolated,
                                   InvalidEpsGrid, NonOrthogonal, ResponseMismatch)
 from rotor_spectra.response import first_order_basis
+from rotor_spectra.spectra import assemble_fourier_block, eig_dense_complex, label_spectrum
 from rotor_spectra.zero_noise import sorted_eigenbasis
 
 
@@ -411,6 +412,25 @@ class TestFirstOrderBasis:
         assert np.all(v[first, np.arange(v.shape[1])] > 0)
 
 
+def assert_dlam_matches_inverse_row(model, gen, k, eps, ell, u):
+    """alpha_response's dlam against the left eigenvector taken as a row of V^{-1}."""
+    dlam, _ = alpha_response(model, gen, k, eps, ell, u)
+    block = assemble_fourier_block(model, gen, k, eps)
+    eig = eig_dense_complex(block.matrix)
+    spec = label_spectrum(block, eig)
+    lam, f = spec.lam[ell], spec.vectors[:, ell]
+    i = int(np.argmin(np.abs(eig.values - lam)))
+    left = np.linalg.inv(eig.vectors)[i]
+    dp = (-2j * np.pi * k * np.asarray(u))[:, None] * np.asarray(block.matrix)
+    want = (left @ dp @ f) / (left @ f)
+    # both contract the same computed f, whose error is about
+    # eps_mach / (separation of lam from the other eigenvalues)
+    sep = np.min(np.abs(np.delete(eig.values, i) - lam), initial=np.inf)
+    kappa = np.linalg.norm(left) * np.linalg.norm(f) / abs(left @ f)
+    tol = 100 * np.finfo(float).eps * np.linalg.norm(dp, 2) * kappa * (1 + 1 / sep)
+    assert abs(dlam - want) <= tol
+
+
 class TestAlphaResponse:
     def test_zero_direction(self, two_band_model, two_band_gen):
         dlam, df = alpha_response(two_band_model, two_band_gen, 1, 0.01, 0,
@@ -466,6 +486,35 @@ class TestAlphaResponse:
         f = spec.vectors[:, ell]
         resid = (p - spec.lam[ell] * np.eye(33)) @ df + (dp - dlam * np.eye(33)) @ f
         assert np.linalg.norm(resid) <= 1e-10 * (np.linalg.norm(dp, 2) + abs(dlam))
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
+    def test_left_vector_matches_inverse_row(self, widths, data):
+        n = sum(widths)
+        beta = data.draw(st.lists(st.floats(-1, 1), min_size=len(widths),
+                                  max_size=len(widths), unique=True), label="beta")
+        rates = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * (n - 1) // 2,
+                                   max_size=n * (n - 1) // 2), label="rates")
+        wdot = np.zeros((n, n))
+        wdot[np.triu_indices(n, 1)] = rates
+        wdot += wdot.T
+        wdot -= np.diag(wdot.sum(axis=1))
+        gen = NoiseGenerator.from_matrix(wdot)
+        eps = data.draw(st.floats(1e-3, 1.0), label="eps_fraction") * min(gen.eps_max, 1.0)
+        k = data.draw(st.integers(1, 3), label="k")
+        ell = data.draw(st.integers(0, n - 1), label="ell")
+        u = data.draw(st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=n, max_size=n),
+                      label="direction")
+        try:
+            assert_dlam_matches_inverse_row(build_band_model(beta, widths), gen, k, eps, ell, u)
+        except EigsNotSimple:
+            assume(False)
+
+    def test_left_vector_at_zero_eigenvalue(self):
+        # eps = 1 makes W_eps = [[.5, .5], [.5, .5]] singular: lam = 0 has W_eps f = 0
+        m = build_band_model([-0.7034338027445681, 0.5], [1, 1])
+        g = NoiseGenerator.from_matrix([[-0.5, 0.5], [0.5, -0.5]])
+        assert_dlam_matches_inverse_row(m, g, 1, 1.0, 0, [0.25, -0.5])
 
     def test_eps_zero_refused(self, two_band_model, two_band_gen):
         with pytest.raises(EpsZero):

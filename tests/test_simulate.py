@@ -2,7 +2,7 @@ import importlib
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -10,10 +10,11 @@ from numpy.testing import assert_allclose
 from rotor_spectra import (NoiseGenerator, build_band_model, case_study_config,
                            detect_cycles, laplacian_generator, simulate, spectrum,
                            ulam_analytic, ulam_empirical)
-from rotor_spectra.errors import (InsufficientData, InvalidSimulationInput,
+from rotor_spectra.cli import main
+from rotor_spectra.config import CASE_STUDY_JSON
+from rotor_spectra.errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
                                   NoComplexEigenvalues, NoConvergence, RotorSpectraError)
 from rotor_spectra.simulate import UlamOperator, _fibre_kernel_row, _pick_cycles
-import scipy.sparse as sp
 
 # the package re-exports the function simulate over its submodule
 simulate_module = importlib.import_module("rotor_spectra.simulate")
@@ -21,6 +22,25 @@ simulate_module = importlib.import_module("rotor_spectra.simulate")
 
 def single_fibre_model(speed):
     return build_band_model([speed], [1]), NoiseGenerator.from_matrix([[0.0]])
+
+
+def coo_cell_matrix(kernel, w):
+    """Reference: the cell matrix assembled entry by entry from its kernel rows and W_eps."""
+    n, M = kernel.shape
+    rows, cols, data = [], [], []
+    a = np.arange(M)
+    for j in range(n):
+        q = kernel[j]
+        supp = np.nonzero(q)[0]
+        dest_bins = (a[:, None] + supp[None, :]) % M          # (M, |supp|)
+        src = np.repeat(j * M + a, len(supp))
+        for j2 in np.nonzero(w[j])[0]:
+            rows.append(src)
+            cols.append((j2 * M + dest_bins).ravel())
+            data.append(np.tile(w[j, j2] * q[supp], M))
+    return sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n * M, n * M)).tocsr()
 
 
 def full_eig_cycles(op, model, top_m, imag_tol=1e-9):
@@ -32,6 +52,13 @@ def full_eig_cycles(op, model, top_m, imag_tol=1e-9):
         mass /= mass.sum()
         out.append((rep, [mass[model.band_slice(s)].sum() for s in range(model.S)]))
     return values, out
+
+
+def assert_same_csr(a, b):
+    """Bitwise-equal CSR: shape, row pointers, column indices and value bits."""
+    assert a.format == b.format == "csr" and a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
 
 
 def assert_matches_full_eig(report, op, model):
@@ -81,8 +108,47 @@ class TestSimulate:
         moves = np.mean(batch.j[:, :-1] != batch.j[:, 1:])
         assert moves == pytest.approx(0.25, abs=0.02)
 
+    @pytest.mark.parametrize("init", [
+        ([33], [0.0]),          # one past the last fibre
+        ([-1], [0.5]),          # would wrap to fibre 32
+        ([0.0], [0.5]),         # not an integer index
+        ([0], [np.nan]),
+        ([0], [1.7]),
+        ([0], [-0.25]),
+        ([0, 1, 2], [0.5]),     # three states for two paths
+    ])
+    def test_bad_initial_states_are_typed(self, case_model, case_gen, init):
+        with pytest.raises(InvalidSimulationInput, match="initial states"):
+            simulate(case_model, case_gen, 0.1, 0.1, 2, 5, seed=1, init=init)
+
+    def test_initial_states_broadcast(self, case_model, case_gen):
+        batch = simulate(case_model, case_gen, 0.1, 0.1, 3, 2, seed=1, init=(32, [0.0, 0.5, 0.75]))
+        assert np.array_equal(batch.j[:, 0], [32, 32, 32])
+        assert np.array_equal(batch.x[:, 0], [0.0, 0.5, 0.75])
+
+
+CELL_MATRIX_CASES = {
+    # name: (beta, widths, eps [None: eps_max], delta, M)
+    "three-bins": ([0.25], [2], None, 0.0, 3),
+    "no-noise": ([0.1, 0.3, 0.45], [2, 1, 2], 0.2, 0.0, 15),
+    "eps-max": ([0.1, 0.3], [2, 2], None, 0.05, 16),
+}
+
 
 class TestUlamAnalytic:
+    @pytest.mark.parametrize("name", sorted(CELL_MATRIX_CASES))
+    def test_cell_matrix_matches_coo_reference(self, name):
+        beta, widths, eps, delta, M = CELL_MATRIX_CASES[name]
+        m = build_band_model(beta, widths)
+        g = laplacian_generator(m.N)
+        op = ulam_analytic(m, g, g.eps_max if eps is None else eps, delta, M)
+        assert_same_csr(op.matrix, coo_cell_matrix(op.kernel_rows, op.w_eps))
+
+    def test_case_study_cell_matrix_matches_coo_reference(self, case_model, case_gen):
+        op = ulam_analytic(case_model, case_gen, 0.1, 0.1, 128)
+        assert op.size == 33 * 128 and op.csr is None
+        assert_same_csr(op.matrix, coo_cell_matrix(op.kernel_rows, op.w_eps))
+
     def test_rational_rotation_is_permutation(self):
         m, g = single_fibre_model(0.25)
         op = ulam_analytic(m, g, 0.0, 0.0, 4)
@@ -230,10 +296,23 @@ class TestDetectCycles:
         assert_allclose(c.band_masses, [1.0], atol=0)
 
     def test_identity_has_no_cycles(self, two_band_model):
-        op = UlamOperator(M=4, matrix=sp.identity(8, format="csr"), mode="analytic",
-                          model=two_band_model)
+        op = UlamOperator(M=4, mode="empirical", model=two_band_model,
+                          csr=sp.identity(8, format="csr"))
         with pytest.raises(NoComplexEigenvalues):
             detect_cycles(op, two_band_model, top_m=1)
+
+    def test_model_must_match_operator(self, case_model, case_gen, two_band_model,
+                                       two_band_gen):
+        op = ulam_analytic(case_model, case_gen, 0.1, 0.1, 16)
+        with pytest.raises(DimensionMismatch):
+            detect_cycles(op, two_band_model, top_m=3)
+        # same fibre count, different band widths
+        regrouped = build_band_model(list(case_model.beta), [7, 11, 15])
+        with pytest.raises(DimensionMismatch):
+            detect_cycles(op, regrouped, top_m=3)
+        batch = simulate(two_band_model, two_band_gen, 0.1, 0.1, 20, 50, seed=1)
+        with pytest.raises(DimensionMismatch):
+            detect_cycles(ulam_empirical(batch, 4, max_empty_fraction=1.0), case_model, 1)
 
     def test_conjugate_pairs_reported_once(self):
         m, g = single_fibre_model(0.25)
@@ -360,14 +439,19 @@ class TestSectorPath:
         assert abs(report.cycles[0].eigenvalue - rep) <= 1e-12
         assert rep.real < 0
 
-    def test_case_study_never_calls_arnoldi(self, case_model, case_gen, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("Arnoldi called on the analytic path")
+    def test_exact_path_never_builds_cell_matrix(self, case_model, case_gen, monkeypatch,
+                                                 tmp_path):
+        def refuse(self):
+            raise AssertionError("cell matrix built on the sector path")
 
-        monkeypatch.setattr(spla, "eigs", refuse)
+        monkeypatch.setattr(UlamOperator, "matrix", property(refuse))
         op = ulam_analytic(case_model, case_gen, 0.1, 0.1, 128)
         report = detect_cycles(op, case_model, top_m=3)
         assert report.solver == "sector" and len(report.cycles) == 3
+        cfg = tmp_path / "case.json"
+        cfg.write_text(CASE_STUDY_JSON, encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"),
+                     "--bins", "128", "--paths", "2", "--steps", "5"]) == 0
 
 
 class TestCellMatrixPath:
@@ -383,15 +467,17 @@ class TestCellMatrixPath:
         assert report.solver == "dense"
         assert_matches_full_eig(report, op, model)
 
-    def test_arnoldi_matches_dense(self, empirical, monkeypatch):
+    def test_refuses_above_dense_limit(self, empirical, monkeypatch):
         op, model = empirical
-        dense = detect_cycles(op, model, top_m=3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted operator densified")
+
         monkeypatch.setattr(simulate_module, "DENSE_EIG_LIMIT", 10)
-        arnoldi = detect_cycles(op, model, top_m=3)
-        assert arnoldi.solver == "arnoldi" and arnoldi.max_residual <= 1e-10
-        for a, d in zip(arnoldi.cycles, dense.cycles, strict=True):
-            assert abs(a.eigenvalue - d.eigenvalue) <= 1e-10
-            assert_allclose(a.band_masses, d.band_masses, rtol=0, atol=1e-8)
+        monkeypatch.setattr(type(op.csr), "toarray", refuse)
+        monkeypatch.setattr(type(op.csr), "todense", refuse)
+        with pytest.raises(InvalidSimulationInput, match="264 cells exceed"):
+            detect_cycles(op, model, top_m=3)
 
     def test_unconverged_eigenvector_raises(self, empirical, monkeypatch):
         op, model = empirical
@@ -402,8 +488,8 @@ class TestCellMatrixPath:
     def test_shift_at_an_exact_eigenvalue(self):
         # eigenvalues +-i are exact, so P + iI is exactly singular
         m, _ = single_fibre_model(0.25)
-        op = UlamOperator(M=2, matrix=sp.csr_matrix([[0.0, -1.0], [1.0, 0.0]]),
-                          mode="empirical", model=m)
+        op = UlamOperator(M=2, mode="empirical", model=m,
+                          csr=sp.csr_matrix([[0.0, -1.0], [1.0, 0.0]]))
         report = detect_cycles(op, m, top_m=1)
         assert report.cycles[0].eigenvalue == -1j
         assert report.max_residual <= 1e-15
