@@ -43,6 +43,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _nonnegative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a nonnegative number: {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -244,7 +251,7 @@ FLAGS = {
     "--out": dict(help="output directory"),
     "--k": dict(type=_list_of(_index), help="comma-separated Fourier indices"),
     "--eps": dict(type=_list_of(_finite), help="comma-separated noise levels"),
-    "--delta": dict(type=_finite, help="fibre noise radius (overrides config)"),
+    "--delta": dict(type=_nonnegative, help="fibre noise radius (overrides config)"),
     "--tol": dict(type=_positive, help="tolerance"),
     "--bins": dict(type=int, help="circle bins per fibre"),
     "--seed": dict(type=int, help="simulation seed"),

@@ -117,7 +117,7 @@ class MismatchBeyondTolerance(RotorSpectraError):
 # --- simulate ---
 
 class InvalidSimulationInput(RotorSpectraError, ValueError):
-    """Bins < 2, top_m < 1, negative counts, off-grid initial states, too many cells to densify."""
+    """Bins < 2, top_m < 1, negative counts, a bad delta, off-grid initial states."""
 
 
 class InsufficientData(RotorSpectraError):

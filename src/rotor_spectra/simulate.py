@@ -5,8 +5,8 @@ symmetric random walk with row probabilities of W_eps (reflecting ends are
 built into the stencil), and eta is uniform on [-delta, delta].  The transfer
 operator is estimated on an N x M grid of cells (fibre, circle bin) either
 exactly (analytic mode: bin-to-bin overlap of the translated, noise-smeared
-bin, a piecewise-quadratic CDF computed in closed form) or by transition
-counting from simulated paths.
+bin, a piecewise-quadratic CDF computed in closed form) or by pooling the
+transition counts of simulated paths.
 
 Dominant nonreal eigenvalues of the cell matrix signal approximately cyclic
 motion: 2 pi / |arg| estimates the period in steps (modulo the usual
@@ -16,12 +16,14 @@ the eigenvector mass locates the cycle's bands.
 The exact cell matrix is blockdiag_j(C_j) (W_eps x I_M) with circulant C_j,
 so the circle-bin DFT splits it into M blocks Diag(qhat(m)) W_eps of size
 N x N, where qhat_j(m) = sum_d q_j[d] e^{2 pi i m d / M} and q_j is fibre
-j's kernel row; sector m's eigenvector u gives the cell eigenvector
-u_j e^{2 pi i m a / M}.  Sector M - m is the conjugate of sector m, so
-detect_cycles solves sectors 0..M/2 only ("sector" path).  Counted
-operators have no such structure: their eigenvalues come from a dense
-solve and each reported cycle's eigenvector from inverse iteration
-("dense" path), up to DENSE_EIG_LIMIT cells.
+j's kernel row.  Counted operators pool every observed step (j, b) ->
+(j', b') into the shift kernel K[j, j', (b' - b) mod M], so they commute
+with circle-bin shifts as well, and their sector m is the N x N block
+sum_d K[:, :, d] e^{2 pi i m d / M}.  Sector m's eigenvector u gives the
+cell eigenvector u_j e^{2 pi i m a / M}.  Sector M - m is the conjugate of
+sector m, so detect_cycles solves sectors 0..M/2 only ("sector" path), for
+both operator kinds.  Neither kind stores its cell matrix;
+UlamOperator.matrix builds it on read.
 """
 
 from __future__ import annotations
@@ -29,21 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
                      NoComplexEigenvalues, NoConvergence)
 from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
 
-#: most cells of a counted operator detect_cycles densifies; larger ones are refused
-DENSE_EIG_LIMIT = 4096
 #: |imag| above which an eigenvalue counts as nonreal
 IMAG_TOL = 1e-9
 #: worst relative eigenpair residual ||A v - lam v|| / ||v|| a cycle report accepts
 RESIDUAL_TOL = 1e-10
-#: inverse-iteration solves per targeted eigenvector on the dense path
-INVERSE_STEPS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,35 +64,40 @@ class TrajectoryBatch:
 class UlamOperator:
     """Row-stochastic cell transition operator on N*M cells, fibre-major.
 
-    Analytic operators keep only ``kernel_rows`` (N, M), fibre j's landing-bin
-    probabilities from bin 0, and ``w_eps`` (N, N); empirical ones store their
-    cell matrix as ``csr``.
+    Cell (j, a) moves to cell (j', a + d mod M) with a probability that does
+    not depend on the bin a.  Analytic operators keep it factorised as
+    ``w_eps[j, j'] * kernel_rows[j, d]``: ``kernel_rows`` (N, M) holds fibre
+    j's landing-bin probabilities from bin 0 and ``w_eps`` (N, N) is W_eps.
+    Counted operators keep the pooled shift ``kernel`` (N, N, M) instead.
+    ``flagged_rows`` lists the cells that no counted step left.
     """
 
     M: int
     mode: str                    # "analytic" | "empirical"
     model: BandModel
-    csr: sp.csr_matrix | None = None
     flagged_rows: tuple[int, ...] = ()
     kernel_rows: np.ndarray | None = None
     w_eps: np.ndarray | None = None
+    kernel: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return self.model.N * self.M
 
     @property
-    def matrix(self) -> sp.csr_matrix:
-        """Cell matrix; analytic operators build it on every read, one product q w per entry."""
-        if self.kernel_rows is None:
-            return self.csr
-        n, M = self.kernel_rows.shape
-        fibre, offset = np.nonzero(self.kernel_rows)
-        rows = fibre[:, None] * M + np.arange(M)
-        cols = fibre[:, None] * M + (rows + offset[:, None]) % M
-        circulants = sp.csr_matrix((np.repeat(self.kernel_rows[fibre, offset], M),
-                                    (rows.ravel(), cols.ravel())), shape=(n * M, n * M))
-        mat = circulants @ sp.kron(self.w_eps, sp.identity(M), format="csr")
+    def matrix(self):
+        """Cell matrix as a scipy CSR matrix, built on every read."""
+        import scipy.sparse as sp
+
+        kernel = self.kernel
+        if kernel is None:
+            kernel = self.w_eps[:, :, None] * self.kernel_rows[:, None, :]
+        size, a = self.size, np.arange(self.M)
+        src, dst, shift = np.nonzero(kernel)
+        rows = src[:, None] * self.M + a
+        cols = dst[:, None] * self.M + (a + shift[:, None]) % self.M
+        mat = sp.csr_matrix((np.repeat(kernel[src, dst, shift], self.M),
+                             (rows.ravel(), cols.ravel())), shape=(size, size))
         mat.sort_indices()
         return mat
 
@@ -115,8 +116,8 @@ class Cycle:
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Detected cycles, the solver path ("sector" or "dense") and the worst
-    relative eigenpair residual over the reported cycles."""
+    """Detected cycles, the solver path ("sector") and the worst relative
+    eigenpair residual over the reported cycles."""
 
     cycles: tuple[Cycle, ...]
     M: int
@@ -138,6 +139,7 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
         raise InvalidSimulationInput(
             f"seed, path and step counts must be >= 0, got seed={seed}, "
             f"n_paths={n_paths}, n_steps={n_steps}")
+    _check_delta(delta)
     w = w_epsilon(gen, eps)
     cum = np.cumsum(w, axis=1)
     cum[:, -1] = 1.0 + 1e-12     # guard rounding: every uniform draw must land
@@ -211,10 +213,17 @@ def _check_bins(M: int) -> None:
         raise InvalidSimulationInput(f"need at least 2 bins, got M={M}")
 
 
+def _check_delta(delta: float) -> None:
+    # NaN fails every comparison, so the range test refuses NaN and inf too
+    if not 0 <= delta < np.inf:
+        raise InvalidSimulationInput(f"delta must be finite and >= 0, got {delta}")
+
+
 def ulam_analytic(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
                   M: int) -> UlamOperator:
     """Exact cell transition operator of the annealed dynamics, kept as kernel rows and W_eps."""
     _check_bins(M)
+    _check_delta(delta)
     w = w_epsilon(gen, eps)
     # fibres of a band share alpha, hence their kernel row
     band_rows = np.array([_fibre_kernel_row(float(model.alpha[c]), delta, M)
@@ -225,35 +234,35 @@ def ulam_analytic(model: BandModel, gen: NoiseGenerator, eps: float, delta: floa
 
 def ulam_empirical(batch: TrajectoryBatch, M: int,
                    max_empty_fraction: float = 0.01) -> UlamOperator:
-    """Row-normalised transition counts between cells.
+    """Shift kernel pooled from the transition counts of every path.
 
-    Rows never visited become self-loops and are flagged; more than
-    ``max_empty_fraction`` empty rows raises InsufficientData.
+    Each step (j, b) -> (j', b') counts towards K[j, j', (b' - b) mod M]:
+    the exact operator's transition probabilities depend on the bin shift
+    only, so every source bin of a fibre estimates the same kernel entry.
+    Counts are normalised per source fibre; a fibre that no step leaves
+    becomes a self-loop.  Cells that no step leaves are flagged, and more
+    than ``max_empty_fraction`` of them raises InsufficientData.
     """
     _check_bins(M)
     if batch.n_paths == 0 or batch.n_steps == 0:
         raise InsufficientData("empty trajectory batch")
     n = batch.model.N
     size = n * M
+    j = batch.j.astype(np.int64)
     bins = np.minimum((batch.x * M).astype(np.int64), M - 1)
-    cells = batch.j.astype(np.int64) * M + bins
-    src = cells[:, :-1].ravel()
-    dst = cells[:, 1:].ravel()
-    counts = sp.coo_matrix((np.ones(src.size), (src, dst)), shape=(size, size)).tocsr()
-    row_tot = np.asarray(counts.sum(axis=1)).ravel()
-    empty = np.nonzero(row_tot == 0)[0]
+    empty = np.flatnonzero(np.bincount((j * M + bins)[:, :-1].ravel(), minlength=size) == 0)
     if len(empty) > max_empty_fraction * size:
         raise InsufficientData(
             f"{len(empty)} of {size} rows have no transitions "
             f"(limit {max_empty_fraction:.0%})")
-    inv = np.ones(size)
-    inv[row_tot > 0] = 1.0 / row_tot[row_tot > 0]
-    mat = sp.diags(inv) @ counts
-    if len(empty):
-        mat = (mat + sp.coo_matrix(
-            (np.ones(len(empty)), (empty, empty)), shape=(size, size))).tocsr()
+    steps = (j[:, :-1] * n + j[:, 1:]) * M + (bins[:, 1:] - bins[:, :-1]) % M
+    counts = np.bincount(steps.ravel(), minlength=n * n * M).reshape(n, n, M)
+    totals = counts.sum(axis=(1, 2))
+    kernel = counts / np.maximum(totals, 1)[:, None, None]
+    idle = np.flatnonzero(totals == 0)
+    kernel[idle, idle, 0] = 1.0
     return UlamOperator(M=int(M), mode="empirical", model=batch.model,
-                        csr=sp.csr_matrix(mat), flagged_rows=tuple(int(r) for r in empty))
+                        kernel=_freeze(kernel), flagged_rows=tuple(int(r) for r in empty))
 
 
 def _pick_cycles(values: np.ndarray, top_m: int, imag_tol: float) -> list:
@@ -287,8 +296,11 @@ def _residual(a, lam: complex, v: np.ndarray) -> float:
 
 def _sector_cycles(op: UlamOperator, top_m: int) -> list:
     """(rep, per-fibre mass, residual) per cycle from the bin-DFT sectors 0..M/2."""
-    qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()      # (N, M//2 + 1)
-    blocks = qhat.T[:, :, None] * op.w_eps                   # Diag(qhat(m)) W_eps
+    if op.kernel is not None:
+        blocks = np.moveaxis(np.fft.rfft(op.kernel, axis=2).conj(), 2, 0)
+    else:
+        qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()  # (N, M//2 + 1)
+        blocks = qhat.T[:, :, None] * op.w_eps               # Diag(qhat(m)) W_eps
     values = np.linalg.eigvals(blocks)
     eigs, out = {}, []
     for rep, i in _pick_cycles(values.ravel(), top_m, IMAG_TOL):
@@ -302,60 +314,26 @@ def _sector_cycles(op: UlamOperator, top_m: int) -> list:
     return out
 
 
-def _inverse_iteration(matrix, lam: complex) -> np.ndarray:
-    """Unit eigenvector of ``matrix`` for the computed eigenvalue ``lam``."""
-    n = matrix.shape[0]
-
-    def factor(shift):
-        return spla.splu((matrix - shift * sp.identity(n)).tocsc())
-
-    try:
-        lu = factor(lam)
-    except RuntimeError:        # lam is exactly an eigenvalue of the stored matrix
-        lu = factor(lam + 1e-13 * max(1.0, abs(lam)))
-    rng = np.random.default_rng(0)        # fixed start: deterministic runs
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for _ in range(INVERSE_STEPS):
-        x = lu.solve(x)
-        x /= np.linalg.norm(x)
-    return x
-
-
-def _dense_cycles(op: UlamOperator, top_m: int) -> list:
-    """(rep, per-fibre mass, residual) per cycle from the counted cell matrix."""
-    if op.size > DENSE_EIG_LIMIT:
-        raise InvalidSimulationInput(f"{op.size} cells exceed the dense limit {DENSE_EIG_LIMIT}")
-    mat, out = op.csr, []
-    for rep, _ in _pick_cycles(np.linalg.eigvals(mat.toarray()), top_m, IMAG_TOL):
-        v = _inverse_iteration(mat, rep)
-        out.append((rep, (np.abs(v) ** 2).reshape(-1, op.M).sum(axis=1),
-                    _residual(mat, rep, v)))
-    return out
-
-
 def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport:
     """Report the top_m largest-magnitude nonreal eigenvalues as cycles.
 
     Conjugate pairs are reported once, by their lower-half-plane member.  A
     cycle's per-band mass comes from the squared magnitudes of its eigenvector
     summed over each band's cells; the band with the largest mass is the
-    attributed support.  Analytic operators are solved by bin-DFT sector,
-    counted ones by their cell matrix (see the module docstring).  Band widths
-    other than ``op.model``'s raise DimensionMismatch, and a reported eigenpair
-    with relative residual above RESIDUAL_TOL raises NoConvergence.
+    attributed support.  Both operator kinds are solved by bin-DFT sector
+    (see the module docstring).  Band widths other than ``op.model``'s raise
+    DimensionMismatch, and a reported eigenpair with relative residual above
+    RESIDUAL_TOL raises NoConvergence.
     """
     if top_m < 1:
         raise InvalidSimulationInput(f"top_m must be >= 1, got {top_m}")
     if model.L != op.model.L:
         raise DimensionMismatch(f"band widths {model.L} differ from the operator's {op.model.L}")
-    if op.kernel_rows is not None:
-        solver, found = "sector", _sector_cycles(op, top_m)
-    else:
-        solver, found = "dense", _dense_cycles(op, top_m)
+    found = _sector_cycles(op, top_m)
     worst = max(res for _, _, res in found)
     if worst > RESIDUAL_TOL:
         raise NoConvergence(
-            f"{solver} eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:g}", partial=found)
+            f"sector eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:g}", partial=found)
 
     cycles = []
     for rep, per_fibre, _ in found:
@@ -367,5 +345,5 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
             eigenvalue=complex(rep), magnitude=float(abs(rep)), arg=arg,
             period_steps=float(2 * np.pi / abs(arg)),
             band_masses=band_masses, band=int(np.argmax(band_masses))))
-    return CycleReport(cycles=tuple(cycles), M=op.M, top_m=int(top_m), solver=solver,
+    return CycleReport(cycles=tuple(cycles), M=op.M, top_m=int(top_m), solver="sector",
                        max_residual=worst)

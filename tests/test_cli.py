@@ -123,6 +123,7 @@ class TestSpectrum:
         ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--eps", "nan"]),
         ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--eps", "0.1,inf"]),
         ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--delta", "inf"]),
+        ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--delta=-0.1"]),
         ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--tol", "nan"]),
         ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--tol", "0"]),
         ('{"beta": [0.1, 0.3], "L": [1, 1], "ks": []}', []),
@@ -140,7 +141,7 @@ class TestSpectrum:
         ('{"beta": [0.1, 0.2], "L": [1.5, 2]}', []),
         ('{"beta": [0.1, 0.2], "L": [true, "2"]}', []),
     ], ids=["delta-nan", "delta-infinity", "delta-overflow", "beta-nan", "generator-nan",
-            "eps-nan", "eps-inf", "delta-inf", "tol-nan", "tol-zero", "ks-empty", "eps-empty",
+            "eps-nan", "eps-inf", "delta-inf", "delta-negative", "tol-nan", "tol-zero", "ks-empty", "eps-empty",
             "beta-int-overflow", "delta-int-overflow", "eps-int-overflow", "ks-int-overflow",
             "k-flag-int-overflow", "ks-beyond-2**32", "k-flag-301-digits", "k-flag-2**53+1",
             "k-flag-below-minus-2**32", "beta-L-length", "L-float", "L-bool-string"])
@@ -178,6 +179,16 @@ class TestFlags:
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
+
+    @pytest.mark.parametrize("command", ["spectrum", "simulate", "casestudy"])
+    def test_delta_must_be_nonnegative(self, case_cfg, tmp_path, capsys, command):
+        # like a config file's delta, the flag refuses a negative radius
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(case_cfg), "--out", str(tmp_path / "o"),
+                  "--delta=-0.1"])
+        assert exc.value.code == 2
+        assert "argument --delta: not a nonnegative number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("x_res", ["0", "-3", "2.5"])
     def test_x_res_must_be_a_positive_integer(self, tmp_path, capsys, x_res):
@@ -317,11 +328,13 @@ class TestCaseStudy:
 
 
 def test_cli_import_leaves_scipy_optimize_out():
-    # labelling needs no assignment solver; keep its import cost out of startup
+    # no command needs scipy: labelling has no assignment solver and Ulam
+    # cycles come from numpy sector solves; keep its import cost out of startup
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = "import sys, rotor_spectra.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, rotor_spectra.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

@@ -61,6 +61,24 @@ def assert_same_csr(a, b):
     assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
 
 
+def draw_admissible(data, widths, max_cells):
+    """A random admissible model, generator, eps, delta and bin count M <= max_cells / N."""
+    n = sum(widths)
+    M = data.draw(st.integers(2, max_cells // n), label="M")
+    beta = data.draw(st.lists(st.floats(-1, 1), min_size=len(widths),
+                              max_size=len(widths), unique=True), label="beta")
+    rates = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * (n - 1) // 2,
+                               max_size=n * (n - 1) // 2), label="rates")
+    wdot = np.zeros((n, n))
+    wdot[np.triu_indices(n, 1)] = rates
+    wdot += wdot.T
+    wdot -= np.diag(wdot.sum(axis=1))
+    gen = NoiseGenerator.from_matrix(wdot)
+    eps = data.draw(st.floats(0.0, 1.0), label="eps_fraction") * min(gen.eps_max, 1.0)
+    delta = data.draw(st.floats(0.0, 0.3), label="delta")
+    return build_band_model(beta, widths), gen, eps, delta, M
+
+
 def assert_matches_full_eig(report, op, model):
     _, ref = full_eig_cycles(op, model, report.top_m)
     assert len(report.cycles) == len(ref)
@@ -146,7 +164,7 @@ class TestUlamAnalytic:
 
     def test_case_study_cell_matrix_matches_coo_reference(self, case_model, case_gen):
         op = ulam_analytic(case_model, case_gen, 0.1, 0.1, 128)
-        assert op.size == 33 * 128 and op.csr is None
+        assert op.size == 33 * 128 and op.kernel is None
         assert_same_csr(op.matrix, coo_cell_matrix(op.kernel_rows, op.w_eps))
 
     def test_rational_rotation_is_permutation(self):
@@ -231,6 +249,13 @@ class TestUlamAnalytic:
         assert issubclass(InvalidSimulationInput, RotorSpectraError)
         assert issubclass(InvalidSimulationInput, ValueError)
 
+    @pytest.mark.parametrize("delta", [-0.1, np.nan, np.inf])
+    def test_bad_delta_is_typed(self, two_band_model, two_band_gen, delta):
+        with pytest.raises(InvalidSimulationInput, match="delta must be finite and >= 0"):
+            ulam_analytic(two_band_model, two_band_gen, 0.1, delta, 8)
+        with pytest.raises(InvalidSimulationInput, match="delta must be finite and >= 0"):
+            simulate(two_band_model, two_band_gen, 0.1, delta, 2, 5, seed=1)
+
     def test_negative_counts_are_typed(self, two_band_model, two_band_gen):
         for paths, steps in ((-1, 10), (2, -5)):
             with pytest.raises(InvalidSimulationInput):
@@ -272,6 +297,31 @@ class TestUlamEmpirical:
         tv = 0.5 * np.abs(emp - analytic).sum(axis=1)
         assert np.max(tv) < 0.02
 
+    def test_kernel_counts_fibre_moves_and_bin_shifts(self, two_band_model, two_band_gen):
+        batch = simulate(two_band_model, two_band_gen, 0.3, 0.2, 5, 40, seed=3)
+        M = 6
+        counts = np.zeros((2, 2, M))
+        bins = np.minimum((batch.x * M).astype(int), M - 1)
+        for p in range(5):
+            for t in range(40):
+                counts[batch.j[p, t], batch.j[p, t + 1], (bins[p, t + 1] - bins[p, t]) % M] += 1
+        op = ulam_empirical(batch, M, max_empty_fraction=1.0)
+        assert_allclose(op.kernel, counts / counts.sum(axis=(1, 2))[:, None, None],
+                        rtol=0, atol=1e-15)
+
+    def test_idle_fibre_becomes_self_loop(self, two_band_model):
+        # eps = 0 keeps every path in fibre 0: no step leaves fibre 1
+        batch = simulate(two_band_model, NoiseGenerator.from_matrix([[-1.0, 1.0], [1.0, -1.0]]),
+                         0.0, 0.1, 4, 50, seed=2, init=(0, [0.1, 0.3, 0.6, 0.9]))
+        op = ulam_empirical(batch, 4, max_empty_fraction=0.5)
+        assert op.flagged_rows == (4, 5, 6, 7)
+        want = np.zeros((2, 4))
+        want[1, 0] = 1.0
+        assert_allclose(op.kernel[1], want, atol=0)
+        assert_allclose(op.matrix.toarray()[4:, 4:], np.eye(4), atol=0)
+        with pytest.raises(InsufficientData, match="4 of 8 rows"):
+            ulam_empirical(batch, 4, max_empty_fraction=0.49)
+
     def test_empty_batch(self, two_band_model, two_band_gen):
         batch = simulate(two_band_model, two_band_gen, 0.1, 0.1, 3, 0, seed=1)
         with pytest.raises(InsufficientData):
@@ -296,8 +346,10 @@ class TestDetectCycles:
         assert_allclose(c.band_masses, [1.0], atol=0)
 
     def test_identity_has_no_cycles(self, two_band_model):
-        op = UlamOperator(M=4, mode="empirical", model=two_band_model,
-                          csr=sp.identity(8, format="csr"))
+        kernel = np.zeros((2, 2, 4))
+        kernel[[0, 1], [0, 1], 0] = 1.0
+        op = UlamOperator(M=4, mode="empirical", model=two_band_model, kernel=kernel)
+        assert_allclose(op.matrix.toarray(), np.eye(8), atol=0)
         with pytest.raises(NoComplexEigenvalues):
             detect_cycles(op, two_band_model, top_m=1)
 
@@ -389,21 +441,8 @@ class TestSectorPath:
     @settings(max_examples=60, deadline=None)
     @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
     def test_random_admissible_models(self, widths, data):
-        n = sum(widths)
-        M = data.draw(st.integers(2, 300 // n), label="M")
-        beta = data.draw(st.lists(st.floats(-1, 1), min_size=len(widths),
-                                  max_size=len(widths), unique=True), label="beta")
-        rates = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * (n - 1) // 2,
-                                   max_size=n * (n - 1) // 2), label="rates")
-        wdot = np.zeros((n, n))
-        wdot[np.triu_indices(n, 1)] = rates
-        wdot += wdot.T
-        wdot -= np.diag(wdot.sum(axis=1))
-        gen = NoiseGenerator.from_matrix(wdot)
-        eps = data.draw(st.floats(0.0, 1.0), label="eps_fraction") * min(gen.eps_max, 1.0)
-        delta = data.draw(st.floats(0.0, 0.3), label="delta")
+        model, gen, eps, delta, M = draw_admissible(data, widths, max_cells=300)
         top_m = data.draw(st.integers(1, 3), label="top_m")
-        model = build_band_model(beta, widths)
         op = ulam_analytic(model, gen, eps, delta, M)
         values, ref = None, None
         try:
@@ -455,6 +494,8 @@ class TestSectorPath:
 
 
 class TestCellMatrixPath:
+    """Counted operators: the sector solve checked against their cell matrix."""
+
     @pytest.fixture(scope="class")
     def empirical(self):
         cfg = case_study_config()
@@ -464,32 +505,69 @@ class TestCellMatrixPath:
     def test_targeted_eigenvectors_match_full_eig(self, empirical):
         op, model = empirical
         report = detect_cycles(op, model, top_m=3)
-        assert report.solver == "dense"
+        assert report.solver == "sector"
         assert_matches_full_eig(report, op, model)
 
-    def test_refuses_above_dense_limit(self, empirical, monkeypatch):
-        op, model = empirical
+    def test_counted_path_never_builds_cell_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("cell matrix built on the sector path")
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("counted operator densified")
-
-        monkeypatch.setattr(simulate_module, "DENSE_EIG_LIMIT", 10)
-        monkeypatch.setattr(type(op.csr), "toarray", refuse)
-        monkeypatch.setattr(type(op.csr), "todense", refuse)
-        with pytest.raises(InvalidSimulationInput, match="264 cells exceed"):
-            detect_cycles(op, model, top_m=3)
+        monkeypatch.setattr(UlamOperator, "matrix", property(refuse))
+        cfg = case_study_config()
+        batch = simulate(cfg.model, cfg.gen, 0.1, 0.1, 200, 1000, seed=1)
+        report = detect_cycles(ulam_empirical(batch, 32), cfg.model, top_m=3)
+        assert report.solver == "sector" and len(report.cycles) == 3
 
     def test_unconverged_eigenvector_raises(self, empirical, monkeypatch):
         op, model = empirical
-        monkeypatch.setattr(simulate_module, "INVERSE_STEPS", 0)
-        with pytest.raises(NoConvergence, match="dense eigenpair residual"):
+        eig = np.linalg.eig
+
+        def rough_eig(a):
+            values, vectors = eig(a)
+            return values, vectors + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eig", rough_eig)
+        with pytest.raises(NoConvergence, match="sector eigenpair residual") as exc:
             detect_cycles(op, model, top_m=3)
+        assert len(exc.value.partial) == 3
 
     def test_shift_at_an_exact_eigenvalue(self):
-        # eigenvalues +-i are exact, so P + iI is exactly singular
+        # a quarter turn per step: the sector eigenvalues are exactly the
+        # fourth roots of unity, and the cycle's eigenpair is exact
         m, _ = single_fibre_model(0.25)
-        op = UlamOperator(M=2, mode="empirical", model=m,
-                          csr=sp.csr_matrix([[0.0, -1.0], [1.0, 0.0]]))
+        kernel = np.zeros((1, 1, 4))
+        kernel[0, 0, 1] = 1.0
+        op = UlamOperator(M=4, mode="empirical", model=m, kernel=kernel)
         report = detect_cycles(op, m, top_m=1)
         assert report.cycles[0].eigenvalue == -1j
         assert report.max_residual <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
+    def test_sector_spectrum_matches_cell_matrix(self, widths, data):
+        model, gen, eps, delta, M = draw_admissible(data, widths, max_cells=160)
+        n = model.N
+        paths = data.draw(st.integers(1, 20), label="paths")
+        steps = data.draw(st.integers(1, 200), label="steps")
+        batch = simulate(model, gen, eps, delta, paths, steps,
+                         seed=data.draw(st.integers(0, 2**32), label="seed"))
+        op = ulam_empirical(batch, M, max_empty_fraction=1.0)
+        cells = op.matrix.toarray()
+        assert_allclose(cells.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+        # the unitary bin DFT takes the cell matrix to the block diagonal of
+        # the sectors, so the two spectra are equal
+        blocks = np.moveaxis(np.fft.fft(op.kernel, axis=2).conj(), 2, 0)
+        want = np.zeros((n, M, n, M), dtype=complex)
+        want[:, np.arange(M), :, np.arange(M)] = blocks
+        got = np.fft.ifft(np.fft.fft(cells.reshape(n, M, n, M), axis=1), axis=3)
+        assert_allclose(got, want, rtol=0, atol=1e-13)
+        # sectors M - m for 0 < m < M/2 are the conjugates of sectors m
+        sectors = np.linalg.eigvals(blocks[:M // 2 + 1])
+        values = np.concatenate([sectors.ravel(), sectors[1:(M + 1) // 2].conj().ravel()])
+        dense = np.linalg.eigvals(cells)
+        assert len(values) == len(dense) == n * M
+        # defective eigenvalues spread by sqrt(rounding) in both solves: match
+        # the isolated ones
+        gaps = np.abs(dense[:, None] - dense[None, :]) + np.diag(np.full(n * M, np.inf))
+        for z in dense[gaps.min(axis=1) > 1e-3]:
+            assert np.min(np.abs(values - z)) <= 1e-10 * max(1.0, abs(z))
