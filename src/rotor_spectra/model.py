@@ -58,9 +58,13 @@ class BandModel:
         """Length-N array mapping fibre index to band index."""
         return _freeze(np.repeat(np.arange(self.S), self.L))
 
+    def phases(self, k: int) -> np.ndarray:
+        """Band phases exp(-2 pi i k beta_s); the fibre phases are ``phases(k)[band_index]``."""
+        return np.exp(-2j * np.pi * k * np.asarray(self.beta))
+
     def phase_gap(self, k: int) -> float:
-        """Smallest distance between two band phases exp(-2 pi i k beta_s); inf for one band."""
-        phases = np.exp(-2j * np.pi * k * np.asarray(self.beta))
+        """Smallest distance between two band phases; inf for one band."""
+        phases = self.phases(k)
         gaps = np.abs(phases[:, None] - phases[None, :])
         np.fill_diagonal(gaps, np.inf)
         return float(gaps.min())

@@ -100,7 +100,7 @@ def closed_form_eigendata(model: BandModel, k: int) -> ClosedFormEigen:
     if model.S == 1:
         # reflecting at both ends: no closed form, numerical fallback
         rho, v = sorted_eigenbasis(gen.wdot)
-        lam_hat[:] = np.exp(-2j * np.pi * k * model.beta[0]) * rho
+        lam_hat[:] = model.phases(k)[0] * rho
         vectors[:, :] = v
         cases = [CASE_FALLBACK] * model.N
     else:
@@ -108,7 +108,7 @@ def closed_form_eigendata(model: BandModel, k: int) -> ClosedFormEigen:
             sl = model.band_slice(s)
             case = CASE_FIRST if s == 0 else CASE_LAST if s == model.S - 1 else CASE_INTERIOR
             rho, v = _block_closed_form(model.L[s], case)
-            lam_hat[sl] = np.exp(-2j * np.pi * k * model.beta[s]) * rho
+            lam_hat[sl] = model.phases(k)[s] * rho
             vectors[sl, sl] = v
             cases += [case] * model.L[s]
         vectors = sign_gauge(vectors)

@@ -33,12 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateFirstOrder, DimensionMismatch, EigsNotSimple, EpsZero,
-                     GammaViolated, InvalidEpsGrid, NonOrthogonal, ResponseMismatch)
+                     InvalidEpsGrid, NonOrthogonal, ResponseMismatch)
 from .model import BandModel, NoiseGenerator, _freeze
 from .spectra import (assemble_fourier_block, eig_dense_complex, label_spectrum,
                       nearest_assignment)
-from .zero_noise import (LimitBasis, check_gamma, limit_basis, projective_distance,
-                         sorted_eigenbasis)
+from .zero_noise import LimitBasis, limit_basis, projective_distance, sorted_eigenbasis
+
+#: same-band first-order eigenvalues at most this times max |lhat| apart are degenerate
+FIRST_ORDER_GAP_TOL = 1e-9
+#: largest |<f, fhat>| / max(1, |fhat|) that projection_expansion accepts
+ORTHOGONALITY_TOL = 1e-10
+#: alpha_response needs eigenvalues more than this times the spectral radius apart
+SIMPLE_GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,99 +83,83 @@ class OrderCheck:
     slope_vec: float
 
 
-def first_order_basis(model: BandModel, gen: NoiseGenerator, k: int):
+def first_order_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
     """Limit vectors f and first-order terms lhat for every label.
 
-    For S = 1 or k = 0 the basis diagonalises the full Wdot (the limit
-    problem is global, not band-blocked); otherwise it is the band-blocked
-    limit basis, which requires distinct band phases at this k.
+    For S = 1 or k = 0 all band phases coincide: the expansion terminates at
+    first order and the basis diagonalises the full Wdot (the limit problem
+    is global, not band-blocked).  Otherwise it is the band-blocked limit
+    basis, which requires distinct band phases at this k.
     """
     if model.S == 1 or k == 0:
         rho, v = sorted_eigenbasis(gen.wdot)
-        phase = np.exp(-2j * np.pi * k * model.alpha[0])
-        return v, phase * rho, model.band_index
-    basis = limit_basis(model, gen, k)
-    return np.asarray(basis.vectors), np.asarray(basis.lambda_hat), np.asarray(basis.band)
+        return LimitBasis(k=int(k), lambda_hat=_freeze(model.phases(k)[0] * rho),
+                          vectors=_freeze(v), band=model.band_index, model=model)
+    return limit_basis(model, gen, k)
 
 
-def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int,
-                     basis: LimitBasis | None, checked=(), gap_tol: float = 1e-9):
-    """lhathat and the fhat columns of every label, from one limit basis.
+def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int, checked=()):
+    """The first-order basis, lhathat and the fhat columns of every label.
 
     With A = D Wdot F, B = Wdot D* F, d = diag(D) (so d_j = e_{s_j}) and
     inv[j, ell] = 1/(d_ell - d_j) off the own band of ell (0 on it), the
     module-docstring sums become
     H = B^H (A * inv), lhathat = diag(H), the in-band coefficients
     H[r, ell] / (lhat_ell - lhat_r) and the out-of-band ones (F^T A) * inv.
-    Raises DegenerateFirstOrder when a label in ``checked`` shares its
-    first-order eigenvalue with another label of its band.
+    Every sum runs over label pairs of distinct phases; where there are none
+    (see first_order_basis) both terms are exact zeros.  Raises
+    DegenerateFirstOrder when a label in ``checked`` shares its first-order
+    eigenvalue with another label of its band.
     """
-    if basis is None:
-        basis = limit_basis(model, gen, k)
-    elif not check_gamma(model, k):
-        raise GammaViolated(f"band phases coincide at k={k}")
-    f = np.asarray(basis.vectors)
-    band = np.asarray(basis.band)
-    lam_hat = np.asarray(basis.lambda_hat)
-    d = np.exp(-2j * np.pi * k * model.alpha)
-    across = band[:, None] != band[None, :]
-    within = ~across & ~np.eye(model.N, dtype=bool)      # [r, ell]: r != ell, same band
+    n = model.N
+    basis = first_order_basis(model, gen, k)
+    f, lam_hat = basis.vectors, basis.lambda_hat
+    d = model.phases(k)[model.band_index]
+    across = d[:, None] != d[None, :]                    # [r, ell]: distinct phases
+    if not across.any():
+        return basis, np.zeros(n, dtype=complex), np.zeros((n, n), dtype=complex)
+    within = ~across & ~np.eye(n, dtype=bool)            # [r, ell]: r != ell, same band
     gap = lam_hat[None, :] - lam_hat[:, None]            # [r, ell]: lhat_ell - lhat_r
     checked = list(checked)
-    degenerate = within & (np.abs(gap) <= gap_tol * float(np.max(np.abs(lam_hat))))
+    degenerate = within & (np.abs(gap) <= FIRST_ORDER_GAP_TOL * float(np.max(np.abs(lam_hat))))
     bad = np.argwhere(degenerate[:, checked].T)
     if len(bad):
         raise DegenerateFirstOrder(f"first-order eigenvalues coincide for labels "
                                    f"{checked[bad[0][0]]} and {bad[0][1]} at k={k}")
-    inv = np.zeros((model.N, model.N), dtype=complex)
+    inv = np.zeros((n, n), dtype=complex)
     np.divide(1.0, d[None, :] - d[:, None], out=inv, where=across)
     a = d[:, None] * (gen.wdot @ f)                      # D Wdot F
     b = gen.wdot @ (np.conj(d)[:, None] * f)             # Wdot D* F
     h = b.conj().T @ (a * inv)
     coeff = (f.T @ a) * inv + h / np.where(within, gap, np.inf)
-    return np.diag(h), f @ coeff
+    return basis, np.diag(h), f @ coeff
 
 
-def second_order_eigenvalue(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
-                            basis: LimitBasis | None = None) -> complex:
+def second_order_eigenvalue(model: BandModel, gen: NoiseGenerator, k: int, ell: int) -> complex:
     """The eps^2 coefficient of the eigenvalue expansion for label ell."""
-    if model.S == 1 or k == 0:
-        return 0.0 + 0.0j
-    return complex(_expansion_terms(model, gen, k, basis)[0][ell])
+    return complex(_expansion_terms(model, gen, k)[1][ell])
 
 
-def eigenvector_response(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
-                         basis: LimitBasis | None = None,
-                         gap_tol: float = 1e-9) -> np.ndarray:
+def eigenvector_response(model: BandModel, gen: NoiseGenerator, k: int, ell: int) -> np.ndarray:
     """First-order eigenvector term fhat for label ell; orthogonal to f."""
-    if model.S == 1 or k == 0:
-        return np.zeros(model.N, dtype=complex)
-    return _expansion_terms(model, gen, k, basis, [ell], gap_tol)[1][:, ell]
+    return _expansion_terms(model, gen, k, [ell])[2][:, ell]
 
 
 def response_data(model: BandModel, gen: NoiseGenerator, k: int) -> ResponseData:
     """lhat, lhathat and fhat for every label at Fourier index k, from one limit basis."""
-    n = model.N
-    if model.S == 1 or k == 0:
-        v, lam_hat, band = first_order_basis(model, gen, k)
-        basis = LimitBasis(k=int(k), lambda_hat=_freeze(lam_hat.astype(complex)),
-                           vectors=_freeze(v), band=_freeze(np.asarray(band)), model=model)
-        lhh = np.zeros(n, dtype=complex)
-        fh = np.zeros((n, n), dtype=complex)
-    else:
-        basis = limit_basis(model, gen, k)
-        lhh, fh = _expansion_terms(model, gen, k, basis, range(n))
+    basis, lhh, fh = _expansion_terms(model, gen, k, range(model.N))
     return ResponseData(k=int(k), lambda_hat=basis.lambda_hat, lambda_hathat=_freeze(lhh),
                         f_hat=_freeze(fh), band=basis.band, basis=basis)
 
 
-def projection_expansion(f_limit, f_hat, eps: float, tol: float = 1e-10) -> np.ndarray:
+def projection_expansion(f_limit, f_hat, eps: float) -> np.ndarray:
     """First-order expansion f f* + eps (fhat f* + f fhat*) of the eigenprojector."""
     f = np.asarray(f_limit, dtype=complex).ravel()
     fh = np.asarray(f_hat, dtype=complex).ravel()
     ip = abs(np.vdot(f, fh))
-    if ip > tol * max(1.0, float(np.linalg.norm(fh))):
-        raise NonOrthogonal(f"<f, fhat> = {ip:.3e} exceeds tolerance {tol:.1e}")
+    if ip > ORTHOGONALITY_TOL * max(1.0, float(np.linalg.norm(fh))):
+        raise NonOrthogonal(
+            f"<f, fhat> = {ip:.3e} exceeds tolerance {ORTHOGONALITY_TOL:.1e}")
     proj = np.outer(f, np.conj(f))
     return proj + eps * (np.outer(fh, np.conj(f)) + np.outer(f, np.conj(fh)))
 
@@ -190,7 +180,9 @@ def _refine_eigenpair(a, mu, vec):
 
     Newton refinement on the bordered Jacobian [[a - mu0 I, -v0], [v0^H, 0]]
     of the dense eigenpair (mu0, v0), formed once; residuals
-    (a v - mu v, 1 - v0^H v) and corrections are all complex128.
+    (a v - mu v, 1 - v0^H v) and corrections are all complex128.  Raises
+    EigsNotSimple when the Jacobian is singular, as it is at a multiple
+    eigenvalue.
     """
     n = a.shape[0]
     anchor = vec.conj()
@@ -200,7 +192,11 @@ def _refine_eigenpair(a, mu, vec):
     jac[n, :n] = anchor
     v = vec
     for _ in range(REFINE_STEPS):
-        step = np.linalg.solve(jac, np.concatenate([mu * v - a @ v, [1 - anchor @ v]]))
+        try:
+            step = np.linalg.solve(jac, np.concatenate([mu * v - a @ v, [1 - anchor @ v]]))
+        except np.linalg.LinAlgError as exc:
+            raise EigsNotSimple("the matched eigenvalue is not simple: "
+                                "its bordered Newton system is singular") from exc
         v = v + step[:n]
         mu = mu + step[n]
     return mu, v / np.linalg.norm(v)
@@ -247,7 +243,7 @@ def order_check(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
     lhat, lhh = resp.lambda_hat[ell], resp.lambda_hathat[ell]
     f = resp.basis.vectors[:, ell].astype(complex)
     fhat = resp.f_hat[:, ell]
-    d = np.exp(-2j * np.pi * k * model.alpha)
+    d = model.phases(k)[model.band_index]
     shift = np.diag(d - d[ell])                          # exactly 0 on the band of ell
 
     r0, r1, r2, vec_r = [], [], [], []
@@ -273,7 +269,7 @@ def order_check(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
 
 
 def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
-                   ell: int, direction, gap_tol: float = 1e-12):
+                   ell: int, direction):
     """Directional derivative (dlam, df) of one eigenpair w.r.t. the speeds.
 
     The derivative of the phase diagonal in direction u is
@@ -293,7 +289,7 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     eig = eig_dense_complex(p)
     gaps = np.abs(eig.values[:, None] - eig.values[None, :])
     np.fill_diagonal(gaps, np.inf)
-    if model.N > 1 and float(gaps.min()) <= gap_tol * float(np.max(np.abs(eig.values))):
+    if model.N > 1 and float(gaps.min()) <= SIMPLE_GAP_TOL * float(np.max(np.abs(eig.values))):
         raise EigsNotSimple(
             f"minimum eigenvalue gap {gaps.min():.3e} below tolerance at eps={eps}")
     # identify label ell through the labelled ordering
@@ -301,7 +297,7 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     lam = spec.lam[ell]
     f = spec.vectors[:, ell]
     # y^T P = f^T W_eps = lam y^T; unlike W_eps f = lam y, y is nonzero when lam = 0
-    left = np.exp(2j * np.pi * k * model.alpha) * f
+    left = np.conj(model.phases(k)[model.band_index]) * f
 
     dp = (-2j * np.pi * k * u)[:, None] * p
     dlam = (left @ dp @ f) / (left @ f)

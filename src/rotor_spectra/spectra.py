@@ -70,7 +70,7 @@ class LabelledSpectrum:
 def assemble_fourier_block(model: BandModel, gen: NoiseGenerator, k: int, eps: float) -> FourierBlock:
     """Build D_{k,alpha} (Id + eps*Wdot)."""
     w = w_epsilon(gen, eps)
-    phases = np.exp(-2j * np.pi * k * model.alpha)
+    phases = model.phases(k)[model.band_index]
     return FourierBlock(k=int(k), eps=float(eps), matrix=_freeze(phases[:, None] * w),
                         model=model, gen=gen)
 
@@ -138,8 +138,7 @@ def nearest_assignment(cost: np.ndarray, room) -> np.ndarray:
     return np.array(col)
 
 
-def label_spectrum(block: FourierBlock, eig: EigResult,
-                   tol: float = DEFAULT_RESIDUAL_TOL) -> LabelledSpectrum:
+def label_spectrum(block: FourierBlock, eig: EigResult) -> LabelledSpectrum:
     """Label raw eigenpairs by their nearest band phase exp(-2 pi i k beta_s).
 
     Pairs are taken cheapest first, band s holding L_s eigenvalues, and labels
@@ -154,7 +153,7 @@ def label_spectrum(block: FourierBlock, eig: EigResult,
         raise NoConvergence(
             f"{int(np.sum(~eig.converged))} eigenpairs exceed the residual tolerance",
             partial=eig)
-    phases = np.exp(-2j * np.pi * block.k * np.asarray(model.beta))
+    phases = model.phases(block.k)
     band = nearest_assignment(np.abs(eig.values[:, None] - phases[None, :]), model.L)
     along = (eig.values * np.conj(phases[band])).real   # about 1 + eps*rho
     order = np.lexsort((-along, band))                  # eigenpair index of label ell
@@ -192,7 +191,7 @@ def spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
              delta: float = 0.0, tol: float = DEFAULT_RESIDUAL_TOL) -> LabelledSpectrum:
     """Labelled spectrum of one Fourier block, with the delta factor applied."""
     block = assemble_fourier_block(model, gen, k, eps)
-    spec = label_spectrum(block, eig_dense_complex(block.matrix, tol), tol)
+    spec = label_spectrum(block, eig_dense_complex(block.matrix, tol))
     if delta == 0.0:
         return spec
     s = delta_factor(k, delta)

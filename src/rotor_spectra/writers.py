@@ -15,6 +15,7 @@ because numpy's vectorised complex product may round differently.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,11 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def _number(x):
+    """x, or None (JSON null) where x is not finite: strict JSON has no such numbers."""
+    return x if math.isfinite(x) else None
+
+
 def _abs(z):
     return np.hypot(z.real, z.imag)
 
@@ -74,7 +80,7 @@ def write_vectors_csv(path, k, vectors):
 def write_circles_csv(path, model, k, sinc, radius):
     """Unit-circle and per-band Gershgorin-circle samples for plotting."""
     t = np.linspace(0.0, 2 * np.pi, CIRCLE_SAMPLES, endpoint=False)
-    centre = sinc * np.exp(-2j * np.pi * k * np.asarray(model.beta))[:, None]
+    centre = sinc * model.phases(k)[:, None]
     S = len(model.beta)
     _write(path, ["kind", "idx", "x", "y"], "%s,%d,%.17g,%.17g",
            [np.repeat(["unit", "gersh"], [CIRCLE_SAMPLES, S * CIRCLE_SAMPLES]),
@@ -167,10 +173,9 @@ def write_admissibility_json(path, report):
         "row_sum_defect": report.row_sum_defect,
         "symmetry_defect": report.symmetry_defect,
         "min_offdiag": report.min_offdiag,
-        "min_eigen_gap_full": report.min_eigen_gap_full,
-        "min_eigen_gap_blocks": None if report.min_eigen_gap_blocks == float("inf")
-        else report.min_eigen_gap_blocks,
-        "eps_max": None if report.eps_max == float("inf") else report.eps_max,
+        "min_eigen_gap_full": _number(report.min_eigen_gap_full),
+        "min_eigen_gap_blocks": _number(report.min_eigen_gap_blocks),
+        "eps_max": _number(report.eps_max),
         "item_stochastic": report.item_stochastic,
         "item_distinct_full": report.item_distinct_full,
         "item_distinct_blocks": report.item_distinct_blocks,

@@ -22,16 +22,29 @@ import numpy as np
 from .errors import DegenerateBlock, GammaViolated, ZeroVector
 from .model import BandModel, NoiseGenerator, _freeze
 
+#: band phases closer than this count as equal (check_gamma)
+PHASE_TOL = 1e-9
+#: a band block is degenerate when an eigenvalue gap is at most this times its spectral radius
+GAP_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class LimitMatrix:
     """D_{k,beta,L} What_L: block s equals exp(-2 pi i k beta_s) * What_s."""
 
     k: int
-    phat: np.ndarray
-    blocks: tuple[np.ndarray, ...]
     model: BandModel
     gen: NoiseGenerator
+
+    @property
+    def phat(self) -> np.ndarray:
+        """The dense N x N matrix, built on every read."""
+        model = self.model
+        phat = np.zeros((model.N, model.N), dtype=complex)
+        for s, phase in enumerate(model.phases(self.k)):
+            sl = model.band_slice(s)
+            phat[sl, sl] = phase * self.gen.wdot[sl, sl]
+        return _freeze(phat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,13 +64,13 @@ class LimitBasis:
     model: BandModel
 
 
-def check_gamma(model: BandModel, k: int, tol: float = 1e-9) -> bool:
+def check_gamma(model: BandModel, k: int) -> bool:
     """True iff the band phases exp(-2 pi i k beta_s) are pairwise distinct.
 
-    Distinctness is tested numerically: phases closer than ``tol`` count as
-    equal.  Always true for a single band; always false for k = 0 with S > 1.
+    Distinctness is tested numerically: phases closer than ``PHASE_TOL`` count
+    as equal.  Always true for a single band; always false for k = 0 with S > 1.
     """
-    return model.phase_gap(k) >= tol
+    return model.phase_gap(k) >= PHASE_TOL
 
 
 def sign_gauge(vectors) -> np.ndarray:
@@ -81,46 +94,36 @@ def sorted_eigenbasis(sym):
 
 
 def assemble_limit_matrix(model: BandModel, gen: NoiseGenerator, k: int) -> LimitMatrix:
-    """Discard off-band couplings and scale each band block by its phase."""
-    phat = np.zeros((model.N, model.N), dtype=complex)
-    blocks = []
-    for s in range(model.S):
-        sl = model.band_slice(s)
-        blk = np.exp(-2j * np.pi * k * model.beta[s]) * gen.wdot[sl, sl]
-        phat[sl, sl] = blk
-        blocks.append(_freeze(blk))
-    return LimitMatrix(k=int(k), phat=_freeze(phat), blocks=tuple(blocks),
-                       model=model, gen=gen)
+    """The limit matrix at k: off-band couplings dropped, band blocks phase-scaled."""
+    return LimitMatrix(k=int(k), model=model, gen=gen)
 
 
-def limit_eigenbasis(lim: LimitMatrix, gap_tol: float = 1e-9) -> LimitBasis:
+def limit_eigenbasis(lim: LimitMatrix) -> LimitBasis:
     """Solve each real symmetric band block and embed into fibre coordinates.
 
     Vectors are kept real (see :func:`sign_gauge`); the unitary band
     phase multiplies only the eigenvalue.  Raises DegenerateBlock when a block
-    eigenvalue gap falls below ``gap_tol`` times the block spectral radius.
+    eigenvalue gap falls below ``GAP_TOL`` times the block spectral radius.
     """
     model, gen = lim.model, lim.gen
     lam_hat = np.zeros(model.N, dtype=complex)
     vectors = np.zeros((model.N, model.N))
-    for s in range(model.S):
+    for s, phase in enumerate(model.phases(lim.k)):
         sl = model.band_slice(s)
         wh = gen.wdot[sl, sl]
         rho, v = sorted_eigenbasis(0.5 * (wh + wh.T))   # rho descending, as the labels
         if len(rho) > 1:
             gap = float(np.min(-np.diff(rho)))
-            if gap <= gap_tol * float(np.max(np.abs(rho))):
+            if gap <= GAP_TOL * float(np.max(np.abs(rho))):
                 raise DegenerateBlock(
                     f"band {s} eigenvalue gap {gap:.3e} below tolerance")
-        phase = np.exp(-2j * np.pi * lim.k * model.beta[s])
         lam_hat[sl] = phase * rho
         vectors[sl, sl] = v
     return LimitBasis(k=lim.k, lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),
                       band=model.band_index, model=model)
 
 
-def limit_basis(model: BandModel, gen: NoiseGenerator, k: int,
-                gap_tol: float = 1e-9) -> LimitBasis:
+def limit_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
     """Convenience wrapper: assemble the limit matrix and solve it.
 
     The band phases must be pairwise distinct at this k, otherwise
@@ -128,7 +131,7 @@ def limit_basis(model: BandModel, gen: NoiseGenerator, k: int,
     """
     if model.S > 1 and not check_gamma(model, k):
         raise GammaViolated(f"band phases coincide at k={k}")
-    return limit_eigenbasis(assemble_limit_matrix(model, gen, k), gap_tol)
+    return limit_eigenbasis(assemble_limit_matrix(model, gen, k))
 
 
 def projective_distance(u, v) -> float:

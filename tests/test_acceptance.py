@@ -124,7 +124,7 @@ def test_06_eigenvector_response(case, two_band):
             for ell in ells:
                 oc = rs.order_check(mm, gg, 1, ell, GRID)
                 assert oc.slope_vec >= 1.3, (mm.N, ell, oc.slope_vec)
-                fhat = rs.eigenvector_response(mm, gg, 1, ell, basis)
+                fhat = rs.eigenvector_response(mm, gg, 1, ell)
                 f = basis.vectors[:, ell].astype(complex)
                 assert abs(np.vdot(f, fhat)) <= 1e-12
         # hand-derived reference for the two-band model, up to the joint

@@ -23,6 +23,14 @@ def case_cfg(tmp_path):
     return p
 
 
+def run_cli(*argv):
+    """The CLI in a fresh process, importing the package under test."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -60,6 +68,20 @@ class TestValidate:
         assert main(["validate", "--config", str(case_cfg), "--out", str(out)]) == 0
         doc = json.loads((out / "admissibility.json").read_text())
         assert doc["passed"] is True
+
+    def test_one_fibre_report_is_strict_json(self, tmp_path):
+        # one fibre has no eigenvalue gap: null, not the non-standard Infinity
+        p = tmp_path / "one.json"
+        p.write_text('{"beta": [0.1], "L": [1], "generator": [[0.0]]}', encoding="utf-8")
+        out = tmp_path / "rep"
+        assert main(["validate", "--config", str(p), "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads((out / "admissibility.json").read_text(), parse_constant=refuse)
+        assert doc["min_eigen_gap_full"] is None and doc["min_eigen_gap_blocks"] is None
+        assert doc["eps_max"] is None
 
 
 class TestSpectrum:
@@ -218,6 +240,18 @@ class TestOtherCommands:
         _, rows = read_csv(out / "response_k2.csv")
         assert all(float(r[5]) == 0 and float(r[6]) == 0 for r in rows)
 
+    def test_response_double_eigenvalue_exit1(self, tmp_path):
+        # a zero generator leaves eigenvalue 1 double at k = 0: the order
+        # check cannot polish it, and says so without a traceback
+        p = tmp_path / "zero.json"
+        p.write_text('{"beta": [0.1, 0.3], "L": [1, 1], "generator": [[0, 0], [0, 0]]}',
+                     encoding="utf-8")
+        done = run_cli("-m", "rotor_spectra.cli", "response", "--config", str(p),
+                       "--out", str(tmp_path / "resp"), "--k", "0")
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and "not simple" in done.stderr
+        assert "Traceback" not in done.stderr
+
     @pytest.mark.parametrize("eps, message", [
         ("0.01,0.001,0.0001", "at least 4 distinct points"),
         ("5,0.01,0.001,0.0001", "exceeds eps_max"),
@@ -330,11 +364,7 @@ class TestCaseStudy:
 def test_cli_import_leaves_scipy_optimize_out():
     # no command needs scipy: labelling has no assignment solver and Ulam
     # cycles come from numpy sector solves; keep its import cost out of startup
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = ("import sys, rotor_spectra.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    done = run_cli("-c", code)
+    assert done.returncode == 0 and done.stdout.strip() == "[]"

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model,
                            eigenvector_response, laplacian_generator, limit_basis,
                            order_check, projection_expansion, response, response_data,
-                           second_order_eigenvalue, spectrum, w_epsilon)
+                           second_order_eigenvalue, spectrum, w_epsilon, zero_noise)
 from rotor_spectra.errors import (DegenerateFirstOrder, EigsNotSimple, EpsZero, GammaViolated,
                                   InvalidEpsGrid, NonOrthogonal, ResponseMismatch)
 from rotor_spectra.response import first_order_basis
@@ -72,6 +72,17 @@ def assert_matches_loop_reference(resp, model, gen, k, atol):
                         rtol=0, atol=atol)
 
 
+def draw_generator(data, n, low=0.05):
+    """A random symmetric generator with off-diagonal rates in [low, 1] and zero row sums."""
+    rates = data.draw(st.lists(st.floats(low, 1.0), min_size=n * (n - 1) // 2,
+                               max_size=n * (n - 1) // 2), label="rates")
+    wdot = np.zeros((n, n))
+    wdot[np.triu_indices(n, 1)] = rates
+    wdot += wdot.T
+    wdot -= np.diag(wdot.sum(axis=1))
+    return NoiseGenerator.from_matrix(wdot)
+
+
 def fd_eigendata(model, gen, k, eps, pred):
     """Independent finite-difference oracle: eig + assignment to predictions."""
     d = np.diag(np.exp(-2j * np.pi * k * model.alpha))
@@ -118,7 +129,7 @@ class TestEigenvectorResponse:
         g = laplacian_generator(3)
         basis = limit_basis(m, g, 1)
         for ell in range(3):
-            fhat = eigenvector_response(m, g, 1, ell, basis)
+            fhat = eigenvector_response(m, g, 1, ell)
             fd1 = fd_vector_response(m, g, 1, ell, basis, 1e-4)
             fd2 = fd_vector_response(m, g, 1, ell, basis, 5e-5)
             assert_allclose(2 * fd2 - fd1, fhat, atol=1e-6)
@@ -126,7 +137,7 @@ class TestEigenvectorResponse:
     def test_gauge_orthogonality_sweep(self, case_model, case_gen):
         basis = limit_basis(case_model, case_gen, 1)
         for ell in (0, 5, 11, 18, 32):
-            fhat = eigenvector_response(case_model, case_gen, 1, ell, basis)
+            fhat = eigenvector_response(case_model, case_gen, 1, ell)
             f = basis.vectors[:, ell].astype(complex)
             assert abs(np.vdot(f, fhat)) <= 1e-12
 
@@ -134,7 +145,7 @@ class TestEigenvectorResponse:
         # in-band part lies in span{f_r: r in band, r != ell}, rest outside
         basis = limit_basis(case_model, case_gen, 1)
         ell = 0
-        fhat = eigenvector_response(case_model, case_gen, 1, ell, basis)
+        fhat = eigenvector_response(case_model, case_gen, 1, ell)
         coeffs = basis.vectors.T @ fhat
         assert abs(coeffs[ell]) <= 1e-12
 
@@ -161,7 +172,7 @@ class TestSecondOrderEigenvalue:
         basis = limit_basis(m, g, 1)
         lam0 = np.exp(-2j * np.pi * m.alpha)
         for ell in range(3):
-            lhh = second_order_eigenvalue(m, g, 1, ell, basis)
+            lhh = second_order_eigenvalue(m, g, 1, ell)
             vals = []
             for eps in (1e-3, 5e-4):
                 pred = lam0 + eps * basis.lambda_hat
@@ -221,18 +232,12 @@ class TestVectorisedTerms:
         beta = data.draw(st.lists(st.floats(-1, 1), min_size=len(widths),
                                   max_size=len(widths), unique=True), label="beta")
         k = data.draw(st.integers(1, 3), label="k")
-        rates = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * (n - 1) // 2,
-                                   max_size=n * (n - 1) // 2), label="rates")
-        wdot = np.zeros((n, n))
-        wdot[np.triu_indices(n, 1)] = rates
-        wdot += wdot.T
-        wdot -= np.diag(wdot.sum(axis=1))
+        gen = draw_generator(data, n)
         model = build_band_model(beta, widths)
-        gen = NoiseGenerator.from_matrix(wdot)
         phases = np.exp(-2j * np.pi * k * np.asarray(beta))
         assume(min(abs(p - q) for i, p in enumerate(phases) for q in phases[i + 1:]) > 1e-2)
         # well-separated first-order eigenvalues within each band
-        gaps = [np.min(np.diff(np.linalg.eigvalsh(wdot[sl, sl])))
+        gaps = [np.min(np.diff(np.linalg.eigvalsh(gen.wdot[sl, sl])))
                 for sl in map(model.band_slice, range(model.S)) if sl.stop - sl.start > 1]
         assume(min(gaps, default=1.0) > 1e-2)
         resp = response_data(model, gen, k)
@@ -241,17 +246,18 @@ class TestVectorisedTerms:
         f = np.asarray(resp.basis.vectors)
         assert np.max(np.abs(np.diag(f.T @ resp.f_hat))) <= 1e-12 * scale
 
-    def test_degenerate_first_order_only_for_the_requested_label(self):
-        # band 0 holds two first-order eigenvalues 2e-12 apart
+    def test_degenerate_first_order_only_for_the_requested_label(self, monkeypatch):
+        # band 0 holds two first-order eigenvalues 2e-12 apart; the limit
+        # basis accepts that block only below its default gap tolerance
+        monkeypatch.setattr(zero_noise, "GAP_TOL", 1e-13)
         c = 1e-12
         wdot = np.array([[-1.0, c, 1 - c], [c, -1.0, 1 - c], [1 - c, 1 - c, -2 + 2 * c]])
         m = build_band_model([0.1, 0.35], [2, 1])
         g = NoiseGenerator.from_matrix(wdot)
-        basis = limit_basis(m, g, 1, gap_tol=1e-13)
         with pytest.raises(DegenerateFirstOrder, match="labels 0 and 1 at k=1"):
-            eigenvector_response(m, g, 1, 0, basis)
-        eigenvector_response(m, g, 1, 2, basis)
-        second_order_eigenvalue(m, g, 1, 0, basis)
+            eigenvector_response(m, g, 1, 0)
+        eigenvector_response(m, g, 1, 2)
+        second_order_eigenvalue(m, g, 1, 0)
 
 
 class TestProjectionExpansion:
@@ -268,7 +274,7 @@ class TestProjectionExpansion:
     def test_two_band_matches_true_projector(self, two_band_model, two_band_gen):
         eps = 1e-3
         basis = limit_basis(two_band_model, two_band_gen, 1)
-        fhat = eigenvector_response(two_band_model, two_band_gen, 1, 0, basis)
+        fhat = eigenvector_response(two_band_model, two_band_gen, 1, 0)
         approx = projection_expansion(basis.vectors[:, 0], fhat, eps)
         spec = spectrum(two_band_model, two_band_gen, 1, eps)
         v = spec.vectors[:, 0]
@@ -394,9 +400,54 @@ class TestRefineEigenpair:
             assert "longdouble" not in source.read_text(), source.name
 
 
+class TestTerminatingExpansion:
+    """One band, or k = 0: the expansion stops at first order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=4), data=st.data())
+    def test_exact_zeros_on_the_global_basis(self, widths, data):
+        n = sum(widths)
+        if data.draw(st.booleans(), label="one band"):
+            widths = [n]
+        beta = data.draw(st.lists(st.floats(-1, 1), min_size=len(widths),
+                                  max_size=len(widths), unique=True), label="beta")
+        k = data.draw(st.integers(-3, 3), label="k") if len(widths) == 1 else 0
+        # rates may vanish: a degenerate Wdot is no obstacle to exact zeros
+        gen = draw_generator(data, n, low=0.0)
+        model = build_band_model(beta, widths)
+        resp = response_data(model, gen, k)
+        assert resp.basis.vectors.tobytes() == sorted_eigenbasis(gen.wdot)[1].tobytes()
+        assert resp.lambda_hathat.tobytes() == np.zeros(n, dtype=complex).tobytes()
+        assert resp.f_hat.tobytes() == np.zeros((n, n), dtype=complex).tobytes()
+        for ell in range(n):
+            assert second_order_eigenvalue(model, gen, k, ell) == resp.lambda_hathat[ell]
+            assert np.array_equal(eigenvector_response(model, gen, k, ell), resp.f_hat[:, ell])
+
+    def test_limit_basis_never_builds_the_dense_limit_matrix(self, case_model, case_gen,
+                                                             monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense limit matrix built by limit_basis")
+
+        monkeypatch.setattr(zero_noise.LimitMatrix, "phat", property(refuse))
+        one_band = build_band_model([0.3], [6])
+        for model, gen, k in [(case_model, case_gen, 1), (case_model, case_gen, 3),
+                              (one_band, laplacian_generator(6), 0),
+                              (one_band, laplacian_generator(6), 2)]:
+            assert limit_basis(model, gen, k).vectors.shape == (model.N, model.N)
+            response_data(model, gen, k)
+
+
+def test_only_the_model_computes_phases():
+    package = Path(response.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        if source.name != "model.py":
+            assert "np.exp(-2j * np.pi" not in source.read_text(), source.name
+
+
 class TestFirstOrderBasis:
     def test_k0_uses_full_generator(self, case_model, case_gen):
-        v, lam_hat, band = first_order_basis(case_model, case_gen, 0)
+        basis = first_order_basis(case_model, case_gen, 0)
+        v, lam_hat = basis.vectors, basis.lambda_hat
         rho = np.linalg.eigvalsh(np.asarray(case_gen.wdot))
         assert_allclose(np.sort(lam_hat.real), np.sort(rho), atol=1e-12)
         # vectors diagonalise Wdot globally, no band support here
@@ -404,7 +455,8 @@ class TestFirstOrderBasis:
         assert np.max(np.abs(resid)) <= 1e-12
 
     def test_global_basis_is_the_shared_sorted_gauged_one(self, case_model, case_gen):
-        v, lam_hat, _ = first_order_basis(case_model, case_gen, 0)
+        basis = first_order_basis(case_model, case_gen, 0)
+        v, lam_hat = basis.vectors, basis.lambda_hat
         rho, ref = sorted_eigenbasis(case_gen.wdot)
         assert np.array_equal(v, ref)
         assert np.all(np.diff(lam_hat.real) <= 0)
@@ -493,13 +545,7 @@ class TestAlphaResponse:
         n = sum(widths)
         beta = data.draw(st.lists(st.floats(-1, 1), min_size=len(widths),
                                   max_size=len(widths), unique=True), label="beta")
-        rates = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * (n - 1) // 2,
-                                   max_size=n * (n - 1) // 2), label="rates")
-        wdot = np.zeros((n, n))
-        wdot[np.triu_indices(n, 1)] = rates
-        wdot += wdot.T
-        wdot -= np.diag(wdot.sum(axis=1))
-        gen = NoiseGenerator.from_matrix(wdot)
+        gen = draw_generator(data, n)
         eps = data.draw(st.floats(1e-3, 1.0), label="eps_fraction") * min(gen.eps_max, 1.0)
         k = data.draw(st.integers(1, 3), label="k")
         ell = data.draw(st.integers(0, n - 1), label="ell")

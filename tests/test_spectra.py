@@ -238,7 +238,7 @@ class TestSpectrumInvariants:
         # every band phase is 1 at k = 0, so labels must not rest on the
         # eigensolver's output order; they match the k = 0 limit basis, also
         # past eps ~ 0.5, where the lowest eigenvalues turn negative
-        _, lam_hat, _ = first_order_basis(case_model, case_gen, 0)
+        lam_hat = first_order_basis(case_model, case_gen, 0).lambda_hat
         for eps in (0.6, 1.0):
             spec = spectrum(case_model, case_gen, 0, eps)
             assert np.min(spec.lam.real) < 0

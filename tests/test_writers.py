@@ -13,7 +13,7 @@ from types import SimpleNamespace as NS
 
 import numpy as np
 
-from rotor_spectra import writers
+from rotor_spectra import build_band_model, writers
 
 Z = 0.1 + 0.1j
 VECTORS = np.array([[Z, 0.6 - 0.8j], [-0.3 + 0.4j, 0.0 + 0.0j]])
@@ -52,7 +52,8 @@ def test_vectors(tmp_path):
 
 
 def test_circles(tmp_path):
-    text = written(tmp_path, writers.write_circles_csv, NS(beta=(0.25, 0.1)), 1, 0.5, 0.125)
+    model = build_band_model((0.25, 0.1), (1, 1))
+    text = written(tmp_path, writers.write_circles_csv, model, 1, 0.5, 0.125)
     lines = text.decode("utf-8").split("\r\n")
     assert len(lines) == 1 + 3 * 256 + 1 and lines[-1] == ""
     assert [lines[i] for i in (0, 1, 2, 256, 257, 258, 513, 514, 768)] == [

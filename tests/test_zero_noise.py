@@ -44,7 +44,6 @@ class TestAssembleLimitMatrix:
 
     def test_case_study_blocks(self, case_model, case_gen):
         lim = assemble_limit_matrix(case_model, case_gen, 1)
-        assert [b.shape for b in lim.blocks] == [(11, 11), (7, 7), (15, 15)]
         phat = np.asarray(lim.phat)
         for s in range(3):
             sl = case_model.band_slice(s)
