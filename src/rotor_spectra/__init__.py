@@ -20,8 +20,7 @@ from .response import (OrderCheck, ResponseData, alpha_response, eigenvector_res
 from .simulate import (Cycle, CycleReport, TrajectoryBatch, UlamOperator, detect_cycles,
                        simulate, ulam_analytic, ulam_empirical)
 from .spectra import (FourierBlock, LabelledSpectrum, assemble_fourier_block, delta_factor,
-                      eig_dense_complex, full_spectrum, gershgorin_bound, label_spectrum,
-                      spectrum)
+                      eig_dense_complex, gershgorin_bound, label_spectrum, spectrum)
 from .zero_noise import (LimitBasis, LimitMatrix, assemble_limit_matrix, check_gamma,
                          limit_basis, limit_eigenbasis, projective_distance, projector_gap,
                          spectrum_convergence, support_mass_outside_band)

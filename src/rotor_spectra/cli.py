@@ -4,7 +4,8 @@ Subcommands: validate, spectrum, limit, response, oracle, simulate,
 casestudy.  Each takes only the flags it reads (``COMMANDS``).  Every run
 writes into one output directory together with a manifest recording the
 command, the config hash, the seed and the library version, so reruns are
-bit-identical on the same platform.
+bit-identical on the same platform.  Each subcommand computes all its results
+before it creates the directory, so a run that stops on an error leaves none.
 
 Exit codes: 0 success, 1 validation or math error, 2 config or usage error.
 """
@@ -33,13 +34,6 @@ def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
-
-
-def _positive(text: str) -> float:
-    value = _finite(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
     return value
 
 
@@ -115,23 +109,24 @@ def _write_spectrum(out: Path, model, k: int, eps: float, spec) -> None:
                               spec.sinc, spec.gersh_radius)
 
 
-def _write_limit(out: Path, cfg: RunConfig, k: int, eps_list) -> None:
+def _limit(cfg: RunConfig, k: int, eps_list):
     basis = limit_basis(cfg.model, cfg.gen, k)
+    return basis, spectrum_convergence(cfg.model, cfg.gen, k, eps_list, basis)
+
+
+def _write_limit(out: Path, k: int, basis, rows) -> None:
     writers.write_limit_csv(out / f"limit_basis_k{k}.csv", basis)
-    rows = spectrum_convergence(cfg.model, cfg.gen, k, eps_list, basis)
     writers.write_convergence_csv(out / f"convergence_k{k}.csv", rows)
 
 
-def _write_response(out: Path, cfg: RunConfig, k: int):
-    resp = response_data(cfg.model, cfg.gen, k)
+def _write_response(out: Path, k: int, resp) -> None:
     writers.write_response_csv(out / f"response_k{k}.csv", resp)
     writers.write_vectors_csv(out / f"fhat_k{k}.csv", k, resp.f_hat)
-    return resp
 
 
 def cmd_validate(args) -> int:
     cfg = _load(args)
-    report = validate_admissibility(cfg.gen, cfg.model, gap_tol=args.tol)
+    report = validate_admissibility(cfg.gen, cfg.model)
     for name, ok in [("stochastic-generator", report.item_stochastic),
                      ("distinct-spectrum", report.item_distinct_full),
                      ("distinct-block-spectra", report.item_distinct_blocks)]:
@@ -158,23 +153,24 @@ def cmd_spectrum(args) -> int:
     for k in ks:
         for eps in eps_list:
             try:
-                spectra.append((k, eps, spectrum(cfg.model, cfg.gen, k, eps, delta, args.tol)))
+                spectra.append((k, eps, spectrum(cfg.model, cfg.gen, k, eps, delta)))
             except AmbiguousLabelling as exc:
                 # reported per (k, eps) without aborting the sweep
                 print(f"ambiguous labelling at k={k}, eps={eps}: {exc}", file=sys.stderr)
     out = _outdir(args)
     for k, eps, spec in spectra:
         _write_spectrum(out, cfg.model, k, eps, spec)
-    _manifest(out, "spectrum", cfg, ks=ks, epsilons=eps_list, delta=delta, tol=args.tol)
+    _manifest(out, "spectrum", cfg, ks=ks, epsilons=eps_list, delta=delta)
     return 0
 
 
 def cmd_limit(args) -> int:
     cfg = _load(args)
-    out = _outdir(args)
     ks = args.k or list(cfg.ks)
-    for k in ks:
-        _write_limit(out, cfg, k, args.eps)
+    limits = [(k, *_limit(cfg, k, args.eps)) for k in ks]
+    out = _outdir(args)
+    for k, basis, rows in limits:
+        _write_limit(out, k, basis, rows)
     _manifest(out, "limit", cfg, ks=ks, epsilons=args.eps)
     return 0
 
@@ -182,27 +178,29 @@ def cmd_limit(args) -> int:
 def cmd_response(args) -> int:
     cfg = _load(args)
     check_eps_grid(cfg.gen, args.eps)
-    out = _outdir(args)
     ks = args.k or list(cfg.ks)
-    for k in ks:
-        resp = _write_response(out, cfg, k)
-        for ell in _leading_labels(cfg.model):
-            oc = order_check(cfg.model, cfg.gen, k, ell, args.eps, resp)
-            writers.write_ordercheck_csv(out / f"ordercheck_k{k}_ell{ell + 1}.csv", oc)
+    resps = [response_data(cfg.model, cfg.gen, k) for k in ks]
+    checks = [(k, ell, order_check(cfg.model, cfg.gen, k, ell, args.eps, resp))
+              for k, resp in zip(ks, resps) for ell in _leading_labels(cfg.model)]
+    out = _outdir(args)
+    for k, resp in zip(ks, resps):
+        _write_response(out, k, resp)
+    for k, ell, oc in checks:
+        writers.write_ordercheck_csv(out / f"ordercheck_k{k}_ell{ell + 1}.csv", oc)
     _manifest(out, "response", cfg, ks=ks, grid=args.eps)
     return 0
 
 
 def cmd_oracle(args) -> int:
     cfg = _load(args)
-    out = _outdir(args)
     ks = args.k or list(cfg.ks)
-    for k in ks:
-        report = oracle_crosscheck(cfg.model, cfg.gen, k, args.tol)
+    reports = [oracle_crosscheck(cfg.model, cfg.gen, k) for k in ks]
+    out = _outdir(args)
+    for k, report in zip(ks, reports):
         writers.write_oracle_csv(out / f"oracle_k{k}.csv", report)
         print(f"k={k}: max |lhat diff| = {report.max_abs_diff:.3e}, "
               f"max vector distance = {report.max_vec_dist:.3e}")
-    _manifest(out, "oracle", cfg, ks=ks, tol=args.tol)
+    _manifest(out, "oracle", cfg, ks=ks)
     return 0
 
 
@@ -229,15 +227,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_casestudy(args) -> int:
     cfg = _load(args)
-    out = _outdir(args)
     k = args.k[0] if args.k else cfg.ks[0]
     eps = args.eps[0] if args.eps else cfg.epsilons[0]
     delta = cfg.delta if args.delta is None else args.delta
 
     spec = spectrum(cfg.model, cfg.gen, k, eps, delta)
+    basis, rows = _limit(cfg, k, LIMIT_GRID)
+    resp = response_data(cfg.model, cfg.gen, k)
+    out = _outdir(args)
     _write_spectrum(out, cfg.model, k, eps, spec)
-    _write_limit(out, cfg, k, LIMIT_GRID)
-    _write_response(out, cfg, k)
+    _write_limit(out, k, basis, rows)
+    _write_response(out, k, resp)
     writers.write_grid_csv(out / f"eigenfunction_grid_k{k}.csv", k, spec.vectors,
                            _leading_labels(cfg.model), x_res=args.x_res)
     _manifest(out, "casestudy", cfg, k=k, eps=eps, delta=delta, x_res=args.x_res)
@@ -252,7 +252,6 @@ FLAGS = {
     "--k": dict(type=_list_of(_index), help="comma-separated Fourier indices"),
     "--eps": dict(type=_list_of(_finite), help="comma-separated noise levels"),
     "--delta": dict(type=_nonnegative, help="fibre noise radius (overrides config)"),
-    "--tol": dict(type=_positive, help="tolerance"),
     "--bins": dict(type=int, help="circle bins per fibre"),
     "--seed": dict(type=int, help="simulation seed"),
     "--paths": dict(type=int, help="trajectory paths to dump (0 = none)"),
@@ -267,11 +266,11 @@ LIMIT_GRID = [1e-1, 1e-2, 1e-3, 1e-4]
 #: each subcommand and the flags it reads besides --config and --out, with
 #: their defaults (None: unset, or the config's value)
 COMMANDS = {
-    "validate": (cmd_validate, {"--out": None, "--tol": 1e-9}),
-    "spectrum": (cmd_spectrum, {"--k": None, "--eps": None, "--delta": None, "--tol": 1e-11}),
+    "validate": (cmd_validate, {"--out": None}),
+    "spectrum": (cmd_spectrum, {"--k": None, "--eps": None, "--delta": None}),
     "limit": (cmd_limit, {"--k": None, "--eps": LIMIT_GRID}),
     "response": (cmd_response, {"--k": None, "--eps": [1e-2, 1e-3, 1e-4, 1e-5]}),
-    "oracle": (cmd_oracle, {"--k": None, "--tol": 1e-10}),
+    "oracle": (cmd_oracle, {"--k": None}),
     "simulate": (cmd_simulate, {"--eps": None, "--delta": None, "--bins": 128, "--seed": 0,
                                 "--paths": 0, "--steps": 1000, "--top-m": 3}),
     "casestudy": (cmd_casestudy, {"--k": None, "--eps": None, "--delta": None, "--x-res": 256}),

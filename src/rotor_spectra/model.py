@@ -21,6 +21,12 @@ import numpy as np
 from .errors import (DimensionMismatch, DimensionTooSmall, DuplicateSpeed, EmptyBand,
                      EpsOutOfRange, InvalidMatrix, InvalidSpeeds, NonBandable)
 
+#: largest symmetry, row-sum and negative off-diagonal defect of an admissible generator
+DEFECT_TOL = 1e-12
+#: a spectrum counts as simple when every eigenvalue gap exceeds this times
+#: its spectral radius (admissibility, and the band blocks of the limit basis)
+GAP_TOL = 1e-9
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -113,8 +119,6 @@ class AdmissibilityReport:
     item_stochastic: bool
     item_distinct_full: bool
     item_distinct_blocks: bool
-    tol: float
-    gap_tol: float
 
     @property
     def passed(self) -> bool:
@@ -175,12 +179,12 @@ def laplacian_generator(N: int) -> NoiseGenerator:
     return NoiseGenerator(wdot=_freeze(w), N=N)
 
 
-def validate_admissibility(gen: NoiseGenerator, model: BandModel,
-                           tol: float = 1e-12, gap_tol: float = 1e-9) -> AdmissibilityReport:
+def validate_admissibility(gen: NoiseGenerator, model: BandModel) -> AdmissibilityReport:
     """Check the three admissibility hypotheses; failures are reported, not raised.
 
-    Distinctness uses the relative gap tolerance ``gap_tol`` times the
-    spectral radius of the matrix under test.
+    Stochasticity allows defects up to ``DEFECT_TOL``; distinctness needs
+    every eigenvalue gap above ``GAP_TOL`` times the spectral radius of the
+    matrix under test.
     """
     if gen.N != model.N:
         raise DimensionMismatch(f"generator dimension {gen.N} != model dimension {model.N}")
@@ -204,16 +208,15 @@ def validate_admissibility(gen: NoiseGenerator, model: BandModel,
         gap_blocks = min(gap_blocks, g)
         rad_blocks = max(rad_blocks, r)
 
-    item1 = sym <= tol and row <= tol and min_off >= -tol
-    item2 = gap_full > gap_tol * rad_full
+    item1 = sym <= DEFECT_TOL and row <= DEFECT_TOL and min_off >= -DEFECT_TOL
+    item2 = gap_full > GAP_TOL * rad_full
     # width-1 blocks have trivially simple spectra; their min gap stays inf
-    item3 = gap_blocks > gap_tol * rad_blocks
+    item3 = gap_blocks > GAP_TOL * rad_blocks
     return AdmissibilityReport(
         row_sum_defect=row, symmetry_defect=sym, min_offdiag=min_off,
         min_eigen_gap_full=gap_full, min_eigen_gap_blocks=gap_blocks,
         eps_max=gen.eps_max,
-        item_stochastic=item1, item_distinct_full=item2, item_distinct_blocks=item3,
-        tol=tol, gap_tol=gap_tol)
+        item_stochastic=item1, item_distinct_full=item2, item_distinct_blocks=item3)
 
 
 def w_epsilon(gen: NoiseGenerator, eps: float) -> np.ndarray:

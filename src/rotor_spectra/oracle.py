@@ -30,6 +30,9 @@ CASE_INTERIOR = "interior"
 CASE_LAST = "last"
 CASE_FALLBACK = "fallback"
 
+#: largest eigenvalue difference and projective vector distance the cross-check accepts
+ORACLE_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class ClosedFormEigen:
@@ -55,7 +58,6 @@ class OracleReport:
     lhat_numeric: np.ndarray
     abs_diff: np.ndarray
     vec_proj_dist: np.ndarray
-    tol: float
 
     @property
     def max_abs_diff(self) -> float:
@@ -119,13 +121,12 @@ def closed_form_eigendata(model: BandModel, k: int) -> ClosedFormEigen:
                            residual=_freeze(residual), model=model)
 
 
-def oracle_crosscheck(model: BandModel, gen: NoiseGenerator, k: int,
-                      tol: float = 1e-10) -> OracleReport:
+def oracle_crosscheck(model: BandModel, gen: NoiseGenerator, k: int) -> OracleReport:
     """Compare closed-form against numerical limit eigendata.
 
     Raises NotLaplacian unless ``gen`` is exactly the central-difference
     stencil, and MismatchBeyondTolerance when any eigenvalue or (projective)
-    eigenvector discrepancy exceeds ``tol``.
+    eigenvector discrepancy exceeds ``ORACLE_TOL``.
     """
     ref = laplacian_generator(model.N)
     if gen.N != model.N or not np.array_equal(gen.wdot, ref.wdot):
@@ -137,9 +138,9 @@ def oracle_crosscheck(model: BandModel, gen: NoiseGenerator, k: int,
                       for i in range(model.N)])
     report = OracleReport(k=int(k), band=model.band_index, case=closed.case,
                           lhat_closed=closed.lambda_hat, lhat_numeric=numeric.lambda_hat,
-                          abs_diff=_freeze(diff), vec_proj_dist=_freeze(vdist), tol=tol)
-    if report.max_abs_diff > tol or report.max_vec_dist > tol:
+                          abs_diff=_freeze(diff), vec_proj_dist=_freeze(vdist))
+    if report.max_abs_diff > ORACLE_TOL or report.max_vec_dist > ORACLE_TOL:
         raise MismatchBeyondTolerance(
             f"oracle mismatch at k={k}: max eigenvalue diff {report.max_abs_diff:.3e}, "
-            f"max vector distance {report.max_vec_dist:.3e} (tol {tol:.1e})")
+            f"max vector distance {report.max_vec_dist:.3e} (tol {ORACLE_TOL:.1e})")
     return report

@@ -164,9 +164,9 @@ def projection_expansion(f_limit, f_hat, eps: float) -> np.ndarray:
     return proj + eps * (np.outer(fh, np.conj(f)) + np.outer(f, np.conj(fh)))
 
 
-def _fit_slope(eps_grid, values, floor=1e-300):
+def _fit_slope(eps_grid, values):
     x = np.log10(np.asarray(eps_grid, dtype=float))
-    y = np.log10(np.maximum(np.asarray(values, dtype=float), floor))
+    y = np.log10(np.maximum(np.asarray(values, dtype=float), 1e-300))
     return float(np.polyfit(x, y, 1)[0])
 
 

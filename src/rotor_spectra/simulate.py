@@ -40,6 +40,8 @@ from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
 IMAG_TOL = 1e-9
 #: worst relative eigenpair residual ||A v - lam v|| / ||v|| a cycle report accepts
 RESIDUAL_TOL = 1e-10
+#: largest share of cells that no counted step may leave (ulam_empirical)
+MAX_EMPTY_FRACTION = 0.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +234,7 @@ def ulam_analytic(model: BandModel, gen: NoiseGenerator, eps: float, delta: floa
                         kernel_rows=_freeze(band_rows[model.band_index]), w_eps=_freeze(w))
 
 
-def ulam_empirical(batch: TrajectoryBatch, M: int,
-                   max_empty_fraction: float = 0.01) -> UlamOperator:
+def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
     """Shift kernel pooled from the transition counts of every path.
 
     Each step (j, b) -> (j', b') counts towards K[j, j', (b' - b) mod M]:
@@ -241,7 +242,7 @@ def ulam_empirical(batch: TrajectoryBatch, M: int,
     only, so every source bin of a fibre estimates the same kernel entry.
     Counts are normalised per source fibre; a fibre that no step leaves
     becomes a self-loop.  Cells that no step leaves are flagged, and more
-    than ``max_empty_fraction`` of them raises InsufficientData.
+    than ``MAX_EMPTY_FRACTION`` of them raises InsufficientData.
     """
     _check_bins(M)
     if batch.n_paths == 0 or batch.n_steps == 0:
@@ -251,10 +252,10 @@ def ulam_empirical(batch: TrajectoryBatch, M: int,
     j = batch.j.astype(np.int64)
     bins = np.minimum((batch.x * M).astype(np.int64), M - 1)
     empty = np.flatnonzero(np.bincount((j * M + bins)[:, :-1].ravel(), minlength=size) == 0)
-    if len(empty) > max_empty_fraction * size:
+    if len(empty) > MAX_EMPTY_FRACTION * size:
         raise InsufficientData(
             f"{len(empty)} of {size} rows have no transitions "
-            f"(limit {max_empty_fraction:.0%})")
+            f"(limit {MAX_EMPTY_FRACTION:.0%})")
     steps = (j[:, :-1] * n + j[:, 1:]) * M + (bins[:, 1:] - bins[:, :-1]) % M
     counts = np.bincount(steps.ravel(), minlength=n * n * M).reshape(n, n, M)
     totals = counts.sum(axis=(1, 2))
@@ -265,7 +266,7 @@ def ulam_empirical(batch: TrajectoryBatch, M: int,
                         kernel=_freeze(kernel), flagged_rows=tuple(int(r) for r in empty))
 
 
-def _pick_cycles(values: np.ndarray, top_m: int, imag_tol: float) -> list:
+def _pick_cycles(values: np.ndarray, top_m: int) -> list:
     """(lower-half-plane representative, index into values) of the top_m cycles.
 
     Nonreal eigenvalues are folded into the lower half plane, sorted by
@@ -274,7 +275,7 @@ def _pick_cycles(values: np.ndarray, top_m: int, imag_tol: float) -> list:
     representatives within 1e-9 relative of a picked one are dropped, so each
     conjugate pair counts once.
     """
-    nonreal = np.nonzero(np.abs(values.imag) > imag_tol)[0]
+    nonreal = np.nonzero(np.abs(values.imag) > IMAG_TOL)[0]
     if len(nonreal) == 0:
         raise NoComplexEigenvalues("spectrum is numerically real")
     reps = sorted(((values[i] if values[i].imag < 0 else np.conj(values[i]), i)
@@ -303,7 +304,7 @@ def _sector_cycles(op: UlamOperator, top_m: int) -> list:
         blocks = qhat.T[:, :, None] * op.w_eps               # Diag(qhat(m)) W_eps
     values = np.linalg.eigvals(blocks)
     eigs, out = {}, []
-    for rep, i in _pick_cycles(values.ravel(), top_m, IMAG_TOL):
+    for rep, i in _pick_cycles(values.ravel(), top_m):
         m, lam = i // op.model.N, values.flat[i]
         if m not in eigs:
             eigs[m] = np.linalg.eig(blocks[m])

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import AmbiguousLabelling, InvalidMatrix, NoConvergence
 from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
 
-#: relative eigensolver residual accepted by default
-DEFAULT_RESIDUAL_TOL = 1e-11
+#: relative eigensolver residual ||A v - lambda v|| / ||A||_2 a converged pair meets
+RESIDUAL_TOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +40,7 @@ class EigResult:
     values: np.ndarray
     vectors: np.ndarray          # column i pairs with values[i], unit norm
     residuals: np.ndarray
-    converged: np.ndarray        # residual <= tol * ||A||
+    converged: np.ndarray        # residual <= RESIDUAL_TOL * ||A||_2
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,12 +75,12 @@ def assemble_fourier_block(model: BandModel, gen: NoiseGenerator, k: int, eps: f
                         model=model, gen=gen)
 
 
-def eig_dense_complex(matrix: np.ndarray, tol: float = DEFAULT_RESIDUAL_TOL) -> EigResult:
+def eig_dense_complex(matrix: np.ndarray) -> EigResult:
     """Dense non-Hermitian eigendecomposition with residual certificates.
 
     Delegates to the platform solver (LAPACK via numpy); the contract is only
-    the relative residual bound ``tol``.  Raises NoConvergence if the QR
-    iteration fails outright.
+    the relative residual bound ``RESIDUAL_TOL``, reported per pair in
+    ``converged``.  Raises NoConvergence if the QR iteration fails outright.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -94,7 +94,7 @@ def eig_dense_complex(matrix: np.ndarray, tol: float = DEFAULT_RESIDUAL_TOL) -> 
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     residuals = np.linalg.norm(a @ vectors - values[None, :] * vectors, axis=0)
     scale = np.linalg.norm(a, 2)
-    converged = residuals <= tol * max(scale, 1e-300)
+    converged = residuals <= RESIDUAL_TOL * max(scale, 1e-300)
     return EigResult(values=values, vectors=_freeze(vectors),
                      residuals=_freeze(residuals), converged=_freeze(converged))
 
@@ -188,10 +188,10 @@ def delta_factor(k: int, delta: float) -> float:
 
 
 def spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
-             delta: float = 0.0, tol: float = DEFAULT_RESIDUAL_TOL) -> LabelledSpectrum:
+             delta: float = 0.0) -> LabelledSpectrum:
     """Labelled spectrum of one Fourier block, with the delta factor applied."""
     block = assemble_fourier_block(model, gen, k, eps)
-    spec = label_spectrum(block, eig_dense_complex(block.matrix, tol))
+    spec = label_spectrum(block, eig_dense_complex(block.matrix))
     if delta == 0.0:
         return spec
     s = delta_factor(k, delta)
@@ -201,8 +201,3 @@ def spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
         vectors=spec.vectors, residual=spec.residual, band=spec.band,
         gersh_radius=s * spec.gersh_radius)
 
-
-def full_spectrum(model: BandModel, gen: NoiseGenerator, k_list, eps: float,
-                  delta: float = 0.0, tol: float = DEFAULT_RESIDUAL_TOL) -> dict[int, LabelledSpectrum]:
-    """Labelled spectra for several Fourier indices at one noise level."""
-    return {int(k): spectrum(model, gen, int(k), eps, delta, tol) for k in k_list}

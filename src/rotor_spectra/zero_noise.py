@@ -20,12 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBlock, GammaViolated, ZeroVector
-from .model import BandModel, NoiseGenerator, _freeze
+from .model import GAP_TOL, BandModel, NoiseGenerator, _freeze
 
 #: band phases closer than this count as equal (check_gamma)
 PHASE_TOL = 1e-9
-#: a band block is degenerate when an eigenvalue gap is at most this times its spectral radius
-GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,7 +52,7 @@ def wrap_to_halfturn(angle):
 def test_01_gershgorin_clustering(case):
     model, gen = case
     with criterion(1, "gershgorin clustering", 1.0):
-        spec = rs.full_spectrum(model, gen, [1], 0.1, 0.1)[1]
+        spec = rs.spectrum(model, gen, 1, 0.1, 0.1)
         assert abs(spec.sinc - 0.93549) <= 1e-5
         bound = spec.sinc * 0.2
         assert np.max(np.abs(spec.lam - spec.target)) <= bound
@@ -75,7 +75,7 @@ def test_02_distinctness(case):
 def test_03_oracle_equivalence(case):
     model, gen = case
     with criterion(3, "closed-form oracle equivalence", 1.0):
-        report = rs.oracle_crosscheck(model, gen, 1, tol=1e-8)
+        report = rs.oracle_crosscheck(model, gen, 1)
         assert report.max_abs_diff <= 1e-10
         assert report.max_vec_dist <= 1e-8
         assert len(report.abs_diff) == 33
@@ -233,7 +233,7 @@ def test_11_delta_factor_law(case):
         eps, delta = 0.1, 0.1
         w = rs.w_epsilon(gen, eps)
         for k in range(1, 7):
-            scaled = rs.full_spectrum(model, gen, [k], eps, delta)[k]
+            scaled = rs.spectrum(model, gen, k, eps, delta)
             s = rs.delta_factor(k, delta)
             # independent route: raw eigensolve of the Fourier block
             raw = np.linalg.eigvals(np.diag(np.exp(-2j * np.pi * k * model.alpha)) @ w)
@@ -244,5 +244,5 @@ def test_11_delta_factor_law(case):
             for ell in range(33):
                 d = rs.projective_distance(scaled.vectors[:, ell], plain.vectors[:, ell])
                 assert d <= 1e-10
-        k5 = rs.full_spectrum(model, gen, [5], eps, delta)[5]
+        k5 = rs.spectrum(model, gen, 5, eps, delta)
         assert np.all(k5.lam == 0.0)

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import rotor_spectra as rs
 from rotor_spectra import cli, zero_noise
 from rotor_spectra.cli import main
 from rotor_spectra.config import CASE_STUDY_JSON
@@ -146,8 +148,6 @@ class TestSpectrum:
         ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--eps", "0.1,inf"]),
         ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--delta", "inf"]),
         ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--delta=-0.1"]),
-        ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--tol", "nan"]),
-        ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--tol", "0"]),
         ('{"beta": [0.1, 0.3], "L": [1, 1], "ks": []}', []),
         ('{"beta": [0.1, 0.3], "L": [1, 1], "epsilons": []}', []),
         (f'{{"beta": [{BIG}, 0.3], "L": [1, 1]}}', []),
@@ -163,7 +163,7 @@ class TestSpectrum:
         ('{"beta": [0.1, 0.2], "L": [1.5, 2]}', []),
         ('{"beta": [0.1, 0.2], "L": [true, "2"]}', []),
     ], ids=["delta-nan", "delta-infinity", "delta-overflow", "beta-nan", "generator-nan",
-            "eps-nan", "eps-inf", "delta-inf", "delta-negative", "tol-nan", "tol-zero", "ks-empty", "eps-empty",
+            "eps-nan", "eps-inf", "delta-inf", "delta-negative", "ks-empty", "eps-empty",
             "beta-int-overflow", "delta-int-overflow", "eps-int-overflow", "ks-int-overflow",
             "k-flag-int-overflow", "ks-beyond-2**32", "k-flag-301-digits", "k-flag-2**53+1",
             "k-flag-below-minus-2**32", "beta-L-length", "L-float", "L-bool-string"])
@@ -194,6 +194,9 @@ class TestFlags:
         ["validate", "--x-res", "8"],
         ["oracle", "--delta", "0"],
         ["simulate", "--tol", "1"],
+        ["validate", "--tol", "1e-9"],
+        ["spectrum", "--tol", "1e-11"],
+        ["oracle", "--tol", "1e-10"],
     ])
     def test_subcommands_refuse_flags_they_do_not_read(self, case_cfg, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -246,11 +249,25 @@ class TestOtherCommands:
         p = tmp_path / "zero.json"
         p.write_text('{"beta": [0.1, 0.3], "L": [1, 1], "generator": [[0, 0], [0, 0]]}',
                      encoding="utf-8")
+        out = tmp_path / "resp"
         done = run_cli("-m", "rotor_spectra.cli", "response", "--config", str(p),
-                       "--out", str(tmp_path / "resp"), "--k", "0")
+                       "--out", str(out), "--k", "0")
         assert done.returncode == 1
         assert done.stderr.startswith("error: ") and "not simple" in done.stderr
         assert "Traceback" not in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["limit", "--k", "1,0"],
+        ["limit", "--eps=-1"],
+        ["casestudy", "--k", "0"],
+    ], ids=["limit-k0-after-k1", "limit-negative-eps", "casestudy-k0"])
+    def test_failed_run_leaves_no_directory(self, case_cfg, tmp_path, capsys, argv):
+        # each fails after some of its results are computed
+        out = tmp_path / "o"
+        assert main([*argv, "--config", str(case_cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("eps, message", [
         ("0.01,0.001,0.0001", "at least 4 distinct points"),
@@ -290,6 +307,7 @@ class TestOtherCommands:
         bad.write_text('{"beta": [0.1, 0.2], "L": [1, 1],'
                        ' "generator": [[0.0, 0.0], [0.0, 0.0]]}', encoding="utf-8")
         assert main(["oracle", "--config", str(bad), "--out", str(tmp_path / "o2")]) == 1
+        assert not (tmp_path / "o2").exists()
 
     def test_simulate_cycles(self, tmp_path):
         p = tmp_path / "two.json"
@@ -368,3 +386,16 @@ def test_cli_import_leaves_scipy_optimize_out():
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = run_cli("-c", code)
     assert done.returncode == 0 and done.stdout.strip() == "[]"
+
+
+def test_no_settable_tolerance():
+    # certificates use module constants: no public function takes a tolerance
+    # or a coverage fraction, and no subcommand a flag for one
+    settable = [f"{name}({param})" for name in rs.__all__
+                if inspect.isfunction(getattr(rs, name))
+                for param in inspect.signature(getattr(rs, name)).parameters
+                if "tol" in param or "fraction" in param]
+    assert settable == []
+    flags = [(name, flag) for name, (_, row) in cli.COMMANDS.items() for flag in row
+             if "tol" in flag or "fraction" in flag]
+    assert flags == []

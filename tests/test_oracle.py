@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rotor_spectra import (NoiseGenerator, assemble_limit_matrix, build_band_model,
-                           closed_form_eigendata, laplacian_generator, oracle_crosscheck)
+                           closed_form_eigendata, laplacian_generator, oracle,
+                           oracle_crosscheck)
 from rotor_spectra.errors import MismatchBeyondTolerance, NotLaplacian
 
 
@@ -84,6 +85,7 @@ class TestCrosscheck:
         with pytest.raises(NotLaplacian):
             oracle_crosscheck(case_model, NoiseGenerator.from_matrix(w), 1)
 
-    def test_mismatch_raised_at_absurd_tolerance(self, case_model, case_gen):
+    def test_mismatch_raised_at_absurd_tolerance(self, case_model, case_gen, monkeypatch):
+        monkeypatch.setattr(oracle, "ORACLE_TOL", 1e-18)
         with pytest.raises(MismatchBeyondTolerance):
-            oracle_crosscheck(case_model, case_gen, 1, tol=1e-18)
+            oracle_crosscheck(case_model, case_gen, 1)

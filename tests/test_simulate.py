@@ -43,15 +43,22 @@ def coo_cell_matrix(kernel, w):
         shape=(n * M, n * M)).tocsr()
 
 
-def full_eig_cycles(op, model, top_m, imag_tol=1e-9):
+def full_eig_cycles(op, model, top_m):
     """Reference: every eigenpair of the dense cell matrix, ranked by the shared rule."""
     values, vectors = np.linalg.eig(op.matrix.toarray())
     out = []
-    for rep, i in _pick_cycles(values, top_m, imag_tol):
+    for rep, i in _pick_cycles(values, top_m):
         mass = (np.abs(vectors[:, i]) ** 2).reshape(model.N, op.M).sum(axis=1)
         mass /= mass.sum()
         out.append((rep, [mass[model.band_slice(s)].sum() for s in range(model.S)]))
     return values, out
+
+
+def counted_operator(batch, M, max_empty_fraction):
+    """ulam_empirical with MAX_EMPTY_FRACTION set to ``max_empty_fraction``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate_module, "MAX_EMPTY_FRACTION", max_empty_fraction)
+        return ulam_empirical(batch, M)
 
 
 def assert_same_csr(a, b):
@@ -305,7 +312,7 @@ class TestUlamEmpirical:
         for p in range(5):
             for t in range(40):
                 counts[batch.j[p, t], batch.j[p, t + 1], (bins[p, t + 1] - bins[p, t]) % M] += 1
-        op = ulam_empirical(batch, M, max_empty_fraction=1.0)
+        op = counted_operator(batch, M, 1.0)
         assert_allclose(op.kernel, counts / counts.sum(axis=(1, 2))[:, None, None],
                         rtol=0, atol=1e-15)
 
@@ -313,14 +320,14 @@ class TestUlamEmpirical:
         # eps = 0 keeps every path in fibre 0: no step leaves fibre 1
         batch = simulate(two_band_model, NoiseGenerator.from_matrix([[-1.0, 1.0], [1.0, -1.0]]),
                          0.0, 0.1, 4, 50, seed=2, init=(0, [0.1, 0.3, 0.6, 0.9]))
-        op = ulam_empirical(batch, 4, max_empty_fraction=0.5)
+        op = counted_operator(batch, 4, 0.5)
         assert op.flagged_rows == (4, 5, 6, 7)
         want = np.zeros((2, 4))
         want[1, 0] = 1.0
         assert_allclose(op.kernel[1], want, atol=0)
         assert_allclose(op.matrix.toarray()[4:, 4:], np.eye(4), atol=0)
         with pytest.raises(InsufficientData, match="4 of 8 rows"):
-            ulam_empirical(batch, 4, max_empty_fraction=0.49)
+            counted_operator(batch, 4, 0.49)
 
     def test_empty_batch(self, two_band_model, two_band_gen):
         batch = simulate(two_band_model, two_band_gen, 0.1, 0.1, 3, 0, seed=1)
@@ -364,7 +371,7 @@ class TestDetectCycles:
             detect_cycles(op, regrouped, top_m=3)
         batch = simulate(two_band_model, two_band_gen, 0.1, 0.1, 20, 50, seed=1)
         with pytest.raises(DimensionMismatch):
-            detect_cycles(ulam_empirical(batch, 4, max_empty_fraction=1.0), case_model, 1)
+            detect_cycles(counted_operator(batch, 4, 1.0), case_model, 1)
 
     def test_conjugate_pairs_reported_once(self):
         m, g = single_fibre_model(0.25)
@@ -460,7 +467,7 @@ class TestSectorPath:
             near = np.abs(values - rep) <= 1e-3
             assume(not np.any(near & others) and np.sum(~others) == 1)
             assume(abs(rep.imag) > 1e-6)
-        mags = [abs(rep) for rep, _ in _pick_cycles(values, top_m + 1, 1e-9)]
+        mags = [abs(rep) for rep, _ in _pick_cycles(values, top_m + 1)]
         assume(all(a - b > 1e-9 * a for a, b in zip(mags, mags[1:])))
         report = detect_cycles(op, model, top_m)
         assert report.solver == "sector"
@@ -472,7 +479,7 @@ class TestSectorPath:
         m = build_band_model([0.25], [2])
         g = laplacian_generator(2)
         op = ulam_analytic(m, g, g.eps_max, 0.0, 3)
-        (rep, _), = _pick_cycles(np.linalg.eigvals(op.matrix.toarray()), 1, 1e-9)
+        (rep, _), = _pick_cycles(np.linalg.eigvals(op.matrix.toarray()), 1)
         report = detect_cycles(op, m, top_m=1)
         assert report.solver == "sector"
         assert abs(report.cycles[0].eigenvalue - rep) <= 1e-12
@@ -500,7 +507,7 @@ class TestCellMatrixPath:
     def empirical(self):
         cfg = case_study_config()
         batch = simulate(cfg.model, cfg.gen, 0.1, 0.1, 100, 400, seed=5)
-        return ulam_empirical(batch, 8, max_empty_fraction=0.2), cfg.model
+        return counted_operator(batch, 8, 0.2), cfg.model
 
     def test_targeted_eigenvectors_match_full_eig(self, empirical):
         op, model = empirical
@@ -551,7 +558,7 @@ class TestCellMatrixPath:
         steps = data.draw(st.integers(1, 200), label="steps")
         batch = simulate(model, gen, eps, delta, paths, steps,
                          seed=data.draw(st.integers(0, 2**32), label="seed"))
-        op = ulam_empirical(batch, M, max_empty_fraction=1.0)
+        op = counted_operator(batch, M, 1.0)
         cells = op.matrix.toarray()
         assert_allclose(cells.sum(axis=1), 1.0, rtol=0, atol=1e-14)
         # the unitary bin DFT takes the cell matrix to the block diagonal of

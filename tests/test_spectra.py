@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rotor_spectra import (assemble_fourier_block, build_band_model, delta_factor,
-                           eig_dense_complex, full_spectrum, gershgorin_bound,
-                           label_spectrum, laplacian_generator, spectrum, w_epsilon)
+                           eig_dense_complex, gershgorin_bound, label_spectrum,
+                           laplacian_generator, spectrum, w_epsilon)
 from rotor_spectra.errors import AmbiguousLabelling
 from rotor_spectra.model import NoiseGenerator
 from rotor_spectra.response import first_order_basis
@@ -190,23 +190,23 @@ class TestDeltaFactor:
 class TestFullSpectrum:
     def test_delta_zero_matches_plain(self, case_model, case_gen):
         a = spectrum(case_model, case_gen, 1, 0.1)
-        b = full_spectrum(case_model, case_gen, [1], 0.1, 0.0)[1]
+        b = spectrum(case_model, case_gen, 1, 0.1, 0.0)
         assert_allclose(a.lam, b.lam, atol=0)
         assert_allclose(a.vectors, b.vectors, atol=0)
 
     def test_delta_scales_eigenvalues_only(self, case_model, case_gen):
         plain = spectrum(case_model, case_gen, 2, 0.05)
-        scaled = full_spectrum(case_model, case_gen, [2], 0.05, 0.1)[2]
+        scaled = spectrum(case_model, case_gen, 2, 0.05, 0.1)
         s = delta_factor(2, 0.1)
         assert_allclose(scaled.lam, s * plain.lam, atol=1e-15)
         assert_allclose(scaled.vectors, plain.vectors, atol=0)
 
     def test_sinc_annihilates_k5(self, case_model, case_gen):
-        spec = full_spectrum(case_model, case_gen, [5], 0.1, 0.1)[5]
+        spec = spectrum(case_model, case_gen, 5, 0.1, 0.1)
         assert np.all(spec.lam == 0.0)
 
     def test_case_study_magnitude_cap(self, case_model, case_gen):
-        spec = full_spectrum(case_model, case_gen, [1], 0.1, 0.1)[1]
+        spec = spectrum(case_model, case_gen, 1, 0.1, 0.1)
         assert np.max(np.abs(spec.lam)) <= 0.935489283788639 + 0.2
 
 
