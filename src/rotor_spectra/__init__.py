@@ -21,8 +21,8 @@ from .simulate import (Cycle, CycleReport, TrajectoryBatch, UlamOperator, detect
                        simulate, ulam_analytic, ulam_empirical)
 from .spectra import (FourierBlock, LabelledSpectrum, assemble_fourier_block, delta_factor,
                       eig_dense_complex, gershgorin_bound, label_spectrum, spectrum)
-from .zero_noise import (LimitBasis, LimitMatrix, assemble_limit_matrix, check_gamma,
-                         limit_basis, limit_eigenbasis, projective_distance, projector_gap,
+from .zero_noise import (LimitBasis, assemble_limit_matrix, check_gamma, limit_basis,
+                         limit_eigenbasis, projective_distance, projector_gap,
                          spectrum_convergence, support_mass_outside_band)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -111,7 +111,7 @@ def _write_spectrum(out: Path, model, k: int, eps: float, spec) -> None:
 
 def _limit(cfg: RunConfig, k: int, eps_list):
     basis = limit_basis(cfg.model, cfg.gen, k)
-    return basis, spectrum_convergence(cfg.model, cfg.gen, k, eps_list, basis)
+    return basis, spectrum_convergence(basis, cfg.gen, eps_list)
 
 
 def _write_limit(out: Path, k: int, basis, rows) -> None:

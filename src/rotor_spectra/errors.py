@@ -67,7 +67,7 @@ class AmbiguousLabelling(RotorSpectraError):
 # --- zero_noise ---
 
 class DegenerateBlock(RotorSpectraError):
-    """A noise block has an eigenvalue gap below tolerance."""
+    """The band blocks of the noise generator do not have simple spectra."""
 
 
 class ZeroVector(RotorSpectraError):
@@ -79,10 +79,6 @@ class GammaViolated(RotorSpectraError):
 
 
 # --- response ---
-
-class DegenerateFirstOrder(RotorSpectraError):
-    """Two first-order eigenvalues within one band coincide."""
-
 
 class NonOrthogonal(RotorSpectraError):
     """Response vector is not orthogonal to its eigenvector."""

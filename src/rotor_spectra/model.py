@@ -23,8 +23,8 @@ from .errors import (DimensionMismatch, DimensionTooSmall, DuplicateSpeed, Empty
 
 #: largest symmetry, row-sum and negative off-diagonal defect of an admissible generator
 DEFECT_TOL = 1e-12
-#: a spectrum counts as simple when every eigenvalue gap exceeds this times
-#: its spectral radius (admissibility, and the band blocks of the limit basis)
+#: spectra count as simple when every eigenvalue gap exceeds this times their
+#: largest |eigenvalue| (spectral_gap)
 GAP_TOL = 1e-9
 
 
@@ -179,12 +179,28 @@ def laplacian_generator(N: int) -> NoiseGenerator:
     return NoiseGenerator(wdot=_freeze(w), N=N)
 
 
+def spectral_gap(spectra) -> tuple[float, float, bool]:
+    """The simple-spectrum rule: (gap, radius, simple) of some real spectra.
+
+    ``gap`` is the smallest distance between two values of one spectrum (inf
+    when no spectrum has two), ``radius`` the largest |value| over all of
+    them (0 when they are empty), and ``simple`` is ``gap > GAP_TOL * radius``.
+    """
+    gap, radius = math.inf, 0.0
+    for ev in map(np.sort, spectra):
+        if ev.size:
+            radius = max(radius, float(np.max(np.abs(ev))))
+        if ev.size > 1:
+            gap = min(gap, float(np.min(np.diff(ev))))
+    return gap, radius, gap > GAP_TOL * radius
+
+
 def validate_admissibility(gen: NoiseGenerator, model: BandModel) -> AdmissibilityReport:
     """Check the three admissibility hypotheses; failures are reported, not raised.
 
-    Stochasticity allows defects up to ``DEFECT_TOL``; distinctness needs
-    every eigenvalue gap above ``GAP_TOL`` times the spectral radius of the
-    matrix under test.
+    Stochasticity allows defects up to ``DEFECT_TOL``; distinctness applies
+    :func:`spectral_gap` to the spectrum of Wdot and, jointly, to the
+    spectra of its band blocks.
     """
     if gen.N != model.N:
         raise DimensionMismatch(f"generator dimension {gen.N} != model dimension {model.N}")
@@ -194,24 +210,13 @@ def validate_admissibility(gen: NoiseGenerator, model: BandModel) -> Admissibili
     off = w[~np.eye(gen.N, dtype=bool)]
     min_off = float(off.min()) if off.size else 0.0
 
-    def min_gap(mat):
-        ev = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-        if ev.size < 2:
-            return math.inf, float(np.max(np.abs(ev))) if ev.size else 0.0
-        return float(np.min(np.diff(np.sort(ev)))), float(np.max(np.abs(ev)))
+    def eigvals(mat):
+        return np.linalg.eigvalsh(0.5 * (mat + mat.T))
 
-    gap_full, rad_full = min_gap(w)
-    gap_blocks, rad_blocks = math.inf, 0.0
-    for s in range(model.S):
-        sl = model.band_slice(s)
-        g, r = min_gap(w[sl, sl])
-        gap_blocks = min(gap_blocks, g)
-        rad_blocks = max(rad_blocks, r)
-
+    gap_full, _, item2 = spectral_gap([eigvals(w)])
+    gap_blocks, _, item3 = spectral_gap(
+        [eigvals(w[sl, sl]) for sl in map(model.band_slice, range(model.S))])
     item1 = sym <= DEFECT_TOL and row <= DEFECT_TOL and min_off >= -DEFECT_TOL
-    item2 = gap_full > GAP_TOL * rad_full
-    # width-1 blocks have trivially simple spectra; their min gap stays inf
-    item3 = gap_blocks > GAP_TOL * rad_blocks
     return AdmissibilityReport(
         row_sum_defect=row, symmetry_defect=sym, min_offdiag=min_off,
         min_eigen_gap_full=gap_full, min_eigen_gap_blocks=gap_blocks,

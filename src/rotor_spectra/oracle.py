@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import MismatchBeyondTolerance, NotLaplacian
 from .model import BandModel, NoiseGenerator, _freeze, laplacian_generator
-from .zero_noise import (assemble_limit_matrix, limit_eigenbasis, projective_distance,
-                         sign_gauge, sorted_eigenbasis)
+from .zero_noise import assemble_limit_matrix, limit_eigenbasis, projective_distance, sign_gauge
 
 CASE_FIRST = "first"
 CASE_INTERIOR = "interior"
@@ -96,16 +95,15 @@ def closed_form_eigendata(model: BandModel, k: int) -> ClosedFormEigen:
     against the assembled limit matrix and certify each pair.
     """
     gen = laplacian_generator(model.N)
-    lam_hat = np.zeros(model.N, dtype=complex)
-    vectors = np.zeros((model.N, model.N))
-    cases: list[str] = []
     if model.S == 1:
         # reflecting at both ends: no closed form, numerical fallback
-        rho, v = sorted_eigenbasis(gen.wdot)
-        lam_hat[:] = model.phases(k)[0] * rho
-        vectors[:, :] = v
+        fallback = limit_eigenbasis(model, gen, k)
+        lam_hat, vectors = fallback.lambda_hat, fallback.vectors
         cases = [CASE_FALLBACK] * model.N
     else:
+        lam_hat = np.zeros(model.N, dtype=complex)
+        vectors = np.zeros((model.N, model.N))
+        cases = []
         for s in range(model.S):
             sl = model.band_slice(s)
             case = CASE_FIRST if s == 0 else CASE_LAST if s == model.S - 1 else CASE_INTERIOR
@@ -114,7 +112,7 @@ def closed_form_eigendata(model: BandModel, k: int) -> ClosedFormEigen:
             vectors[sl, sl] = v
             cases += [case] * model.L[s]
         vectors = sign_gauge(vectors)
-    phat = assemble_limit_matrix(model, gen, k).phat
+    phat = assemble_limit_matrix(model, gen, k)
     residual = np.linalg.norm(phat @ vectors - lam_hat[None, :] * vectors, axis=0)
     return ClosedFormEigen(k=int(k), lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),
                            band=model.band_index, case=tuple(cases),
@@ -132,7 +130,7 @@ def oracle_crosscheck(model: BandModel, gen: NoiseGenerator, k: int) -> OracleRe
     if gen.N != model.N or not np.array_equal(gen.wdot, ref.wdot):
         raise NotLaplacian("closed forms require the central-difference Laplacian generator")
     closed = closed_form_eigendata(model, k)
-    numeric = limit_eigenbasis(assemble_limit_matrix(model, gen, k))
+    numeric = limit_eigenbasis(model, gen, k)
     diff = np.abs(closed.lambda_hat - numeric.lambda_hat)
     vdist = np.array([projective_distance(closed.vectors[:, i], numeric.vectors[:, i])
                       for i in range(model.N)])

@@ -32,15 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateFirstOrder, DimensionMismatch, EigsNotSimple, EpsZero,
-                     InvalidEpsGrid, NonOrthogonal, ResponseMismatch)
+from .errors import (DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid,
+                     NonOrthogonal, ResponseMismatch)
 from .model import BandModel, NoiseGenerator, _freeze
 from .spectra import (assemble_fourier_block, eig_dense_complex, label_spectrum,
                       nearest_assignment)
 from .zero_noise import LimitBasis, limit_basis, projective_distance, sorted_eigenbasis
 
-#: same-band first-order eigenvalues at most this times max |lhat| apart are degenerate
-FIRST_ORDER_GAP_TOL = 1e-9
 #: largest |<f, fhat>| / max(1, |fhat|) that projection_expansion accepts
 ORTHOGONALITY_TOL = 1e-10
 #: alpha_response needs eigenvalues more than this times the spectral radius apart
@@ -98,7 +96,7 @@ def first_order_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBas
     return limit_basis(model, gen, k)
 
 
-def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int, checked=()):
+def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int):
     """The first-order basis, lhathat and the fhat columns of every label.
 
     With A = D Wdot F, B = Wdot D* F, d = diag(D) (so d_j = e_{s_j}) and
@@ -107,9 +105,9 @@ def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int, checked=()):
     H = B^H (A * inv), lhathat = diag(H), the in-band coefficients
     H[r, ell] / (lhat_ell - lhat_r) and the out-of-band ones (F^T A) * inv.
     Every sum runs over label pairs of distinct phases; where there are none
-    (see first_order_basis) both terms are exact zeros.  Raises
-    DegenerateFirstOrder when a label in ``checked`` shares its first-order
-    eigenvalue with another label of its band.
+    (see first_order_basis) both terms are exact zeros.  The in-band gaps
+    lhat_ell - lhat_r are band-block eigenvalue gaps times a phase, which
+    limit_basis has already judged simple.
     """
     n = model.N
     basis = first_order_basis(model, gen, k)
@@ -120,12 +118,6 @@ def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int, checked=()):
         return basis, np.zeros(n, dtype=complex), np.zeros((n, n), dtype=complex)
     within = ~across & ~np.eye(n, dtype=bool)            # [r, ell]: r != ell, same band
     gap = lam_hat[None, :] - lam_hat[:, None]            # [r, ell]: lhat_ell - lhat_r
-    checked = list(checked)
-    degenerate = within & (np.abs(gap) <= FIRST_ORDER_GAP_TOL * float(np.max(np.abs(lam_hat))))
-    bad = np.argwhere(degenerate[:, checked].T)
-    if len(bad):
-        raise DegenerateFirstOrder(f"first-order eigenvalues coincide for labels "
-                                   f"{checked[bad[0][0]]} and {bad[0][1]} at k={k}")
     inv = np.zeros((n, n), dtype=complex)
     np.divide(1.0, d[None, :] - d[:, None], out=inv, where=across)
     a = d[:, None] * (gen.wdot @ f)                      # D Wdot F
@@ -142,12 +134,12 @@ def second_order_eigenvalue(model: BandModel, gen: NoiseGenerator, k: int, ell: 
 
 def eigenvector_response(model: BandModel, gen: NoiseGenerator, k: int, ell: int) -> np.ndarray:
     """First-order eigenvector term fhat for label ell; orthogonal to f."""
-    return _expansion_terms(model, gen, k, [ell])[2][:, ell]
+    return _expansion_terms(model, gen, k)[2][:, ell]
 
 
 def response_data(model: BandModel, gen: NoiseGenerator, k: int) -> ResponseData:
     """lhat, lhathat and fhat for every label at Fourier index k, from one limit basis."""
-    basis, lhh, fh = _expansion_terms(model, gen, k, range(model.N))
+    basis, lhh, fh = _expansion_terms(model, gen, k)
     return ResponseData(k=int(k), lambda_hat=basis.lambda_hat, lambda_hathat=_freeze(lhh),
                         f_hat=_freeze(fh), band=basis.band, basis=basis)
 

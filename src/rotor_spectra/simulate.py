@@ -39,7 +39,7 @@ from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
 #: |imag| above which an eigenvalue counts as nonreal
 IMAG_TOL = 1e-9
 #: worst relative eigenpair residual ||A v - lam v|| / ||v|| a cycle report accepts
-RESIDUAL_TOL = 1e-10
+CYCLE_RESIDUAL_TOL = 1e-10
 #: largest share of cells that no counted step may leave (ulam_empirical)
 MAX_EMPTY_FRACTION = 0.01
 
@@ -324,7 +324,7 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
     attributed support.  Both operator kinds are solved by bin-DFT sector
     (see the module docstring).  Band widths other than ``op.model``'s raise
     DimensionMismatch, and a reported eigenpair with relative residual above
-    RESIDUAL_TOL raises NoConvergence.
+    CYCLE_RESIDUAL_TOL raises NoConvergence.
     """
     if top_m < 1:
         raise InvalidSimulationInput(f"top_m must be >= 1, got {top_m}")
@@ -332,9 +332,9 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
         raise DimensionMismatch(f"band widths {model.L} differ from the operator's {op.model.L}")
     found = _sector_cycles(op, top_m)
     worst = max(res for _, _, res in found)
-    if worst > RESIDUAL_TOL:
-        raise NoConvergence(
-            f"sector eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:g}", partial=found)
+    if worst > CYCLE_RESIDUAL_TOL:
+        raise NoConvergence(f"sector eigenpair residual {worst:.3e} exceeds "
+                            f"{CYCLE_RESIDUAL_TOL:g}", partial=found)
 
     cycles = []
     for rep, per_fibre, _ in found:

@@ -156,7 +156,7 @@ def write_trajectory_csv(path, batch):
             batch.j + 1, batch.x])
 
 
-def write_grid_csv(path, k, vectors, ells, x_res=256):
+def write_grid_csv(path, k, vectors, ells, x_res):
     """Full-cylinder eigenfunction samples |f(j) e^{2 pi i k x}| and arguments."""
     f = np.asarray(vectors)[:, list(ells)].T[:, :, None]    # (ell, j, 1)
     xs = np.arange(x_res) / x_res

@@ -20,29 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBlock, GammaViolated, ZeroVector
-from .model import GAP_TOL, BandModel, NoiseGenerator, _freeze
+from .model import BandModel, NoiseGenerator, _freeze, spectral_gap
 
 #: band phases closer than this count as equal (check_gamma)
 PHASE_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class LimitMatrix:
-    """D_{k,beta,L} What_L: block s equals exp(-2 pi i k beta_s) * What_s."""
-
-    k: int
-    model: BandModel
-    gen: NoiseGenerator
-
-    @property
-    def phat(self) -> np.ndarray:
-        """The dense N x N matrix, built on every read."""
-        model = self.model
-        phat = np.zeros((model.N, model.N), dtype=complex)
-        for s, phase in enumerate(model.phases(self.k)):
-            sl = model.band_slice(s)
-            phat[sl, sl] = phase * self.gen.wdot[sl, sl]
-        return _freeze(phat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,45 +72,51 @@ def sorted_eigenbasis(sym):
     return rho[order], sign_gauge(v[:, order])
 
 
-def assemble_limit_matrix(model: BandModel, gen: NoiseGenerator, k: int) -> LimitMatrix:
-    """The limit matrix at k: off-band couplings dropped, band blocks phase-scaled."""
-    return LimitMatrix(k=int(k), model=model, gen=gen)
+def assemble_limit_matrix(model: BandModel, gen: NoiseGenerator, k: int) -> np.ndarray:
+    """The dense limit matrix D_{k,beta,L} What_L at k: off-band couplings
+    dropped, block s equal to exp(-2 pi i k beta_s) * What_s."""
+    phat = np.zeros((model.N, model.N), dtype=complex)
+    for s, phase in enumerate(model.phases(k)):
+        sl = model.band_slice(s)
+        phat[sl, sl] = phase * gen.wdot[sl, sl]
+    return _freeze(phat)
 
 
-def limit_eigenbasis(lim: LimitMatrix) -> LimitBasis:
+def limit_eigenbasis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
     """Solve each real symmetric band block and embed into fibre coordinates.
 
     Vectors are kept real (see :func:`sign_gauge`); the unitary band
-    phase multiplies only the eigenvalue.  Raises DegenerateBlock when a block
-    eigenvalue gap falls below ``GAP_TOL`` times the block spectral radius.
+    phase multiplies only the eigenvalue.  Raises DegenerateBlock unless the
+    block spectra are simple by the rule admissibility applies
+    (:func:`rotor_spectra.model.spectral_gap`).
     """
-    model, gen = lim.model, lim.gen
     lam_hat = np.zeros(model.N, dtype=complex)
     vectors = np.zeros((model.N, model.N))
-    for s, phase in enumerate(model.phases(lim.k)):
+    rhos = []
+    for s, phase in enumerate(model.phases(k)):
         sl = model.band_slice(s)
         wh = gen.wdot[sl, sl]
         rho, v = sorted_eigenbasis(0.5 * (wh + wh.T))   # rho descending, as the labels
-        if len(rho) > 1:
-            gap = float(np.min(-np.diff(rho)))
-            if gap <= GAP_TOL * float(np.max(np.abs(rho))):
-                raise DegenerateBlock(
-                    f"band {s} eigenvalue gap {gap:.3e} below tolerance")
+        rhos.append(rho)
         lam_hat[sl] = phase * rho
         vectors[sl, sl] = v
-    return LimitBasis(k=lim.k, lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),
+    gap, radius, simple = spectral_gap(rhos)
+    if not simple:
+        raise DegenerateBlock(f"band-block eigenvalue gap {gap:.3e} is not above "
+                              f"GAP_TOL times the spectral radius {radius:.3e}")
+    return LimitBasis(k=int(k), lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),
                       band=model.band_index, model=model)
 
 
 def limit_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
-    """Convenience wrapper: assemble the limit matrix and solve it.
+    """The limit eigenbasis at k, from the band blocks (no dense limit matrix).
 
     The band phases must be pairwise distinct at this k, otherwise
     GammaViolated is raised (no convergence claim exists there).
     """
     if model.S > 1 and not check_gamma(model, k):
         raise GammaViolated(f"band phases coincide at k={k}")
-    return limit_eigenbasis(assemble_limit_matrix(model, gen, k))
+    return limit_eigenbasis(model, gen, k)
 
 
 def projective_distance(u, v) -> float:
@@ -166,17 +153,16 @@ def projector_gap(f_eps, f_limit) -> float:
     return float(min(1.0, np.linalg.norm(r)))
 
 
-def spectrum_convergence(model: BandModel, gen: NoiseGenerator, k: int, eps_list,
-                         basis: LimitBasis | None = None):
+def spectrum_convergence(basis: LimitBasis, gen: NoiseGenerator, eps_list):
     """Convergence of finite-eps eigendata to the limit basis.
 
-    Returns one row (k, ell, eps, proj_distance, projector_gap, mass_outside)
-    per label and eps, with labels paired through the shared ordering
-    convention (band-internal descending rho).
+    The model and Fourier index are the basis's own.  Returns one row
+    (k, ell, eps, proj_distance, projector_gap, mass_outside) per label and
+    eps, with labels paired through the shared ordering convention
+    (band-internal descending rho).
     """
     from .spectra import spectrum as _spectrum
-    if basis is None:
-        basis = limit_basis(model, gen, k)
+    model, k = basis.model, basis.k
     rows = []
     for eps in eps_list:
         spec = _spectrum(model, gen, k, eps)

@@ -1,12 +1,19 @@
 import csv
+import importlib
 import inspect
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rotor_spectra as rs
 from rotor_spectra import cli, zero_noise
@@ -399,3 +406,65 @@ def test_no_settable_tolerance():
     flags = [(name, flag) for name, (_, row) in cli.COMMANDS.items() for flag in row
              if "tol" in flag or "fraction" in flag]
     assert flags == []
+
+
+def test_each_tolerance_name_is_bound_in_one_module():
+    # one name, one definition: a by-name import is a second binding, which a
+    # monkeypatch of the defining module does not reach
+    owners = {}
+    for info in pkgutil.iter_modules(rs.__path__):
+        module = importlib.import_module(f"rotor_spectra.{info.name}")
+        for name in vars(module):
+            if name.endswith("_TOL") or name == "MAX_EMPTY_FRACTION":
+                owners.setdefault(name, []).append(info.name)
+    assert {name: mods for name, mods in owners.items() if len(mods) != 1} == {}
+    assert {"GAP_TOL", "RESIDUAL_TOL", "CYCLE_RESIDUAL_TOL"} <= set(owners)
+
+
+#: a written number that is not finite, as %.17g, repr(complex) or JSON spell it
+NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "limit", "response", "oracle", "simulate"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_small_configs_exit_cleanly(command, data):
+    # exit code 0, 1 or 2 and no escaping exception; exit 0 writes only
+    # finite numbers, any other exit writes no directory
+    widths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                       .filter(lambda w: sum(w) <= 6))
+    n = sum(widths)
+    beta = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.35, 0.5, 0.7]),
+                              min_size=len(widths), max_size=len(widths), unique=True))
+    kind = data.draw(st.sampled_from(["laplacian", "zero", "diagonal", "symmetric"]))
+    if kind == "laplacian":
+        generator = "laplacian"
+    elif kind == "zero":
+        generator = [[0.0] * n for _ in range(n)]
+    else:
+        w = np.array(data.draw(st.lists(st.floats(-1, 1, allow_subnormal=False),
+                                        min_size=n * n, max_size=n * n))).reshape(n, n)
+        w = np.diag(np.diag(w)) if kind == "diagonal" else np.triu(w) + np.triu(w, 1).T
+        generator = w.tolist()
+    ks = data.draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3))
+    eps = data.draw(st.lists(st.sampled_from([0, 0.01, 0.1, 0.5, 1]), min_size=1, max_size=3))
+    k_flag, eps_flag = ["--k", ",".join(map(str, ks))], ["--eps", ",".join(map(str, eps))]
+    flags = {"spectrum": k_flag + eps_flag, "limit": k_flag + eps_flag,
+             "response": k_flag, "oracle": k_flag,
+             "simulate": eps_flag + ["--bins", "8", "--top-m", "2", "--paths", "2",
+                                     "--steps", "5"]}[command]
+    config = {"beta": beta, "L": widths, "generator": generator,
+              "delta": data.draw(st.sampled_from([0.0, 0.05, 0.1]))}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "model.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        try:
+            code = main([command, "--config", str(path), "--out", str(out), *flags])
+        except SystemExit as exc:       # usage error from argparse
+            code = exc.code
+        assert code in (0, 1, 2)
+        if code == 0:
+            for written in out.iterdir():
+                assert not NON_FINITE.search(written.read_text(encoding="utf-8")), written.name
+        else:
+            assert not out.exists()

@@ -12,8 +12,8 @@ from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model,
                            eigenvector_response, laplacian_generator, limit_basis,
                            order_check, projection_expansion, response, response_data,
                            second_order_eigenvalue, spectrum, w_epsilon, zero_noise)
-from rotor_spectra.errors import (DegenerateFirstOrder, EigsNotSimple, EpsZero, GammaViolated,
-                                  InvalidEpsGrid, NonOrthogonal, ResponseMismatch)
+from rotor_spectra.errors import (EigsNotSimple, EpsZero, GammaViolated, InvalidEpsGrid,
+                                  NonOrthogonal, ResponseMismatch)
 from rotor_spectra.response import first_order_basis
 from rotor_spectra.spectra import assemble_fourier_block, eig_dense_complex, label_spectrum
 from rotor_spectra.zero_noise import sorted_eigenbasis
@@ -246,19 +246,6 @@ class TestVectorisedTerms:
         f = np.asarray(resp.basis.vectors)
         assert np.max(np.abs(np.diag(f.T @ resp.f_hat))) <= 1e-12 * scale
 
-    def test_degenerate_first_order_only_for_the_requested_label(self, monkeypatch):
-        # band 0 holds two first-order eigenvalues 2e-12 apart; the limit
-        # basis accepts that block only below its default gap tolerance
-        monkeypatch.setattr(zero_noise, "GAP_TOL", 1e-13)
-        c = 1e-12
-        wdot = np.array([[-1.0, c, 1 - c], [c, -1.0, 1 - c], [1 - c, 1 - c, -2 + 2 * c]])
-        m = build_band_model([0.1, 0.35], [2, 1])
-        g = NoiseGenerator.from_matrix(wdot)
-        with pytest.raises(DegenerateFirstOrder, match="labels 0 and 1 at k=1"):
-            eigenvector_response(m, g, 1, 0)
-        eigenvector_response(m, g, 1, 2)
-        second_order_eigenvalue(m, g, 1, 0)
-
 
 class TestProjectionExpansion:
     def test_rank_one_at_eps0(self):
@@ -425,10 +412,10 @@ class TestTerminatingExpansion:
 
     def test_limit_basis_never_builds_the_dense_limit_matrix(self, case_model, case_gen,
                                                              monkeypatch):
-        def refuse(self):
+        def refuse(*args):
             raise AssertionError("dense limit matrix built by limit_basis")
 
-        monkeypatch.setattr(zero_noise.LimitMatrix, "phat", property(refuse))
+        monkeypatch.setattr(zero_noise, "assemble_limit_matrix", refuse)
         one_band = build_band_model([0.3], [6])
         for model, gen, k in [(case_model, case_gen, 1), (case_model, case_gen, 3),
                               (one_band, laplacian_generator(6), 0),

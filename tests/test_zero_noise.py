@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rotor_spectra import (NoiseGenerator, assemble_limit_matrix, build_band_model,
                            check_gamma, laplacian_generator, limit_basis,
                            limit_eigenbasis, projective_distance, projector_gap,
-                           spectrum, spectrum_convergence, support_mass_outside_band)
+                           response_data, spectrum, spectrum_convergence,
+                           support_mass_outside_band, validate_admissibility)
 from rotor_spectra.errors import DegenerateBlock, GammaViolated, ZeroVector
+from rotor_spectra.model import GAP_TOL
 from conftest import random_banded_model
 
 
@@ -32,19 +36,18 @@ class TestAssembleLimitMatrix:
     def test_single_band_whole_matrix(self):
         m = build_band_model([0.3], [4])
         g = laplacian_generator(4)
-        lim = assemble_limit_matrix(m, g, 2)
-        assert_allclose(lim.phat, np.exp(-2j * np.pi * 2 * 0.3) * g.wdot, atol=1e-15)
+        phat = assemble_limit_matrix(m, g, 2)
+        assert_allclose(phat, np.exp(-2j * np.pi * 2 * 0.3) * g.wdot, atol=1e-15)
 
     def test_two_singleton_bands(self):
         m = build_band_model([0.1, 0.3], [1, 1])
         g = laplacian_generator(2)
-        lim = assemble_limit_matrix(m, g, 1)
+        phat = assemble_limit_matrix(m, g, 1)
         want = np.diag([-0.5 * np.exp(-2j * np.pi * 0.1), -0.5 * np.exp(-2j * np.pi * 0.3)])
-        assert_allclose(lim.phat, want, atol=1e-15)
+        assert_allclose(phat, want, atol=1e-15)
 
     def test_case_study_blocks(self, case_model, case_gen):
-        lim = assemble_limit_matrix(case_model, case_gen, 1)
-        phat = np.asarray(lim.phat)
+        phat = assemble_limit_matrix(case_model, case_gen, 1)
         for s in range(3):
             sl = case_model.band_slice(s)
             phase = np.exp(-2j * np.pi * case_model.beta[s])
@@ -62,7 +65,7 @@ class TestLimitEigenbasis:
         # hand eigensolve of [[-1, 1/2], [1/2, -1]]
         m = build_band_model([0.1, 0.2, 0.3], [1, 2, 1])
         g = laplacian_generator(4)
-        basis = limit_eigenbasis(assemble_limit_matrix(m, g, 1))
+        basis = limit_eigenbasis(m, g, 1)
         sl = m.band_slice(1)
         rho = (basis.lambda_hat[sl] * np.exp(2j * np.pi * 1 * 0.2)).real
         assert_allclose(np.sort(rho), [-1.5, -0.5], atol=1e-12)
@@ -72,7 +75,7 @@ class TestLimitEigenbasis:
     def test_singleton_bands(self):
         m = build_band_model([0.1, 0.3], [1, 1])
         g = laplacian_generator(2)
-        basis = limit_eigenbasis(assemble_limit_matrix(m, g, 1))
+        basis = limit_eigenbasis(m, g, 1)
         assert_allclose(basis.lambda_hat,
                         [-0.5 * np.exp(-2j * np.pi * 0.1), -0.5 * np.exp(-2j * np.pi * 0.3)],
                         atol=1e-15)
@@ -81,7 +84,7 @@ class TestLimitEigenbasis:
     def test_single_band_k0_is_wdot_basis(self):
         m = build_band_model([0.3], [5])
         g = laplacian_generator(5)
-        basis = limit_eigenbasis(assemble_limit_matrix(m, g, 0))
+        basis = limit_eigenbasis(m, g, 0)
         rho, v = np.linalg.eigh(np.asarray(g.wdot))
         assert_allclose(np.sort(basis.lambda_hat.real), np.sort(rho), atol=1e-12)
         assert np.max(np.abs(basis.lambda_hat.imag)) == 0.0
@@ -96,16 +99,15 @@ class TestLimitEigenbasis:
             if m.S > 1 and not check_gamma(m, k):
                 continue
             g = laplacian_generator(m.N)
-            lim = assemble_limit_matrix(m, g, k)
-            basis = limit_eigenbasis(lim)
+            basis = limit_eigenbasis(m, g, k)
             v = np.asarray(basis.vectors)
             assert np.max(np.abs(v.T @ v - np.eye(m.N))) <= 1e-12
             assert np.max(support_mass_outside_band(basis, m)) == 0.0
-            resid = np.asarray(lim.phat) @ v - basis.lambda_hat[None, :] * v
+            resid = assemble_limit_matrix(m, g, k) @ v - basis.lambda_hat[None, :] * v
             assert np.max(np.abs(resid)) <= 1e-12
 
     def test_arg_shift_by_pi(self, case_model, case_gen):
-        basis = limit_eigenbasis(assemble_limit_matrix(case_model, case_gen, 1))
+        basis = limit_eigenbasis(case_model, case_gen, 1)
         for ell in range(33):
             lh = basis.lambda_hat[ell]
             assert abs(lh) > 1e-12
@@ -117,11 +119,69 @@ class TestLimitEigenbasis:
         m = build_band_model([0.1, 0.2], [2, 1])
         w = np.zeros((3, 3))
         with pytest.raises(DegenerateBlock):
-            limit_eigenbasis(assemble_limit_matrix(m, NoiseGenerator.from_matrix(w), 1))
+            limit_eigenbasis(m, NoiseGenerator.from_matrix(w), 1)
 
     def test_gamma_refusal(self, case_model, case_gen):
         with pytest.raises(GammaViolated):
             limit_basis(case_model, case_gen, 0)
+
+
+class TestSimpleSpectrumRule:
+    """Admissibility and the limit basis judge band blocks by one rule."""
+
+    def test_admissibility_verdict_is_the_limit_basis_verdict(self):
+        verdicts = set()
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(widths=st.lists(st.integers(1, 3), min_size=2, max_size=3), data=st.data())
+        def check(widths, data):
+            # symmetric band blocks Q diag(rho) Q^T with drawn eigenvalues
+            # and per-block scales 1 .. 1e-8; no off-band coupling
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            model = build_band_model([0.1, 0.35, 0.7][:len(widths)], widths)
+            wdot = np.zeros((model.N, model.N))
+            gap, radius = np.inf, 0.0
+            for s, width in enumerate(widths):
+                steps = [10.0 ** -data.draw(st.integers(0, 12)) for _ in range(width - 1)]
+                rho = 10.0 ** -data.draw(st.integers(0, 8)) * -(1 + np.cumsum([0.0, *steps]))
+                q, _ = np.linalg.qr(rng.normal(size=(width, width)))
+                sl = model.band_slice(s)
+                block = q @ np.diag(rho) @ q.T
+                wdot[sl, sl] = 0.5 * (block + block.T)
+                gap = min(gap, np.min(-np.diff(rho), initial=np.inf))
+                radius = max(radius, float(np.max(np.abs(rho))))
+            # eigvalsh and eigh may round differently right at the threshold
+            assume(gap == np.inf or abs(np.log10(gap / (GAP_TOL * radius))) >= 1)
+            gen = NoiseGenerator.from_matrix(wdot)
+            passed = validate_admissibility(gen, model).item_distinct_blocks
+            try:
+                limit_basis(model, gen, 1)
+                raised = False
+            except DegenerateBlock:
+                raised = True
+            assert passed == (not raised)
+            verdicts.add(passed)
+
+        check()
+        assert verdicts == {True, False}
+
+    def test_small_degenerate_block_beside_a_large_one(self):
+        # a 2x2 block of radius 1.5 and one of radius 1e-6 whose eigenvalues
+        # lie 2e-12 apart: simple within its own radius, not within the global one
+        wdot = [[-1, 0.5, 0, 0, 0.5],
+                [0.5, -1, 0, 0, 0.5],
+                [0, 0, -9.99999e-07, 1e-12, 9.99998e-07],
+                [0, 0, 1e-12, -9.99999e-07, 9.99998e-07],
+                [0.5, 0.5, 9.99998e-07, 9.99998e-07, -1.000001999996]]
+        model = build_band_model([0.1, 0.35, 0.7], [2, 2, 1])
+        gen = NoiseGenerator.from_matrix(wdot)
+        report = validate_admissibility(gen, model)
+        assert report.item_stochastic and report.item_distinct_full
+        assert not report.item_distinct_blocks
+        with pytest.raises(DegenerateBlock):
+            limit_basis(model, gen, 1)
+        with pytest.raises(DegenerateBlock):
+            response_data(model, gen, 1)
 
 
 class TestProjectiveDistance:
@@ -191,7 +251,8 @@ class TestConvergence:
         assert gaps[0] > gaps[1] > gaps[2] > 0 or gaps[2] < 1e-12
 
     def test_spectrum_convergence_rows(self, two_band_model, two_band_gen):
-        rows = spectrum_convergence(two_band_model, two_band_gen, 1, [1e-2, 1e-3])
+        basis = limit_basis(two_band_model, two_band_gen, 1)
+        rows = spectrum_convergence(basis, two_band_gen, [1e-2, 1e-3])
         assert len(rows) == 4
         by_ell = {}
         for k, ell, eps, pd, pg, mo in rows:
