@@ -24,7 +24,7 @@ from .config import CASE_STUDY_JSON, MAX_INDEX, RunConfig, load_config, parse_co
 from .errors import AmbiguousLabelling, ConfigError, RotorSpectraError
 from .model import validate_admissibility
 from .oracle import oracle_crosscheck
-from .response import check_eps_grid, order_check, response_data
+from .response import check_eps_grid, order_checks, response_data
 from .simulate import detect_cycles, simulate, ulam_analytic
 from .spectra import spectrum
 from .zero_noise import limit_basis, spectrum_convergence
@@ -180,13 +180,13 @@ def cmd_response(args) -> int:
     check_eps_grid(cfg.gen, args.eps)
     ks = args.k or list(cfg.ks)
     resps = [response_data(cfg.model, cfg.gen, k) for k in ks]
-    checks = [(k, ell, order_check(cfg.model, cfg.gen, k, ell, args.eps, resp))
-              for k, resp in zip(ks, resps) for ell in _leading_labels(cfg.model)]
+    checks = [oc for resp in resps
+              for oc in order_checks(resp, cfg.gen, _leading_labels(cfg.model), args.eps)]
     out = _outdir(args)
     for k, resp in zip(ks, resps):
         _write_response(out, k, resp)
-    for k, ell, oc in checks:
-        writers.write_ordercheck_csv(out / f"ordercheck_k{k}_ell{ell + 1}.csv", oc)
+    for oc in checks:
+        writers.write_ordercheck_csv(out / f"ordercheck_k{oc.k}_ell{oc.ell + 1}.csv", oc)
     _manifest(out, "response", cfg, ks=ks, grid=args.eps)
     return 0
 

@@ -96,10 +96,6 @@ class InvalidEpsGrid(RotorSpectraError, ValueError):
     """An order-check eps grid is too short, non-positive or above eps_max."""
 
 
-class ResponseMismatch(RotorSpectraError):
-    """Precomputed response data belong to another Fourier index or model."""
-
-
 # --- oracle ---
 
 class NotLaplacian(RotorSpectraError):

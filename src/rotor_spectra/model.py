@@ -55,10 +55,6 @@ class BandModel:
     def band_slice(self, s: int) -> slice:
         return slice(self.cum[s], self.cum[s + 1])
 
-    def band_of(self, j: int) -> int:
-        """Band index containing fibre j (0-based)."""
-        return int(np.searchsorted(np.asarray(self.cum), j, side="right") - 1)
-
     @property
     def band_index(self) -> np.ndarray:
         """Length-N array mapping fibre index to band index."""

@@ -16,10 +16,10 @@ basis through Wdot across band boundaries:
     c_r (outside)  = <D Wdot f, f_r> / (e_{s_ell} - e_{s_r})
 
 where e_s = exp(-2 pi i k beta_s), D = D_{k,beta,L} and pi_s restricts to
-band s.  Both formulas are validated here against central finite differences
-of the exact eps-parametrised spectrum (see order_check), which also fixes
-their sign and normalisation conventions.  When S = 1 or k = 0 the expansion
-terminates: lhathat = 0, fhat = 0 and the first order is exact.
+band s.  Both formulas are validated here against residual ladders of the
+exact eps-parametrised spectrum (order_checks), which also fix their sign and
+normalisation conventions.  When S = 1 or k = 0 the expansion terminates:
+lhathat = 0, fhat = 0 and the first order is exact.
 
 The module also provides the response to perturbations of the speed profile
 alpha at fixed eps > 0 (alpha_response); the eps = 0 speed response is
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid,
-                     NonOrthogonal, ResponseMismatch)
+from .errors import DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, NonOrthogonal
 from .model import BandModel, NoiseGenerator, _freeze
 from .spectra import (assemble_fourier_block, eig_dense_complex, label_spectrum,
                       nearest_assignment)
@@ -64,8 +63,9 @@ class OrderCheck:
     r0 = |lam_eps - lam_0|, r1 = |lam_eps - lam_0 - eps*lhat|,
     r2 = |lam_eps - lam_0 - eps*lhat - eps^2*lhathat|, and vec_r is the
     projective distance between f_eps and f + eps*fhat.  Slopes are
-    least-squares fits on the log-log grid.  When S = 1 or k = 0 the first
-    order is exact, so r1, r2 and vec_r are rounding only; see order_check.
+    least-squares fits on the log-log grid.  When S = 1 or k = 0 the expansion
+    terminates, so r1, r2 and vec_r are rounding only and slope1, slope2 and
+    slope_vec are None (empty cells in the CSV footer).
     """
 
     k: int
@@ -76,9 +76,9 @@ class OrderCheck:
     r2: np.ndarray
     vec_r: np.ndarray
     slope0: float
-    slope1: float
-    slope2: float
-    slope_vec: float
+    slope1: float | None
+    slope2: float | None
+    slope_vec: float | None
 
 
 def first_order_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
@@ -210,54 +210,53 @@ def check_eps_grid(gen: NoiseGenerator, eps_grid) -> np.ndarray:
     return grid
 
 
-def order_check(model: BandModel, gen: NoiseGenerator, k: int, ell: int,
-                eps_grid, resp: ResponseData | None = None) -> OrderCheck:
-    """Validate the expansion orders against the exact spectrum on an eps grid.
+def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
+                 eps_grid) -> tuple[OrderCheck, ...]:
+    """Validate the expansion orders of labels ``ells`` at the model and k of ``resp``.
 
-    Eigenvalues at each eps are labelled by nearest second-order prediction,
-    one per label (nearest_assignment), which keeps the ladder consistent
-    across the grid.  The matched eigenpair is then polished
-    (_refine_eigenpair) as an eigenpair of the shifted matrix
+    At each eps, one dense eigensolve shared by all labels is matched to the
+    second-order predictions, one eigenvalue per label (nearest_assignment),
+    which keeps the ladders consistent across the grid.  Each label's
+    eigenpair is then polished (_refine_eigenpair) as one of the shifted matrix
     D (Id + eps*Wdot) - lam_0 Id = Diag(d - d_ell) + eps D Wdot, d = diag(D),
     whose diagonal is exactly 0 on the band of ell.  Its eigenvalue
     mu = lam_eps - lam_0 is O(eps) and no entry of size 1 is rounded, so the
     ladders carry complex128's relative precision down the grid instead of
-    an absolute floor.  When S = 1 or k = 0 the expansion terminates and the
-    r1, r2 and vec_r ladders (and their slopes) are rounding only.  ``resp``
-    is the response_data of (model, gen, k), computed here when not given.
+    an absolute floor.  When every fibre phase is equal (S = 1 or k = 0) the
+    expansion terminates and r1, r2 and vec_r, rounding only, get no slope.
     """
+    model, k, ells = resp.basis.model, resp.k, [int(ell) for ell in ells]
     eps_grid = check_eps_grid(gen, eps_grid)
-    if resp is None:
-        resp = response_data(model, gen, k)
-    elif resp.k != k or resp.basis.model is not model:
-        raise ResponseMismatch(
-            f"response data (k={resp.k}) do not belong to this model at k={k}")
-    lhat, lhh = resp.lambda_hat[ell], resp.lambda_hathat[ell]
-    f = resp.basis.vectors[:, ell].astype(complex)
-    fhat = resp.f_hat[:, ell]
     d = model.phases(k)[model.band_index]
-    shift = np.diag(d - d[ell])                          # exactly 0 on the band of ell
-
-    r0, r1, r2, vec_r = [], [], [], []
+    dw = d[:, None] * gen.wdot                           # D Wdot
+    ladders = [[] for _ in ells]                         # per label: (r0, r1, r2, vec_r) per eps
     for eps in eps_grid:
         block = assemble_fourier_block(model, gen, k, eps)
         eig = eig_dense_complex(block.matrix)
         pred = d + eps * resp.lambda_hat + eps ** 2 * resp.lambda_hathat
         label = nearest_assignment(np.abs(eig.values[:, None] - pred[None, :]), [1] * model.N)
-        i = int(np.argmax(label == ell))
-        a = shift + eps * (d[:, None] * gen.wdot)
-        mu, vec = _refine_eigenpair(a, eig.values[i] - d[ell], eig.vectors[:, i])
-        r0.append(abs(mu))
-        r1.append(abs(mu - eps * lhat))
-        r2.append(abs(mu - eps * lhat - eps ** 2 * lhh))
-        vec_r.append(projective_distance(vec, f + eps * fhat))
+        for ell, rows in zip(ells, ladders):
+            lhat, lhh = resp.lambda_hat[ell], resp.lambda_hathat[ell]
+            i = int(np.argmax(label == ell))
+            a = np.diag(d - d[ell]) + eps * dw           # exactly 0 on the band of ell
+            mu, vec = _refine_eigenpair(a, eig.values[i] - d[ell], eig.vectors[:, i])
+            rows.append((abs(mu), abs(mu - eps * lhat), abs(mu - eps * lhat - eps ** 2 * lhh),
+                         projective_distance(vec, resp.basis.vectors[:, ell]
+                                             + eps * resp.f_hat[:, ell])))
 
-    return OrderCheck(
-        k=int(k), ell=int(ell), eps_grid=_freeze(eps_grid),
-        r0=_freeze(np.asarray(r0)), r1=_freeze(np.asarray(r1)),
-        r2=_freeze(np.asarray(r2)), vec_r=_freeze(np.asarray(vec_r)),
-        slope0=_fit_slope(eps_grid, r0), slope1=_fit_slope(eps_grid, r1),
-        slope2=_fit_slope(eps_grid, r2), slope_vec=_fit_slope(eps_grid, vec_r))
+    terminates = bool(np.all(d == d[0]))                 # no two distinct phases
+    checks = []
+    for ell, rows in zip(ells, ladders):
+        r0, r1, r2, vec_r = (_freeze(np.asarray(col)) for col in zip(*rows))
+        fits = [None] * 3 if terminates else [_fit_slope(eps_grid, r) for r in (r1, r2, vec_r)]
+        checks.append(OrderCheck(int(k), ell, _freeze(eps_grid), r0, r1, r2, vec_r,
+                                 _fit_slope(eps_grid, r0), *fits))
+    return tuple(checks)
+
+
+def order_check(model: BandModel, gen: NoiseGenerator, k: int, ell: int, eps_grid) -> OrderCheck:
+    """The order check of one label ``ell``; see order_checks."""
+    return order_checks(response_data(model, gen, k), gen, [ell], eps_grid)[0]
 
 
 def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,

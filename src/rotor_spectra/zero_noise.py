@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DegenerateBlock, GammaViolated, ZeroVector
 from .model import BandModel, NoiseGenerator, _freeze, spectral_gap
+from .spectra import spectrum
 
 #: band phases closer than this count as equal (check_gamma)
 PHASE_TOL = 1e-9
@@ -161,11 +162,10 @@ def spectrum_convergence(basis: LimitBasis, gen: NoiseGenerator, eps_list):
     eps, with labels paired through the shared ordering convention
     (band-internal descending rho).
     """
-    from .spectra import spectrum as _spectrum
     model, k = basis.model, basis.k
     rows = []
     for eps in eps_list:
-        spec = _spectrum(model, gen, k, eps)
+        spec = spectrum(model, gen, k, eps)
         mass = support_mass_outside_band(spec, model)
         for ell in range(model.N):
             rows.append((k, ell, float(eps),

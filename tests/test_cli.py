@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rotor_spectra as rs
-from rotor_spectra import cli, zero_noise
+from rotor_spectra import cli, response, writers, zero_noise
 from rotor_spectra.cli import main
 from rotor_spectra.config import CASE_STUDY_JSON
 from rotor_spectra.errors import AmbiguousLabelling
@@ -305,6 +305,35 @@ class TestOtherCommands:
                      "--k", "1,2"]) == 0
         assert 0 < len(builds) <= 2
         assert (out / "ordercheck_k2_ell19.csv").exists()
+
+    def test_response_solves_each_eps_once_per_k(self, case_cfg, tmp_path, monkeypatch):
+        # three leading labels share one dense eigensolve per eps: 2 k x 4 eps
+        solves = []
+        real = response.eig_dense_complex
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(response, "eig_dense_complex", counted)
+        assert main(["response", "--config", str(case_cfg), "--out", str(tmp_path / "resp"),
+                     "--k", "1,2"]) == 0
+        assert len(solves) == 8
+
+    def test_terminating_ordercheck_footers_leave_slopes_empty(self, case_cfg, tmp_path):
+        # at k = 0 every fibre phase is 1: only r0 gets a slope; k = 1 tables
+        # hold the bytes of the per-label order check
+        out = tmp_path / "resp"
+        assert main(["response", "--config", str(case_cfg), "--out", str(out),
+                     "--k", "0,1"]) == 0
+        cfg = rs.load_config(case_cfg)
+        for ell in cli._leading_labels(cfg.model):
+            footer = (out / f"ordercheck_k0_ell{ell + 1}.csv").read_text().splitlines()[-1]
+            assert re.fullmatch(r"slopes,,,[-+.e0-9]+,,,", footer), footer
+            oc = rs.order_check(cfg.model, cfg.gen, 1, ell, [1e-2, 1e-3, 1e-4, 1e-5])
+            writers.write_ordercheck_csv(tmp_path / "own.csv", oc)
+            assert ((out / f"ordercheck_k1_ell{ell + 1}.csv").read_bytes()
+                    == (tmp_path / "own.csv").read_bytes())
 
     def test_oracle_exit_codes(self, case_cfg, tmp_path):
         out = tmp_path / "orc"

@@ -39,13 +39,6 @@ class TestBuildBandModel:
         with pytest.raises(EmptyBand):
             build_band_model([0.1, 0.2], [1, 0])
 
-    def test_band_of(self, case_model):
-        assert case_model.band_of(0) == 0
-        assert case_model.band_of(10) == 0
-        assert case_model.band_of(11) == 1
-        assert case_model.band_of(18) == 2
-        assert case_model.band_of(32) == 2
-
     def test_phase_gap(self):
         m = build_band_model([0.0, 0.25, 0.6], [1, 2, 1])
         assert m.phase_gap(1) == pytest.approx(abs(1 - np.exp(-2j * np.pi * 0.25)))

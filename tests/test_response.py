@@ -10,10 +10,11 @@ from numpy.testing import assert_allclose
 
 from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model,
                            eigenvector_response, laplacian_generator, limit_basis,
-                           order_check, projection_expansion, response, response_data,
-                           second_order_eigenvalue, spectrum, w_epsilon, zero_noise)
+                           order_check, order_checks, projection_expansion, response,
+                           response_data, second_order_eigenvalue, spectrum, w_epsilon,
+                           zero_noise)
 from rotor_spectra.errors import (EigsNotSimple, EpsZero, GammaViolated, InvalidEpsGrid,
-                                  NonOrthogonal, ResponseMismatch)
+                                  NonOrthogonal)
 from rotor_spectra.response import first_order_basis
 from rotor_spectra.spectra import assemble_fourier_block, eig_dense_complex, label_spectrum
 from rotor_spectra.zero_noise import sorted_eigenbasis
@@ -281,10 +282,13 @@ class TestOrderCheck:
         oc = order_check(m, g, 3, 2, [1e-1, 1e-2, 1e-3, 1e-4])
         assert np.max(oc.r1) <= 1e-12
         assert np.max(oc.r2) <= 1e-12
+        # the ladders beyond r0 are rounding: no slope is fitted to them
+        assert (oc.slope1, oc.slope2, oc.slope_vec) == (None, None, None)
 
     def test_exactness_k0(self, case_model, case_gen):
         oc = order_check(case_model, case_gen, 0, 4, [1e-1, 1e-2, 1e-3, 1e-4])
         assert np.max(oc.r1) <= 1e-12
+        assert (oc.slope1, oc.slope2, oc.slope_vec) == (None, None, None)
 
     def test_two_band_slopes(self, two_band_model, two_band_gen):
         oc = order_check(two_band_model, two_band_gen, 1, 0, [1e-2, 1e-3, 1e-4, 1e-5])
@@ -309,23 +313,22 @@ class TestOrderCheck:
             with pytest.raises(InvalidEpsGrid):
                 order_check(two_band_model, two_band_gen, 1, 0, grid)
 
-    @pytest.mark.parametrize("k, ell", [(1, 0), (1, 11), (0, 4)])
-    def test_precomputed_response_gives_identical_ladders(self, case_model, case_gen, k, ell):
+    @pytest.mark.parametrize("model, k, ells", [("case", 1, [0, 11, 18]),
+                                                ("case", 0, [0, 11, 18]),
+                                                ("one-band", 1, [0, 2, 4])],
+                             ids=["case-k1", "case-k0", "one-band-k1"])
+    def test_shared_sweep_equals_per_label_checks(self, case_model, case_gen, model, k, ells):
+        # one eigensolve per eps for all labels gives every label's check bit for bit
+        m, g = ((case_model, case_gen) if model == "case"
+                else (build_band_model([0.3], [5]), laplacian_generator(5)))
         grid = [1e-2, 1e-3, 1e-4, 1e-5]
-        given_resp = order_check(case_model, case_gen, k, ell, grid,
-                                 response_data(case_model, case_gen, k))
-        own = order_check(case_model, case_gen, k, ell, grid)
-        for field in dataclasses.fields(own):
-            assert np.array_equal(getattr(given_resp, field.name), getattr(own, field.name))
-
-    def test_mismatched_response_refused(self, case_model, case_gen):
-        grid = [1e-2, 1e-3, 1e-4, 1e-5]
-        resp = response_data(case_model, case_gen, 2)
-        with pytest.raises(ResponseMismatch):
-            order_check(case_model, case_gen, 1, 0, grid, resp)
-        twin = build_band_model(case_model.beta, case_model.L)
-        with pytest.raises(ResponseMismatch):
-            order_check(twin, case_gen, 2, 0, grid, resp)
+        shared = order_checks(response_data(m, g, k), g, ells, grid)
+        assert [oc.ell for oc in shared] == ells
+        for ell, got in zip(ells, shared):
+            own = order_check(m, g, k, ell, grid)
+            for field in dataclasses.fields(own):
+                a, b = getattr(got, field.name), getattr(own, field.name)
+                assert (a is None and b is None) or np.array_equal(a, b), (ell, field.name)
 
 
 def mpmath_r2(model, gen, k, ell, eps, resp, dps=45):
@@ -374,7 +377,7 @@ class TestRefineEigenpair:
         # an unshifted polish, resolved by the shifted complex128 one
         grid = [1e-2, 1e-3, 1e-4, 1e-5]
         resp = response_data(case_model, case_gen, 1)
-        oc = order_check(case_model, case_gen, 1, ell, grid, resp)
+        oc = order_check(case_model, case_gen, 1, ell, grid)
         ref = mpmath_r2(case_model, case_gen, 1, ell, 1e-5, resp)
         assert abs(oc.r2[-1] - ref) <= 1e-2 * ref
 

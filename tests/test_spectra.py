@@ -276,6 +276,13 @@ class TestSpectrumInvariants:
         minus = spectrum(model, gen, -k, eps)
         assert_allclose(minus.lam, np.conj(spec.lam), rtol=0, atol=1e-12)
         assert_allclose(minus.target, np.conj(spec.target), rtol=0, atol=1e-15)
+        # fibre noise only rescales: |lam| <= |sinc| since ||D W_eps||_2 = 1
+        delta = data.draw(st.floats(0, 1), label="delta")
+        sinc = delta_factor(k, delta)
+        noisy = spectrum(model, gen, k, eps, delta)
+        assert np.max(np.abs(noisy.lam)) <= abs(sinc) * (1 + 1e-12)
+        assert np.array_equal(noisy.lam, sinc * spec.lam)
+        assert np.array_equal(noisy.vectors, spec.vectors)
 
     def test_bilinear_orthogonality(self, case_model, case_gen):
         # <f_l, D conj(f_m)> vanishes for l != m while eigenvalues stay distinct
