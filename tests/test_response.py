@@ -313,6 +313,18 @@ class TestOrderCheck:
             with pytest.raises(InvalidEpsGrid):
                 order_check(two_band_model, two_band_gen, 1, 0, grid)
 
+    @pytest.mark.parametrize("k, ell", [(1, 0), (1, 11), (0, 4)])
+    def test_precomputed_response_gives_identical_ladders(self, case_model, case_gen, k, ell):
+        # one precomputed response, used twice, gives the ladders order_check computes itself
+        grid = [1e-2, 1e-3, 1e-4, 1e-5]
+        resp = response_data(case_model, case_gen, k)
+        own = order_check(case_model, case_gen, k, ell, grid)
+        for _ in range(2):
+            (given_resp,) = order_checks(resp, case_gen, [ell], grid)
+            for field in dataclasses.fields(own):
+                a, b = getattr(given_resp, field.name), getattr(own, field.name)
+                assert (a is None and b is None) or np.array_equal(a, b), field.name
+
     @pytest.mark.parametrize("model, k, ells", [("case", 1, [0, 11, 18]),
                                                 ("case", 0, [0, 11, 18]),
                                                 ("one-band", 1, [0, 2, 4])],
