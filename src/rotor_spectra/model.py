@@ -64,13 +64,6 @@ class BandModel:
         """Band phases exp(-2 pi i k beta_s); the fibre phases are ``phases(k)[band_index]``."""
         return np.exp(-2j * np.pi * k * np.asarray(self.beta))
 
-    def phase_gap(self, k: int) -> float:
-        """Smallest distance between two band phases; inf for one band."""
-        phases = self.phases(k)
-        gaps = np.abs(phases[:, None] - phases[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        return float(gaps.min())
-
 
 @dataclass(frozen=True, eq=False)
 class NoiseGenerator:
@@ -176,18 +169,23 @@ def laplacian_generator(N: int) -> NoiseGenerator:
 
 
 def spectral_gap(spectra) -> tuple[float, float, bool]:
-    """The simple-spectrum rule: (gap, radius, simple) of some real spectra.
+    """The simple-spectrum rule: (gap, radius, simple) of real or complex spectra.
 
-    ``gap`` is the smallest distance between two values of one spectrum (inf
-    when no spectrum has two), ``radius`` the largest |value| over all of
-    them (0 when they are empty), and ``simple`` is ``gap > GAP_TOL * radius``.
+    ``gap`` is the smallest |a - b| over two values of one spectrum (inf when
+    no spectrum has two), ``radius`` the largest |value| over all of them (0
+    when they are empty), and ``simple`` is ``gap > GAP_TOL * radius``.  It
+    judges band phases, Wdot, its band blocks and alpha_response's spectra.
+    On real spectra the gap is the smallest sorted-neighbour difference, bit
+    for bit, as rounding is monotone.
     """
     gap, radius = math.inf, 0.0
-    for ev in map(np.sort, spectra):
+    for ev in map(np.asarray, spectra):
         if ev.size:
             radius = max(radius, float(np.max(np.abs(ev))))
         if ev.size > 1:
-            gap = min(gap, float(np.min(np.diff(ev))))
+            dist = np.abs(ev[:, None] - ev[None, :])
+            np.fill_diagonal(dist, np.inf)
+            gap = min(gap, float(dist.min()))
     return gap, radius, gap > GAP_TOL * radius
 
 

@@ -33,15 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, NonOrthogonal
-from .model import BandModel, NoiseGenerator, _freeze
+from .model import BandModel, NoiseGenerator, _freeze, spectral_gap
 from .spectra import (assemble_fourier_block, eig_dense_complex, label_spectrum,
                       nearest_assignment)
 from .zero_noise import LimitBasis, limit_basis, projective_distance, sorted_eigenbasis
 
 #: largest |<f, fhat>| / max(1, |fhat|) that projection_expansion accepts
 ORTHOGONALITY_TOL = 1e-10
-#: alpha_response needs eigenvalues more than this times the spectral radius apart
-SIMPLE_GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +266,8 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     left/right eigenvectors of the simple eigenvalue (the left one is
     exp(2 pi i k alpha) f, as W_eps is real symmetric), and df solves the
     differentiated eigenvalue equation on the complement of span{f} under the
-    gauge <f, df> = 0.
+    gauge <f, df> = 0.  The spectrum must be simple by
+    :func:`rotor_spectra.model.spectral_gap`, otherwise EigsNotSimple is raised.
     """
     if eps == 0:
         raise EpsZero("the eps=0 speed response is discontinuous; refused by design")
@@ -278,11 +277,10 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     block = assemble_fourier_block(model, gen, k, eps)
     p = np.asarray(block.matrix)
     eig = eig_dense_complex(p)
-    gaps = np.abs(eig.values[:, None] - eig.values[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if model.N > 1 and float(gaps.min()) <= SIMPLE_GAP_TOL * float(np.max(np.abs(eig.values))):
-        raise EigsNotSimple(
-            f"minimum eigenvalue gap {gaps.min():.3e} below tolerance at eps={eps}")
+    gap, radius, simple = spectral_gap([eig.values])
+    if not simple:
+        raise EigsNotSimple(f"minimum eigenvalue gap {gap:.3e} is not above GAP_TOL "
+                            f"times the spectral radius {radius:.3e} at eps={eps}")
     # identify label ell through the labelled ordering
     spec = label_spectrum(block, eig)
     lam = spec.lam[ell]

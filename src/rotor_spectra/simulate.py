@@ -22,8 +22,9 @@ with circle-bin shifts as well, and their sector m is the N x N block
 sum_d K[:, :, d] e^{2 pi i m d / M}.  Sector m's eigenvector u gives the
 cell eigenvector u_j e^{2 pi i m a / M}.  Sector M - m is the conjugate of
 sector m, so detect_cycles solves sectors 0..M/2 only ("sector" path), for
-both operator kinds.  Neither kind stores its cell matrix;
-UlamOperator.matrix builds it on read.
+both operator kinds, and certifies each reported eigenpair with
+spectra.eig_dense_complex, the certificate of the Fourier-block spectra.
+Neither kind stores its cell matrix; UlamOperator.matrix builds it on read.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ import numpy as np
 from .errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
                      NoComplexEigenvalues, NoConvergence)
 from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
+from .spectra import eig_dense_complex
 
 #: |imag| above which an eigenvalue counts as nonreal
 IMAG_TOL = 1e-9
-#: worst relative eigenpair residual ||A v - lam v|| / ||v|| a cycle report accepts
-CYCLE_RESIDUAL_TOL = 1e-10
 #: largest share of cells that no counted step may leave (ulam_empirical)
 MAX_EMPTY_FRACTION = 0.01
 
@@ -118,8 +118,9 @@ class Cycle:
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Detected cycles, the solver path ("sector") and the worst relative
-    eigenpair residual over the reported cycles."""
+    """Detected cycles, the solver path ("sector") and the worst eigenpair
+    residual ||B v - lam v|| (unit v) over the reported cycles; each one met
+    RESIDUAL_TOL times the 2-norm of its sector block B."""
 
     cycles: tuple[Cycle, ...]
     M: int
@@ -197,7 +198,14 @@ def _fibre_kernel_row(alpha_j: float, delta: float, M: int) -> np.ndarray:
 
     Circulant generator row: starting uniformly in bin b gives the same row
     shifted by b.  Exact (piecewise-quadratic CDF differences), no quadrature.
+    Noise of half-width delta >= 1/2 is split so that the work does not grow
+    with delta: its floor(2 delta) full turns land uniformly, and the rest is
+    noise of half-width delta mod 1/2 centred floor(2 delta) / 2 turns on.
     """
+    if delta >= 0.5:
+        rest = delta % 0.5               # exact, as is whole = floor(2 delta) / 2
+        whole = delta - rest
+        return (whole / M + rest * _fibre_kernel_row(alpha_j + whole % 1.0, rest, M)) / delta
     h = 1.0 / M
     s = alpha_j % 1.0
     edges = np.arange(M + 1) * h
@@ -291,12 +299,9 @@ def _pick_cycles(values: np.ndarray, top_m: int) -> list:
     return picked
 
 
-def _residual(a, lam: complex, v: np.ndarray) -> float:
-    return float(np.linalg.norm(a @ v - lam * v) / np.linalg.norm(v))
-
-
 def _sector_cycles(op: UlamOperator, top_m: int) -> list:
-    """(rep, per-fibre mass, residual) per cycle from the bin-DFT sectors 0..M/2."""
+    """(rep, per-fibre mass, residual, converged) per cycle from the bin-DFT
+    sectors 0..M/2, each sector decomposed at most once by eig_dense_complex."""
     if op.kernel is not None:
         blocks = np.moveaxis(np.fft.rfft(op.kernel, axis=2).conj(), 2, 0)
     else:
@@ -307,11 +312,12 @@ def _sector_cycles(op: UlamOperator, top_m: int) -> list:
     for rep, i in _pick_cycles(values.ravel(), top_m):
         m, lam = i // op.model.N, values.flat[i]
         if m not in eigs:
-            eigs[m] = np.linalg.eig(blocks[m])
-        vals, vecs = eigs[m]
-        u = vecs[:, np.argmin(np.abs(vals - lam))]
+            eigs[m] = eig_dense_complex(blocks[m])
+        eig = eigs[m]
+        c = int(np.argmin(np.abs(eig.values - lam)))
         # |u_j e^{2 pi i m a / M}|^2 = |u_j|^2 in every bin of fibre j
-        out.append((rep, np.abs(u) ** 2, _residual(blocks[m], lam, u)))
+        out.append((rep, np.abs(eig.vectors[:, c]) ** 2, float(eig.residuals[c]),
+                    bool(eig.converged[c])))
     return out
 
 
@@ -323,21 +329,23 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
     summed over each band's cells; the band with the largest mass is the
     attributed support.  Both operator kinds are solved by bin-DFT sector
     (see the module docstring).  Band widths other than ``op.model``'s raise
-    DimensionMismatch, and a reported eigenpair with relative residual above
-    CYCLE_RESIDUAL_TOL raises NoConvergence.
+    DimensionMismatch.  Each reported eigenpair must pass the certificate of
+    :func:`rotor_spectra.spectra.eig_dense_complex`, residual
+    ``||B v - lam v||`` (unit v) at most ``RESIDUAL_TOL * ||B||_2`` for its
+    sector block B; otherwise NoConvergence is raised.
     """
     if top_m < 1:
         raise InvalidSimulationInput(f"top_m must be >= 1, got {top_m}")
     if model.L != op.model.L:
         raise DimensionMismatch(f"band widths {model.L} differ from the operator's {op.model.L}")
     found = _sector_cycles(op, top_m)
-    worst = max(res for _, _, res in found)
-    if worst > CYCLE_RESIDUAL_TOL:
-        raise NoConvergence(f"sector eigenpair residual {worst:.3e} exceeds "
-                            f"{CYCLE_RESIDUAL_TOL:g}", partial=found)
+    failed = [res for *_, res, converged in found if not converged]
+    if failed:
+        raise NoConvergence(f"sector eigenpair residual {max(failed):.3e} exceeds "
+                            f"RESIDUAL_TOL times the sector norm", partial=found)
 
     cycles = []
-    for rep, per_fibre, _ in found:
+    for rep, per_fibre, *_ in found:
         per_fibre = per_fibre / per_fibre.sum()
         band_masses = tuple(float(per_fibre[model.band_slice(s)].sum())
                             for s in range(model.S))
@@ -347,4 +355,4 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
             period_steps=float(2 * np.pi / abs(arg)),
             band_masses=band_masses, band=int(np.argmax(band_masses))))
     return CycleReport(cycles=tuple(cycles), M=op.M, top_m=int(top_m), solver="sector",
-                       max_residual=worst)
+                       max_residual=max(res for *_, res, _ in found))

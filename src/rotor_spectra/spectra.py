@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousLabelling, InvalidMatrix, NoConvergence
-from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
+from .model import BandModel, NoiseGenerator, _freeze, spectral_gap, w_epsilon
 
 #: relative eigensolver residual ||A v - lambda v|| / ||A||_2 a converged pair meets
 RESIDUAL_TOL = 1e-11
@@ -161,7 +161,7 @@ def label_spectrum(block: FourierBlock, eig: EigResult) -> LabelledSpectrum:
 
     radius = gershgorin_bound(block.gen, block.eps)
     worst = float(np.max(np.abs(lam - targets)))
-    if model.phase_gap(block.k) > 2 * radius and worst > radius * (1 + 1e-8) + 1e-13:
+    if spectral_gap([phases])[0] > 2 * radius and worst > radius * (1 + 1e-8) + 1e-13:
         raise AmbiguousLabelling(
             f"assignment cost {worst:.3e} exceeds Gershgorin radius {radius:.3e} "
             f"at k={block.k}, eps={block.eps}")

@@ -23,9 +23,6 @@ from .errors import DegenerateBlock, GammaViolated, ZeroVector
 from .model import BandModel, NoiseGenerator, _freeze, spectral_gap
 from .spectra import spectrum
 
-#: band phases closer than this count as equal (check_gamma)
-PHASE_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class LimitBasis:
@@ -47,10 +44,12 @@ class LimitBasis:
 def check_gamma(model: BandModel, k: int) -> bool:
     """True iff the band phases exp(-2 pi i k beta_s) are pairwise distinct.
 
-    Distinctness is tested numerically: phases closer than ``PHASE_TOL`` count
-    as equal.  Always true for a single band; always false for k = 0 with S > 1.
+    Distinctness is the simple-spectrum rule
+    :func:`rotor_spectra.model.spectral_gap` applied to the phases: phases no
+    more than ``GAP_TOL`` apart count as equal.  Always true for a single
+    band; always false for k = 0 with S > 1.
     """
-    return model.phase_gap(k) >= PHASE_TOL
+    return spectral_gap([model.phases(k)])[2]
 
 
 def sign_gauge(vectors) -> np.ndarray:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rotor_spectra as rs
-from rotor_spectra import cli, response, writers, zero_noise
+from rotor_spectra import cli, response, spectra, writers, zero_noise
 from rotor_spectra.cli import main
 from rotor_spectra.config import CASE_STUDY_JSON
 from rotor_spectra.errors import AmbiguousLabelling
@@ -355,7 +355,7 @@ class TestOtherCommands:
                      "--seed", "11"]) == 0
         doc = json.loads((out / "cycles.json").read_text())
         assert len(doc["cycles"]) == 2
-        assert doc["solver"] == "sector" and 0 <= doc["max_residual"] <= 1e-10
+        assert doc["solver"] == "sector" and 0 <= doc["max_residual"] <= spectra.RESIDUAL_TOL
         header, rows = read_csv(out / "trajectories.csv")
         assert header == ["path", "step", "j", "x"]
         assert len(rows) == 3 * 6
@@ -447,7 +447,26 @@ def test_each_tolerance_name_is_bound_in_one_module():
             if name.endswith("_TOL") or name == "MAX_EMPTY_FRACTION":
                 owners.setdefault(name, []).append(info.name)
     assert {name: mods for name, mods in owners.items() if len(mods) != 1} == {}
-    assert {"GAP_TOL", "RESIDUAL_TOL", "CYCLE_RESIDUAL_TOL"} <= set(owners)
+    assert {"GAP_TOL", "RESIDUAL_TOL"} <= set(owners)
+    # one distinctness rule (GAP_TOL) and one eigenpair certificate (RESIDUAL_TOL)
+    assert {"PHASE_TOL", "SIMPLE_GAP_TOL", "CYCLE_RESIDUAL_TOL"} & set(owners) == set()
+
+
+def test_readme_names_only_bound_tolerances():
+    # every backticked tolerance name in README.md is a package constant, and
+    # a value given after it, as in "(1e-11)" or "(1%)", is the constant's value
+    values = {}
+    for info in pkgutil.iter_modules(rs.__path__):
+        module = importlib.import_module(f"rotor_spectra.{info.name}")
+        values.update({name: value for name, value in vars(module).items()
+                       if name.endswith("_TOL") or name == "MAX_EMPTY_FRACTION"})
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = re.findall(r"`(\w+_TOL|MAX_EMPTY_FRACTION)`(?: \(([-+.\de]+)(%?)\))?", readme)
+    assert named
+    for name, text, percent in named:
+        assert name in values, f"README names {name}, which no module binds"
+        if text:
+            assert float(text) / (100 if percent else 1) == values[name], name
 
 
 #: a written number that is not finite, as %.17g, repr(complex) or JSON spell it

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model, detect_bands,
@@ -8,6 +12,7 @@ from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model, det
 from rotor_spectra.errors import (DimensionMismatch, DimensionTooSmall, DuplicateSpeed,
                                   EmptyBand, EpsOutOfRange, InvalidMatrix, InvalidSpeeds,
                                   NonBandable, RotorSpectraError)
+from rotor_spectra.model import spectral_gap
 from conftest import CASE_BETA, random_banded_model
 
 
@@ -40,11 +45,15 @@ class TestBuildBandModel:
             build_band_model([0.1, 0.2], [1, 0])
 
     def test_phase_gap(self):
+        # the band-phase gap is the simple-spectrum rule applied to the phases
         m = build_band_model([0.0, 0.25, 0.6], [1, 2, 1])
-        assert m.phase_gap(1) == pytest.approx(abs(1 - np.exp(-2j * np.pi * 0.25)))
-        assert m.phase_gap(4) == pytest.approx(0.0, abs=1e-15)   # 0 and 0.25 coincide
-        assert m.phase_gap(0) == 0.0
-        assert build_band_model([0.3], [4]).phase_gap(1) == np.inf
+        gap, radius, simple = spectral_gap([m.phases(1)])
+        assert gap == pytest.approx(abs(1 - np.exp(-2j * np.pi * 0.25)))
+        assert radius == pytest.approx(1.0) and simple
+        gap, _, simple = spectral_gap([m.phases(4)])         # 0 and 0.25 coincide
+        assert 1e-16 < gap < 1e-15 and not simple
+        assert spectral_gap([m.phases(0)])[:3:2] == (0.0, False)
+        assert spectral_gap([build_band_model([0.3], [4]).phases(1)])[::2] == (np.inf, True)
 
     def test_immutable(self, case_model):
         with pytest.raises(ValueError):
@@ -141,6 +150,45 @@ class TestAdmissibility:
                 sl = m.band_slice(s)
                 ev = np.linalg.eigvalsh(g.wdot[sl, sl])
                 assert np.all(ev <= 1e-12)
+
+
+def sorted_difference_gap(spectra):
+    """The real-spectrum rule as neighbour differences after sorting."""
+    gap, radius = math.inf, 0.0
+    for ev in map(np.sort, spectra):
+        if ev.size:
+            radius = max(radius, float(np.max(np.abs(ev))))
+        if ev.size > 1:
+            gap = min(gap, float(np.min(np.diff(ev))))
+    return gap, radius, gap > 1e-9 * radius
+
+
+@st.composite
+def real_spectra(draw):
+    """Lists of real spectra, some values repeated exactly or one ulp apart."""
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    spectra = []
+    for _ in range(draw(st.integers(0, 4))):
+        ev = draw(st.lists(values, max_size=8))
+        for v in draw(st.lists(st.sampled_from(ev), max_size=3)) if ev else []:
+            ev.append(draw(st.sampled_from([v, np.nextafter(v, np.inf),
+                                            np.nextafter(v, -np.inf)])))
+        spectra.append(np.array(draw(st.permutations(ev)), dtype=float))
+    return spectra
+
+
+class TestSpectralGap:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(spectra=real_spectra())
+    def test_real_spectra_match_sorted_differences(self, spectra):
+        # pairwise |a - b| and sorted neighbour differences agree bit for bit,
+        # because rounding is monotone
+        assert spectral_gap(spectra) == sorted_difference_gap(spectra)
+
+    def test_complex_spectrum(self):
+        # 1 and 1 + 2e-10j share their real part and sit 2e-10 apart
+        assert spectral_gap([np.array([1, 1j, -1, 1 + 2e-10j])]) == (2e-10, 1.0, False)
+        assert spectral_gap([np.array([1, 1j, -1, 1 + 2e-9j])]) == (2e-9, 1.0, True)
 
 
 class TestWEpsilon:

@@ -573,3 +573,13 @@ class TestAlphaResponse:
         g = NoiseGenerator.from_matrix(np.zeros((2, 2)))
         with pytest.raises(EigsNotSimple):
             alpha_response(m, g, 0, 0.5, 0, [1.0, 0.0])
+
+    def test_near_double_eigenvalue_refused_by_spectral_gap(self):
+        # the phases sit 2 pi 1e-11 ~ 6.3e-11 apart: above 1e-12 of the
+        # spectral radius, not above GAP_TOL (1e-9) of it
+        m = build_band_model([0.1, 0.1 + 1e-11], [1, 1])
+        g = NoiseGenerator.from_matrix(np.zeros((2, 2)))
+        gap = abs(np.diff(m.phases(1)))[0]
+        assert 1e-12 < gap < 1e-9
+        with pytest.raises(EigsNotSimple, match="GAP_TOL"):
+            alpha_response(m, g, 1, 0.5, 0, [1.0, 0.0])

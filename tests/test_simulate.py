@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rotor_spectra import (NoiseGenerator, build_band_model, case_study_config,
-                           detect_cycles, laplacian_generator, simulate, spectrum,
+                           detect_cycles, laplacian_generator, simulate, spectra, spectrum,
                            ulam_analytic, ulam_empirical)
 from rotor_spectra.cli import main
 from rotor_spectra.config import CASE_STUDY_JSON
@@ -93,7 +93,7 @@ def assert_matches_full_eig(report, op, model):
         assert abs(c.eigenvalue - rep) <= 1e-12 * abs(rep)
         assert_allclose(c.band_masses, masses, rtol=0, atol=1e-12)
         assert masses[c.band] >= max(masses) - 1e-12
-    assert report.max_residual <= 1e-10
+    assert report.max_residual <= spectra.RESIDUAL_TOL
 
 
 class TestSimulate:
@@ -201,6 +201,37 @@ class TestUlamAnalytic:
         assert_allclose(q, want, atol=1e-12)
         q = _fibre_kernel_row(0.25, 0.0, 10)
         assert_allclose(q[[2, 3]], [0.5, 0.5], atol=1e-12)
+
+    @staticmethod
+    def loop_row(alpha_j, delta, M):
+        # every integer translate of the noise interval that meets the circle
+        h = 1.0 / M
+        s = alpha_j % 1.0
+        edges = np.arange(M + 1) * h
+        q = np.zeros(M)
+        for n in range(int(np.floor(-delta - s)) - 1, int(np.ceil(h + delta - s)) + 2):
+            q += np.diff(simulate_module._sum_cdf(n + edges - s, h, delta))
+        return q
+
+    @pytest.mark.parametrize("M", [2, 7, 128])
+    def test_wide_noise_row_matches_every_translate(self, M):
+        for delta in [0.5, 0.7, 1.0, 1.25, 3.3, 10.0, 37.3]:
+            for alpha_j in [0.0, 0.15, 0.3883, 0.7071]:
+                assert_allclose(_fibre_kernel_row(alpha_j, delta, M),
+                                self.loop_row(alpha_j, delta, M), rtol=0, atol=1e-14)
+        for delta in [0.0, 0.1, 0.25, 0.4999]:   # below half a turn: the same bits
+            assert np.array_equal(_fibre_kernel_row(0.3883, delta, M),
+                                  self.loop_row(0.3883, delta, M))
+
+    def test_huge_delta_row(self):
+        # 2e8 full turns and 0.6 of one: within 1 / (2 delta) of uniform
+        delta, M = 1e8 + 0.3, 128
+        q = _fibre_kernel_row(0.3883, delta, M)
+        assert abs(q.sum() - 1) <= 1e-14
+        assert np.max(np.abs(q - 1 / M)) <= 1 / (2 * delta)
+        assert np.ptp(q) > 0
+        op = ulam_analytic(*single_fibre_model(0.3883), 0.0, 1e300, M)
+        assert_allclose(op.kernel_rows, 1 / M, rtol=0, atol=1e-15)
 
     def test_sector_decomposition_matches_full_spectrum(self):
         # the analytic matrix is circulant per fibre pair: the fibre-wise DFT
@@ -534,6 +565,16 @@ class TestCellMatrixPath:
             return values, vectors + 1e-6
 
         monkeypatch.setattr(np.linalg, "eig", rough_eig)
+        with pytest.raises(NoConvergence, match="sector eigenpair residual") as exc:
+            detect_cycles(op, model, top_m=3)
+        assert len(exc.value.partial) == 3
+
+    def test_one_residual_bound_certifies_blocks_and_sectors(self, empirical, monkeypatch):
+        # Fourier-block spectra and sector eigenpairs read the same binding
+        op, model = empirical
+        monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NoConvergence, match="exceed the residual tolerance"):
+            spectrum(model, laplacian_generator(model.N), 1, 0.1)
         with pytest.raises(NoConvergence, match="sector eigenpair residual") as exc:
             detect_cycles(op, model, top_m=3)
         assert len(exc.value.partial) == 3

@@ -10,7 +10,7 @@ from rotor_spectra import (assemble_fourier_block, build_band_model, delta_facto
                            eig_dense_complex, gershgorin_bound, label_spectrum,
                            laplacian_generator, spectrum, w_epsilon)
 from rotor_spectra.errors import AmbiguousLabelling
-from rotor_spectra.model import NoiseGenerator
+from rotor_spectra.model import NoiseGenerator, spectral_gap
 from rotor_spectra.response import first_order_basis
 from rotor_spectra.spectra import EigResult, nearest_assignment
 from conftest import random_banded_model
@@ -169,7 +169,7 @@ class TestGershgorin:
             eps = float(rng.uniform(0, 0.2))
             k = int(rng.integers(-3, 4))
             radius = gershgorin_bound(g, eps)
-            if m.phase_gap(k) <= 2 * radius:
+            if spectral_gap([m.phases(k)])[0] <= 2 * radius:
                 continue
             spec = spectrum(m, g, k, eps)
             assert np.max(np.abs(spec.lam - spec.target)) <= radius + 1e-12
@@ -262,8 +262,8 @@ class TestSpectrumInvariants:
         model = build_band_model([b / 100 for b in beta], widths)
         gen = laplacian_generator(model.N)
         k = data.draw(st.integers(1, 3), label="k")
-        # the band disks stay disjoint up to eps = phase_gap / (2 * radius per eps)
-        limit = model.phase_gap(k) / (2 * gershgorin_bound(gen, 1.0))
+        # the band disks stay disjoint up to eps = phase gap / (2 * radius per eps)
+        limit = spectral_gap([model.phases(k)])[0] / (2 * gershgorin_bound(gen, 1.0))
         assume(limit > 1e-3)
         eps = data.draw(st.floats(1e-4, min(limit / 2, gen.eps_max)), label="eps")
         block = assemble_fourier_block(model, gen, k, eps)
