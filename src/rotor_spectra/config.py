@@ -101,15 +101,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"'L' must be an array of integers, got {bad[0]!r}")
     if len(beta) != len(L):
         raise ConfigError(f"'beta' and 'L' differ in length: {len(beta)} vs {len(L)}")
+    spec = doc.get("generator", "laplacian")
     try:
         model = build_band_model(beta, L)
+        if spec == "laplacian":
+            gen = laplacian_generator(model.N)
     except RotorSpectraError as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
 
-    spec = doc.get("generator", "laplacian")
-    if spec == "laplacian":
-        gen = laplacian_generator(model.N)
-    elif isinstance(spec, list):
+    if isinstance(spec, list):
         try:
             gen = NoiseGenerator.from_matrix(spec)
         except (TypeError, ValueError) as exc:
@@ -117,7 +117,7 @@ def parse_config(text: str) -> RunConfig:
         if gen.N != model.N:
             raise ConfigError(
                 f"generator is {gen.N}x{gen.N} but the model has N={model.N}")
-    else:
+    elif spec != "laplacian":
         raise ConfigError("generator must be 'laplacian' or an explicit matrix")
 
     delta = doc.get("delta", 0.0)

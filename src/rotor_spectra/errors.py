@@ -36,7 +36,7 @@ class InvalidMatrix(RotorSpectraError, ValueError):
 
 
 class InvalidSpeeds(RotorSpectraError, ValueError):
-    """A speed profile is not a nonempty 1-d array."""
+    """A speed profile is not a nonempty 1-d array, or a band speed is not finite."""
 
 
 class DimensionMismatch(RotorSpectraError, ValueError):

@@ -117,7 +117,8 @@ class AdmissibilityReport:
 def build_band_model(beta, L) -> BandModel:
     """Assemble a BandModel from band speeds and widths.
 
-    Speeds are compared exactly (they are model inputs, not measurements).
+    Speeds must be finite (InvalidSpeeds) and are compared exactly (they are
+    model inputs, not measurements).
     """
     beta = tuple(float(b) for b in beta)
     L = tuple(int(x) for x in L)
@@ -127,6 +128,8 @@ def build_band_model(beta, L) -> BandModel:
         raise EmptyBand("model needs at least one band")
     if any(x < 1 for x in L):
         raise EmptyBand(f"band widths must be >= 1, got {L}")
+    if not all(map(math.isfinite, beta)):
+        raise InvalidSpeeds(f"band speeds must be finite, got {beta}")
     if len(set(beta)) != len(beta):
         raise DuplicateSpeed(f"band speeds must be pairwise distinct, got {beta}")
     cum = (0,) + tuple(np.cumsum(L).tolist())

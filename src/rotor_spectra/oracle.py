@@ -1,17 +1,22 @@
 """Closed-form eigendata for the Laplacian generator.
 
-For the central-difference Laplacian stencil, each band block of the limit
-matrix is a tridiagonal Toeplitz matrix with known cosine eigenvalues and
-sine eigenvectors: the first block sees a reflecting top end and an absorbing
-bottom end, interior blocks are absorbing on both ends, and the last block
-mirrors the first.  These closed forms act as an exact independent oracle for
-the numerical limit basis.
+Each band block of the Laplacian's limit matrix is the tridiagonal Toeplitz
+matrix (W x)_i = (x_{i-1} - 2 x_i + x_{i+1}) / 2 with a ghost value beyond
+each end: the end value where the end reflects (a global end of the stencil,
+on top in band 0 and at the bottom in band S - 1; diagonal -1/2), zero where
+it absorbs (a band boundary, whose coupling the limit drops; diagonal -1).
+x_i = cos(theta (i - 1/2)) meets a reflecting top end and x_i = sin(theta i)
+an absorbing one, either with eigenvalue rho = -1 + cos(theta), and the
+bottom end quantises theta: with r reflecting ends,
 
-Index conventions of the eigenvector formulas were fixed by residual-testing
-the candidate conventions on small blocks; every returned pair is certified
-by its residual against the assembled limit matrix.  The single-band case
-(reflecting at both ends) has no closed form here and falls back to a
-numerical solve, flagged as such.
+    theta_m = (m - r/2) pi / (L + 1 - r/2),    m = 1..L.
+
+theta rises through [0, pi), so rho descends in m (the label order of
+:func:`rotor_spectra.zero_noise.limit_eigenbasis`) and each column's first
+entry, cos(theta/2) or sin(theta), is positive, as that function's sign gauge
+has it.  The closed forms are an oracle independent of the numerical limit
+basis; every pair is certified by its residual against the assembled limit
+matrix.
 """
 
 from __future__ import annotations
@@ -22,12 +27,11 @@ import numpy as np
 
 from .errors import MismatchBeyondTolerance, NotLaplacian
 from .model import BandModel, NoiseGenerator, _freeze, laplacian_generator
-from .zero_noise import assemble_limit_matrix, limit_eigenbasis, projective_distance, sign_gauge
+from .zero_noise import assemble_limit_matrix, limit_eigenbasis, projective_distance
 
-CASE_FIRST = "first"
-CASE_INTERIOR = "interior"
-CASE_LAST = "last"
-CASE_FALLBACK = "fallback"
+#: the case label of a band block, by whether its (top, bottom) end reflects
+CASES = {(True, False): "first", (False, False): "interior", (False, True): "last",
+         (True, True): "single"}
 
 #: largest eigenvalue difference and projective vector distance the cross-check accepts
 ORACLE_TOL = 1e-10
@@ -67,24 +71,14 @@ class OracleReport:
         return float(np.max(self.vec_proj_dist))
 
 
-def _block_closed_form(L: int, case: str):
-    """Eigenvalues rho (descending) and sine eigenvectors of one band block."""
-    m = np.arange(1, L + 1)
-    i = np.arange(1, L + 1)
-    if case == CASE_INTERIOR:
-        rho = -1.0 + np.cos(m * np.pi / (L + 1))
-        vec = np.sin(np.outer(i, m) * np.pi / (L + 1))
-    elif case == CASE_FIRST:
-        rho = -1.0 + np.cos((2 * m - 1) * np.pi / (2 * L + 1))
-        vec = np.sin(np.outer(L + 1 - i, 2 * m - 1) * np.pi / (2 * L + 1))
-    elif case == CASE_LAST:
-        rho = -1.0 + np.cos((2 * m - 1) * np.pi / (2 * L + 1))
-        vec = np.sin(np.outer(i, 2 * m - 1) * np.pi / (2 * L + 1))
-    else:
-        raise ValueError(case)
-    vec = vec / np.linalg.norm(vec, axis=0, keepdims=True)
-    # rho is already descending in m for every case
-    return rho, vec
+def _block_closed_form(L: int, top: bool, bottom: bool):
+    """Eigenvalues rho (descending) and unit eigenvectors of one band block
+    whose top and bottom ends reflect as flagged (module docstring)."""
+    r = top + bottom
+    theta = (np.arange(1, L + 1) - r / 2) * np.pi / (L + 1 - r / 2)
+    i = np.arange(1, L + 1)[:, None]
+    vec = np.cos(theta * (i - 0.5)) if top else np.sin(theta * i)
+    return -1.0 + np.cos(theta), vec / np.linalg.norm(vec, axis=0)
 
 
 def closed_form_eigendata(model: BandModel, k: int) -> ClosedFormEigen:
@@ -95,23 +89,15 @@ def closed_form_eigendata(model: BandModel, k: int) -> ClosedFormEigen:
     against the assembled limit matrix and certify each pair.
     """
     gen = laplacian_generator(model.N)
-    if model.S == 1:
-        # reflecting at both ends: no closed form, numerical fallback
-        fallback = limit_eigenbasis(model, gen, k)
-        lam_hat, vectors = fallback.lambda_hat, fallback.vectors
-        cases = [CASE_FALLBACK] * model.N
-    else:
-        lam_hat = np.zeros(model.N, dtype=complex)
-        vectors = np.zeros((model.N, model.N))
-        cases = []
-        for s in range(model.S):
-            sl = model.band_slice(s)
-            case = CASE_FIRST if s == 0 else CASE_LAST if s == model.S - 1 else CASE_INTERIOR
-            rho, v = _block_closed_form(model.L[s], case)
-            lam_hat[sl] = model.phases(k)[s] * rho
-            vectors[sl, sl] = v
-            cases += [case] * model.L[s]
-        vectors = sign_gauge(vectors)
+    lam_hat = np.zeros(model.N, dtype=complex)
+    vectors = np.zeros((model.N, model.N))
+    cases = []
+    for s, phase in enumerate(model.phases(k)):
+        sl, ends = model.band_slice(s), (s == 0, s == model.S - 1)
+        rho, v = _block_closed_form(model.L[s], *ends)
+        lam_hat[sl] = phase * rho
+        vectors[sl, sl] = v
+        cases += [CASES[ends]] * model.L[s]
     phat = assemble_limit_matrix(model, gen, k)
     residual = np.linalg.norm(phat @ vectors - lam_hat[None, :] * vectors, axis=0)
     return ClosedFormEigen(k=int(k), lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),

@@ -79,15 +79,21 @@ class OrderCheck:
     slope_vec: float | None
 
 
+def _terminates(model: BandModel, k: int) -> bool:
+    """Every fibre phase is equal (S = 1 or k = 0), so the expansion terminates
+    at first order; limit_basis refuses equal band phases anywhere else."""
+    return model.S == 1 or k == 0
+
+
 def first_order_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
     """Limit vectors f and first-order terms lhat for every label.
 
-    For S = 1 or k = 0 all band phases coincide: the expansion terminates at
-    first order and the basis diagonalises the full Wdot (the limit problem
-    is global, not band-blocked).  Otherwise it is the band-blocked limit
-    basis, which requires distinct band phases at this k.
+    Where the expansion terminates (:func:`_terminates`: S = 1 or k = 0) the
+    basis diagonalises the full Wdot (the limit problem is global, not
+    band-blocked).  Otherwise it is the band-blocked limit basis, which
+    requires distinct band phases at this k.
     """
-    if model.S == 1 or k == 0:
+    if _terminates(model, k):
         rho, v = sorted_eigenbasis(gen.wdot)
         return LimitBasis(k=int(k), lambda_hat=_freeze(model.phases(k)[0] * rho),
                           vectors=_freeze(v), band=model.band_index, model=model)
@@ -103,17 +109,17 @@ def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int):
     H = B^H (A * inv), lhathat = diag(H), the in-band coefficients
     H[r, ell] / (lhat_ell - lhat_r) and the out-of-band ones (F^T A) * inv.
     Every sum runs over label pairs of distinct phases; where there are none
-    (see first_order_basis) both terms are exact zeros.  The in-band gaps
+    (:func:`_terminates`) both terms are exact zeros.  The in-band gaps
     lhat_ell - lhat_r are band-block eigenvalue gaps times a phase, which
     limit_basis has already judged simple.
     """
     n = model.N
     basis = first_order_basis(model, gen, k)
+    if _terminates(model, k):
+        return basis, np.zeros(n, dtype=complex), np.zeros((n, n), dtype=complex)
     f, lam_hat = basis.vectors, basis.lambda_hat
     d = model.phases(k)[model.band_index]
     across = d[:, None] != d[None, :]                    # [r, ell]: distinct phases
-    if not across.any():
-        return basis, np.zeros(n, dtype=complex), np.zeros((n, n), dtype=complex)
     within = ~across & ~np.eye(n, dtype=bool)            # [r, ell]: r != ell, same band
     gap = lam_hat[None, :] - lam_hat[:, None]            # [r, ell]: lhat_ell - lhat_r
     inv = np.zeros((n, n), dtype=complex)
@@ -242,7 +248,7 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
                          projective_distance(vec, resp.basis.vectors[:, ell]
                                              + eps * resp.f_hat[:, ell])))
 
-    terminates = bool(np.all(d == d[0]))                 # no two distinct phases
+    terminates = _terminates(model, k)
     checks = []
     for ell, rows in zip(ells, ladders):
         r0, r1, r2, vec_r = (_freeze(np.asarray(col)) for col in zip(*rows))

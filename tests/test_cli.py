@@ -169,11 +169,13 @@ class TestSpectrum:
         ('{"beta": [0.1, 0.2], "L": [1]}', []),
         ('{"beta": [0.1, 0.2], "L": [1.5, 2]}', []),
         ('{"beta": [0.1, 0.2], "L": [true, "2"]}', []),
+        ('{"beta": [0.1], "L": [1]}', []),
     ], ids=["delta-nan", "delta-infinity", "delta-overflow", "beta-nan", "generator-nan",
             "eps-nan", "eps-inf", "delta-inf", "delta-negative", "ks-empty", "eps-empty",
             "beta-int-overflow", "delta-int-overflow", "eps-int-overflow", "ks-int-overflow",
             "k-flag-int-overflow", "ks-beyond-2**32", "k-flag-301-digits", "k-flag-2**53+1",
-            "k-flag-below-minus-2**32", "beta-L-length", "L-float", "L-bool-string"])
+            "k-flag-below-minus-2**32", "beta-L-length", "L-float", "L-bool-string",
+            "one-fibre-laplacian"])
     def test_non_finite_input_exit2(self, tmp_path, capsys, config, extra):
         p = tmp_path / "model.json"
         p.write_text(config, encoding="utf-8")

@@ -227,13 +227,18 @@ class TestWEpsilon:
     (InvalidMatrix, lambda: NoiseGenerator.from_matrix([[0.0, 1.0]])),
     (DimensionMismatch, lambda: build_band_model([0.1, 0.2], [1])),
     (InvalidSpeeds, lambda: detect_bands([])),
+    (InvalidSpeeds, lambda: build_band_model([math.nan], [2])),
+    (InvalidSpeeds, lambda: build_band_model([0.1, -math.inf], [1, 1])),
+    # NaN != NaN, so without the check these would be two "distinct" bands
+    (InvalidSpeeds, lambda: detect_bands([math.nan, math.nan])),
     (DimensionMismatch, lambda: validate_admissibility(laplacian_generator(3),
                                                        build_band_model([0.1], [2]))),
     (InvalidMatrix, lambda: eig_dense_complex(np.ones((2, 3)))),
     (InvalidMatrix, lambda: eig_dense_complex([[1.0, np.nan], [0.0, 1.0]])),
     (DimensionMismatch, lambda: alpha_response(build_band_model([0.0, 0.25], [1, 1]),
                                               laplacian_generator(2), 1, 0.01, 0, [1.0])),
-], ids=["from_matrix", "band_lengths", "detect_bands", "admissibility_dimension",
+], ids=["from_matrix", "band_lengths", "detect_bands", "nan_speed", "infinite_speed",
+        "detect_bands_nan", "admissibility_dimension",
         "eig_not_square", "eig_non_finite", "alpha_direction"])
 def test_boundary_errors_are_typed(error, call):
     # typed library errors that still satisfy callers catching ValueError

@@ -1,11 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rotor_spectra import (NoiseGenerator, assemble_limit_matrix, build_band_model,
                            closed_form_eigendata, laplacian_generator, oracle,
                            oracle_crosscheck)
 from rotor_spectra.errors import MismatchBeyondTolerance, NotLaplacian
+from rotor_spectra.oracle import ORACLE_TOL
+
+
+def explicit_block(L, top, bottom):
+    """The band block (W x)_i = (x_{i-1} - 2 x_i + x_{i+1})/2 with reflecting
+    ends as flagged: diagonal -1, -1/2 at a reflecting end, off-diagonals 1/2."""
+    w = np.diag(np.full(L, -1.0)) + 0.5 * (np.eye(L, k=1) + np.eye(L, k=-1))
+    w[0, 0] += 0.5 * top
+    w[L - 1, L - 1] += 0.5 * bottom
+    return w
 
 
 class TestClosedForm:
@@ -55,15 +69,32 @@ class TestClosedForm:
         b = np.sort_complex(np.round(numeric, 12))
         assert np.max(np.abs(a - b)) <= 1e-10
 
-    def test_single_band_fallback(self):
+    @pytest.mark.parametrize("top, bottom", [(True, False), (False, False), (False, True),
+                                             (True, True)])
+    def test_block_matches_eigvalsh(self, top, bottom):
+        for L in range(1, 41):
+            if top and bottom and L == 1:
+                continue        # a one-fibre model has no Laplacian (N >= 2)
+            w = explicit_block(L, top, bottom)
+            rho, v = oracle._block_closed_form(L, top, bottom)
+            assert np.all(np.diff(rho) < 0)
+            assert np.max(np.abs(rho - np.linalg.eigvalsh(w)[::-1])) <= 1e-13
+            assert np.max(np.linalg.norm(w @ v - v * rho, axis=0)) <= 1e-13
+            assert_allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-14)
+            assert np.all(v[0] > 0)     # already in the limit basis's sign gauge
+
+    def test_single_band_closed_form(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("the closed form must not call the numerical solver")
+
+        monkeypatch.setattr(oracle, "limit_eigenbasis", unused)
         m = build_band_model([0.3], [5])
         data = closed_form_eigendata(m, 2)
-        assert set(data.case) == {"fallback"}
+        assert data.case == ("single",) * 5
         assert np.max(data.residual) <= 1e-12
-        rho = np.sort((data.lambda_hat * np.exp(2j * np.pi * 2 * 0.3)).real)
-        # reflecting ends at both sides: cosine ladder -1 + cos(m pi / N)
-        want = np.sort([-1 + np.cos(mm * np.pi / 5) for mm in range(5)])
-        assert_allclose(rho, want, atol=1e-12)
+        # reflecting ends at both sides: cosine ladder -1 + cos(m pi / L), descending
+        want = np.exp(-2j * np.pi * 2 * 0.3) * (-1 + np.cos(np.arange(5) * np.pi / 5))
+        assert_allclose(data.lambda_hat, want, atol=1e-15)
 
 
 class TestCrosscheck:
@@ -88,3 +119,29 @@ class TestCrosscheck:
         monkeypatch.setattr(oracle, "ORACLE_TOL", 1e-18)
         with pytest.raises(MismatchBeyondTolerance):
             oracle_crosscheck(case_model, case_gen, 1)
+
+    @pytest.mark.parametrize("beta, L", [([0.3], [6]), ([0.3], [2]),
+                                         ([0.1, 0.35, 0.6], [3, 2, 4])])
+    def test_perturbed_solver_is_caught(self, monkeypatch, beta, L):
+        # the closed form is independent of limit_eigenbasis, one band included
+        real = oracle.limit_eigenbasis
+
+        def perturbed(*args):
+            basis = real(*args)
+            return dataclasses.replace(basis, lambda_hat=basis.lambda_hat * (1 + 1e-6))
+
+        monkeypatch.setattr(oracle, "limit_eigenbasis", perturbed)
+        m = build_band_model(beta, L)
+        with pytest.raises(MismatchBeyondTolerance):
+            oracle_crosscheck(m, laplacian_generator(m.N), 1)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(widths=st.lists(st.integers(1, 6), min_size=1, max_size=4)
+           .filter(lambda w: sum(w) >= 2),
+           k=st.integers(-3, 3), data=st.data())
+    def test_random_laplacian_models(self, widths, k, data):
+        beta = data.draw(st.lists(st.floats(-1, 1, allow_subnormal=False), unique=True,
+                                  min_size=len(widths), max_size=len(widths)))
+        m = build_band_model(beta, widths)
+        oracle_crosscheck(m, laplacian_generator(m.N), k)      # raises on a mismatch
+        assert np.max(closed_form_eigendata(m, k).residual) <= ORACLE_TOL
