@@ -20,7 +20,7 @@ class DuplicateSpeed(RotorSpectraError):
 
 
 class EmptyBand(RotorSpectraError):
-    """A band width is zero or negative."""
+    """A band width is not a positive integer, or a model has no band."""
 
 
 class NonBandable(RotorSpectraError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -118,16 +119,18 @@ def build_band_model(beta, L) -> BandModel:
     """Assemble a BandModel from band speeds and widths.
 
     Speeds must be finite (InvalidSpeeds) and are compared exactly (they are
-    model inputs, not measurements).
+    model inputs, not measurements).  Widths must be positive integers of an
+    integer type (EmptyBand): a float width is refused, not truncated.
     """
     beta = tuple(float(b) for b in beta)
-    L = tuple(int(x) for x in L)
+    L = tuple(L)
     if len(beta) != len(L):
         raise DimensionMismatch(f"beta and L length mismatch: {len(beta)} vs {len(L)}")
     if len(beta) == 0:
         raise EmptyBand("model needs at least one band")
-    if any(x < 1 for x in L):
-        raise EmptyBand(f"band widths must be >= 1, got {L}")
+    if not all(isinstance(x, Integral) and not isinstance(x, bool) and x >= 1 for x in L):
+        raise EmptyBand(f"band widths must be positive integers, got {L}")
+    L = tuple(int(x) for x in L)
     if not all(map(math.isfinite, beta)):
         raise InvalidSpeeds(f"band speeds must be finite, got {beta}")
     if len(set(beta)) != len(beta):

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model as band_models
 from .errors import DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, NonOrthogonal
 from .model import BandModel, NoiseGenerator, _freeze, spectral_gap
 from .spectra import (assemble_fourier_block, eig_dense_complex, label_spectrum,
@@ -63,7 +64,10 @@ class OrderCheck:
     projective distance between f_eps and f + eps*fhat.  Slopes are
     least-squares fits on the log-log grid.  When S = 1 or k = 0 the expansion
     terminates, so r1, r2 and vec_r are rounding only and slope1, slope2 and
-    slope_vec are None (empty cells in the CSV footer).
+    slope_vec are None (empty cells in the CSV footer).  slope0 is None for a
+    stationary label, whose lhat is 0 by the simple-spectrum rule (|lhat| at
+    most GAP_TOL times the largest |lhat|): its eigenvalue does not move with
+    eps, so r0 is rounding only.
     """
 
     k: int
@@ -73,7 +77,7 @@ class OrderCheck:
     r1: np.ndarray
     r2: np.ndarray
     vec_r: np.ndarray
-    slope0: float
+    slope0: float | None
     slope1: float | None
     slope2: float | None
     slope_vec: float | None
@@ -227,7 +231,8 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
     mu = lam_eps - lam_0 is O(eps) and no entry of size 1 is rounded, so the
     ladders carry complex128's relative precision down the grid instead of
     an absolute floor.  When every fibre phase is equal (S = 1 or k = 0) the
-    expansion terminates and r1, r2 and vec_r, rounding only, get no slope.
+    expansion terminates and r1, r2 and vec_r, rounding only, get no slope;
+    nor does r0 of a stationary label (lhat = 0, see OrderCheck).
     """
     model, k, ells = resp.basis.model, resp.k, [int(ell) for ell in ells]
     eps_grid = check_eps_grid(gen, eps_grid)
@@ -249,12 +254,15 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
                                              + eps * resp.f_hat[:, ell])))
 
     terminates = _terminates(model, k)
+    # lhat = 0 by the simple-spectrum rule: the eigenvalue stays put, r0 is rounding
+    lhat = np.abs(resp.lambda_hat)
+    stationary = lhat <= band_models.GAP_TOL * np.max(lhat)
     checks = []
     for ell, rows in zip(ells, ladders):
         r0, r1, r2, vec_r = (_freeze(np.asarray(col)) for col in zip(*rows))
+        fit0 = None if stationary[ell] else _fit_slope(eps_grid, r0)
         fits = [None] * 3 if terminates else [_fit_slope(eps_grid, r) for r in (r1, r2, vec_r)]
-        checks.append(OrderCheck(int(k), ell, _freeze(eps_grid), r0, r1, r2, vec_r,
-                                 _fit_slope(eps_grid, r0), *fits))
+        checks.append(OrderCheck(int(k), ell, _freeze(eps_grid), r0, r1, r2, vec_r, fit0, *fits))
     return tuple(checks)
 
 

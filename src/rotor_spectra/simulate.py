@@ -21,10 +21,14 @@ j's kernel row.  Counted operators pool every observed step (j, b) ->
 with circle-bin shifts as well, and their sector m is the N x N block
 sum_d K[:, :, d] e^{2 pi i m d / M}.  Sector m's eigenvector u gives the
 cell eigenvector u_j e^{2 pi i m a / M}.  Sector M - m is the conjugate of
-sector m, so detect_cycles solves sectors 0..M/2 only ("sector" path), for
-both operator kinds, and certifies each reported eigenpair with
-spectra.eig_dense_complex, the certificate of the Fourier-block spectra.
-Neither kind stores its cell matrix; UlamOperator.matrix builds it on read.
+sector m, so detect_cycles works on sectors 0..M/2 only ("sector" path), for
+both operator kinds.  No eigenvalue of sector m exceeds its block's largest
+absolute row sum b(m) (max_j |qhat_j(m)| times row j's sum of |W_eps| for
+exact operators), so it solves the sectors in descending b(m) and stops once
+no unsolved sector can change the reported cycles (usually after 2 of the
+M/2 + 1).  It certifies each reported eigenpair with spectra.eig_dense_complex,
+the certificate of the Fourier-block spectra.  Neither kind stores its cell
+matrix; UlamOperator.matrix builds it on read.
 """
 
 from __future__ import annotations
@@ -118,15 +122,17 @@ class Cycle:
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Detected cycles, the solver path ("sector") and the worst eigenpair
-    residual ||B v - lam v|| (unit v) over the reported cycles; each one met
-    RESIDUAL_TOL times the 2-norm of its sector block B."""
+    """Detected cycles, the solver path ("sector"), the worst eigenpair
+    residual ||B v - lam v|| (unit v) over the reported cycles, each of which
+    met RESIDUAL_TOL times the 2-norm of its sector block B, and the number of
+    sectors whose eigenvalues were computed, out of M // 2 + 1."""
 
     cycles: tuple[Cycle, ...]
     M: int
     top_m: int
     solver: str
     max_residual: float
+    sectors_solved: int
 
 
 def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
@@ -299,26 +305,56 @@ def _pick_cycles(values: np.ndarray, top_m: int) -> list:
     return picked
 
 
-def _sector_cycles(op: UlamOperator, top_m: int) -> list:
-    """(rep, per-fibre mass, residual, converged) per cycle from the bin-DFT
-    sectors 0..M/2, each sector decomposed at most once by eig_dense_complex."""
+def _sector_cycles(op: UlamOperator, top_m: int) -> tuple[list, int]:
+    """(rep, per-fibre mass, residual, converged) per cycle, and the number of
+    bin-DFT sectors solved.
+
+    Sector m's block B_m holds no eigenvalue above its largest absolute row
+    sum b(m), so sectors 0..M/2 are solved in descending b(m) (ties in
+    ascending m) until the top_m-th pick exceeds every unsolved b(m) by a
+    relative 1e-9, far above _pick_cycles' 1e-12 magnitude rounding: no
+    unsolved eigenvalue can then rank before a pick.  The solved sectors'
+    values are kept in ascending m, so ties break as in a sweep of every
+    sector, and each sector holding a pick is decomposed once by
+    eig_dense_complex.
+    """
     if op.kernel is not None:
-        blocks = np.moveaxis(np.fft.rfft(op.kernel, axis=2).conj(), 2, 0)
+        khat = np.fft.rfft(op.kernel, axis=2).conj()              # (N, N, M//2 + 1)
+        bounds = np.abs(khat).sum(axis=1).max(axis=0)
+
+        def block(m):
+            return khat[:, :, m]
     else:
-        qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()  # (N, M//2 + 1)
-        blocks = qhat.T[:, :, None] * op.w_eps               # Diag(qhat(m)) W_eps
-    values = np.linalg.eigvals(blocks)
+        qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()         # (N, M//2 + 1)
+        bounds = (np.abs(qhat) * np.abs(op.w_eps).sum(axis=1)[:, None]).max(axis=0)
+
+        def block(m):
+            return qhat[:, m, None] * op.w_eps                      # Diag(qhat(m)) W_eps
+    order = np.argsort(-bounds, kind="stable")
+    cuts = (1 + 1e-9) * np.append(bounds[order[1:]], -np.inf)   # next unsolved b(m)
+    solved = {}
+    for m, cut in zip(order, cuts):
+        solved[m] = np.linalg.eigvals(block(m))
+        values = np.concatenate([solved[s] for s in sorted(solved)])
+        # a stop needs top_m nonreal values above the cut: count them before sorting
+        if np.count_nonzero((np.abs(values.imag) > IMAG_TOL) & (np.abs(values) > cut)) >= top_m:
+            picked = _pick_cycles(values, top_m)
+            if len(picked) == top_m and abs(picked[-1][0]) > cut:
+                break
+    else:   # every sector solved: the picks may run short, or be none
+        picked = _pick_cycles(values, top_m)
+    sectors, n = sorted(solved), op.model.N
     eigs, out = {}, []
-    for rep, i in _pick_cycles(values.ravel(), top_m):
-        m, lam = i // op.model.N, values.flat[i]
+    for rep, i in picked:
+        m = sectors[i // n]
         if m not in eigs:
-            eigs[m] = eig_dense_complex(blocks[m])
+            eigs[m] = eig_dense_complex(block(m))
         eig = eigs[m]
-        c = int(np.argmin(np.abs(eig.values - lam)))
+        c = int(np.argmin(np.abs(eig.values - values[i])))
         # |u_j e^{2 pi i m a / M}|^2 = |u_j|^2 in every bin of fibre j
         out.append((rep, np.abs(eig.vectors[:, c]) ** 2, float(eig.residuals[c]),
                     bool(eig.converged[c])))
-    return out
+    return out, len(solved)
 
 
 def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport:
@@ -327,8 +363,10 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
     Conjugate pairs are reported once, by their lower-half-plane member.  A
     cycle's per-band mass comes from the squared magnitudes of its eigenvector
     summed over each band's cells; the band with the largest mass is the
-    attributed support.  Both operator kinds are solved by bin-DFT sector
-    (see the module docstring).  Band widths other than ``op.model``'s raise
+    attributed support.  Both operator kinds are solved by bin-DFT sector,
+    in descending order of a bound on each sector's eigenvalues, until the
+    unsolved sectors cannot change the report (see the module docstring and
+    ``sectors_solved``).  Band widths other than ``op.model``'s raise
     DimensionMismatch.  Each reported eigenpair must pass the certificate of
     :func:`rotor_spectra.spectra.eig_dense_complex`, residual
     ``||B v - lam v||`` (unit v) at most ``RESIDUAL_TOL * ||B||_2`` for its
@@ -338,7 +376,7 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
         raise InvalidSimulationInput(f"top_m must be >= 1, got {top_m}")
     if model.L != op.model.L:
         raise DimensionMismatch(f"band widths {model.L} differ from the operator's {op.model.L}")
-    found = _sector_cycles(op, top_m)
+    found, sectors_solved = _sector_cycles(op, top_m)
     failed = [res for *_, res, converged in found if not converged]
     if failed:
         raise NoConvergence(f"sector eigenpair residual {max(failed):.3e} exceeds "
@@ -355,4 +393,5 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
             period_steps=float(2 * np.pi / abs(arg)),
             band_masses=band_masses, band=int(np.argmax(band_masses))))
     return CycleReport(cycles=tuple(cycles), M=op.M, top_m=int(top_m), solver="sector",
-                       max_residual=max(res for *_, res, _ in found))
+                       max_residual=max(res for *_, res, _ in found),
+                       sectors_solved=sectors_solved)

@@ -134,6 +134,7 @@ def write_cycles_json(path, report):
         "M": report.M,
         "top_m": report.top_m,
         "solver": report.solver,
+        "sectors_solved": report.sectors_solved,
         "max_residual": report.max_residual,
         "cycles": [
             {

@@ -323,15 +323,17 @@ class TestOtherCommands:
         assert len(solves) == 8
 
     def test_terminating_ordercheck_footers_leave_slopes_empty(self, case_cfg, tmp_path):
-        # at k = 0 every fibre phase is 1: only r0 gets a slope; k = 1 tables
-        # hold the bytes of the per-label order check
+        # at k = 0 every fibre phase is 1: only r0 gets a slope, and not even
+        # r0 for the stationary label 1 (lhat = 0); k = 1 tables hold the bytes
+        # of the per-label order check
         out = tmp_path / "resp"
         assert main(["response", "--config", str(case_cfg), "--out", str(out),
                      "--k", "0,1"]) == 0
         cfg = rs.load_config(case_cfg)
         for ell in cli._leading_labels(cfg.model):
             footer = (out / f"ordercheck_k0_ell{ell + 1}.csv").read_text().splitlines()[-1]
-            assert re.fullmatch(r"slopes,,,[-+.e0-9]+,,,", footer), footer
+            slope0 = "" if ell == 0 else "[-+.e0-9]+"
+            assert re.fullmatch(rf"slopes,,,{slope0},,,", footer), footer
             oc = rs.order_check(cfg.model, cfg.gen, 1, ell, [1e-2, 1e-3, 1e-4, 1e-5])
             writers.write_ordercheck_csv(tmp_path / "own.csv", oc)
             assert ((out / f"ordercheck_k1_ell{ell + 1}.csv").read_bytes()
@@ -358,6 +360,7 @@ class TestOtherCommands:
         doc = json.loads((out / "cycles.json").read_text())
         assert len(doc["cycles"]) == 2
         assert doc["solver"] == "sector" and 0 <= doc["max_residual"] <= spectra.RESIDUAL_TOL
+        assert 1 <= doc["sectors_solved"] <= 32 // 2 + 1
         header, rows = read_csv(out / "trajectories.csv")
         assert header == ["path", "step", "j", "x"]
         assert len(rows) == 3 * 6

@@ -44,6 +44,17 @@ class TestBuildBandModel:
         with pytest.raises(EmptyBand):
             build_band_model([0.1, 0.2], [1, 0])
 
+    @pytest.mark.parametrize("widths", [[2.7, 1.9], [2.0, 1], [math.nan, 1], [math.inf, 1],
+                                        [True, 1], ["2", 1], [-1, 1]])
+    def test_widths_must_be_positive_integers(self, widths):
+        # a fractional width was truncated and a NaN one escaped as a bare ValueError
+        with pytest.raises(EmptyBand, match="positive integers"):
+            build_band_model([0.1, 0.3], widths)
+
+    def test_integer_typed_widths(self):
+        m = build_band_model([0.1, 0.3], np.array([2, 1]))
+        assert m.L == (2, 1) and all(type(x) is int for x in m.L) and m.N == 3
+
     def test_phase_gap(self):
         # the band-phase gap is the simple-spectrum rule applied to the phases
         m = build_band_model([0.0, 0.25, 0.6], [1, 2, 1])

@@ -425,6 +425,22 @@ class TestTerminatingExpansion:
             assert second_order_eigenvalue(model, gen, k, ell) == resp.lambda_hathat[ell]
             assert np.array_equal(eigenvector_response(model, gen, k, ell), resp.f_hat[:, ell])
 
+    def test_stationary_label_gets_no_slope0(self, case_model, case_gen):
+        # lhat = 0: the eigenvalue does not move with eps, so r0 is rounding
+        # (the one-band fit read -5.54); every moving label keeps a slope near 1
+        grid = [1e-1, 1e-2, 1e-3, 1e-4]
+        for model, gen, k in [(build_band_model([0.3], [6]), laplacian_generator(6), 1),
+                              (case_model, case_gen, 0)]:
+            resp = response_data(model, gen, k)
+            checks = order_checks(resp, gen, range(4), grid)
+            assert abs(resp.lambda_hat[0]) <= 1e-15 and checks[0].slope0 is None
+            assert np.max(checks[0].r0) <= 1e-15
+            for oc in checks[1:]:
+                assert oc.slope0 == pytest.approx(1.0, abs=1e-6)
+        resp = response_data(case_model, case_gen, 1)
+        assert all(oc.slope0 is not None
+                   for oc in order_checks(resp, case_gen, [0, 11, 18], grid))
+
     def test_limit_basis_never_builds_the_dense_limit_matrix(self, case_model, case_gen,
                                                              monkeypatch):
         def refuse(*args):

@@ -86,6 +86,49 @@ def draw_admissible(data, widths, max_cells):
     return build_band_model(beta, widths), gen, eps, delta, M
 
 
+def all_sector_cycles(op, top_m):
+    """Reference: every sector 0..M/2 solved in one batched eigvals, the shared
+    pick rule, and one certified decomposition per sector holding a pick.
+
+    Returns (rep, per-fibre mass, residual, converged) per pick.
+    """
+    if op.kernel is not None:
+        blocks = np.moveaxis(np.fft.rfft(op.kernel, axis=2).conj(), 2, 0)
+    else:
+        qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()
+        blocks = qhat.T[:, :, None] * op.w_eps
+    values = np.linalg.eigvals(blocks)
+    out = []
+    for rep, i in _pick_cycles(values.ravel(), top_m):
+        eig = spectra.eig_dense_complex(blocks[i // op.model.N])
+        c = int(np.argmin(np.abs(eig.values - values.flat[i])))
+        mass = np.abs(eig.vectors[:, c]) ** 2
+        out.append((rep, mass / mass.sum(), float(eig.residuals[c]), bool(eig.converged[c])))
+    return out
+
+
+def assert_same_as_all_sectors(op, model, top_m):
+    """The pruned report equals the all-sector reference field for field."""
+    try:
+        ref = all_sector_cycles(op, top_m)
+    except NoComplexEigenvalues:
+        with pytest.raises(NoComplexEigenvalues):
+            detect_cycles(op, model, top_m)
+        return None
+    if not all(converged for *_, converged in ref):
+        with pytest.raises(NoConvergence):
+            detect_cycles(op, model, top_m)
+        return None
+    report = detect_cycles(op, model, top_m)
+    assert [c.eigenvalue for c in report.cycles] == [complex(rep) for rep, *_ in ref]
+    for c, (_, mass, *_) in zip(report.cycles, ref):
+        assert c.band_masses == tuple(float(mass[model.band_slice(s)].sum())
+                                      for s in range(model.S))
+    assert report.max_residual == max(res for _, _, res, _ in ref)
+    assert 1 <= report.sectors_solved <= op.M // 2 + 1
+    return report
+
+
 def assert_matches_full_eig(report, op, model):
     _, ref = full_eig_cycles(op, model, report.top_m)
     assert len(report.cycles) == len(ref)
@@ -529,6 +572,60 @@ class TestSectorPath:
         cfg.write_text(CASE_STUDY_JSON, encoding="utf-8")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"),
                      "--bins", "128", "--paths", "2", "--steps", "5"]) == 0
+
+
+class TestSectorPruning:
+    """Sectors solved in descending row-sum bound give the all-sector report."""
+
+    def test_case_study_solves_two_of_65_sectors(self, case_model, case_gen, monkeypatch):
+        op = ulam_analytic(case_model, case_gen, 0.1, 0.1, 128)
+        assert assert_same_as_all_sectors(op, case_model, 3).sectors_solved == 2
+        shapes, eigvals = [], np.linalg.eigvals
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        assert detect_cycles(op, case_model, 3).sectors_solved == 2
+        assert shapes == [(33, 33)] * 2
+
+    def test_counted_operator_solves_two_of_17_sectors(self):
+        cfg = case_study_config()
+        batch = simulate(cfg.model, cfg.gen, 0.1, 0.1, 200, 1000, seed=1)
+        op = ulam_empirical(batch, 32)
+        assert assert_same_as_all_sectors(op, cfg.model, 3).sectors_solved == 2
+
+    def test_short_picks_solve_every_sector(self):
+        # a quarter turn on 8 bins: the nonreal sector values are i and -i, one
+        # cycle, so no top_m = 3 stop exists
+        m, g = single_fibre_model(0.25)
+        op = ulam_analytic(m, g, 0.0, 0.0, 8)
+        report = assert_same_as_all_sectors(op, m, 3)
+        assert len(report.cycles) == 1 and report.sectors_solved == 5
+
+    @pytest.mark.parametrize("delta, M", [(0.1, 32), (0.0, 256), (0.1, 1024)])
+    @pytest.mark.parametrize("top_m", [1, 5])
+    def test_case_study_grid(self, case_model, case_gen, delta, M, top_m):
+        op = ulam_analytic(case_model, case_gen, 0.1, delta, M)
+        assert assert_same_as_all_sectors(op, case_model, top_m).sectors_solved < M // 2 + 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
+    def test_random_exact_operators(self, widths, data):
+        model, gen, eps, delta, M = draw_admissible(data, widths, max_cells=300)
+        top_m = data.draw(st.integers(1, 4), label="top_m")
+        assert_same_as_all_sectors(ulam_analytic(model, gen, eps, delta, M), model, top_m)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
+    def test_random_counted_operators(self, widths, data):
+        model, gen, eps, delta, M = draw_admissible(data, widths, max_cells=160)
+        batch = simulate(model, gen, eps, delta, data.draw(st.integers(1, 20), label="paths"),
+                         data.draw(st.integers(1, 200), label="steps"),
+                         seed=data.draw(st.integers(0, 2**32), label="seed"))
+        top_m = data.draw(st.integers(1, 4), label="top_m")
+        assert_same_as_all_sectors(counted_operator(batch, M, 1.0), model, top_m)
 
 
 class TestCellMatrixPath:
