@@ -1,13 +1,16 @@
 """Command-line surface.
 
 Subcommands: validate, spectrum, limit, response, oracle, simulate,
-casestudy.  Each takes only the flags it reads (``COMMANDS``).  Every run
-writes into one output directory together with a manifest recording the
-command, the config hash, the seed and the library version, so reruns are
-bit-identical on the same platform.  Each subcommand computes all its results
-before it creates the directory, so a run that stops on an error leaves none.
+casestudy.  Each takes only the flags it reads (``COMMANDS``).  ``main`` owns
+the run: it loads the config, fills unset ``--k``, ``--eps`` and ``--delta``
+from it, and calls the subcommand, which computes its results and returns the
+files to write.  Only then does ``main`` create ``--out``, write the files and
+a ``manifest.json`` (command, config hash, library version, parameters), so a
+run that stops on an error leaves no directory, and reruns are bit-identical
+on the same platform.
 
-Exit codes: 0 success, 1 validation or math error, 2 config or usage error.
+Exit codes: 0 success, 1 validation or math error, 2 config or usage error,
+an output directory that cannot be written included.
 """
 
 from __future__ import annotations
@@ -72,22 +75,6 @@ def _list_of(parse):
     return parse_list
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _manifest(out: Path, command: str, cfg: RunConfig, **params):
-    doc = {
-        "command": command,
-        "config_sha256": hashlib.sha256(cfg.raw.encode()).hexdigest(),
-        "version": __version__,
-        "parameters": {k: v for k, v in sorted(params.items())},
-    }
-    (out / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
 def _load(args) -> RunConfig:
     if args.config:
         return load_config(args.config)
@@ -101,31 +88,32 @@ def _leading_labels(model):
     return [model.cum[s] for s in range(model.S)]
 
 
-def _write_spectrum(out: Path, model, k: int, eps: float, spec) -> None:
+def _spectrum_files(model, k: int, eps: float, spec):
     tag = f"k{k}_eps{eps:g}"
-    writers.write_spectrum_csv(out / f"spectrum_{tag}.csv", spec)
-    writers.write_vectors_csv(out / f"vectors_{tag}.csv", k, spec.vectors)
-    writers.write_circles_csv(out / f"circles_{tag}.csv", model, k,
-                              spec.sinc, spec.gersh_radius)
+    return [(f"spectrum_{tag}.csv", writers.write_spectrum_csv, spec),
+            (f"vectors_{tag}.csv", writers.write_vectors_csv, k, spec.vectors),
+            (f"circles_{tag}.csv", writers.write_circles_csv, model, k,
+             spec.sinc, spec.gersh_radius)]
 
 
-def _limit(cfg: RunConfig, k: int, eps_list):
+def _limit_files(cfg: RunConfig, k: int, eps_list):
+    """The limit basis at ``k`` and its convergence over ``eps_list``, as files."""
     basis = limit_basis(cfg.model, cfg.gen, k)
-    return basis, spectrum_convergence(basis, cfg.gen, eps_list)
+    rows = spectrum_convergence(basis, cfg.gen, eps_list)
+    return [(f"limit_basis_k{k}.csv", writers.write_limit_csv, basis),
+            (f"convergence_k{k}.csv", writers.write_convergence_csv, rows)]
 
 
-def _write_limit(out: Path, k: int, basis, rows) -> None:
-    writers.write_limit_csv(out / f"limit_basis_k{k}.csv", basis)
-    writers.write_convergence_csv(out / f"convergence_k{k}.csv", rows)
+def _response_files(k: int, resp):
+    return [(f"response_k{k}.csv", writers.write_response_csv, resp),
+            (f"fhat_k{k}.csv", writers.write_vectors_csv, k, resp.f_hat)]
 
 
-def _write_response(out: Path, k: int, resp) -> None:
-    writers.write_response_csv(out / f"response_k{k}.csv", resp)
-    writers.write_vectors_csv(out / f"fhat_k{k}.csv", k, resp.f_hat)
+# Each cmd_* computes its results, prints its report and returns (exit code,
+# files, manifest parameters); a file is (name, writer, *arguments).  main
+# writes the files only after the command returns.
 
-
-def cmd_validate(args) -> int:
-    cfg = _load(args)
+def cmd_validate(cfg: RunConfig, args):
     report = validate_admissibility(cfg.gen, cfg.model)
     for name, ok in [("stochastic-generator", report.item_stochastic),
                      ("distinct-spectrum", report.item_distinct_full),
@@ -137,112 +125,74 @@ def cmd_validate(args) -> int:
     print(f"min_eigen_gap_full={report.min_eigen_gap_full:.6e} "
           f"min_eigen_gap_blocks={report.min_eigen_gap_blocks:.6e} "
           f"eps_max={report.eps_max:.6g}")
-    if args.out:
-        out = _outdir(args)
-        writers.write_admissibility_json(out / "admissibility.json", report)
-        _manifest(out, "validate", cfg)
-    return 0 if report.passed else 1
+    files = [("admissibility.json", writers.write_admissibility_json, report)]
+    return (0 if report.passed else 1), files, {}
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _load(args)
-    ks = args.k or list(cfg.ks)
-    eps_list = args.eps or list(cfg.epsilons)
-    delta = cfg.delta if args.delta is None else args.delta
-    spectra = []
-    for k in ks:
-        for eps in eps_list:
+def cmd_spectrum(cfg: RunConfig, args):
+    files = []
+    for k in args.k:
+        for eps in args.eps:
             try:
-                spectra.append((k, eps, spectrum(cfg.model, cfg.gen, k, eps, delta)))
+                spec = spectrum(cfg.model, cfg.gen, k, eps, args.delta)
             except AmbiguousLabelling as exc:
                 # reported per (k, eps) without aborting the sweep
                 print(f"ambiguous labelling at k={k}, eps={eps}: {exc}", file=sys.stderr)
-    out = _outdir(args)
-    for k, eps, spec in spectra:
-        _write_spectrum(out, cfg.model, k, eps, spec)
-    _manifest(out, "spectrum", cfg, ks=ks, epsilons=eps_list, delta=delta)
-    return 0
+                continue
+            files += _spectrum_files(cfg.model, k, eps, spec)
+    return 0, files, dict(ks=args.k, epsilons=args.eps, delta=args.delta)
 
 
-def cmd_limit(args) -> int:
-    cfg = _load(args)
-    ks = args.k or list(cfg.ks)
-    limits = [(k, *_limit(cfg, k, args.eps)) for k in ks]
-    out = _outdir(args)
-    for k, basis, rows in limits:
-        _write_limit(out, k, basis, rows)
-    _manifest(out, "limit", cfg, ks=ks, epsilons=args.eps)
-    return 0
+def cmd_limit(cfg: RunConfig, args):
+    files = [f for k in args.k for f in _limit_files(cfg, k, args.eps)]
+    return 0, files, dict(ks=args.k, epsilons=args.eps)
 
 
-def cmd_response(args) -> int:
-    cfg = _load(args)
+def cmd_response(cfg: RunConfig, args):
     check_eps_grid(cfg.gen, args.eps)
-    ks = args.k or list(cfg.ks)
-    resps = [response_data(cfg.model, cfg.gen, k) for k in ks]
+    resps = [response_data(cfg.model, cfg.gen, k) for k in args.k]
     checks = [oc for resp in resps
               for oc in order_checks(resp, cfg.gen, _leading_labels(cfg.model), args.eps)]
-    out = _outdir(args)
-    for k, resp in zip(ks, resps):
-        _write_response(out, k, resp)
-    for oc in checks:
-        writers.write_ordercheck_csv(out / f"ordercheck_k{oc.k}_ell{oc.ell + 1}.csv", oc)
-    _manifest(out, "response", cfg, ks=ks, grid=args.eps)
-    return 0
+    files = [f for k, resp in zip(args.k, resps) for f in _response_files(k, resp)]
+    files += [(f"ordercheck_k{oc.k}_ell{oc.ell + 1}.csv", writers.write_ordercheck_csv, oc)
+              for oc in checks]
+    return 0, files, dict(ks=args.k, grid=args.eps)
 
 
-def cmd_oracle(args) -> int:
-    cfg = _load(args)
-    ks = args.k or list(cfg.ks)
-    reports = [oracle_crosscheck(cfg.model, cfg.gen, k) for k in ks]
-    out = _outdir(args)
-    for k, report in zip(ks, reports):
-        writers.write_oracle_csv(out / f"oracle_k{k}.csv", report)
+def cmd_oracle(cfg: RunConfig, args):
+    reports = [oracle_crosscheck(cfg.model, cfg.gen, k) for k in args.k]
+    for k, report in zip(args.k, reports):
         print(f"k={k}: max |lhat diff| = {report.max_abs_diff:.3e}, "
               f"max vector distance = {report.max_vec_dist:.3e}")
-    _manifest(out, "oracle", cfg, ks=ks)
-    return 0
+    files = [(f"oracle_k{k}.csv", writers.write_oracle_csv, report)
+             for k, report in zip(args.k, reports)]
+    return 0, files, dict(ks=args.k)
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    eps = args.eps[0] if args.eps else cfg.epsilons[0]
-    delta = cfg.delta if args.delta is None else args.delta
-    op = ulam_analytic(cfg.model, cfg.gen, eps, delta, args.bins)
+def cmd_simulate(cfg: RunConfig, args):
+    eps = args.eps[0]
+    op = ulam_analytic(cfg.model, cfg.gen, eps, args.delta, args.bins)
     report = detect_cycles(op, cfg.model, args.top_m)
-    batch = (simulate(cfg.model, cfg.gen, eps, delta, args.paths, args.steps, args.seed)
-             if args.paths else None)
-    out = _outdir(args)
-    writers.write_cycles_json(out / "cycles.json", report)
+    files = [("cycles.json", writers.write_cycles_json, report)]
+    if args.paths:
+        batch = simulate(cfg.model, cfg.gen, eps, args.delta, args.paths, args.steps, args.seed)
+        files.append(("trajectories.csv", writers.write_trajectory_csv, batch))
     for i, c in enumerate(report.cycles):
         print(f"cycle {i + 1}: |lam|={c.magnitude:.6f} arg={c.arg:+.6f} "
               f"period={c.period_steps:.4f} steps band={c.band + 1} "
               f"masses={[round(m, 4) for m in c.band_masses]}")
-    if batch is not None:
-        writers.write_trajectory_csv(out / "trajectories.csv", batch)
-    _manifest(out, "simulate", cfg, eps=eps, delta=delta, bins=args.bins,
-              seed=args.seed, paths=args.paths, steps=args.steps, top_m=args.top_m)
-    return 0
+    return 0, files, dict(eps=eps, delta=args.delta, bins=args.bins, seed=args.seed,
+                          paths=args.paths, steps=args.steps, top_m=args.top_m)
 
 
-def cmd_casestudy(args) -> int:
-    cfg = _load(args)
-    k = args.k[0] if args.k else cfg.ks[0]
-    eps = args.eps[0] if args.eps else cfg.epsilons[0]
-    delta = cfg.delta if args.delta is None else args.delta
-
-    spec = spectrum(cfg.model, cfg.gen, k, eps, delta)
-    basis, rows = _limit(cfg, k, LIMIT_GRID)
-    resp = response_data(cfg.model, cfg.gen, k)
-    out = _outdir(args)
-    _write_spectrum(out, cfg.model, k, eps, spec)
-    _write_limit(out, k, basis, rows)
-    _write_response(out, k, resp)
-    writers.write_grid_csv(out / f"eigenfunction_grid_k{k}.csv", k, spec.vectors,
-                           _leading_labels(cfg.model), x_res=args.x_res)
-    _manifest(out, "casestudy", cfg, k=k, eps=eps, delta=delta, x_res=args.x_res)
-    print(f"case-study outputs written to {out}")
-    return 0
+def cmd_casestudy(cfg: RunConfig, args):
+    k, eps = args.k[0], args.eps[0]
+    spec = spectrum(cfg.model, cfg.gen, k, eps, args.delta)
+    files = _spectrum_files(cfg.model, k, eps, spec) + _limit_files(cfg, k, LIMIT_GRID)
+    files += _response_files(k, response_data(cfg.model, cfg.gen, k))
+    files.append((f"eigenfunction_grid_k{k}.csv", writers.write_grid_csv, k, spec.vectors,
+                  _leading_labels(cfg.model), args.x_res))
+    return 0, files, dict(k=k, eps=eps, delta=args.delta, x_res=args.x_res)
 
 
 #: argparse keywords of every flag; its default comes from the subcommand's row
@@ -297,7 +247,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = _load(args)
+        # an unset config-backed flag takes the config's value
+        for name, value in {"k": list(cfg.ks), "eps": list(cfg.epsilons),
+                            "delta": cfg.delta}.items():
+            if getattr(args, name, value) is None:
+                setattr(args, name, value)
+        code, files, params = args.fn(cfg, args)
+        if args.out is None:
+            return code
+        out = Path(args.out)
+        manifest = {"command": args.command,
+                    "config_sha256": hashlib.sha256(cfg.raw.encode()).hexdigest(),
+                    "version": __version__, "parameters": dict(sorted(params.items()))}
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, write, *data in files:
+                write(out / name, *data)
+            (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
+                                               encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output directory {out}: {exc}") from exc
+        if args.command == "casestudy":
+            print(f"case-study outputs written to {out}")
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -142,7 +142,11 @@ def load_config(path) -> RunConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc}") from exc
+    return parse_config(text)
 
 
 #: the three-band case-study model, expressed with exact speed tokens

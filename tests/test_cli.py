@@ -72,6 +72,13 @@ class TestValidate:
     def test_missing_config_exit2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "ghost.json")]) == 2
 
+    def test_undecodable_config_exit2(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark is not UTF-8
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b'\xff\xfe{"beta": [0.1], "L": [1]}')
+        assert main(["validate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {p}")
+
     def test_report_file(self, case_cfg, tmp_path):
         out = tmp_path / "rep"
         assert main(["validate", "--config", str(case_cfg), "--out", str(out)]) == 0
@@ -195,6 +202,35 @@ class TestSpectrum:
         assert main(["casestudy", "--config", str(p), "--out", str(tmp_path / "case")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "case").exists()
+
+    @pytest.mark.parametrize("config, extra, message", [
+        ('{"beta": [true], "L": [1]}', [], "config error: speed must be a number or token"),
+        ('[{"beta": [0.1], "L": [1]}]', [], "config error: top-level config must be an object"),
+        ('{"beta": 0.1, "L": [1]}', [], "config error: 'beta' and 'L' must be arrays"),
+        ('{"beta": [0.1, 0.3], "L": [1, 1], "generator": [[0, 0], [0]]}', [],
+         "config error: invalid generator matrix"),
+        ('{"beta": [0.1, 0.3], "L": [1, 1], "generator": [[0, "a"], ["a", 0]]}', [],
+         "config error: invalid generator matrix"),
+        ('{"beta": [0.1, 0.3], "L": [1, 1], "generator": "gauss"}', [],
+         "config error: generator must be 'laplacian' or an explicit matrix"),
+        (None, [], "config error: --config is required"),
+        ('{"beta": [0.1, 0.3], "L": [1, 1]}', ["--k", ","],
+         "argument --k: expected at least one value"),
+    ], ids=["beta-bool", "top-level-array", "beta-not-array", "generator-ragged",
+            "generator-non-numeric", "generator-unknown-name", "no-config", "k-flag-empty"])
+    def test_config_error_exit2(self, tmp_path, capsys, config, extra, message):
+        out = tmp_path / "spec"
+        if config is not None:
+            p = tmp_path / "model.json"
+            p.write_text(config, encoding="utf-8")
+            extra = ["--config", str(p), *extra]
+        try:
+            code = main(["spectrum", "--out", str(out), *extra])
+        except SystemExit as exc:       # usage error from argparse
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFlags:
@@ -383,6 +419,43 @@ class TestOtherCommands:
         assert not out.exists()
 
 
+class TestRunLifecycle:
+    @pytest.mark.parametrize("command, extra", [
+        ("validate", []),
+        ("spectrum", ["--k", "1,2", "--eps", "0.1", "--delta", "0.1"]),
+        ("limit", ["--k", "1", "--eps", "0.1,0.01"]),
+        ("response", ["--k", "1"]),
+        ("oracle", ["--k", "1,2"]),
+        ("simulate", ["--eps", "0.1", "--delta", "0.1", "--bins", "8", "--paths", "2",
+                      "--steps", "3"]),
+        ("casestudy", ["--k", "1", "--eps", "0.1", "--delta", "0.1", "--x-res", "4"]),
+    ])
+    def test_subcommands_return_their_files_and_write_nothing(self, case_cfg, tmp_path,
+                                                              command, extra):
+        # the subcommand computes; only main creates --out and writes into it
+        out = tmp_path / "o"
+        argv = [command, "--config", str(case_cfg), "--out", str(out), *extra]
+        args = cli.build_parser().parse_args(argv)
+        code, files, params = args.fn(rs.load_config(case_cfg), args)
+        assert not out.exists()
+        assert code == 0 and files and isinstance(params, dict)
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [name for name, *_ in files] + ["manifest.json"])
+        assert json.loads((out / "manifest.json").read_text())["parameters"] == json.loads(
+            json.dumps(params, sort_keys=True))
+
+    @pytest.mark.parametrize("target", ["taken", "taken/sub"], ids=["file", "below-a-file"])
+    def test_unwritable_out_exit2(self, case_cfg, tmp_path, target):
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        out = tmp_path / target
+        done = run_cli("-m", "rotor_spectra.cli", "oracle", "--config", str(case_cfg),
+                       "--out", str(out))
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"config error: cannot write output directory {out}: ")
+        assert "Traceback" not in done.stderr
+
+
 class TestCaseStudy:
     def test_full_run_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -478,12 +551,14 @@ def test_readme_names_only_bound_tolerances():
 NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
 
 
-@pytest.mark.parametrize("command", ["spectrum", "limit", "response", "oracle", "simulate"])
+@pytest.mark.parametrize("command", ["validate", "spectrum", "limit", "response", "oracle",
+                                     "simulate", "casestudy"])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_random_small_configs_exit_cleanly(command, data):
     # exit code 0, 1 or 2 and no escaping exception; exit 0 writes only
-    # finite numbers, any other exit writes no directory
+    # finite numbers, any other exit writes no directory (but a validate that
+    # exits 1 still writes its report)
     widths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
                        .filter(lambda w: sum(w) <= 6))
     n = sum(widths)
@@ -502,10 +577,11 @@ def test_random_small_configs_exit_cleanly(command, data):
     ks = data.draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3))
     eps = data.draw(st.lists(st.sampled_from([0, 0.01, 0.1, 0.5, 1]), min_size=1, max_size=3))
     k_flag, eps_flag = ["--k", ",".join(map(str, ks))], ["--eps", ",".join(map(str, eps))]
-    flags = {"spectrum": k_flag + eps_flag, "limit": k_flag + eps_flag,
+    flags = {"validate": [], "spectrum": k_flag + eps_flag, "limit": k_flag + eps_flag,
              "response": k_flag, "oracle": k_flag,
              "simulate": eps_flag + ["--bins", "8", "--top-m", "2", "--paths", "2",
-                                     "--steps", "5"]}[command]
+                                     "--steps", "5"],
+             "casestudy": k_flag + eps_flag + ["--x-res", "4"]}[command]
     config = {"beta": beta, "L": widths, "generator": generator,
               "delta": data.draw(st.sampled_from([0.0, 0.05, 0.1]))}
     with tempfile.TemporaryDirectory() as tmp:
@@ -519,5 +595,5 @@ def test_random_small_configs_exit_cleanly(command, data):
         if code == 0:
             for written in out.iterdir():
                 assert not NON_FINITE.search(written.read_text(encoding="utf-8")), written.name
-        else:
+        elif code == 2 or command != "validate":
             assert not out.exists()
