@@ -15,8 +15,7 @@ from .model import (AdmissibilityReport, BandModel, NoiseGenerator, build_band_m
                     detect_bands, laplacian_generator, validate_admissibility, w_epsilon)
 from .oracle import ClosedFormEigen, OracleReport, closed_form_eigendata, oracle_crosscheck
 from .response import (OrderCheck, ResponseData, alpha_response, eigenvector_response,
-                       order_check, order_checks, projection_expansion, response_data,
-                       second_order_eigenvalue)
+                       order_check, order_checks, response_data, second_order_eigenvalue)
 from .simulate import (Cycle, CycleReport, TrajectoryBatch, UlamOperator, detect_cycles,
                        simulate, ulam_analytic, ulam_empirical)
 from .spectra import (FourierBlock, LabelledSpectrum, assemble_fourier_block, delta_factor,

@@ -80,10 +80,6 @@ class GammaViolated(RotorSpectraError):
 
 # --- response ---
 
-class NonOrthogonal(RotorSpectraError):
-    """Response vector is not orthogonal to its eigenvector."""
-
-
 class EigsNotSimple(RotorSpectraError):
     """Eigenvalues are not pairwise distinct at the requested tolerance."""
 

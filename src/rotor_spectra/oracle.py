@@ -109,8 +109,9 @@ def oracle_crosscheck(model: BandModel, gen: NoiseGenerator, k: int) -> OracleRe
     """Compare closed-form against numerical limit eigendata.
 
     Raises NotLaplacian unless ``gen`` is exactly the central-difference
-    stencil, and MismatchBeyondTolerance when any eigenvalue or (projective)
-    eigenvector discrepancy exceeds ``ORACLE_TOL``.
+    stencil, and MismatchBeyondTolerance when a closed-form pair's residual
+    against the assembled limit matrix, or any eigenvalue or (projective)
+    eigenvector discrepancy, exceeds ``ORACLE_TOL``.
     """
     ref = laplacian_generator(model.N)
     if gen.N != model.N or not np.array_equal(gen.wdot, ref.wdot):
@@ -123,8 +124,10 @@ def oracle_crosscheck(model: BandModel, gen: NoiseGenerator, k: int) -> OracleRe
     report = OracleReport(k=int(k), band=model.band_index, case=closed.case,
                           lhat_closed=closed.lambda_hat, lhat_numeric=numeric.lambda_hat,
                           abs_diff=_freeze(diff), vec_proj_dist=_freeze(vdist))
-    if report.max_abs_diff > ORACLE_TOL or report.max_vec_dist > ORACLE_TOL:
+    residual = float(np.max(closed.residual))
+    if max(residual, report.max_abs_diff, report.max_vec_dist) > ORACLE_TOL:
         raise MismatchBeyondTolerance(
-            f"oracle mismatch at k={k}: max eigenvalue diff {report.max_abs_diff:.3e}, "
+            f"oracle mismatch at k={k}: max closed-form residual {residual:.3e}, "
+            f"max eigenvalue diff {report.max_abs_diff:.3e}, "
             f"max vector distance {report.max_vec_dist:.3e} (tol {ORACLE_TOL:.1e})")
     return report

@@ -33,14 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as band_models
-from .errors import DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, NonOrthogonal
+from .errors import DegenerateBlock, DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid
 from .model import BandModel, NoiseGenerator, _freeze, spectral_gap
 from .spectra import (assemble_fourier_block, eig_dense_complex, label_spectrum,
                       nearest_assignment)
 from .zero_noise import LimitBasis, limit_basis, projective_distance, sorted_eigenbasis
-
-#: largest |<f, fhat>| / max(1, |fhat|) that projection_expansion accepts
-ORTHOGONALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,11 +91,18 @@ def first_order_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBas
 
     Where the expansion terminates (:func:`_terminates`: S = 1 or k = 0) the
     basis diagonalises the full Wdot (the limit problem is global, not
-    band-blocked).  Otherwise it is the band-blocked limit basis, which
-    requires distinct band phases at this k.
+    band-blocked), and DegenerateBlock is raised unless the simple-spectrum
+    rule (:func:`rotor_spectra.model.spectral_gap`) finds its spectrum simple.
+    Otherwise it is the band-blocked limit basis, which requires distinct
+    band phases at this k.
     """
     if _terminates(model, k):
         rho, v = sorted_eigenbasis(gen.wdot)
+        gap, radius, simple = spectral_gap([rho])
+        if not simple:
+            raise DegenerateBlock(f"the Wdot spectrum is not simple: eigenvalue gap "
+                                  f"{gap:.3e} is not above GAP_TOL times the spectral "
+                                  f"radius {radius:.3e}")
         return LimitBasis(k=int(k), lambda_hat=_freeze(model.phases(k)[0] * rho),
                           vectors=_freeze(v), band=model.band_index, model=model)
     return limit_basis(model, gen, k)
@@ -150,18 +154,6 @@ def response_data(model: BandModel, gen: NoiseGenerator, k: int) -> ResponseData
     basis, lhh, fh = _expansion_terms(model, gen, k)
     return ResponseData(k=int(k), lambda_hat=basis.lambda_hat, lambda_hathat=_freeze(lhh),
                         f_hat=_freeze(fh), band=basis.band, basis=basis)
-
-
-def projection_expansion(f_limit, f_hat, eps: float) -> np.ndarray:
-    """First-order expansion f f* + eps (fhat f* + f fhat*) of the eigenprojector."""
-    f = np.asarray(f_limit, dtype=complex).ravel()
-    fh = np.asarray(f_hat, dtype=complex).ravel()
-    ip = abs(np.vdot(f, fh))
-    if ip > ORTHOGONALITY_TOL * max(1.0, float(np.linalg.norm(fh))):
-        raise NonOrthogonal(
-            f"<f, fhat> = {ip:.3e} exceeds tolerance {ORTHOGONALITY_TOL:.1e}")
-    proj = np.outer(f, np.conj(f))
-    return proj + eps * (np.outer(fh, np.conj(f)) + np.outer(f, np.conj(fh)))
 
 
 def _fit_slope(eps_grid, values):

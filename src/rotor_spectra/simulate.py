@@ -26,8 +26,9 @@ both operator kinds.  No eigenvalue of sector m exceeds its block's largest
 absolute row sum b(m) (max_j |qhat_j(m)| times row j's sum of |W_eps| for
 exact operators), so it solves the sectors in descending b(m) and stops once
 no unsolved sector can change the reported cycles (usually after 2 of the
-M/2 + 1).  It certifies each reported eigenpair with spectra.eig_dense_complex,
-the certificate of the Fourier-block spectra.  Neither kind stores its cell
+M/2 + 1).  Each solved sector is decomposed once by spectra.eig_dense_complex,
+the certificate of the Fourier-block spectra, so a cycle's eigenvalue, vector
+and residual come from one solve.  Neither kind stores its cell
 matrix; UlamOperator.matrix builds it on read.
 """
 
@@ -125,7 +126,7 @@ class CycleReport:
     """Detected cycles, the solver path ("sector"), the worst eigenpair
     residual ||B v - lam v|| (unit v) over the reported cycles, each of which
     met RESIDUAL_TOL times the 2-norm of its sector block B, and the number of
-    sectors whose eigenvalues were computed, out of M // 2 + 1."""
+    sectors decomposed, out of M // 2 + 1."""
 
     cycles: tuple[Cycle, ...]
     M: int
@@ -313,10 +314,10 @@ def _sector_cycles(op: UlamOperator, top_m: int) -> tuple[list, int]:
     sum b(m), so sectors 0..M/2 are solved in descending b(m) (ties in
     ascending m) until the top_m-th pick exceeds every unsolved b(m) by a
     relative 1e-9, far above _pick_cycles' 1e-12 magnitude rounding: no
-    unsolved eigenvalue can then rank before a pick.  The solved sectors'
-    values are kept in ascending m, so ties break as in a sweep of every
-    sector, and each sector holding a pick is decomposed once by
-    eig_dense_complex.
+    unsolved eigenvalue can then rank before a pick.  Each solved sector is
+    decomposed once by eig_dense_complex; the candidates are the solved
+    sectors' values in ascending m, so ties break as in a sweep of every
+    sector, and a pick reads its vector and residual from the same solve.
     """
     if op.kernel is not None:
         khat = np.fft.rfft(op.kernel, axis=2).conj()              # (N, N, M//2 + 1)
@@ -334,8 +335,8 @@ def _sector_cycles(op: UlamOperator, top_m: int) -> tuple[list, int]:
     cuts = (1 + 1e-9) * np.append(bounds[order[1:]], -np.inf)   # next unsolved b(m)
     solved = {}
     for m, cut in zip(order, cuts):
-        solved[m] = np.linalg.eigvals(block(m))
-        values = np.concatenate([solved[s] for s in sorted(solved)])
+        solved[m] = eig_dense_complex(block(m))
+        values = np.concatenate([solved[s].values for s in sorted(solved)])
         # a stop needs top_m nonreal values above the cut: count them before sorting
         if np.count_nonzero((np.abs(values.imag) > IMAG_TOL) & (np.abs(values) > cut)) >= top_m:
             picked = _pick_cycles(values, top_m)
@@ -344,13 +345,9 @@ def _sector_cycles(op: UlamOperator, top_m: int) -> tuple[list, int]:
     else:   # every sector solved: the picks may run short, or be none
         picked = _pick_cycles(values, top_m)
     sectors, n = sorted(solved), op.model.N
-    eigs, out = {}, []
+    out = []
     for rep, i in picked:
-        m = sectors[i // n]
-        if m not in eigs:
-            eigs[m] = eig_dense_complex(block(m))
-        eig = eigs[m]
-        c = int(np.argmin(np.abs(eig.values - values[i])))
+        eig, c = solved[sectors[i // n]], i % n
         # |u_j e^{2 pi i m a / M}|^2 = |u_j|^2 in every bin of fibre j
         out.append((rep, np.abs(eig.vectors[:, c]) ** 2, float(eig.residuals[c]),
                     bool(eig.converged[c])))

@@ -289,8 +289,8 @@ class TestOtherCommands:
         assert all(float(r[5]) == 0 and float(r[6]) == 0 for r in rows)
 
     def test_response_double_eigenvalue_exit1(self, tmp_path):
-        # a zero generator leaves eigenvalue 1 double at k = 0: the order
-        # check cannot polish it, and says so without a traceback
+        # a zero generator leaves eigenvalue 1 double at k = 0: the
+        # simple-spectrum rule refuses its Wdot, without a traceback
         p = tmp_path / "zero.json"
         p.write_text('{"beta": [0.1, 0.3], "L": [1, 1], "generator": [[0, 0], [0, 0]]}',
                      encoding="utf-8")
@@ -300,6 +300,22 @@ class TestOtherCommands:
         assert done.returncode == 1
         assert done.stderr.startswith("error: ") and "not simple" in done.stderr
         assert "Traceback" not in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, k", [
+        ('{"beta": [0.1], "L": [4]', "1"),
+        ('{"beta": [0.1, 0.3], "L": [2, 2]', "0"),
+    ], ids=["one-band", "k0"])
+    def test_response_degenerate_wdot_exit1(self, tmp_path, capsys, config, k):
+        # every off-diagonal rate 1/4: Wdot has a triple eigenvalue, so where
+        # the expansion terminates the limit vectors are not unique
+        p = tmp_path / "flat.json"
+        p.write_text(config + ', "generator": [[-0.75, 0.25, 0.25, 0.25], '
+                     '[0.25, -0.75, 0.25, 0.25], [0.25, 0.25, -0.75, 0.25], '
+                     '[0.25, 0.25, 0.25, -0.75]]}', encoding="utf-8")
+        out = tmp_path / "resp"
+        assert main(["response", "--config", str(p), "--out", str(out), "--k", k]) == 1
+        assert "not simple" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -513,6 +529,15 @@ def test_no_settable_tolerance():
     flags = [(name, flag) for name, (_, row) in cli.COMMANDS.items() for flag in row
              if "tol" in flag or "fraction" in flag]
     assert flags == []
+
+
+def test_every_eigenvalue_comes_from_a_certified_decomposition():
+    # no bare eigenvalue solve: every eigenvalue the package reports comes
+    # with its vector and residual from spectra.eig_dense_complex
+    package = Path(rs.__file__).parent
+    bare = [source.name for source in sorted(package.glob("*.py"))
+            if re.search(r"linalg\.eigvals\(", source.read_text())]
+    assert bare == []
 
 
 def test_each_tolerance_name_is_bound_in_one_module():

@@ -135,6 +135,18 @@ class TestCrosscheck:
         with pytest.raises(MismatchBeyondTolerance):
             oracle_crosscheck(m, laplacian_generator(m.N), 1)
 
+    def test_residual_certificate_is_enforced(self, case_model, case_gen, monkeypatch):
+        # the closed form and limit_eigenbasis still agree; only the limit
+        # matrix that certifies the closed form's residuals is off
+        real = oracle.assemble_limit_matrix
+
+        def perturbed(*args):
+            return real(*args) + 1e-6 * np.eye(case_model.N)
+
+        monkeypatch.setattr(oracle, "assemble_limit_matrix", perturbed)
+        with pytest.raises(MismatchBeyondTolerance, match="closed-form residual 1.000e-06"):
+            oracle_crosscheck(case_model, case_gen, 1)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(widths=st.lists(st.integers(1, 6), min_size=1, max_size=4)
            .filter(lambda w: sum(w) >= 2),

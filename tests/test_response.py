@@ -10,11 +10,12 @@ from numpy.testing import assert_allclose
 
 from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model,
                            eigenvector_response, laplacian_generator, limit_basis,
-                           order_check, order_checks, projection_expansion, response,
+                           order_check, order_checks, projective_distance, response,
                            response_data, second_order_eigenvalue, spectrum, w_epsilon,
                            zero_noise)
-from rotor_spectra.errors import (EigsNotSimple, EpsZero, GammaViolated, InvalidEpsGrid,
-                                  NonOrthogonal)
+from rotor_spectra.errors import (DegenerateBlock, EigsNotSimple, EpsZero, GammaViolated,
+                                  InvalidEpsGrid)
+from rotor_spectra.model import spectral_gap
 from rotor_spectra.response import first_order_basis
 from rotor_spectra.spectra import assemble_fourier_block, eig_dense_complex, label_spectrum
 from rotor_spectra.zero_noise import sorted_eigenbasis
@@ -156,6 +157,13 @@ class TestEigenvectorResponse:
         with pytest.raises(GammaViolated):
             eigenvector_response(m, g, 2, 0)
 
+    def test_two_band_matches_true_projector(self, two_band_model, two_band_gen):
+        eps = 1e-3
+        basis = limit_basis(two_band_model, two_band_gen, 1)
+        fhat = eigenvector_response(two_band_model, two_band_gen, 1, 0)
+        v = spectrum(two_band_model, two_band_gen, 1, eps).vectors[:, 0]
+        assert projective_distance(v, basis.vectors[:, 0] + eps * fhat) < eps ** 1.5
+
 
 class TestSecondOrderEigenvalue:
     def test_single_band_zero(self):
@@ -246,32 +254,6 @@ class TestVectorisedTerms:
         assert_matches_loop_reference(resp, model, gen, k, atol=1e-13 * scale)
         f = np.asarray(resp.basis.vectors)
         assert np.max(np.abs(np.diag(f.T @ resp.f_hat))) <= 1e-12 * scale
-
-
-class TestProjectionExpansion:
-    def test_rank_one_at_eps0(self):
-        f = np.array([1.0, 0.0])
-        p = projection_expansion(f, np.zeros(2), 0.0)
-        assert_allclose(p, [[1, 0], [0, 0]], atol=0)
-
-    def test_fhat_zero_constant(self):
-        f = np.array([0.0, 1.0])
-        p = projection_expansion(f, np.zeros(2), 0.7)
-        assert_allclose(p, np.outer(f, f), atol=0)
-
-    def test_two_band_matches_true_projector(self, two_band_model, two_band_gen):
-        eps = 1e-3
-        basis = limit_basis(two_band_model, two_band_gen, 1)
-        fhat = eigenvector_response(two_band_model, two_band_gen, 1, 0)
-        approx = projection_expansion(basis.vectors[:, 0], fhat, eps)
-        spec = spectrum(two_band_model, two_band_gen, 1, eps)
-        v = spec.vectors[:, 0]
-        true = np.outer(v, v.conj())
-        assert np.linalg.norm(approx - true) < eps ** 1.5
-
-    def test_non_orthogonal(self):
-        with pytest.raises(NonOrthogonal):
-            projection_expansion([1.0, 0.0], [0.5, 0.5], 0.1)
 
 
 class TestOrderCheck:
@@ -414,9 +396,14 @@ class TestTerminatingExpansion:
         beta = data.draw(st.lists(st.floats(-1, 1), min_size=len(widths),
                                   max_size=len(widths), unique=True), label="beta")
         k = data.draw(st.integers(-3, 3), label="k") if len(widths) == 1 else 0
-        # rates may vanish: a degenerate Wdot is no obstacle to exact zeros
+        # rates may vanish: the simple-spectrum rule refuses a degenerate Wdot,
+        # whose limit vectors are not unique
         gen = draw_generator(data, n, low=0.0)
         model = build_band_model(beta, widths)
+        if not spectral_gap([sorted_eigenbasis(gen.wdot)[0]])[2]:
+            with pytest.raises(DegenerateBlock):
+                response_data(model, gen, k)
+            return
         resp = response_data(model, gen, k)
         assert resp.basis.vectors.tobytes() == sorted_eigenbasis(gen.wdot)[1].tobytes()
         assert resp.lambda_hathat.tobytes() == np.zeros(n, dtype=complex).tobytes()

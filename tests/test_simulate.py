@@ -87,8 +87,8 @@ def draw_admissible(data, widths, max_cells):
 
 
 def all_sector_cycles(op, top_m):
-    """Reference: every sector 0..M/2 solved in one batched eigvals, the shared
-    pick rule, and one certified decomposition per sector holding a pick.
+    """Reference: every sector 0..M/2 decomposed by eig_dense_complex, and the
+    shared pick rule over their values in ascending m.
 
     Returns (rep, per-fibre mass, residual, converged) per pick.
     """
@@ -97,11 +97,10 @@ def all_sector_cycles(op, top_m):
     else:
         qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()
         blocks = qhat.T[:, :, None] * op.w_eps
-    values = np.linalg.eigvals(blocks)
+    eigs = [spectra.eig_dense_complex(b) for b in blocks]
     out = []
-    for rep, i in _pick_cycles(values.ravel(), top_m):
-        eig = spectra.eig_dense_complex(blocks[i // op.model.N])
-        c = int(np.argmin(np.abs(eig.values - values.flat[i])))
+    for rep, i in _pick_cycles(np.concatenate([eig.values for eig in eigs]), top_m):
+        eig, c = eigs[i // op.model.N], i % op.model.N
         mass = np.abs(eig.vectors[:, c]) ** 2
         out.append((rep, mass / mass.sum(), float(eig.residuals[c]), bool(eig.converged[c])))
     return out
@@ -580,13 +579,13 @@ class TestSectorPruning:
     def test_case_study_solves_two_of_65_sectors(self, case_model, case_gen, monkeypatch):
         op = ulam_analytic(case_model, case_gen, 0.1, 0.1, 128)
         assert assert_same_as_all_sectors(op, case_model, 3).sectors_solved == 2
-        shapes, eigvals = [], np.linalg.eigvals
+        shapes, eig = [], spectra.eig_dense_complex
 
         def counted(a):
             shapes.append(np.shape(a))
-            return eigvals(a)
+            return eig(a)
 
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        monkeypatch.setattr(simulate_module, "eig_dense_complex", counted)
         assert detect_cycles(op, case_model, 3).sectors_solved == 2
         assert shapes == [(33, 33)] * 2
 
