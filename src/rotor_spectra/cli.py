@@ -9,8 +9,9 @@ a ``manifest.json`` (command, config hash, library version, parameters), so a
 run that stops on an error leaves no directory, and reruns are bit-identical
 on the same platform.
 
-Exit codes: 0 success, 1 validation or math error, 2 config or usage error,
-an output directory that cannot be written included.
+Exit codes: 0 success, 1 validation or math error (an input too large for
+memory included: ``error: out of memory``), 2 config or usage error, an
+output directory that cannot be written included.
 """
 
 from __future__ import annotations
@@ -276,6 +277,9 @@ def main(argv=None) -> int:
         return 2
     except RotorSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -195,12 +195,37 @@ def spectral_gap(spectra) -> tuple[float, float, bool]:
     return gap, radius, gap > GAP_TOL * radius
 
 
+def sign_gauge(vectors) -> np.ndarray:
+    """Copy of real ``vectors`` with each column's first nonzero entry positive.
+
+    Entries below 1e-12 of the column's largest magnitude count as zero.
+    """
+    v = np.array(vectors, dtype=float)
+    mag = np.abs(v)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    flip = v[first, np.arange(v.shape[1])] < 0
+    v[:, flip] = -v[:, flip]
+    return v
+
+
+def sorted_eigenbasis(w):
+    """Eigenpairs (rho, v) of the symmetric part of ``w``, rho descending, v sign-gauged.
+
+    The one eigensolver for Wdot and its band blocks: admissibility, the
+    limit basis and the response layer's global basis all read its output,
+    so their simple-spectrum verdicts agree bit for bit.
+    """
+    rho, v = np.linalg.eigh(0.5 * (w + w.T))
+    order = np.argsort(-rho)
+    return rho[order], sign_gauge(v[:, order])
+
+
 def validate_admissibility(gen: NoiseGenerator, model: BandModel) -> AdmissibilityReport:
     """Check the three admissibility hypotheses; failures are reported, not raised.
 
     Stochasticity allows defects up to ``DEFECT_TOL``; distinctness applies
     :func:`spectral_gap` to the spectrum of Wdot and, jointly, to the
-    spectra of its band blocks.
+    spectra of its band blocks, both from :func:`sorted_eigenbasis`.
     """
     if gen.N != model.N:
         raise DimensionMismatch(f"generator dimension {gen.N} != model dimension {model.N}")
@@ -209,13 +234,9 @@ def validate_admissibility(gen: NoiseGenerator, model: BandModel) -> Admissibili
     row = float(np.max(np.abs(w.sum(axis=1))))
     off = w[~np.eye(gen.N, dtype=bool)]
     min_off = float(off.min()) if off.size else 0.0
-
-    def eigvals(mat):
-        return np.linalg.eigvalsh(0.5 * (mat + mat.T))
-
-    gap_full, _, item2 = spectral_gap([eigvals(w)])
+    gap_full, _, item2 = spectral_gap([sorted_eigenbasis(w)[0]])
     gap_blocks, _, item3 = spectral_gap(
-        [eigvals(w[sl, sl]) for sl in map(model.band_slice, range(model.S))])
+        [sorted_eigenbasis(w[sl, sl])[0] for sl in map(model.band_slice, range(model.S))])
     item1 = sym <= DEFECT_TOL and row <= DEFECT_TOL and min_off >= -DEFECT_TOL
     return AdmissibilityReport(
         row_sum_defect=row, symmetry_defect=sym, min_offdiag=min_off,

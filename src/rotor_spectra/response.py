@@ -34,10 +34,10 @@ import numpy as np
 
 from . import model as band_models
 from .errors import DegenerateBlock, DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid
-from .model import BandModel, NoiseGenerator, _freeze, spectral_gap
+from .model import BandModel, NoiseGenerator, _freeze, sorted_eigenbasis, spectral_gap
 from .spectra import (assemble_fourier_block, eig_dense_complex, label_spectrum,
                       nearest_assignment)
-from .zero_noise import LimitBasis, limit_basis, projective_distance, sorted_eigenbasis
+from .zero_noise import LimitBasis, limit_basis, projective_distance
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,7 +43,7 @@ from .errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput
 from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
 from .spectra import eig_dense_complex
 
-#: |imag| above which an eigenvalue counts as nonreal
+#: |imag| above which an eigenvalue counts as nonreal, relative to its sector bound b(m)
 IMAG_TOL = 1e-9
 #: largest share of cells that no counted step may leave (ulam_empirical)
 MAX_EMPTY_FRACTION = 0.01
@@ -153,10 +153,11 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
     w = w_epsilon(gen, eps)
     cum = np.cumsum(w, axis=1)
     cum[:, -1] = 1.0 + 1e-12     # guard rounding: every uniform draw must land
-    children = np.random.SeedSequence(seed).spawn(n_paths)
+    # allocated before the seeds are spawned, so a size numpy refuses fails at once
     u_init = np.empty((n_paths, 2))
     u_walk = np.empty((n_paths, n_steps))
     u_noise = np.empty((n_paths, n_steps))
+    children = np.random.SeedSequence(seed).spawn(n_paths)
     for p, child in enumerate(children):
         g = np.random.Generator(np.random.Philox(child))
         u_init[p] = g.random(2)
@@ -281,16 +282,24 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
                         kernel=_freeze(kernel), flagged_rows=tuple(int(r) for r in empty))
 
 
-def _pick_cycles(values: np.ndarray, top_m: int) -> list:
+def _nonreal(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Mask of the values whose |imag| exceeds IMAG_TOL times their sector bound b(m)."""
+    return np.abs(values.imag) > IMAG_TOL * bounds
+
+
+def _pick_cycles(values: np.ndarray, bounds: np.ndarray, top_m: int) -> list:
     """(lower-half-plane representative, index into values) of the top_m cycles.
 
-    Nonreal eigenvalues are folded into the lower half plane, sorted by
-    decreasing magnitude rounded to a relative 1e-12 (ties by real, then
-    imaginary part, so equal magnitudes are not ordered by roundoff), and
-    representatives within 1e-9 relative of a picked one are dropped, so each
-    conjugate pair counts once.
+    ``bounds[i]`` is the bound b(m) of the sector that ``values[i]`` comes
+    from, and both cuts are relative to it: a value is nonreal when its
+    |imag| exceeds IMAG_TOL * b(m) (:func:`_nonreal`), and a representative
+    within 1e-9 * b(m) of a picked one is dropped, so each conjugate pair
+    counts once.  Nonreal eigenvalues are folded into the lower half plane
+    and sorted by decreasing magnitude rounded to a relative 1e-12 (ties by
+    real, then imaginary part, so equal magnitudes are not ordered by
+    roundoff).
     """
-    nonreal = np.nonzero(np.abs(values.imag) > IMAG_TOL)[0]
+    nonreal = np.nonzero(_nonreal(values, bounds))[0]
     if len(nonreal) == 0:
         raise NoComplexEigenvalues("spectrum is numerically real")
     reps = sorted(((values[i] if values[i].imag < 0 else np.conj(values[i]), i)
@@ -298,7 +307,7 @@ def _pick_cycles(values: np.ndarray, top_m: int) -> list:
                   key=lambda t: (-float(f"{abs(t[0]):.12e}"), t[0].real, t[0].imag))
     picked = []
     for rep, i in reps:
-        if any(abs(rep - r) <= 1e-9 * max(1.0, abs(rep)) for r, _ in picked):
+        if any(abs(rep - r) <= 1e-9 * bounds[i] for r, _ in picked):
             continue
         picked.append((rep, i))
         if len(picked) == top_m:
@@ -318,6 +327,9 @@ def _sector_cycles(op: UlamOperator, top_m: int) -> tuple[list, int]:
     decomposed once by eig_dense_complex; the candidates are the solved
     sectors' values in ascending m, so ties break as in a sweep of every
     sector, and a pick reads its vector and residual from the same solve.
+    Both cuts of _pick_cycles, and the count of nonreal values above the stop
+    cut that gates it, are relative to each value's own b(m), so a spectrum
+    that is small throughout (a delta factor near 0) keeps its cycles.
     """
     if op.kernel is not None:
         khat = np.fft.rfft(op.kernel, axis=2).conj()              # (N, N, M//2 + 1)
@@ -333,18 +345,19 @@ def _sector_cycles(op: UlamOperator, top_m: int) -> tuple[list, int]:
             return qhat[:, m, None] * op.w_eps                      # Diag(qhat(m)) W_eps
     order = np.argsort(-bounds, kind="stable")
     cuts = (1 + 1e-9) * np.append(bounds[order[1:]], -np.inf)   # next unsolved b(m)
-    solved = {}
+    solved, n = {}, op.model.N
     for m, cut in zip(order, cuts):
         solved[m] = eig_dense_complex(block(m))
-        values = np.concatenate([solved[s].values for s in sorted(solved)])
+        sectors = sorted(solved)
+        values = np.concatenate([solved[s].values for s in sectors])
+        scales = np.repeat(bounds[sectors], n)
         # a stop needs top_m nonreal values above the cut: count them before sorting
-        if np.count_nonzero((np.abs(values.imag) > IMAG_TOL) & (np.abs(values) > cut)) >= top_m:
-            picked = _pick_cycles(values, top_m)
+        if np.count_nonzero(_nonreal(values, scales) & (np.abs(values) > cut)) >= top_m:
+            picked = _pick_cycles(values, scales, top_m)
             if len(picked) == top_m and abs(picked[-1][0]) > cut:
                 break
     else:   # every sector solved: the picks may run short, or be none
-        picked = _pick_cycles(values, top_m)
-    sectors, n = sorted(solved), op.model.N
+        picked = _pick_cycles(values, scales, top_m)
     out = []
     for rep, i in picked:
         eig, c = solved[sectors[i // n]], i % n

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBlock, GammaViolated, ZeroVector
-from .model import BandModel, NoiseGenerator, _freeze, spectral_gap
+from .model import BandModel, NoiseGenerator, _freeze, sorted_eigenbasis, spectral_gap
 from .spectra import spectrum
 
 
@@ -52,26 +52,6 @@ def check_gamma(model: BandModel, k: int) -> bool:
     return spectral_gap([model.phases(k)])[2]
 
 
-def sign_gauge(vectors) -> np.ndarray:
-    """Copy of real ``vectors`` with each column's first nonzero entry positive.
-
-    Entries below 1e-12 of the column's largest magnitude count as zero.
-    """
-    v = np.array(vectors, dtype=float)
-    mag = np.abs(v)
-    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
-    flip = v[first, np.arange(v.shape[1])] < 0
-    v[:, flip] = -v[:, flip]
-    return v
-
-
-def sorted_eigenbasis(sym):
-    """Eigenpairs (rho, v) of a real symmetric matrix, rho descending, v sign-gauged."""
-    rho, v = np.linalg.eigh(sym)
-    order = np.argsort(-rho)
-    return rho[order], sign_gauge(v[:, order])
-
-
 def assemble_limit_matrix(model: BandModel, gen: NoiseGenerator, k: int) -> np.ndarray:
     """The dense limit matrix D_{k,beta,L} What_L at k: off-band couplings
     dropped, block s equal to exp(-2 pi i k beta_s) * What_s."""
@@ -85,18 +65,17 @@ def assemble_limit_matrix(model: BandModel, gen: NoiseGenerator, k: int) -> np.n
 def limit_eigenbasis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
     """Solve each real symmetric band block and embed into fibre coordinates.
 
-    Vectors are kept real (see :func:`sign_gauge`); the unitary band
-    phase multiplies only the eigenvalue.  Raises DegenerateBlock unless the
-    block spectra are simple by the rule admissibility applies
-    (:func:`rotor_spectra.model.spectral_gap`).
+    Vectors are kept real and sign-gauged; the unitary band phase multiplies
+    only the eigenvalue.  Raises DegenerateBlock unless the block spectra are
+    simple by the rule admissibility applies (:func:`rotor_spectra.model.spectral_gap`)
+    to the same solves (:func:`rotor_spectra.model.sorted_eigenbasis`).
     """
     lam_hat = np.zeros(model.N, dtype=complex)
     vectors = np.zeros((model.N, model.N))
     rhos = []
     for s, phase in enumerate(model.phases(k)):
         sl = model.band_slice(s)
-        wh = gen.wdot[sl, sl]
-        rho, v = sorted_eigenbasis(0.5 * (wh + wh.T))   # rho descending, as the labels
+        rho, v = sorted_eigenbasis(gen.wdot[sl, sl])    # rho descending, as the labels
         rhos.append(rho)
         lam_hat[sl] = phase * rho
         vectors[sl, sl] = v

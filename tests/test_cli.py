@@ -32,12 +32,13 @@ def case_cfg(tmp_path):
     return p
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     """The CLI in a fresh process, importing the package under test."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def read_csv(path):
@@ -318,6 +319,32 @@ class TestOtherCommands:
         assert "not simple" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [
+        '{"beta": [0.1, 0.3], "L": [3, 1], "generator": [[-0.50001, 1e-05, 0.0, 0.5], '
+        '[1e-05, -0.6232231521836646, 1e-05, 0.6232031521836646], [0.0, 1e-05, -0.50001, 0.5], '
+        '[0.5, 0.6232031521836646, 0.5, -1.6232031521836645]]}',
+        '{"beta": [0.1], "L": [5], "generator": [[-3.182835051817087, 2.882835051817087, 0.0, '
+        '0.0, 0.3], [2.882835051817087, -3.882835051817087, 1.0, 0.0, 0.0], [0.0, 1.0, -2.0, '
+        '1.0, 0.0], [0.0, 0.0, 1.0, -3.882835051817087, 2.882835051817087], [0.3, 0.0, 0.0, '
+        '2.882835051817087, -3.182835051817087]]}',
+    ], ids=["two-bands", "one-band"])
+    def test_distinctness_verdicts_agree_at_the_cut(self, tmp_path, capsys, config):
+        # smallest band-block (two bands) or Wdot (one band) gap within rounding
+        # of GAP_TOL times the radius: validate, limit and response judge one
+        # solve, so all three pass, or validate fails and both others raise
+        # DegenerateBlock and write nothing
+        p = tmp_path / "cut.json"
+        p.write_text(config, encoding="utf-8")
+        codes = []
+        for argv in (["validate"], ["limit", "--k", "1"], ["response", "--k", "1"]):
+            out = tmp_path / argv[0]
+            codes.append(main([*argv, "--config", str(p), "--out", str(out)]))
+            err = capsys.readouterr().err
+            if argv[0] != "validate" and codes[-1]:
+                assert "is not above GAP_TOL times the spectral radius" in err
+                assert not out.exists()
+        assert codes in ([0, 0, 0], [1, 1, 1])
+
     @pytest.mark.parametrize("argv", [
         ["limit", "--k", "1,0"],
         ["limit", "--eps=-1"],
@@ -434,6 +461,21 @@ class TestOtherCommands:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [
+        ["--bins", str(10**15)],
+        ["--paths", str(10**15), "--steps", "1000000"],
+    ], ids=["bins", "paths"])
+    def test_simulate_out_of_memory_exit1(self, case_cfg, tmp_path, extra):
+        # sizes beyond any address space: numpy refuses them without allocating,
+        # before 10**15 seeds would be spawned
+        out = tmp_path / "sim"
+        done = run_cli("-m", "rotor_spectra.cli", "simulate", "--config", str(case_cfg),
+                       "--out", str(out), *extra, timeout=10)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: out of memory: ")
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
 
 class TestRunLifecycle:
     @pytest.mark.parametrize("command, extra", [
@@ -538,6 +580,16 @@ def test_every_eigenvalue_comes_from_a_certified_decomposition():
     bare = [source.name for source in sorted(package.glob("*.py"))
             if re.search(r"linalg\.eigvals\(", source.read_text())]
     assert bare == []
+
+
+def test_one_symmetric_eigensolver():
+    # Wdot and its band blocks are solved in one place, so validate,
+    # limit_basis and response judge the same computed spectra
+    sources = {p.name: p.read_text() for p in sorted(Path(rs.__file__).parent.glob("*.py"))}
+    assert [name for name, text in sources.items() if re.search(r"linalg\.eigvalsh\(", text)] == []
+    assert {name: len(re.findall(r"linalg\.eigh\(", text)) for name, text in sources.items()
+            if re.search(r"linalg\.eigh\(", text)} == {"model.py": 1}
+    assert re.search(r"linalg\.eigh\(", inspect.getsource(rs.model.sorted_eigenbasis))
 
 
 def test_each_tolerance_name_is_bound_in_one_module():

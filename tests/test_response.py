@@ -15,10 +15,9 @@ from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model,
                            zero_noise)
 from rotor_spectra.errors import (DegenerateBlock, EigsNotSimple, EpsZero, GammaViolated,
                                   InvalidEpsGrid)
-from rotor_spectra.model import spectral_gap
+from rotor_spectra.model import sorted_eigenbasis, spectral_gap
 from rotor_spectra.response import first_order_basis
 from rotor_spectra.spectra import assemble_fourier_block, eig_dense_complex, label_spectrum
-from rotor_spectra.zero_noise import sorted_eigenbasis
 
 
 def loop_second_order(model, gen, k, ell, basis):

@@ -43,15 +43,36 @@ def coo_cell_matrix(kernel, w):
         shape=(n * M, n * M)).tocsr()
 
 
+def sector_blocks(op):
+    """Reference: the bin-DFT sector blocks B_m, m = 0..M/2, stacked."""
+    if op.kernel is not None:
+        return np.moveaxis(np.fft.rfft(op.kernel, axis=2).conj(), 2, 0)
+    qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()
+    return qhat.T[:, :, None] * op.w_eps
+
+
+def sector_bounds(op):
+    """Reference: each sector's bound b(m) = ||B_m||_inf, its largest absolute row sum."""
+    return np.abs(sector_blocks(op)).sum(axis=2).max(axis=1)
+
+
 def full_eig_cycles(op, model, top_m):
-    """Reference: every eigenpair of the dense cell matrix, ranked by the shared rule."""
+    """Reference: every eigenpair of the dense cell matrix, ranked by the shared rule.
+
+    Cell eigenvector u_j e^{2 pi i m a / M} comes from sector m, its dominant
+    bin frequency, folded to 0..M/2 (sector M - m is the conjugate of m).
+    Returns the values, their sector bounds and (rep, band masses) per pick.
+    """
     values, vectors = np.linalg.eig(op.matrix.toarray())
+    power = np.abs(np.fft.fft(vectors.reshape(model.N, op.M, -1), axis=1)) ** 2
+    m = power.sum(axis=0).argmax(axis=0)
+    bounds = sector_bounds(op)[np.minimum(m, op.M - m)]
     out = []
-    for rep, i in _pick_cycles(values, top_m):
+    for rep, i in _pick_cycles(values, bounds, top_m):
         mass = (np.abs(vectors[:, i]) ** 2).reshape(model.N, op.M).sum(axis=1)
         mass /= mass.sum()
         out.append((rep, [mass[model.band_slice(s)].sum() for s in range(model.S)]))
-    return values, out
+    return values, bounds, out
 
 
 def counted_operator(batch, M, max_empty_fraction):
@@ -92,14 +113,10 @@ def all_sector_cycles(op, top_m):
 
     Returns (rep, per-fibre mass, residual, converged) per pick.
     """
-    if op.kernel is not None:
-        blocks = np.moveaxis(np.fft.rfft(op.kernel, axis=2).conj(), 2, 0)
-    else:
-        qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()
-        blocks = qhat.T[:, :, None] * op.w_eps
-    eigs = [spectra.eig_dense_complex(b) for b in blocks]
+    eigs = [spectra.eig_dense_complex(b) for b in sector_blocks(op)]
+    bounds = np.repeat(sector_bounds(op), op.model.N)
     out = []
-    for rep, i in _pick_cycles(np.concatenate([eig.values for eig in eigs]), top_m):
+    for rep, i in _pick_cycles(np.concatenate([eig.values for eig in eigs]), bounds, top_m):
         eig, c = eigs[i // op.model.N], i % op.model.N
         mass = np.abs(eig.vectors[:, c]) ** 2
         out.append((rep, mass / mass.sum(), float(eig.residuals[c]), bool(eig.converged[c])))
@@ -129,7 +146,7 @@ def assert_same_as_all_sectors(op, model, top_m):
 
 
 def assert_matches_full_eig(report, op, model):
-    _, ref = full_eig_cycles(op, model, report.top_m)
+    *_, ref = full_eig_cycles(op, model, report.top_m)
     assert len(report.cycles) == len(ref)
     for c, (rep, masses) in zip(report.cycles, ref):
         assert abs(c.eigenvalue - rep) <= 1e-12 * abs(rep)
@@ -483,6 +500,27 @@ class TestDetectCycles:
         e16, e64 = worst_arg_error(16), worst_arg_error(64)
         assert e64 <= e16 / 2
 
+    def test_small_spectrum_keeps_its_cycles(self, case_model, case_gen):
+        # 1e8 extra full turns of noise scale every sector m >= 1 by about
+        # 0.05 / (1e8 + 0.05); the realness and conjugate cuts scale with b(m)
+        def report(delta):
+            return detect_cycles(ulam_analytic(case_model, case_gen, 0.1, delta, 128),
+                                 case_model, 3)
+
+        near, far = report(0.05), report(1e8 + 0.05)
+        assert [c.band for c in far.cycles] == [c.band for c in near.cycles] == [2, 0, 2]
+        assert_allclose([c.arg for c in far.cycles], [c.arg for c in near.cycles],
+                        rtol=0, atol=1e-9)
+        assert_allclose([c.magnitude * 0.05 for c in near.cycles],
+                        [c.magnitude * (1e8 + 0.05) for c in far.cycles], rtol=1e-6)
+        assert far.sectors_solved == near.sectors_solved == 2
+
+    def test_half_turn_noise_is_real(self, case_model, case_gen):
+        # noise of half-width 1/2 lands uniformly: every sector m >= 1 is exactly 0
+        op = ulam_analytic(case_model, case_gen, 0.1, 0.5, 128)
+        with pytest.raises(NoComplexEigenvalues):
+            detect_cycles(op, case_model, 3)
+
     def test_top_m_below_one_is_typed(self, two_band_model, two_band_gen):
         op = ulam_analytic(two_band_model, two_band_gen, 0.1, 0.1, 8)
         with pytest.raises(InvalidSimulationInput, match="top_m"):
@@ -524,9 +562,8 @@ class TestSectorPath:
         model, gen, eps, delta, M = draw_admissible(data, widths, max_cells=300)
         top_m = data.draw(st.integers(1, 3), label="top_m")
         op = ulam_analytic(model, gen, eps, delta, M)
-        values, ref = None, None
         try:
-            values, ref = full_eig_cycles(op, model, top_m)
+            values, bounds, ref = full_eig_cycles(op, model, top_m)
         except NoComplexEigenvalues:
             with pytest.raises(NoComplexEigenvalues):
                 detect_cycles(op, model, top_m)
@@ -540,7 +577,7 @@ class TestSectorPath:
             near = np.abs(values - rep) <= 1e-3
             assume(not np.any(near & others) and np.sum(~others) == 1)
             assume(abs(rep.imag) > 1e-6)
-        mags = [abs(rep) for rep, _ in _pick_cycles(values, top_m + 1)]
+        mags = [abs(rep) for rep, _ in _pick_cycles(values, bounds, top_m + 1)]
         assume(all(a - b > 1e-9 * a for a, b in zip(mags, mags[1:])))
         report = detect_cycles(op, model, top_m)
         assert report.solver == "sector"
@@ -552,7 +589,7 @@ class TestSectorPath:
         m = build_band_model([0.25], [2])
         g = laplacian_generator(2)
         op = ulam_analytic(m, g, g.eps_max, 0.0, 3)
-        (rep, _), = _pick_cycles(np.linalg.eigvals(op.matrix.toarray()), 1)
+        _, _, [(rep, _)] = full_eig_cycles(op, m, 1)
         report = detect_cycles(op, m, top_m=1)
         assert report.solver == "sector"
         assert abs(report.cycles[0].eigenvalue - rep) <= 1e-12

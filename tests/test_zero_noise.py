@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -10,7 +10,7 @@ from rotor_spectra import (NoiseGenerator, assemble_limit_matrix, build_band_mod
                            response_data, spectrum, spectrum_convergence,
                            support_mass_outside_band, validate_admissibility)
 from rotor_spectra.errors import DegenerateBlock, GammaViolated, ZeroVector
-from rotor_spectra.model import GAP_TOL
+from rotor_spectra.response import first_order_basis
 from conftest import random_banded_model
 
 
@@ -140,7 +140,6 @@ class TestSimpleSpectrumRule:
             rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
             model = build_band_model([0.1, 0.35, 0.7][:len(widths)], widths)
             wdot = np.zeros((model.N, model.N))
-            gap, radius = np.inf, 0.0
             for s, width in enumerate(widths):
                 steps = [10.0 ** -data.draw(st.integers(0, 12)) for _ in range(width - 1)]
                 rho = 10.0 ** -data.draw(st.integers(0, 8)) * -(1 + np.cumsum([0.0, *steps]))
@@ -148,10 +147,6 @@ class TestSimpleSpectrumRule:
                 sl = model.band_slice(s)
                 block = q @ np.diag(rho) @ q.T
                 wdot[sl, sl] = 0.5 * (block + block.T)
-                gap = min(gap, np.min(-np.diff(rho), initial=np.inf))
-                radius = max(radius, float(np.max(np.abs(rho))))
-            # eigvalsh and eigh may round differently right at the threshold
-            assume(gap == np.inf or abs(np.log10(gap / (GAP_TOL * radius))) >= 1)
             gen = NoiseGenerator.from_matrix(wdot)
             passed = validate_admissibility(gen, model).item_distinct_blocks
             try:
@@ -182,6 +177,42 @@ class TestSimpleSpectrumRule:
             limit_basis(model, gen, 1)
         with pytest.raises(DegenerateBlock):
             response_data(model, gen, 1)
+
+    @pytest.mark.parametrize("family, lo, hi", [
+        # two bands: a near-double eigenvalue of the 3-fibre block, radius 1 + t
+        (lambda t: ([0.1, 0.3], [3, 1], [[-0.50001, 1e-5, 0, 0.5],
+                                         [1e-5, -(t + 2e-5), 1e-5, t],
+                                         [0, 1e-5, -0.50001, 0.5],
+                                         [0.5, t, 0.5, -(1 + t)]]), 0.55, 1.0),
+        # one band: two eigenvalues of Wdot cross near a = 2.8828350048
+        (lambda a: ([0.1], [5], [[-(a + 0.3), a, 0, 0, 0.3], [a, -(a + 1), 1, 0, 0],
+                                 [0, 1, -2, 1, 0], [0, 0, 1, -(a + 1), a],
+                                 [0.3, 0, 0, a, -(a + 0.3)]]), 2.8828350048, 2.9),
+    ], ids=["two-bands", "one-band"])
+    def test_verdicts_agree_across_the_cut(self, family, lo, hi):
+        # bisect a one-parameter family to the GAP_TOL cut, where rounding of
+        # the eigensolve decides the verdict, and scan 301 consecutive floats
+        # around it: admissibility and both basis builders judge one solve
+        def verdicts(t):
+            beta, widths, wdot = family(t)
+            model, gen = build_band_model(beta, widths), NoiseGenerator.from_matrix(wdot)
+            report = validate_admissibility(gen, model)
+            accepted = []
+            for build, k in ((limit_basis, 1), (first_order_basis, 0)):
+                try:
+                    build(model, gen, k)
+                    accepted.append(True)
+                except DegenerateBlock:
+                    accepted.append(False)
+            return report.item_distinct_blocks, report.item_distinct_full, *accepted
+
+        below = verdicts(lo)[0]
+        assert verdicts(hi)[0] != below
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if verdicts(mid)[0] == below else (lo, mid)
+        scan = [verdicts(t) for t in lo + np.spacing(lo) * np.arange(-150, 151)]
+        assert [(blocks, full) for blocks, full, *_ in scan] == [tuple(v[2:]) for v in scan]
+        assert {v[0] for v in scan} == {True, False}
 
 
 class TestProjectiveDistance:
