@@ -18,8 +18,8 @@ from .response import (OrderCheck, ResponseData, alpha_response, eigenvector_res
                        order_check, order_checks, response_data, second_order_eigenvalue)
 from .simulate import (Cycle, CycleReport, TrajectoryBatch, UlamOperator, detect_cycles,
                        simulate, ulam_analytic, ulam_empirical)
-from .spectra import (FourierBlock, LabelledSpectrum, assemble_fourier_block, delta_factor,
-                      eig_dense_complex, gershgorin_bound, label_spectrum, spectrum)
+from .spectra import (LabelledSpectrum, assemble_fourier_block, delta_factor, eig_dense_complex,
+                      gershgorin_bound, label_spectrum, spectrum)
 from .zero_noise import (LimitBasis, assemble_limit_matrix, check_gamma, limit_basis,
                          limit_eigenbasis, projective_distance, projector_gap,
                          spectrum_convergence, support_mass_outside_band)

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, writers
-from .config import CASE_STUDY_JSON, MAX_INDEX, RunConfig, load_config, parse_config
+from .config import MAX_INDEX, RunConfig, case_study_config, load_config
 from .errors import AmbiguousLabelling, ConfigError, RotorSpectraError
 from .model import validate_admissibility
 from .oracle import oracle_crosscheck
@@ -80,7 +80,7 @@ def _load(args) -> RunConfig:
     if args.config:
         return load_config(args.config)
     if args.command == "casestudy":
-        return parse_config(CASE_STUDY_JSON)
+        return case_study_config()
     raise ConfigError("--config is required")
 
 
@@ -179,7 +179,7 @@ def cmd_simulate(cfg: RunConfig, args):
         batch = simulate(cfg.model, cfg.gen, eps, args.delta, args.paths, args.steps, args.seed)
         files.append(("trajectories.csv", writers.write_trajectory_csv, batch))
     for i, c in enumerate(report.cycles):
-        print(f"cycle {i + 1}: |lam|={c.magnitude:.6f} arg={c.arg:+.6f} "
+        print(f"cycle {i + 1}: |lam|={c.magnitude:.6g} arg={c.arg:+.6f} "
               f"period={c.period_steps:.4f} steps band={c.band + 1} "
               f"masses={[round(m, 4) for m in c.band_masses]}")
     return 0, files, dict(eps=eps, delta=args.delta, bins=args.bins, seed=args.seed,

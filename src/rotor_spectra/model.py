@@ -179,13 +179,16 @@ def spectral_gap(spectra) -> tuple[float, float, bool]:
 
     ``gap`` is the smallest |a - b| over two values of one spectrum (inf when
     no spectrum has two), ``radius`` the largest |value| over all of them (0
-    when they are empty), and ``simple`` is ``gap > GAP_TOL * radius``.  It
-    judges band phases, Wdot, its band blocks and alpha_response's spectra.
-    On real spectra the gap is the smallest sorted-neighbour difference, bit
-    for bit, as rounding is monotone.
+    when they are empty), and ``simple`` is ``gap > GAP_TOL * radius``; a
+    spectrum holding a non-finite value gives (nan, nan, False).  It judges
+    band phases, Wdot, its band blocks and alpha_response's spectra.  On real
+    spectra the gap is the smallest sorted-neighbour difference, bit for bit,
+    as rounding is monotone.
     """
     gap, radius = math.inf, 0.0
     for ev in map(np.asarray, spectra):
+        if not np.all(np.isfinite(ev)):
+            return math.nan, math.nan, False
         if ev.size:
             radius = max(radius, float(np.max(np.abs(ev))))
         if ev.size > 1:
@@ -215,7 +218,7 @@ def sorted_eigenbasis(w):
     limit basis and the response layer's global basis all read its output,
     so their simple-spectrum verdicts agree bit for bit.
     """
-    rho, v = np.linalg.eigh(0.5 * (w + w.T))
+    rho, v = np.linalg.eigh(0.5 * w + 0.5 * w.T)      # w + w.T may overflow
     order = np.argsort(-rho)
     return rho[order], sign_gauge(v[:, order])
 
@@ -230,8 +233,9 @@ def validate_admissibility(gen: NoiseGenerator, model: BandModel) -> Admissibili
     if gen.N != model.N:
         raise DimensionMismatch(f"generator dimension {gen.N} != model dimension {model.N}")
     w = gen.wdot
-    sym = float(np.max(np.abs(w - w.T))) if w.size else 0.0
-    row = float(np.max(np.abs(w.sum(axis=1))))
+    with np.errstate(over="ignore"):          # an overflowing defect reads inf
+        sym = float(np.max(np.abs(w - w.T))) if w.size else 0.0
+        row = float(np.max(np.abs(w.sum(axis=1))))
     off = w[~np.eye(gen.N, dtype=bool)]
     min_off = float(off.min()) if off.size else 0.0
     gap_full, _, item2 = spectral_gap([sorted_eigenbasis(w)[0]])

@@ -162,6 +162,20 @@ def _fit_slope(eps_grid, values):
     return float(np.polyfit(x, y, 1)[0])
 
 
+def _bordered_solve(a, mu, vec, rhs):
+    """Solve the bordered Jacobian [[a - mu I, -vec], [vec^H, 0]] of the
+    eigenpair (mu, vec) of ``a`` for ``rhs``: the linearised eigen-equation
+    under the gauge vec^H dv = 0, its eigenvalue unknown last.  Raises
+    EigsNotSimple when it is singular, as at a multiple eigenvalue.
+    """
+    jac = np.block([[a - mu * np.eye(a.shape[0]), -vec[:, None]], [vec.conj(), 0]])
+    try:
+        return np.linalg.solve(jac, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise EigsNotSimple("the eigenvalue is not simple: "
+                            "its bordered system is singular") from exc
+
+
 #: refinement steps per eigenpair; each shrinks the error by about the
 #: complex128 roundoff times the Jacobian's condition number
 REFINE_STEPS = 3
@@ -170,25 +184,14 @@ REFINE_STEPS = 3
 def _refine_eigenpair(a, mu, vec):
     """Polish one simple eigenpair (mu, vec) of the shifted matrix ``a``.
 
-    Newton refinement on the bordered Jacobian [[a - mu0 I, -v0], [v0^H, 0]]
-    of the dense eigenpair (mu0, v0), formed once; residuals
-    (a v - mu v, 1 - v0^H v) and corrections are all complex128.  Raises
-    EigsNotSimple when the Jacobian is singular, as it is at a multiple
-    eigenvalue.
+    Newton refinement on the bordered Jacobian (:func:`_bordered_solve`) of
+    the dense eigenpair (mu0, v0); residuals (a v - mu v, 1 - v0^H v) and
+    corrections are all complex128.
     """
-    n = a.shape[0]
-    anchor = vec.conj()
-    jac = np.zeros((n + 1, n + 1), dtype=complex)
-    jac[:n, :n] = a - mu * np.eye(n)
-    jac[:n, n] = -vec
-    jac[n, :n] = anchor
-    v = vec
+    n, mu0, v = a.shape[0], mu, vec
     for _ in range(REFINE_STEPS):
-        try:
-            step = np.linalg.solve(jac, np.concatenate([mu * v - a @ v, [1 - anchor @ v]]))
-        except np.linalg.LinAlgError as exc:
-            raise EigsNotSimple("the matched eigenvalue is not simple: "
-                                "its bordered Newton system is singular") from exc
+        step = _bordered_solve(a, mu0, vec,
+                               np.concatenate([mu * v - a @ v, [1 - vec.conj() @ v]]))
         v = v + step[:n]
         mu = mu + step[n]
     return mu, v / np.linalg.norm(v)
@@ -232,8 +235,7 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
     dw = d[:, None] * gen.wdot                           # D Wdot
     ladders = [[] for _ in ells]                         # per label: (r0, r1, r2, vec_r) per eps
     for eps in eps_grid:
-        block = assemble_fourier_block(model, gen, k, eps)
-        eig = eig_dense_complex(block.matrix)
+        eig = eig_dense_complex(assemble_fourier_block(model, gen, k, eps))
         pred = d + eps * resp.lambda_hat + eps ** 2 * resp.lambda_hathat
         label = nearest_assignment(np.abs(eig.values[:, None] - pred[None, :]), [1] * model.N)
         for ell, rows in zip(ells, ladders):
@@ -268,37 +270,27 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     """Directional derivative (dlam, df) of one eigenpair w.r.t. the speeds.
 
     The derivative of the phase diagonal in direction u is
-    Diag(-2 pi i k u_j exp(-2 pi i k alpha_j)); dlam contracts it against the
-    left/right eigenvectors of the simple eigenvalue (the left one is
-    exp(2 pi i k alpha) f, as W_eps is real symmetric), and df solves the
-    differentiated eigenvalue equation on the complement of span{f} under the
-    gauge <f, df> = 0.  The spectrum must be simple by
-    :func:`rotor_spectra.model.spectral_gap`, otherwise EigsNotSimple is raised.
+    Diag(-2 pi i k u_j exp(-2 pi i k alpha_j)), so dP = that times W_eps, and
+    (dlam, df) solve the differentiated eigen-equation
+    (P - lam) df - dlam f = -dP f under the gauge <f, df> = 0: the bordered
+    system of the order-check polish (:func:`_bordered_solve`).  The spectrum
+    must be simple by :func:`rotor_spectra.model.spectral_gap`, otherwise
+    EigsNotSimple is raised, as it is when the bordered system is singular.
     """
     if eps == 0:
         raise EpsZero("the eps=0 speed response is discontinuous; refused by design")
     u = np.asarray(direction, dtype=float).ravel()
     if u.shape != (model.N,):
         raise DimensionMismatch(f"direction must have shape ({model.N},)")
-    block = assemble_fourier_block(model, gen, k, eps)
-    p = np.asarray(block.matrix)
+    p = assemble_fourier_block(model, gen, k, eps)
     eig = eig_dense_complex(p)
     gap, radius, simple = spectral_gap([eig.values])
     if not simple:
         raise EigsNotSimple(f"minimum eigenvalue gap {gap:.3e} is not above GAP_TOL "
                             f"times the spectral radius {radius:.3e} at eps={eps}")
     # identify label ell through the labelled ordering
-    spec = label_spectrum(block, eig)
-    lam = spec.lam[ell]
+    spec = label_spectrum(model, gen, k, eps, eig)
     f = spec.vectors[:, ell]
-    # y^T P = f^T W_eps = lam y^T; unlike W_eps f = lam y, y is nonzero when lam = 0
-    left = np.conj(model.phases(k)[model.band_index]) * f
-
     dp = (-2j * np.pi * k * u)[:, None] * p
-    dlam = (left @ dp @ f) / (left @ f)
-
-    # (P - lam) df = -(dP - dlam) f on the complement of span{f}, <f, df> = 0
-    aug = np.vstack([p - lam * np.eye(model.N), np.conj(f)[None, :]])
-    rhs = np.concatenate([-(dp @ f - dlam * f), [0.0]])
-    df, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-    return complex(dlam), df
+    step = _bordered_solve(p, spec.lam[ell], f, np.concatenate([-(dp @ f), [0.0]]))
+    return complex(step[model.N]), step[:model.N]

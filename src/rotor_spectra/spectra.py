@@ -11,7 +11,7 @@ sin(2 pi k delta) / (2 pi k delta); eigenvectors are unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,17 +20,6 @@ from .model import BandModel, NoiseGenerator, _freeze, spectral_gap, w_epsilon
 
 #: relative eigensolver residual ||A v - lambda v|| / ||A||_2 a converged pair meets
 RESIDUAL_TOL = 1e-11
-
-
-@dataclass(frozen=True, eq=False)
-class FourierBlock:
-    """The matrix D_{k,alpha} W_eps for one Fourier index k."""
-
-    k: int
-    eps: float
-    matrix: np.ndarray
-    model: BandModel
-    gen: NoiseGenerator
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +56,12 @@ class LabelledSpectrum:
     gersh_radius: float
 
 
-def assemble_fourier_block(model: BandModel, gen: NoiseGenerator, k: int, eps: float) -> FourierBlock:
-    """Build D_{k,alpha} (Id + eps*Wdot)."""
+def assemble_fourier_block(model: BandModel, gen: NoiseGenerator, k: int,
+                           eps: float) -> np.ndarray:
+    """The read-only matrix D_{k,alpha} (Id + eps*Wdot) of Fourier index k."""
     w = w_epsilon(gen, eps)
     phases = model.phases(k)[model.band_index]
-    return FourierBlock(k=int(k), eps=float(eps), matrix=_freeze(phases[:, None] * w),
-                        model=model, gen=gen)
+    return _freeze(phases[:, None] * w)
 
 
 def eig_dense_complex(matrix: np.ndarray) -> EigResult:
@@ -138,8 +127,10 @@ def nearest_assignment(cost: np.ndarray, room) -> np.ndarray:
     return np.array(col)
 
 
-def label_spectrum(block: FourierBlock, eig: EigResult) -> LabelledSpectrum:
-    """Label raw eigenpairs by their nearest band phase exp(-2 pi i k beta_s).
+def label_spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
+                   eig: EigResult) -> LabelledSpectrum:
+    """Label the eigenpairs ``eig`` of the block D_{k,alpha} W_eps by their
+    nearest band phase exp(-2 pi i k beta_s).
 
     Pairs are taken cheapest first, band s holding L_s eigenvalues, and labels
     run by descending Re(lam * conj(e_s)) within band s, e_s its phase (at
@@ -148,26 +139,25 @@ def label_spectrum(block: FourierBlock, eig: EigResult) -> LabelledSpectrum:
     it is validated against the disk radius; AmbiguousLabelling signals eps
     too large for the asymptotic labelling.
     """
-    model = block.model
     if not np.all(eig.converged):
         raise NoConvergence(
             f"{int(np.sum(~eig.converged))} eigenpairs exceed the residual tolerance",
             partial=eig)
-    phases = model.phases(block.k)
+    phases = model.phases(k)
     band = nearest_assignment(np.abs(eig.values[:, None] - phases[None, :]), model.L)
     along = (eig.values * np.conj(phases[band])).real   # about 1 + eps*rho
     order = np.lexsort((-along, band))                  # eigenpair index of label ell
     lam, targets = eig.values[order], phases[model.band_index]
 
-    radius = gershgorin_bound(block.gen, block.eps)
+    radius = gershgorin_bound(gen, eps)
     worst = float(np.max(np.abs(lam - targets)))
     if spectral_gap([phases])[0] > 2 * radius and worst > radius * (1 + 1e-8) + 1e-13:
         raise AmbiguousLabelling(
             f"assignment cost {worst:.3e} exceeds Gershgorin radius {radius:.3e} "
-            f"at k={block.k}, eps={block.eps}")
+            f"at k={k}, eps={eps}")
 
     return LabelledSpectrum(
-        k=block.k, eps=block.eps, delta=0.0, sinc=1.0,
+        k=int(k), eps=float(eps), delta=0.0, sinc=1.0,
         lam=_freeze(lam), target=_freeze(targets), residual=_freeze(eig.residuals[order]),
         vectors=_freeze(_phase_fix(eig.vectors[:, order])), band=model.band_index,
         gersh_radius=radius)
@@ -190,14 +180,11 @@ def delta_factor(k: int, delta: float) -> float:
 def spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
              delta: float = 0.0) -> LabelledSpectrum:
     """Labelled spectrum of one Fourier block, with the delta factor applied."""
-    block = assemble_fourier_block(model, gen, k, eps)
-    spec = label_spectrum(block, eig_dense_complex(block.matrix))
+    eig = eig_dense_complex(assemble_fourier_block(model, gen, k, eps))
+    spec = label_spectrum(model, gen, k, eps, eig)
     if delta == 0.0:
         return spec
     s = delta_factor(k, delta)
-    return LabelledSpectrum(
-        k=spec.k, eps=spec.eps, delta=float(delta), sinc=s,
-        lam=_freeze(s * spec.lam), target=_freeze(s * spec.target),
-        vectors=spec.vectors, residual=spec.residual, band=spec.band,
-        gersh_radius=s * spec.gersh_radius)
+    return replace(spec, delta=float(delta), sinc=s, lam=_freeze(s * spec.lam),
+                   target=_freeze(s * spec.target), gersh_radius=s * spec.gersh_radius)
 

@@ -171,9 +171,9 @@ def write_grid_csv(path, k, vectors, ells, x_res):
 
 def write_admissibility_json(path, report):
     _write_json(path, {
-        "row_sum_defect": report.row_sum_defect,
-        "symmetry_defect": report.symmetry_defect,
-        "min_offdiag": report.min_offdiag,
+        "row_sum_defect": _number(report.row_sum_defect),
+        "symmetry_defect": _number(report.symmetry_defect),
+        "min_offdiag": _number(report.min_offdiag),
         "min_eigen_gap_full": _number(report.min_eigen_gap_full),
         "min_eigen_gap_blocks": _number(report.min_eigen_gap_blocks),
         "eps_max": _number(report.eps_max),

@@ -93,7 +93,7 @@ def limit_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
     The band phases must be pairwise distinct at this k, otherwise
     GammaViolated is raised (no convergence claim exists there).
     """
-    if model.S > 1 and not check_gamma(model, k):
+    if not check_gamma(model, k):
         raise GammaViolated(f"band phases coincide at k={k}")
     return limit_eigenbasis(model, gen, k)
 

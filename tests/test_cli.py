@@ -41,6 +41,22 @@ def run_cli(*argv, timeout=None):
                           timeout=timeout)
 
 
+def read_strict_json(path):
+    """A JSON file, refusing the non-standard constants Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+#: generators whose entries near the float maximum overflow a row sum or an eigenvalue
+OVERFLOWING = {
+    "one-band": '{"beta": [0.1], "L": [2], "generator": [[1e308, 1e308], [1e308, 1e308]]}',
+    "two-bands": '{"beta": [0.1, 0.2], "L": [1, 1],'
+                 ' "generator": [[-1e308, 1e308], [1e308, -1e308]]}',
+}
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -92,13 +108,24 @@ class TestValidate:
         p.write_text('{"beta": [0.1], "L": [1], "generator": [[0.0]]}', encoding="utf-8")
         out = tmp_path / "rep"
         assert main(["validate", "--config", str(p), "--out", str(out)]) == 0
-
-        def refuse(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        doc = json.loads((out / "admissibility.json").read_text(), parse_constant=refuse)
+        doc = read_strict_json(out / "admissibility.json")
         assert doc["min_eigen_gap_full"] is None and doc["min_eigen_gap_blocks"] is None
         assert doc["eps_max"] is None
+
+    @pytest.mark.parametrize("config", OVERFLOWING.values(), ids=OVERFLOWING.keys())
+    def test_overflowing_generator_is_not_simple(self, tmp_path, config):
+        # Wdot's computed spectrum holds inf, which is not simple; the report
+        # stays strict JSON, and numpy's overflow warnings stay off stderr
+        p = tmp_path / "huge.json"
+        p.write_text(config, encoding="utf-8")
+        out = tmp_path / "rep"
+        done = run_cli("-m", "rotor_spectra.cli", "validate", "--config", str(p),
+                       "--out", str(out))
+        assert done.returncode == 1
+        assert "distinct-spectrum: FAIL" in done.stdout.splitlines()
+        assert done.stderr == ""
+        doc = read_strict_json(out / "admissibility.json")
+        assert doc["item_distinct_full"] is False and doc["passed"] is False
 
 
 class TestSpectrum:
@@ -428,6 +455,25 @@ class TestOtherCommands:
         assert main(["oracle", "--config", str(bad), "--out", str(tmp_path / "o2")]) == 1
         assert not (tmp_path / "o2").exists()
 
+    def test_overflowing_generator_limit_exit1(self, tmp_path, capsys):
+        p = tmp_path / "huge.json"
+        p.write_text(OVERFLOWING["one-band"], encoding="utf-8")
+        out = tmp_path / "lim"
+        assert main(["limit", "--config", str(p), "--out", str(out),
+                     "--k", "1", "--eps", "0"]) == 1
+        assert "is not above GAP_TOL" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_prints_small_magnitudes(self, case_cfg, tmp_path, capsys):
+        # 1e8 extra turns of fibre noise leave magnitudes of about 4.9e-10
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(case_cfg), "--out", str(out),
+                     "--delta", "100000000.05"]) == 0
+        printed = [float(m) for m in re.findall(r"\|lam\|=(\S+)", capsys.readouterr().out)]
+        held = [c["magnitude"] for c in read_strict_json(out / "cycles.json")["cycles"]]
+        assert len(printed) == 3 and all(4e-10 < m < 6e-10 for m in held)
+        np.testing.assert_allclose(printed, held, rtol=1e-5)
+
     def test_simulate_cycles(self, tmp_path):
         p = tmp_path / "two.json"
         p.write_text('{"beta": [0.1, 0.3], "L": [1, 1], "delta": 0.05,'
@@ -580,6 +626,19 @@ def test_every_eigenvalue_comes_from_a_certified_decomposition():
     bare = [source.name for source in sorted(package.glob("*.py"))
             if re.search(r"linalg\.eigvals\(", source.read_text())]
     assert bare == []
+
+
+def test_one_bordered_system_and_no_block_record():
+    # one solver for the linearised eigen-equation at a simple eigenpair: no
+    # least-squares path, and np.linalg.solve only inside response's bordered
+    # system; the Fourier block is its matrix, with no record around it
+    sources = {p.name: p.read_text() for p in sorted(Path(rs.__file__).parent.glob("*.py"))}
+    assert [name for name, text in sources.items() if "lstsq" in text] == []
+    assert {name: len(re.findall(r"linalg\.solve\(", text)) for name, text in sources.items()
+            if "linalg.solve(" in text} == {"response.py": 1}
+    assert "linalg.solve(" in inspect.getsource(response._bordered_solve)
+    assert [name for name, text in sources.items() if "FourierBlock" in text] == []
+    assert "FourierBlock" not in rs.__all__
 
 
 def test_one_symmetric_eigensolver():

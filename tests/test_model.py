@@ -201,6 +201,11 @@ class TestSpectralGap:
         assert spectral_gap([np.array([1, 1j, -1, 1 + 2e-10j])]) == (2e-10, 1.0, False)
         assert spectral_gap([np.array([1, 1j, -1, 1 + 2e-9j])]) == (2e-9, 1.0, True)
 
+    def test_non_finite_spectrum_is_not_simple(self):
+        # Python's min and max skip NaN, which once let a NaN spectrum pass
+        assert spectral_gap([[math.nan, 1.0]])[2] is False
+        assert spectral_gap([[1.0, 2.0], [0.0, math.inf]])[2] is False
+
 
 class TestWEpsilon:
     def test_direct_substitution(self):

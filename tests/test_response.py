@@ -472,12 +472,12 @@ def assert_dlam_matches_inverse_row(model, gen, k, eps, ell, u):
     """alpha_response's dlam against the left eigenvector taken as a row of V^{-1}."""
     dlam, _ = alpha_response(model, gen, k, eps, ell, u)
     block = assemble_fourier_block(model, gen, k, eps)
-    eig = eig_dense_complex(block.matrix)
-    spec = label_spectrum(block, eig)
+    eig = eig_dense_complex(block)
+    spec = label_spectrum(model, gen, k, eps, eig)
     lam, f = spec.lam[ell], spec.vectors[:, ell]
     i = int(np.argmin(np.abs(eig.values - lam)))
     left = np.linalg.inv(eig.vectors)[i]
-    dp = (-2j * np.pi * k * np.asarray(u))[:, None] * np.asarray(block.matrix)
+    dp = (-2j * np.pi * k * np.asarray(u))[:, None] * block
     want = (left @ dp @ f) / (left @ f)
     # both contract the same computed f, whose error is about
     # eps_mach / (separation of lam from the other eigenvalues)
@@ -565,6 +565,26 @@ class TestAlphaResponse:
         m = build_band_model([-0.7034338027445681, 0.5], [1, 1])
         g = NoiseGenerator.from_matrix([[-0.5, 0.5], [0.5, -0.5]])
         assert_dlam_matches_inverse_row(m, g, 1, 1.0, 0, [0.25, -0.5])
+
+    @pytest.mark.parametrize("k, eps", [(1, 0.1), (2, 0.02)])
+    def test_dlam_matches_mpmath_reference(self, k, eps):
+        # dlam = lam sum_j y_j c_j f_j / sum_j y_j f_j, c = -2 pi i k u, from the
+        # left and right eigenvectors y, f of the same double matrix at 40 digits
+        model = build_band_model([0.1, 0.37, 0.71], [3, 4, 5])
+        gen = laplacian_generator(model.N)
+        u = np.linspace(-1, 1, model.N)
+        c = -2j * np.pi * k * u
+        p = assemble_fourier_block(model, gen, k, eps)
+        lam = spectrum(model, gen, k, eps).lam
+        with mpmath.workdps(40):
+            values, left, right = mpmath.eig(mpmath.matrix(p.tolist()), left=True, right=True)
+            for ell in (0, 4, 7, 11):
+                i = min(range(model.N), key=lambda i: abs(complex(values[i]) - lam[ell]))
+                y, f = left[i, :], right[:, i]
+                ref = complex(values[i] * mpmath.fsum(y[j] * c[j] * f[j] for j in range(model.N))
+                              / mpmath.fsum(y[j] * f[j] for j in range(model.N)))
+                dlam, _ = alpha_response(model, gen, k, eps, ell, u)
+                assert abs(dlam - ref) <= 1e-11 * abs(ref), ell
 
     def test_eps_zero_refused(self, two_band_model, two_band_gen):
         with pytest.raises(EpsZero):
