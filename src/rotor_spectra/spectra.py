@@ -100,8 +100,9 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
 
 
 def gershgorin_bound(gen: NoiseGenerator, eps: float) -> float:
-    """Radius 2 * max_j |Wdot_jj| * eps of the eigenvalue inclusion disks."""
-    return 2.0 * float(np.max(np.abs(np.diag(gen.wdot)))) * float(eps)
+    """Radius 2 * max_j |Wdot_jj| * eps of the eigenvalue inclusion disks;
+    eps scales the diagonal first, so a finite radius cannot overflow."""
+    return 2.0 * (float(np.max(np.abs(np.diag(gen.wdot)))) * float(eps))
 
 
 def nearest_assignment(cost: np.ndarray, room) -> np.ndarray:

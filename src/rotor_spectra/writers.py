@@ -1,10 +1,15 @@
 """CSV and JSON writers for every documented file format.
 
 Each CSV writer states its row format once, as a ``%`` format, and hands
-``_write`` whole columns.  CSVs are UTF-8 with a header row, '.' decimal
-separator and CRLF row ends.  Reals are written ``%.17g``; label and fibre
-indices (ell, j, band) are 1-based, while the library is 0-based internally;
-the oracle's complex columns use Python's ``a+bj`` syntax.
+``_write`` whole columns, each at its natural shape: the columns broadcast
+against one another to the table's shape, whose elements in C order are the
+rows.  A column with fewer elements than the table has rows (a label, a
+per-vector modulus, a sample point) is formatted once per element of its own
+shape, so a value that repeats down the table is converted once.  CSVs are
+UTF-8 with a header row, '.' decimal separator and CRLF row ends.  Reals are
+written ``%.17g``; label and fibre indices (ell, j, band) are 1-based, while
+the library is 0-based internally; the oracle's complex columns use Python's
+``a+bj`` syntax.
 
 Columns round as scalar arithmetic does, to the last bit: a modulus is
 ``np.hypot(re, im)``, equal to ``abs(complex)`` where a vectorised ``np.abs``
@@ -16,12 +21,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 
 #: samples per plotted circle
 CIRCLE_SAMPLES = 256
+#: one ``%`` conversion of a row format (compiled on first use, not at import)
+_CONVERSION = r"%[-+ #0]*\d*(?:\.\d+)?[a-zA-Z]"
 
 
 def _open(path):
@@ -32,9 +40,23 @@ def _open(path):
 
 def _write(path, header, fmt, columns, footer=()):
     """Write the header, one ``fmt`` row per element of the broadcast
-    ``columns`` (arrays or scalars, in C order), then the ``footer`` lines."""
-    cols = [c.ravel().tolist() for c in np.broadcast_arrays(*map(np.asarray, columns))]
-    row = fmt + "\r\n"
+    ``columns`` (arrays or scalars, in C order), then the ``footer`` lines.
+
+    ``fmt`` holds one ``%`` conversion per column, in column order.  A column
+    with fewer elements than the table has rows is formatted once per element
+    with its own conversion, and its strings are broadcast as ``%s``.
+    """
+    cols = list(map(np.asarray, columns))
+    rows = math.prod(np.broadcast_shapes(*(c.shape for c in cols)))
+    texts = re.split(_CONVERSION, fmt)
+    for i, conv in enumerate(re.findall(_CONVERSION, fmt)):
+        if cols[i].size < rows:
+            cols[i] = np.array([conv % v for v in cols[i].ravel().tolist()],
+                               dtype=object).reshape(cols[i].shape)
+            conv = "%s"
+        texts[i] += conv
+    cols = [c.ravel().tolist() for c in np.broadcast_arrays(*cols)]
+    row = "".join(texts) + "\r\n"
     with _open(path) as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(row % values for values in zip(*cols))
@@ -83,10 +105,9 @@ def write_circles_csv(path, model, k, sinc, radius):
     centre = sinc * model.phases(k)[:, None]
     S = len(model.beta)
     _write(path, ["kind", "idx", "x", "y"], "%s,%d,%.17g,%.17g",
-           [np.repeat(["unit", "gersh"], [CIRCLE_SAMPLES, S * CIRCLE_SAMPLES]),
-            np.repeat(np.arange(S + 1), CIRCLE_SAMPLES),
-            np.concatenate([np.cos(t), (centre.real + radius * np.cos(t)).ravel()]),
-            np.concatenate([np.sin(t), (centre.imag + radius * np.sin(t)).ravel()])])
+           [np.array(["unit"] + ["gersh"] * S)[:, None], np.arange(S + 1)[:, None],
+            np.vstack([np.cos(t), centre.real + radius * np.cos(t)]),
+            np.vstack([np.sin(t), centre.imag + radius * np.sin(t)])])
 
 
 def write_limit_csv(path, basis):
@@ -160,13 +181,13 @@ def write_trajectory_csv(path, batch):
 def write_grid_csv(path, k, vectors, ells, x_res):
     """Full-cylinder eigenfunction samples |f(j) e^{2 pi i k x}| and arguments."""
     f = np.asarray(vectors)[:, list(ells)].T[:, :, None]    # (ell, j, 1)
-    xs = np.arange(x_res) / x_res
-    e = np.exp(2j * np.pi * k * xs)
-    re = f.real * e.real - f.imag * e.imag
-    im = f.real * e.imag + f.imag * e.real
+    # k x mod 1 at x = i / x_res, reduced exactly in integers before any rounding
+    e = np.exp(2j * np.pi * ((k % x_res) * np.arange(x_res) % x_res / x_res))
+    real = f.real * e.real - f.imag * e.imag
+    imag = f.real * e.imag + f.imag * e.real
     _write(path, ["ell", "j", "x", "abs", "arg"], "%d,%d,%.17g,%.17g,%.17g",
-           [(np.asarray(ells) + 1)[:, None, None], _labels(f.shape[1])[:, None], xs,
-            np.hypot(re, im), np.arctan2(im, re)])
+           [(np.asarray(ells) + 1)[:, None, None], _labels(f.shape[1])[:, None],
+            np.arange(x_res) / x_res, _abs(f), np.arctan2(imag, real)])
 
 
 def write_admissibility_json(path, report):

@@ -160,6 +160,19 @@ class TestSpectrum:
                      "--k", "1,2", "--eps", "0.1,0.01"]) == 0
         assert len(list(out.glob("spectrum_*.csv"))) == 4
 
+    def test_overflowing_diagonal_keeps_a_finite_gershgorin_radius(self, tmp_path):
+        # eps scales max|Wdot_jj| = 1e308 before the factor 2 can overflow it
+        p = tmp_path / "huge.json"
+        p.write_text(OVERFLOWING["two-bands"], encoding="utf-8")
+        out = tmp_path / "spec"
+        done = run_cli("-m", "rotor_spectra.cli", "spectrum", "--config", str(p),
+                       "--out", str(out), "--k", "1", "--eps", "1e-309")
+        assert done.returncode == 0 and done.stderr == ""
+        _, rows = read_csv(out / "spectrum_k1_eps1e-309.csv")
+        assert all(abs(float(r[10]) - 0.2) < 1e-12 for r in rows)   # eps is subnormal
+        _, rows = read_csv(out / "circles_k1_eps1e-309.csv")
+        assert np.isfinite([[float(c) for c in r[2:]] for r in rows]).all()
+
     def test_ambiguous_pairs_reported_in_input_order(self, case_cfg, tmp_path, capsys,
                                                      monkeypatch):
         real = cli.spectrum

@@ -12,6 +12,8 @@ scalar values.
 from types import SimpleNamespace as NS
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotor_spectra import build_band_model, writers
 
@@ -160,6 +162,77 @@ def test_grid(tmp_path):
         "1,2,0.75,0.5,0.64350110879328415",
         "1,2,0.875,0.5,1.4288992721907325",
     )
+
+
+def test_grid_phase_is_reduced_exactly(tmp_path):
+    # 2**32 - 7 is 1 modulo x_res = 8, so every sample sits at the phase of k = 1
+    assert written(tmp_path, writers.write_grid_csv, 2 ** 32 - 7, VECTORS, [0], x_res=8) \
+        == written(tmp_path, writers.write_grid_csv, 1, VECTORS, [0], x_res=8)
+
+
+def naive_rows(fmt, columns):
+    """The reference: every column broadcast to full length, one ``fmt % row`` each."""
+    cols = [c.ravel().tolist() for c in np.broadcast_arrays(*map(np.asarray, columns))]
+    return "".join(fmt % row + "\r\n" for row in zip(*cols)).encode("utf-8")
+
+
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e308, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True))
+#: each field's conversions and the element strategy of each of its columns
+FIELDS = {
+    "%d": [st.integers(-2 ** 40, 2 ** 40)],
+    "%s": [st.sampled_from(["unit", "gersh", "first", "", "a,b"])],
+    "%.17g": [FLOATS],
+    "%.17g%+.17gj": [FLOATS, FLOATS],
+}
+
+
+@st.composite
+def tables(draw):
+    """A row format and its columns, each at one of the shapes ``_write`` broadcasts:
+    a scalar, a column ``(n, 1)``, a row ``(m,)`` or the full ``(n, m)``, n possibly 0."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    fields = draw(st.lists(st.sampled_from(sorted(FIELDS)), min_size=1, max_size=5))
+    columns = []
+    for field in fields:
+        for elements in FIELDS[field]:
+            shape = draw(st.sampled_from([(), (n, 1), (m,), (n, m)]))
+            values = draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                   max_size=int(np.prod(shape))))
+            columns.append(np.array(values).reshape(shape))
+    return ",".join(fields), columns
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tables())
+def test_write_equals_the_broadcast_row_reference(tmp_path_factory, table):
+    fmt, columns = table
+    path = tmp_path_factory.mktemp("write") / "t.csv"
+    writers._write(path, ["h"], fmt, columns)
+    assert path.read_bytes() == crlf("h") + naive_rows(fmt, columns)
+
+
+class Counted:
+    """A float that counts how often a ``%`` conversion reads it."""
+
+    def __init__(self, value):
+        self.value, self.reads = value, 0
+
+    def __float__(self):
+        self.reads += 1
+        return self.value
+
+
+def test_broadcast_column_is_formatted_once_per_element(tmp_path):
+    short = np.array([[Counted(0.5)], [Counted(-0.25)], [Counted(1e-300)]], dtype=object)
+    full = np.array([[Counted(float(i + 4 * r)) for i in range(4)] for r in range(3)],
+                    dtype=object)
+    writers._write(tmp_path / "t.csv", ["a", "b", "c"], "%.17g,%d,%.17g",
+                   [short, np.arange(4), full])
+    assert [c.reads for c in short.ravel()] == [1, 1, 1]
+    assert [c.reads for c in full.ravel()] == [1] * 12
+    assert (tmp_path / "t.csv").read_bytes().splitlines()[1:3] == [b"0.5,0,0", b"0.5,1,1"]
 
 
 def test_empty_tables_keep_their_header(tmp_path):
