@@ -24,11 +24,12 @@ import sys
 from pathlib import Path
 
 from . import __version__, writers
-from .config import MAX_INDEX, RunConfig, case_study_config, load_config
+from . import model as band_models
+from .config import RunConfig, case_study_config, load_config
 from .errors import AmbiguousLabelling, ConfigError, RotorSpectraError
 from .model import validate_admissibility
 from .oracle import oracle_crosscheck
-from .response import check_eps_grid, order_checks, response_data
+from .response import order_checks, response_data
 from .simulate import detect_cycles, simulate, ulam_analytic
 from .spectra import spectrum
 from .zero_noise import limit_basis, spectrum_convergence
@@ -58,7 +59,7 @@ def _positive_int(text: str) -> int:
 def _index(text: str) -> int:
     """A Fourier index; like the config, refuse |k| > MAX_INDEX."""
     value = int(text)
-    if abs(value) > MAX_INDEX:
+    if abs(value) > band_models.MAX_INDEX:
         raise ValueError("Fourier indices must lie within +-2**32")
     return value
 
@@ -150,7 +151,6 @@ def cmd_limit(cfg: RunConfig, args):
 
 
 def cmd_response(cfg: RunConfig, args):
-    check_eps_grid(cfg.gen, args.eps)
     resps = [response_data(cfg.model, cfg.gen, k) for k in args.k]
     checks = [oc for resp in resps
               for oc in order_checks(resp, cfg.gen, _leading_labels(cfg.model), args.eps)]

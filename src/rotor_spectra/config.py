@@ -28,11 +28,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import model as band_models
 from .errors import ConfigError, RotorSpectraError
 from .model import BandModel, NoiseGenerator, build_band_model, laplacian_generator
-
-#: the largest |k| accepted, from the config and from ``--k``
-MAX_INDEX = 2 ** 32
 
 SPEED_TOKENS = {
     "pi/20": math.pi / 20.0,
@@ -131,7 +129,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(ks, list) or not ks or not all(
             isinstance(k, int) and not isinstance(k, bool) for k in ks):
         raise ConfigError("'ks' must be a nonempty array of integers")
-    if max(abs(k) for k in ks) > MAX_INDEX:
+    if max(abs(k) for k in ks) > band_models.MAX_INDEX:
         raise ConfigError("'ks' entries must lie within +-2**32")
     return RunConfig(model=model, gen=gen, delta=float(delta),
                      epsilons=tuple(float(e) for e in eps),

@@ -44,7 +44,7 @@ class DimensionMismatch(RotorSpectraError, ValueError):
 
 
 class EpsOutOfRange(RotorSpectraError):
-    """Id + eps*Wdot leaves the interval [0, 1] entrywise."""
+    """eps is negative or not finite, or Id + eps*Wdot leaves [0, 1] entrywise."""
 
 
 # --- spectra ---
@@ -105,7 +105,7 @@ class MismatchBeyondTolerance(RotorSpectraError):
 # --- simulate ---
 
 class InvalidSimulationInput(RotorSpectraError, ValueError):
-    """Bins < 2, top_m < 1, negative counts, a bad delta, off-grid initial states."""
+    """Bins < 2, top_m not an integer >= 1, negative counts, a bad delta."""
 
 
 class InsufficientData(RotorSpectraError):

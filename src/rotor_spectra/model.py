@@ -19,14 +19,16 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DimensionTooSmall, DuplicateSpeed, EmptyBand,
-                     EpsOutOfRange, InvalidMatrix, InvalidSpeeds, NonBandable)
+from .errors import (ConfigError, DimensionMismatch, DimensionTooSmall, DuplicateSpeed,
+                     EmptyBand, EpsOutOfRange, InvalidMatrix, InvalidSpeeds, NonBandable)
 
 #: largest symmetry, row-sum and negative off-diagonal defect of an admissible generator
 DEFECT_TOL = 1e-12
 #: spectra count as simple when every eigenvalue gap exceeds this times their
 #: largest |eigenvalue| (spectral_gap)
 GAP_TOL = 1e-9
+#: the largest |k| of a Fourier index (phases), the config and ``--k``
+MAX_INDEX = 2 ** 32
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -62,7 +64,12 @@ class BandModel:
         return _freeze(np.repeat(np.arange(self.S), self.L))
 
     def phases(self, k: int) -> np.ndarray:
-        """Band phases exp(-2 pi i k beta_s); the fibre phases are ``phases(k)[band_index]``."""
+        """Band phases exp(-2 pi i k beta_s); the fibre phases are ``phases(k)[band_index]``.
+
+        ConfigError unless k is an integer with |k| <= MAX_INDEX.
+        """
+        if not isinstance(k, Integral) or abs(k) > MAX_INDEX:
+            raise ConfigError("a Fourier index must be an integer within +-2**32")
         return np.exp(-2j * np.pi * k * np.asarray(self.beta))
 
 
@@ -251,8 +258,9 @@ def validate_admissibility(gen: NoiseGenerator, model: BandModel) -> Admissibili
 
 def w_epsilon(gen: NoiseGenerator, eps: float) -> np.ndarray:
     """The random-walk matrix Id + eps*Wdot; symmetric doubly stochastic."""
-    if eps < 0:
-        raise EpsOutOfRange(f"eps must be nonnegative, got {eps}")
+    # NaN fails every comparison, so the range test refuses NaN and inf too
+    if not 0 <= eps < math.inf:
+        raise EpsOutOfRange(f"eps must be finite and nonnegative, got {eps}")
     w = np.eye(gen.N) + eps * gen.wdot
     # small slack for accumulated rounding in eps * wdot
     if w.min() < -1e-14 or w.max() > 1.0 + 1e-14:

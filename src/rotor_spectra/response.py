@@ -28,16 +28,16 @@ discontinuous and refused by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import model as band_models
-from .errors import DegenerateBlock, DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid
-from .model import BandModel, NoiseGenerator, _freeze, sorted_eigenbasis, spectral_gap
+from .errors import DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid
+from .model import BandModel, NoiseGenerator, _freeze, build_band_model, spectral_gap
 from .spectra import (assemble_fourier_block, eig_dense_complex, label_spectrum,
                       nearest_assignment)
-from .zero_noise import LimitBasis, limit_basis, projective_distance
+from .zero_noise import LimitBasis, limit_basis, limit_eigenbasis, projective_distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,21 +90,16 @@ def first_order_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBas
     """Limit vectors f and first-order terms lhat for every label.
 
     Where the expansion terminates (:func:`_terminates`: S = 1 or k = 0) the
-    basis diagonalises the full Wdot (the limit problem is global, not
-    band-blocked), and DegenerateBlock is raised unless the simple-spectrum
-    rule (:func:`rotor_spectra.model.spectral_gap`) finds its spectrum simple.
-    Otherwise it is the band-blocked limit basis, which requires distinct
-    band phases at this k.
+    limit problem is global, not band-blocked: the basis is the limit basis
+    of one band over all N fibres, which diagonalises the full Wdot and
+    raises DegenerateBlock unless its spectrum is simple, the rule and the
+    solve of validate's distinct-spectrum verdict.  Otherwise it is the
+    band-blocked limit basis, which requires distinct band phases at this k.
     """
     if _terminates(model, k):
-        rho, v = sorted_eigenbasis(gen.wdot)
-        gap, radius, simple = spectral_gap([rho])
-        if not simple:
-            raise DegenerateBlock(f"the Wdot spectrum is not simple: eigenvalue gap "
-                                  f"{gap:.3e} is not above GAP_TOL times the spectral "
-                                  f"radius {radius:.3e}")
-        return LimitBasis(k=int(k), lambda_hat=_freeze(model.phases(k)[0] * rho),
-                          vectors=_freeze(v), band=model.band_index, model=model)
+        # every fibre has band 0's phase here, so one band of N fibres has the same matrix
+        one_band = build_band_model(model.beta[:1], [model.N])
+        return replace(limit_eigenbasis(one_band, gen, k), band=model.band_index, model=model)
     return limit_basis(model, gen, k)
 
 

@@ -35,13 +35,14 @@ matrix; UlamOperator.matrix builds it on read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
                      NoComplexEigenvalues, NoConvergence)
 from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
-from .spectra import eig_dense_complex
+from .spectra import check_delta, eig_dense_complex
 
 #: |imag| above which an eigenvalue counts as nonreal, relative to its sector bound b(m)
 IMAG_TOL = 1e-9
@@ -137,19 +138,17 @@ class CycleReport:
 
 
 def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
-             n_paths: int, n_steps: int, seed: int, init=None) -> TrajectoryBatch:
+             n_paths: int, n_steps: int, seed: int) -> TrajectoryBatch:
     """Run the random dynamics; reproducible given the seed.
 
     Per path the stream order is: two initial-state uniforms, the walk
-    uniforms for all steps, then the noise uniforms for all steps.  ``init``
-    optionally fixes the initial states as a pair (j0, x0) of one or n_paths
-    fibres in [0, N) and positions in [0, 1); the stream layout does not change.
+    uniforms for all steps, then the noise uniforms for all steps.
     """
     if seed < 0 or n_paths < 0 or n_steps < 0:
         raise InvalidSimulationInput(
             f"seed, path and step counts must be >= 0, got seed={seed}, "
             f"n_paths={n_paths}, n_steps={n_steps}")
-    _check_delta(delta)
+    check_delta(delta)
     w = w_epsilon(gen, eps)
     cum = np.cumsum(w, axis=1)
     cum[:, -1] = 1.0 + 1e-12     # guard rounding: every uniform draw must land
@@ -166,18 +165,8 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
 
     j = np.empty((n_paths, n_steps + 1), dtype=np.int32)
     x = np.empty((n_paths, n_steps + 1))
-    if init is None:
-        j[:, 0] = np.minimum((u_init[:, 0] * model.N).astype(np.int32), model.N - 1)
-        x[:, 0] = u_init[:, 1]
-    else:
-        j0, x0 = (np.asarray(v) for v in init)
-        # NaN fails every comparison, so the range test refuses NaN and inf too
-        if (j0.dtype.kind not in "iu" or x0.dtype.kind not in "iuf"
-                or {j0.shape, x0.shape} - {(), (1,), (n_paths,)}
-                or not (np.all((0 <= j0) & (j0 < model.N)) and np.all((0 <= x0) & (x0 < 1)))):
-            raise InvalidSimulationInput(f"initial states need one or {n_paths} integer fibres "
-                                         f"in [0, {model.N}) and positions in [0, 1)")
-        j[:, 0], x[:, 0] = j0, x0
+    j[:, 0] = np.minimum((u_init[:, 0] * model.N).astype(np.int32), model.N - 1)
+    x[:, 0] = u_init[:, 1]
     alpha = np.asarray(model.alpha)
     for t in range(n_steps):
         jt = j[:, t]
@@ -231,17 +220,11 @@ def _check_bins(M: int) -> None:
         raise InvalidSimulationInput(f"need at least 2 bins, got M={M}")
 
 
-def _check_delta(delta: float) -> None:
-    # NaN fails every comparison, so the range test refuses NaN and inf too
-    if not 0 <= delta < np.inf:
-        raise InvalidSimulationInput(f"delta must be finite and >= 0, got {delta}")
-
-
 def ulam_analytic(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
                   M: int) -> UlamOperator:
     """Exact cell transition operator of the annealed dynamics, kept as kernel rows and W_eps."""
     _check_bins(M)
-    _check_delta(delta)
+    check_delta(delta)
     w = w_epsilon(gen, eps)
     # fibres of a band share alpha, hence their kernel row
     band_rows = np.array([_fibre_kernel_row(float(model.alpha[c]), delta, M)
@@ -382,8 +365,8 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
     ``||B v - lam v||`` (unit v) at most ``RESIDUAL_TOL * ||B||_2`` for its
     sector block B; otherwise NoConvergence is raised.
     """
-    if top_m < 1:
-        raise InvalidSimulationInput(f"top_m must be >= 1, got {top_m}")
+    if not isinstance(top_m, Integral) or top_m < 1:
+        raise InvalidSimulationInput(f"top_m must be >= 1 and an integer, got {top_m}")
     if model.L != op.model.L:
         raise DimensionMismatch(f"band widths {model.L} differ from the operator's {op.model.L}")
     found, sectors_solved = _sector_cycles(op, top_m)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AmbiguousLabelling, InvalidMatrix, NoConvergence
+from .errors import AmbiguousLabelling, InvalidMatrix, InvalidSimulationInput, NoConvergence
 from .model import BandModel, NoiseGenerator, _freeze, spectral_gap, w_epsilon
 
 #: relative eigensolver residual ||A v - lambda v|| / ||A||_2 a converged pair meets
@@ -164,12 +164,21 @@ def label_spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
         gersh_radius=radius)
 
 
+def check_delta(delta: float) -> None:
+    """The fibre-noise rule of spectrum, simulate and ulam_analytic:
+    InvalidSimulationInput unless delta is finite and >= 0."""
+    # NaN fails every comparison, so the range test refuses NaN and inf too
+    if not 0 <= delta < math.inf:
+        raise InvalidSimulationInput(f"delta must be finite and >= 0, got {delta}")
+
+
 def delta_factor(k: int, delta: float) -> float:
     """sin(2 pi k delta) / (2 pi k delta), with the 0/0 limit defined as 1.
 
     Exactly zero at nonzero integer arguments 2*k*delta, where floating-point
-    sin(pi*n) would leave an O(1e-16) remnant.
+    sin(pi*n) would leave an O(1e-16) remnant.  delta must pass check_delta.
     """
+    check_delta(delta)
     x = 2.0 * float(k) * float(delta)
     if x == 0.0:
         return 1.0
@@ -183,8 +192,6 @@ def spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     """Labelled spectrum of one Fourier block, with the delta factor applied."""
     eig = eig_dense_complex(assemble_fourier_block(model, gen, k, eps))
     spec = label_spectrum(model, gen, k, eps, eig)
-    if delta == 0.0:
-        return spec
     s = delta_factor(k, delta)
     return replace(spec, delta=float(delta), sinc=s, lam=_freeze(s * spec.lam),
                    target=_freeze(s * spec.target), gersh_radius=s * spec.gersh_radius)

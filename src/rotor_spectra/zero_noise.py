@@ -81,8 +81,9 @@ def limit_eigenbasis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasi
         vectors[sl, sl] = v
     gap, radius, simple = spectral_gap(rhos)
     if not simple:
-        raise DegenerateBlock(f"band-block eigenvalue gap {gap:.3e} is not above "
-                              f"GAP_TOL times the spectral radius {radius:.3e}")
+        raise DegenerateBlock(f"the band-block spectra are not simple: eigenvalue gap "
+                              f"{gap:.3e} is not above GAP_TOL times the spectral "
+                              f"radius {radius:.3e}")
     return LimitBasis(k=int(k), lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),
                       band=model.band_index, model=model)
 

@@ -664,6 +664,17 @@ def test_one_symmetric_eigensolver():
     assert re.search(r"linalg\.eigh\(", inspect.getsource(rs.model.sorted_eigenbasis))
 
 
+def test_no_test_only_knob_and_one_zero_noise_solve():
+    # simulate draws its own initial states; every zero-noise basis, the
+    # terminating one of the response layer included, comes from
+    # limit_eigenbasis; and order_checks alone checks the response eps grid
+    assert "init" not in inspect.signature(rs.simulate).parameters
+    sources = {p.name: p.read_text() for p in sorted(Path(rs.__file__).parent.glob("*.py"))}
+    assert [name for name, text in sources.items()
+            if "sorted_eigenbasis(" in text] == ["model.py", "zero_noise.py"]
+    assert "check_eps_grid(" not in sources["cli.py"]
+
+
 def test_each_tolerance_name_is_bound_in_one_module():
     # one name, one definition: a by-name import is a second binding, which a
     # monkeypatch of the defining module does not reach

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model, detect_bands,
-                           eig_dense_complex, laplacian_generator, validate_admissibility,
-                           w_epsilon)
-from rotor_spectra.errors import (DimensionMismatch, DimensionTooSmall, DuplicateSpeed,
-                                  EmptyBand, EpsOutOfRange, InvalidMatrix, InvalidSpeeds,
-                                  NonBandable, RotorSpectraError)
+from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model, delta_factor,
+                           detect_bands, detect_cycles, eig_dense_complex, laplacian_generator,
+                           limit_basis, oracle_crosscheck, response_data, simulate, spectrum,
+                           ulam_analytic, validate_admissibility, w_epsilon)
+from rotor_spectra.errors import (ConfigError, DimensionMismatch, DimensionTooSmall,
+                                  DuplicateSpeed, EmptyBand, EpsOutOfRange, InvalidMatrix,
+                                  InvalidSimulationInput, InvalidSpeeds, NonBandable,
+                                  RotorSpectraError)
 from rotor_spectra.model import spectral_gap
 from conftest import CASE_BETA, random_banded_model
 
@@ -261,3 +263,30 @@ def test_boundary_errors_are_typed(error, call):
     assert issubclass(error, RotorSpectraError) and issubclass(error, ValueError)
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("error, match, call", [
+    (EpsOutOfRange, "finite", lambda m, g: w_epsilon(g, math.nan)),
+    (EpsOutOfRange, "finite", lambda m, g: w_epsilon(g, math.inf)),
+    (EpsOutOfRange, "finite", lambda m, g: simulate(m, g, math.nan, 0.1, 2, 5, seed=1)),
+    (EpsOutOfRange, "finite", lambda m, g: ulam_analytic(m, g, math.inf, 0.1, 8)),
+    (InvalidSimulationInput, "delta", lambda m, g: spectrum(m, g, 1, 0.1, math.inf)),
+    (InvalidSimulationInput, "delta", lambda m, g: spectrum(m, g, 1, 0.1, math.nan)),
+    (InvalidSimulationInput, "delta", lambda m, g: spectrum(m, g, 1, 0.1, -0.05)),
+    (InvalidSimulationInput, "delta", lambda m, g: delta_factor(1, -0.05)),
+    (InvalidSimulationInput, "integer",
+     lambda m, g: detect_cycles(ulam_analytic(m, g, 0.1, 0.1, 16), m, 2.5)),
+    (ConfigError, "Fourier index", lambda m, g: spectrum(m, g, 1.5, 0.1)),
+    (ConfigError, "Fourier index", lambda m, g: m.phases(2 ** 32 + 1)),
+    (ConfigError, "Fourier index", lambda m, g: limit_basis(m, g, 10 ** 400)),
+    (ConfigError, "Fourier index", lambda m, g: response_data(m, g, 10 ** 400)),
+    (ConfigError, "Fourier index", lambda m, g: oracle_crosscheck(m, g, 10 ** 400)),
+], ids=["w_eps_nan", "w_eps_inf", "simulate_eps_nan", "ulam_eps_inf", "spectrum_delta_inf",
+        "spectrum_delta_nan", "spectrum_delta_negative", "delta_factor_negative",
+        "top_m_fraction", "k_fraction", "k_above_max", "limit_k_huge", "response_k_huge",
+        "oracle_k_huge"])
+def test_out_of_range_parameters_are_refused(case_model, case_gen, error, match, call):
+    # eps and delta must be finite and >= 0, top_m a whole count and k an
+    # integer within +-MAX_INDEX, as the config and the CLI already require
+    with pytest.raises(error, match=match):
+        call(case_model, case_gen)

@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rotor_spectra import (NoiseGenerator, build_band_model, case_study_config,
-                           detect_cycles, laplacian_generator, simulate, spectra, spectrum,
-                           ulam_analytic, ulam_empirical)
+from rotor_spectra import (NoiseGenerator, TrajectoryBatch, build_band_model,
+                           case_study_config, detect_cycles, laplacian_generator, simulate,
+                           spectra, spectrum, ulam_analytic, ulam_empirical)
 from rotor_spectra.cli import main
 from rotor_spectra.config import CASE_STUDY_JSON
 from rotor_spectra.errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
@@ -22,6 +22,14 @@ simulate_module = importlib.import_module("rotor_spectra.simulate")
 
 def single_fibre_model(speed):
     return build_band_model([speed], [1]), NoiseGenerator.from_matrix([[0.0]])
+
+
+def one_fibre_batch(model, x):
+    """Paths (rows of ``x``) that stay in fibre 0 at the given positions."""
+    x = np.asarray(x, dtype=float)
+    return TrajectoryBatch(seed=0, n_paths=x.shape[0], n_steps=x.shape[1] - 1,
+                           j=np.zeros(x.shape, dtype=np.int32), x=x, eps=0.0, delta=0.0,
+                           model=model)
 
 
 def coo_cell_matrix(kernel, w):
@@ -158,8 +166,8 @@ def assert_matches_full_eig(report, op, model):
 class TestSimulate:
     def test_quarter_rotation_orbit(self):
         m, g = single_fibre_model(0.25)
-        batch = simulate(m, g, 0.0, 0.0, 1, 8, seed=1, init=([0], [0.0]))
-        assert_allclose(batch.x[0], [0, 0.25, 0.5, 0.75, 0, 0.25, 0.5, 0.75, 0], atol=1e-15)
+        batch = simulate(m, g, 0.0, 0.0, 4, 8, seed=1)
+        assert_allclose(np.diff(batch.x, axis=1) % 1.0, 0.25, rtol=0, atol=1e-15)
         assert np.all(batch.j == 0)
 
     def test_eps0_freezes_fibre(self, case_model, case_gen):
@@ -191,24 +199,6 @@ class TestSimulate:
         # empirical off-diagonal frequency ~ eps/2 = 0.25
         moves = np.mean(batch.j[:, :-1] != batch.j[:, 1:])
         assert moves == pytest.approx(0.25, abs=0.02)
-
-    @pytest.mark.parametrize("init", [
-        ([33], [0.0]),          # one past the last fibre
-        ([-1], [0.5]),          # would wrap to fibre 32
-        ([0.0], [0.5]),         # not an integer index
-        ([0], [np.nan]),
-        ([0], [1.7]),
-        ([0], [-0.25]),
-        ([0, 1, 2], [0.5]),     # three states for two paths
-    ])
-    def test_bad_initial_states_are_typed(self, case_model, case_gen, init):
-        with pytest.raises(InvalidSimulationInput, match="initial states"):
-            simulate(case_model, case_gen, 0.1, 0.1, 2, 5, seed=1, init=init)
-
-    def test_initial_states_broadcast(self, case_model, case_gen):
-        batch = simulate(case_model, case_gen, 0.1, 0.1, 3, 2, seed=1, init=(32, [0.0, 0.5, 0.75]))
-        assert np.array_equal(batch.j[:, 0], [32, 32, 32])
-        assert np.array_equal(batch.x[:, 0], [0.0, 0.5, 0.75])
 
 
 CELL_MATRIX_CASES = {
@@ -407,9 +397,8 @@ class TestUlamEmpirical:
                         rtol=0, atol=1e-15)
 
     def test_idle_fibre_becomes_self_loop(self, two_band_model):
-        # eps = 0 keeps every path in fibre 0: no step leaves fibre 1
-        batch = simulate(two_band_model, NoiseGenerator.from_matrix([[-1.0, 1.0], [1.0, -1.0]]),
-                         0.0, 0.1, 4, 50, seed=2, init=(0, [0.1, 0.3, 0.6, 0.9]))
+        # the path leaves every bin of fibre 0, and no step leaves fibre 1
+        batch = one_fibre_batch(two_band_model, [[0.1, 0.35, 0.6, 0.85, 0.1]])
         op = counted_operator(batch, 4, 0.5)
         assert op.flagged_rows == (4, 5, 6, 7)
         want = np.zeros((2, 4))
@@ -425,8 +414,8 @@ class TestUlamEmpirical:
             ulam_empirical(batch, 8)
 
     def test_insufficient_coverage(self):
-        m, g = single_fibre_model(0.0)      # no rotation, no noise: stuck in one bin
-        batch = simulate(m, g, 0.0, 0.0, 2, 5, seed=1, init=([0, 0], [0.0, 0.0]))
+        m, _ = single_fibre_model(0.0)      # no rotation, no noise: stuck in one bin
+        batch = one_fibre_batch(m, np.zeros((2, 6)))
         with pytest.raises(InsufficientData):
             ulam_empirical(batch, 64)
 
