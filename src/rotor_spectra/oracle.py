@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import MismatchBeyondTolerance, NotLaplacian
 from .model import BandModel, NoiseGenerator, _freeze, laplacian_generator
-from .zero_noise import assemble_limit_matrix, limit_eigenbasis, projective_distance
+from .zero_noise import (LimitBasis, assemble_limit_matrix, limit_eigenbasis,
+                         projective_distance)
 
 #: the case label of a band block, by whether its (top, bottom) end reflects
 CASES = {(True, False): "first", (False, False): "interior", (False, True): "last",
@@ -38,27 +39,15 @@ ORACLE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class ClosedFormEigen:
-    """Closed-form limit eigendata, ordered like the numerical limit basis."""
+class OracleReport:
+    """Per-label comparison of the closed-form and the numerical limit basis:
+    each label's case, the closed-form pair's residual against the assembled
+    limit matrix, the eigenvalue difference and the projective vector distance."""
 
-    k: int
-    lambda_hat: np.ndarray
-    vectors: np.ndarray
-    band: np.ndarray
+    closed: LimitBasis
+    numeric: LimitBasis
     case: tuple[str, ...]
     residual: np.ndarray
-    model: BandModel
-
-
-@dataclass(frozen=True, eq=False)
-class OracleReport:
-    """Per-label comparison between closed-form and numerical eigendata."""
-
-    k: int
-    band: np.ndarray
-    case: tuple[str, ...]
-    lhat_closed: np.ndarray
-    lhat_numeric: np.ndarray
     abs_diff: np.ndarray
     vec_proj_dist: np.ndarray
 
@@ -81,28 +70,23 @@ def _block_closed_form(L: int, top: bool, bottom: bool):
     return -1.0 + np.cos(theta), vec / np.linalg.norm(vec, axis=0)
 
 
-def closed_form_eigendata(model: BandModel, k: int) -> ClosedFormEigen:
-    """All N closed-form pairs for the Laplacian generator, band-supported.
+def closed_form_eigendata(model: BandModel, k: int) -> LimitBasis:
+    """All N closed-form pairs for the Laplacian generator, as a limit basis.
 
-    Within each band, labels are ordered by descending rho like
-    :func:`rotor_spectra.zero_noise.limit_eigenbasis`.  Residuals are measured
-    against the assembled limit matrix and certify each pair.
+    Labels, band support and sign gauge are those of
+    :func:`rotor_spectra.zero_noise.limit_eigenbasis`;
+    :func:`oracle_crosscheck` certifies each pair by its residual against the
+    assembled limit matrix.
     """
-    gen = laplacian_generator(model.N)
     lam_hat = np.zeros(model.N, dtype=complex)
     vectors = np.zeros((model.N, model.N))
-    cases = []
     for s, phase in enumerate(model.phases(k)):
-        sl, ends = model.band_slice(s), (s == 0, s == model.S - 1)
-        rho, v = _block_closed_form(model.L[s], *ends)
+        sl = model.band_slice(s)
+        rho, v = _block_closed_form(model.L[s], s == 0, s == model.S - 1)
         lam_hat[sl] = phase * rho
         vectors[sl, sl] = v
-        cases += [CASES[ends]] * model.L[s]
-    phat = assemble_limit_matrix(model, gen, k)
-    residual = np.linalg.norm(phat @ vectors - lam_hat[None, :] * vectors, axis=0)
-    return ClosedFormEigen(k=int(k), lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),
-                           band=model.band_index, case=tuple(cases),
-                           residual=_freeze(residual), model=model)
+    return LimitBasis(k=int(k), lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),
+                      band=model.band_index, model=model)
 
 
 def oracle_crosscheck(model: BandModel, gen: NoiseGenerator, k: int) -> OracleReport:
@@ -118,16 +102,18 @@ def oracle_crosscheck(model: BandModel, gen: NoiseGenerator, k: int) -> OracleRe
         raise NotLaplacian("closed forms require the central-difference Laplacian generator")
     closed = closed_form_eigendata(model, k)
     numeric = limit_eigenbasis(model, gen, k)
-    diff = np.abs(closed.lambda_hat - numeric.lambda_hat)
-    vdist = np.array([projective_distance(closed.vectors[:, i], numeric.vectors[:, i])
-                      for i in range(model.N)])
-    report = OracleReport(k=int(k), band=model.band_index, case=closed.case,
-                          lhat_closed=closed.lambda_hat, lhat_numeric=numeric.lambda_hat,
-                          abs_diff=_freeze(diff), vec_proj_dist=_freeze(vdist))
-    residual = float(np.max(closed.residual))
-    if max(residual, report.max_abs_diff, report.max_vec_dist) > ORACLE_TOL:
+    f, lam = closed.vectors, closed.lambda_hat
+    residual = np.linalg.norm(assemble_limit_matrix(model, gen, k) @ f - lam * f, axis=0)
+    vdist = [projective_distance(f[:, i], numeric.vectors[:, i]) for i in range(model.N)]
+    report = OracleReport(
+        closed=closed, numeric=numeric,
+        case=tuple(CASES[s == 0, s == model.S - 1] for s in model.band_index.tolist()),
+        residual=_freeze(residual), abs_diff=_freeze(np.abs(lam - numeric.lambda_hat)),
+        vec_proj_dist=_freeze(np.array(vdist)))
+    worst = float(np.max(residual))
+    if max(worst, report.max_abs_diff, report.max_vec_dist) > ORACLE_TOL:
         raise MismatchBeyondTolerance(
-            f"oracle mismatch at k={k}: max closed-form residual {residual:.3e}, "
+            f"oracle mismatch at k={k}: max closed-form residual {worst:.3e}, "
             f"max eigenvalue diff {report.max_abs_diff:.3e}, "
             f"max vector distance {report.max_vec_dist:.3e} (tol {ORACLE_TOL:.1e})")
     return report

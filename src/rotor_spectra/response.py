@@ -42,14 +42,12 @@ from .zero_noise import LimitBasis, limit_basis, limit_eigenbasis, projective_di
 
 @dataclass(frozen=True, eq=False)
 class ResponseData:
-    """Per-label response terms at one Fourier index."""
+    """Every label's response terms at one Fourier index: the first-order
+    basis (k, lhat, f and band) and the terms lhathat and fhat it yields."""
 
-    k: int
-    lambda_hat: np.ndarray
+    basis: LimitBasis
     lambda_hathat: np.ndarray
     f_hat: np.ndarray            # column ell
-    band: np.ndarray
-    basis: LimitBasis
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +145,7 @@ def eigenvector_response(model: BandModel, gen: NoiseGenerator, k: int, ell: int
 def response_data(model: BandModel, gen: NoiseGenerator, k: int) -> ResponseData:
     """lhat, lhathat and fhat for every label at Fourier index k, from one limit basis."""
     basis, lhh, fh = _expansion_terms(model, gen, k)
-    return ResponseData(k=int(k), lambda_hat=basis.lambda_hat, lambda_hathat=_freeze(lhh),
-                        f_hat=_freeze(fh), band=basis.band, basis=basis)
+    return ResponseData(basis=basis, lambda_hathat=_freeze(lhh), f_hat=_freeze(fh))
 
 
 def _fit_slope(eps_grid, values):
@@ -224,27 +221,28 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
     expansion terminates and r1, r2 and vec_r, rounding only, get no slope;
     nor does r0 of a stationary label (lhat = 0, see OrderCheck).
     """
-    model, k, ells = resp.basis.model, resp.k, [int(ell) for ell in ells]
+    basis, ells = resp.basis, [int(ell) for ell in ells]
+    model, k = basis.model, basis.k
     eps_grid = check_eps_grid(gen, eps_grid)
     d = model.phases(k)[model.band_index]
     dw = d[:, None] * gen.wdot                           # D Wdot
     ladders = [[] for _ in ells]                         # per label: (r0, r1, r2, vec_r) per eps
     for eps in eps_grid:
         eig = eig_dense_complex(assemble_fourier_block(model, gen, k, eps))
-        pred = d + eps * resp.lambda_hat + eps ** 2 * resp.lambda_hathat
+        pred = d + eps * basis.lambda_hat + eps ** 2 * resp.lambda_hathat
         label = nearest_assignment(np.abs(eig.values[:, None] - pred[None, :]), [1] * model.N)
         for ell, rows in zip(ells, ladders):
-            lhat, lhh = resp.lambda_hat[ell], resp.lambda_hathat[ell]
+            lhat, lhh = basis.lambda_hat[ell], resp.lambda_hathat[ell]
             i = int(np.argmax(label == ell))
             a = np.diag(d - d[ell]) + eps * dw           # exactly 0 on the band of ell
             mu, vec = _refine_eigenpair(a, eig.values[i] - d[ell], eig.vectors[:, i])
             rows.append((abs(mu), abs(mu - eps * lhat), abs(mu - eps * lhat - eps ** 2 * lhh),
-                         projective_distance(vec, resp.basis.vectors[:, ell]
+                         projective_distance(vec, basis.vectors[:, ell]
                                              + eps * resp.f_hat[:, ell])))
 
     terminates = _terminates(model, k)
     # lhat = 0 by the simple-spectrum rule: the eigenvalue stays put, r0 is rounding
-    lhat = np.abs(resp.lambda_hat)
+    lhat = np.abs(basis.lambda_hat)
     stationary = lhat <= band_models.GAP_TOL * np.max(lhat)
     checks = []
     for ell, rows in zip(ells, ladders):

@@ -124,17 +124,18 @@ class Cycle:
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Detected cycles, the solver path ("sector"), the worst eigenpair
-    residual ||B v - lam v|| (unit v) over the reported cycles, each of which
-    met RESIDUAL_TOL times the 2-norm of its sector block B, and the number of
-    sectors decomposed, out of M // 2 + 1."""
+    """Detected cycles, the solver path ("sector"), the number of sectors
+    decomposed, out of M // 2 + 1, and the worst eigenpair residual
+    ||B v - lam v|| (unit v) over the reported cycles, each of which met
+    RESIDUAL_TOL times the 2-norm of its sector block B.  The field order is
+    the key order of ``cycles.json``."""
 
-    cycles: tuple[Cycle, ...]
     M: int
     top_m: int
     solver: str
-    max_residual: float
     sectors_solved: int
+    max_residual: float
+    cycles: tuple[Cycle, ...]
 
 
 def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
@@ -385,6 +386,6 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
             eigenvalue=complex(rep), magnitude=float(abs(rep)), arg=arg,
             period_steps=float(2 * np.pi / abs(arg)),
             band_masses=band_masses, band=int(np.argmax(band_masses))))
-    return CycleReport(cycles=tuple(cycles), M=op.M, top_m=int(top_m), solver="sector",
-                       max_residual=max(res for *_, res, _ in found),
-                       sectors_solved=sectors_solved)
+    return CycleReport(M=op.M, top_m=int(top_m), solver="sector",
+                       sectors_solved=sectors_solved,
+                       max_residual=max(res for *_, res, _ in found), cycles=tuple(cycles))

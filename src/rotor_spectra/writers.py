@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -67,11 +68,6 @@ def _write_json(path, doc) -> None:
     with _open(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def _number(x):
-    """x, or None (JSON null) where x is not finite: strict JSON has no such numbers."""
-    return x if math.isfinite(x) else None
 
 
 def _abs(z):
@@ -127,10 +123,10 @@ def write_convergence_csv(path, rows):
 
 
 def write_response_csv(path, resp):
-    lh, lhh = resp.lambda_hat, resp.lambda_hathat
+    basis, lh, lhh = resp.basis, resp.basis.lambda_hat, resp.lambda_hathat
     _write(path, ["k", "ell", "band", "lhat_re", "lhat_im", "lhathat_re", "lhathat_im"],
            "%d,%d,%d" + ",%.17g" * 4,
-           [resp.k, _labels(len(lh)), resp.band + 1, lh.real, lh.imag, lhh.real, lhh.imag])
+           [basis.k, _labels(len(lh)), basis.band + 1, lh.real, lh.imag, lhh.real, lhh.imag])
 
 
 def write_ordercheck_csv(path, oc):
@@ -141,34 +137,22 @@ def write_ordercheck_csv(path, oc):
 
 
 def write_oracle_csv(path, report):
-    closed, numeric = report.lhat_closed, report.lhat_numeric
+    closed, numeric = report.closed.lambda_hat, report.numeric.lambda_hat
     _write(path, ["k", "ell", "band", "case", "lhat_closed", "lhat_numeric",
                   "abs_diff", "vec_proj_dist"],
            "%d,%d,%d,%s" + ",%.17g%+.17gj" * 2 + ",%.17g,%.17g",
-           [report.k, _labels(len(report.abs_diff)), report.band + 1, report.case,
+           [report.closed.k, _labels(len(closed)), report.closed.band + 1, report.case,
             closed.real, closed.imag, numeric.real, numeric.imag,
             report.abs_diff, report.vec_proj_dist])
 
 
 def write_cycles_json(path, report):
-    _write_json(path, {
-        "M": report.M,
-        "top_m": report.top_m,
-        "solver": report.solver,
-        "sectors_solved": report.sectors_solved,
-        "max_residual": report.max_residual,
-        "cycles": [
-            {
-                "eigenvalue": [c.eigenvalue.real, c.eigenvalue.imag],
-                "magnitude": c.magnitude,
-                "arg": c.arg,
-                "period_steps": c.period_steps,
-                "band_masses": list(c.band_masses),
-                "band": c.band + 1,
-            }
-            for c in report.cycles
-        ],
-    })
+    """The report's fields in order; each eigenvalue as [re, im], each band 1-based."""
+    doc = asdict(report)
+    for cycle in doc["cycles"]:
+        z = cycle["eigenvalue"]
+        cycle["eigenvalue"], cycle["band"] = [z.real, z.imag], cycle["band"] + 1
+    _write_json(path, doc)
 
 
 def write_trajectory_csv(path, batch):
@@ -191,15 +175,8 @@ def write_grid_csv(path, k, vectors, ells, x_res):
 
 
 def write_admissibility_json(path, report):
-    _write_json(path, {
-        "row_sum_defect": _number(report.row_sum_defect),
-        "symmetry_defect": _number(report.symmetry_defect),
-        "min_offdiag": _number(report.min_offdiag),
-        "min_eigen_gap_full": _number(report.min_eigen_gap_full),
-        "min_eigen_gap_blocks": _number(report.min_eigen_gap_blocks),
-        "eps_max": _number(report.eps_max),
-        "item_stochastic": report.item_stochastic,
-        "item_distinct_full": report.item_distinct_full,
-        "item_distinct_blocks": report.item_distinct_blocks,
-        "passed": report.passed,
-    })
+    """The report's fields in order, then ``passed``; non-finite floats are
+    written as null, since strict JSON has no such numbers."""
+    doc = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+           for key, v in asdict(report).items()}
+    _write_json(path, {**doc, "passed": report.passed})

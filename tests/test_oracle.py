@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rotor_spectra import (NoiseGenerator, assemble_limit_matrix, build_band_model,
+import rotor_spectra
+from rotor_spectra import (LimitBasis, NoiseGenerator, assemble_limit_matrix, build_band_model,
                            closed_form_eigendata, laplacian_generator, oracle,
                            oracle_crosscheck)
 from rotor_spectra.errors import MismatchBeyondTolerance, NotLaplacian
@@ -29,29 +30,29 @@ class TestClosedForm:
         sl = m.band_slice(1)
         rho = (data.lambda_hat[sl] * np.exp(2j * np.pi * 0.2)).real
         assert_allclose(np.sort(rho), [-1.5, -0.5], atol=1e-14)
-        assert data.case[1] == "interior"
+        assert oracle_crosscheck(m, laplacian_generator(4), 1).case[1] == "interior"
 
-    def test_case_study_first_block_leader(self, case_model):
+    def test_case_study_first_block_leader(self, case_model, case_gen):
         data = closed_form_eigendata(case_model, 1)
         want = np.exp(-2j * np.pi * case_model.beta[0]) * (-1 + np.cos(np.pi / 23))
         assert_allclose(data.lambda_hat[0], want, atol=1e-15)
         assert data.lambda_hat[0] == pytest.approx(
             np.exp(-2j * np.pi * case_model.beta[0]) * -0.009314053963669244, abs=1e-12)
-        assert data.case[0] == "first"
+        assert oracle_crosscheck(case_model, case_gen, 1).case[0] == "first"
 
-    def test_case_study_last_block_leader(self, case_model):
+    def test_case_study_last_block_leader(self, case_model, case_gen):
         data = closed_form_eigendata(case_model, 1)
         # label 18 (0-based) opens band 3: smallest-|rho| member of the block
         want = np.exp(-2j * np.pi * case_model.beta[2]) * (-1 + np.cos(np.pi / 31))
         assert_allclose(data.lambda_hat[18], want, atol=1e-15)
         assert data.lambda_hat[18] == pytest.approx(
             np.exp(-2j * np.pi * case_model.beta[2]) * -0.005130676608104845, abs=1e-12)
-        assert data.case[18] == "last"
+        assert oracle_crosscheck(case_model, case_gen, 1).case[18] == "last"
 
-    def test_residual_self_certification(self, case_model):
+    def test_residual_self_certification(self, case_model, case_gen):
         for k in (0, 1, 2, 5):
-            data = closed_form_eigendata(case_model, k)
-            assert np.max(data.residual) <= 1e-10
+            report = oracle_crosscheck(case_model, case_gen, k)
+            assert np.max(report.residual) <= 1e-10
 
     def test_band_support_and_unit_norm(self, case_model):
         data = closed_form_eigendata(case_model, 1)
@@ -90,11 +91,13 @@ class TestClosedForm:
         monkeypatch.setattr(oracle, "limit_eigenbasis", unused)
         m = build_band_model([0.3], [5])
         data = closed_form_eigendata(m, 2)
-        assert data.case == ("single",) * 5
-        assert np.max(data.residual) <= 1e-12
         # reflecting ends at both sides: cosine ladder -1 + cos(m pi / L), descending
         want = np.exp(-2j * np.pi * 2 * 0.3) * (-1 + np.cos(np.arange(5) * np.pi / 5))
         assert_allclose(data.lambda_hat, want, atol=1e-15)
+        monkeypatch.undo()
+        report = oracle_crosscheck(m, laplacian_generator(5), 2)
+        assert report.case == ("single",) * 5
+        assert np.max(report.residual) <= 1e-12
 
 
 class TestCrosscheck:
@@ -103,6 +106,14 @@ class TestCrosscheck:
         assert report.max_abs_diff <= 1e-10
         assert report.max_vec_dist <= 1e-8
         assert len(report.abs_diff) == 33
+
+    def test_closed_form_is_a_limit_basis(self, case_model, case_gen):
+        report = oracle_crosscheck(case_model, case_gen, 2)
+        closed, numeric = report.closed, report.numeric
+        assert isinstance(closed, LimitBasis) and isinstance(numeric, LimitBasis)
+        assert (closed.k, closed.model) == (numeric.k, numeric.model) == (2, case_model)
+        assert np.array_equal(closed.band, numeric.band)
+        assert "ClosedFormEigen" not in rotor_spectra.__all__
 
     def test_small_two_band(self):
         m = build_band_model([0.1, 0.3], [2, 2])
@@ -155,5 +166,5 @@ class TestCrosscheck:
         beta = data.draw(st.lists(st.floats(-1, 1, allow_subnormal=False), unique=True,
                                   min_size=len(widths), max_size=len(widths)))
         m = build_band_model(beta, widths)
-        oracle_crosscheck(m, laplacian_generator(m.N), k)      # raises on a mismatch
-        assert np.max(closed_form_eigendata(m, k).residual) <= ORACLE_TOL
+        report = oracle_crosscheck(m, laplacian_generator(m.N), k)   # raises on a mismatch
+        assert np.max(report.residual) <= ORACLE_TOL

@@ -192,7 +192,7 @@ class TestSecondOrderEigenvalue:
 class TestResponseData:
     def test_case_study_table(self, case_model, case_gen):
         resp = response_data(case_model, case_gen, 1)
-        assert resp.lambda_hat.shape == (33,)
+        assert resp.basis.lambda_hat.shape == (33,)
         assert np.all(np.abs(resp.lambda_hathat) > 0)
         # fhat of a band-1 label is supported on bands 2, 3 plus the band-1
         # complement of its own vector
@@ -210,8 +210,8 @@ class TestResponseData:
         resp = response_data(case_model, case_gen, 1)
         eps = 1e-3
         for ell in (0, 11, 18):
-            e = np.exp(-2j * np.pi * case_model.beta[resp.band[ell]])
-            z = e + eps * resp.lambda_hat[ell]
+            e = np.exp(-2j * np.pi * case_model.beta[resp.basis.band[ell]])
+            z = e + eps * resp.basis.lambda_hat[ell]
             assert abs(z) < 1.0
             d = (np.angle(z) - np.angle(e)) % (2 * np.pi)
             assert min(d, 2 * np.pi - d) <= 1e-12
@@ -333,7 +333,7 @@ def mpmath_r2(model, gen, k, ell, eps, resp, dps=45):
     """
     n = model.N
     d = np.exp(-2j * np.pi * k * model.alpha)
-    lhat, lhh = resp.lambda_hat[ell], resp.lambda_hathat[ell]
+    lhat, lhh = resp.basis.lambda_hat[ell], resp.lambda_hathat[ell]
     lam, vec = np.linalg.eig(d[:, None] * (np.eye(n) + eps * np.asarray(gen.wdot))
                              - d[ell] * np.eye(n))
     i = int(np.argmin(np.abs(lam - eps * lhat - eps ** 2 * lhh)))
@@ -419,7 +419,7 @@ class TestTerminatingExpansion:
                               (case_model, case_gen, 0)]:
             resp = response_data(model, gen, k)
             checks = order_checks(resp, gen, range(4), grid)
-            assert abs(resp.lambda_hat[0]) <= 1e-15 and checks[0].slope0 is None
+            assert abs(resp.basis.lambda_hat[0]) <= 1e-15 and checks[0].slope0 is None
             assert np.max(checks[0].r0) <= 1e-15
             for oc in checks[1:]:
                 assert oc.slope0 == pytest.approx(1.0, abs=1e-6)

@@ -93,8 +93,8 @@ def test_convergence(tmp_path):
 
 
 def test_response(tmp_path):
-    resp = NS(k=2, lambda_hat=np.array([-0.5 + 0.5j, 0.25 - 0.75j]),
-              lambda_hathat=np.array([0.1 - 0.2j, -1e-20 + 3j]), band=np.array([0, 1]))
+    basis = NS(k=2, lambda_hat=np.array([-0.5 + 0.5j, 0.25 - 0.75j]), band=np.array([0, 1]))
+    resp = NS(basis=basis, lambda_hathat=np.array([0.1 - 0.2j, -1e-20 + 3j]))
     assert written(tmp_path, writers.write_response_csv, resp) == crlf(
         "k,ell,band,lhat_re,lhat_im,lhathat_re,lhathat_im",
         "2,1,1,-0.5,0.5,0.10000000000000001,-0.20000000000000001",
@@ -119,9 +119,11 @@ def test_ordercheck_with_slopes_footer(tmp_path):
 
 
 def test_oracle_complex_cells(tmp_path):
-    report = NS(k=1, band=np.array([0, 1]), case=("first", "last"),
-                lhat_closed=np.array([-0.5 + 0.5j, 0.25 - 0.75j]),
-                lhat_numeric=np.array([-0.5 + 0.5000000000000001j, complex(0.25, -0.0)]),
+    band = np.array([0, 1])
+    closed = NS(k=1, band=band, lambda_hat=np.array([-0.5 + 0.5j, 0.25 - 0.75j]))
+    numeric = NS(k=1, band=band,
+                 lambda_hat=np.array([-0.5 + 0.5000000000000001j, complex(0.25, -0.0)]))
+    report = NS(closed=closed, numeric=numeric, case=("first", "last"),
                 abs_diff=np.array([1.1e-16, 0.0]), vec_proj_dist=np.array([2e-15, 3e-16]))
     assert written(tmp_path, writers.write_oracle_csv, report) == crlf(
         "k,ell,band,case,lhat_closed,lhat_numeric,abs_diff,vec_proj_dist",
