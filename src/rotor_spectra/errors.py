@@ -40,7 +40,8 @@ class InvalidSpeeds(RotorSpectraError, ValueError):
 
 
 class DimensionMismatch(RotorSpectraError, ValueError):
-    """Sizes that must agree differ: speeds and widths, generator and model, direction."""
+    """Sizes that must agree differ: speeds and widths, generator and model,
+    direction; or a label lies outside [0, N)."""
 
 
 class EpsOutOfRange(RotorSpectraError):
@@ -61,7 +62,11 @@ class NoConvergence(RotorSpectraError):
 
 
 class AmbiguousLabelling(RotorSpectraError):
-    """Assignment cost exceeds the Gershgorin radius with disjoint band disks."""
+    """Assignment cost exceeds the Gershgorin radius with disjoint band disks.
+
+    Only a generator outside validate's stochastic item (a zero diagonal, say)
+    can raise it; see :func:`rotor_spectra.spectra.label_spectrum`.
+    """
 
 
 # --- zero_noise ---

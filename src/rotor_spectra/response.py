@@ -189,6 +189,15 @@ def _refine_eigenpair(a, mu, vec):
     return mu, v / np.linalg.norm(v)
 
 
+def _check_labels(model: BandModel, ells) -> list[int]:
+    """The labels ``ells`` as ints; DimensionMismatch unless each lies in [0, N)."""
+    ells = [int(ell) for ell in ells]
+    outside = [ell for ell in ells if not 0 <= ell < model.N]
+    if outside:
+        raise DimensionMismatch(f"labels {outside} lie outside [0, {model.N})")
+    return ells
+
+
 def check_eps_grid(gen: NoiseGenerator, eps_grid) -> np.ndarray:
     """The distinct points of an order-check grid, descending.
 
@@ -221,8 +230,9 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
     expansion terminates and r1, r2 and vec_r, rounding only, get no slope;
     nor does r0 of a stationary label (lhat = 0, see OrderCheck).
     """
-    basis, ells = resp.basis, [int(ell) for ell in ells]
+    basis = resp.basis
     model, k = basis.model, basis.k
+    ells = _check_labels(model, ells)
     eps_grid = check_eps_grid(gen, eps_grid)
     d = model.phases(k)[model.band_index]
     dw = d[:, None] * gen.wdot                           # D Wdot
@@ -275,6 +285,7 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     u = np.asarray(direction, dtype=float).ravel()
     if u.shape != (model.N,):
         raise DimensionMismatch(f"direction must have shape ({model.N},)")
+    ell, = _check_labels(model, [ell])
     p = assemble_fourier_block(model, gen, k, eps)
     eig = eig_dense_complex(p)
     gap, radius, simple = spectral_gap([eig.values])

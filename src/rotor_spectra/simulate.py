@@ -145,6 +145,10 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
     Per path the stream order is: two initial-state uniforms, the walk
     uniforms for all steps, then the noise uniforms for all steps.
     """
+    if not all(isinstance(c, Integral) for c in (seed, n_paths, n_steps)):
+        raise InvalidSimulationInput(
+            f"seed, path and step counts must be integers, got seed={seed}, "
+            f"n_paths={n_paths}, n_steps={n_steps}")
     if seed < 0 or n_paths < 0 or n_steps < 0:
         raise InvalidSimulationInput(
             f"seed, path and step counts must be >= 0, got seed={seed}, "
@@ -217,6 +221,8 @@ def _fibre_kernel_row(alpha_j: float, delta: float, M: int) -> np.ndarray:
 
 
 def _check_bins(M: int) -> None:
+    if not isinstance(M, Integral):
+        raise InvalidSimulationInput(f"the bin count must be an integer, got M={M}")
     if M < 2:
         raise InvalidSimulationInput(f"need at least 2 bins, got M={M}")
 

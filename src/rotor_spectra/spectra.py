@@ -137,8 +137,14 @@ def label_spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     run by descending Re(lam * conj(e_s)) within band s, e_s its phase (at
     k = 0, descending lam).  With pairwise disjoint band
     Gershgorin disks this is the minimum-cost assignment to the targets, and
-    it is validated against the disk radius; AmbiguousLabelling signals eps
-    too large for the asymptotic labelling.
+    it is validated against the disk radius; where the disks overlap (large
+    eps) the check is skipped.  For a generator with zero row sums and
+    nonnegative off-diagonals (validate's stochastic item), row j's Gershgorin
+    disk lies in the disk of radius 2 eps |Wdot_jj| about its band phase, so
+    each disjoint band disk holds its L_s eigenvalues (Gershgorin's theorem)
+    and the check holds up to rounding.  AmbiguousLabelling therefore signals
+    a generator outside that item, such as one with a zero diagonal, whose
+    radius is 0.
     """
     if not np.all(eig.converged):
         raise NoConvergence(

@@ -757,3 +757,18 @@ def test_random_small_configs_exit_cleanly(command, data):
                 assert not NON_FINITE.search(written.read_text(encoding="utf-8")), written.name
         elif code == 2 or command != "validate":
             assert not out.exists()
+
+
+def test_benchmark_per_layer_names_exist():
+    # the benchmark wraps each per-layer function by name; a renamed or
+    # deleted function would leave its metric unmeasured
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    modules = {info.name for info in pkgutil.iter_modules(rs.__path__)}
+    checked = 0
+    for entry in spec["per_layer"]:
+        module, *rest = entry["name"].split(".")
+        if module in modules and len(rest) >= 2:
+            fn = getattr(importlib.import_module(f"rotor_spectra.{module}"), rest[0], None)
+            assert not rest[0].startswith("_") and inspect.isfunction(fn), entry["name"]
+            checked += 1
+    assert checked >= 20

@@ -150,6 +150,18 @@ class TestLabelSpectrum:
             label_spectrum(two_band_model, two_band_gen, 1, 1e-6, wrong)
 
 
+    def test_zero_diagonal_generator_is_ambiguous(self, case_model, case_gen):
+        # a generator outside validate's stochastic item: radius 0, yet the
+        # off-diagonals move every eigenvalue off its phase
+        w = 0.5 * (np.eye(33, k=1) + np.eye(33, k=-1))
+        gen = NoiseGenerator.from_matrix(w)
+        assert gershgorin_bound(gen, 0.1) == 0.0
+        with pytest.raises(AmbiguousLabelling, match="exceeds Gershgorin radius 0.000e"):
+            spectrum(case_model, gen, 1, 0.1)
+        # the stochastic Laplacian of the same size labels the same block
+        spectrum(case_model, case_gen, 1, 0.1)
+
+
 class TestGershgorin:
     def test_values(self, case_gen):
         assert gershgorin_bound(case_gen, 0.1) == pytest.approx(0.2)

@@ -1,4 +1,4 @@
-"""Byte format of every CSV table, from tiny hand-made inputs.
+"""Byte format of every CSV table and JSON report, from tiny hand-made inputs.
 
 Each expected file is literal text: a header row, CRLF row ends, reals as
 ``%.17g``, the oracle's complex cells as ``a+bj`` and 1-based labels, bands
@@ -6,7 +6,7 @@ and fibres.  Two inputs sit on last-bit traps of vectorised numpy on AVX-512
 hosts: the modulus of ``Z`` differs between ``np.abs`` on an array and
 ``abs(complex)``, and the grid cell ``(ell 1, j 1, x 0.875)`` differs between
 numpy's vectorised complex product and the scalar one.  The tables carry the
-scalar values.
+scalar values.  JSON reports are two-space indented with LF line ends.
 """
 
 from types import SimpleNamespace as NS
@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotor_spectra import build_band_model, writers
+from rotor_spectra import AdmissibilityReport, Cycle, CycleReport, build_band_model, writers
 
 Z = 0.1 + 0.1j
 VECTORS = np.array([[Z, 0.6 - 0.8j], [-0.3 + 0.4j, 0.0 + 0.0j]])
@@ -129,6 +129,50 @@ def test_oracle_complex_cells(tmp_path):
         "k,ell,band,case,lhat_closed,lhat_numeric,abs_diff,vec_proj_dist",
         "1,1,1,first,-0.5+0.5j,-0.5+0.50000000000000011j,1.1e-16,2.0000000000000002e-15",
         "1,2,2,last,0.25-0.75j,0.25-0j,0,2.9999999999999999e-16",
+    )
+
+
+def lf(*lines):
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def test_cycles_json_key_order(tmp_path):
+    # keys in the record's field order, eigenvalues as [re, im], bands 1-based
+    cycles = (Cycle(eigenvalue=complex(0.5, -0.25), magnitude=0.5590169943749475,
+                    arg=-0.4636476090008061, period_steps=13.551774160634102,
+                    band_masses=(0.75, 0.25), band=0),
+              Cycle(eigenvalue=complex(-0.1, -0.3), magnitude=0.1, arg=-1.9, period_steps=3.3,
+                    band_masses=(0.0, 1.0), band=1))
+    report = CycleReport(M=8, top_m=2, solver="sector", sectors_solved=3, max_residual=1e-15,
+                         cycles=cycles)
+    assert written(tmp_path, writers.write_cycles_json, report) == lf(
+        '{', '  "M": 8,', '  "top_m": 2,', '  "solver": "sector",', '  "sectors_solved": 3,',
+        '  "max_residual": 1e-15,', '  "cycles": [',
+        '    {', '      "eigenvalue": [', '        0.5,', '        -0.25', '      ],',
+        '      "magnitude": 0.5590169943749475,', '      "arg": -0.4636476090008061,',
+        '      "period_steps": 13.551774160634102,',
+        '      "band_masses": [', '        0.75,', '        0.25', '      ],',
+        '      "band": 1', '    },',
+        '    {', '      "eigenvalue": [', '        -0.1,', '        -0.3', '      ],',
+        '      "magnitude": 0.1,', '      "arg": -1.9,', '      "period_steps": 3.3,',
+        '      "band_masses": [', '        0.0,', '        1.0', '      ],',
+        '      "band": 2', '    }',
+        '  ]', '}',
+    )
+
+
+def test_admissibility_json_key_order(tmp_path):
+    # keys in the record's field order, then passed; non-finite floats are null
+    report = AdmissibilityReport(
+        row_sum_defect=0.0, symmetry_defect=1e-17, min_offdiag=-0.0,
+        min_eigen_gap_full=float("nan"), min_eigen_gap_blocks=0.1, eps_max=float("inf"),
+        item_stochastic=True, item_distinct_full=False, item_distinct_blocks=True)
+    assert written(tmp_path, writers.write_admissibility_json, report) == lf(
+        '{', '  "row_sum_defect": 0.0,', '  "symmetry_defect": 1e-17,',
+        '  "min_offdiag": -0.0,', '  "min_eigen_gap_full": null,',
+        '  "min_eigen_gap_blocks": 0.1,', '  "eps_max": null,', '  "item_stochastic": true,',
+        '  "item_distinct_full": false,', '  "item_distinct_blocks": true,',
+        '  "passed": false', '}',
     )
 
 
