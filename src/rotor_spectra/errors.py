@@ -41,7 +41,7 @@ class InvalidSpeeds(RotorSpectraError, ValueError):
 
 class DimensionMismatch(RotorSpectraError, ValueError):
     """Sizes that must agree differ: speeds and widths, generator and model,
-    direction; or a label lies outside [0, N)."""
+    direction; or a label is not an integer in [0, N)."""
 
 
 class EpsOutOfRange(RotorSpectraError):
@@ -110,7 +110,7 @@ class MismatchBeyondTolerance(RotorSpectraError):
 # --- simulate ---
 
 class InvalidSimulationInput(RotorSpectraError, ValueError):
-    """Bins < 2, top_m not an integer >= 1, negative counts, a bad delta."""
+    """Bins or top_m not an integer >= 2 or >= 1, counts not integers >= 0, a bad delta."""
 
 
 class InsufficientData(RotorSpectraError):

@@ -29,6 +29,7 @@ discontinuous and refused by design.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -190,12 +191,11 @@ def _refine_eigenpair(a, mu, vec):
 
 
 def _check_labels(model: BandModel, ells) -> list[int]:
-    """The labels ``ells`` as ints; DimensionMismatch unless each lies in [0, N)."""
-    ells = [int(ell) for ell in ells]
-    outside = [ell for ell in ells if not 0 <= ell < model.N]
-    if outside:
-        raise DimensionMismatch(f"labels {outside} lie outside [0, {model.N})")
-    return ells
+    """The labels ``ells`` as ints; DimensionMismatch unless each is an integer in [0, N)."""
+    bad = [ell for ell in ells if not (isinstance(ell, Integral) and 0 <= ell < model.N)]
+    if bad:
+        raise DimensionMismatch(f"labels {bad} are not integers in [0, {model.N})")
+    return [int(ell) for ell in ells]
 
 
 def check_eps_grid(gen: NoiseGenerator, eps_grid) -> np.ndarray:

@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model, delta_factor,
                            detect_bands, detect_cycles, eig_dense_complex, laplacian_generator,
-                           limit_basis, oracle_crosscheck, response_data, simulate, spectrum,
-                           ulam_analytic, validate_admissibility, w_epsilon)
+                           limit_basis, oracle_crosscheck, order_check, order_checks,
+                           response_data, simulate, spectrum, ulam_analytic, ulam_empirical,
+                           validate_admissibility, w_epsilon)
 from rotor_spectra.errors import (ConfigError, DimensionMismatch, DimensionTooSmall,
                                   DuplicateSpeed, EmptyBand, EpsOutOfRange, InvalidMatrix,
                                   InvalidSimulationInput, InvalidSpeeds, NonBandable,
@@ -265,6 +266,10 @@ def test_boundary_errors_are_typed(error, call):
         call()
 
 
+#: an order-check grid below eps_max of the case study
+GRID = [1e-2, 1e-3, 1e-4, 1e-5]
+
+
 @pytest.mark.parametrize("error, match, call", [
     (EpsOutOfRange, "finite", lambda m, g: w_epsilon(g, math.nan)),
     (EpsOutOfRange, "finite", lambda m, g: w_epsilon(g, math.inf)),
@@ -276,6 +281,23 @@ def test_boundary_errors_are_typed(error, call):
     (InvalidSimulationInput, "delta", lambda m, g: delta_factor(1, -0.05)),
     (InvalidSimulationInput, "integer",
      lambda m, g: detect_cycles(ulam_analytic(m, g, 0.1, 0.1, 16), m, 2.5)),
+    (InvalidSimulationInput, "integers", lambda m, g: simulate(m, g, 0.1, 0.1, 2.5, 5, 1)),
+    (InvalidSimulationInput, "integers", lambda m, g: simulate(m, g, 0.1, 0.1, 2, 5.5, 1)),
+    (InvalidSimulationInput, "integers", lambda m, g: simulate(m, g, 0.1, 0.1, 2, 5, 1.5)),
+    (InvalidSimulationInput, "integer, got M=16.5",
+     lambda m, g: ulam_analytic(m, g, 0.1, 0.1, 16.5)),
+    (InvalidSimulationInput, "integer, got M=4.5",
+     lambda m, g: ulam_empirical(simulate(m, g, 0.1, 0.1, 2, 5, 1), 4.5)),
+    (DimensionMismatch, r"labels \[99\] are not integers in \[0, 33\)",
+     lambda m, g: order_check(m, g, 1, 99, GRID)),
+    (DimensionMismatch, r"labels \[-1\] are not",
+     lambda m, g: order_check(m, g, 1, -1, GRID)),
+    (DimensionMismatch, r"labels \[1.5\] are not",
+     lambda m, g: order_check(m, g, 1, 1.5, GRID)),
+    (DimensionMismatch, r"labels \[33\] are not",
+     lambda m, g: order_checks(response_data(m, g, 1), g, [0, 33], GRID)),
+    (DimensionMismatch, r"labels \[99\] are not",
+     lambda m, g: alpha_response(m, g, 1, 0.01, 99, np.ones(33))),
     (ConfigError, "Fourier index", lambda m, g: spectrum(m, g, 1.5, 0.1)),
     (ConfigError, "Fourier index", lambda m, g: m.phases(2 ** 32 + 1)),
     (ConfigError, "Fourier index", lambda m, g: limit_basis(m, g, 10 ** 400)),
@@ -283,10 +305,15 @@ def test_boundary_errors_are_typed(error, call):
     (ConfigError, "Fourier index", lambda m, g: oracle_crosscheck(m, g, 10 ** 400)),
 ], ids=["w_eps_nan", "w_eps_inf", "simulate_eps_nan", "ulam_eps_inf", "spectrum_delta_inf",
         "spectrum_delta_nan", "spectrum_delta_negative", "delta_factor_negative",
-        "top_m_fraction", "k_fraction", "k_above_max", "limit_k_huge", "response_k_huge",
+        "top_m_fraction", "paths_fraction", "steps_fraction", "seed_fraction",
+        "ulam_bins_fraction", "empirical_bins_fraction", "order_check_label_99",
+        "order_check_label_negative", "order_check_label_fraction", "order_checks_label_33", "alpha_response_label_99",
+        "k_fraction", "k_above_max", "limit_k_huge", "response_k_huge",
         "oracle_k_huge"])
 def test_out_of_range_parameters_are_refused(case_model, case_gen, error, match, call):
-    # eps and delta must be finite and >= 0, top_m a whole count and k an
-    # integer within +-MAX_INDEX, as the config and the CLI already require
+    # eps and delta must be finite and >= 0, top_m and the simulation counts
+    # whole, k an integer within +-MAX_INDEX, as the config and the CLI already
+    # require, and a label an integer within [0, N): ell = -1 used to check
+    # label N - 1 and ell = 1.5 label 1
     with pytest.raises(error, match=match):
         call(case_model, case_gen)

@@ -13,8 +13,8 @@ from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model,
                            order_check, order_checks, projective_distance, response,
                            response_data, second_order_eigenvalue, spectrum, w_epsilon,
                            zero_noise)
-from rotor_spectra.errors import (DegenerateBlock, DimensionMismatch, EigsNotSimple, EpsZero,
-                                  GammaViolated, InvalidEpsGrid)
+from rotor_spectra.errors import (DegenerateBlock, EigsNotSimple, EpsZero, GammaViolated,
+                                  InvalidEpsGrid)
 from rotor_spectra.model import sorted_eigenbasis, spectral_gap
 from rotor_spectra.response import first_order_basis
 from rotor_spectra.spectra import assemble_fourier_block, eig_dense_complex, label_spectrum
@@ -293,18 +293,6 @@ class TestOrderCheck:
                      [1e-2, 1e-3, 1e-4, 0.0], [1e-2, 1e-3, np.nan, 1e-4]):
             with pytest.raises(InvalidEpsGrid):
                 order_check(two_band_model, two_band_gen, 1, 0, grid)
-
-    @pytest.mark.parametrize("ell", [33, 99, -1])
-    def test_label_outside_the_model_is_refused(self, case_model, case_gen, ell):
-        # -1 used to check label 32 silently and record ell = -1
-        grid = [1e-2, 1e-3, 1e-4, 1e-5]
-        with pytest.raises(DimensionMismatch, match=rf"labels \[{ell}\] lie outside \[0, 33\)"):
-            order_check(case_model, case_gen, 1, ell, grid)
-        resp = response_data(case_model, case_gen, 1)
-        with pytest.raises(DimensionMismatch):
-            order_checks(resp, case_gen, [0, ell], grid)
-        with pytest.raises(DimensionMismatch):
-            alpha_response(case_model, case_gen, 1, 0.01, ell, np.ones(33))
 
     @pytest.mark.parametrize("k, ell", [(1, 0), (1, 11), (0, 4)])
     def test_precomputed_response_gives_identical_ladders(self, case_model, case_gen, k, ell):
