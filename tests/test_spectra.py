@@ -149,7 +149,6 @@ class TestLabelSpectrum:
         with pytest.raises(AmbiguousLabelling):
             label_spectrum(two_band_model, two_band_gen, 1, 1e-6, wrong)
 
-
     def test_zero_diagonal_generator_is_ambiguous(self, case_model, case_gen):
         # a generator outside validate's stochastic item: radius 0, yet the
         # off-diagonals move every eigenvalue off its phase
