@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .config import RunConfig, case_study_config, load_config, parse_config
 from .model import (AdmissibilityReport, BandModel, NoiseGenerator, build_band_model,
-                    detect_bands, laplacian_generator, validate_admissibility, w_epsilon)
+                    laplacian_generator, validate_admissibility, w_epsilon)
 from .oracle import OracleReport, closed_form_eigendata, oracle_crosscheck
 from .response import (OrderCheck, ResponseData, alpha_response, eigenvector_response,
                        order_check, order_checks, response_data, second_order_eigenvalue)

@@ -23,10 +23,6 @@ class EmptyBand(RotorSpectraError):
     """A band width is not a positive integer, or a model has no band."""
 
 
-class NonBandable(RotorSpectraError):
-    """A speed recurs in non-adjacent runs, so no banded model exists."""
-
-
 class DimensionTooSmall(RotorSpectraError):
     """Generator stencil needs at least two fibres."""
 
@@ -36,7 +32,7 @@ class InvalidMatrix(RotorSpectraError, ValueError):
 
 
 class InvalidSpeeds(RotorSpectraError, ValueError):
-    """A speed profile is not a nonempty 1-d array, or a band speed is not finite."""
+    """A band speed is not finite."""
 
 
 class DimensionMismatch(RotorSpectraError, ValueError):

@@ -20,7 +20,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, DimensionTooSmall, DuplicateSpeed,
-                     EmptyBand, EpsOutOfRange, InvalidMatrix, InvalidSpeeds, NonBandable)
+                     EmptyBand, EpsOutOfRange, InvalidMatrix, InvalidSpeeds)
 
 #: largest symmetry, row-sum and negative off-diagonal defect of an admissible generator
 DEFECT_TOL = 1e-12
@@ -147,27 +147,6 @@ def build_band_model(beta, L) -> BandModel:
     return BandModel(beta=beta, L=L, N=int(cum[-1]), cum=cum, alpha=_freeze(alpha))
 
 
-def detect_bands(alpha) -> BandModel:
-    """Group maximal runs of equal speeds into bands.
-
-    Raises NonBandable when a speed recurs in non-adjacent runs, because band
-    speeds must be pairwise distinct.  Round-trips with build_band_model.
-    """
-    a = np.asarray(alpha, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise InvalidSpeeds("alpha must be a nonempty 1-d array")
-    beta, L = [], []
-    for v in a:
-        if beta and v == beta[-1]:
-            L[-1] += 1
-        else:
-            beta.append(float(v))
-            L.append(1)
-    if len(set(beta)) != len(beta):
-        raise NonBandable(f"speed recurs in non-adjacent runs: {beta}")
-    return build_band_model(beta, L)
-
-
 def laplacian_generator(N: int) -> NoiseGenerator:
     """Central-difference Laplacian stencil with reflecting ends.
 
@@ -230,6 +209,13 @@ def sorted_eigenbasis(w):
     return rho[order], sign_gauge(v[:, order])
 
 
+def check_dimension(model: BandModel, gen: NoiseGenerator) -> None:
+    """The size rule of every function taking a model and a generator:
+    DimensionMismatch unless the generator has the model's N fibres."""
+    if gen.N != model.N:
+        raise DimensionMismatch(f"generator dimension {gen.N} != model dimension {model.N}")
+
+
 def validate_admissibility(gen: NoiseGenerator, model: BandModel) -> AdmissibilityReport:
     """Check the three admissibility hypotheses; failures are reported, not raised.
 
@@ -237,8 +223,7 @@ def validate_admissibility(gen: NoiseGenerator, model: BandModel) -> Admissibili
     :func:`spectral_gap` to the spectrum of Wdot and, jointly, to the
     spectra of its band blocks, both from :func:`sorted_eigenbasis`.
     """
-    if gen.N != model.N:
-        raise DimensionMismatch(f"generator dimension {gen.N} != model dimension {model.N}")
+    check_dimension(model, gen)
     w = gen.wdot
     with np.errstate(over="ignore"):          # an overflowing defect reads inf
         sym = float(np.max(np.abs(w - w.T))) if w.size else 0.0

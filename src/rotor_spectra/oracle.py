@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchBeyondTolerance, NotLaplacian
-from .model import BandModel, NoiseGenerator, _freeze, laplacian_generator
-from .zero_noise import (LimitBasis, assemble_limit_matrix, limit_eigenbasis,
+from .model import BandModel, NoiseGenerator, _freeze, check_dimension, laplacian_generator
+from .zero_noise import (LimitBasis, _band_basis, assemble_limit_matrix, limit_eigenbasis,
                          projective_distance)
 
 #: the case label of a band block, by whether its (top, bottom) end reflects
@@ -78,27 +78,21 @@ def closed_form_eigendata(model: BandModel, k: int) -> LimitBasis:
     :func:`oracle_crosscheck` certifies each pair by its residual against the
     assembled limit matrix.
     """
-    lam_hat = np.zeros(model.N, dtype=complex)
-    vectors = np.zeros((model.N, model.N))
-    for s, phase in enumerate(model.phases(k)):
-        sl = model.band_slice(s)
-        rho, v = _block_closed_form(model.L[s], s == 0, s == model.S - 1)
-        lam_hat[sl] = phase * rho
-        vectors[sl, sl] = v
-    return LimitBasis(k=int(k), lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),
-                      band=model.band_index, model=model)
+    return _band_basis(model, k, (_block_closed_form(model.L[s], s == 0, s == model.S - 1)
+                                  for s in range(model.S)))
 
 
 def oracle_crosscheck(model: BandModel, gen: NoiseGenerator, k: int) -> OracleReport:
     """Compare closed-form against numerical limit eigendata.
 
-    Raises NotLaplacian unless ``gen`` is exactly the central-difference
-    stencil, and MismatchBeyondTolerance when a closed-form pair's residual
-    against the assembled limit matrix, or any eigenvalue or (projective)
-    eigenvector discrepancy, exceeds ``ORACLE_TOL``.
+    Raises DimensionMismatch unless ``gen`` has the model's size, NotLaplacian
+    unless it is exactly the central-difference stencil, and
+    MismatchBeyondTolerance when a closed-form pair's residual against the
+    assembled limit matrix, or any eigenvalue or (projective) eigenvector
+    discrepancy, exceeds ``ORACLE_TOL``.
     """
-    ref = laplacian_generator(model.N)
-    if gen.N != model.N or not np.array_equal(gen.wdot, ref.wdot):
+    check_dimension(model, gen)
+    if not np.array_equal(gen.wdot, laplacian_generator(model.N).wdot):
         raise NotLaplacian("closed forms require the central-difference Laplacian generator")
     closed = closed_form_eigendata(model, k)
     numeric = limit_eigenbasis(model, gen, k)

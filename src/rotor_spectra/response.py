@@ -35,7 +35,8 @@ import numpy as np
 
 from . import model as band_models
 from .errors import DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid
-from .model import BandModel, NoiseGenerator, _freeze, build_band_model, spectral_gap
+from .model import (BandModel, NoiseGenerator, _freeze, build_band_model, check_dimension,
+                    spectral_gap)
 from .spectra import (assemble_fourier_block, eig_dense_complex, label_spectrum,
                       nearest_assignment)
 from .zero_noise import LimitBasis, limit_basis, limit_eigenbasis, projective_distance
@@ -232,6 +233,7 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
     """
     basis = resp.basis
     model, k = basis.model, basis.k
+    check_dimension(model, gen)
     ells = _check_labels(model, ells)
     eps_grid = check_eps_grid(gen, eps_grid)
     d = model.phases(k)[model.band_index]

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
                      NoComplexEigenvalues, NoConvergence)
-from .model import BandModel, NoiseGenerator, _freeze, w_epsilon
+from .model import BandModel, NoiseGenerator, _freeze, check_dimension, w_epsilon
 from .spectra import check_delta, eig_dense_complex
 
 #: |imag| above which an eigenvalue counts as nonreal, relative to its sector bound b(m)
@@ -55,16 +55,14 @@ class TrajectoryBatch:
     """Simulated paths: j and x have shape (n_paths, n_steps + 1).
 
     Reproducible: path p consumes only its own counter-based stream keyed by
-    (seed, p), so results do not depend on scheduling or batch splits.
+    (seed, p), so results do not depend on scheduling or batch splits; the
+    seed, eps and delta of :func:`simulate` stay with the caller.
     """
 
-    seed: int
     n_paths: int
     n_steps: int
     j: np.ndarray
     x: np.ndarray
-    eps: float
-    delta: float
     model: BandModel
 
 
@@ -153,6 +151,7 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
         raise InvalidSimulationInput(
             f"seed, path and step counts must be >= 0, got seed={seed}, "
             f"n_paths={n_paths}, n_steps={n_steps}")
+    check_dimension(model, gen)
     check_delta(delta)
     w = w_epsilon(gen, eps)
     cum = np.cumsum(w, axis=1)
@@ -177,9 +176,8 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
         jt = j[:, t]
         x[:, t + 1] = (x[:, t] + alpha[jt] + (2.0 * u_noise[:, t] - 1.0) * delta) % 1.0
         j[:, t + 1] = np.argmax(cum[jt] > u_walk[:, t][:, None], axis=1)
-    return TrajectoryBatch(seed=int(seed), n_paths=int(n_paths), n_steps=int(n_steps),
-                           j=_freeze(j), x=_freeze(x), eps=float(eps),
-                           delta=float(delta), model=model)
+    return TrajectoryBatch(n_paths=int(n_paths), n_steps=int(n_steps),
+                           j=_freeze(j), x=_freeze(x), model=model)
 
 
 def _sum_cdf(t: np.ndarray, h: float, delta: float) -> np.ndarray:
@@ -231,6 +229,7 @@ def ulam_analytic(model: BandModel, gen: NoiseGenerator, eps: float, delta: floa
                   M: int) -> UlamOperator:
     """Exact cell transition operator of the annealed dynamics, kept as kernel rows and W_eps."""
     _check_bins(M)
+    check_dimension(model, gen)
     check_delta(delta)
     w = w_epsilon(gen, eps)
     # fibres of a band share alpha, hence their kernel row

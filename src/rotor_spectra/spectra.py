@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AmbiguousLabelling, InvalidMatrix, InvalidSimulationInput, NoConvergence
-from .model import BandModel, NoiseGenerator, _freeze, spectral_gap, w_epsilon
+from .errors import (AmbiguousLabelling, DimensionMismatch, InvalidMatrix,
+                     InvalidSimulationInput, NoConvergence)
+from .model import BandModel, NoiseGenerator, _freeze, check_dimension, spectral_gap, w_epsilon
 
 #: relative eigensolver residual ||A v - lambda v|| / ||A||_2 a converged pair meets
 RESIDUAL_TOL = 1e-11
@@ -39,14 +40,12 @@ class LabelledSpectrum:
     Within each band, members are ordered by descending Re(lam * conj(e_s)),
     e_s the band phase: about 1 + eps*rho, so the order of descending rho of
     the limit basis.  Vectors are
-    unit norm with the largest-magnitude entry made real positive.  When a
-    delta factor was applied, ``sinc`` records it and both ``lam`` and
-    ``target`` carry the scaling.
+    unit norm with the largest-magnitude entry made real positive.  ``sinc``
+    is the delta factor :func:`spectrum` applied (1.0 for none), carried by
+    ``lam``, ``target`` and ``gersh_radius``; eps and delta stay with the caller.
     """
 
     k: int
-    eps: float
-    delta: float
     sinc: float
     lam: np.ndarray
     target: np.ndarray
@@ -59,6 +58,7 @@ class LabelledSpectrum:
 def assemble_fourier_block(model: BandModel, gen: NoiseGenerator, k: int,
                            eps: float) -> np.ndarray:
     """The read-only matrix D_{k,alpha} (Id + eps*Wdot) of Fourier index k."""
+    check_dimension(model, gen)
     w = w_epsilon(gen, eps)
     phases = model.phases(k)[model.band_index]
     return _freeze(phases[:, None] * w)
@@ -144,8 +144,12 @@ def label_spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     each disjoint band disk holds its L_s eigenvalues (Gershgorin's theorem)
     and the check holds up to rounding.  AmbiguousLabelling therefore signals
     a generator outside that item, such as one with a zero diagonal, whose
-    radius is 0.
+    radius is 0.  A generator or an ``eig`` not of the model's size N raises
+    DimensionMismatch.
     """
+    check_dimension(model, gen)
+    if eig.values.shape != (model.N,):
+        raise DimensionMismatch(f"{eig.values.size} eigenpairs for a model of N={model.N}")
     if not np.all(eig.converged):
         raise NoConvergence(
             f"{int(np.sum(~eig.converged))} eigenpairs exceed the residual tolerance",
@@ -164,7 +168,7 @@ def label_spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
             f"at k={k}, eps={eps}")
 
     return LabelledSpectrum(
-        k=int(k), eps=float(eps), delta=0.0, sinc=1.0,
+        k=int(k), sinc=1.0,
         lam=_freeze(lam), target=_freeze(targets), residual=_freeze(eig.residuals[order]),
         vectors=_freeze(_phase_fix(eig.vectors[:, order])), band=model.band_index,
         gersh_radius=radius)
@@ -199,6 +203,6 @@ def spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     eig = eig_dense_complex(assemble_fourier_block(model, gen, k, eps))
     spec = label_spectrum(model, gen, k, eps, eig)
     s = delta_factor(k, delta)
-    return replace(spec, delta=float(delta), sinc=s, lam=_freeze(s * spec.lam),
+    return replace(spec, sinc=s, lam=_freeze(s * spec.lam),
                    target=_freeze(s * spec.target), gersh_radius=s * spec.gersh_radius)
 

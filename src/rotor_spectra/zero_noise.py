@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBlock, GammaViolated, ZeroVector
-from .model import BandModel, NoiseGenerator, _freeze, sorted_eigenbasis, spectral_gap
+from .model import (BandModel, NoiseGenerator, _freeze, check_dimension, sorted_eigenbasis,
+                    spectral_gap)
 from .spectra import spectrum
 
 
@@ -54,12 +55,26 @@ def check_gamma(model: BandModel, k: int) -> bool:
 
 def assemble_limit_matrix(model: BandModel, gen: NoiseGenerator, k: int) -> np.ndarray:
     """The dense limit matrix D_{k,beta,L} What_L at k: off-band couplings
-    dropped, block s equal to exp(-2 pi i k beta_s) * What_s."""
-    phat = np.zeros((model.N, model.N), dtype=complex)
-    for s, phase in enumerate(model.phases(k)):
+    dropped (exact +0), block s equal to exp(-2 pi i k beta_s) * What_s."""
+    check_dimension(model, gen)
+    band = model.band_index
+    same_band = band[:, None] == band[None, :]
+    return _freeze(np.where(same_band, model.phases(k)[band][:, None] * gen.wdot, 0))
+
+
+def _band_basis(model: BandModel, k: int, blocks) -> LimitBasis:
+    """The limit basis at k of ``blocks``, one band-block eigenbasis (rho, v) per
+    band in band order, rho descending and v real unit: lambda_hat is the fibre
+    phase times rho, and each v sits on its band's fibres, exact zeros elsewhere."""
+    vectors = np.zeros((model.N, model.N))
+    rhos = []
+    for s, (rho, v) in enumerate(blocks):
         sl = model.band_slice(s)
-        phat[sl, sl] = phase * gen.wdot[sl, sl]
-    return _freeze(phat)
+        vectors[sl, sl] = v
+        rhos.append(rho)
+    lam_hat = model.phases(k)[model.band_index] * np.concatenate(rhos)
+    return LimitBasis(k=int(k), lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),
+                      band=model.band_index, model=model)
 
 
 def limit_eigenbasis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
@@ -70,22 +85,14 @@ def limit_eigenbasis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasi
     simple by the rule admissibility applies (:func:`rotor_spectra.model.spectral_gap`)
     to the same solves (:func:`rotor_spectra.model.sorted_eigenbasis`).
     """
-    lam_hat = np.zeros(model.N, dtype=complex)
-    vectors = np.zeros((model.N, model.N))
-    rhos = []
-    for s, phase in enumerate(model.phases(k)):
-        sl = model.band_slice(s)
-        rho, v = sorted_eigenbasis(gen.wdot[sl, sl])    # rho descending, as the labels
-        rhos.append(rho)
-        lam_hat[sl] = phase * rho
-        vectors[sl, sl] = v
-    gap, radius, simple = spectral_gap(rhos)
+    check_dimension(model, gen)
+    blocks = [sorted_eigenbasis(gen.wdot[sl, sl]) for sl in map(model.band_slice, range(model.S))]
+    gap, radius, simple = spectral_gap([rho for rho, _ in blocks])
     if not simple:
         raise DegenerateBlock(f"the band-block spectra are not simple: eigenvalue gap "
                               f"{gap:.3e} is not above GAP_TOL times the spectral "
                               f"radius {radius:.3e}")
-    return LimitBasis(k=int(k), lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),
-                      band=model.band_index, model=model)
+    return _band_basis(model, k, blocks)
 
 
 def limit_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:

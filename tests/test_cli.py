@@ -675,6 +675,15 @@ def test_no_test_only_knob_and_one_zero_noise_solve():
     assert "check_eps_grid(" not in sources["cli.py"]
 
 
+def test_one_band_block_embedding():
+    # the numerical and the closed-form limit basis share one embedding of
+    # their band blocks: a LimitBasis is constructed in zero_noise._band_basis alone
+    sources = {p.name: p.read_text() for p in sorted(Path(rs.__file__).parent.glob("*.py"))}
+    assert {name: text.count("LimitBasis(") for name, text in sources.items()
+            if "LimitBasis(" in text} == {"zero_noise.py": 1}
+    assert "LimitBasis(" in inspect.getsource(rs.zero_noise._band_basis)
+
+
 def test_each_tolerance_name_is_bound_in_one_module():
     # one name, one definition: a by-name import is a second binding, which a
     # monkeypatch of the defining module does not reach
@@ -705,6 +714,20 @@ def test_readme_names_only_bound_tolerances():
         assert name in values, f"README names {name}, which no module binds"
         if text:
             assert float(text) / (100 if percent else 1) == values[name], name
+
+
+def test_readme_api_lists_name_module_attributes():
+    # the first parenthesised list of backticked names in each "- **<module>** —"
+    # bullet names only attributes of that module
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullets = re.findall(r"^- \*\*(\w+)\*\* —(.*?)(?=^- |^$)", readme, re.M | re.S)
+    assert len(bullets) >= 6
+    for module, text in bullets:
+        names = re.search(r"\((`\w+`(?:,\s+`\w+`)*)\)", text)
+        assert names, f"the {module} bullet lists no names"
+        attrs = vars(importlib.import_module(f"rotor_spectra.{module}"))
+        missing = [n for n in re.findall(r"`(\w+)`", names.group(1)) if n not in attrs]
+        assert missing == [], f"README's {module} bullet names {missing}"
 
 
 #: a written number that is not finite, as %.17g, repr(complex) or JSON spell it

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import rotor_spectra as rs
+
 from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model, delta_factor,
-                           detect_bands, detect_cycles, eig_dense_complex, laplacian_generator,
+                           detect_cycles, eig_dense_complex, laplacian_generator,
                            limit_basis, oracle_crosscheck, order_check, order_checks,
                            response_data, simulate, spectrum, ulam_analytic, ulam_empirical,
                            validate_admissibility, w_epsilon)
 from rotor_spectra.errors import (ConfigError, DimensionMismatch, DimensionTooSmall,
                                   DuplicateSpeed, EmptyBand, EpsOutOfRange, InvalidMatrix,
-                                  InvalidSimulationInput, InvalidSpeeds, NonBandable,
-                                  RotorSpectraError)
+                                  InvalidSimulationInput, InvalidSpeeds, RotorSpectraError)
 from rotor_spectra.model import spectral_gap
 from conftest import CASE_BETA, random_banded_model
 
@@ -74,28 +75,16 @@ class TestBuildBandModel:
             case_model.alpha[0] = 99.0
 
 
-class TestDetectBands:
-    def test_run_length_grouping(self):
-        m = detect_bands([0.1, 0.1, 0.5])
-        assert m.beta == (0.1, 0.5)
-        assert m.L == (2, 1)
-
-    def test_non_bandable(self):
-        with pytest.raises(NonBandable):
-            detect_bands([0.1, 0.5, 0.1])
-
-    def test_case_study_roundtrip(self, case_model):
-        m = detect_bands(case_model.alpha)
-        assert m.beta == case_model.beta
-        assert m.L == case_model.L
-        assert m.cum == case_model.cum
-
-    def test_roundtrip_property(self):
+class TestBandLayout:
+    def test_layout_property(self):
+        # build_band_model's layout on random models: speeds, offsets and band index
         rng = np.random.default_rng(7)
         for _ in range(50):
             m = random_banded_model(rng)
-            back = detect_bands(m.alpha)
-            assert back.beta == m.beta and back.L == m.L and back.cum == m.cum
+            assert m.cum == (0, *np.cumsum(m.L).tolist()) and m.N == m.cum[-1]
+            for s in range(m.S):
+                assert np.all(m.alpha[m.band_slice(s)] == m.beta[s])
+            assert_array_equal(m.band_index, [s for s in range(m.S) for _ in range(m.L[s])])
 
 
 class TestLaplacianGenerator:
@@ -245,19 +234,16 @@ class TestWEpsilon:
 @pytest.mark.parametrize("error, call", [
     (InvalidMatrix, lambda: NoiseGenerator.from_matrix([[0.0, 1.0]])),
     (DimensionMismatch, lambda: build_band_model([0.1, 0.2], [1])),
-    (InvalidSpeeds, lambda: detect_bands([])),
     (InvalidSpeeds, lambda: build_band_model([math.nan], [2])),
     (InvalidSpeeds, lambda: build_band_model([0.1, -math.inf], [1, 1])),
-    # NaN != NaN, so without the check these would be two "distinct" bands
-    (InvalidSpeeds, lambda: detect_bands([math.nan, math.nan])),
     (DimensionMismatch, lambda: validate_admissibility(laplacian_generator(3),
                                                        build_band_model([0.1], [2]))),
     (InvalidMatrix, lambda: eig_dense_complex(np.ones((2, 3)))),
     (InvalidMatrix, lambda: eig_dense_complex([[1.0, np.nan], [0.0, 1.0]])),
     (DimensionMismatch, lambda: alpha_response(build_band_model([0.0, 0.25], [1, 1]),
                                               laplacian_generator(2), 1, 0.01, 0, [1.0])),
-], ids=["from_matrix", "band_lengths", "detect_bands", "nan_speed", "infinite_speed",
-        "detect_bands_nan", "admissibility_dimension",
+], ids=["from_matrix", "band_lengths", "nan_speed", "infinite_speed",
+        "admissibility_dimension",
         "eig_not_square", "eig_non_finite", "alpha_direction"])
 def test_boundary_errors_are_typed(error, call):
     # typed library errors that still satisfy callers catching ValueError
@@ -317,3 +303,45 @@ def test_out_of_range_parameters_are_refused(case_model, case_gen, error, match,
     # label N - 1 and ell = 1.5 label 1
     with pytest.raises(error, match=match):
         call(case_model, case_gen)
+
+
+#: every public function that takes a model and a generator (through a
+#: response record or a limit basis built with the right generator where it
+#: takes one); validate_admissibility is in test_boundary_errors_are_typed
+SIZED_CALLS = {
+    "assemble_fourier_block": lambda m, g, ok: rs.assemble_fourier_block(m, g, 1, 0.1),
+    "spectrum": lambda m, g, ok: rs.spectrum(m, g, 1, 0.1),
+    "label_spectrum": lambda m, g, ok: rs.label_spectrum(
+        m, g, 1, 0.1, eig_dense_complex(rs.assemble_fourier_block(m, ok, 1, 0.1))),
+    "assemble_limit_matrix": lambda m, g, ok: rs.assemble_limit_matrix(m, g, 1),
+    "limit_eigenbasis": lambda m, g, ok: rs.limit_eigenbasis(m, g, 1),
+    "limit_basis": lambda m, g, ok: limit_basis(m, g, 1),
+    "spectrum_convergence": lambda m, g, ok: rs.spectrum_convergence(
+        limit_basis(m, ok, 1), g, [0.1]),
+    "first_order_basis": lambda m, g, ok: rs.response.first_order_basis(m, g, 1),
+    "response_data": lambda m, g, ok: response_data(m, g, 1),
+    "second_order_eigenvalue": lambda m, g, ok: rs.second_order_eigenvalue(m, g, 1, 0),
+    "eigenvector_response": lambda m, g, ok: rs.eigenvector_response(m, g, 1, 0),
+    "order_check": lambda m, g, ok: order_check(m, g, 1, 0, GRID),
+    "order_checks": lambda m, g, ok: order_checks(response_data(m, ok, 1), g, [0], GRID),
+    "alpha_response": lambda m, g, ok: alpha_response(m, g, 1, 0.01, 0, np.ones(33)),
+    "oracle_crosscheck": lambda m, g, ok: oracle_crosscheck(m, g, 1),
+    "simulate": lambda m, g, ok: simulate(m, g, 0.1, 0.1, 5, 50, 0),
+    "ulam_analytic": lambda m, g, ok: ulam_analytic(m, g, 0.1, 0.1, 16),
+}
+
+
+@pytest.mark.parametrize("size", [10, 40])
+@pytest.mark.parametrize("name", SIZED_CALLS)
+def test_generator_of_another_size_is_refused(case_model, case_gen, name, size):
+    # one size rule: a smaller generator used to end in a bare ValueError or
+    # IndexError, a larger one in results built from its top-left blocks
+    with pytest.raises(DimensionMismatch, match=f"generator dimension {size} != model "
+                                                f"dimension 33"):
+        SIZED_CALLS[name](case_model, laplacian_generator(size), case_gen)
+
+
+def test_labelling_refuses_eigenpairs_of_another_size(case_model, case_gen):
+    eig = eig_dense_complex(np.diag(np.exp(-0.1j * np.arange(10))))
+    with pytest.raises(DimensionMismatch, match="10 eigenpairs for a model of N=33"):
+        rs.label_spectrum(case_model, case_gen, 1, 0.1, eig)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import rotor_spectra
 from rotor_spectra import (LimitBasis, NoiseGenerator, assemble_limit_matrix, build_band_model,
                            closed_form_eigendata, laplacian_generator, oracle,
-                           oracle_crosscheck)
+                           oracle_crosscheck, zero_noise)
 from rotor_spectra.errors import MismatchBeyondTolerance, NotLaplacian
 from rotor_spectra.oracle import ORACLE_TOL
 
@@ -89,6 +89,8 @@ class TestClosedForm:
             raise AssertionError("the closed form must not call the numerical solver")
 
         monkeypatch.setattr(oracle, "limit_eigenbasis", unused)
+        # nor through the band-block embedding it shares with the numerical basis
+        monkeypatch.setattr(zero_noise, "sorted_eigenbasis", unused)
         m = build_band_model([0.3], [5])
         data = closed_form_eigendata(m, 2)
         # reflecting ends at both sides: cosine ladder -1 + cos(m pi / L), descending

@@ -27,9 +27,8 @@ def single_fibre_model(speed):
 def one_fibre_batch(model, x):
     """Paths (rows of ``x``) that stay in fibre 0 at the given positions."""
     x = np.asarray(x, dtype=float)
-    return TrajectoryBatch(seed=0, n_paths=x.shape[0], n_steps=x.shape[1] - 1,
-                           j=np.zeros(x.shape, dtype=np.int32), x=x, eps=0.0, delta=0.0,
-                           model=model)
+    return TrajectoryBatch(n_paths=x.shape[0], n_steps=x.shape[1] - 1,
+                           j=np.zeros(x.shape, dtype=np.int32), x=x, model=model)
 
 
 def coo_cell_matrix(kernel, w):

@@ -32,6 +32,19 @@ class TestCheckGamma:
         assert check_gamma(m, 0) is True
 
 
+def block_loop_limit_matrix(m, g, k):
+    """Reference: the limit matrix assembled band block by band block."""
+    ref = np.zeros((m.N, m.N), dtype=complex)
+    for s, phase in enumerate(m.phases(k)):
+        sl = m.band_slice(s)
+        ref[sl, sl] = phase * g.wdot[sl, sl]
+    return ref
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 class TestAssembleLimitMatrix:
     def test_single_band_whole_matrix(self):
         m = build_band_model([0.3], [4])
@@ -58,6 +71,20 @@ class TestAssembleLimitMatrix:
             sl = case_model.band_slice(s)
             mask[sl, sl] = False
         assert np.all(phat[mask] == 0)
+
+    @pytest.mark.parametrize("k", [-3, 0, 1, 7, 2 ** 31])
+    def test_equals_block_loop_bit_for_bit(self, k):
+        # the masked product is the block loop to the bit, and off band it is
+        # +0 exactly, never -0.0
+        rng = np.random.default_rng(k % 1000)
+        for _ in range(60):
+            m = random_banded_model(rng)
+            w = rng.standard_normal((m.N, m.N)) * (rng.random((m.N, m.N)) < 0.7)
+            g = NoiseGenerator.from_matrix(w + w.T)
+            phat = assemble_limit_matrix(m, g, k)
+            assert np.array_equal(bits(phat), bits(block_loop_limit_matrix(m, g, k)))
+            off = m.band_index[:, None] != m.band_index[None, :]
+            assert not np.any(np.signbit(phat.real[off]) | np.signbit(phat.imag[off]))
 
 
 class TestLimitEigenbasis:
