@@ -34,7 +34,7 @@ from numbers import Integral
 import numpy as np
 
 from . import model as band_models
-from .errors import DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid
+from .errors import DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, NoConvergence
 from .model import (BandModel, NoiseGenerator, _freeze, build_band_model, check_dimension,
                     spectral_gap)
 from .spectra import (assemble_fourier_block, eig_dense_complex, label_spectrum,
@@ -58,13 +58,15 @@ class OrderCheck:
 
     r0 = |lam_eps - lam_0|, r1 = |lam_eps - lam_0 - eps*lhat|,
     r2 = |lam_eps - lam_0 - eps*lhat - eps^2*lhathat|, and vec_r is the
-    projective distance between f_eps and f + eps*fhat.  Slopes are
-    least-squares fits on the log-log grid.  When S = 1 or k = 0 the expansion
-    terminates, so r1, r2 and vec_r are rounding only and slope1, slope2 and
-    slope_vec are None (empty cells in the CSV footer).  slope0 is None for a
-    stationary label, whose lhat is 0 by the simple-spectrum rule (|lhat| at
-    most GAP_TOL times the largest |lhat|): its eigenvalue does not move with
-    eps, so r0 is rounding only.
+    projective distance between f_eps and f + eps*fhat.  ``path`` says, per
+    eps, how the eigenpair was found: ``disk`` where its row disk certified
+    it (:func:`_label_disks`), ``dense`` where the dense eigensolve did.
+    Slopes are least-squares fits on the log-log grid.  When S = 1 or k = 0
+    the expansion terminates, so r1, r2 and vec_r are rounding only and
+    slope1, slope2 and slope_vec are None (empty cells in the CSV footer).
+    slope0 is None for a stationary label, whose lhat is 0 by the
+    simple-spectrum rule (|lhat| at most GAP_TOL times the largest |lhat|):
+    its eigenvalue does not move with eps, so r0 is rounding only.
     """
 
     k: int
@@ -74,6 +76,7 @@ class OrderCheck:
     r1: np.ndarray
     r2: np.ndarray
     vec_r: np.ndarray
+    path: np.ndarray             # "disk" or "dense" per eps
     slope0: float | None
     slope1: float | None
     slope2: float | None
@@ -178,9 +181,12 @@ REFINE_STEPS = 3
 def _refine_eigenpair(a, mu, vec):
     """Polish one simple eigenpair (mu, vec) of the shifted matrix ``a``.
 
-    Newton refinement on the bordered Jacobian (:func:`_bordered_solve`) of
-    the dense eigenpair (mu0, v0); residuals (a v - mu v, 1 - v0^H v) and
-    corrections are all complex128.
+    Chord steps on the bordered Jacobian (:func:`_bordered_solve`) of the
+    starting pair (mu0, v0), held fixed, so each step shrinks the error by
+    about |mu0 - mu| over the distance to the next eigenvalue: a dense
+    eigenpair converges at once, a certified row disk's centre and basis
+    column of order_checks within a second polish.  Residuals
+    (a v - mu v, 1 - v0^H v) and corrections are all complex128.
     """
     n, mu0, v = a.shape[0], mu, vec
     for _ in range(REFINE_STEPS):
@@ -215,21 +221,72 @@ def check_eps_grid(gen: NoiseGenerator, eps_grid) -> np.ndarray:
     return grid
 
 
+#: unit roundoff u = 2**-53 of float64 and complex128 arithmetic, in which
+#: the rounding term of the order checks' disk certificate is stated
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _label_disks(f, f_hat, cf, ccf, p, eps):
+    """Row disks that certify each label's eigenvalue of ``p`` at ``eps``.
+
+    fhat = f C with C = f^T fhat (f is real orthonormal), so F = f + eps fhat
+    = f (Id + eps C) has the approximate inverse X = f^T - eps C f^T +
+    eps^2 C^2 f^T (``cf`` = C f^T, ``ccf`` = C^2 f^T), and with M = X p F and
+    G = Id - X F, B = (Id - G)^-1 M is similar to ``p``.  So B's row disk l
+    lies in M's, widened by ||B - M|| <= g/(1 - g) ||M|| (infinity norms,
+    g >= ||G||), plus the rounding of the products: with gamma =
+    2 (N + 2) UNIT_ROUNDOFF, a complex inner product of length N errs by at
+    most gamma times the one of the moduli, so fl(X (p F)) errs by at most
+    3 gamma ||X|| ||p|| ||F|| and fl(X F) by gamma ||X|| ||F||; sums of
+    moduli are read up, and distances down, by the factor 1 + gamma.  A
+    widened disk disjoint from every other holds exactly one eigenvalue of
+    ``p`` (Gershgorin); where g >= 1 none is certified.  Returns F, the
+    centres M_ll, the widened radii and which disks are isolated.
+    """
+    def norm(z):
+        return np.max(np.sum(np.abs(z), axis=1))
+
+    n = len(f)
+    gamma = 2 * (n + 2) * UNIT_ROUNDOFF
+    fe = f + eps * f_hat
+    x = f.T - eps * cf + eps ** 2 * ccf
+    m = x @ (p @ fe)
+    rounding = 3 * gamma * norm(x) * norm(p) * norm(fe)
+    g = (norm(np.eye(n) - x @ fe) + gamma * norm(x) * norm(fe)) * (1 + gamma)
+    spread = g / (1 - g) * (norm(m) + rounding) if g < 1 else np.inf
+    off = np.abs(m)
+    np.fill_diagonal(off, 0)
+    centre = np.diag(m)
+    radius = (np.sum(off, axis=1) + spread + rounding) * (1 + gamma)
+    clear = (1 - gamma) * np.abs(centre[:, None] - centre[None, :]) > radius[:, None] + radius
+    np.fill_diagonal(clear, True)
+    return fe, centre, radius, np.all(clear, axis=1)
+
+
 def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
                  eps_grid) -> tuple[OrderCheck, ...]:
     """Validate the expansion orders of labels ``ells`` at the model and k of ``resp``.
 
-    At each eps, one dense eigensolve shared by all labels is matched to the
-    second-order predictions, one eigenvalue per label (nearest_assignment),
-    which keeps the ladders consistent across the grid.  Each label's
-    eigenpair is then polished (_refine_eigenpair) as one of the shifted matrix
-    D (Id + eps*Wdot) - lam_0 Id = Diag(d - d_ell) + eps D Wdot, d = diag(D),
-    whose diagonal is exactly 0 on the band of ell.  Its eigenvalue
-    mu = lam_eps - lam_0 is O(eps) and no entry of size 1 is rounded, so the
-    ladders carry complex128's relative precision down the grid instead of
-    an absolute floor.  When every fibre phase is equal (S = 1 or k = 0) the
-    expansion terminates and r1, r2 and vec_r, rounding only, get no slope;
-    nor does r0 of a stationary label (lhat = 0, see OrderCheck).
+    At each eps, each label's eigenvalue of the Fourier block is certified
+    by its row disk in the basis F = f + eps*fhat (:func:`_label_disks`) and
+    polished from that disk's centre and F's column, twice: the second
+    polish starts from the first's pair, as close as a dense eigenpair, so
+    its chord steps converge as the dense path's do.  A label whose disk is
+    not isolated, or whose polished eigenvalue leaves the disk, takes the
+    dense path instead: one eigensolve per eps, shared by those labels,
+    matched to the second-order predictions one eigenvalue per label
+    (nearest_assignment); a matched pair above the residual certificate
+    raises NoConvergence.  Either way a label's path depends only on the
+    model, k, eps and the label, and the OrderCheck's ``path`` records it.
+    Each eigenpair is polished (_refine_eigenpair) as one of the shifted
+    matrix D (Id + eps*Wdot) - lam_0 Id = Diag(d - d_ell) + eps D Wdot,
+    d = diag(D), whose diagonal is exactly 0 on the band of ell.  Its
+    eigenvalue mu = lam_eps - lam_0 is O(eps) and no entry of size 1 is
+    rounded, so the ladders carry complex128's relative precision down the
+    grid instead of an absolute floor.  When every fibre phase is equal
+    (S = 1 or k = 0) the expansion terminates and r1, r2 and vec_r, rounding
+    only, get no slope; nor does r0 of a stationary label (lhat = 0, see
+    OrderCheck).
     """
     basis = resp.basis
     model, k = basis.model, basis.k
@@ -238,19 +295,38 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
     eps_grid = check_eps_grid(gen, eps_grid)
     d = model.phases(k)[model.band_index]
     dw = d[:, None] * gen.wdot                           # D Wdot
-    ladders = [[] for _ in ells]                         # per label: (r0, r1, r2, vec_r) per eps
+    f, f_hat = basis.vectors, resp.f_hat
+    cf = (f.T @ f_hat) @ f.T                             # C f^T, C = f^T fhat
+    ccf = (f.T @ f_hat) @ cf
+    ladders = [[] for _ in ells]                         # per label: (r0, r1, r2, vec_r, path)
     for eps in eps_grid:
-        eig = eig_dense_complex(assemble_fourier_block(model, gen, k, eps))
-        pred = d + eps * basis.lambda_hat + eps ** 2 * resp.lambda_hathat
-        label = nearest_assignment(np.abs(eig.values[:, None] - pred[None, :]), [1] * model.N)
+        p = assemble_fourier_block(model, gen, k, eps)
+        fe, centre, radius, isolated = _label_disks(f, f_hat, cf, ccf, p, eps)
+        eig = None
         for ell, rows in zip(ells, ladders):
             lhat, lhh = basis.lambda_hat[ell], resp.lambda_hathat[ell]
-            i = int(np.argmax(label == ell))
             a = np.diag(d - d[ell]) + eps * dw           # exactly 0 on the band of ell
-            mu, vec = _refine_eigenpair(a, eig.values[i] - d[ell], eig.vectors[:, i])
+            path = "disk" if isolated[ell] else "dense"
+            if path == "disk":
+                # a second polish restarts the chord steps at the first's pair
+                mu, vec = _refine_eigenpair(a, *_refine_eigenpair(a, centre[ell] - d[ell],
+                                                                  fe[:, ell]))
+                if not abs(mu + d[ell] - centre[ell]) <= radius[ell]:
+                    path = "dense"
+            if path == "dense":
+                if eig is None:
+                    eig = eig_dense_complex(p)
+                    pred = d + eps * basis.lambda_hat + eps ** 2 * resp.lambda_hathat
+                    label = nearest_assignment(np.abs(eig.values[:, None] - pred[None, :]),
+                                               [1] * model.N)
+                i = int(np.argmax(label == ell))
+                if not eig.converged[i]:
+                    raise NoConvergence(f"the eigenpair of label {ell} at eps={eps} exceeds "
+                                        "the residual tolerance", partial=eig)
+                mu, vec = _refine_eigenpair(a, eig.values[i] - d[ell], eig.vectors[:, i])
             rows.append((abs(mu), abs(mu - eps * lhat), abs(mu - eps * lhat - eps ** 2 * lhh),
                          projective_distance(vec, basis.vectors[:, ell]
-                                             + eps * resp.f_hat[:, ell])))
+                                             + eps * resp.f_hat[:, ell]), path))
 
     terminates = _terminates(model, k)
     # lhat = 0 by the simple-spectrum rule: the eigenvalue stays put, r0 is rounding
@@ -258,10 +334,11 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
     stationary = lhat <= band_models.GAP_TOL * np.max(lhat)
     checks = []
     for ell, rows in zip(ells, ladders):
-        r0, r1, r2, vec_r = (_freeze(np.asarray(col)) for col in zip(*rows))
+        r0, r1, r2, vec_r, path = (_freeze(np.asarray(col)) for col in zip(*rows))
         fit0 = None if stationary[ell] else _fit_slope(eps_grid, r0)
         fits = [None] * 3 if terminates else [_fit_slope(eps_grid, r) for r in (r1, r2, vec_r)]
-        checks.append(OrderCheck(int(k), ell, _freeze(eps_grid), r0, r1, r2, vec_r, fit0, *fits))
+        checks.append(OrderCheck(int(k), ell, _freeze(eps_grid), r0, r1, r2, vec_r, path,
+                                 fit0, *fits))
     return tuple(checks)
 
 

@@ -130,10 +130,12 @@ def write_response_csv(path, resp):
 
 
 def write_ordercheck_csv(path, oc):
-    _write(path, ["k", "ell", "eps", "r0", "r1", "r2", "vec_r"], "%d,%d" + ",%.17g" * 5,
-           [oc.k, oc.ell + 1, oc.eps_grid, oc.r0, oc.r1, oc.r2, oc.vec_r],
+    _write(path, ["k", "ell", "eps", "r0", "r1", "r2", "vec_r", "path"],
+           "%d,%d" + ",%.17g" * 5 + ",%s",
+           [oc.k, oc.ell + 1, oc.eps_grid, oc.r0, oc.r1, oc.r2, oc.vec_r, oc.path],
            ["slopes,,," + ",".join("" if s is None else "%.17g" % s
-                                   for s in (oc.slope0, oc.slope1, oc.slope2, oc.slope_vec))])
+                                   for s in (oc.slope0, oc.slope1, oc.slope2, oc.slope_vec))
+            + ","])
 
 
 def write_oracle_csv(path, report):

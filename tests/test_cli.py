@@ -32,6 +32,17 @@ def case_cfg(tmp_path):
     return p
 
 
+#: an order-check grid whose first point no leading label's row disk certifies at N=99
+SCALED_FALLBACK_GRID = "0.1,0.01,0.001,0.0001"
+
+
+def scaled_cfg(tmp_path):
+    """The case-study speeds at N=99 (L = 33, 21, 45)."""
+    p = tmp_path / "scaled.json"
+    p.write_text(CASE_STUDY_JSON.replace("[11, 7, 15]", "[33, 21, 45]"), encoding="utf-8")
+    return p
+
+
 def run_cli(*argv, timeout=None):
     """The CLI in a fresh process, importing the package under test."""
     src = str(Path(cli.__file__).parents[1])
@@ -428,7 +439,9 @@ class TestOtherCommands:
         assert (out / "ordercheck_k2_ell19.csv").exists()
 
     def test_response_solves_each_eps_once_per_k(self, case_cfg, tmp_path, monkeypatch):
-        # three leading labels share one dense eigensolve per eps: 2 k x 4 eps
+        # the leading labels' row disks certify them on the default grid, so
+        # no eps needs a dense eigensolve; at N=99 eps = 0.1 certifies none of
+        # them, and that eps alone takes one solve, shared by the three labels
         solves = []
         real = response.eig_dense_complex
 
@@ -439,7 +452,33 @@ class TestOtherCommands:
         monkeypatch.setattr(response, "eig_dense_complex", counted)
         assert main(["response", "--config", str(case_cfg), "--out", str(tmp_path / "resp"),
                      "--k", "1,2"]) == 0
-        assert len(solves) == 8
+        assert len(solves) == 0
+        assert main(["response", "--config", str(scaled_cfg(tmp_path)), "--out",
+                     str(tmp_path / "scaled"), "--k", "1", "--eps", SCALED_FALLBACK_GRID]) == 0
+        assert len(solves) == 1
+
+    def test_response_falls_back_to_the_dense_path_at_large_eps(self, tmp_path, monkeypatch):
+        # N=99 at eps = 0.1: no leading label's row disk is isolated, so those
+        # rows take the dense path, with the bits they get when every eps does
+        out = tmp_path / "resp"
+        assert main(["response", "--config", str(scaled_cfg(tmp_path)), "--out", str(out),
+                     "--k", "1", "--eps", SCALED_FALLBACK_GRID]) == 0
+        monkeypatch.setattr(response, "_label_disks", lambda *args: (
+            None, None, None, np.zeros(99, dtype=bool)))
+        dense = tmp_path / "dense"
+        assert main(["response", "--config", str(scaled_cfg(tmp_path)), "--out", str(dense),
+                     "--k", "1", "--eps", SCALED_FALLBACK_GRID]) == 0
+        for ell in (1, 34, 55):
+            with open(out / f"ordercheck_k1_ell{ell}.csv", newline="", encoding="utf-8") as fh:
+                *rows, footer = list(csv.DictReader(fh))
+            assert [row["path"] for row in rows] == ["dense", "disk", "disk", "disk"]
+            assert footer["path"] == ""
+            assert abs(float(footer["r1"]) - 2.0) <= 0.1
+            assert float(footer["r2"]) >= 2.3
+            assert float(footer["vec_r"]) >= 1.3
+            own = (out / f"ordercheck_k1_ell{ell}.csv").read_text().splitlines()[1]
+            forced = (dense / f"ordercheck_k1_ell{ell}.csv").read_text().splitlines()[1]
+            assert own == forced
 
     def test_terminating_ordercheck_footers_leave_slopes_empty(self, case_cfg, tmp_path):
         # at k = 0 every fibre phase is 1: only r0 gets a slope, and not even
@@ -452,7 +491,7 @@ class TestOtherCommands:
         for ell in cli._leading_labels(cfg.model):
             footer = (out / f"ordercheck_k0_ell{ell + 1}.csv").read_text().splitlines()[-1]
             slope0 = "" if ell == 0 else "[-+.e0-9]+"
-            assert re.fullmatch(rf"slopes,,,{slope0},,,", footer), footer
+            assert re.fullmatch(rf"slopes,,,{slope0},,,,", footer), footer
             oc = rs.order_check(cfg.model, cfg.gen, 1, ell, [1e-2, 1e-3, 1e-4, 1e-5])
             writers.write_ordercheck_csv(tmp_path / "own.csv", oc)
             assert ((out / f"ordercheck_k1_ell{ell + 1}.csv").read_bytes()

@@ -14,7 +14,7 @@ from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model,
                            response_data, second_order_eigenvalue, spectrum, w_epsilon,
                            zero_noise)
 from rotor_spectra.errors import (DegenerateBlock, EigsNotSimple, EpsZero, GammaViolated,
-                                  InvalidEpsGrid)
+                                  InvalidEpsGrid, NoConvergence)
 from rotor_spectra.model import sorted_eigenbasis, spectral_gap
 from rotor_spectra.response import first_order_basis
 from rotor_spectra.spectra import assemble_fourier_block, eig_dense_complex, label_spectrum
@@ -82,6 +82,24 @@ def draw_generator(data, n, low=0.05):
     wdot += wdot.T
     wdot -= np.diag(wdot.sum(axis=1))
     return NoiseGenerator.from_matrix(wdot)
+
+
+def draw_separated_model(data, widths):
+    """A random admissible model of at most 12 fibres, its generator and a k in
+    [1, 3], with band phases and in-band first-order eigenvalues 1e-2 apart."""
+    n = sum(widths)
+    assume(n <= 12)
+    beta = data.draw(st.lists(st.floats(-1, 1), min_size=len(widths),
+                              max_size=len(widths), unique=True), label="beta")
+    k = data.draw(st.integers(1, 3), label="k")
+    gen = draw_generator(data, n)
+    model = build_band_model(beta, widths)
+    phases = np.exp(-2j * np.pi * k * np.asarray(beta))
+    assume(min(abs(p - q) for i, p in enumerate(phases) for q in phases[i + 1:]) > 1e-2)
+    gaps = [np.min(np.diff(np.linalg.eigvalsh(gen.wdot[sl, sl])))
+            for sl in map(model.band_slice, range(model.S)) if sl.stop - sl.start > 1]
+    assume(min(gaps, default=1.0) > 1e-2)
+    return model, gen, k
 
 
 def fd_eigendata(model, gen, k, eps, pred):
@@ -235,19 +253,7 @@ class TestVectorisedTerms:
     @given(widths=st.lists(st.integers(1, 4), min_size=2, max_size=4),
            data=st.data())
     def test_random_admissible_models(self, widths, data):
-        n = sum(widths)
-        assume(n <= 12)
-        beta = data.draw(st.lists(st.floats(-1, 1), min_size=len(widths),
-                                  max_size=len(widths), unique=True), label="beta")
-        k = data.draw(st.integers(1, 3), label="k")
-        gen = draw_generator(data, n)
-        model = build_band_model(beta, widths)
-        phases = np.exp(-2j * np.pi * k * np.asarray(beta))
-        assume(min(abs(p - q) for i, p in enumerate(phases) for q in phases[i + 1:]) > 1e-2)
-        # well-separated first-order eigenvalues within each band
-        gaps = [np.min(np.diff(np.linalg.eigvalsh(gen.wdot[sl, sl])))
-                for sl in map(model.band_slice, range(model.S)) if sl.stop - sl.start > 1]
-        assume(min(gaps, default=1.0) > 1e-2)
+        model, gen, k = draw_separated_model(data, widths)
         resp = response_data(model, gen, k)
         scale = 1.0 + float(np.max(np.abs(resp.f_hat)))
         assert_matches_loop_reference(resp, model, gen, k, atol=1e-13 * scale)
@@ -324,12 +330,83 @@ class TestOrderCheck:
                 assert (a is None and b is None) or np.array_equal(a, b), (ell, field.name)
 
 
+class TestLabelDisks:
+    """The row-disk certificate of order_checks against the dense eigensolve."""
+
+    @staticmethod
+    def disks(resp, gen, eps):
+        f, f_hat = resp.basis.vectors, resp.f_hat
+        cf = (f.T @ f_hat) @ f.T
+        p = assemble_fourier_block(resp.basis.model, gen, resp.basis.k, eps)
+        return p, response._label_disks(f, f_hat, cf, (f.T @ f_hat) @ cf, p, eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+           scale=st.sampled_from([1.0, 0.5, 0.1, 1e-2, 1e-3, 1e-5]), data=st.data())
+    def test_isolated_disk_holds_the_polished_eigenvalue(self, widths, scale, data):
+        model, gen, k = draw_separated_model(data, widths)
+        resp = response_data(model, gen, k)
+        eps = scale * gen.eps_max
+        p, (fe, centre, radius, isolated) = self.disks(resp, gen, eps)
+        values = eig_dense_complex(p).values
+        d = model.phases(k)[model.band_index]
+        for ell in np.flatnonzero(isolated):
+            inside = np.flatnonzero(np.abs(values - centre[ell]) <= radius[ell])
+            assert len(inside) == 1, ell
+            a = np.diag(d - d[ell]) + eps * (d[:, None] * gen.wdot)
+            # the polish of order_checks: twice, the second from the first's pair
+            mu, _ = response._refine_eigenpair(
+                a, *response._refine_eigenpair(a, centre[ell] - d[ell], fe[:, ell]))
+            assert np.argmin(np.abs(values - d[ell] - mu)) == inside[0]
+            assert abs(values[inside[0]] - d[ell] - mu) <= 1e-10
+
+    def test_rounding_term_decides_at_the_disk_edge(self, case_model, case_gen, monkeypatch):
+        # at eps = 1e-12 neighbouring centres lie about 1e-13 apart: beyond
+        # the radius the products' rounding leaves out (about 7e-15 here),
+        # within the one it adds (4e-13), so the rounding term alone refuses
+        # the disks, and those labels take the dense path
+        grid, ells = [1e-8, 1e-9, 1e-10, 1e-12], [0, 11, 18]
+        resp = response_data(case_model, case_gen, 1)
+        assert [list(oc.path) for oc in order_checks(resp, case_gen, ells, grid)] == [
+            ["disk", "disk", "disk", "dense"]] * 3
+        monkeypatch.setattr(response, "UNIT_ROUNDOFF", 0.0)
+        assert [list(oc.path) for oc in order_checks(resp, case_gen, ells, grid)] == [
+            ["disk"] * 4] * 3
+
+    def test_unconverged_dense_pair_is_refused(self, case_model, case_gen, monkeypatch):
+        # eps = 0.1 certifies no disk for label 16, which takes the dense path;
+        # a matched pair above the residual certificate raises NoConvergence
+        resp = response_data(case_model, case_gen, 1)
+        ell, eps = 16, 0.1
+        _, (_, _, _, isolated) = self.disks(resp, case_gen, eps)
+        assert not isolated[ell]
+        real = response.eig_dense_complex
+        target = (case_model.phases(1)[case_model.band_index[ell]]
+                  + eps * resp.basis.lambda_hat[ell] + eps ** 2 * resp.lambda_hathat[ell])
+
+        def one_unconverged(matrix):
+            eig = real(matrix)
+            converged = np.ones(eig.values.shape, dtype=bool)
+            converged[np.argmin(np.abs(eig.values - target))] = False
+            return dataclasses.replace(eig, converged=converged)
+
+        monkeypatch.setattr(response, "eig_dense_complex", one_unconverged)
+        with pytest.raises(NoConvergence) as info:
+            order_checks(resp, case_gen, [ell], [eps, 1e-2, 1e-3, 1e-4])
+        assert int(np.sum(~info.value.partial.converged)) == 1
+        # labels certified by their disks never read the dense solve
+        (oc,) = order_checks(resp, case_gen, [11], [eps, 1e-2, 1e-3, 1e-4])
+        assert list(oc.path) == ["disk"] * 4
+
+
 def mpmath_r2(model, gen, k, ell, eps, resp, dps=45):
-    """Reference r2: bordered Newton at ``dps`` digits on D(Id + eps*Wdot) - d_ell Id.
+    """Reference (r2, vec_r): bordered Newton at ``dps`` digits on D(Id + eps*Wdot) - d_ell Id.
 
     The matrix is built from the stored doubles of d, Wdot and eps; Newton
     starts from the double eigenpair nearest the second-order prediction and
     converges quadratically, so two full steps reach the working precision.
+    vec_r is sqrt(2 - 2 |<w, v>|) for the unit vectors v and w along the
+    polished vector and f + eps*fhat (whose doubles are taken as exact).
     """
     n = model.N
     d = np.exp(-2j * np.pi * k * model.alpha)
@@ -360,19 +437,26 @@ def mpmath_r2(model, gen, k, ell, eps, resp, dps=45):
             step = mpmath.lu_solve(jac, rhs)
             v = mpmath.matrix([v[r] + step[r] for r in range(n)])
             mu += step[n]
-        return float(abs(mu - e * mpmath.mpc(lhat) - e * e * mpmath.mpc(lhh)))
+        w = [mpmath.mpc(x) for x in resp.basis.vectors[:, ell] + eps * resp.f_hat[:, ell]]
+        ip = mpmath.fsum(mpmath.conj(w[r]) * v[r] for r in range(n))
+        ip /= mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in w)) * mpmath.norm(v)
+        return (float(abs(mu - e * mpmath.mpc(lhat) - e * e * mpmath.mpc(lhh))),
+                float(mpmath.sqrt(2 - 2 * abs(ip))))
 
 
 class TestRefineEigenpair:
     @pytest.mark.parametrize("ell", [0, 11, 18])
     def test_r2_matches_mpmath_reference(self, case_model, case_gen, ell):
         # r2 at eps = 1e-5 is 6e-20 to 2e-18 here: below any absolute floor of
-        # an unshifted polish, resolved by the shifted complex128 one
+        # an unshifted polish, resolved by the shifted complex128 one, which
+        # starts from the label's certified row disk
         grid = [1e-2, 1e-3, 1e-4, 1e-5]
         resp = response_data(case_model, case_gen, 1)
         oc = order_check(case_model, case_gen, 1, ell, grid)
-        ref = mpmath_r2(case_model, case_gen, 1, ell, 1e-5, resp)
-        assert abs(oc.r2[-1] - ref) <= 1e-2 * ref
+        assert oc.path[-1] == "disk"
+        ref_r2, ref_vec = mpmath_r2(case_model, case_gen, 1, ell, 1e-5, resp)
+        assert abs(oc.r2[-1] - ref_r2) <= 1e-2 * ref_r2
+        assert abs(oc.vec_r[-1] - ref_vec) <= 1e-2 * ref_vec
 
     def test_no_extended_precision_lu_in_the_package(self):
         assert not hasattr(response, "_solve_xd")

@@ -106,15 +106,16 @@ def test_ordercheck_with_slopes_footer(tmp_path):
     grid = np.array([1e-2, 1e-3, 1e-4, 1e-5])
     oc = NS(k=1, ell=10, eps_grid=grid, r0=grid, r1=np.array([1e-4, 1e-6, 1e-8, 1e-10]),
             r2=np.array([1e-6, 1e-9, 1e-12, 1e-15]), vec_r=np.array([0.5, 0.05, 0.005, 0.0005]),
+            path=np.array(["dense", "disk", "disk", "disk"]),
             slope0=1.0, slope1=2.0000000000000004, slope2=3.0, slope_vec=float("nan"))
     assert written(tmp_path, writers.write_ordercheck_csv, oc) == crlf(
-        "k,ell,eps,r0,r1,r2,vec_r",
-        "1,11,0.01,0.01,0.0001,9.9999999999999995e-07,0.5",
-        "1,11,0.001,0.001,9.9999999999999995e-07,1.0000000000000001e-09,0.050000000000000003",
-        "1,11,0.0001,0.0001,1e-08,9.9999999999999998e-13,0.0050000000000000001",
+        "k,ell,eps,r0,r1,r2,vec_r,path",
+        "1,11,0.01,0.01,0.0001,9.9999999999999995e-07,0.5,dense",
+        "1,11,0.001,0.001,9.9999999999999995e-07,1.0000000000000001e-09,0.050000000000000003,disk",
+        "1,11,0.0001,0.0001,1e-08,9.9999999999999998e-13,0.0050000000000000001,disk",
         "1,11,1.0000000000000001e-05,1.0000000000000001e-05,1e-10,1.0000000000000001e-15,"
-        "0.00050000000000000001",
-        "slopes,,,1,2.0000000000000004,3,nan",
+        "0.00050000000000000001,disk",
+        "slopes,,,1,2.0000000000000004,3,nan,",
     )
 
 
