@@ -37,7 +37,7 @@ from . import model as band_models
 from .errors import DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, NoConvergence
 from .model import (BandModel, NoiseGenerator, _freeze, build_band_model, check_dimension,
                     spectral_gap)
-from .spectra import (assemble_fourier_block, eig_dense_complex, label_spectrum,
+from .spectra import (_certified, assemble_fourier_block, eig_dense_complex, label_spectrum,
                       nearest_assignment)
 from .zero_noise import LimitBasis, limit_basis, limit_eigenbasis, projective_distance
 
@@ -159,13 +159,24 @@ def _fit_slope(eps_grid, values):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _bordered_solve(a, mu, vec, rhs):
-    """Solve the bordered Jacobian [[a - mu I, -vec], [vec^H, 0]] of the
-    eigenpair (mu, vec) of ``a`` for ``rhs``: the linearised eigen-equation
-    under the gauge vec^H dv = 0, its eigenvalue unknown last.  Raises
-    EigsNotSimple when it is singular, as at a multiple eigenvalue.
+def _bordered_jacobian(a, mu, vec):
+    """The bordered Jacobian [[a - mu I, -vec], [vec^H, 0]] of the eigenpair
+    (mu, vec) of ``a``: the linearised eigen-equation under the gauge
+    vec^H dv = 0, its eigenvalue unknown last."""
+    n = a.shape[0]
+    jac = np.empty((n + 1, n + 1), dtype=complex)
+    jac[:n, :n] = a - mu * np.eye(n)
+    jac[:n, n] = -vec
+    jac[n, :n] = vec.conj()
+    jac[n, n] = 0
+    return jac
+
+
+def _bordered_solve(jac, rhs):
+    """Solve the bordered system ``jac`` (:func:`_bordered_jacobian`) for
+    ``rhs``.  Raises EigsNotSimple when it is singular, as at a multiple
+    eigenvalue.
     """
-    jac = np.block([[a - mu * np.eye(a.shape[0]), -vec[:, None]], [vec.conj(), 0]])
     try:
         return np.linalg.solve(jac, rhs)
     except np.linalg.LinAlgError as exc:
@@ -181,17 +192,17 @@ REFINE_STEPS = 3
 def _refine_eigenpair(a, mu, vec):
     """Polish one simple eigenpair (mu, vec) of the shifted matrix ``a``.
 
-    Chord steps on the bordered Jacobian (:func:`_bordered_solve`) of the
-    starting pair (mu0, v0), held fixed, so each step shrinks the error by
-    about |mu0 - mu| over the distance to the next eigenvalue: a dense
-    eigenpair converges at once, a certified row disk's centre and basis
-    column of order_checks within a second polish.  Residuals
+    Chord steps on the bordered Jacobian (:func:`_bordered_jacobian`) of the
+    starting pair (mu0, v0), built once and held fixed, so each step shrinks
+    the error by about |mu0 - mu| over the distance to the next eigenvalue:
+    a dense eigenpair converges at once, a certified row disk's centre and
+    basis column of order_checks mostly within a second polish.  Residuals
     (a v - mu v, 1 - v0^H v) and corrections are all complex128.
     """
-    n, mu0, v = a.shape[0], mu, vec
+    n, v = a.shape[0], vec
+    jac = _bordered_jacobian(a, mu, vec)
     for _ in range(REFINE_STEPS):
-        step = _bordered_solve(a, mu0, vec,
-                               np.concatenate([mu * v - a @ v, [1 - vec.conj() @ v]]))
+        step = _bordered_solve(jac, np.concatenate([mu * v - a @ v, [1 - vec.conj() @ v]]))
         v = v + step[:n]
         mu = mu + step[n]
     return mu, v / np.linalg.norm(v)
@@ -271,13 +282,17 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
     by its row disk in the basis F = f + eps*fhat (:func:`_label_disks`) and
     polished from that disk's centre and F's column, twice: the second
     polish starts from the first's pair, as close as a dense eigenpair, so
-    its chord steps converge as the dense path's do.  A label whose disk is
-    not isolated, or whose polished eigenvalue leaves the disk, takes the
-    dense path instead: one eigensolve per eps, shared by those labels,
-    matched to the second-order predictions one eigenvalue per label
-    (nearest_assignment); a matched pair above the residual certificate
-    raises NoConvergence.  Either way a label's path depends only on the
-    model, k, eps and the label, and the OrderCheck's ``path`` records it.
+    its chord steps mostly converge as the dense path's do.  The polished
+    pair must stay in the disk and meet eig_dense_complex's residual
+    certificate, with P's largest column norm, a lower bound of ||P||_2, in
+    place of ||P||_2.  A label whose disk is not isolated, or whose
+    polished pair fails either test, takes the dense path instead: one
+    eigensolve per eps, shared by those labels, matched to the second-order
+    predictions one eigenvalue per label (nearest_assignment); a matched
+    pair above the residual certificate, or its polish above the same
+    certificate (as at a defective eigenvalue), raises NoConvergence.
+    Either way a label's path depends only on the model, k, eps and the
+    label, and the OrderCheck's ``path`` records it.
     Each eigenpair is polished (_refine_eigenpair) as one of the shifted
     matrix D (Id + eps*Wdot) - lam_0 Id = Diag(d - d_ell) + eps D Wdot,
     d = diag(D), whose diagonal is exactly 0 on the band of ell.  Its
@@ -302,6 +317,7 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
     for eps in eps_grid:
         p = assemble_fourier_block(model, gen, k, eps)
         fe, centre, radius, isolated = _label_disks(f, f_hat, cf, ccf, p, eps)
+        scale = np.sqrt(np.max(np.sum(np.abs(p) ** 2, axis=0)))    # <= ||p||_2
         eig = None
         for ell, rows in zip(ells, ladders):
             lhat, lhh = basis.lambda_hat[ell], resp.lambda_hathat[ell]
@@ -311,7 +327,8 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
                 # a second polish restarts the chord steps at the first's pair
                 mu, vec = _refine_eigenpair(a, *_refine_eigenpair(a, centre[ell] - d[ell],
                                                                   fe[:, ell]))
-                if not abs(mu + d[ell] - centre[ell]) <= radius[ell]:
+                if not (abs(mu + d[ell] - centre[ell]) <= radius[ell]
+                        and _certified(np.linalg.norm(a @ vec - mu * vec), scale)):
                     path = "dense"
             if path == "dense":
                 if eig is None:
@@ -324,6 +341,9 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
                     raise NoConvergence(f"the eigenpair of label {ell} at eps={eps} exceeds "
                                         "the residual tolerance", partial=eig)
                 mu, vec = _refine_eigenpair(a, eig.values[i] - d[ell], eig.vectors[:, i])
+                if not _certified(np.linalg.norm(a @ vec - mu * vec), scale):
+                    raise NoConvergence(f"the polished eigenpair of label {ell} at eps={eps} "
+                                        "exceeds the residual tolerance", partial=eig)
             rows.append((abs(mu), abs(mu - eps * lhat), abs(mu - eps * lhat - eps ** 2 * lhh),
                          projective_distance(vec, basis.vectors[:, ell]
                                              + eps * resp.f_hat[:, ell]), path))
@@ -355,7 +375,7 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     Diag(-2 pi i k u_j exp(-2 pi i k alpha_j)), so dP = that times W_eps, and
     (dlam, df) solve the differentiated eigen-equation
     (P - lam) df - dlam f = -dP f under the gauge <f, df> = 0: the bordered
-    system of the order-check polish (:func:`_bordered_solve`).  The spectrum
+    system of the order-check polish (:func:`_bordered_jacobian`).  The spectrum
     must be simple by :func:`rotor_spectra.model.spectral_gap`, otherwise
     EigsNotSimple is raised, as it is when the bordered system is singular.
     """
@@ -375,5 +395,6 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     spec = label_spectrum(model, gen, k, eps, eig)
     f = spec.vectors[:, ell]
     dp = (-2j * np.pi * k * u)[:, None] * p
-    step = _bordered_solve(p, spec.lam[ell], f, np.concatenate([-(dp @ f), [0.0]]))
+    step = _bordered_solve(_bordered_jacobian(p, spec.lam[ell], f),
+                           np.concatenate([-(dp @ f), [0.0]]))
     return complex(step[model.N]), step[:model.N]

@@ -136,12 +136,50 @@ class CycleReport:
     cycles: tuple[Cycle, ...]
 
 
+def _walk_table(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted complex table of a walk step and each entry's column.
+
+    Row r of W_eps's cumulative rows enters as the entries r + 1j * c, c the
+    row's running maximum; numpy orders complex numbers lexicographically,
+    so the entries at or below j + 1j * u number j * N plus the first column
+    whose cumulative weight exceeds u, which is the next fibre.  The running
+    maximum leaves that column unchanged where w_epsilon's rounding slack
+    makes a row's sums dip, and the last column's guard above 1 keeps it
+    inside row j.
+    """
+    n = len(w)
+    cum = np.cumsum(w, axis=1)
+    cum[:, -1] = 1.0 + 1e-12     # guard rounding: every uniform draw must land
+    table = np.empty(n * n, dtype=complex)
+    table.real = np.repeat(np.arange(n), n)
+    table.imag = np.maximum.accumulate(cum, axis=1).ravel()
+    return table, np.tile(np.arange(n, dtype=np.int32), n)
+
+
+def _walk(j: np.ndarray, u_walk: np.ndarray, table: np.ndarray, column: np.ndarray) -> None:
+    """Fill the fibres j[1:] from j[0], one lexicographic search per step."""
+    key = np.empty(j.shape[1], dtype=complex)
+    for j_now, j_next, u in zip(j[:-1], j[1:], u_walk):
+        key.real, key.imag = j_now, u
+        j_next[:] = column[np.searchsorted(table, key, side="right")]
+
+
+def _rotate(x: np.ndarray, turn: np.ndarray, noise: np.ndarray) -> None:
+    """Fill the positions x[1:] from x[0]: x[t + 1] = (x[t] + turn[t] + noise[t]) % 1."""
+    for x_now, x_next, a, e in zip(x[:-1], x[1:], turn, noise):
+        np.add(x_now, a, out=x_next)
+        x_next += e
+        x_next %= 1.0
+
+
 def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
              n_paths: int, n_steps: int, seed: int) -> TrajectoryBatch:
     """Run the random dynamics; reproducible given the seed.
 
     Per path the stream order is: two initial-state uniforms, the walk
-    uniforms for all steps, then the noise uniforms for all steps.
+    uniforms for all steps, then the noise uniforms for all steps.  Two
+    passes over time-major buffers follow: the fibre walk, one exact
+    lexicographic search per step (:func:`_walk_table`), then the rotation.
     """
     if not all(isinstance(c, Integral) for c in (seed, n_paths, n_steps)):
         raise InvalidSimulationInput(
@@ -153,31 +191,35 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
             f"n_paths={n_paths}, n_steps={n_steps}")
     check_dimension(model, gen)
     check_delta(delta)
-    w = w_epsilon(gen, eps)
-    cum = np.cumsum(w, axis=1)
-    cum[:, -1] = 1.0 + 1e-12     # guard rounding: every uniform draw must land
+    table, column = _walk_table(w_epsilon(gen, eps))
     # allocated before the seeds are spawned, so a size numpy refuses fails at once
     u_init = np.empty((n_paths, 2))
-    u_walk = np.empty((n_paths, n_steps))
-    u_noise = np.empty((n_paths, n_steps))
+    u_walk = np.empty((n_steps, n_paths))
+    u_noise = np.empty((n_steps, n_paths))
     children = np.random.SeedSequence(seed).spawn(n_paths)
     for p, child in enumerate(children):
         g = np.random.Generator(np.random.Philox(child))
         u_init[p] = g.random(2)
-        u_walk[p] = g.random(n_steps)
-        u_noise[p] = g.random(n_steps)
+        u_walk[:, p] = g.random(n_steps)
+        u_noise[:, p] = g.random(n_steps)
 
-    j = np.empty((n_paths, n_steps + 1), dtype=np.int32)
-    x = np.empty((n_paths, n_steps + 1))
-    j[:, 0] = np.minimum((u_init[:, 0] * model.N).astype(np.int32), model.N - 1)
-    x[:, 0] = u_init[:, 1]
-    alpha = np.asarray(model.alpha)
-    for t in range(n_steps):
-        jt = j[:, t]
-        x[:, t + 1] = (x[:, t] + alpha[jt] + (2.0 * u_noise[:, t] - 1.0) * delta) % 1.0
-        j[:, t + 1] = np.argmax(cum[jt] > u_walk[:, t][:, None], axis=1)
+    j = np.empty((n_steps + 1, n_paths), dtype=np.int32)
+    j[0] = np.minimum((u_init[:, 0] * model.N).astype(np.int32), model.N - 1)
+    _walk(j, u_walk, table, column)
+    # the walk draws are spent: their buffer takes each step's turn alpha_j (the
+    # fibres are in range, and "clip" writes into ``out`` without a buffered copy)
+    turn = np.take(np.asarray(model.alpha), j[:-1], out=u_walk, mode="clip")
+    u_noise *= 2.0
+    u_noise -= 1.0
+    u_noise *= delta             # (2 u - 1) delta, rounded as the one expression is
+    x = np.empty((n_steps + 1, n_paths))
+    x[0] = u_init[:, 1]
+    _rotate(x, turn, u_noise)
+    # free the draws, and each time-major buffer once its copy is made
+    del turn, u_walk, u_noise
+    j = _freeze(j.T)
     return TrajectoryBatch(n_paths=int(n_paths), n_steps=int(n_steps),
-                           j=_freeze(j), x=_freeze(x), model=model)
+                           j=j, x=_freeze(x.T), model=model)
 
 
 def _sum_cdf(t: np.ndarray, h: float, delta: float) -> np.ndarray:

@@ -64,6 +64,12 @@ def assemble_fourier_block(model: BandModel, gen: NoiseGenerator, k: int,
     return _freeze(phases[:, None] * w)
 
 
+def _certified(residuals, scale):
+    """The eigenpair certificate: each residual ||A v - lambda v|| (unit v) at
+    most RESIDUAL_TOL times ``scale``, which is ||A||_2 or a lower bound of it."""
+    return residuals <= RESIDUAL_TOL * max(scale, 1e-300)
+
+
 def eig_dense_complex(matrix: np.ndarray) -> EigResult:
     """Dense non-Hermitian eigendecomposition with residual certificates.
 
@@ -82,8 +88,7 @@ def eig_dense_complex(matrix: np.ndarray) -> EigResult:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     residuals = np.linalg.norm(a @ vectors - values[None, :] * vectors, axis=0)
-    scale = np.linalg.norm(a, 2)
-    converged = residuals <= RESIDUAL_TOL * max(scale, 1e-300)
+    converged = _certified(residuals, np.linalg.norm(a, 2))
     return EigResult(values=values, vectors=_freeze(vectors),
                      residuals=_freeze(residuals), converged=_freeze(converged))
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from rotor_spectra import (NoiseGenerator, TrajectoryBatch, build_band_model,
                            case_study_config, detect_cycles, laplacian_generator, simulate,
-                           spectra, spectrum, ulam_analytic, ulam_empirical)
+                           spectra, spectrum, ulam_analytic, ulam_empirical, w_epsilon)
 from rotor_spectra.cli import main
 from rotor_spectra.config import CASE_STUDY_JSON
 from rotor_spectra.errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
@@ -114,6 +115,41 @@ def draw_admissible(data, widths, max_cells):
     return build_band_model(beta, widths), gen, eps, delta, M
 
 
+def simulate_reference(model, gen, eps, delta, n_paths, n_steps, seed):
+    """Reference: (j, x) of one path-major loop over the steps, whose walk
+    takes the first column of each path's cumulative W_eps row above its
+    uniform by an argmax over the row."""
+    w = w_epsilon(gen, eps)
+    cum = np.cumsum(w, axis=1)
+    cum[:, -1] = 1.0 + 1e-12
+    u_init = np.empty((n_paths, 2))
+    u_walk = np.empty((n_paths, n_steps))
+    u_noise = np.empty((n_paths, n_steps))
+    for p, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
+        g = np.random.Generator(np.random.Philox(child))
+        u_init[p] = g.random(2)
+        u_walk[p] = g.random(n_steps)
+        u_noise[p] = g.random(n_steps)
+    j = np.empty((n_paths, n_steps + 1), dtype=np.int32)
+    x = np.empty((n_paths, n_steps + 1))
+    j[:, 0] = np.minimum((u_init[:, 0] * model.N).astype(np.int32), model.N - 1)
+    x[:, 0] = u_init[:, 1]
+    alpha = np.asarray(model.alpha)
+    for t in range(n_steps):
+        jt = j[:, t]
+        x[:, t + 1] = (x[:, t] + alpha[jt] + (2.0 * u_noise[:, t] - 1.0) * delta) % 1.0
+        j[:, t + 1] = np.argmax(cum[jt] > u_walk[:, t][:, None], axis=1)
+    return j, x
+
+
+def assert_same_bits(batch, reference):
+    """The batch's j and x carry the reference's bits, C-contiguous and read-only."""
+    for got, want in zip((batch.j, batch.x), reference):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+
+
 def all_sector_cycles(op, top_m):
     """Reference: every sector 0..M/2 decomposed by eig_dense_complex, and the
     shared pick rule over their values in ascending m.
@@ -192,6 +228,71 @@ class TestSimulate:
         p = counts / 4000
         se = np.sqrt((1 / 33) * (1 - 1 / 33) / 4000)
         assert np.max(np.abs(p - 1 / 33)) <= 3 * se
+
+    @settings(max_examples=80, deadline=None)
+    @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
+    def test_equals_the_argmax_loop_bit_for_bit(self, widths, data):
+        model, gen, eps, _, _ = draw_admissible(data, widths, max_cells=24)
+        if data.draw(st.booleans(), label="at eps_max") and np.isfinite(gen.eps_max):
+            # just above eps_max, W_eps's diagonal may dip into [-1e-14, 0)
+            eps = gen.eps_max * (1 + data.draw(st.floats(0.0, 4e-15), label="slack"))
+        eps = data.draw(st.sampled_from([eps, 0.0]), label="eps")
+        delta = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.5, 3.0)),
+                          label="delta")
+        n_paths = data.draw(st.integers(0, 6), label="n_paths")
+        n_steps = data.draw(st.integers(0, 40), label="n_steps")
+        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+        assert_same_bits(simulate(model, gen, eps, delta, n_paths, n_steps, seed),
+                         simulate_reference(model, gen, eps, delta, n_paths, n_steps, seed))
+
+    @pytest.mark.parametrize("eps_scale, delta, n_paths, n_steps", [
+        (1 + 4e-15, 0.1, 3, 200),    # W_eps entries in [-1e-14, 0)
+        (0.0, 0.1, 3, 50), (0.5, 0.0, 3, 50), (0.5, 0.5, 3, 50), (0.5, 0.7, 3, 50),
+        (0.5, 0.1, 3, 0), (0.5, 0.1, 1, 50), (0.5, 0.1, 0, 50)])
+    def test_edge_cases_equal_the_argmax_loop(self, eps_scale, delta, n_paths, n_steps):
+        rates = np.random.default_rng(4).uniform(0.05, 1.0, size=(5, 5))
+        wdot = np.triu(rates, 1) + np.triu(rates, 1).T
+        gen = NoiseGenerator.from_matrix(wdot - np.diag(wdot.sum(axis=1)))
+        model = build_band_model([0.1, -0.35], [2, 3])
+        eps = eps_scale * gen.eps_max
+        if eps_scale > 1:
+            assert -1e-14 <= w_epsilon(gen, eps).min() < 0
+        assert_same_bits(simulate(model, gen, eps, delta, n_paths, n_steps, 11),
+                         simulate_reference(model, gen, eps, delta, n_paths, n_steps, 11))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_walk_step_at_ties_and_dips(self, dense):
+        # uniforms at and next to every cumulative sum of W_eps: the search
+        # takes the first column above u where sums tie (a Laplacian row's
+        # zero columns) and where they dip (W_eps just above eps_max)
+        gen = laplacian_generator(6)
+        if dense:
+            rates = np.random.default_rng(4).uniform(0.05, 1.0, size=(6, 6))
+            wdot = np.triu(rates, 1) + np.triu(rates, 1).T
+            gen = NoiseGenerator.from_matrix(wdot - np.diag(wdot.sum(axis=1)))
+        w = w_epsilon(gen, gen.eps_max * (1 + 4e-15 if dense else 0.5))
+        assert (w.min() < 0) == dense
+        cum = np.cumsum(w, axis=1)
+        cum[:, -1] = 1.0 + 1e-12
+        rows, u = np.nonzero(np.ones_like(cum, dtype=bool))[0], cum.ravel()
+        rows, u = np.tile(rows, 3), np.concatenate([np.nextafter(u, -1), u, np.nextafter(u, 2)])
+        rows, u = rows[(0 <= u) & (u < 1)], u[(0 <= u) & (u < 1)]
+        j = np.stack([rows, rows]).astype(np.int32)
+        simulate_module._walk(j, u[None, :], *simulate_module._walk_table(w))
+        assert np.array_equal(j[1], np.argmax(cum[rows] > u[:, None], axis=1))
+
+    def test_cli_files_are_pinned(self, tmp_path):
+        # simulate --paths 20 --steps 1000 --seed 3 on the case study: the
+        # bytes of the path-major argmax loop that the two passes replaced
+        cfg = tmp_path / "case.json"
+        cfg.write_text(CASE_STUDY_JSON, encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"),
+                     "--paths", "20", "--steps", "1000", "--seed", "3"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "sim" / name).read_bytes()).hexdigest()
+                   for name in ("trajectories.csv", "cycles.json")}
+        assert digests == {
+            "trajectories.csv": "4bbc9e132f8c892c9a1c0b71b05ef49b2869237b3cb6784a91b8666bd135eafc",
+            "cycles.json": "86969507396f6237d81c1962b97e7ba06962d7f1c49dc9832ebb6ee75882e94f"}
 
     def test_fibre_transitions_follow_walk_rows(self, two_band_model, two_band_gen):
         batch = simulate(two_band_model, two_band_gen, 0.5, 0.0, 2000, 20, seed=9)
