@@ -11,7 +11,8 @@ on the same platform.
 
 Exit codes: 0 success, 1 validation or math error (an input too large for
 memory included: ``error: out of memory``), 2 config or usage error, an
-output directory that cannot be written included.
+output directory that cannot be written and a run that names one output file
+twice included.
 """
 
 from __future__ import annotations
@@ -255,6 +256,10 @@ def main(argv=None) -> int:
             if getattr(args, name, value) is None:
                 setattr(args, name, value)
         code, files, params = args.fn(cfg, args)
+        names = [name for name, *_ in files]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"output files named twice: {repeated}")
         if args.out is None:
             return code
         out = Path(args.out)

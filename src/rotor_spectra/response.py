@@ -159,52 +159,44 @@ def _fit_slope(eps_grid, values):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _bordered_jacobian(a, mu, vec):
-    """The bordered Jacobian [[a - mu I, -vec], [vec^H, 0]] of the eigenpair
-    (mu, vec) of ``a``: the linearised eigen-equation under the gauge
-    vec^H dv = 0, its eigenvalue unknown last."""
+def _bordered_solve(a, mu, vec, rhs):
+    """Solve the bordered system [[a - mu I, -vec], [vec^H, 0]] [dv; dmu] =
+    [rhs; 0]: the linearised eigen-equation (a - mu) dv - dmu vec = rhs at
+    the pair (mu, vec) of ``a`` under the gauge vec^H dv = 0.  Returns (dv,
+    dmu); raises EigsNotSimple when the system is singular, as at a multiple
+    eigenvalue.
+    """
     n = a.shape[0]
     jac = np.empty((n + 1, n + 1), dtype=complex)
     jac[:n, :n] = a - mu * np.eye(n)
     jac[:n, n] = -vec
     jac[n, :n] = vec.conj()
     jac[n, n] = 0
-    return jac
-
-
-def _bordered_solve(jac, rhs):
-    """Solve the bordered system ``jac`` (:func:`_bordered_jacobian`) for
-    ``rhs``.  Raises EigsNotSimple when it is singular, as at a multiple
-    eigenvalue.
-    """
     try:
-        return np.linalg.solve(jac, rhs)
+        step = np.linalg.solve(jac, np.concatenate([rhs, [0]]))
     except np.linalg.LinAlgError as exc:
         raise EigsNotSimple("the eigenvalue is not simple: "
                             "its bordered system is singular") from exc
+    return step[:n], step[n]
 
 
-#: refinement steps per eigenpair; each shrinks the error by about the
-#: complex128 roundoff times the Jacobian's condition number
+#: Newton steps per eigenpair polish
 REFINE_STEPS = 3
 
 
-def _refine_eigenpair(a, mu, vec):
-    """Polish one simple eigenpair (mu, vec) of the shifted matrix ``a``.
+def _refine_eigenpair(a, mu, v):
+    """Polish one simple eigenpair (mu, v) of the shifted matrix ``a``.
 
-    Chord steps on the bordered Jacobian (:func:`_bordered_jacobian`) of the
-    starting pair (mu0, v0), built once and held fixed, so each step shrinks
-    the error by about |mu0 - mu| over the distance to the next eigenvalue:
-    a dense eigenpair converges at once, a certified row disk's centre and
-    basis column of order_checks mostly within a second polish.  Residuals
-    (a v - mu v, 1 - v0^H v) and corrections are all complex128.
+    Newton steps on the bordered system (:func:`_bordered_solve`) at the
+    current pair, so near the eigenpair the error squares at each step: a
+    dense eigenpair converges within one polish, and so, mostly, does a
+    certified row disk's centre and basis column of order_checks.  Residuals
+    and corrections are all complex128.
     """
-    n, v = a.shape[0], vec
-    jac = _bordered_jacobian(a, mu, vec)
     for _ in range(REFINE_STEPS):
-        step = _bordered_solve(jac, np.concatenate([mu * v - a @ v, [1 - vec.conj() @ v]]))
-        v = v + step[:n]
-        mu = mu + step[n]
+        dv, dmu = _bordered_solve(a, mu, v, mu * v - a @ v)
+        v = v + dv
+        mu = mu + dmu
     return mu, v / np.linalg.norm(v)
 
 
@@ -280,10 +272,8 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
 
     At each eps, each label's eigenvalue of the Fourier block is certified
     by its row disk in the basis F = f + eps*fhat (:func:`_label_disks`) and
-    polished from that disk's centre and F's column, twice: the second
-    polish starts from the first's pair, as close as a dense eigenpair, so
-    its chord steps mostly converge as the dense path's do.  The polished
-    pair must stay in the disk and meet eig_dense_complex's residual
+    polished from that disk's centre and F's column.  The polished pair
+    must stay in the disk and meet eig_dense_complex's residual
     certificate, with P's largest column norm, a lower bound of ||P||_2, in
     place of ||P||_2.  A label whose disk is not isolated, or whose
     polished pair fails either test, takes the dense path instead: one
@@ -324,9 +314,7 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
             a = np.diag(d - d[ell]) + eps * dw           # exactly 0 on the band of ell
             path = "disk" if isolated[ell] else "dense"
             if path == "disk":
-                # a second polish restarts the chord steps at the first's pair
-                mu, vec = _refine_eigenpair(a, *_refine_eigenpair(a, centre[ell] - d[ell],
-                                                                  fe[:, ell]))
+                mu, vec = _refine_eigenpair(a, centre[ell] - d[ell], fe[:, ell])
                 if not (abs(mu + d[ell] - centre[ell]) <= radius[ell]
                         and _certified(np.linalg.norm(a @ vec - mu * vec), scale)):
                     path = "dense"
@@ -375,7 +363,7 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     Diag(-2 pi i k u_j exp(-2 pi i k alpha_j)), so dP = that times W_eps, and
     (dlam, df) solve the differentiated eigen-equation
     (P - lam) df - dlam f = -dP f under the gauge <f, df> = 0: the bordered
-    system of the order-check polish (:func:`_bordered_jacobian`).  The spectrum
+    system of the order-check polish (:func:`_bordered_solve`).  The spectrum
     must be simple by :func:`rotor_spectra.model.spectral_gap`, otherwise
     EigsNotSimple is raised, as it is when the bordered system is singular.
     """
@@ -395,6 +383,5 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     spec = label_spectrum(model, gen, k, eps, eig)
     f = spec.vectors[:, ell]
     dp = (-2j * np.pi * k * u)[:, None] * p
-    step = _bordered_solve(_bordered_jacobian(p, spec.lam[ell], f),
-                           np.concatenate([-(dp @ f), [0.0]]))
-    return complex(step[model.N]), step[:model.N]
+    df, dlam = _bordered_solve(p, spec.lam[ell], f, -(dp @ f))
+    return complex(dlam), df

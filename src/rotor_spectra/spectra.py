@@ -191,13 +191,15 @@ def delta_factor(k: int, delta: float) -> float:
     """sin(2 pi k delta) / (2 pi k delta), with the 0/0 limit defined as 1.
 
     Exactly zero at nonzero integer arguments 2*k*delta, where floating-point
-    sin(pi*n) would leave an O(1e-16) remnant.  delta must pass check_delta.
+    sin(pi*n) would leave an O(1e-16) remnant, and where 2*k*delta overflows:
+    delta is then an integer, so 2*k*delta is an even one.  delta must pass
+    check_delta.
     """
     check_delta(delta)
     x = 2.0 * float(k) * float(delta)
     if x == 0.0:
         return 1.0
-    if float(x).is_integer():
+    if math.isinf(x) or x.is_integer():
         return 0.0
     return math.sin(math.pi * x) / (math.pi * x)
 

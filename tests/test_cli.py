@@ -184,6 +184,19 @@ class TestSpectrum:
         _, rows = read_csv(out / "circles_k1_eps1e-309.csv")
         assert np.isfinite([[float(c) for c in r[2:]] for r in rows]).all()
 
+    def test_overflowing_delta_zeroes_the_spectrum(self, case_cfg, tmp_path):
+        # 2*k*delta overflows to inf; delta = 1e308 is an integer, so the
+        # delta factor sin(2 pi k delta) / (2 pi k delta) is exactly 0
+        out = tmp_path / "spec"
+        done = run_cli("-W", "error", "-m", "rotor_spectra.cli", "spectrum", "--config",
+                       str(case_cfg), "--out", str(out), "--k", "1", "--eps", "0.1",
+                       "--delta", "1e308")
+        assert done.returncode == 0 and done.stderr == ""
+        for written in out.iterdir():
+            assert not NON_FINITE.search(written.read_text(encoding="utf-8")), written.name
+        _, rows = read_csv(out / "spectrum_k1_eps0.1.csv")
+        assert [float(r[5]) for r in rows] == [0.0] * 33
+
     def test_ambiguous_pairs_reported_in_input_order(self, case_cfg, tmp_path, capsys,
                                                      monkeypatch):
         real = cli.spectrum
@@ -601,6 +614,18 @@ class TestRunLifecycle:
         assert json.loads((out / "manifest.json").read_text())["parameters"] == json.loads(
             json.dumps(params, sort_keys=True))
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--k", "1", "--eps", "0.1,0.1000001"],
+        ["spectrum", "--k", "1,1", "--eps", "0.1"],
+        ["oracle", "--k", "2,1,2"],
+    ], ids=["spectrum-eps-round-alike", "spectrum-repeated-k", "oracle-repeated-k"])
+    def test_colliding_output_files_exit2(self, case_cfg, tmp_path, capsys, argv):
+        # one file name written twice would keep only the later result
+        out = tmp_path / "o"
+        assert main([*argv, "--config", str(case_cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: output files named twice")
+        assert not out.exists()
+
     @pytest.mark.parametrize("target", ["taken", "taken/sub"], ids=["file", "below-a-file"])
     def test_unwritable_out_exit2(self, case_cfg, tmp_path, target):
         (tmp_path / "taken").write_text("", encoding="utf-8")
@@ -688,7 +713,10 @@ def test_one_bordered_system_and_no_block_record():
     assert [name for name, text in sources.items() if "lstsq" in text] == []
     assert {name: len(re.findall(r"linalg\.solve\(", text)) for name, text in sources.items()
             if "linalg.solve(" in text} == {"response.py": 1}
-    assert "linalg.solve(" in inspect.getsource(response._bordered_solve)
+    solver = inspect.getsource(response._bordered_solve)
+    assert "linalg.solve(" in solver
+    assert sources["response.py"].replace(solver, "").count("linalg.solve(") == 0
+    assert not hasattr(response, "_bordered_jacobian")
     assert [name for name, text in sources.items() if "FourierBlock" in text] == []
     assert "FourierBlock" not in rs.__all__
 
