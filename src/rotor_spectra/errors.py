@@ -32,7 +32,7 @@ class InvalidMatrix(RotorSpectraError, ValueError):
 
 
 class InvalidSpeeds(RotorSpectraError, ValueError):
-    """A band speed is not finite."""
+    """A band speed, or a direction of speeds, is not finite."""
 
 
 class DimensionMismatch(RotorSpectraError, ValueError):

@@ -34,7 +34,8 @@ from numbers import Integral
 import numpy as np
 
 from . import model as band_models
-from .errors import DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, NoConvergence
+from .errors import (DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, InvalidSpeeds,
+                     NoConvergence)
 from .model import (BandModel, NoiseGenerator, _freeze, build_band_model, check_dimension,
                     spectral_gap)
 from .spectra import (_certified, assemble_fourier_block, eig_dense_complex, label_spectrum,
@@ -159,45 +160,43 @@ def _fit_slope(eps_grid, values):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _bordered_solve(a, mu, vec, rhs):
-    """Solve the bordered system [[a - mu I, -vec], [vec^H, 0]] [dv; dmu] =
-    [rhs; 0]: the linearised eigen-equation (a - mu) dv - dmu vec = rhs at
-    the pair (mu, vec) of ``a`` under the gauge vec^H dv = 0.  Returns (dv,
-    dmu); raises EigsNotSimple when the system is singular, as at a multiple
-    eigenvalue.
-    """
-    n = a.shape[0]
-    jac = np.empty((n + 1, n + 1), dtype=complex)
-    jac[:n, :n] = a - mu * np.eye(n)
-    jac[:n, n] = -vec
-    jac[n, :n] = vec.conj()
-    jac[n, n] = 0
-    try:
-        step = np.linalg.solve(jac, np.concatenate([rhs, [0]]))
-    except np.linalg.LinAlgError as exc:
-        raise EigsNotSimple("the eigenvalue is not simple: "
-                            "its bordered system is singular") from exc
-    return step[:n], step[n]
+def _eigenbasis(d, values, right):
+    """(values, right, left) of P = Diag(d) W, W real symmetric, |d| = 1: the left row
+    of column v is conj(d) * v (no conjugate), scaled to meet v once; a zero scale gives inf."""
+    left = np.conj(d)[:, None] * right
+    with np.errstate(all="ignore"):
+        return values, right, (left / np.sum(left * right, axis=0)).T
 
 
-#: Newton steps per eigenpair polish
-REFINE_STEPS = 3
+def _eigenbasis_solve(basis, own, mu, rhs):
+    """The linearised eigen-equation (P - mu) x = rhs, solved off the own
+    direction in an eigenbasis (values, right, left) of P:
+    x = right ((left rhs) / (values - mu)), entry ``own`` dropped."""
+    gap = basis[0] - mu
+    gap[own] = np.inf
+    return basis[1] @ ((basis[2] @ rhs) / gap)
 
 
-def _refine_eigenpair(a, mu, v):
-    """Polish one simple eigenpair (mu, v) of the shifted matrix ``a``.
+#: correction steps per eigenpair polish
+REFINE_STEPS = 12
 
-    Newton steps on the bordered system (:func:`_bordered_solve`) at the
-    current pair, so near the eigenpair the error squares at each step: a
-    dense eigenpair converges within one polish, and so, mostly, does a
-    certified row disk's centre and basis column of order_checks.  Residuals
-    and corrections are all complex128.
-    """
-    for _ in range(REFINE_STEPS):
-        dv, dmu = _bordered_solve(a, mu, v, mu * v - a @ v)
-        v = v + dv
-        mu = mu + dmu
-    return mu, v / np.linalg.norm(v)
+
+def _refine_eigenpair(a, basis, own, shift):
+    """Polish the eigenpair of ``a`` = P - shift Id near column ``own`` of an
+    eigenbasis of P (:func:`_eigenbasis`) by REFINE_STEPS steps v <- v - x,
+    (a - mu) x = a v - mu v solved in the basis (:func:`_eigenbasis_solve`),
+    and mu <- left_own a v / left_own v, each shrinking the error by about the
+    basis' error over its gaps.  Returns (mu, unit v, ||a v - mu v||); a
+    vanishing gap or scale gives NaN, which fails any certificate, unwarned."""
+    mu, v, left = basis[0][own] - shift, basis[1][:, own], basis[2][own]
+    with np.errstate(all="ignore"):
+        av = a @ v
+        for _ in range(REFINE_STEPS):
+            v = v - _eigenbasis_solve(basis, own, mu + shift, av - mu * v)
+            av = a @ v
+            mu = (left @ av) / (left @ v)
+        v = v / np.linalg.norm(v)
+        return mu, v, np.linalg.norm(a @ v - mu * v)
 
 
 def _check_labels(model: BandModel, ells) -> list[int]:
@@ -209,11 +208,8 @@ def _check_labels(model: BandModel, ells) -> list[int]:
 
 
 def check_eps_grid(gen: NoiseGenerator, eps_grid) -> np.ndarray:
-    """The distinct points of an order-check grid, descending.
-
-    Raises InvalidEpsGrid unless there are at least 4 of them, all finite and
-    positive, and none above ``gen.eps_max``.
-    """
+    """The distinct points of an order-check grid, descending; InvalidEpsGrid
+    unless there are at least 4, all finite and positive, none above ``gen.eps_max``."""
     grid = np.asarray(sorted(set(float(e) for e in eps_grid), reverse=True))
     if len(grid) < 4:
         raise InvalidEpsGrid("eps grid needs at least 4 distinct points")
@@ -270,28 +266,23 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
                  eps_grid) -> tuple[OrderCheck, ...]:
     """Validate the expansion orders of labels ``ells`` at the model and k of ``resp``.
 
-    At each eps, each label's eigenvalue of the Fourier block is certified
-    by its row disk in the basis F = f + eps*fhat (:func:`_label_disks`) and
-    polished from that disk's centre and F's column.  The polished pair
-    must stay in the disk and meet eig_dense_complex's residual
-    certificate, with P's largest column norm, a lower bound of ||P||_2, in
-    place of ||P||_2.  A label whose disk is not isolated, or whose
-    polished pair fails either test, takes the dense path instead: one
-    eigensolve per eps, shared by those labels, matched to the second-order
-    predictions one eigenvalue per label (nearest_assignment); a matched
-    pair above the residual certificate, or its polish above the same
-    certificate (as at a defective eigenvalue), raises NoConvergence.
-    Either way a label's path depends only on the model, k, eps and the
-    label, and the OrderCheck's ``path`` records it.
-    Each eigenpair is polished (_refine_eigenpair) as one of the shifted
-    matrix D (Id + eps*Wdot) - lam_0 Id = Diag(d - d_ell) + eps D Wdot,
-    d = diag(D), whose diagonal is exactly 0 on the band of ell.  Its
-    eigenvalue mu = lam_eps - lam_0 is O(eps) and no entry of size 1 is
-    rounded, so the ladders carry complex128's relative precision down the
-    grid instead of an absolute floor.  When every fibre phase is equal
-    (S = 1 or k = 0) the expansion terminates and r1, r2 and vec_r, rounding
-    only, get no slope; nor does r0 of a stationary label (lhat = 0, see
-    OrderCheck).
+    At each eps a label whose row disk in the basis F = f + eps*fhat is
+    isolated (:func:`_label_disks`) is polished from its centre and F's
+    column, in the eigenbasis of the centres and F; the pair must stay in
+    the disk and meet eig_dense_complex's residual certificate, with P's
+    largest column norm (a lower bound of ||P||_2) for ||P||_2.  Any other
+    label takes the dense path: one eigensolve per eps, shared by those
+    labels, matched to the second-order predictions one eigenvalue per label
+    (nearest_assignment) and polished in its own eigenbasis.  It raises
+    NoConvergence where the prediction lies within gamma ||P||_inf (gamma of
+    _label_disks) of another label's, which the match cannot tell apart, or
+    the matched pair or its polish fails the certificate (as at a defective
+    eigenvalue).  A label's path depends only on the model, k, eps and the
+    label; ``path`` records it.  Each polish (_refine_eigenpair) works on
+    P - lam_0 Id = Diag(d - d_ell) + eps D Wdot, d = diag(D), exactly 0 on
+    the band of ell, so mu = lam_eps - lam_0 is O(eps), no entry of size 1
+    is rounded, and the ladders keep complex128's relative precision down
+    the grid.  Slopes as in OrderCheck.
     """
     basis = resp.basis
     model, k = basis.model, basis.k
@@ -308,38 +299,42 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
         p = assemble_fourier_block(model, gen, k, eps)
         fe, centre, radius, isolated = _label_disks(f, f_hat, cf, ccf, p, eps)
         scale = np.sqrt(np.max(np.sum(np.abs(p) ** 2, axis=0)))    # <= ||p||_2
+        disks = _eigenbasis(d, centre, fe) if isolated[ells].any() else None
         eig = None
         for ell, rows in zip(ells, ladders):
             lhat, lhh = basis.lambda_hat[ell], resp.lambda_hathat[ell]
             a = np.diag(d - d[ell]) + eps * dw           # exactly 0 on the band of ell
             path = "disk" if isolated[ell] else "dense"
             if path == "disk":
-                mu, vec = _refine_eigenpair(a, centre[ell] - d[ell], fe[:, ell])
-                if not (abs(mu + d[ell] - centre[ell]) <= radius[ell]
-                        and _certified(np.linalg.norm(a @ vec - mu * vec), scale)):
+                mu, vec, res = _refine_eigenpair(a, disks, ell, d[ell])
+                if not (abs(mu + d[ell] - centre[ell]) <= radius[ell] and _certified(res, scale)):
                     path = "dense"
             if path == "dense":
                 if eig is None:
                     eig = eig_dense_complex(p)
+                    dense = _eigenbasis(d, eig.values, eig.vectors)
                     pred = d + eps * basis.lambda_hat + eps ** 2 * resp.lambda_hathat
                     label = nearest_assignment(np.abs(eig.values[:, None] - pred[None, :]),
                                                [1] * model.N)
+                    tie = 2 * (model.N + 2) * UNIT_ROUNDOFF * np.max(np.sum(np.abs(p), axis=1))
+                    near = np.abs(pred[:, None] - pred) + np.diag(np.full(model.N, np.inf))
+                if near[ell].min() <= tie:
+                    raise NoConvergence(f"labels {ell} and {np.argmin(near[ell])} have second-"
+                                        f"order predictions within rounding at eps={eps}",
+                                        partial=eig)
                 i = int(np.argmax(label == ell))
                 if not eig.converged[i]:
                     raise NoConvergence(f"the eigenpair of label {ell} at eps={eps} exceeds "
                                         "the residual tolerance", partial=eig)
-                mu, vec = _refine_eigenpair(a, eig.values[i] - d[ell], eig.vectors[:, i])
-                if not _certified(np.linalg.norm(a @ vec - mu * vec), scale):
+                mu, vec, res = _refine_eigenpair(a, dense, i, d[ell])
+                if not _certified(res, scale):
                     raise NoConvergence(f"the polished eigenpair of label {ell} at eps={eps} "
                                         "exceeds the residual tolerance", partial=eig)
             rows.append((abs(mu), abs(mu - eps * lhat), abs(mu - eps * lhat - eps ** 2 * lhh),
-                         projective_distance(vec, basis.vectors[:, ell]
-                                             + eps * resp.f_hat[:, ell]), path))
+                         projective_distance(vec, f[:, ell] + eps * f_hat[:, ell]), path))
 
     terminates = _terminates(model, k)
-    # lhat = 0 by the simple-spectrum rule: the eigenvalue stays put, r0 is rounding
-    lhat = np.abs(basis.lambda_hat)
-    stationary = lhat <= band_models.GAP_TOL * np.max(lhat)
+    stationary = np.abs(basis.lambda_hat) <= band_models.GAP_TOL * np.max(np.abs(basis.lambda_hat))
     checks = []
     for ell, rows in zip(ells, ladders):
         r0, r1, r2, vec_r, path = (_freeze(np.asarray(col)) for col in zip(*rows))
@@ -362,16 +357,19 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     The derivative of the phase diagonal in direction u is
     Diag(-2 pi i k u_j exp(-2 pi i k alpha_j)), so dP = that times W_eps, and
     (dlam, df) solve the differentiated eigen-equation
-    (P - lam) df - dlam f = -dP f under the gauge <f, df> = 0: the bordered
-    system of the order-check polish (:func:`_bordered_solve`).  The spectrum
-    must be simple by :func:`rotor_spectra.model.spectral_gap`, otherwise
-    EigsNotSimple is raised, as it is when the bordered system is singular.
+    (P - lam) df - dlam f = -dP f under the gauge <f, df> = 0: in P's
+    eigenbasis (:func:`_eigenbasis`) dlam = left_ell dP f, and df is the
+    solve of :func:`_eigenbasis_solve` projected onto the gauge.  A
+    non-finite direction raises InvalidSpeeds, and a spectrum that is not
+    simple by :func:`rotor_spectra.model.spectral_gap` EigsNotSimple.
     """
     if eps == 0:
         raise EpsZero("the eps=0 speed response is discontinuous; refused by design")
     u = np.asarray(direction, dtype=float).ravel()
     if u.shape != (model.N,):
         raise DimensionMismatch(f"direction must have shape ({model.N},)")
+    if not np.all(np.isfinite(u)):
+        raise InvalidSpeeds(f"the speed direction must be finite, got {u.tolist()}")
     ell, = _check_labels(model, [ell])
     p = assemble_fourier_block(model, gen, k, eps)
     eig = eig_dense_complex(p)
@@ -379,9 +377,10 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     if not simple:
         raise EigsNotSimple(f"minimum eigenvalue gap {gap:.3e} is not above GAP_TOL "
                             f"times the spectral radius {radius:.3e} at eps={eps}")
-    # identify label ell through the labelled ordering
-    spec = label_spectrum(model, gen, k, eps, eig)
+    spec = label_spectrum(model, gen, k, eps, eig)      # P's eigenbasis in label order
+    basis = _eigenbasis(model.phases(k)[model.band_index], spec.lam, spec.vectors)
     f = spec.vectors[:, ell]
-    dp = (-2j * np.pi * k * u)[:, None] * p
-    df, dlam = _bordered_solve(p, spec.lam[ell], f, -(dp @ f))
-    return complex(dlam), df
+    dpf = -2j * np.pi * k * u * (p @ f)
+    dlam = basis[2][ell] @ dpf
+    df = _eigenbasis_solve(basis, ell, spec.lam[ell], dlam * f - dpf)
+    return complex(dlam), df - f * np.vdot(f, df)

@@ -493,6 +493,23 @@ class TestOtherCommands:
             forced = (dense / f"ordercheck_k1_ell{ell}.csv").read_text().splitlines()[1]
             assert own == forced
 
+    @pytest.mark.parametrize("scaled, grid, eps", [
+        (True, "1e-10,1e-11,1e-12,1e-13", "1e-12"),
+        (False, "1e-20,1e-21,1e-22,1e-23", "1e-20")], ids=["n99", "case"])
+    def test_response_refuses_eps_the_dense_path_cannot_resolve(self, case_cfg, tmp_path,
+                                                                capsys, scaled, grid, eps):
+        # here the rounding term refuses the leading labels' disks, and the
+        # second-order predictions of labels 0 and 1 agree to within
+        # gamma ||P||_inf, so the dense path's match could give label 0 the
+        # eigenvalue of label 1: NoConvergence, with no table written
+        out = tmp_path / "resp"
+        cfg = scaled_cfg(tmp_path) if scaled else case_cfg
+        assert main(["response", "--config", str(cfg), "--out", str(out), "--k", "1",
+                     "--eps", grid]) == 1
+        assert capsys.readouterr().err == (
+            f"error: labels 0 and 1 have second-order predictions within rounding at eps={eps}\n")
+        assert not out.exists()
+
     def test_terminating_ordercheck_footers_leave_slopes_empty(self, case_cfg, tmp_path):
         # at k = 0 every fibre phase is 1: only r0 gets a slope, and not even
         # r0 for the stationary label 1 (lhat = 0); k = 1 tables hold the bytes
@@ -705,18 +722,23 @@ def test_every_eigenvalue_comes_from_a_certified_decomposition():
     assert bare == []
 
 
-def test_one_bordered_system_and_no_block_record():
-    # one solver for the linearised eigen-equation at a simple eigenpair: no
-    # least-squares path, and np.linalg.solve only inside response's bordered
-    # system; the Fourier block is its matrix, with no record around it
+def test_one_eigenbasis_solve_and_no_block_record():
+    # one solver for the linearised eigen-equation at a simple eigenpair,
+    # response._eigenbasis_solve in the eigenbasis its caller holds: both
+    # order-check polish paths and alpha_response use it, and the package has
+    # no linear solve, inverse or least-squares path; the Fourier block is its
+    # matrix, with no record around it
     sources = {p.name: p.read_text() for p in sorted(Path(rs.__file__).parent.glob("*.py"))}
-    assert [name for name, text in sources.items() if "lstsq" in text] == []
-    assert {name: len(re.findall(r"linalg\.solve\(", text)) for name, text in sources.items()
-            if "linalg.solve(" in text} == {"response.py": 1}
-    solver = inspect.getsource(response._bordered_solve)
-    assert "linalg.solve(" in solver
-    assert sources["response.py"].replace(solver, "").count("linalg.solve(") == 0
+    assert [name for name, text in sources.items()
+            if re.search(r"linalg\.(solve|inv)\(|lstsq", text)] == []
+    assert not hasattr(response, "_bordered_solve")
     assert not hasattr(response, "_bordered_jacobian")
+    assert {name: text.count("_eigenbasis_solve(") for name, text in sources.items()
+            if "_eigenbasis_solve(" in text} == {"response.py": 3}
+    for caller in (response._refine_eigenpair, response.alpha_response):
+        assert inspect.getsource(caller).count("_eigenbasis_solve(") == 1
+    # the disk path and the dense path each polish through _refine_eigenpair
+    assert inspect.getsource(response.order_checks).count("_refine_eigenpair(a, ") == 2
     assert [name for name, text in sources.items() if "FourierBlock" in text] == []
     assert "FourierBlock" not in rs.__all__
 

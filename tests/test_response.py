@@ -14,7 +14,7 @@ from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model,
                            response_data, second_order_eigenvalue, spectrum,
                            validate_admissibility, w_epsilon, zero_noise)
 from rotor_spectra.errors import (DegenerateBlock, EigsNotSimple, EpsZero, GammaViolated,
-                                  InvalidEpsGrid, NoConvergence)
+                                  InvalidEpsGrid, InvalidSpeeds, NoConvergence)
 from rotor_spectra.model import sorted_eigenbasis, spectral_gap
 from rotor_spectra.response import first_order_basis
 from rotor_spectra.spectra import (_certified, assemble_fourier_block, eig_dense_complex,
@@ -355,8 +355,8 @@ class TestLabelDisks:
         grid = eps * 2.0 ** -np.arange(4)
         polished, real = [], response._refine_eigenpair
 
-        def recording(a, mu, vec):
-            pair = real(a, mu, vec)
+        def recording(a, basis, own, shift):
+            pair = real(a, basis, own, shift)
             polished.append((a, pair))
             return pair
 
@@ -372,7 +372,7 @@ class TestLabelDisks:
                 # per label: one polish on the disk path, a second where the
                 # dense path takes over from it, one where no disk is isolated
                 calls = 2 if isolated[oc.ell] and oc.path[i] == "dense" else 1
-                a, (mu, _) = [next(polished) for _ in range(calls)][-1]
+                a, (mu, _, _) = [next(polished) for _ in range(calls)][-1]
                 assert np.array_equal(a, np.diag(d - d[oc.ell]) + e * (d[:, None] * gen.wdot))
                 assert oc.r0[i] == abs(mu)
                 nearest = np.argmin(np.abs(values - d[oc.ell] - mu))
@@ -417,21 +417,22 @@ class TestLabelDisks:
         ([1, 2], [1.0, 0.125, 0.125], 0.5),
         ([4, 1], [1.0, 0.25, 1.0, 0.625, 0.5, 0.5, 0.75, 1.0, 0.625, 0.5], 1.0)])
     def test_unconverged_disk_polish_takes_the_dense_path(self, widths, rates, scale):
-        # Newton steps from an isolated disk's centre converge only once
-        # close enough: here, at the grid's largest eps, three cells (labels
-        # 0 and 2 of the first model, label 0 of the second) stop short of
-        # the eigenpair, with eigenvalue errors of 1.3e-5 and 3.3e-6 and
-        # residuals far above the certificate; such a label takes the dense path
+        # correction steps from an isolated disk's centre converge only as
+        # fast as the basis F is close to the eigenbasis: here, at the grid's
+        # largest eps, four cells (labels 0, 1 and 2 of the first model,
+        # label 0 of the second) stop short of the eigenpair, with eigenvalue
+        # errors of 2e-13 to 7e-10 and residuals above the certificate; such
+        # a label takes the dense path
         gen = rates_generator(sum(widths), rates)
         checks = self.assert_reported_pairs_are_dense_eigenvalues(
             build_band_model([0.0, 0.5], widths), gen, 1, scale * gen.eps_max)
         assert "dense" in [path for oc in checks for path in oc.path]
 
     def test_one_polish_from_an_isolated_disk_converges(self):
-        # Newton steps square the error, so one polish from each certified
-        # disk's centre and basis column meets the residual certificate on
-        # this admissible model at eps_max; three chord steps on the starting
-        # pair's Jacobian leave residuals of 2e-10 to 7e-9 times ||P|| here
+        # one polish from each certified disk's centre and basis column meets
+        # the residual certificate on this admissible model at eps_max: twelve
+        # correction steps leave residuals below 1e-15 times ||P||, where six
+        # leave 8e-11 to 5e-9 times ||P|| for three of the four labels
         model = build_band_model([-0.3, 0.37], [3, 1])
         gen = rates_generator(4, [0.54, 0.98, 0.22, 0.76, 0.08, 0.1])
         assert validate_admissibility(gen, model).passed
@@ -442,7 +443,8 @@ class TestLabelDisks:
         scale = np.sqrt(np.max(np.sum(np.abs(p) ** 2, axis=0)))
         for ell in range(model.N):
             a = np.diag(d - d[ell]) + eps * (d[:, None] * gen.wdot)
-            mu, vec = response._refine_eigenpair(a, centre[ell] - d[ell], fe[:, ell])
+            disks = response._eigenbasis(d, centre, fe)
+            mu, vec, _ = response._refine_eigenpair(a, disks, ell, d[ell])
             assert _certified(np.linalg.norm(a @ vec - mu * vec), scale), ell
 
     def test_rounding_term_decides_at_the_disk_edge(self, case_model, case_gen, monkeypatch):
@@ -542,6 +544,19 @@ class TestRefineEigenpair:
         ref_r2, ref_vec = mpmath_r2(case_model, case_gen, 1, ell, 1e-5, resp)
         assert abs(oc.r2[-1] - ref_r2) <= 1e-2 * ref_r2
         assert abs(oc.vec_r[-1] - ref_vec) <= 1e-2 * ref_vec
+
+    def test_r2_matches_mpmath_reference_at_n99(self, case_model):
+        # N=99 (L = 33, 21, 45), the leading label of band 2: r2 at eps = 1e-5
+        # is about 3e-21, vec_r about 2e-13; the 40-digit reference agrees to
+        # 5% and 1e-15
+        model = build_band_model(case_model.beta, [33, 21, 45])
+        gen = laplacian_generator(model.N)
+        resp = response_data(model, gen, 1)
+        (oc,) = order_checks(resp, gen, [54], [1e-2, 1e-3, 1e-4, 1e-5])
+        assert oc.path[-1] == "disk"
+        ref_r2, ref_vec = mpmath_r2(model, gen, 1, 54, 1e-5, resp, dps=40)
+        assert abs(oc.r2[-1] - ref_r2) <= 5e-2 * ref_r2
+        assert abs(oc.vec_r[-1] - ref_vec) <= 1e-15
 
     def test_no_extended_precision_lu_in_the_package(self):
         assert not hasattr(response, "_solve_xd")
@@ -754,6 +769,11 @@ class TestAlphaResponse:
                               / mpmath.fsum(y[j] * f[j] for j in range(model.N)))
                 dlam, _ = alpha_response(model, gen, k, eps, ell, u)
                 assert abs(dlam - ref) <= 1e-11 * abs(ref), ell
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_direction_refused(self, two_band_model, two_band_gen, bad):
+        with pytest.raises(InvalidSpeeds, match="direction must be finite"):
+            alpha_response(two_band_model, two_band_gen, 1, 0.01, 0, [bad, 0.0])
 
     def test_eps_zero_refused(self, two_band_model, two_band_gen):
         with pytest.raises(EpsZero):
