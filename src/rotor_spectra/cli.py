@@ -18,6 +18,7 @@ twice included.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -229,7 +230,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built by the first call and then shared:
+    parsing leaves it unchanged, and no run mutates a default it hands out."""
     parser = argparse.ArgumentParser(
         prog="rotor-spectra",
         description="Spectral analysis of noisy banded rotations on a discretised cylinder")

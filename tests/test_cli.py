@@ -1,3 +1,4 @@
+import copy
 import csv
 import importlib
 import inspect
@@ -642,6 +643,24 @@ class TestRunLifecycle:
         assert main([*argv, "--config", str(case_cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: output files named twice")
         assert not out.exists()
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_runs_leave_the_shared_defaults_unchanged(self, case_cfg, tmp_path):
+        # the parser outlives a run, so no run may change a default it hands out
+        rows = copy.deepcopy({name: row for name, (_, row) in cli.COMMANDS.items()})
+        for argv in (["limit", "--eps", "0.1,0.01"],
+                     ["response", "--eps", "0.02,0.002,2e-4,2e-5"]):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--config", str(case_cfg), "--out", str(out)]) == 0
+        for command, key, grid in [("limit", "epsilons", [1e-1, 1e-2, 1e-3, 1e-4]),
+                                   ("response", "grid", [1e-2, 1e-3, 1e-4, 1e-5])]:
+            out = tmp_path / f"{command}-default"
+            assert main([command, "--config", str(case_cfg), "--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["parameters"][key] == grid
+        assert cli.LIMIT_GRID == [1e-1, 1e-2, 1e-3, 1e-4]
+        assert {name: row for name, (_, row) in cli.COMMANDS.items()} == rows
 
     @pytest.mark.parametrize("target", ["taken", "taken/sub"], ids=["file", "below-a-file"])
     def test_unwritable_out_exit2(self, case_cfg, tmp_path, target):

@@ -7,15 +7,21 @@ hosts: the modulus of ``Z`` differs between ``np.abs`` on an array and
 ``abs(complex)``, and the grid cell ``(ell 1, j 1, x 0.875)`` differs between
 numpy's vectorised complex product and the scalar one.  The tables carry the
 scalar values.  JSON reports are two-space indented with LF line ends.
+``_write``'s block loop is checked against the per-row loop it replaced, from
+tables that cross block boundaries up to whole CLI runs.
 """
 
+import math
+import re
 from types import SimpleNamespace as NS
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotor_spectra import AdmissibilityReport, Cycle, CycleReport, build_band_model, writers
+from rotor_spectra import AdmissibilityReport, Cycle, CycleReport, build_band_model, cli, writers
+from rotor_spectra.config import CASE_STUDY_JSON
 
 Z = 0.1 + 0.1j
 VECTORS = np.array([[Z, 0.6 - 0.8j], [-0.3 + 0.4j, 0.0 + 0.0j]])
@@ -260,6 +266,27 @@ def test_write_equals_the_broadcast_row_reference(tmp_path_factory, table):
     assert path.read_bytes() == crlf("h") + naive_rows(fmt, columns)
 
 
+#: rows per ``%`` in ``_write``
+BLOCK = writers._BLOCK
+
+
+@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_write_equals_the_reference_across_blocks(tmp_path, rows):
+    # the table is (n, m) with n * m = rows: where rows is not prime, the short
+    # column (n, 1) spans the blocks
+    m = next(d for d in range(2, rows + 1) if rows % d == 0)
+    n = rows // m
+    rng = np.random.default_rng(rows)
+    full = rng.standard_normal(rows)
+    full[::5] = np.resize([np.nan, np.inf, -np.inf, -0.0, 5e-324], len(full[::5]))
+    texts = np.resize(np.array(["a,b", "100%", "unit"]), rows)
+    fmt = "%.17g,%d,%s,%.17g"
+    columns = [rng.standard_normal((n, 1)), np.arange(m), texts.reshape(n, m),
+               full.reshape(n, m)]
+    writers._write(tmp_path / "t.csv", ["h"], fmt, columns)
+    assert (tmp_path / "t.csv").read_bytes() == crlf("h") + naive_rows(fmt, columns)
+
+
 class Counted:
     """A float that counts how often a ``%`` conversion reads it."""
 
@@ -272,14 +299,19 @@ class Counted:
 
 
 def test_broadcast_column_is_formatted_once_per_element(tmp_path):
-    short = np.array([[Counted(0.5)], [Counted(-0.25)], [Counted(1e-300)]], dtype=object)
-    full = np.array([[Counted(float(i + 4 * r)) for i in range(4)] for r in range(3)],
+    # n rows of 4 cells span three blocks
+    n = BLOCK // 2 + 1
+    short = np.array([[Counted(v)] for v in [0.5, -0.25, 1e-300, *map(float, range(3, n))]],
+                     dtype=object)
+    full = np.array([[Counted(float(i + 4 * r)) for i in range(4)] for r in range(n)],
                     dtype=object)
     writers._write(tmp_path / "t.csv", ["a", "b", "c"], "%.17g,%d,%.17g",
                    [short, np.arange(4), full])
-    assert [c.reads for c in short.ravel()] == [1, 1, 1]
-    assert [c.reads for c in full.ravel()] == [1] * 12
-    assert (tmp_path / "t.csv").read_bytes().splitlines()[1:3] == [b"0.5,0,0", b"0.5,1,1"]
+    assert [c.reads for c in short.ravel()] == [1] * n
+    assert [c.reads for c in full.ravel()] == [1] * 4 * n
+    lines = (tmp_path / "t.csv").read_bytes().splitlines()
+    assert lines[1:3] == [b"0.5,0,0", b"0.5,1,1"]
+    assert lines[-1] == f"{n - 1},3,{4 * n - 1}".encode()
 
 
 def test_empty_tables_keep_their_header(tmp_path):
@@ -291,3 +323,41 @@ def test_empty_tables_keep_their_header(tmp_path):
         "k,ell,eps,proj_distance,projector_gap,mass_outside_band")
     batch = NS(n_paths=0, n_steps=3, j=np.zeros((0, 4), np.int32), x=np.zeros((0, 4)))
     assert written(tmp_path, writers.write_trajectory_csv, batch) == crlf("path,step,j,x")
+
+
+def row_reference_write(path, header, fmt, columns, footer=()):
+    """``_write`` as it was before block formatting: one ``row % values`` per row."""
+    cols = list(map(np.asarray, columns))
+    rows = math.prod(np.broadcast_shapes(*(c.shape for c in cols)))
+    texts = re.split(writers._CONVERSION, fmt)
+    for i, conv in enumerate(re.findall(writers._CONVERSION, fmt)):
+        if cols[i].size < rows:
+            cols[i] = np.array([conv % v for v in cols[i].ravel().tolist()],
+                               dtype=object).reshape(cols[i].shape)
+            conv = "%s"
+        texts[i] += conv
+    cols = [c.ravel().tolist() for c in np.broadcast_arrays(*cols)]
+    row = "".join(texts) + "\r\n"
+    with writers._open(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % values for values in zip(*cols))
+        fh.writelines(line + "\r\n" for line in footer)
+
+
+@pytest.mark.parametrize("argv", [["casestudy", "--x-res", "4"],
+                                  ["simulate", "--paths", "2", "--steps", "3"],
+                                  ["response", "--k", "1"]])
+def test_cli_files_equal_the_row_reference(tmp_path, monkeypatch, argv):
+    config = tmp_path / "case.json"
+    config.write_text(CASE_STUDY_JSON, encoding="utf-8")
+
+    def run(out):
+        assert cli.main([*argv, "--config", str(config), "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    shipped = run(tmp_path / "shipped")
+    monkeypatch.setattr(writers, "_write", row_reference_write)
+    reference = run(tmp_path / "reference")
+    assert any(name.endswith(".csv") for name in shipped)
+    assert list(shipped) == list(reference)
+    assert [n for n in shipped if shipped[n] != reference[n]] == []
