@@ -242,14 +242,22 @@ def validate_admissibility(gen: NoiseGenerator, model: BandModel) -> Admissibili
 
 
 def w_epsilon(gen: NoiseGenerator, eps: float) -> np.ndarray:
-    """The random-walk matrix Id + eps*Wdot; symmetric doubly stochastic."""
-    # NaN fails every comparison, so the range test refuses NaN and inf too
+    """The random-walk matrix Id + eps*Wdot; symmetric doubly stochastic.
+
+    EpsOutOfRange unless eps is finite and nonnegative and every entry lies
+    in [0, 1] up to a 1e-14 slack; InvalidMatrix if Wdot has a non-finite
+    entry.
+    """
+    # NaN fails every comparison, so the range tests refuse NaN and inf too
     if not 0 <= eps < math.inf:
         raise EpsOutOfRange(f"eps must be finite and nonnegative, got {eps}")
     w = np.eye(gen.N) + eps * gen.wdot
+    lo, hi = w.min(), w.max()       # NaN if an entry is NaN
     # small slack for accumulated rounding in eps * wdot
-    if w.min() < -1e-14 or w.max() > 1.0 + 1e-14:
+    if not (lo >= -1e-14 and hi <= 1.0 + 1e-14):
+        if not np.all(np.isfinite(gen.wdot)):
+            raise InvalidMatrix("generator has non-finite entries")
         raise EpsOutOfRange(
             f"Id + eps*Wdot leaves [0, 1] at eps={eps} "
-            f"(entry range [{w.min():.6g}, {w.max():.6g}], eps_max={gen.eps_max:.6g})")
+            f"(entry range [{lo:.6g}, {hi:.6g}], eps_max={gen.eps_max:.6g})")
     return w

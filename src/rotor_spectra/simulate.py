@@ -8,6 +8,14 @@ exactly (analytic mode: bin-to-bin overlap of the translated, noise-smeared
 bin, a piecewise-quadratic CDF computed in closed form) or by pooling the
 transition counts of simulated paths.
 
+A path's next fibre is the first column of its fibre's cumulative W_eps row
+that exceeds its walk uniform.  simulate finds it for every path at once,
+one step at a time, by comparisons only: where W_eps has few distinct
+cumulative sums (a banded generator such as the Laplacian) it ranks the
+uniforms among them and reads the next fibre from a (fibre, rank) table,
+and otherwise it runs one lexicographic search over a complex table of the
+rows.  Either way every fibre equals an argmax over the row, bit for bit.
+
 Dominant nonreal eigenvalues of the cell matrix signal approximately cyclic
 motion: 2 pi / |arg| estimates the period in steps (modulo the usual
 sampled-rotation aliasing for speeds above half a revolution per step), and
@@ -137,31 +145,67 @@ class CycleReport:
 
 
 def _walk_table(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted complex table of a walk step and each entry's column.
+    """The sorted search keys of a walk step and the table that turns a
+    search count into the next state.
 
-    Row r of W_eps's cumulative rows enters as the entries r + 1j * c, c the
-    row's running maximum; numpy orders complex numbers lexicographically,
-    so the entries at or below j + 1j * u number j * N plus the first column
-    whose cumulative weight exceeds u, which is the next fibre.  The running
-    maximum leaves that column unchanged where w_epsilon's rounding slack
-    makes a row's sums dip, and the last column's guard above 1 keeps it
-    inside row j.
+    Let c be the running maximum of W_eps's cumulative rows, with the last
+    column guarded at 1 + 1e-12 so that every uniform lands inside the row.
+    From fibre j at uniform u the next fibre is the number of c[j] at or
+    below u: the first column whose cumulative weight exceeds u, as an
+    argmax over the row finds it.  The running maximum leaves that column
+    unchanged where w_epsilon's rounding slack makes a row's sums dip.
+
+    Lookup plan, when width = len(G) + 1 <= N for G the sorted distinct
+    values of c (every Laplacian W_eps from N = 8 up: len(G) <= 7).  The
+    keys are G and a walk state is s = j * width; s steps to
+    table[s + rank(u)], where rank(u) counts the G at or below u and
+    table[j * width + r] is width times the number of c[j] at or below
+    G[r - 1] (0 at r = 0).  The table has N * width <= N^2 int32 entries.
+
+    Complex plan, otherwise.  The keys are the N^2 entries r + 1j * c[r];
+    numpy orders complex numbers lexicographically, so the keys at or below
+    j + 1j * u number j * N plus the next fibre, and the table holds each
+    key's column.
+
+    Both plans compare u with c and do no arithmetic on either, so both give
+    the argmax's fibre bit for bit.
     """
     n = len(w)
     cum = np.cumsum(w, axis=1)
     cum[:, -1] = 1.0 + 1e-12     # guard rounding: every uniform draw must land
-    table = np.empty(n * n, dtype=complex)
-    table.real = np.repeat(np.arange(n), n)
-    table.imag = np.maximum.accumulate(cum, axis=1).ravel()
-    return table, np.tile(np.arange(n, dtype=np.int32), n)
+    c = np.maximum.accumulate(cum, axis=1)
+    thresholds, rank = np.unique(c, return_inverse=True)
+    width = len(thresholds) + 1
+    if width <= n and n * width < 2 ** 31:     # the states fit the int32 fibres
+        # the c[j] at or below G[r - 1] are those whose index into G is below r
+        below = np.bincount(np.repeat(np.arange(n) * width, n) + rank.reshape(-1) + 1,
+                            minlength=n * width)
+        table = below.reshape(n, width).cumsum(axis=1) * width
+        return thresholds, table.astype(np.int32).ravel()
+    keys = np.empty(n * n, dtype=complex)
+    keys.real = np.repeat(np.arange(n), n)
+    keys.imag = c.ravel()
+    return keys, np.tile(np.arange(n, dtype=np.int32), n)
 
 
-def _walk(j: np.ndarray, u_walk: np.ndarray, table: np.ndarray, column: np.ndarray) -> None:
-    """Fill the fibres j[1:] from j[0], one lexicographic search per step."""
-    key = np.empty(j.shape[1], dtype=complex)
-    for j_now, j_next, u in zip(j[:-1], j[1:], u_walk):
-        key.real, key.imag = j_now, u
-        j_next[:] = column[np.searchsorted(table, key, side="right")]
+def _walk(j: np.ndarray, u_walk: np.ndarray, keys: np.ndarray, table: np.ndarray) -> None:
+    """Fill the fibres j[1:] from j[0], one exact search per step over the
+    keys of :func:`_walk_table`, whose dtype names the plan.  The states are
+    in range, so ``mode="clip"`` only spares ``take`` a buffered copy."""
+    search = keys.searchsorted
+    if keys.dtype == complex:
+        key = np.empty(j.shape[1], dtype=complex)
+        for j_now, j_next, u in zip(j[:-1], j[1:], u_walk):
+            key.real, key.imag = j_now, u
+            table.take(search(key, side="right"), out=j_next, mode="clip")
+        return
+    width = len(keys) + 1
+    key = np.empty(j.shape[1], dtype=np.intp)
+    j[0] *= width                # j holds the states j * width until the last step
+    for s_now, s_next, u in zip(j[:-1], j[1:], u_walk):
+        np.add(s_now, search(u, side="right"), out=key)
+        table.take(key, out=s_next, mode="clip")
+    j //= width
 
 
 def _rotate(x: np.ndarray, turn: np.ndarray, noise: np.ndarray) -> None:
@@ -178,8 +222,11 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
 
     Per path the stream order is: two initial-state uniforms, the walk
     uniforms for all steps, then the noise uniforms for all steps.  Two
-    passes over time-major buffers follow: the fibre walk, one exact
-    lexicographic search per step (:func:`_walk_table`), then the rotation.
+    passes over time-major buffers follow: the fibre walk, then the
+    rotation.  Each walk step is exact (:func:`_walk_table`): one search of
+    the uniforms among W_eps's distinct cumulative sums and one lookup in a
+    (fibre, rank) table where the sums are few, as for the Laplacian, and
+    otherwise one lexicographic search over a complex table.
     """
     if not all(isinstance(c, Integral) for c in (seed, n_paths, n_steps)):
         raise InvalidSimulationInput(
@@ -191,7 +238,7 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
             f"n_paths={n_paths}, n_steps={n_steps}")
     check_dimension(model, gen)
     check_delta(delta)
-    table, column = _walk_table(w_epsilon(gen, eps))
+    keys, table = _walk_table(w_epsilon(gen, eps))
     # allocated before the seeds are spawned, so a size numpy refuses fails at once
     u_init = np.empty((n_paths, 2))
     u_walk = np.empty((n_steps, n_paths))
@@ -205,7 +252,7 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
 
     j = np.empty((n_steps + 1, n_paths), dtype=np.int32)
     j[0] = np.minimum((u_init[:, 0] * model.N).astype(np.int32), model.N - 1)
-    _walk(j, u_walk, table, column)
+    _walk(j, u_walk, keys, table)
     # the walk draws are spent: their buffer takes each step's turn alpha_j (the
     # fibres are in range, and "clip" writes into ``out`` without a buffered copy)
     turn = np.take(np.asarray(model.alpha), j[:-1], out=u_walk, mode="clip")

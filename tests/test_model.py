@@ -217,6 +217,17 @@ class TestWEpsilon:
         with pytest.raises(EpsOutOfRange):
             w_epsilon(g, -0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_generator_is_refused(self, bad):
+        # NaN fails the range test's comparisons, so it needs its own refusal
+        wdot = np.array(laplacian_generator(4).wdot)
+        wdot[2, 3] = wdot[3, 2] = bad
+        gen, model = NoiseGenerator.from_matrix(wdot), build_band_model([0.1, 0.3], [2, 2])
+        for call in (lambda: w_epsilon(gen, 0.1), lambda: simulate(model, gen, 0.1, 0.1, 2, 5, 1),
+                     lambda: ulam_analytic(model, gen, 0.1, 0.1, 8)):
+            with pytest.raises(InvalidMatrix, match="non-finite"):
+                call()
+
     def test_doubly_stochastic_sweep(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -97,19 +97,37 @@ def assert_same_csr(a, b):
     assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
 
 
-def draw_admissible(data, widths, max_cells):
-    """A random admissible model, generator, eps, delta and bin count M <= max_cells / N."""
+def dense_generator(n):
+    """A generator whose off-diagonal rates are all at least 0.05 (fixed seed)."""
+    rates = np.random.default_rng(4).uniform(0.05, 1.0, size=(n, n))
+    wdot = np.triu(rates, 1) + np.triu(rates, 1).T
+    return NoiseGenerator.from_matrix(wdot - np.diag(wdot.sum(axis=1)))
+
+
+def draw_admissible(data, widths, max_cells, sparse=False):
+    """A random admissible model, generator, eps, delta and bin count M <= max_cells / N.
+
+    The generator's off-diagonal rates are at least 0.05; with ``sparse`` it
+    may instead be the Laplacian, or rates with a random zero pattern.
+    """
     n = sum(widths)
     M = data.draw(st.integers(2, max_cells // n), label="M")
     beta = data.draw(st.lists(st.floats(-1, 1), min_size=len(widths),
                               max_size=len(widths), unique=True), label="beta")
+    kind = data.draw(st.sampled_from(["dense", "laplacian", "pattern"] if sparse else ["dense"]),
+                     label="generator")
     rates = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * (n - 1) // 2,
                                max_size=n * (n - 1) // 2), label="rates")
+    if kind == "pattern":
+        rates = np.multiply(rates, data.draw(st.lists(st.booleans(), min_size=len(rates),
+                                                      max_size=len(rates)), label="pattern"))
     wdot = np.zeros((n, n))
     wdot[np.triu_indices(n, 1)] = rates
     wdot += wdot.T
     wdot -= np.diag(wdot.sum(axis=1))
     gen = NoiseGenerator.from_matrix(wdot)
+    if kind == "laplacian" and n > 1:
+        gen = laplacian_generator(n)
     eps = data.draw(st.floats(0.0, 1.0), label="eps_fraction") * min(gen.eps_max, 1.0)
     delta = data.draw(st.floats(0.0, 0.3), label="delta")
     return build_band_model(beta, widths), gen, eps, delta, M
@@ -232,7 +250,7 @@ class TestSimulate:
     @settings(max_examples=80, deadline=None)
     @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
     def test_equals_the_argmax_loop_bit_for_bit(self, widths, data):
-        model, gen, eps, _, _ = draw_admissible(data, widths, max_cells=24)
+        model, gen, eps, _, _ = draw_admissible(data, widths, max_cells=24, sparse=True)
         if data.draw(st.booleans(), label="at eps_max") and np.isfinite(gen.eps_max):
             # just above eps_max, W_eps's diagonal may dip into [-1e-14, 0)
             eps = gen.eps_max * (1 + data.draw(st.floats(0.0, 4e-15), label="slack"))
@@ -250,9 +268,7 @@ class TestSimulate:
         (0.0, 0.1, 3, 50), (0.5, 0.0, 3, 50), (0.5, 0.5, 3, 50), (0.5, 0.7, 3, 50),
         (0.5, 0.1, 3, 0), (0.5, 0.1, 1, 50), (0.5, 0.1, 0, 50)])
     def test_edge_cases_equal_the_argmax_loop(self, eps_scale, delta, n_paths, n_steps):
-        rates = np.random.default_rng(4).uniform(0.05, 1.0, size=(5, 5))
-        wdot = np.triu(rates, 1) + np.triu(rates, 1).T
-        gen = NoiseGenerator.from_matrix(wdot - np.diag(wdot.sum(axis=1)))
+        gen = dense_generator(5)
         model = build_band_model([0.1, -0.35], [2, 3])
         eps = eps_scale * gen.eps_max
         if eps_scale > 1:
@@ -265,11 +281,7 @@ class TestSimulate:
         # uniforms at and next to every cumulative sum of W_eps: the search
         # takes the first column above u where sums tie (a Laplacian row's
         # zero columns) and where they dip (W_eps just above eps_max)
-        gen = laplacian_generator(6)
-        if dense:
-            rates = np.random.default_rng(4).uniform(0.05, 1.0, size=(6, 6))
-            wdot = np.triu(rates, 1) + np.triu(rates, 1).T
-            gen = NoiseGenerator.from_matrix(wdot - np.diag(wdot.sum(axis=1)))
+        gen = dense_generator(6) if dense else laplacian_generator(6)
         w = w_epsilon(gen, gen.eps_max * (1 + 4e-15 if dense else 0.5))
         assert (w.min() < 0) == dense
         cum = np.cumsum(w, axis=1)
@@ -278,8 +290,39 @@ class TestSimulate:
         rows, u = np.tile(rows, 3), np.concatenate([np.nextafter(u, -1), u, np.nextafter(u, 2)])
         rows, u = rows[(0 <= u) & (u < 1)], u[(0 <= u) & (u < 1)]
         j = np.stack([rows, rows]).astype(np.int32)
-        simulate_module._walk(j, u[None, :], *simulate_module._walk_table(w))
+        keys, table = simulate_module._walk_table(w)
+        assert (keys.dtype == complex) == dense           # the Laplacian takes the lookup
+        simulate_module._walk(j, u[None, :], keys, table)
         assert np.array_equal(j[1], np.argmax(cum[rows] > u[:, None], axis=1))
+
+    @pytest.mark.parametrize("n", [7, 8, 33, 99, 500])
+    def test_laplacian_walks_take_the_lookup(self, n):
+        # a Laplacian W_eps's cumulative rows hold at most 7 distinct values
+        # (1e-6 eps_max gives 7), so from N = 8 up every eps takes the lookup
+        gen = laplacian_generator(n)
+        for eps in gen.eps_max * np.array([0.0, 1e-6, 1e-3, 0.1, 0.37, 0.5, 0.9, 1.0]):
+            w = w_epsilon(gen, eps)
+            cum = np.cumsum(w, axis=1)
+            cum[:, -1] = 1.0 + 1e-12
+            distinct = len(np.unique(np.maximum.accumulate(cum, axis=1)))
+            assert distinct <= 7
+            keys, table = simulate_module._walk_table(w)
+            assert (keys.dtype == float) == (distinct < n)
+            assert keys.dtype == float or n < 8
+            if keys.dtype == float:
+                assert len(keys) == distinct
+                assert table.dtype == np.int32 and len(table) == n * (distinct + 1) <= n * n
+
+    def test_dense_walk_keeps_the_complex_table(self):
+        gen = dense_generator(33)
+        keys, table = simulate_module._walk_table(w_epsilon(gen, 0.5 * gen.eps_max))
+        assert keys.dtype == complex and len(keys) == len(table) == 33 * 33
+
+    def test_benchmark_batch_equals_the_argmax_loop(self, case_model, case_gen):
+        # the empirical batch of the ulam-cycles benchmark: 200 paths x 1000 steps
+        assert simulate_module._walk_table(w_epsilon(case_gen, 0.1))[0].dtype == float
+        assert_same_bits(simulate(case_model, case_gen, 0.1, 0.1, 200, 1000, 1),
+                         simulate_reference(case_model, case_gen, 0.1, 0.1, 200, 1000, 1))
 
     def test_cli_files_are_pinned(self, tmp_path):
         # simulate --paths 20 --steps 1000 --seed 3 on the case study: the
