@@ -26,7 +26,6 @@ import sys
 from pathlib import Path
 
 from . import __version__, writers
-from . import model as band_models
 from .config import RunConfig, case_study_config, load_config
 from .errors import AmbiguousLabelling, ConfigError, RotorSpectraError
 from .model import validate_admissibility
@@ -55,14 +54,6 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
-
-
-def _index(text: str) -> int:
-    """A Fourier index; like the config, refuse |k| > MAX_INDEX."""
-    value = int(text)
-    if abs(value) > band_models.MAX_INDEX:
-        raise ValueError("Fourier indices must lie within +-2**32")
     return value
 
 
@@ -202,7 +193,7 @@ def cmd_casestudy(cfg: RunConfig, args):
 FLAGS = {
     "--config": dict(help="model configuration JSON"),
     "--out": dict(help="output directory"),
-    "--k": dict(type=_list_of(_index), help="comma-separated Fourier indices"),
+    "--k": dict(type=_list_of(int), help="comma-separated Fourier indices"),
     "--eps": dict(type=_list_of(_finite), help="comma-separated noise levels"),
     "--delta": dict(type=_nonnegative, help="fibre noise radius (overrides config)"),
     "--bins": dict(type=int, help="circle bins per fibre"),

@@ -90,7 +90,7 @@ class EpsZero(RotorSpectraError):
 
 
 class InvalidEpsGrid(RotorSpectraError, ValueError):
-    """An order-check eps grid is too short, non-positive or above eps_max."""
+    """An order-check or convergence eps grid is too short, non-positive or above eps_max."""
 
 
 # --- oracle ---

@@ -251,7 +251,10 @@ def w_epsilon(gen: NoiseGenerator, eps: float) -> np.ndarray:
     # NaN fails every comparison, so the range tests refuse NaN and inf too
     if not 0 <= eps < math.inf:
         raise EpsOutOfRange(f"eps must be finite and nonnegative, got {eps}")
-    w = np.eye(gen.N) + eps * gen.wdot
+    # 0 * inf and an overflowing product make NaN or inf entries, which the
+    # range test below refuses, so numpy need not warn about them
+    with np.errstate(invalid="ignore", over="ignore"):
+        w = np.eye(gen.N) + eps * gen.wdot
     lo, hi = w.min(), w.max()       # NaN if an entry is NaN
     # small slack for accumulated rounding in eps * wdot
     if not (lo >= -1e-14 and hi <= 1.0 + 1e-14):

@@ -46,7 +46,7 @@ from .zero_noise import LimitBasis, limit_basis, limit_eigenbasis, projective_di
 @dataclass(frozen=True, eq=False)
 class ResponseData:
     """Every label's response terms at one Fourier index: the first-order
-    basis (k, lhat, f and band) and the terms lhathat and fhat it yields."""
+    basis (k, lhat, f and model) and the terms lhathat and fhat it yields."""
 
     basis: LimitBasis
     lambda_hathat: np.ndarray
@@ -103,12 +103,12 @@ def first_order_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBas
     if _terminates(model, k):
         # every fibre has band 0's phase here, so one band of N fibres has the same matrix
         one_band = build_band_model(model.beta[:1], [model.N])
-        return replace(limit_eigenbasis(one_band, gen, k), band=model.band_index, model=model)
+        return replace(limit_eigenbasis(one_band, gen, k), model=model)
     return limit_basis(model, gen, k)
 
 
-def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int):
-    """The first-order basis, lhathat and the fhat columns of every label.
+def response_data(model: BandModel, gen: NoiseGenerator, k: int) -> ResponseData:
+    """lhat, lhathat and fhat for every label at Fourier index k, from one limit basis.
 
     With A = D Wdot F, B = Wdot D* F, d = diag(D) (so d_j = e_{s_j}) and
     inv[j, ell] = 1/(d_ell - d_j) off the own band of ell (0 on it), the
@@ -123,7 +123,8 @@ def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int):
     n = model.N
     basis = first_order_basis(model, gen, k)
     if _terminates(model, k):
-        return basis, np.zeros(n, dtype=complex), np.zeros((n, n), dtype=complex)
+        return ResponseData(basis=basis, lambda_hathat=_freeze(np.zeros(n, dtype=complex)),
+                            f_hat=_freeze(np.zeros((n, n), dtype=complex)))
     f, lam_hat = basis.vectors, basis.lambda_hat
     d = model.phases(k)[model.band_index]
     across = d[:, None] != d[None, :]                    # [r, ell]: distinct phases
@@ -135,23 +136,17 @@ def _expansion_terms(model: BandModel, gen: NoiseGenerator, k: int):
     b = gen.wdot @ (np.conj(d)[:, None] * f)             # Wdot D* F
     h = b.conj().T @ (a * inv)
     coeff = (f.T @ a) * inv + h / np.where(within, gap, np.inf)
-    return basis, np.diag(h), f @ coeff
+    return ResponseData(basis=basis, lambda_hathat=_freeze(np.diag(h)), f_hat=_freeze(f @ coeff))
 
 
 def second_order_eigenvalue(model: BandModel, gen: NoiseGenerator, k: int, ell: int) -> complex:
     """The eps^2 coefficient of the eigenvalue expansion for label ell."""
-    return complex(_expansion_terms(model, gen, k)[1][ell])
+    return complex(response_data(model, gen, k).lambda_hathat[ell])
 
 
 def eigenvector_response(model: BandModel, gen: NoiseGenerator, k: int, ell: int) -> np.ndarray:
     """First-order eigenvector term fhat for label ell; orthogonal to f."""
-    return _expansion_terms(model, gen, k)[2][:, ell]
-
-
-def response_data(model: BandModel, gen: NoiseGenerator, k: int) -> ResponseData:
-    """lhat, lhathat and fhat for every label at Fourier index k, from one limit basis."""
-    basis, lhh, fh = _expansion_terms(model, gen, k)
-    return ResponseData(basis=basis, lambda_hathat=_freeze(lhh), f_hat=_freeze(fh))
+    return response_data(model, gen, k).f_hat[:, ell]
 
 
 def _fit_slope(eps_grid, values):

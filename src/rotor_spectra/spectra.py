@@ -37,12 +37,13 @@ class EigResult:
 class LabelledSpectrum:
     """Eigenpairs ordered by label ell: lam[ell] -> target[ell] as eps -> 0.
 
-    Within each band, members are ordered by descending Re(lam * conj(e_s)),
-    e_s the band phase: about 1 + eps*rho, so the order of descending rho of
-    the limit basis.  Vectors are
-    unit norm with the largest-magnitude entry made real positive.  ``sinc``
-    is the delta factor :func:`spectrum` applied (1.0 for none), carried by
-    ``lam``, ``target`` and ``gersh_radius``; eps and delta stay with the caller.
+    Label ell lies in band ``model.band_index[ell]``.  Within each band,
+    members are ordered by descending Re(lam * conj(e_s)), e_s the band
+    phase: about 1 + eps*rho, so the order of descending rho of the limit
+    basis.  Vectors are unit norm with the largest-magnitude entry made real
+    positive.  ``sinc`` is the delta factor :func:`spectrum` applied (1.0 for
+    none), carried by ``lam``, ``target`` and ``gersh_radius``; eps and delta
+    stay with the caller.
     """
 
     k: int
@@ -51,7 +52,7 @@ class LabelledSpectrum:
     target: np.ndarray
     vectors: np.ndarray          # column ell
     residual: np.ndarray
-    band: np.ndarray
+    model: BandModel
     gersh_radius: float
 
 
@@ -175,7 +176,7 @@ def label_spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     return LabelledSpectrum(
         k=int(k), sinc=1.0,
         lam=_freeze(lam), target=_freeze(targets), residual=_freeze(eig.residuals[order]),
-        vectors=_freeze(_phase_fix(eig.vectors[:, order])), band=model.band_index,
+        vectors=_freeze(_phase_fix(eig.vectors[:, order])), model=model,
         gersh_radius=radius)
 
 

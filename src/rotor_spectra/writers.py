@@ -97,7 +97,7 @@ def write_spectrum_csv(path, spec):
     _write(path, ["k", "ell", "band", "re", "im", "abs", "arg",
                   "target_re", "target_im", "dist_to_target", "gersh_radius", "residual"],
            "%d,%d,%d" + ",%.17g" * 9,
-           [spec.k, _labels(len(lam)), spec.band + 1, lam.real, lam.imag, _abs(lam),
+           [spec.k, _labels(len(lam)), spec.model.band_index + 1, lam.real, lam.imag, _abs(lam),
             np.angle(lam), tgt.real, tgt.imag, _abs(lam - tgt), spec.gersh_radius,
             spec.residual])
 
@@ -125,7 +125,7 @@ def write_limit_csv(path, basis):
     n = len(basis.lambda_hat)
     _write(path, ["k", "ell", "band", "lambda_hat_re", "lambda_hat_im", "j", "f_j"],
            "%d,%d,%d,%.17g,%.17g,%d,%.17g",
-           [basis.k, _labels(n)[:, None], basis.band[:, None] + 1, lh.real, lh.imag,
+           [basis.k, _labels(n)[:, None], basis.model.band_index[:, None] + 1, lh.real, lh.imag,
             _labels(n), basis.vectors.T])
 
 
@@ -140,7 +140,8 @@ def write_response_csv(path, resp):
     basis, lh, lhh = resp.basis, resp.basis.lambda_hat, resp.lambda_hathat
     _write(path, ["k", "ell", "band", "lhat_re", "lhat_im", "lhathat_re", "lhathat_im"],
            "%d,%d,%d" + ",%.17g" * 4,
-           [basis.k, _labels(len(lh)), basis.band + 1, lh.real, lh.imag, lhh.real, lhh.imag])
+           [basis.k, _labels(len(lh)), basis.model.band_index + 1, lh.real, lh.imag,
+            lhh.real, lhh.imag])
 
 
 def write_ordercheck_csv(path, oc):
@@ -157,7 +158,7 @@ def write_oracle_csv(path, report):
     _write(path, ["k", "ell", "band", "case", "lhat_closed", "lhat_numeric",
                   "abs_diff", "vec_proj_dist"],
            "%d,%d,%d,%s" + ",%.17g%+.17gj" * 2 + ",%.17g,%.17g",
-           [report.closed.k, _labels(len(closed)), report.closed.band + 1, report.case,
+           [report.closed.k, _labels(len(closed)), report.closed.model.band_index + 1, report.case,
             closed.real, closed.imag, numeric.real, numeric.imag,
             report.abs_diff, report.vec_proj_dist])
 

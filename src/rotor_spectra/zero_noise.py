@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBlock, GammaViolated, ZeroVector
+from .errors import DegenerateBlock, GammaViolated, InvalidEpsGrid, ZeroVector
 from .model import (BandModel, NoiseGenerator, _freeze, check_dimension, sorted_eigenbasis,
                     spectral_gap)
 from .spectra import spectrum
@@ -29,16 +29,16 @@ from .spectra import spectrum
 class LimitBasis:
     """Orthonormal limiting eigenbasis, band-supported with exact zeros.
 
-    Column ell of ``vectors`` is the real unit vector for label ell; its
-    eigenvalue is lambda_hat[ell] = exp(-2 pi i k beta_s) * rho with rho <= 0.
-    Within each band, labels are ordered by descending rho, matching the
-    band-internal order of the finite-eps labelled spectrum.
+    Column ell of ``vectors`` is the real unit vector for label ell, on the
+    fibres of band s = ``model.band_index[ell]``; its eigenvalue is
+    lambda_hat[ell] = exp(-2 pi i k beta_s) * rho with rho <= 0.  Within each
+    band, labels are ordered by descending rho, matching the band-internal
+    order of the finite-eps labelled spectrum.
     """
 
     k: int
     lambda_hat: np.ndarray
     vectors: np.ndarray
-    band: np.ndarray
     model: BandModel
 
 
@@ -74,7 +74,7 @@ def _band_basis(model: BandModel, k: int, blocks) -> LimitBasis:
         rhos.append(rho)
     lam_hat = model.phases(k)[model.band_index] * np.concatenate(rhos)
     return LimitBasis(k=int(k), lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),
-                      band=model.band_index, model=model)
+                      model=model)
 
 
 def limit_eigenbasis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
@@ -146,13 +146,17 @@ def spectrum_convergence(basis: LimitBasis, gen: NoiseGenerator, eps_list):
     The model and Fourier index are the basis's own.  Returns one row
     (k, ell, eps, proj_distance, projector_gap, mass_outside) per label and
     eps, with labels paired through the shared ordering convention
-    (band-internal descending rho).
+    (band-internal descending rho).  InvalidEpsGrid, before any solve,
+    unless every eps is positive: at eps = 0 each band's eigenvalue is
+    L_s-fold, so the solver's vectors are an arbitrary basis of its eigenspace.
     """
     model, k = basis.model, basis.k
+    if not all(eps > 0 for eps in eps_list):
+        raise InvalidEpsGrid(f"convergence eps points must be positive, got {list(eps_list)}")
     rows = []
     for eps in eps_list:
         spec = spectrum(model, gen, k, eps)
-        mass = support_mass_outside_band(spec, model)
+        mass = support_mass_outside_band(spec)
         for ell in range(model.N):
             rows.append((k, ell, float(eps),
                          projective_distance(spec.vectors[:, ell], basis.vectors[:, ell]),
@@ -161,18 +165,15 @@ def spectrum_convergence(basis: LimitBasis, gen: NoiseGenerator, eps_list):
     return rows
 
 
-def support_mass_outside_band(spec, model: BandModel) -> np.ndarray:
-    """Per-label squared mass outside the label's own band.
-
-    Accepts any object exposing unit-norm columns ``vectors`` and a per-label
-    ``band`` array (labelled spectra and limit bases both qualify).
-    """
-    vec = np.asarray(spec.vectors)
-    band = np.asarray(spec.band)
+def support_mass_outside_band(spec) -> np.ndarray:
+    """Per-label squared mass outside the label's own band, for a labelled
+    spectrum or a limit basis: column ell of ``spec.vectors`` against band
+    ``spec.model.band_index[ell]``."""
+    vec, model = np.asarray(spec.vectors), spec.model
     out = np.empty(vec.shape[1])
-    for ell in range(vec.shape[1]):
+    for ell, s in enumerate(model.band_index.tolist()):
         outside = np.ones(vec.shape[0], dtype=bool)
-        outside[model.band_slice(int(band[ell]))] = False
+        outside[model.band_slice(s)] = False
         # summed directly so exact zeros outside the band give exactly 0
         out[ell] = float(np.sum(np.abs(vec[outside, ell]) ** 2)) \
             / float(np.sum(np.abs(vec[:, ell]) ** 2))

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import importlib
 import inspect
 import json
@@ -413,8 +414,9 @@ class TestOtherCommands:
     @pytest.mark.parametrize("argv", [
         ["limit", "--k", "1,0"],
         ["limit", "--eps=-1"],
+        ["limit", "--k", "1", "--eps", "0,0.1"],
         ["casestudy", "--k", "0"],
-    ], ids=["limit-k0-after-k1", "limit-negative-eps", "casestudy-k0"])
+    ], ids=["limit-k0-after-k1", "limit-negative-eps", "limit-eps0", "casestudy-k0"])
     def test_failed_run_leaves_no_directory(self, case_cfg, tmp_path, capsys, argv):
         # each fails after some of its results are computed
         out = tmp_path / "o"
@@ -792,6 +794,26 @@ def test_one_band_block_embedding():
     assert "LimitBasis(" in inspect.getsource(rs.zero_noise._band_basis)
 
 
+def test_band_layout_is_read_from_the_model():
+    # labels run band by band, so model.band_index alone fixes each label's
+    # band: both eigen-records carry their model and no copy of its layout
+    assert [f.name for f in dataclasses.fields(rs.LimitBasis)] == [
+        "k", "lambda_hat", "vectors", "model"]
+    fields = {f.name for f in dataclasses.fields(rs.LabelledSpectrum)}
+    assert "model" in fields and "band" not in fields
+    assert list(inspect.signature(rs.support_mass_outside_band).parameters) == ["spec"]
+
+
+def test_one_response_builder_and_one_fourier_index_rule():
+    # response_data builds the ResponseData record itself, and BandModel.phases
+    # bounds every Fourier index a command reads (the config bounds its own ks)
+    assert not hasattr(response, "_expansion_terms")
+    assert not hasattr(cli, "_index")
+    sources = {p.name: p.read_text() for p in sorted(Path(rs.__file__).parent.glob("*.py"))}
+    assert [name for name, text in sources.items() if "MAX_INDEX" in text] == [
+        "config.py", "model.py"]
+
+
 def test_each_tolerance_name_is_bound_in_one_module():
     # one name, one definition: a by-name import is a second binding, which a
     # monkeypatch of the defining module does not reach
@@ -903,3 +925,15 @@ def test_benchmark_per_layer_names_exist():
             assert not rest[0].startswith("_") and inspect.isfunction(fn), entry["name"]
             checked += 1
     assert checked >= 20
+
+
+def test_benchmark_workloads_pass_their_checks(tmp_path, monkeypatch):
+    # one call of each benchmark workload passes its own output checks, so a
+    # record field, flag or signature the benchmark reads cannot break unseen
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from rsbench.workloads import WORKLOADS
+    for name, workload in WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        run = workload(0, tmp_path / name)
+        run.setup()
+        assert run.check(0, run.call(0)) == [], name

@@ -228,6 +228,18 @@ class TestWEpsilon:
             with pytest.raises(InvalidMatrix, match="non-finite"):
                 call()
 
+    @pytest.mark.parametrize("scale, bad, eps, error", [
+        (1.0, math.inf, 0.0, InvalidMatrix), (1e300, None, 1e10, EpsOutOfRange),
+    ], ids=["inf-entry-at-eps0", "overflowing-product"])
+    def test_refusal_is_silent(self, scale, bad, eps, error):
+        # 0 * inf and an overflowing eps * Wdot are refused by the range test;
+        # numpy must not warn about them first (pytest turns warnings into errors)
+        wdot = scale * np.array(laplacian_generator(4).wdot)
+        if bad is not None:
+            wdot[2, 3] = wdot[3, 2] = bad
+        with pytest.raises(error):
+            w_epsilon(NoiseGenerator.from_matrix(wdot), eps)
+
     def test_doubly_stochastic_sweep(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -60,7 +60,7 @@ class TestClosedForm:
         assert_allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-14)
         for ell in range(33):
             outside = np.ones(33, dtype=bool)
-            outside[case_model.band_slice(int(data.band[ell]))] = False
+            outside[case_model.band_slice(int(data.model.band_index[ell]))] = False
             assert np.all(v[outside, ell] == 0.0)
 
     def test_eigenvalue_multiset_matches_numeric(self, case_model, case_gen):
@@ -114,7 +114,6 @@ class TestCrosscheck:
         closed, numeric = report.closed, report.numeric
         assert isinstance(closed, LimitBasis) and isinstance(numeric, LimitBasis)
         assert (closed.k, closed.model) == (numeric.k, numeric.model) == (2, case_model)
-        assert np.array_equal(closed.band, numeric.band)
         assert "ClosedFormEigen" not in rotor_spectra.__all__
 
     def test_small_two_band(self):

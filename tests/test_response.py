@@ -25,7 +25,7 @@ def loop_second_order(model, gen, k, ell, basis):
     """Reference: the per-label sum over bands of the module docstring."""
     phases = np.exp(-2j * np.pi * k * np.asarray(model.beta))
     d = np.exp(-2j * np.pi * k * model.alpha)
-    s_l = int(basis.band[ell])
+    s_l = int(basis.model.band_index[ell])
     f = basis.vectors[:, ell].astype(complex)
     a = d * (gen.wdot @ f)
     b = gen.wdot @ (np.conj(d) * f)
@@ -41,7 +41,7 @@ def loop_eigenvector_response(model, gen, k, ell, basis):
     """Reference: fhat of one label as a loop over the other labels."""
     phases = np.exp(-2j * np.pi * k * np.asarray(model.beta))
     d = np.exp(-2j * np.pi * k * model.alpha)
-    s_l = int(basis.band[ell])
+    s_l = int(basis.model.band_index[ell])
     f = basis.vectors[:, ell].astype(complex)
     lam_hat = basis.lambda_hat
     a = d * (gen.wdot @ f)
@@ -50,7 +50,7 @@ def loop_eigenvector_response(model, gen, k, ell, basis):
         if r == ell:
             continue
         fr = basis.vectors[:, r].astype(complex)
-        s_r = int(basis.band[r])
+        s_r = int(basis.model.band_index[r])
         if s_r == s_l:
             br = gen.wdot @ (np.conj(d) * fr)
             c = 0.0 + 0.0j
@@ -235,7 +235,7 @@ class TestResponseData:
         resp = response_data(case_model, case_gen, 1)
         eps = 1e-3
         for ell in (0, 11, 18):
-            e = np.exp(-2j * np.pi * case_model.beta[resp.basis.band[ell]])
+            e = np.exp(-2j * np.pi * case_model.beta[resp.basis.model.band_index[ell]])
             z = e + eps * resp.basis.lambda_hat[ell]
             assert abs(z) < 1.0
             d = (np.angle(z) - np.angle(e)) % (2 * np.pi)

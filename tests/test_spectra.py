@@ -123,7 +123,7 @@ class TestLabelSpectrum:
         assert counts == [11, 7, 15]
         # labelled bands agree with the nearest cluster
         for ell in range(33):
-            assert abs(spec.lam[ell] - targets[spec.band[ell]]) <= radius + 1e-12
+            assert abs(spec.lam[ell] - targets[spec.model.band_index[ell]]) <= radius + 1e-12
 
     def test_two_band_small_eps(self, two_band_model, two_band_gen):
         spec = spectrum(two_band_model, two_band_gen, 1, 0.01)

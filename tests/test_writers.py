@@ -39,7 +39,8 @@ def crlf(*lines):
 
 def test_spectrum(tmp_path):
     spec = NS(k=1, lam=np.array([Z, -0.5 + 0.25j]), target=np.array([0.1 + 0.2j, -0.5 + 0.3j]),
-              band=np.array([0, 1]), gersh_radius=0.125, residual=np.array([1e-16, 2.5e-15]))
+              model=NS(band_index=np.array([0, 1])), gersh_radius=0.125,
+              residual=np.array([1e-16, 2.5e-15]))
     assert written(tmp_path, writers.write_spectrum_csv, spec) == crlf(
         "k,ell,band,re,im,abs,arg,target_re,target_im,dist_to_target,gersh_radius,residual",
         "1,1,1,0.10000000000000001,0.10000000000000001,0.1414213562373095,0.78539816339744828,"
@@ -78,7 +79,8 @@ def test_circles(tmp_path):
 
 
 def test_limit(tmp_path):
-    basis = NS(k=1, lambda_hat=np.array([-0.5 + 0.5j, 0.25 - 0.75j]), band=np.array([0, 1]),
+    basis = NS(k=1, lambda_hat=np.array([-0.5 + 0.5j, 0.25 - 0.75j]),
+               model=NS(band_index=np.array([0, 1])),
                vectors=np.array([[0.6, -0.8], [0.8, 0.6]]))
     assert written(tmp_path, writers.write_limit_csv, basis) == crlf(
         "k,ell,band,lambda_hat_re,lambda_hat_im,j,f_j",
@@ -99,7 +101,8 @@ def test_convergence(tmp_path):
 
 
 def test_response(tmp_path):
-    basis = NS(k=2, lambda_hat=np.array([-0.5 + 0.5j, 0.25 - 0.75j]), band=np.array([0, 1]))
+    basis = NS(k=2, lambda_hat=np.array([-0.5 + 0.5j, 0.25 - 0.75j]),
+               model=NS(band_index=np.array([0, 1])))
     resp = NS(basis=basis, lambda_hathat=np.array([0.1 - 0.2j, -1e-20 + 3j]))
     assert written(tmp_path, writers.write_response_csv, resp) == crlf(
         "k,ell,band,lhat_re,lhat_im,lhathat_re,lhathat_im",
@@ -126,9 +129,9 @@ def test_ordercheck_with_slopes_footer(tmp_path):
 
 
 def test_oracle_complex_cells(tmp_path):
-    band = np.array([0, 1])
-    closed = NS(k=1, band=band, lambda_hat=np.array([-0.5 + 0.5j, 0.25 - 0.75j]))
-    numeric = NS(k=1, band=band,
+    model = NS(band_index=np.array([0, 1]))
+    closed = NS(k=1, model=model, lambda_hat=np.array([-0.5 + 0.5j, 0.25 - 0.75j]))
+    numeric = NS(k=1, model=model,
                  lambda_hat=np.array([-0.5 + 0.5000000000000001j, complex(0.25, -0.0)]))
     report = NS(closed=closed, numeric=numeric, case=("first", "last"),
                 abs_diff=np.array([1.1e-16, 0.0]), vec_proj_dist=np.array([2e-15, 3e-16]))
@@ -316,7 +319,7 @@ def test_broadcast_column_is_formatted_once_per_element(tmp_path):
 
 def test_empty_tables_keep_their_header(tmp_path):
     spec = NS(k=1, lam=np.zeros(0, complex), target=np.zeros(0, complex),
-              band=np.zeros(0, int), gersh_radius=0.0, residual=np.zeros(0))
+              model=NS(band_index=np.zeros(0, int)), gersh_radius=0.0, residual=np.zeros(0))
     assert written(tmp_path, writers.write_spectrum_csv, spec) == crlf(
         "k,ell,band,re,im,abs,arg,target_re,target_im,dist_to_target,gersh_radius,residual")
     assert written(tmp_path, writers.write_convergence_csv, []) == crlf(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from rotor_spectra import (NoiseGenerator, assemble_limit_matrix, build_band_mod
                            limit_eigenbasis, projective_distance, projector_gap,
                            response_data, spectrum, spectrum_convergence,
                            support_mass_outside_band, validate_admissibility)
-from rotor_spectra.errors import DegenerateBlock, GammaViolated, ZeroVector
+from rotor_spectra import zero_noise
+from rotor_spectra.errors import DegenerateBlock, GammaViolated, InvalidEpsGrid, ZeroVector
 from rotor_spectra.response import first_order_basis
 from conftest import random_banded_model
 
@@ -129,7 +132,7 @@ class TestLimitEigenbasis:
             basis = limit_eigenbasis(m, g, k)
             v = np.asarray(basis.vectors)
             assert np.max(np.abs(v.T @ v - np.eye(m.N))) <= 1e-12
-            assert np.max(support_mass_outside_band(basis, m)) == 0.0
+            assert np.max(support_mass_outside_band(basis)) == 0.0
             resid = assemble_limit_matrix(m, g, k) @ v - basis.lambda_hat[None, :] * v
             assert np.max(np.abs(resid)) <= 1e-12
 
@@ -138,7 +141,7 @@ class TestLimitEigenbasis:
         for ell in range(33):
             lh = basis.lambda_hat[ell]
             assert abs(lh) > 1e-12
-            target_arg = np.angle(np.exp(-2j * np.pi * case_model.beta[basis.band[ell]]))
+            target_arg = np.angle(np.exp(-2j * np.pi * case_model.beta[basis.model.band_index[ell]]))
             shift = (np.angle(lh) - target_arg - np.pi) % (2 * np.pi)
             assert min(shift, 2 * np.pi - shift) <= 1e-10
 
@@ -289,7 +292,7 @@ class TestConvergence:
         masses = []
         for eps in (1e-1, 1e-2, 1e-3):
             spec = spectrum(case_model, case_gen, 1, eps)
-            masses.append(support_mass_outside_band(spec, case_model))
+            masses.append(support_mass_outside_band(spec))
         assert 0 < masses[0][0] < 0.5
         for a, b in zip(masses, masses[1:]):
             assert np.all(b < a)
@@ -298,7 +301,7 @@ class TestConvergence:
         m = build_band_model([0.3], [5])
         g = laplacian_generator(5)
         spec = spectrum(m, g, 1, 0.1)
-        assert np.max(support_mass_outside_band(spec, m)) == 0.0
+        assert np.max(support_mass_outside_band(spec)) == 0.0
 
     def test_projector_gap_decreases(self, case_model, case_gen):
         basis = limit_basis(case_model, case_gen, 1)
@@ -307,6 +310,16 @@ class TestConvergence:
             spec = spectrum(case_model, case_gen, 1, eps)
             gaps.append(projector_gap(spec.vectors[:, 0], basis.vectors[:, 0]))
         assert gaps[0] > gaps[1] > gaps[2] > 0 or gaps[2] < 1e-12
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.1], [0.1, -1.0], [0.1, math.nan]])
+    def test_spectrum_convergence_refuses_nonpositive_eps(self, two_band_model, two_band_gen,
+                                                           monkeypatch, grid):
+        # at eps = 0 each band's eigenvalue is L_s-fold, so eig's vectors are an
+        # arbitrary basis of its eigenspace: no point is solved before the refusal
+        basis = limit_basis(two_band_model, two_band_gen, 1)
+        monkeypatch.setattr(zero_noise, "spectrum", None)
+        with pytest.raises(InvalidEpsGrid, match="must be positive"):
+            spectrum_convergence(basis, two_band_gen, grid)
 
     def test_spectrum_convergence_rows(self, two_band_model, two_band_gen):
         basis = limit_basis(two_band_model, two_band_gen, 1)
