@@ -57,8 +57,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _list_of(parse):
-    """Argument type: a nonempty comma-separated list of ``parse`` values."""
+def _list_of(parse, one=False):
+    """Argument type: a nonempty comma-separated list of ``parse`` values,
+    of one value only where ``one`` is set."""
     def parse_list(text):
         try:
             values = [parse(t) for t in text.split(",") if t.strip()]
@@ -66,6 +67,8 @@ def _list_of(parse):
             raise argparse.ArgumentTypeError(str(exc))
         if not values:
             raise argparse.ArgumentTypeError("expected at least one value")
+        if one and len(values) > 1:
+            raise argparse.ArgumentTypeError(f"expected one value, got {len(values)}")
         return values
     return parse_list
 
@@ -83,23 +86,23 @@ def _leading_labels(model):
     return [model.cum[s] for s in range(model.S)]
 
 
-def _spectrum_files(model, k: int, eps: float, spec):
-    tag = f"k{k}_eps{eps:g}"
+def _spectrum_files(eps: float, spec):
+    tag = f"k{spec.k}_eps{eps:g}"
     return [(f"spectrum_{tag}.csv", writers.write_spectrum_csv, spec),
-            (f"vectors_{tag}.csv", writers.write_vectors_csv, k, spec.vectors),
-            (f"circles_{tag}.csv", writers.write_circles_csv, model, k,
-             spec.sinc, spec.gersh_radius)]
+            (f"vectors_{tag}.csv", writers.write_vectors_csv, spec.k, spec.vectors),
+            (f"circles_{tag}.csv", writers.write_circles_csv, spec)]
 
 
 def _limit_files(cfg: RunConfig, k: int, eps_list):
     """The limit basis at ``k`` and its convergence over ``eps_list``, as files."""
     basis = limit_basis(cfg.model, cfg.gen, k)
-    rows = spectrum_convergence(basis, cfg.gen, eps_list)
+    rows = spectrum_convergence(basis, eps_list)
     return [(f"limit_basis_k{k}.csv", writers.write_limit_csv, basis),
             (f"convergence_k{k}.csv", writers.write_convergence_csv, rows)]
 
 
-def _response_files(k: int, resp):
+def _response_files(resp):
+    k = resp.basis.k
     return [(f"response_k{k}.csv", writers.write_response_csv, resp),
             (f"fhat_k{k}.csv", writers.write_vectors_csv, k, resp.f_hat)]
 
@@ -134,7 +137,7 @@ def cmd_spectrum(cfg: RunConfig, args):
                 # reported per (k, eps) without aborting the sweep
                 print(f"ambiguous labelling at k={k}, eps={eps}: {exc}", file=sys.stderr)
                 continue
-            files += _spectrum_files(cfg.model, k, eps, spec)
+            files += _spectrum_files(eps, spec)
     return 0, files, dict(ks=args.k, epsilons=args.eps, delta=args.delta)
 
 
@@ -146,8 +149,8 @@ def cmd_limit(cfg: RunConfig, args):
 def cmd_response(cfg: RunConfig, args):
     resps = [response_data(cfg.model, cfg.gen, k) for k in args.k]
     checks = [oc for resp in resps
-              for oc in order_checks(resp, cfg.gen, _leading_labels(cfg.model), args.eps)]
-    files = [f for k, resp in zip(args.k, resps) for f in _response_files(k, resp)]
+              for oc in order_checks(resp, _leading_labels(cfg.model), args.eps)]
+    files = [f for resp in resps for f in _response_files(resp)]
     files += [(f"ordercheck_k{oc.k}_ell{oc.ell + 1}.csv", writers.write_ordercheck_csv, oc)
               for oc in checks]
     return 0, files, dict(ks=args.k, grid=args.eps)
@@ -182,9 +185,9 @@ def cmd_simulate(cfg: RunConfig, args):
 def cmd_casestudy(cfg: RunConfig, args):
     k, eps = args.k[0], args.eps[0]
     spec = spectrum(cfg.model, cfg.gen, k, eps, args.delta)
-    files = _spectrum_files(cfg.model, k, eps, spec) + _limit_files(cfg, k, LIMIT_GRID)
-    files += _response_files(k, response_data(cfg.model, cfg.gen, k))
-    files.append((f"eigenfunction_grid_k{k}.csv", writers.write_grid_csv, k, spec.vectors,
+    files = _spectrum_files(eps, spec) + _limit_files(cfg, k, LIMIT_GRID)
+    files += _response_files(response_data(cfg.model, cfg.gen, k))
+    files.append((f"eigenfunction_grid_k{k}.csv", writers.write_grid_csv, spec,
                   _leading_labels(cfg.model), args.x_res))
     return 0, files, dict(k=k, eps=eps, delta=args.delta, x_res=args.x_res)
 
@@ -237,6 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
             if name == "response" and flag == "--eps":
                 # check_eps_grid refuses a bad grid, non-finite points included
                 kwargs["type"] = _list_of(float)
+            if name in ("simulate", "casestudy") and flag in ("--k", "--eps"):
+                # a run at one (k, eps): a config's lists give their first values
+                kwargs.update(type=_list_of(int if flag == "--k" else _finite, one=True),
+                              help="one Fourier index" if flag == "--k" else "one noise level")
             p.add_argument(flag, **kwargs)
     return parser
 

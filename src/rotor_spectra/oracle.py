@@ -71,15 +71,17 @@ def _block_closed_form(L: int, top: bool, bottom: bool):
 
 
 def closed_form_eigendata(model: BandModel, k: int) -> LimitBasis:
-    """All N closed-form pairs for the Laplacian generator, as a limit basis.
+    """All N closed-form pairs for the Laplacian generator, as a limit basis of
+    ``laplacian_generator(model.N)`` (DimensionTooSmall for a one-fibre model).
 
     Labels, band support and sign gauge are those of
     :func:`rotor_spectra.zero_noise.limit_eigenbasis`;
     :func:`oracle_crosscheck` certifies each pair by its residual against the
     assembled limit matrix.
     """
-    return _band_basis(model, k, (_block_closed_form(model.L[s], s == 0, s == model.S - 1)
-                                  for s in range(model.S)))
+    return _band_basis(model, laplacian_generator(model.N), k,
+                       (_block_closed_form(model.L[s], s == 0, s == model.S - 1)
+                        for s in range(model.S)))
 
 
 def oracle_crosscheck(model: BandModel, gen: NoiseGenerator, k: int) -> OracleReport:

@@ -36,8 +36,7 @@ import numpy as np
 from . import model as band_models
 from .errors import (DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, InvalidSpeeds,
                      NoConvergence)
-from .model import (BandModel, NoiseGenerator, _freeze, build_band_model, check_dimension,
-                    spectral_gap)
+from .model import BandModel, NoiseGenerator, _freeze, build_band_model, spectral_gap
 from .spectra import (_certified, assemble_fourier_block, eig_dense_complex, label_spectrum,
                       nearest_assignment)
 from .zero_noise import LimitBasis, limit_basis, limit_eigenbasis, projective_distance
@@ -46,7 +45,7 @@ from .zero_noise import LimitBasis, limit_basis, limit_eigenbasis, projective_di
 @dataclass(frozen=True, eq=False)
 class ResponseData:
     """Every label's response terms at one Fourier index: the first-order
-    basis (k, lhat, f and model) and the terms lhathat and fhat it yields."""
+    basis (k, lhat, f, model and generator) and the terms lhathat and fhat it yields."""
 
     basis: LimitBasis
     lambda_hathat: np.ndarray
@@ -257,9 +256,9 @@ def _label_disks(f, f_hat, cf, ccf, p, eps):
     return fe, centre, radius, np.all(clear, axis=1)
 
 
-def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
-                 eps_grid) -> tuple[OrderCheck, ...]:
-    """Validate the expansion orders of labels ``ells`` at the model and k of ``resp``.
+def order_checks(resp: ResponseData, ells, eps_grid) -> tuple[OrderCheck, ...]:
+    """Validate the expansion orders of labels ``ells`` at the model, generator
+    and k of ``resp``.
 
     At each eps a label whose row disk in the basis F = f + eps*fhat is
     isolated (:func:`_label_disks`) is polished from its centre and F's
@@ -280,15 +279,15 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
     the grid.  Slopes as in OrderCheck.
     """
     basis = resp.basis
-    model, k = basis.model, basis.k
-    check_dimension(model, gen)
+    model, gen, k = basis.model, basis.gen, basis.k
     ells = _check_labels(model, ells)
     eps_grid = check_eps_grid(gen, eps_grid)
     d = model.phases(k)[model.band_index]
     dw = d[:, None] * gen.wdot                           # D Wdot
     f, f_hat = basis.vectors, resp.f_hat
-    cf = (f.T @ f_hat) @ f.T                             # C f^T, C = f^T fhat
-    ccf = (f.T @ f_hat) @ cf
+    c = f.T @ f_hat
+    cf = c @ f.T                                         # C f^T
+    ccf = c @ cf
     ladders = [[] for _ in ells]                         # per label: (r0, r1, r2, vec_r, path)
     for eps in eps_grid:
         p = assemble_fourier_block(model, gen, k, eps)
@@ -342,7 +341,7 @@ def order_checks(resp: ResponseData, gen: NoiseGenerator, ells,
 
 def order_check(model: BandModel, gen: NoiseGenerator, k: int, ell: int, eps_grid) -> OrderCheck:
     """The order check of one label ``ell``; see order_checks."""
-    return order_checks(response_data(model, gen, k), gen, [ell], eps_grid)[0]
+    return order_checks(response_data(model, gen, k), [ell], eps_grid)[0]
 
 
 def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,

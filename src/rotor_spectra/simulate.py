@@ -60,15 +60,13 @@ MAX_EMPTY_FRACTION = 0.01
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryBatch:
-    """Simulated paths: j and x have shape (n_paths, n_steps + 1).
+    """Simulated paths: j and x have shape (paths, steps + 1).
 
     Reproducible: path p consumes only its own counter-based stream keyed by
     (seed, p), so results do not depend on scheduling or batch splits; the
     seed, eps and delta of :func:`simulate` stay with the caller.
     """
 
-    n_paths: int
-    n_steps: int
     j: np.ndarray
     x: np.ndarray
     model: BandModel
@@ -264,9 +262,7 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
     _rotate(x, turn, u_noise)
     # free the draws, and each time-major buffer once its copy is made
     del turn, u_walk, u_noise
-    j = _freeze(j.T)
-    return TrajectoryBatch(n_paths=int(n_paths), n_steps=int(n_steps),
-                           j=j, x=_freeze(x.T), model=model)
+    return TrajectoryBatch(j=_freeze(j.T), x=_freeze(x.T), model=model)
 
 
 def _sum_cdf(t: np.ndarray, h: float, delta: float) -> np.ndarray:
@@ -339,7 +335,7 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
     than ``MAX_EMPTY_FRACTION`` of them raises InsufficientData.
     """
     _check_bins(M)
-    if batch.n_paths == 0 or batch.n_steps == 0:
+    if batch.j[:, 1:].size == 0:
         raise InsufficientData("empty trajectory batch")
     n = batch.model.N
     size = n * M
@@ -393,22 +389,36 @@ def _pick_cycles(values: np.ndarray, bounds: np.ndarray, top_m: int) -> list:
     return picked
 
 
-def _sector_cycles(op: UlamOperator, top_m: int) -> tuple[list, int]:
-    """(rep, per-fibre mass, residual, converged) per cycle, and the number of
-    bin-DFT sectors solved.
+def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport:
+    """Report the top_m largest-magnitude nonreal eigenvalues as cycles.
 
-    Sector m's block B_m holds no eigenvalue above its largest absolute row
-    sum b(m), so sectors 0..M/2 are solved in descending b(m) (ties in
-    ascending m) until the top_m-th pick exceeds every unsolved b(m) by a
-    relative 1e-9, far above _pick_cycles' 1e-12 magnitude rounding: no
-    unsolved eigenvalue can then rank before a pick.  Each solved sector is
-    decomposed once by eig_dense_complex; the candidates are the solved
-    sectors' values in ascending m, so ties break as in a sweep of every
-    sector, and a pick reads its vector and residual from the same solve.
-    Both cuts of _pick_cycles, and the count of nonreal values above the stop
-    cut that gates it, are relative to each value's own b(m), so a spectrum
-    that is small throughout (a delta factor near 0) keeps its cycles.
+    Conjugate pairs are reported once, by their lower-half-plane member.  A
+    cycle's per-band mass comes from the squared magnitudes of its eigenvector
+    summed over each band of ``op.model``'s cells; the band with the largest
+    mass is the attributed support.  ``model`` is only checked: band widths
+    other than ``op.model``'s raise DimensionMismatch.
+
+    Both operator kinds are solved by bin-DFT sector.  Sector m's block B_m
+    holds no eigenvalue above its largest absolute row sum b(m), so sectors
+    0..M/2 are solved in descending b(m) (ties in ascending m) until the
+    top_m-th pick exceeds every unsolved b(m) by a relative 1e-9, far above
+    _pick_cycles' 1e-12 magnitude rounding: no unsolved eigenvalue can then
+    rank before a pick.  Each solved sector is decomposed once by
+    eig_dense_complex; the candidates are the solved sectors' values in
+    ascending m, so ties break as in a sweep of every sector, and a cycle
+    reads its vector and residual from the same solve.  Both cuts of
+    _pick_cycles, and the count of nonreal values above the stop cut that
+    gates it, are relative to each value's own b(m), so a spectrum that is
+    small throughout (a delta factor near 0) keeps its cycles.  Each cycle's
+    eigenpair must pass the certificate of eig_dense_complex, residual
+    ``||B v - lam v||`` (unit v) at most ``RESIDUAL_TOL * ||B||_2`` for its
+    sector block B; otherwise NoConvergence is raised, ``partial`` holding
+    the cycles.
     """
+    if not isinstance(top_m, Integral) or top_m < 1:
+        raise InvalidSimulationInput(f"top_m must be >= 1 and an integer, got {top_m}")
+    if model.L != op.model.L:
+        raise DimensionMismatch(f"band widths {model.L} differ from the operator's {op.model.L}")
     if op.kernel is not None:
         khat = np.fft.rfft(op.kernel, axis=2).conj()              # (N, N, M//2 + 1)
         bounds = np.abs(khat).sum(axis=1).max(axis=0)
@@ -436,50 +446,24 @@ def _sector_cycles(op: UlamOperator, top_m: int) -> tuple[list, int]:
                 break
     else:   # every sector solved: the picks may run short, or be none
         picked = _pick_cycles(values, scales, top_m)
-    out = []
+    cycles, residuals, failed = [], [], []
     for rep, i in picked:
         eig, c = solved[sectors[i // n]], i % n
         # |u_j e^{2 pi i m a / M}|^2 = |u_j|^2 in every bin of fibre j
-        out.append((rep, np.abs(eig.vectors[:, c]) ** 2, float(eig.residuals[c]),
-                    bool(eig.converged[c])))
-    return out, len(solved)
-
-
-def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport:
-    """Report the top_m largest-magnitude nonreal eigenvalues as cycles.
-
-    Conjugate pairs are reported once, by their lower-half-plane member.  A
-    cycle's per-band mass comes from the squared magnitudes of its eigenvector
-    summed over each band's cells; the band with the largest mass is the
-    attributed support.  Both operator kinds are solved by bin-DFT sector,
-    in descending order of a bound on each sector's eigenvalues, until the
-    unsolved sectors cannot change the report (see the module docstring and
-    ``sectors_solved``).  Band widths other than ``op.model``'s raise
-    DimensionMismatch.  Each reported eigenpair must pass the certificate of
-    :func:`rotor_spectra.spectra.eig_dense_complex`, residual
-    ``||B v - lam v||`` (unit v) at most ``RESIDUAL_TOL * ||B||_2`` for its
-    sector block B; otherwise NoConvergence is raised.
-    """
-    if not isinstance(top_m, Integral) or top_m < 1:
-        raise InvalidSimulationInput(f"top_m must be >= 1 and an integer, got {top_m}")
-    if model.L != op.model.L:
-        raise DimensionMismatch(f"band widths {model.L} differ from the operator's {op.model.L}")
-    found, sectors_solved = _sector_cycles(op, top_m)
-    failed = [res for *_, res, converged in found if not converged]
-    if failed:
-        raise NoConvergence(f"sector eigenpair residual {max(failed):.3e} exceeds "
-                            f"RESIDUAL_TOL times the sector norm", partial=found)
-
-    cycles = []
-    for rep, per_fibre, *_ in found:
-        per_fibre = per_fibre / per_fibre.sum()
-        band_masses = tuple(float(per_fibre[model.band_slice(s)].sum())
-                            for s in range(model.S))
+        mass = np.abs(eig.vectors[:, c]) ** 2
+        mass = mass / mass.sum()
+        band_masses = tuple(float(mass[op.model.band_slice(s)].sum())
+                            for s in range(op.model.S))
         arg = float(np.angle(rep))
         cycles.append(Cycle(
             eigenvalue=complex(rep), magnitude=float(abs(rep)), arg=arg,
             period_steps=float(2 * np.pi / abs(arg)),
             band_masses=band_masses, band=int(np.argmax(band_masses))))
-    return CycleReport(M=op.M, top_m=int(top_m), solver="sector",
-                       sectors_solved=sectors_solved,
-                       max_residual=max(res for *_, res, _ in found), cycles=tuple(cycles))
+        residuals.append(float(eig.residuals[c]))
+        if not eig.converged[c]:
+            failed.append(residuals[-1])
+    if failed:
+        raise NoConvergence(f"sector eigenpair residual {max(failed):.3e} exceeds "
+                            f"RESIDUAL_TOL times the sector norm", partial=tuple(cycles))
+    return CycleReport(M=op.M, top_m=int(top_m), solver="sector", sectors_solved=len(solved),
+                       max_residual=max(residuals), cycles=tuple(cycles))

@@ -109,11 +109,11 @@ def write_vectors_csv(path, k, vectors):
            [k, _labels(v.shape[0])[:, None], _labels(v.shape[1]), v.real, v.imag, _abs(v)])
 
 
-def write_circles_csv(path, model, k, sinc, radius):
-    """Unit-circle and per-band Gershgorin-circle samples for plotting."""
+def write_circles_csv(path, spec):
+    """Unit-circle and per-band Gershgorin-circle samples of a labelled spectrum."""
     t = np.linspace(0.0, 2 * np.pi, CIRCLE_SAMPLES, endpoint=False)
-    centre = sinc * model.phases(k)[:, None]
-    S = len(model.beta)
+    centre = spec.sinc * spec.model.phases(spec.k)[:, None]
+    radius, S = spec.gersh_radius, spec.model.S
     _write(path, ["kind", "idx", "x", "y"], "%s,%d,%.17g,%.17g",
            [np.array(["unit"] + ["gersh"] * S)[:, None], np.arange(S + 1)[:, None],
             np.vstack([np.cos(t), centre.real + radius * np.cos(t)]),
@@ -175,15 +175,15 @@ def write_cycles_json(path, report):
 def write_trajectory_csv(path, batch):
     """Path and step are 0-based; the fibre j is 1-based."""
     _write(path, ["path", "step", "j", "x"], "%d,%d,%d,%.17g",
-           [np.arange(batch.n_paths)[:, None], np.arange(batch.n_steps + 1),
-            batch.j + 1, batch.x])
+           [np.arange(len(batch.j))[:, None], np.arange(batch.j.shape[1]), batch.j + 1, batch.x])
 
 
-def write_grid_csv(path, k, vectors, ells, x_res):
-    """Full-cylinder eigenfunction samples |f(j) e^{2 pi i k x}| and arguments."""
-    f = np.asarray(vectors)[:, list(ells)].T[:, :, None]    # (ell, j, 1)
+def write_grid_csv(path, spec, ells, x_res):
+    """Full-cylinder samples |f(j) e^{2 pi i k x}| and arguments of the
+    eigenfunctions ``ells`` of a labelled spectrum."""
+    f = spec.vectors[:, list(ells)].T[:, :, None]           # (ell, j, 1)
     # k x mod 1 at x = i / x_res, reduced exactly in integers before any rounding
-    e = np.exp(2j * np.pi * ((k % x_res) * np.arange(x_res) % x_res / x_res))
+    e = np.exp(2j * np.pi * ((spec.k % x_res) * np.arange(x_res) % x_res / x_res))
     real = f.real * e.real - f.imag * e.imag
     imag = f.real * e.imag + f.imag * e.real
     _write(path, ["ell", "j", "x", "abs", "arg"], "%d,%d,%.17g,%.17g,%.17g",

@@ -27,7 +27,8 @@ from .spectra import spectrum
 
 @dataclass(frozen=True, eq=False)
 class LimitBasis:
-    """Orthonormal limiting eigenbasis, band-supported with exact zeros.
+    """Orthonormal limiting eigenbasis, band-supported with exact zeros, of
+    the generator ``gen`` on ``model``.
 
     Column ell of ``vectors`` is the real unit vector for label ell, on the
     fibres of band s = ``model.band_index[ell]``; its eigenvalue is
@@ -40,6 +41,7 @@ class LimitBasis:
     lambda_hat: np.ndarray
     vectors: np.ndarray
     model: BandModel
+    gen: NoiseGenerator
 
 
 def check_gamma(model: BandModel, k: int) -> bool:
@@ -62,10 +64,11 @@ def assemble_limit_matrix(model: BandModel, gen: NoiseGenerator, k: int) -> np.n
     return _freeze(np.where(same_band, model.phases(k)[band][:, None] * gen.wdot, 0))
 
 
-def _band_basis(model: BandModel, k: int, blocks) -> LimitBasis:
-    """The limit basis at k of ``blocks``, one band-block eigenbasis (rho, v) per
-    band in band order, rho descending and v real unit: lambda_hat is the fibre
-    phase times rho, and each v sits on its band's fibres, exact zeros elsewhere."""
+def _band_basis(model: BandModel, gen: NoiseGenerator, k: int, blocks) -> LimitBasis:
+    """The limit basis at k of ``blocks``, the band blocks of ``gen``: one
+    eigenbasis (rho, v) per band in band order, rho descending and v real unit.
+    lambda_hat is the fibre phase times rho, and each v sits on its band's
+    fibres, exact zeros elsewhere."""
     vectors = np.zeros((model.N, model.N))
     rhos = []
     for s, (rho, v) in enumerate(blocks):
@@ -74,7 +77,7 @@ def _band_basis(model: BandModel, k: int, blocks) -> LimitBasis:
         rhos.append(rho)
     lam_hat = model.phases(k)[model.band_index] * np.concatenate(rhos)
     return LimitBasis(k=int(k), lambda_hat=_freeze(lam_hat), vectors=_freeze(vectors),
-                      model=model)
+                      model=model, gen=gen)
 
 
 def limit_eigenbasis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
@@ -92,7 +95,7 @@ def limit_eigenbasis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasi
         raise DegenerateBlock(f"the band-block spectra are not simple: eigenvalue gap "
                               f"{gap:.3e} is not above GAP_TOL times the spectral "
                               f"radius {radius:.3e}")
-    return _band_basis(model, k, blocks)
+    return _band_basis(model, gen, k, blocks)
 
 
 def limit_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
@@ -140,17 +143,17 @@ def projector_gap(f_eps, f_limit) -> float:
     return float(min(1.0, np.linalg.norm(r)))
 
 
-def spectrum_convergence(basis: LimitBasis, gen: NoiseGenerator, eps_list):
+def spectrum_convergence(basis: LimitBasis, eps_list):
     """Convergence of finite-eps eigendata to the limit basis.
 
-    The model and Fourier index are the basis's own.  Returns one row
+    The model, generator and Fourier index are the basis's own.  Returns one row
     (k, ell, eps, proj_distance, projector_gap, mass_outside) per label and
     eps, with labels paired through the shared ordering convention
     (band-internal descending rho).  InvalidEpsGrid, before any solve,
     unless every eps is positive: at eps = 0 each band's eigenvalue is
     L_s-fold, so the solver's vectors are an arbitrary basis of its eigenspace.
     """
-    model, k = basis.model, basis.k
+    model, gen, k = basis.model, basis.gen, basis.k
     if not all(eps > 0 for eps in eps_list):
         raise InvalidEpsGrid(f"convergence eps points must be positive, got {list(eps_list)}")
     rows = []

@@ -7,6 +7,7 @@ import json
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -244,12 +245,13 @@ class TestSpectrum:
         ('{"beta": [0.1, 0.2], "L": [1.5, 2]}', []),
         ('{"beta": [0.1, 0.2], "L": [true, "2"]}', []),
         ('{"beta": [0.1], "L": [1]}', []),
+        ('{"beta": [], "L": []}', []),
     ], ids=["delta-nan", "delta-infinity", "delta-overflow", "beta-nan", "generator-nan",
             "eps-nan", "eps-inf", "delta-inf", "delta-negative", "ks-empty", "eps-empty",
             "beta-int-overflow", "delta-int-overflow", "eps-int-overflow", "ks-int-overflow",
             "k-flag-int-overflow", "ks-beyond-2**32", "k-flag-301-digits", "k-flag-2**53+1",
             "k-flag-below-minus-2**32", "beta-L-length", "L-float", "L-bool-string",
-            "one-fibre-laplacian"])
+            "one-fibre-laplacian", "no-band"])
     def test_non_finite_input_exit2(self, tmp_path, capsys, config, extra):
         p = tmp_path / "model.json"
         p.write_text(config, encoding="utf-8")
@@ -334,6 +336,28 @@ class TestFlags:
         assert exc.value.code == 2
         assert "argument --x-res" in capsys.readouterr().err
         assert not (tmp_path / "case").exists()
+
+    @pytest.mark.parametrize("argv", [["casestudy", "--k", "1,2"],
+                                      ["casestudy", "--eps", "0.1,0.05"],
+                                      ["casestudy", "--k", "1,4294967297"],
+                                      ["simulate", "--eps", "0.1,0.05"]])
+    def test_one_value_flags_refuse_a_list(self, case_cfg, tmp_path, capsys, argv):
+        # simulate and casestudy run at one (k, eps): a longer flag list used
+        # to be cut to its first value without a word
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(case_cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "expected one value, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_lists_give_their_first_value(self, tmp_path):
+        p = tmp_path / "model.json"
+        p.write_text(CASE_STUDY_JSON.replace('"ks": [1]', '"ks": [2, 1]')
+                     .replace('"epsilons": [0.1]', '"epsilons": [0.05, 0.1]'), encoding="utf-8")
+        out = tmp_path / "case"
+        assert main(["casestudy", "--config", str(p), "--out", str(out), "--x-res", "4"]) == 0
+        params = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert (params["k"], params["eps"]) == (2, 0.05)
 
 
 class TestOtherCommands:
@@ -798,10 +822,27 @@ def test_band_layout_is_read_from_the_model():
     # labels run band by band, so model.band_index alone fixes each label's
     # band: both eigen-records carry their model and no copy of its layout
     assert [f.name for f in dataclasses.fields(rs.LimitBasis)] == [
-        "k", "lambda_hat", "vectors", "model"]
+        "k", "lambda_hat", "vectors", "model", "gen"]
     fields = {f.name for f in dataclasses.fields(rs.LabelledSpectrum)}
     assert "model" in fields and "band" not in fields
     assert list(inspect.signature(rs.support_mass_outside_band).parameters) == ["spec"]
+
+
+def test_records_are_the_one_source_of_their_inputs():
+    # a record carries what it was built from, so nothing that takes the
+    # record takes those inputs again: a limit basis carries its generator
+    # (a second one beside it was taken without a word), writers and file
+    # lists read their record, a trajectory batch its shape from j, and
+    # detect_cycles builds its cycles from the solves it picks
+    for fn in (rs.order_checks, rs.spectrum_convergence):
+        assert "gen" not in inspect.signature(fn).parameters, fn.__name__
+    assert {fn.__name__: list(inspect.signature(fn).parameters)
+            for fn in (writers.write_circles_csv, writers.write_grid_csv,
+                       cli._spectrum_files, cli._response_files)} == {
+        "write_circles_csv": ["path", "spec"], "write_grid_csv": ["path", "spec", "ells", "x_res"],
+        "_spectrum_files": ["eps", "spec"], "_response_files": ["resp"]}
+    assert [f.name for f in dataclasses.fields(rs.TrajectoryBatch)] == ["j", "x", "model"]
+    assert not hasattr(importlib.import_module("rotor_spectra.simulate"), "_sector_cycles")
 
 
 def test_one_response_builder_and_one_fourier_index_rule():
@@ -844,6 +885,21 @@ def test_readme_names_only_bound_tolerances():
         assert name in values, f"README names {name}, which no module binds"
         if text:
             assert float(text) / (100 if percent else 1) == values[name], name
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # every invocation of README's CLI block runs as written, beside the case
+    # study's config saved as model.json, and writes its --out directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI$.*?^```sh\n(.*?)^```$", readme, re.M | re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert len(commands) == 7 and all(argv[0] == "rotor-spectra" for argv in commands)
+    (tmp_path / "model.json").write_text(CASE_STUDY_JSON, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        if "--out" in argv:
+            assert (tmp_path / argv[argv.index("--out") + 1] / "manifest.json").is_file(), argv
 
 
 def test_readme_api_lists_name_module_attributes():
@@ -890,11 +946,12 @@ def test_random_small_configs_exit_cleanly(command, data):
     ks = data.draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3))
     eps = data.draw(st.lists(st.sampled_from([0, 0.01, 0.1, 0.5, 1]), min_size=1, max_size=3))
     k_flag, eps_flag = ["--k", ",".join(map(str, ks))], ["--eps", ",".join(map(str, eps))]
+    # simulate and casestudy take one (k, eps): the first drawn values
     flags = {"validate": [], "spectrum": k_flag + eps_flag, "limit": k_flag + eps_flag,
              "response": k_flag, "oracle": k_flag,
-             "simulate": eps_flag + ["--bins", "8", "--top-m", "2", "--paths", "2",
-                                     "--steps", "5"],
-             "casestudy": k_flag + eps_flag + ["--x-res", "4"]}[command]
+             "simulate": ["--eps", str(eps[0]), "--bins", "8", "--top-m", "2", "--paths", "2",
+                          "--steps", "5"],
+             "casestudy": ["--k", str(ks[0]), "--eps", str(eps[0]), "--x-res", "4"]}[command]
     config = {"beta": beta, "L": widths, "generator": generator,
               "delta": data.draw(st.sampled_from([0.0, 0.05, 0.1]))}
     with tempfile.TemporaryDirectory() as tmp:

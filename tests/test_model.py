@@ -47,6 +47,8 @@ class TestBuildBandModel:
     def test_empty_band(self):
         with pytest.raises(EmptyBand):
             build_band_model([0.1, 0.2], [1, 0])
+        with pytest.raises(EmptyBand, match="at least one band"):
+            build_band_model([], [])
 
     @pytest.mark.parametrize("widths", [[2.7, 1.9], [2.0, 1], [math.nan, 1], [math.inf, 1],
                                         [True, 1], ["2", 1], [-1, 1]])
@@ -304,7 +306,7 @@ GRID = [1e-2, 1e-3, 1e-4, 1e-5]
     (DimensionMismatch, r"labels \[1.5\] are not",
      lambda m, g: order_check(m, g, 1, 1.5, GRID)),
     (DimensionMismatch, r"labels \[33\] are not",
-     lambda m, g: order_checks(response_data(m, g, 1), g, [0, 33], GRID)),
+     lambda m, g: order_checks(response_data(m, g, 1), [0, 33], GRID)),
     (DimensionMismatch, r"labels \[99\] are not",
      lambda m, g: alpha_response(m, g, 1, 0.01, 99, np.ones(33))),
     (ConfigError, "Fourier index", lambda m, g: spectrum(m, g, 1.5, 0.1)),
@@ -328,9 +330,10 @@ def test_out_of_range_parameters_are_refused(case_model, case_gen, error, match,
         call(case_model, case_gen)
 
 
-#: every public function that takes a model and a generator (through a
-#: response record or a limit basis built with the right generator where it
-#: takes one); validate_admissibility is in test_boundary_errors_are_typed
+#: every public function that takes a model and a generator (label_spectrum's
+#: eigenpairs solved with the right generator); the records built from both,
+#: a limit basis and a response record, carry their generator and are sized
+#: by these constructors; validate_admissibility is in test_boundary_errors_are_typed
 SIZED_CALLS = {
     "assemble_fourier_block": lambda m, g, ok: rs.assemble_fourier_block(m, g, 1, 0.1),
     "spectrum": lambda m, g, ok: rs.spectrum(m, g, 1, 0.1),
@@ -339,14 +342,11 @@ SIZED_CALLS = {
     "assemble_limit_matrix": lambda m, g, ok: rs.assemble_limit_matrix(m, g, 1),
     "limit_eigenbasis": lambda m, g, ok: rs.limit_eigenbasis(m, g, 1),
     "limit_basis": lambda m, g, ok: limit_basis(m, g, 1),
-    "spectrum_convergence": lambda m, g, ok: rs.spectrum_convergence(
-        limit_basis(m, ok, 1), g, [0.1]),
     "first_order_basis": lambda m, g, ok: rs.response.first_order_basis(m, g, 1),
     "response_data": lambda m, g, ok: response_data(m, g, 1),
     "second_order_eigenvalue": lambda m, g, ok: rs.second_order_eigenvalue(m, g, 1, 0),
     "eigenvector_response": lambda m, g, ok: rs.eigenvector_response(m, g, 1, 0),
     "order_check": lambda m, g, ok: order_check(m, g, 1, 0, GRID),
-    "order_checks": lambda m, g, ok: order_checks(response_data(m, ok, 1), g, [0], GRID),
     "alpha_response": lambda m, g, ok: alpha_response(m, g, 1, 0.01, 0, np.ones(33)),
     "oracle_crosscheck": lambda m, g, ok: oracle_crosscheck(m, g, 1),
     "simulate": lambda m, g, ok: simulate(m, g, 0.1, 0.1, 5, 50, 0),

@@ -10,7 +10,7 @@ import rotor_spectra
 from rotor_spectra import (LimitBasis, NoiseGenerator, assemble_limit_matrix, build_band_model,
                            closed_form_eigendata, laplacian_generator, oracle,
                            oracle_crosscheck, zero_noise)
-from rotor_spectra.errors import MismatchBeyondTolerance, NotLaplacian
+from rotor_spectra.errors import DimensionTooSmall, MismatchBeyondTolerance, NotLaplacian
 from rotor_spectra.oracle import ORACLE_TOL
 
 
@@ -114,6 +114,8 @@ class TestCrosscheck:
         closed, numeric = report.closed, report.numeric
         assert isinstance(closed, LimitBasis) and isinstance(numeric, LimitBasis)
         assert (closed.k, closed.model) == (numeric.k, numeric.model) == (2, case_model)
+        # each basis carries the generator it is a basis of
+        assert numeric.gen is case_gen and np.array_equal(closed.gen.wdot, case_gen.wdot)
         assert "ClosedFormEigen" not in rotor_spectra.__all__
 
     def test_small_two_band(self):
@@ -121,6 +123,14 @@ class TestCrosscheck:
         report = oracle_crosscheck(m, laplacian_generator(4), 1)
         assert report.max_abs_diff <= 1e-12
         assert report.max_vec_dist <= 1e-10
+
+    def test_one_fibre_model_is_refused(self):
+        # no Laplacian generator has one fibre, so there is no closed form to compare
+        m = build_band_model([0.3], [1])
+        with pytest.raises(DimensionTooSmall):
+            closed_form_eigendata(m, 1)
+        with pytest.raises(DimensionTooSmall):
+            oracle_crosscheck(m, NoiseGenerator.from_matrix([[0.0]]), 1)
 
     def test_not_laplacian(self, case_model):
         w = np.zeros((33, 33))

@@ -314,7 +314,7 @@ class TestOrderCheck:
         resp = response_data(case_model, case_gen, k)
         own = order_check(case_model, case_gen, k, ell, grid)
         for _ in range(2):
-            (given_resp,) = order_checks(resp, case_gen, [ell], grid)
+            (given_resp,) = order_checks(resp, [ell], grid)
             for field in dataclasses.fields(own):
                 a, b = getattr(given_resp, field.name), getattr(own, field.name)
                 assert (a is None and b is None) or np.array_equal(a, b), field.name
@@ -328,13 +328,27 @@ class TestOrderCheck:
         m, g = ((case_model, case_gen) if model == "case"
                 else (build_band_model([0.3], [5]), laplacian_generator(5)))
         grid = [1e-2, 1e-3, 1e-4, 1e-5]
-        shared = order_checks(response_data(m, g, k), g, ells, grid)
+        shared = order_checks(response_data(m, g, k), ells, grid)
         assert [oc.ell for oc in shared] == ells
         for ell, got in zip(ells, shared):
             own = order_check(m, g, k, ell, grid)
             for field in dataclasses.fields(own):
                 a, b = getattr(got, field.name), getattr(own, field.name)
                 assert (a is None and b is None) or np.array_equal(a, b), (ell, field.name)
+
+    def test_order_checks_read_the_generator_of_their_record(self, case_model, case_gen):
+        # a response record at half of Wdot checks half of Wdot: a second
+        # generator beside the record used to be taken without a word, and
+        # Wdot's terms against half of it gave dense ladders of slope1 1.00
+        half = NoiseGenerator.from_matrix(0.5 * case_gen.wdot)
+        grid = [1e-2, 1e-3, 1e-4, 1e-5]
+        checks = order_checks(response_data(case_model, half, 1), [0, 11, 18], grid)
+        for ell, got in zip([0, 11, 18], checks):
+            own = order_check(case_model, half, 1, ell, grid)
+            for field in dataclasses.fields(own):
+                a, b = getattr(got, field.name), getattr(own, field.name)
+                assert (a is None and b is None) or np.array_equal(a, b), (ell, field.name)
+            assert got.slope1 == pytest.approx(2.0, abs=0.1)
 
 
 class TestLabelDisks:
@@ -362,7 +376,7 @@ class TestLabelDisks:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(response, "_refine_eigenpair", recording)
-            checks = order_checks(resp, gen, range(model.N), grid)
+            checks = order_checks(resp, range(model.N), grid)
         d = model.phases(k)[model.band_index]
         polished = iter(polished)
         for i, e in enumerate(grid):
@@ -411,7 +425,7 @@ class TestLabelDisks:
         model = build_band_model([0.0, 0.5], [1, 1])
         gen = laplacian_generator(2)
         with pytest.raises(NoConvergence, match="polished eigenpair of label 0 at eps=1.0"):
-            order_checks(response_data(model, gen, 1), gen, [0, 1], [2.0, 1.0, 0.5, 0.25])
+            order_checks(response_data(model, gen, 1), [0, 1], [2.0, 1.0, 0.5, 0.25])
 
     @pytest.mark.parametrize("widths, rates, scale", [
         ([1, 2], [1.0, 0.125, 0.125], 0.5),
@@ -454,10 +468,10 @@ class TestLabelDisks:
         # the disks, and those labels take the dense path
         grid, ells = [1e-8, 1e-9, 1e-10, 1e-12], [0, 11, 18]
         resp = response_data(case_model, case_gen, 1)
-        assert [list(oc.path) for oc in order_checks(resp, case_gen, ells, grid)] == [
+        assert [list(oc.path) for oc in order_checks(resp, ells, grid)] == [
             ["disk", "disk", "disk", "dense"]] * 3
         monkeypatch.setattr(response, "UNIT_ROUNDOFF", 0.0)
-        assert [list(oc.path) for oc in order_checks(resp, case_gen, ells, grid)] == [
+        assert [list(oc.path) for oc in order_checks(resp, ells, grid)] == [
             ["disk"] * 4] * 3
 
     def test_unconverged_dense_pair_is_refused(self, case_model, case_gen, monkeypatch):
@@ -479,10 +493,10 @@ class TestLabelDisks:
 
         monkeypatch.setattr(response, "eig_dense_complex", one_unconverged)
         with pytest.raises(NoConvergence) as info:
-            order_checks(resp, case_gen, [ell], [eps, 1e-2, 1e-3, 1e-4])
+            order_checks(resp, [ell], [eps, 1e-2, 1e-3, 1e-4])
         assert int(np.sum(~info.value.partial.converged)) == 1
         # labels certified by their disks never read the dense solve
-        (oc,) = order_checks(resp, case_gen, [11], [eps, 1e-2, 1e-3, 1e-4])
+        (oc,) = order_checks(resp, [11], [eps, 1e-2, 1e-3, 1e-4])
         assert list(oc.path) == ["disk"] * 4
 
 
@@ -552,7 +566,7 @@ class TestRefineEigenpair:
         model = build_band_model(case_model.beta, [33, 21, 45])
         gen = laplacian_generator(model.N)
         resp = response_data(model, gen, 1)
-        (oc,) = order_checks(resp, gen, [54], [1e-2, 1e-3, 1e-4, 1e-5])
+        (oc,) = order_checks(resp, [54], [1e-2, 1e-3, 1e-4, 1e-5])
         assert oc.path[-1] == "disk"
         ref_r2, ref_vec = mpmath_r2(model, gen, 1, 54, 1e-5, resp, dps=40)
         assert abs(oc.r2[-1] - ref_r2) <= 5e-2 * ref_r2
@@ -602,14 +616,14 @@ class TestTerminatingExpansion:
         for model, gen, k in [(build_band_model([0.3], [6]), laplacian_generator(6), 1),
                               (case_model, case_gen, 0)]:
             resp = response_data(model, gen, k)
-            checks = order_checks(resp, gen, range(4), grid)
+            checks = order_checks(resp, range(4), grid)
             assert abs(resp.basis.lambda_hat[0]) <= 1e-15 and checks[0].slope0 is None
             assert np.max(checks[0].r0) <= 1e-15
             for oc in checks[1:]:
                 assert oc.slope0 == pytest.approx(1.0, abs=1e-6)
         resp = response_data(case_model, case_gen, 1)
         assert all(oc.slope0 is not None
-                   for oc in order_checks(resp, case_gen, [0, 11, 18], grid))
+                   for oc in order_checks(resp, [0, 11, 18], grid))
 
     def test_limit_basis_never_builds_the_dense_limit_matrix(self, case_model, case_gen,
                                                              monkeypatch):

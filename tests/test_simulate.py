@@ -28,8 +28,7 @@ def single_fibre_model(speed):
 def one_fibre_batch(model, x):
     """Paths (rows of ``x``) that stay in fibre 0 at the given positions."""
     x = np.asarray(x, dtype=float)
-    return TrajectoryBatch(n_paths=x.shape[0], n_steps=x.shape[1] - 1,
-                           j=np.zeros(x.shape, dtype=np.int32), x=x, model=model)
+    return TrajectoryBatch(j=np.zeros(x.shape, dtype=np.int32), x=x, model=model)
 
 
 def coo_cell_matrix(kernel, w):

@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose
 from rotor_spectra import (assemble_fourier_block, build_band_model, delta_factor,
                            eig_dense_complex, gershgorin_bound, label_spectrum,
                            laplacian_generator, spectrum, w_epsilon)
-from rotor_spectra.errors import AmbiguousLabelling
+from rotor_spectra.cli import main
+from rotor_spectra.config import CASE_STUDY_JSON
+from rotor_spectra.errors import AmbiguousLabelling, NoConvergence
 from rotor_spectra.model import NoiseGenerator, spectral_gap
 from rotor_spectra.response import first_order_basis
 from rotor_spectra.spectra import EigResult, nearest_assignment
@@ -71,6 +73,21 @@ class TestEigDenseComplex:
             r = np.linalg.norm(a @ res.vectors[:, i] - res.values[i] * res.vectors[:, i])
             assert r == pytest.approx(res.residuals[i], abs=1e-16)
             assert r <= 1e-11 * np.linalg.norm(a, 2)
+
+    def test_solver_failure_is_typed(self, tmp_path, capsys, monkeypatch):
+        # a failed QR iteration ends in NoConvergence, and the CLI in exit 1
+        # with no output directory, not in a bare LinAlgError
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        with pytest.raises(NoConvergence, match="eigensolver failed: Eigenvalues did not"):
+            eig_dense_complex(np.eye(3))
+        config, out = tmp_path / "case.json", tmp_path / "spec"
+        config.write_text(CASE_STUDY_JSON, encoding="utf-8")
+        assert main(["spectrum", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: eigensolver failed")
+        assert not out.exists()
 
 
 class TestNearestAssignment:

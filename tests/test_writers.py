@@ -61,8 +61,8 @@ def test_vectors(tmp_path):
 
 
 def test_circles(tmp_path):
-    model = build_band_model((0.25, 0.1), (1, 1))
-    text = written(tmp_path, writers.write_circles_csv, model, 1, 0.5, 0.125)
+    spec = NS(k=1, sinc=0.5, gersh_radius=0.125, model=build_band_model((0.25, 0.1), (1, 1)))
+    text = written(tmp_path, writers.write_circles_csv, spec)
     lines = text.decode("utf-8").split("\r\n")
     assert len(lines) == 1 + 3 * 256 + 1 and lines[-1] == ""
     assert [lines[i] for i in (0, 1, 2, 256, 257, 258, 513, 514, 768)] == [
@@ -187,7 +187,7 @@ def test_admissibility_json_key_order(tmp_path):
 
 
 def test_trajectory(tmp_path):
-    batch = NS(n_paths=2, n_steps=1, j=np.array([[0, 1], [2, 2]], dtype=np.int32),
+    batch = NS(j=np.array([[0, 1], [2, 2]], dtype=np.int32),
                x=np.array([[0.5, 0.75], [0.1, 0.35]]))
     assert written(tmp_path, writers.write_trajectory_csv, batch) == crlf(
         "path,step,j,x",
@@ -199,7 +199,8 @@ def test_trajectory(tmp_path):
 
 
 def test_grid(tmp_path):
-    assert written(tmp_path, writers.write_grid_csv, 1, VECTORS, [0], x_res=8) == crlf(
+    assert written(tmp_path, writers.write_grid_csv, NS(k=1, vectors=VECTORS), [0],
+                   x_res=8) == crlf(
         "ell,j,x,abs,arg",
         "1,1,0,0.1414213562373095,0.78539816339744828",
         "1,1,0.125,0.1414213562373095,1.5707963267948966",
@@ -222,8 +223,9 @@ def test_grid(tmp_path):
 
 def test_grid_phase_is_reduced_exactly(tmp_path):
     # 2**32 - 7 is 1 modulo x_res = 8, so every sample sits at the phase of k = 1
-    assert written(tmp_path, writers.write_grid_csv, 2 ** 32 - 7, VECTORS, [0], x_res=8) \
-        == written(tmp_path, writers.write_grid_csv, 1, VECTORS, [0], x_res=8)
+    assert written(tmp_path, writers.write_grid_csv, NS(k=2 ** 32 - 7, vectors=VECTORS), [0],
+                   x_res=8) \
+        == written(tmp_path, writers.write_grid_csv, NS(k=1, vectors=VECTORS), [0], x_res=8)
 
 
 def naive_rows(fmt, columns):
@@ -324,7 +326,7 @@ def test_empty_tables_keep_their_header(tmp_path):
         "k,ell,band,re,im,abs,arg,target_re,target_im,dist_to_target,gersh_radius,residual")
     assert written(tmp_path, writers.write_convergence_csv, []) == crlf(
         "k,ell,eps,proj_distance,projector_gap,mass_outside_band")
-    batch = NS(n_paths=0, n_steps=3, j=np.zeros((0, 4), np.int32), x=np.zeros((0, 4)))
+    batch = NS(j=np.zeros((0, 4), np.int32), x=np.zeros((0, 4)))
     assert written(tmp_path, writers.write_trajectory_csv, batch) == crlf("path,step,j,x")
 
 

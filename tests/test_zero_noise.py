@@ -319,11 +319,11 @@ class TestConvergence:
         basis = limit_basis(two_band_model, two_band_gen, 1)
         monkeypatch.setattr(zero_noise, "spectrum", None)
         with pytest.raises(InvalidEpsGrid, match="must be positive"):
-            spectrum_convergence(basis, two_band_gen, grid)
+            spectrum_convergence(basis, grid)
 
     def test_spectrum_convergence_rows(self, two_band_model, two_band_gen):
         basis = limit_basis(two_band_model, two_band_gen, 1)
-        rows = spectrum_convergence(basis, two_band_gen, [1e-2, 1e-3])
+        rows = spectrum_convergence(basis, [1e-2, 1e-3])
         assert len(rows) == 4
         by_ell = {}
         for k, ell, eps, pd, pg, mo in rows:
