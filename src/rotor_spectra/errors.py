@@ -106,7 +106,9 @@ class MismatchBeyondTolerance(RotorSpectraError):
 # --- simulate ---
 
 class InvalidSimulationInput(RotorSpectraError, ValueError):
-    """Bins or top_m not an integer >= 2 or >= 1, counts not integers >= 0, a bad delta."""
+    """Bins or top_m not an integer >= 2 or >= 1, counts not integers >= 0, a bad delta;
+    or a batch that ulam_empirical cannot count: fibres, positions or shapes
+    out of range, or N^2 M step keys beyond int32."""
 
 
 class InsufficientData(RotorSpectraError):

@@ -131,7 +131,8 @@ class CycleReport:
     """Detected cycles, the solver path ("sector"), the number of sectors
     decomposed, out of M // 2 + 1, and the worst eigenpair residual
     ||B v - lam v|| (unit v) over the reported cycles, each of which met
-    RESIDUAL_TOL times the 2-norm of its sector block B.  The field order is
+    RESIDUAL_TOL times the larger of its sector block B's largest column
+    2-norm and spectral radius, a lower bound of ||B||_2.  The field order is
     the key order of ``cycles.json``."""
 
     M: int
@@ -333,26 +334,59 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
     Counts are normalised per source fibre; a fibre that no step leaves
     becomes a self-loop.  Cells that no step leaves are flagged, and more
     than ``MAX_EMPTY_FRACTION`` of them raises InsufficientData.
+
+    The step key (j N + j') M + (b' - b) mod M is built in place in one
+    int32 buffer, in the batch's own memory layout, with no integer modulo:
+    j' M + b' - b, plus M where the bin wrapped (b' < b), plus j N M.  So
+    N^2 M must stay below 2^31, and is refused before anything of the
+    operator's size is allocated.  A j that is not an integer array of
+    fibres in [0, N), an x outside [0, 1] (1.0 counts in bin M - 1), and j
+    and x of different shapes raise InvalidSimulationInput.
     """
     _check_bins(M)
-    if batch.j[:, 1:].size == 0:
-        raise InsufficientData("empty trajectory batch")
-    n = batch.model.N
+    M, n, j, x = int(M), batch.model.N, batch.j, batch.x
     size = n * M
-    j = batch.j.astype(np.int64)
-    bins = np.minimum((batch.x * M).astype(np.int64), M - 1)
-    empty = np.flatnonzero(np.bincount((j * M + bins)[:, :-1].ravel(), minlength=size) == 0)
+    if j.ndim != 2 or j.shape != x.shape:
+        raise InvalidSimulationInput(
+            f"fibres and positions must share one (paths, steps + 1) shape, "
+            f"got {j.shape} and {x.shape}")
+    if not np.issubdtype(j.dtype, np.integer):
+        raise InvalidSimulationInput(f"fibres must be integers, got dtype {j.dtype}")
+    if n * size >= 2 ** 31:
+        raise InvalidSimulationInput(
+            f"N^2 M = {n * size} step keys exceed the int32 range (N={n}, M={M})")
+    if j[:, 1:].size == 0:
+        raise InsufficientData("empty trajectory batch")
+    if not (0 <= j.min() and j.max() < n):
+        raise InvalidSimulationInput(f"fibres must lie in [0, {n})")
+    # NaN fails every comparison, so this range test refuses it too
+    if not (0 <= x.min() and x.max() <= 1):
+        raise InvalidSimulationInput("positions must be finite and lie in [0, 1]")
+    # x M truncated into int32 as astype would, with no float copy of the batch
+    bins = np.multiply(x, M, out=np.empty_like(x, dtype=np.int32), casting="unsafe")
+    np.minimum(bins, M - 1, out=bins)
+    cell = j.astype(np.int32)
+    cell *= M
+    cell += bins
+    # an int32 index marks the cells in buffered chunks; bincount would first
+    # copy every key to intp
+    left = np.zeros(size, dtype=bool)
+    left[cell[:, :-1]] = True
+    empty = np.flatnonzero(~left)
     if len(empty) > MAX_EMPTY_FRACTION * size:
         raise InsufficientData(
             f"{len(empty)} of {size} rows have no transitions "
             f"(limit {MAX_EMPTY_FRACTION:.0%})")
-    steps = (j[:, :-1] * n + j[:, 1:]) * M + (bins[:, 1:] - bins[:, :-1]) % M
-    counts = np.bincount(steps.ravel(), minlength=n * n * M).reshape(n, n, M)
+    steps = np.subtract(cell[:, 1:], bins[:, :-1], out=cell[:, 1:])
+    steps += np.multiply(bins[:, 1:] < bins[:, :-1], M, dtype=np.int32)
+    del bins
+    steps += np.multiply(j[:, :-1], size, dtype=np.int32)
+    counts = np.bincount(steps.ravel("K"), minlength=n * size).reshape(n, n, M)
     totals = counts.sum(axis=(1, 2))
     kernel = counts / np.maximum(totals, 1)[:, None, None]
     idle = np.flatnonzero(totals == 0)
     kernel[idle, idle, 0] = 1.0
-    return UlamOperator(M=int(M), mode="empirical", model=batch.model,
+    return UlamOperator(M=M, mode="empirical", model=batch.model,
                         kernel=_freeze(kernel), flagged_rows=tuple(int(r) for r in empty))
 
 
@@ -411,9 +445,10 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
     gates it, are relative to each value's own b(m), so a spectrum that is
     small throughout (a delta factor near 0) keeps its cycles.  Each cycle's
     eigenpair must pass the certificate of eig_dense_complex, residual
-    ``||B v - lam v||`` (unit v) at most ``RESIDUAL_TOL * ||B||_2`` for its
-    sector block B; otherwise NoConvergence is raised, ``partial`` holding
-    the cycles.
+    ``||B v - lam v||`` (unit v) at most RESIDUAL_TOL times the larger of
+    its sector block B's largest column 2-norm and spectral radius, both
+    lower bounds of ``||B||_2``; otherwise NoConvergence is raised,
+    ``partial`` holding the cycles.
     """
     if not isinstance(top_m, Integral) or top_m < 1:
         raise InvalidSimulationInput(f"top_m must be >= 1 and an integer, got {top_m}")

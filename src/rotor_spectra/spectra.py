@@ -30,7 +30,7 @@ class EigResult:
     values: np.ndarray
     vectors: np.ndarray          # column i pairs with values[i], unit norm
     residuals: np.ndarray
-    converged: np.ndarray        # residual <= RESIDUAL_TOL * ||A||_2
+    converged: np.ndarray        # residual <= RESIDUAL_TOL * (a lower bound of ||A||_2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +76,9 @@ def eig_dense_complex(matrix: np.ndarray) -> EigResult:
 
     Delegates to the platform solver (LAPACK via numpy); the contract is only
     the relative residual bound ``RESIDUAL_TOL``, reported per pair in
-    ``converged``.  Raises NoConvergence if the QR iteration fails outright.
+    ``converged``.  Its scale is the larger of the largest column 2-norm and
+    the spectral radius: both bound ||A||_2 from below, and neither needs an
+    SVD.  Raises NoConvergence if the QR iteration fails outright.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -89,7 +91,8 @@ def eig_dense_complex(matrix: np.ndarray) -> EigResult:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     residuals = np.linalg.norm(a @ vectors - values[None, :] * vectors, axis=0)
-    converged = _certified(residuals, np.linalg.norm(a, 2))
+    scale = max(np.linalg.norm(a, axis=0).max(), np.abs(values).max())
+    converged = _certified(residuals, scale)
     return EigResult(values=values, vectors=_freeze(vectors),
                      residuals=_freeze(residuals), converged=_freeze(converged))
 

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ def counted_operator(batch, M, max_empty_fraction):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate_module, "MAX_EMPTY_FRACTION", max_empty_fraction)
         return ulam_empirical(batch, M)
+
+
+def int64_kernel(batch, M):
+    """Reference: the counted kernel and flagged cells from int64 keys and an integer modulo."""
+    n = batch.model.N
+    j = batch.j.astype(np.int64)
+    bins = np.minimum((batch.x * M).astype(np.int64), M - 1)
+    empty = np.flatnonzero(np.bincount((j * M + bins)[:, :-1].ravel(), minlength=n * M) == 0)
+    steps = (j[:, :-1] * n + j[:, 1:]) * M + (bins[:, 1:] - bins[:, :-1]) % M
+    counts = np.bincount(steps.ravel(), minlength=n * n * M).reshape(n, n, M)
+    totals = counts.sum(axis=(1, 2))
+    kernel = counts / np.maximum(totals, 1)[:, None, None]
+    idle = np.flatnonzero(totals == 0)
+    kernel[idle, idle, 0] = 1.0
+    return kernel, tuple(int(r) for r in empty)
 
 
 def assert_same_csr(a, b):
@@ -567,6 +583,77 @@ class TestUlamEmpirical:
         batch = one_fibre_batch(m, np.zeros((2, 6)))
         with pytest.raises(InsufficientData):
             ulam_empirical(batch, 64)
+
+    # -0.1 once failed as a bare bincount ValueError, and 1.5 was counted in
+    # bin M - 1 without a word
+    @pytest.mark.parametrize("x", [-0.1, 1.5, np.nan, np.inf])
+    def test_positions_outside_the_circle_are_typed(self, two_band_model, x):
+        positions = np.array([[0.1, 0.35, 0.6, 0.85, 0.1]])
+        positions[0, 2] = x
+        with pytest.raises(InvalidSimulationInput, match="positions must be finite"):
+            counted_operator(one_fibre_batch(two_band_model, positions), 4, 1.0)
+
+    @pytest.mark.parametrize("fibre", [2, -1])
+    def test_fibres_outside_the_model_are_typed(self, two_band_model, fibre):
+        # fibre N once failed as a bare ValueError at the kernel's reshape
+        batch = one_fibre_batch(two_band_model, [[0.1, 0.35, 0.6, 0.85, 0.1]])
+        j = batch.j.copy()
+        j[0, 3] = fibre
+        with pytest.raises(InvalidSimulationInput, match=r"fibres must lie in \[0, 2\)"):
+            ulam_empirical(TrajectoryBatch(j=j, x=batch.x, model=two_band_model), 4)
+
+    def test_fibres_must_be_integers_and_shapes_agree(self, two_band_model):
+        x = np.array([[0.1, 0.35, 0.6, 0.85, 0.1]])
+        with pytest.raises(InvalidSimulationInput, match="fibres must be integers"):
+            ulam_empirical(TrajectoryBatch(j=np.zeros(x.shape), x=x, model=two_band_model), 4)
+        for j in (np.zeros((1, 4), dtype=np.int32), np.zeros(5, dtype=np.int32)):
+            with pytest.raises(InvalidSimulationInput, match="share one"):
+                ulam_empirical(TrajectoryBatch(j=j, x=x, model=two_band_model), 4)
+
+    def test_unit_position_counts_in_the_last_bin(self, two_band_model):
+        # simulate's % 1.0 can round up to 1.0: it stays in bin M - 1
+        at_one = counted_operator(one_fibre_batch(two_band_model, [[0.1, 0.35, 0.6, 1.0]]), 4, 1.0)
+        below = counted_operator(one_fibre_batch(two_band_model, [[0.1, 0.35, 0.6, 0.9]]), 4, 1.0)
+        assert np.array_equal(at_one.kernel, below.kernel)
+        assert at_one.flagged_rows == below.flagged_rows
+
+    def test_int32_key_range_is_refused_before_allocating(self, case_model):
+        # N^2 M = 33^2 * 2e6 >= 2^31; the refusal allocates nothing of the
+        # operator's size (a counted kernel of 2.2e9 cells)
+        batch = one_fibre_batch(case_model, [[0.1, 0.35, 0.6, 0.85, 0.1]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSimulationInput, match="int32"):
+                ulam_empirical(batch, 2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_kernel_equals_the_int64_formula_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 4), label="N")
+        M = data.draw(st.integers(2, 9), label="M")
+        paths = data.draw(st.integers(1, 4), label="paths")
+        steps = data.draw(st.integers(1, 25), label="steps")
+        shape = (steps + 1, paths) if data.draw(st.booleans(), label="time-major") \
+            else (paths, steps + 1)
+        size = shape[0] * shape[1]
+        j = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size),
+                               label="j")).reshape(shape)
+        # bin edges k / M and 1.0 beside arbitrary positions
+        x = np.array(data.draw(st.lists(st.one_of(st.integers(0, M).map(lambda k: k / M),
+                                                  st.floats(0, 1)),
+                                        min_size=size, max_size=size), label="x")).reshape(shape)
+        if shape[0] != paths:        # simulate's own layout: a transposed time-major buffer
+            j, x = j.T, x.T
+        model = build_band_model([0.1], [n])
+        batch = TrajectoryBatch(j=j.astype(np.int32), x=x, model=model)
+        op = counted_operator(batch, M, 1.0)
+        kernel, flagged = int64_kernel(batch, M)
+        assert np.array_equal(op.kernel.view(np.uint64), kernel.view(np.uint64))
+        assert op.flagged_rows == flagged
 
 
 class TestDetectCycles:

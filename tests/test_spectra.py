@@ -89,6 +89,24 @@ class TestEigDenseComplex:
         assert capsys.readouterr().err.startswith("error: eigensolver failed")
         assert not out.exists()
 
+    def test_certificate_scale_is_a_lower_bound_of_the_2_norm(self, monkeypatch):
+        # A = u v^T with u orthogonal to v: ||A||_2 = 1, every column norm is
+        # 1/2 and the spectral radius 0, so the certificate's scale is 1/2.  A
+        # pair whose residual lies between RESIDUAL_TOL / 2 and RESIDUAL_TOL
+        # would pass against ||A||_2, and must fail against the lower bound
+        a = np.outer([1, -1, 1, -1], [1, 1, 1, 1]) / 4.0
+        exact = np.linalg.eig
+
+        def shifted_eig(m):
+            values, vectors = exact(m)
+            return values + 0.75e-11, vectors
+
+        monkeypatch.setattr(np.linalg, "eig", shifted_eig)
+        res = eig_dense_complex(a)
+        assert np.linalg.norm(a, 2) == pytest.approx(1.0)
+        assert np.all((res.residuals > 0.5e-11) & (res.residuals <= 1e-11))
+        assert not np.any(res.converged)
+
 
 class TestNearestAssignment:
     def test_nearest_column_when_it_has_room(self):
