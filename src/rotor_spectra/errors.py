@@ -37,7 +37,8 @@ class InvalidSpeeds(RotorSpectraError, ValueError):
 
 class DimensionMismatch(RotorSpectraError, ValueError):
     """Sizes that must agree differ: speeds and widths, generator and model,
-    direction; or a label is not an integer in [0, N)."""
+    direction, the two vectors of a distance; or a label is not an integer in
+    [0, N)."""
 
 
 class EpsOutOfRange(RotorSpectraError):
@@ -72,7 +73,8 @@ class DegenerateBlock(RotorSpectraError):
 
 
 class ZeroVector(RotorSpectraError):
-    """Projective distance of a zero vector is undefined."""
+    """The line through a zero vector is undefined, and so are its projective
+    distance and projector gap."""
 
 
 class GammaViolated(RotorSpectraError):

@@ -56,6 +56,9 @@ from .spectra import check_delta, eig_dense_complex
 IMAG_TOL = 1e-9
 #: largest share of cells that no counted step may leave (ulam_empirical)
 MAX_EMPTY_FRACTION = 0.01
+#: step keys formed and counted at once by ulam_empirical; bincount copies
+#: them to intp, 2^16 keys to 512 KiB
+_COUNT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +340,9 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
 
     The step key (j N + j') M + (b' - b) mod M is built in place in one
     int32 buffer, in the batch's own memory layout, with no integer modulo:
-    j' M + b' - b, plus M where the bin wrapped (b' < b), plus j N M.  So
+    j' M + b' - b, plus M where the bin wrapped (b' < b), plus j N M.  Keys
+    are formed and counted about ``_COUNT_BLOCK`` at a time, in blocks along
+    the batch's slowest memory axis, so no temporary is of the batch's size.
     N^2 M must stay below 2^31, and is refused before anything of the
     operator's size is allocated.  A j that is not an integer array of
     fibres in [0, N), an x outside [0, 1] (1.0 counts in bin M - 1), and j
@@ -377,11 +382,23 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
         raise InsufficientData(
             f"{len(empty)} of {size} rows have no transitions "
             f"(limit {MAX_EMPTY_FRACTION:.0%})")
-    steps = np.subtract(cell[:, 1:], bins[:, :-1], out=cell[:, 1:])
-    steps += np.multiply(bins[:, 1:] < bins[:, :-1], M, dtype=np.int32)
-    del bins
-    steps += np.multiply(j[:, :-1], size, dtype=np.int32)
-    counts = np.bincount(steps.ravel("K"), minlength=n * size).reshape(n, n, M)
+    # blocks of paths or, in a time-major layout, of steps; a block of steps
+    # spans one position more, the target of its last step
+    paths, T = j.shape
+    if cell.strides[0] >= cell.strides[1]:
+        per = max(1, _COUNT_BLOCK // (T - 1))
+        blocks = [(slice(a, a + per), slice(None)) for a in range(0, paths, per)]
+    else:
+        per = max(1, _COUNT_BLOCK // paths)
+        blocks = [(slice(None), slice(a, a + per + 1)) for a in range(0, T - 1, per)]
+    counts = np.zeros(n * size, dtype=np.intp)
+    for block in blocks:
+        c, b = cell[block], bins[block]
+        steps = np.subtract(c[:, 1:], b[:, :-1], out=c[:, 1:])
+        steps += np.multiply(b[:, 1:] < b[:, :-1], M, dtype=np.int32)
+        steps += np.multiply(j[block][:, :-1], size, dtype=np.int32)
+        counts += np.bincount(steps.ravel("K"), minlength=n * size)
+    counts = counts.reshape(n, n, M)
     totals = counts.sum(axis=(1, 2))
     kernel = counts / np.maximum(totals, 1)[:, None, None]
     idle = np.flatnonzero(totals == 0)

@@ -98,14 +98,12 @@ def eig_dense_complex(matrix: np.ndarray) -> EigResult:
 
 
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column real positive."""
-    out = vectors.copy()
-    for i in range(out.shape[1]):
-        j = int(np.argmax(np.abs(out[:, i])))
-        p = out[j, i]
-        if p != 0:
-            out[:, i] *= np.abs(p) / p
-    return out
+    """Make the largest-magnitude entry of each column real positive (the
+    first such entry where moduli tie; a zero column stays zero), as a C-order
+    copy."""
+    top = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    phase = np.divide(np.abs(top), top, out=np.ones_like(top), where=top != 0)
+    return np.multiply(vectors, phase, order="C")
 
 
 def gershgorin_bound(gen: NoiseGenerator, eps: float) -> float:

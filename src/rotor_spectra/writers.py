@@ -6,9 +6,13 @@ against one another to the table's shape, whose elements in C order are the
 rows.  A column with fewer elements than the table has rows (a label, a
 per-vector modulus, a sample point) is formatted once per element of its own
 shape, so a value that repeats down the table is converted once.  The rows
-are formatted a block at a time, by one ``%`` of the row format repeated over
-the block's values laid out flat in row order, and written once per block, so
-a table costs little beyond its conversions, the reals' ``%.17g`` above all.
+run along the table's last axis (along its trailing axes where that one is
+short), and a column constant along a run (a label, a fibre, a modulus |f(j)|)
+is pasted into the row template of the run, so a row interpolates only the
+fields that vary along its run.  A run's rows are formatted a block at a
+time, by one ``%`` of its template repeated over the block's values laid out
+flat in row order, and written once per block, so a table costs little
+beyond its conversions, the reals' ``%.17g`` above all.
 CSVs are UTF-8 with a header row, '.' decimal separator and CRLF row ends.
 Reals are written ``%.17g``; label and fibre indices (ell, j, band) are
 1-based, while the library is 0-based internally; the oracle's complex columns
@@ -39,6 +43,10 @@ _CONVERSION = r"%[-+ #0]*\d*(?:\.\d+)?[a-zA-Z]"
 #: no faster, and their larger strings raised the peak RSS of a process making
 #: repeated ``simulate`` runs by about 2 MB
 _BLOCK = 128
+#: fewest rows a row template serves: a table whose last axis is shorter runs
+#: along its trailing axes together, so a tall table of short rows (a
+#: trajectory of one step per path) is not written a template per row
+_MIN_RUN = 32
 
 
 def _open(path):
@@ -47,34 +55,62 @@ def _open(path):
     return open(path, "w", newline="", encoding="utf-8")
 
 
+def _formatted(conv, col, escape=False):
+    """``conv % v`` for each element v of ``col``, as strings of its shape, each
+    ``%`` doubled if ``escape``."""
+    strings = [conv % v for v in col.ravel().tolist()]
+    if escape:
+        strings = [s.replace("%", "%%") for s in strings]
+    return np.array(strings, dtype=object).reshape(col.shape)
+
+
 def _write(path, header, fmt, columns, footer=()):
     """Write the header, one ``fmt`` row per element of the broadcast
     ``columns`` (arrays or scalars, in C order), then the ``footer`` lines.
 
-    ``fmt`` holds one ``%`` conversion per column, in column order.  A column
-    with fewer elements than the table has rows is formatted once per element
-    with its own conversion, and its strings are broadcast as ``%s``.  Each
-    block of ``_BLOCK`` rows is formatted by one ``%`` and written at once.
+    ``fmt`` holds one ``%`` conversion per column, in column order.  Rows run
+    along the table's last axis, and along the axes before it while a run is
+    shorter than ``_MIN_RUN`` rows.  A column constant along a run (a scalar,
+    or of length 1 on the run's axes) is fixed: converted once per element, its
+    strings are pasted, ``%`` escaped, into the row template of each run.  Only
+    the other columns are converted per row; one with fewer elements than the
+    table has rows is formatted once per element, its strings broadcast as
+    ``%s``.  Each block of at most ``_BLOCK`` rows of a run is formatted by one
+    ``%`` of the run's template and written at once.
     """
     cols = list(map(np.asarray, columns))
-    rows = math.prod(np.broadcast_shapes(*(c.shape for c in cols)))
-    texts = re.split(_CONVERSION, fmt)
-    for i, conv in enumerate(re.findall(_CONVERSION, fmt)):
-        if cols[i].size < rows:
-            cols[i] = np.array([conv % v for v in cols[i].ravel().tolist()],
-                               dtype=object).reshape(cols[i].shape)
-            conv = "%s"
-        texts[i] += conv
-    cols = [c.ravel().tolist() for c in np.broadcast_arrays(*cols)]
-    row = "".join(texts) + "\r\n"
+    shape = np.broadcast_shapes(*(c.shape for c in cols)) or (1,)
+    tail = 1                # the trailing axes a run spans
+    while tail < len(shape) and math.prod(shape[-tail:]) < _MIN_RUN:
+        tail += 1
+    rows, run = math.prod(shape), math.prod(shape[-tail:])
+    # ``template % fields`` is a run's row format: the literal text and the
+    # varying columns' conversions escaped, a %s for each fixed column
+    texts = [t.replace("%", "%%") for t in re.split(_CONVERSION, fmt)]
+    fixed, varying = [], []
+    for i, (col, conv) in enumerate(zip(cols, re.findall(_CONVERSION, fmt), strict=True)):
+        if all(d == 1 for d in col.shape[-tail:]):
+            fields = _formatted(conv, col, escape=True)
+            fixed.append(np.broadcast_to(fields, shape[:-tail] + (1,) * tail).ravel().tolist())
+            texts[i] += "%s"
+            continue
+        if col.size < rows:
+            col, conv = _formatted(conv, col), "%s"
+        if col.shape != shape:
+            col = np.broadcast_to(col, shape)
+        varying.append(col.ravel().tolist())
+        texts[i] += conv.replace("%", "%%")
+    template = "".join(texts) + "\r\n"
     with _open(path) as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, rows, _BLOCK):
-            n = min(_BLOCK, rows - start)
-            flat = [None] * (n * len(cols))
-            for i, col in enumerate(cols):
-                flat[i::len(cols)] = col[start:start + n]
-            fh.write((row * n) % tuple(flat))
+        for r in range(rows and rows // run):
+            row = template % tuple(col[r] for col in fixed)
+            for start in range(r * run, (r + 1) * run, _BLOCK):
+                n = min(_BLOCK, (r + 1) * run - start)
+                flat = [None] * (n * len(varying))
+                for i, col in enumerate(varying):
+                    flat[i::len(varying)] = col[start:start + n]
+                fh.write((row * n) % tuple(flat))
         fh.writelines(line + "\r\n" for line in footer)
 
 

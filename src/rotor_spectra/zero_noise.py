@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBlock, GammaViolated, InvalidEpsGrid, ZeroVector
+from .errors import DegenerateBlock, DimensionMismatch, GammaViolated, InvalidEpsGrid, ZeroVector
 from .model import (BandModel, NoiseGenerator, _freeze, check_dimension, sorted_eigenbasis,
                     spectral_gap)
 from .spectra import spectrum
@@ -109,38 +109,46 @@ def limit_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
     return limit_eigenbasis(model, gen, k)
 
 
+def _line_distances(u, v, gap):
+    """(projective distance, projector gap) of the lines through u and v, the
+    gap None unless ``gap``, from one check, normalisation and inner product.
+
+    ZeroVector if either vector is zero, DimensionMismatch if their lengths
+    differ.
+    """
+    u = np.asarray(u, dtype=complex).ravel()
+    v = np.asarray(v, dtype=complex).ravel()
+    if u.shape != v.shape:
+        raise DimensionMismatch(f"vectors of lengths {u.size} and {v.size} span no common space")
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0 or nv == 0:
+        raise ZeroVector("the line through the zero vector is undefined")
+    u, v = u / nu, v / nv
+    ip = np.vdot(v, u)           # <u, v>
+    dist = np.sqrt(2.0) if abs(ip) == 0.0 else np.linalg.norm(u - (ip / abs(ip)) * v)
+    return float(dist), float(min(1.0, np.linalg.norm(u - ip * v))) if gap else None
+
+
 def projective_distance(u, v) -> float:
     """Phase-minimised distance between the complex lines through u and v.
 
     Equals sqrt(2 - 2|<u, v>|) for unit vectors, but is evaluated as the
     norm of the optimally phase-aligned difference: the cosine form
     quantises at sqrt(2 eps_machine) ~ 2e-8 while this stays accurate to
-    machine precision near zero.
+    machine precision near zero.  ZeroVector for a zero vector,
+    DimensionMismatch for vectors of different lengths.
     """
-    u = np.asarray(u, dtype=complex).ravel()
-    v = np.asarray(v, dtype=complex).ravel()
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        raise ZeroVector("projective distance of the zero vector is undefined")
-    u, v = u / nu, v / nv
-    ip = np.vdot(v, u)           # <u, v>
-    if abs(ip) == 0.0:
-        return float(np.sqrt(2.0))
-    return float(np.linalg.norm(u - (ip / abs(ip)) * v))
+    return _line_distances(u, v, gap=False)[0]
 
 
 def projector_gap(f_eps, f_limit) -> float:
     """Operator-norm distance of the rank-1 orthogonal projectors onto two lines.
 
     sqrt(1 - |<u, v>|^2) for unit vectors, evaluated as the norm of the
-    component of u orthogonal to v for accuracy near zero.
+    component of u orthogonal to v for accuracy near zero.  ZeroVector for a
+    zero vector, DimensionMismatch for vectors of different lengths.
     """
-    u = np.asarray(f_eps, dtype=complex).ravel()
-    v = np.asarray(f_limit, dtype=complex).ravel()
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    r = u - np.vdot(v, u) * v
-    return float(min(1.0, np.linalg.norm(r)))
+    return _line_distances(f_eps, f_limit, gap=True)[1]
 
 
 def spectrum_convergence(basis: LimitBasis, eps_list):
@@ -159,12 +167,11 @@ def spectrum_convergence(basis: LimitBasis, eps_list):
     rows = []
     for eps in eps_list:
         spec = spectrum(model, gen, k, eps)
-        mass = support_mass_outside_band(spec)
+        mass = support_mass_outside_band(spec).tolist()
         for ell in range(model.N):
             rows.append((k, ell, float(eps),
-                         projective_distance(spec.vectors[:, ell], basis.vectors[:, ell]),
-                         projector_gap(spec.vectors[:, ell], basis.vectors[:, ell]),
-                         float(mass[ell])))
+                         *_line_distances(spec.vectors[:, ell], basis.vectors[:, ell], gap=True),
+                         mass[ell]))
     return rows
 
 
@@ -173,11 +180,13 @@ def support_mass_outside_band(spec) -> np.ndarray:
     spectrum or a limit basis: column ell of ``spec.vectors`` against band
     ``spec.model.band_index[ell]``."""
     vec, model = np.asarray(spec.vectors), spec.model
+    # row ell is |column ell|^2 in contiguous memory, so each row sum adds
+    # the terms of one column in the order a sum of that column alone does
+    mass = np.ascontiguousarray((np.abs(vec) ** 2).T)
     out = np.empty(vec.shape[1])
-    for ell, s in enumerate(model.band_index.tolist()):
-        outside = np.ones(vec.shape[0], dtype=bool)
-        outside[model.band_slice(s)] = False
+    for s in range(model.S):
+        labels = model.band_slice(s)
+        own = mass[labels]
         # summed directly so exact zeros outside the band give exactly 0
-        out[ell] = float(np.sum(np.abs(vec[outside, ell]) ** 2)) \
-            / float(np.sum(np.abs(vec[:, ell]) ** 2))
+        out[labels] = np.delete(own, labels, axis=1).sum(axis=1) / own.sum(axis=1)
     return out

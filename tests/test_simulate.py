@@ -655,6 +655,35 @@ class TestUlamEmpirical:
         assert np.array_equal(op.kernel.view(np.uint64), kernel.view(np.uint64))
         assert op.flagged_rows == flagged
 
+    @pytest.mark.parametrize("time_major", [False, True])
+    @pytest.mark.parametrize("block", [1, 64, 100])
+    def test_blocked_count_equals_the_int64_formula(self, monkeypatch, time_major, block):
+        # 9 paths of 30 steps: blocks of 1, 2 or 3 paths, or in simulate's
+        # transposed time-major layout of 1, 7 or 11 steps, none dividing the batch
+        rng = np.random.default_rng(block)
+        shape = (31, 9) if time_major else (9, 31)
+        j, x = rng.integers(0, 5, size=shape, dtype=np.int32), rng.uniform(size=shape)
+        if time_major:
+            j, x = j.T, x.T
+        batch = TrajectoryBatch(j=j, x=x, model=build_band_model([0.1, 0.4], [2, 3]))
+        monkeypatch.setattr(simulate_module, "_COUNT_BLOCK", block)
+        op = counted_operator(batch, 6, 1.0)
+        kernel, flagged = int64_kernel(batch, 6)
+        assert np.array_equal(op.kernel.view(np.uint64), kernel.view(np.uint64))
+        assert op.flagged_rows == flagged
+
+    def test_key_temporaries_are_block_sized(self, case_model, case_gen):
+        # the int32 buffers of bins and keys take 8 bytes a step; a bincount
+        # of every key at once would copy them to intp, 8 bytes a step more
+        batch = simulate(case_model, case_gen, 0.1, 0.1, 2000, 1000, 77)
+        tracemalloc.start()
+        try:
+            ulam_empirical(batch, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * batch.j.size + (2 << 20)
+
 
 class TestDetectCycles:
     def test_quarter_rotation_cycle(self):

@@ -14,7 +14,7 @@ from rotor_spectra.config import CASE_STUDY_JSON
 from rotor_spectra.errors import AmbiguousLabelling, NoConvergence
 from rotor_spectra.model import NoiseGenerator, spectral_gap
 from rotor_spectra.response import first_order_basis
-from rotor_spectra.spectra import EigResult, nearest_assignment
+from rotor_spectra.spectra import EigResult, _phase_fix, nearest_assignment
 from conftest import random_banded_model
 
 
@@ -22,6 +22,26 @@ def permuted(eig, perm):
     """The same eigenpairs in another output order."""
     return EigResult(values=eig.values[perm], vectors=eig.vectors[:, perm],
                      residuals=eig.residuals[perm], converged=eig.converged[perm])
+
+
+def loop_phase_fix(vectors):
+    """Reference: the per-column loop of the phase fix, as it was before the
+    one broadcast multiply."""
+    out = vectors.copy()
+    for i in range(out.shape[1]):
+        j = int(np.argmax(np.abs(out[:, i])))
+        p = out[j, i]
+        if p != 0:
+            out[:, i] *= np.abs(p) / p
+    return out
+
+
+#: matrix entries: zero, of unit modulus (tied), tiny or arbitrary; none so
+#: small that the pivot's |p| / p loses its phase
+ENTRIES = st.one_of(
+    st.sampled_from([0j, 1 + 0j, -1 + 0j, 1j, -1j, 0.6 + 0.8j, -0.8 - 0.6j, 3e-300j]),
+    st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e6, allow_nan=False,
+                       allow_infinity=False))
 
 
 class TestAssemble:
@@ -171,6 +191,20 @@ class TestLabelSpectrum:
         for s in range(3):
             mags = np.abs(spec.lam[case_model.band_slice(s)])
             assert np.all(np.diff(mags) <= 1e-15)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_phase_fix_equals_the_column_loop_bit_for_bit(self, data):
+        # square, as eigenvector matrices are
+        n = data.draw(st.integers(1, 7), label="n")
+        v = np.array(data.draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n),
+                               label="entries")).reshape(n, n)
+        v[:, data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="zero")] = 0
+        if data.draw(st.booleans(), label="fortran"):       # eig's own column layout
+            v = np.asfortranarray(v)
+        fixed = _phase_fix(v)
+        assert fixed.flags.c_contiguous
+        assert np.array_equal(fixed.view(np.uint64), loop_phase_fix(v).view(np.uint64))
 
     def test_phase_fix(self, case_model, case_gen):
         spec = spectrum(case_model, case_gen, 1, 0.1)

@@ -240,7 +240,7 @@ FLOATS = st.one_of(
 #: each field's conversions and the element strategy of each of its columns
 FIELDS = {
     "%d": [st.integers(-2 ** 40, 2 ** 40)],
-    "%s": [st.sampled_from(["unit", "gersh", "first", "", "a,b"])],
+    "%s": [st.sampled_from(["unit", "gersh", "first", "", "a,b", "100%", "%d%%"])],
     "%.17g": [FLOATS],
     "%.17g%+.17gj": [FLOATS, FLOATS],
 }
@@ -248,14 +248,20 @@ FIELDS = {
 
 @st.composite
 def tables(draw):
-    """A row format and its columns, each at one of the shapes ``_write`` broadcasts:
-    a scalar, a column ``(n, 1)``, a row ``(m,)`` or the full ``(n, m)``, n possibly 0."""
-    n, m = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    """A row format and its columns, each at one of the shapes ``_write`` broadcasts.
+
+    Shaped like the grid table ``(n, m, p)``: a scalar, a constant along the
+    last axis ``(n, 1, 1)``, ``(n, m, 1)`` or ``(m, 1)``, a row ``(p,)`` or
+    ``(m, p)``, or the full table.  Without a 3-d column the table is 2-d,
+    1-d or 0-d; n and p are possibly 0, for an empty table.
+    """
+    n, m, p = draw(st.integers(0, 3)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
     fields = draw(st.lists(st.sampled_from(sorted(FIELDS)), min_size=1, max_size=5))
     columns = []
     for field in fields:
         for elements in FIELDS[field]:
-            shape = draw(st.sampled_from([(), (n, 1), (m,), (n, m)]))
+            shape = draw(st.sampled_from([(), (n, 1, 1), (n, m, 1), (m, 1), (p,), (m, p),
+                                          (n, m, p)]))
             values = draw(st.lists(elements, min_size=int(np.prod(shape)),
                                    max_size=int(np.prod(shape))))
             columns.append(np.array(values).reshape(shape))
@@ -263,11 +269,14 @@ def tables(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(tables())
-def test_write_equals_the_broadcast_row_reference(tmp_path_factory, table):
+@given(tables(), st.sampled_from([1, 4, writers._MIN_RUN]))
+def test_write_equals_the_broadcast_row_reference(tmp_path_factory, table, min_run):
+    # runs of at least 1 or 4 rows split these small tables into many runs
     fmt, columns = table
     path = tmp_path_factory.mktemp("write") / "t.csv"
-    writers._write(path, ["h"], fmt, columns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(writers, "_MIN_RUN", min_run)
+        writers._write(path, ["h"], fmt, columns)
     assert path.read_bytes() == crlf("h") + naive_rows(fmt, columns)
 
 
@@ -317,6 +326,63 @@ def test_broadcast_column_is_formatted_once_per_element(tmp_path):
     lines = (tmp_path / "t.csv").read_bytes().splitlines()
     assert lines[1:3] == [b"0.5,0,0", b"0.5,1,1"]
     assert lines[-1] == f"{n - 1},3,{4 * n - 1}".encode()
+
+
+def test_constant_columns_are_formatted_once_per_element(tmp_path):
+    # a grid-shaped (n, m, p) table: (n, 1, 1) and (n, m, 1) are constant
+    # along each run of p rows, (p,) and the full column vary along it
+    n, m, p = 2, 3, BLOCK + 5
+    label = np.array([Counted(v) for v in (1.0, 2.0)], dtype=object).reshape(n, 1, 1)
+    modulus = np.array([Counted(0.5 * i) for i in range(n * m)], dtype=object).reshape(n, m, 1)
+    x = np.array([Counted(i / p) for i in range(p)], dtype=object)
+    full = np.array([Counted(float(i)) for i in range(n * m * p)], dtype=object).reshape(n, m, p)
+    writers._write(tmp_path / "t.csv", ["a", "b", "c", "d"], "%.17g,%.17g,%.17g,%.17g",
+                   [label, modulus, x, full])
+    for col in (label, modulus, x, full):
+        assert [c.reads for c in col.ravel()] == [1] * col.size
+    lines = (tmp_path / "t.csv").read_bytes().splitlines()
+    assert len(lines) == 1 + n * m * p
+    assert lines[1] == b"1,0,0,0"
+    assert lines[p + 1] == f"1,0.5,0,{p}".encode()
+    assert lines[-1] == b"2,2.5,%.17g,%d" % ((p - 1) / p, n * m * p - 1)
+
+
+def test_template_columns_keep_a_percent_literal(tmp_path, monkeypatch):
+    # a fixed string is pasted into the row template with its % escaped
+    monkeypatch.setattr(writers, "_MIN_RUN", 2)
+    writers._write(tmp_path / "t.csv", ["s", "t", "x"], "%s,%s,%.17g",
+                   [np.array(["100%", "%d%%"])[:, None], "%s", np.array([0.5, 0.25])])
+    assert (tmp_path / "t.csv").read_bytes() == crlf(
+        "s,t,x", "100%,%s,0.5", "100%,%s,0.25", "%d%%,%s,0.5", "%d%%,%s,0.25")
+
+
+def test_short_rows_share_their_blocks(tmp_path, monkeypatch):
+    # 1000 paths of one step: runs shorter than _MIN_RUN merge, so the table
+    # is written a block of _BLOCK rows at a time, not a run at a time
+    writes = []
+    opened = writers._open
+
+    def counting_open(path):
+        fh = opened(path)
+        write = fh.write
+        fh.write = lambda text: writes.append(text) or write(text)
+        return fh
+
+    monkeypatch.setattr(writers, "_open", counting_open)
+    batch = NS(j=np.zeros((1000, 2), np.int32), x=np.full((1000, 2), 0.5))
+    writers.write_trajectory_csv(tmp_path / "t.csv", batch)
+    assert len(writes) == 1 + math.ceil(2000 / BLOCK)
+    assert writes[1].startswith("0,0,1,0.5\r\n0,1,1,0.5\r\n1,0,1,0.5\r\n")
+
+
+def test_scalar_and_empty_tables(tmp_path):
+    # every column a scalar: one row; a zero-length axis: the header alone
+    writers._write(tmp_path / "t.csv", ["s", "k"], "%s,%d", ["100%", 3], ["end"])
+    assert (tmp_path / "t.csv").read_bytes() == crlf("s,k", "100%,3", "end")
+    for shape in [(0,), (2, 0), (0, 3), (2, 0, 1)]:
+        writers._write(tmp_path / "t.csv", ["k", "x"], "%d,%.17g",
+                       [np.ones(shape[:-1] + (1,), int), np.zeros(shape)])
+        assert (tmp_path / "t.csv").read_bytes() == crlf("k,x")
 
 
 def test_empty_tables_keep_their_header(tmp_path):

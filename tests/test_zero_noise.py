@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace as NS
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from rotor_spectra import (NoiseGenerator, assemble_limit_matrix, build_band_mod
                            response_data, spectrum, spectrum_convergence,
                            support_mass_outside_band, validate_admissibility)
 from rotor_spectra import zero_noise
-from rotor_spectra.errors import DegenerateBlock, GammaViolated, InvalidEpsGrid, ZeroVector
+from rotor_spectra.errors import (DegenerateBlock, DimensionMismatch, GammaViolated,
+                                  InvalidEpsGrid, ZeroVector)
 from rotor_spectra.response import first_order_basis
 from conftest import random_banded_model
 
@@ -287,7 +289,61 @@ class TestProjectorGap:
             assert projector_gap(u, v) == pytest.approx(want, abs=1e-10)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("pair", [([0, 0], [1, 0]), ([1j, 0], [0, 0])])
+    def test_projector_gap_of_a_zero_vector(self, pair):
+        # as projective_distance refuses it; it used to return 1.0 after a warning
+        with pytest.raises(ZeroVector):
+            projector_gap(*pair)
+
+    @pytest.mark.parametrize("distance", [projective_distance, projector_gap])
+    def test_lengths_must_agree(self, distance):
+        with pytest.raises(DimensionMismatch, match="lengths 2 and 3"):
+            distance([1, 0], [1, 0, 0])
+
+
+def loop_mass_outside_band(spec):
+    """Reference: the per-label loop of the band mass, as it was before the
+    per-band row sums."""
+    vec, model = np.asarray(spec.vectors), spec.model
+    out = np.empty(vec.shape[1])
+    for ell, s in enumerate(model.band_index.tolist()):
+        outside = np.ones(vec.shape[0], dtype=bool)
+        outside[model.band_slice(s)] = False
+        out[ell] = float(np.sum(np.abs(vec[outside, ell]) ** 2)) \
+            / float(np.sum(np.abs(vec[:, ell]) ** 2))
+    return out
+
+
 class TestConvergence:
+    def test_mass_outside_band_equals_the_label_loop_bit_for_bit(self):
+        # labelled spectra of random models under the Laplacian, and random
+        # complex matrices in both layouts
+        rng = np.random.default_rng(37)
+        for i in range(40):
+            m = random_banded_model(rng, max_bands=4, max_width=12)
+            if m.N < 2:
+                continue
+            k, eps = int(rng.integers(1, 4)), float(10 ** rng.uniform(-4, -0.6))
+            spec = spectrum(m, laplacian_generator(m.N), k, eps)
+            v = rng.standard_normal((m.N, m.N)) + 1j * rng.standard_normal((m.N, m.N))
+            for record in (spec, NS(vectors=v if i % 2 else np.asfortranarray(v), model=m)):
+                assert np.array_equal(bits(support_mass_outside_band(record)),
+                                      bits(loop_mass_outside_band(record)))
+
+    def test_spectrum_convergence_rows_equal_separate_calls(self, case_model, case_gen):
+        basis = limit_basis(case_model, case_gen, 2)
+        grid = [1e-1, 1e-3]
+        want = []
+        for eps in grid:
+            spec = spectrum(case_model, case_gen, 2, eps)
+            mass = loop_mass_outside_band(spec)
+            for ell in range(case_model.N):
+                u, v = spec.vectors[:, ell], basis.vectors[:, ell]
+                want.append((2, ell, eps, projective_distance(u, v), projector_gap(u, v),
+                             float(mass[ell])))
+        assert list(map(repr, spectrum_convergence(basis, grid))) == list(map(repr, want))
+
     def test_mass_outside_band_case_study(self, case_model, case_gen):
         masses = []
         for eps in (1e-1, 1e-2, 1e-3):
