@@ -31,7 +31,7 @@ from .errors import AmbiguousLabelling, ConfigError, RotorSpectraError
 from .model import validate_admissibility
 from .oracle import oracle_crosscheck
 from .response import order_checks, response_data
-from .simulate import detect_cycles, simulate, ulam_analytic
+from .simulate import check_counts, detect_cycles, simulate, ulam_analytic
 from .spectra import spectrum
 from .zero_noise import limit_basis, spectrum_convergence
 
@@ -167,6 +167,7 @@ def cmd_oracle(cfg: RunConfig, args):
 
 
 def cmd_simulate(cfg: RunConfig, args):
+    check_counts(args.seed, args.paths, args.steps)     # the manifest records them, paths or not
     eps = args.eps[0]
     op = ulam_analytic(cfg.model, cfg.gen, eps, args.delta, args.bins)
     report = detect_cycles(op, cfg.model, args.top_m)

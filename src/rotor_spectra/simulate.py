@@ -23,11 +23,11 @@ the eigenvector mass locates the cycle's bands.
 
 The exact cell matrix is blockdiag_j(C_j) (W_eps x I_M) with circulant C_j,
 so the circle-bin DFT splits it into M blocks Diag(qhat(m)) W_eps of size
-N x N, where qhat_j(m) = sum_d q_j[d] e^{2 pi i m d / M} and q_j is fibre
-j's kernel row.  Counted operators pool every observed step (j, b) ->
-(j', b') into the shift kernel K[j, j', (b' - b) mod M], so they commute
-with circle-bin shifts as well, and their sector m is the N x N block
-sum_d K[:, :, d] e^{2 pi i m d / M}.  Sector m's eigenvector u gives the
+N x N, where qhat_j(m) = sum_d q_j[d] e^{2 pi i m d / M} and q_j is the
+kernel row of fibre j's band.  Counted operators pool every observed step
+(j, b) -> (j', b') into the shift kernel K[j, j', (b' - b) mod M], so they
+commute with circle-bin shifts as well, and their sector m is the N x N
+block sum_d K[:, :, d] e^{2 pi i m d / M}.  Sector m's eigenvector u gives the
 cell eigenvector u_j e^{2 pi i m a / M}.  Sector M - m is the conjugate of
 sector m, so detect_cycles works on sectors 0..M/2 only ("sector" path), for
 both operator kinds.  No eigenvalue of sector m exceeds its block's largest
@@ -81,19 +81,23 @@ class UlamOperator:
 
     Cell (j, a) moves to cell (j', a + d mod M) with a probability that does
     not depend on the bin a.  Analytic operators keep it factorised as
-    ``w_eps[j, j'] * kernel_rows[j, d]``: ``kernel_rows`` (N, M) holds fibre
-    j's landing-bin probabilities from bin 0 and ``w_eps`` (N, N) is W_eps.
-    Counted operators keep the pooled shift ``kernel`` (N, N, M) instead.
-    ``flagged_rows`` lists the cells that no counted step left.
+    ``w_eps[j, j'] * kernel_rows[s(j), d]``: ``kernel_rows`` (S, M) holds
+    band s's landing-bin probabilities from bin 0, s(j) = ``model.band_index``,
+    and ``w_eps`` (N, N) is W_eps.  Counted operators keep the pooled shift
+    ``kernel`` (N, N, M) instead.  ``flagged_rows`` lists the cells that no
+    counted step left.
     """
 
     M: int
-    mode: str                    # "analytic" | "empirical"
     model: BandModel
     flagged_rows: tuple[int, ...] = ()
     kernel_rows: np.ndarray | None = None
     w_eps: np.ndarray | None = None
     kernel: np.ndarray | None = None
+
+    @property
+    def mode(self) -> str:
+        return "analytic" if self.kernel is None else "empirical"
 
     @property
     def size(self) -> int:
@@ -106,7 +110,7 @@ class UlamOperator:
 
         kernel = self.kernel
         if kernel is None:
-            kernel = self.w_eps[:, :, None] * self.kernel_rows[:, None, :]
+            kernel = self.w_eps[:, :, None] * self.kernel_rows[self.model.band_index, None, :]
         size, a = self.size, np.arange(self.M)
         src, dst, shift = np.nonzero(kernel)
         rows = src[:, None] * self.M + a
@@ -218,6 +222,18 @@ def _rotate(x: np.ndarray, turn: np.ndarray, noise: np.ndarray) -> None:
         x_next %= 1.0
 
 
+def check_counts(seed: int, n_paths: int, n_steps: int) -> None:
+    """The one count rule of :func:`simulate`: seed, paths and steps are integers >= 0."""
+    if not all(isinstance(c, Integral) for c in (seed, n_paths, n_steps)):
+        raise InvalidSimulationInput(
+            f"seed, path and step counts must be integers, got seed={seed}, "
+            f"n_paths={n_paths}, n_steps={n_steps}")
+    if seed < 0 or n_paths < 0 or n_steps < 0:
+        raise InvalidSimulationInput(
+            f"seed, path and step counts must be >= 0, got seed={seed}, "
+            f"n_paths={n_paths}, n_steps={n_steps}")
+
+
 def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
              n_paths: int, n_steps: int, seed: int) -> TrajectoryBatch:
     """Run the random dynamics; reproducible given the seed.
@@ -230,14 +246,7 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
     (fibre, rank) table where the sums are few, as for the Laplacian, and
     otherwise one lexicographic search over a complex table.
     """
-    if not all(isinstance(c, Integral) for c in (seed, n_paths, n_steps)):
-        raise InvalidSimulationInput(
-            f"seed, path and step counts must be integers, got seed={seed}, "
-            f"n_paths={n_paths}, n_steps={n_steps}")
-    if seed < 0 or n_paths < 0 or n_steps < 0:
-        raise InvalidSimulationInput(
-            f"seed, path and step counts must be >= 0, got seed={seed}, "
-            f"n_paths={n_paths}, n_steps={n_steps}")
+    check_counts(seed, n_paths, n_steps)
     check_dimension(model, gen)
     check_delta(delta)
     keys, table = _walk_table(w_epsilon(gen, eps))
@@ -316,16 +325,14 @@ def _check_bins(M: int) -> None:
 
 def ulam_analytic(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
                   M: int) -> UlamOperator:
-    """Exact cell transition operator of the annealed dynamics, kept as kernel rows and W_eps."""
+    """Exact cell transition operator of the annealed dynamics, kept as one
+    kernel row per band (the fibres of a band share its speed) and W_eps."""
     _check_bins(M)
     check_dimension(model, gen)
     check_delta(delta)
     w = w_epsilon(gen, eps)
-    # fibres of a band share alpha, hence their kernel row
-    band_rows = np.array([_fibre_kernel_row(float(model.alpha[c]), delta, M)
-                          for c in model.cum[:-1]])
-    return UlamOperator(M=int(M), mode="analytic", model=model,
-                        kernel_rows=_freeze(band_rows[model.band_index]), w_eps=_freeze(w))
+    rows = np.array([_fibre_kernel_row(beta, delta, M) for beta in model.beta])
+    return UlamOperator(M=int(M), model=model, kernel_rows=_freeze(rows), w_eps=_freeze(w))
 
 
 def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
@@ -339,10 +346,10 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
     than ``MAX_EMPTY_FRACTION`` of them raises InsufficientData.
 
     The step key (j N + j') M + (b' - b) mod M is built in place in one
-    int32 buffer, in the batch's own memory layout, with no integer modulo:
-    j' M + b' - b, plus M where the bin wrapped (b' < b), plus j N M.  Keys
-    are formed and counted about ``_COUNT_BLOCK`` at a time, in blocks along
-    the batch's slowest memory axis, so no temporary is of the batch's size.
+    int32 buffer with no integer modulo: j' M + b' - b, plus M where the bin
+    wrapped (b' < b), plus j N M.  Keys are formed and counted in blocks of
+    whole paths, about ``_COUNT_BLOCK`` steps each, so no temporary is of the
+    batch's size.
     N^2 M must stay below 2^31, and is refused before anything of the
     operator's size is allocated.  A j that is not an integer array of
     fibres in [0, N), an x outside [0, 1] (1.0 counts in bin M - 1), and j
@@ -382,29 +389,21 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
         raise InsufficientData(
             f"{len(empty)} of {size} rows have no transitions "
             f"(limit {MAX_EMPTY_FRACTION:.0%})")
-    # blocks of paths or, in a time-major layout, of steps; a block of steps
-    # spans one position more, the target of its last step
-    paths, T = j.shape
-    if cell.strides[0] >= cell.strides[1]:
-        per = max(1, _COUNT_BLOCK // (T - 1))
-        blocks = [(slice(a, a + per), slice(None)) for a in range(0, paths, per)]
-    else:
-        per = max(1, _COUNT_BLOCK // paths)
-        blocks = [(slice(None), slice(a, a + per + 1)) for a in range(0, T - 1, per)]
+    per = max(1, _COUNT_BLOCK // (j.shape[1] - 1))
     counts = np.zeros(n * size, dtype=np.intp)
-    for block in blocks:
-        c, b = cell[block], bins[block]
+    for a in range(0, j.shape[0], per):
+        c, b = cell[a:a + per], bins[a:a + per]
         steps = np.subtract(c[:, 1:], b[:, :-1], out=c[:, 1:])
         steps += np.multiply(b[:, 1:] < b[:, :-1], M, dtype=np.int32)
-        steps += np.multiply(j[block][:, :-1], size, dtype=np.int32)
+        steps += np.multiply(j[a:a + per, :-1], size, dtype=np.int32)
         counts += np.bincount(steps.ravel("K"), minlength=n * size)
     counts = counts.reshape(n, n, M)
     totals = counts.sum(axis=(1, 2))
     kernel = counts / np.maximum(totals, 1)[:, None, None]
     idle = np.flatnonzero(totals == 0)
     kernel[idle, idle, 0] = 1.0
-    return UlamOperator(M=M, mode="empirical", model=batch.model,
-                        kernel=_freeze(kernel), flagged_rows=tuple(int(r) for r in empty))
+    return UlamOperator(M=M, model=batch.model, kernel=_freeze(kernel),
+                        flagged_rows=tuple(int(r) for r in empty))
 
 
 def _nonreal(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -478,7 +477,7 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
         def block(m):
             return khat[:, :, m]
     else:
-        qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()         # (N, M//2 + 1)
+        qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()[op.model.band_index]   # (N, M//2 + 1)
         bounds = (np.abs(qhat) * np.abs(op.w_eps).sum(axis=1)[:, None]).max(axis=0)
 
         def block(m):

@@ -115,23 +115,19 @@ def gershgorin_bound(gen: NoiseGenerator, eps: float) -> float:
 def nearest_assignment(cost: np.ndarray, room) -> np.ndarray:
     """Column of each row, taking the (row, column) pairs cheapest first.
 
-    Each row takes one column, column c at most ``room[c]`` rows; ties go to
-    the lower row, then the lower column.  If every row's nearest column has
+    Each row takes one column, column c at most ``room[c]`` rows (rows left
+    when the room runs out keep -1); ties go to the lower row, then the
+    lower column.  If every row's nearest column has
     room for all the rows that prefer it, each row gets it: that is the
     minimum-cost assignment.
     """
-    col, room, flat = [-1] * len(cost), list(room), cost.ravel()
-    # every row's nearest pair costs at most ``cut``, so the pairs up to it
-    # mostly place every row; dearer pairs are sorted only for rows left over
-    cut = cost.min(axis=1).max()
-    for part in (flat <= cut, flat > cut):
-        pairs = np.flatnonzero(part)
-        for pair in pairs[np.argsort(flat[pairs], kind="stable")].tolist():
-            r, c = divmod(pair, cost.shape[1])
-            if col[r] < 0 and room[c] > 0:
-                col[r], room[c] = c, room[c] - 1
-        if min(col) >= 0:
-            break
+    col, room, unplaced = [-1] * len(cost), list(room), len(cost)
+    for pair in np.argsort(cost, axis=None, kind="stable").tolist():
+        r, c = divmod(pair, cost.shape[1])
+        if col[r] < 0 and room[c] > 0:
+            col[r], room[c], unplaced = c, room[c] - 1, unplaced - 1
+            if not unplaced:
+                break
     return np.array(col)
 
 

@@ -607,6 +607,8 @@ class TestOtherCommands:
         (["--steps", "-5", "--paths", "2"], "n_steps=-5"),
         (["--paths", "-1"], "n_paths=-1"),
         (["--seed", "-1", "--paths", "2"], "seed=-1"),
+        (["--steps", "-5"], "n_steps=-5"),        # no paths: the counts are still checked
+        (["--seed", "-3"], "seed=-3"),
     ])
     def test_simulate_bad_input_exit1(self, case_cfg, tmp_path, capsys, extra, message):
         out = tmp_path / "sim"
@@ -842,6 +844,10 @@ def test_records_are_the_one_source_of_their_inputs():
         "write_circles_csv": ["path", "spec"], "write_grid_csv": ["path", "spec", "ells", "x_res"],
         "_spectrum_files": ["eps", "spec"], "_response_files": ["resp"]}
     assert [f.name for f in dataclasses.fields(rs.TrajectoryBatch)] == ["j", "x", "model"]
+    # an Ulam operator's mode is read from the kernel it stores, and
+    # ulam_empirical counts in one layout, whatever the batch's strides
+    assert "mode" not in {f.name for f in dataclasses.fields(rs.UlamOperator)}
+    assert "strides" not in inspect.getsource(rs.ulam_empirical)
     assert not hasattr(importlib.import_module("rotor_spectra.simulate"), "_sector_cycles")
 
 

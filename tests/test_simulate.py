@@ -52,10 +52,11 @@ def coo_cell_matrix(kernel, w):
 
 
 def sector_blocks(op):
-    """Reference: the bin-DFT sector blocks B_m, m = 0..M/2, stacked."""
+    """Reference: the bin-DFT sector blocks B_m, m = 0..M/2, stacked, an exact
+    operator's from its band rows expanded to one row per fibre."""
     if op.kernel is not None:
         return np.moveaxis(np.fft.rfft(op.kernel, axis=2).conj(), 2, 0)
-    qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()
+    qhat = np.fft.rfft(op.kernel_rows[op.model.band_index], axis=1).conj()
     return qhat.T[:, :, None] * op.w_eps
 
 
@@ -249,6 +250,12 @@ class TestSimulate:
         c = simulate(case_model, case_gen, 0.1, 0.1, 8, 40, seed=43)
         assert not np.array_equal(a.j, c.j)
 
+    def test_batch_is_path_major(self, case_model, case_gen):
+        # ulam_empirical counts in blocks of whole paths, the rows of this layout
+        batch = simulate(case_model, case_gen, 0.1, 0.1, 5, 30, seed=7)
+        for a in (batch.j, batch.x):
+            assert a.shape == (5, 31) and a.flags.c_contiguous
+
     def test_paths_have_independent_streams(self, case_model, case_gen):
         # prefix of a bigger batch matches the smaller batch path-for-path
         a = simulate(case_model, case_gen, 0.1, 0.1, 4, 30, seed=7)
@@ -374,12 +381,14 @@ class TestUlamAnalytic:
         m = build_band_model(beta, widths)
         g = laplacian_generator(m.N)
         op = ulam_analytic(m, g, g.eps_max if eps is None else eps, delta, M)
-        assert_same_csr(op.matrix, coo_cell_matrix(op.kernel_rows, op.w_eps))
+        assert_same_csr(op.matrix, coo_cell_matrix(op.kernel_rows[op.model.band_index],
+                                                   op.w_eps))
 
     def test_case_study_cell_matrix_matches_coo_reference(self, case_model, case_gen):
         op = ulam_analytic(case_model, case_gen, 0.1, 0.1, 128)
         assert op.size == 33 * 128 and op.kernel is None
-        assert_same_csr(op.matrix, coo_cell_matrix(op.kernel_rows, op.w_eps))
+        assert_same_csr(op.matrix, coo_cell_matrix(op.kernel_rows[op.model.band_index],
+                                                   op.w_eps))
 
     def test_rational_rotation_is_permutation(self):
         m, g = single_fibre_model(0.25)
@@ -480,8 +489,10 @@ class TestUlamAnalytic:
         monkeypatch.setattr(simulate_module, "_fibre_kernel_row", counted)
         op = ulam_analytic(case_model, case_gen, 0.1, 0.1, 16)
         assert len(calls) == case_model.S
+        assert op.kernel_rows.shape == (case_model.S, 16)
         for j in (0, 10, 11, 32):
-            assert_allclose(op.kernel_rows[j], real(case_model.alpha[j], 0.1, 16), atol=0)
+            assert_allclose(op.kernel_rows[case_model.band_index[j]],
+                            real(case_model.alpha[j], 0.1, 16), atol=0)
         assert_allclose(op.w_eps, np.eye(33) + 0.1 * np.asarray(case_gen.wdot), atol=0)
 
     def test_bad_bin_counts_are_typed(self, two_band_model, two_band_gen):
@@ -520,6 +531,7 @@ class TestUlamEmpirical:
         batch = simulate(m, g, 0.0, 0.0, 8, 50, seed=2)
         op = ulam_empirical(batch, 4)
         analytic = ulam_analytic(m, g, 0.0, 0.0, 4)
+        assert (op.mode, analytic.mode) == ("empirical", "analytic")
         assert_allclose(op.matrix.toarray(), analytic.matrix.toarray(), atol=0)
         assert op.flagged_rows == ()
 
@@ -646,7 +658,7 @@ class TestUlamEmpirical:
         x = np.array(data.draw(st.lists(st.one_of(st.integers(0, M).map(lambda k: k / M),
                                                   st.floats(0, 1)),
                                         min_size=size, max_size=size), label="x")).reshape(shape)
-        if shape[0] != paths:        # simulate's own layout: a transposed time-major buffer
+        if shape[0] != paths:        # a hand-built transposed batch: a time-major buffer
             j, x = j.T, x.T
         model = build_band_model([0.1], [n])
         batch = TrajectoryBatch(j=j.astype(np.int32), x=x, model=model)
@@ -658,8 +670,9 @@ class TestUlamEmpirical:
     @pytest.mark.parametrize("time_major", [False, True])
     @pytest.mark.parametrize("block", [1, 64, 100])
     def test_blocked_count_equals_the_int64_formula(self, monkeypatch, time_major, block):
-        # 9 paths of 30 steps: blocks of 1, 2 or 3 paths, or in simulate's
-        # transposed time-major layout of 1, 7 or 11 steps, none dividing the batch
+        # 9 paths of 30 steps: blocks of 1, 2 or 3 paths, none dividing the
+        # batch, in simulate's layout and as strided slabs of a hand-built
+        # transposed batch
         rng = np.random.default_rng(block)
         shape = (31, 9) if time_major else (9, 31)
         j, x = rng.integers(0, 5, size=shape, dtype=np.int32), rng.uniform(size=shape)
@@ -699,7 +712,7 @@ class TestDetectCycles:
     def test_identity_has_no_cycles(self, two_band_model):
         kernel = np.zeros((2, 2, 4))
         kernel[[0, 1], [0, 1], 0] = 1.0
-        op = UlamOperator(M=4, mode="empirical", model=two_band_model, kernel=kernel)
+        op = UlamOperator(M=4, model=two_band_model, kernel=kernel)
         assert_allclose(op.matrix.toarray(), np.eye(8), atol=0)
         with pytest.raises(NoComplexEigenvalues):
             detect_cycles(op, two_band_model, top_m=1)
@@ -900,6 +913,31 @@ class TestSectorPruning:
         op = ulam_analytic(case_model, case_gen, 0.1, delta, M)
         assert assert_same_as_all_sectors(op, case_model, top_m).sectors_solved < M // 2 + 1
 
+    @pytest.mark.parametrize("delta, M", [(0.0, 7), (0.05, 32), (0.7, 16)])
+    def test_band_rows_give_the_fibre_rows_blocks(self, case_model, case_gen, monkeypatch,
+                                                  delta, M):
+        # every sector solved: its block and bound equal, bit for bit, those
+        # of the band rows expanded to one row per fibre
+        op = ulam_analytic(case_model, case_gen, 0.1, delta, M)
+        qhat = np.fft.rfft(op.kernel_rows[case_model.band_index], axis=1).conj()
+        bounds = (np.abs(qhat) * np.abs(op.w_eps).sum(axis=1)[:, None]).max(axis=0)
+        blocks, scales, eig, pick = [], [], spectra.eig_dense_complex, _pick_cycles
+
+        def solve(a):
+            blocks.append(a)
+            return eig(a)
+
+        def picks(values, sector_scales, top_m):
+            scales.append(sector_scales)
+            return pick(values, sector_scales, top_m)
+
+        monkeypatch.setattr(simulate_module, "eig_dense_complex", solve)
+        monkeypatch.setattr(simulate_module, "_pick_cycles", picks)
+        assert detect_cycles(op, case_model, 10 ** 6).sectors_solved == M // 2 + 1
+        want = sector_blocks(op)[np.argsort(-bounds, kind="stable")]
+        assert np.array_equal(np.array(blocks).view(float), want.view(float))
+        assert np.array_equal(scales[-1], np.repeat(bounds, case_model.N))
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
     def test_random_exact_operators(self, widths, data):
@@ -972,7 +1010,7 @@ class TestCellMatrixPath:
         m, _ = single_fibre_model(0.25)
         kernel = np.zeros((1, 1, 4))
         kernel[0, 0, 1] = 1.0
-        op = UlamOperator(M=4, mode="empirical", model=m, kernel=kernel)
+        op = UlamOperator(M=4, model=m, kernel=kernel)
         report = detect_cycles(op, m, top_m=1)
         assert report.cycles[0].eigenvalue == -1j
         assert report.max_residual <= 1e-15

@@ -141,19 +141,26 @@ class TestNearestAssignment:
     def test_equal_costs_go_to_the_lower_row_then_column(self):
         assert nearest_assignment(np.ones((3, 2)), [1, 2]).tolist() == [0, 1, 1]
 
+    def test_rows_beyond_the_room_keep_minus_one(self):
+        cost = np.array([[0.1, 0.2], [0.3, 0.05], [0.2, 0.4]])
+        assert nearest_assignment(cost, [1, 0]).tolist() == [0, -1, -1]
+
     def test_matches_the_greedy_over_every_pair(self):
-        # the pairs above the cut are sorted lazily; the order must not change
+        # the greedy loop over every pair is the reference for the early exit
+        # once every row is placed; with fewer places than rows it never exits
         rng = np.random.default_rng(1)
         for _ in range(200):
             rows, cols = rng.integers(1, 9, size=2)
             cost = rng.integers(0, 4, size=(rows, cols)).astype(float)   # many ties
-            room = rng.multinomial(rows, np.ones(cols) / cols)
-            col, left = [-1] * rows, list(room)
-            for pair in np.argsort(cost, axis=None, kind="stable"):
-                r, c = divmod(int(pair), cols)
-                if col[r] < 0 and left[c] > 0:
-                    col[r], left[c] = c, left[c] - 1
-            assert nearest_assignment(cost, room).tolist() == col
+            for places in (rows, rng.integers(0, rows)):
+                room = rng.multinomial(places, np.ones(cols) / cols)
+                col, left = [-1] * rows, list(room)
+                for pair in np.argsort(cost, axis=None, kind="stable"):
+                    r, c = divmod(int(pair), cols)
+                    if col[r] < 0 and left[c] > 0:
+                        col[r], left[c] = c, left[c] - 1
+                assert nearest_assignment(cost, room).tolist() == col
+                assert col.count(-1) == rows - places
 
     def test_is_the_minimum_cost_assignment_when_nearest_fits(self):
         rng = np.random.default_rng(3)
