@@ -31,6 +31,12 @@ GAP_TOL = 1e-9
 MAX_INDEX = 2 ** 32
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer and not a bool: the type rule of every
+    count and index, so ``True`` is refused rather than read as 1."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -66,9 +72,9 @@ class BandModel:
     def phases(self, k: int) -> np.ndarray:
         """Band phases exp(-2 pi i k beta_s); the fibre phases are ``phases(k)[band_index]``.
 
-        ConfigError unless k is an integer with |k| <= MAX_INDEX.
+        ConfigError unless k is an integer, not a bool, with |k| <= MAX_INDEX.
         """
-        if not isinstance(k, Integral) or abs(k) > MAX_INDEX:
+        if not _integer(k) or abs(k) > MAX_INDEX:
             raise ConfigError("a Fourier index must be an integer within +-2**32")
         return np.exp(-2j * np.pi * k * np.asarray(self.beta))
 
@@ -135,7 +141,7 @@ def build_band_model(beta, L) -> BandModel:
         raise DimensionMismatch(f"beta and L length mismatch: {len(beta)} vs {len(L)}")
     if len(beta) == 0:
         raise EmptyBand("model needs at least one band")
-    if not all(isinstance(x, Integral) and not isinstance(x, bool) and x >= 1 for x in L):
+    if not all(_integer(x) and x >= 1 for x in L):
         raise EmptyBand(f"band widths must be positive integers, got {L}")
     L = tuple(int(x) for x in L)
     if not all(map(math.isfinite, beta)):

@@ -29,14 +29,13 @@ discontinuous and refused by design.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
 from . import model as band_models
 from .errors import (DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, InvalidSpeeds,
                      NoConvergence)
-from .model import BandModel, NoiseGenerator, _freeze, build_band_model, spectral_gap
+from .model import BandModel, NoiseGenerator, _freeze, _integer, build_band_model, spectral_gap
 from .spectra import (_certified, assemble_fourier_block, eig_dense_complex, label_spectrum,
                       nearest_assignment)
 from .zero_noise import LimitBasis, limit_basis, limit_eigenbasis, projective_distance
@@ -195,7 +194,7 @@ def _refine_eigenpair(a, basis, own, shift):
 
 def _check_labels(model: BandModel, ells) -> list[int]:
     """The labels ``ells`` as ints; DimensionMismatch unless each is an integer in [0, N)."""
-    bad = [ell for ell in ells if not (isinstance(ell, Integral) and 0 <= ell < model.N)]
+    bad = [ell for ell in ells if not (_integer(ell) and 0 <= ell < model.N)]
     if bad:
         raise DimensionMismatch(f"labels {bad} are not integers in [0, {model.N})")
     return [int(ell) for ell in ells]

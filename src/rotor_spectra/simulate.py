@@ -43,13 +43,12 @@ matrix; UlamOperator.matrix builds it on read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
                      NoComplexEigenvalues, NoConvergence)
-from .model import BandModel, NoiseGenerator, _freeze, check_dimension, w_epsilon
+from .model import BandModel, NoiseGenerator, _freeze, _integer, check_dimension, w_epsilon
 from .spectra import check_delta, eig_dense_complex
 
 #: |imag| above which an eigenvalue counts as nonreal, relative to its sector bound b(m)
@@ -223,8 +222,9 @@ def _rotate(x: np.ndarray, turn: np.ndarray, noise: np.ndarray) -> None:
 
 
 def check_counts(seed: int, n_paths: int, n_steps: int) -> None:
-    """The one count rule of :func:`simulate`: seed, paths and steps are integers >= 0."""
-    if not all(isinstance(c, Integral) for c in (seed, n_paths, n_steps)):
+    """The one count rule of :func:`simulate`: seed, paths and steps are integers
+    >= 0, and not bools."""
+    if not all(map(_integer, (seed, n_paths, n_steps))):
         raise InvalidSimulationInput(
             f"seed, path and step counts must be integers, got seed={seed}, "
             f"n_paths={n_paths}, n_steps={n_steps}")
@@ -317,7 +317,7 @@ def _fibre_kernel_row(alpha_j: float, delta: float, M: int) -> np.ndarray:
 
 
 def _check_bins(M: int) -> None:
-    if not isinstance(M, Integral):
+    if not _integer(M):
         raise InvalidSimulationInput(f"the bin count must be an integer, got M={M}")
     if M < 2:
         raise InvalidSimulationInput(f"need at least 2 bins, got M={M}")
@@ -352,8 +352,9 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
     batch's size.
     N^2 M must stay below 2^31, and is refused before anything of the
     operator's size is allocated.  A j that is not an integer array of
-    fibres in [0, N), an x outside [0, 1] (1.0 counts in bin M - 1), and j
-    and x of different shapes raise InvalidSimulationInput.
+    fibres in [0, N), an x that is not real or lies outside [0, 1] (1.0
+    counts in bin M - 1), and j and x of different shapes raise
+    InvalidSimulationInput.
     """
     _check_bins(M)
     M, n, j, x = int(M), batch.model.N, batch.j, batch.x
@@ -364,6 +365,8 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
             f"got {j.shape} and {x.shape}")
     if not np.issubdtype(j.dtype, np.integer):
         raise InvalidSimulationInput(f"fibres must be integers, got dtype {j.dtype}")
+    if np.iscomplexobj(x):
+        raise InvalidSimulationInput(f"positions must be real, got dtype {x.dtype}")
     if n * size >= 2 ** 31:
         raise InvalidSimulationInput(
             f"N^2 M = {n * size} step keys exceed the int32 range (N={n}, M={M})")
@@ -466,7 +469,7 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
     lower bounds of ``||B||_2``; otherwise NoConvergence is raised,
     ``partial`` holding the cycles.
     """
-    if not isinstance(top_m, Integral) or top_m < 1:
+    if not _integer(top_m) or top_m < 1:
         raise InvalidSimulationInput(f"top_m must be >= 1 and an integer, got {top_m}")
     if model.L != op.model.L:
         raise DimensionMismatch(f"band widths {model.L} differ from the operator's {op.model.L}")

@@ -12,7 +12,10 @@ is pasted into the row template of the run, so a row interpolates only the
 fields that vary along its run.  A run's rows are formatted a block at a
 time, by one ``%`` of its template repeated over the block's values laid out
 flat in row order, and written once per block, so a table costs little
-beyond its conversions, the reals' ``%.17g`` above all.
+beyond its conversions, the reals' ``%.17g`` above all.  A varying column
+stays an array, a view of its broadcast wherever the strides allow, and only
+the block being formatted is converted to Python values: a table holds its
+numpy columns and at most one block of Python values, however long it is.
 CSVs are UTF-8 with a header row, '.' decimal separator and CRLF row ends.
 Reals are written ``%.17g``; label and fibre indices (ell, j, band) are
 1-based, while the library is 0-based internally; the oracle's complex columns
@@ -76,7 +79,10 @@ def _write(path, header, fmt, columns, footer=()):
     the other columns are converted per row; one with fewer elements than the
     table has rows is formatted once per element, its strings broadcast as
     ``%s``.  Each block of at most ``_BLOCK`` rows of a run is formatted by one
-    ``%`` of the run's template and written at once.
+    ``%`` of the run's template and written at once.  The varying columns stay
+    arrays, one row per run, and only a block's slice of them becomes Python
+    values, just before its ``%``: beyond its arrays, the table holds at most
+    one block of Python values.
     """
     cols = list(map(np.asarray, columns))
     shape = np.broadcast_shapes(*(c.shape for c in cols)) or (1,)
@@ -84,6 +90,7 @@ def _write(path, header, fmt, columns, footer=()):
     while tail < len(shape) and math.prod(shape[-tail:]) < _MIN_RUN:
         tail += 1
     rows, run = math.prod(shape), math.prod(shape[-tail:])
+    runs = rows and rows // run         # 0 for an empty table, whose run may be 0 rows
     # ``template % fields`` is a run's row format: the literal text and the
     # varying columns' conversions escaped, a %s for each fixed column
     texts = [t.replace("%", "%%") for t in re.split(_CONVERSION, fmt)]
@@ -96,20 +103,18 @@ def _write(path, header, fmt, columns, footer=()):
             continue
         if col.size < rows:
             col, conv = _formatted(conv, col), "%s"
-        if col.shape != shape:
-            col = np.broadcast_to(col, shape)
-        varying.append(col.ravel().tolist())
+        varying.append(np.broadcast_to(col, shape).reshape(runs, run))
         texts[i] += conv.replace("%", "%%")
     template = "".join(texts) + "\r\n"
     with _open(path) as fh:
         fh.write(",".join(header) + "\r\n")
-        for r in range(rows and rows // run):
+        for r in range(runs):
             row = template % tuple(col[r] for col in fixed)
-            for start in range(r * run, (r + 1) * run, _BLOCK):
-                n = min(_BLOCK, (r + 1) * run - start)
+            for start in range(0, run, _BLOCK):
+                n = min(_BLOCK, run - start)
                 flat = [None] * (n * len(varying))
                 for i, col in enumerate(varying):
-                    flat[i::len(varying)] = col[start:start + n]
+                    flat[i::len(varying)] = col[r, start:start + n].tolist()
                 fh.write((row * n) % tuple(flat))
         fh.writelines(line + "\r\n" for line in footer)
 

@@ -314,18 +314,30 @@ GRID = [1e-2, 1e-3, 1e-4, 1e-5]
     (ConfigError, "Fourier index", lambda m, g: limit_basis(m, g, 10 ** 400)),
     (ConfigError, "Fourier index", lambda m, g: response_data(m, g, 10 ** 400)),
     (ConfigError, "Fourier index", lambda m, g: oracle_crosscheck(m, g, 10 ** 400)),
+    (InvalidSimulationInput, "integers", lambda m, g: simulate(m, g, 0.1, 0.1, True, 5, 1)),
+    (InvalidSimulationInput, "integers", lambda m, g: simulate(m, g, 0.1, 0.1, 2, True, 1)),
+    (InvalidSimulationInput, "integers", lambda m, g: simulate(m, g, 0.1, 0.1, 2, 5, False)),
+    (InvalidSimulationInput, "top_m",
+     lambda m, g: detect_cycles(ulam_analytic(m, g, 0.1, 0.1, 16), m, True)),
+    (InvalidSimulationInput, "integer, got M=True",
+     lambda m, g: ulam_analytic(m, g, 0.1, 0.1, True)),
+    (ConfigError, "Fourier index", lambda m, g: spectrum(m, g, True, 0.1)),
+    (ConfigError, "Fourier index", lambda m, g: m.phases(False)),
+    (DimensionMismatch, r"labels \[True\] are not", lambda m, g: order_check(m, g, 1, True, GRID)),
 ], ids=["w_eps_nan", "w_eps_inf", "simulate_eps_nan", "ulam_eps_inf", "spectrum_delta_inf",
         "spectrum_delta_nan", "spectrum_delta_negative", "delta_factor_negative",
         "top_m_fraction", "paths_fraction", "steps_fraction", "seed_fraction",
         "ulam_bins_fraction", "empirical_bins_fraction", "order_check_label_99",
         "order_check_label_negative", "order_check_label_fraction", "order_checks_label_33", "alpha_response_label_99",
         "k_fraction", "k_above_max", "limit_k_huge", "response_k_huge",
-        "oracle_k_huge"])
+        "oracle_k_huge", "bool_paths", "bool_steps", "bool_seed", "bool_top_m", "bool_bins",
+        "bool_spectrum_k", "bool_phases_k", "bool_label"])
 def test_out_of_range_parameters_are_refused(case_model, case_gen, error, match, call):
     # eps and delta must be finite and >= 0, top_m and the simulation counts
     # whole, k an integer within +-MAX_INDEX, as the config and the CLI already
     # require, and a label an integer within [0, N): ell = -1 used to check
-    # label N - 1 and ell = 1.5 label 1
+    # label N - 1 and ell = 1.5 label 1.  A bool is no count or index: True
+    # once ran as 1, or failed as a bare TypeError where numpy sized an array by it
     with pytest.raises(error, match=match):
         call(case_model, case_gen)
 

@@ -605,6 +605,13 @@ class TestUlamEmpirical:
         with pytest.raises(InvalidSimulationInput, match="positions must be finite"):
             counted_operator(one_fibre_batch(two_band_model, positions), 4, 1.0)
 
+    def test_complex_positions_are_typed(self, two_band_model):
+        # x + 0.3j once only warned, then counted the real parts
+        x = np.array([[0.1, 0.35, 0.6, 0.85, 0.1]]) + 0.3j
+        batch = TrajectoryBatch(j=np.zeros(x.shape, dtype=np.int32), x=x, model=two_band_model)
+        with pytest.raises(InvalidSimulationInput, match="positions must be real"):
+            ulam_empirical(batch, 4)
+
     @pytest.mark.parametrize("fibre", [2, -1])
     def test_fibres_outside_the_model_are_typed(self, two_band_model, fibre):
         # fibre N once failed as a bare ValueError at the kernel's reshape

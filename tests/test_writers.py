@@ -13,6 +13,7 @@ tables that cross block boundaries up to whole CLI runs.
 
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace as NS
 
 import numpy as np
@@ -269,13 +270,15 @@ def tables(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(tables(), st.sampled_from([1, 4, writers._MIN_RUN]))
-def test_write_equals_the_broadcast_row_reference(tmp_path_factory, table, min_run):
-    # runs of at least 1 or 4 rows split these small tables into many runs
+@given(tables(), st.sampled_from([1, 4, writers._MIN_RUN]), st.sampled_from([1, 3, 128]))
+def test_write_equals_the_broadcast_row_reference(tmp_path_factory, table, min_run, block):
+    # runs of at least 1 or 4 rows split these small tables into many runs,
+    # and blocks of 1 or 3 rows split the runs
     fmt, columns = table
     path = tmp_path_factory.mktemp("write") / "t.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(writers, "_MIN_RUN", min_run)
+        mp.setattr(writers, "_BLOCK", block)
         writers._write(path, ["h"], fmt, columns)
     assert path.read_bytes() == crlf("h") + naive_rows(fmt, columns)
 
@@ -299,6 +302,32 @@ def test_write_equals_the_reference_across_blocks(tmp_path, rows):
                full.reshape(n, m)]
     writers._write(tmp_path / "t.csv", ["h"], fmt, columns)
     assert (tmp_path / "t.csv").read_bytes() == crlf("h") + naive_rows(fmt, columns)
+
+
+def long_trajectories():
+    rng = np.random.default_rng(1)
+    batch = NS(j=rng.integers(0, 99, (200, 1001), dtype=np.int32), x=rng.random((200, 1001)))
+    return writers.write_trajectory_csv, (batch,), batch.j.size
+
+
+def square_vectors():
+    rng = np.random.default_rng(2)
+    vectors = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    return writers.write_vectors_csv, (1, vectors), vectors.size
+
+
+@pytest.mark.parametrize("table", [long_trajectories, square_vectors])
+def test_python_values_are_block_sized(tmp_path, table):
+    # 8 bytes a row covers a column the writer computes (j + 1, |v|); a Python
+    # object for every cell would take several times that
+    write, args, rows = table()
+    tracemalloc.start()
+    try:
+        write(tmp_path / "t.csv", *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rows + (1 << 20)
 
 
 class Counted:
