@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import model as band_models
-from .errors import ConfigError, RotorSpectraError
+from .errors import ConfigError, InvalidMatrix, RotorSpectraError
 from .model import BandModel, NoiseGenerator, build_band_model, laplacian_generator
 
 SPEED_TOKENS = {
@@ -110,7 +110,7 @@ def parse_config(text: str) -> RunConfig:
     if isinstance(spec, list):
         try:
             gen = NoiseGenerator.from_matrix(spec)
-        except (TypeError, ValueError) as exc:
+        except InvalidMatrix as exc:
             raise ConfigError(f"invalid generator matrix: {exc}") from exc
         if gen.N != model.N:
             raise ConfigError(

@@ -14,7 +14,7 @@ read-only) and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -47,15 +47,23 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class BandModel:
     """S-banded speed profile: alpha_j = beta[s] on band s.
 
-    ``cum`` holds the cumulative offsets (0 = N_0 < N_1 < ... < N_S = N);
-    band s occupies indices ``cum[s]:cum[s+1]``.
+    Its inputs are ``beta`` and ``L`` (build_band_model checks them); derived
+    from them once are ``N``, the offsets ``cum`` (0 = N_0 < N_1 < ... < N_S = N;
+    band s occupies ``cum[s]:cum[s+1]``), ``alpha`` and each fibre's band ``band_index``.
     """
 
     beta: tuple[float, ...]
     L: tuple[int, ...]
-    N: int
-    cum: tuple[int, ...]
-    alpha: np.ndarray
+    N: int = field(init=False)
+    cum: tuple[int, ...] = field(init=False)
+    alpha: np.ndarray = field(init=False)
+    band_index: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        cum, band = np.cumsum((0, *self.L)), np.repeat(np.arange(len(self.beta)), self.L)
+        for name, value in dict(N=int(cum[-1]), cum=tuple(cum.tolist()), band_index=_freeze(band),
+                                alpha=_freeze(np.asarray(self.beta, dtype=float)[band])).items():
+            object.__setattr__(self, name, value)
 
     @property
     def S(self) -> int:
@@ -63,11 +71,6 @@ class BandModel:
 
     def band_slice(self, s: int) -> slice:
         return slice(self.cum[s], self.cum[s + 1])
-
-    @property
-    def band_index(self) -> np.ndarray:
-        """Length-N array mapping fibre index to band index."""
-        return _freeze(np.repeat(np.arange(self.S), self.L))
 
     def phases(self, k: int) -> np.ndarray:
         """Band phases exp(-2 pi i k beta_s); the fibre phases are ``phases(k)[band_index]``.
@@ -83,19 +86,25 @@ class BandModel:
 class NoiseGenerator:
     """Wraps the symmetric generator Wdot of the family W_eps = Id + eps*Wdot.
 
-    No validity checks happen here; run :func:`validate_admissibility` to test
-    the admissibility hypotheses.
+    ``N`` is ``len(wdot)``.  The constructor checks nothing and :meth:`from_matrix` only the
+    shape and entries (InvalidMatrix); :func:`validate_admissibility` tests admissibility.
     """
 
     wdot: np.ndarray
-    N: int
+
+    @property
+    def N(self) -> int:
+        return len(self.wdot)
 
     @staticmethod
     def from_matrix(wdot) -> "NoiseGenerator":
-        w = np.asarray(wdot, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        try:
+            w = np.asarray(wdot, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidMatrix(str(exc)) from exc
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or not w.size:
             raise InvalidMatrix(f"generator must be square, got shape {w.shape}")
-        return NoiseGenerator(wdot=_freeze(w), N=w.shape[0])
+        return NoiseGenerator(_freeze(w))
 
     @property
     def eps_max(self) -> float:
@@ -143,27 +152,25 @@ def build_band_model(beta, L) -> BandModel:
         raise EmptyBand("model needs at least one band")
     if not all(_integer(x) and x >= 1 for x in L):
         raise EmptyBand(f"band widths must be positive integers, got {L}")
-    L = tuple(int(x) for x in L)
     if not all(map(math.isfinite, beta)):
         raise InvalidSpeeds(f"band speeds must be finite, got {beta}")
     if len(set(beta)) != len(beta):
         raise DuplicateSpeed(f"band speeds must be pairwise distinct, got {beta}")
-    cum = (0,) + tuple(np.cumsum(L).tolist())
-    alpha = np.repeat(beta, L).astype(float)
-    return BandModel(beta=beta, L=L, N=int(cum[-1]), cum=cum, alpha=_freeze(alpha))
+    return BandModel(beta, tuple(int(x) for x in L))
 
 
 def laplacian_generator(N: int) -> NoiseGenerator:
     """Central-difference Laplacian stencil with reflecting ends.
 
     Tridiagonal with diagonal (-1/2, -1, ..., -1, -1/2) and off-diagonals 1/2.
+    DimensionTooSmall unless N is an integer of at least two fibres.
     """
-    if N < 2:
-        raise DimensionTooSmall(f"laplacian generator needs N >= 2, got {N}")
+    if not _integer(N) or N < 2:
+        raise DimensionTooSmall(f"laplacian generator needs an integer N >= 2, got {N!r}")
     w = np.diag(np.full(N, -1.0)) + 0.5 * (np.eye(N, k=1) + np.eye(N, k=-1))
     w[0, 0] = -0.5
     w[N - 1, N - 1] = -0.5
-    return NoiseGenerator(wdot=_freeze(w), N=N)
+    return NoiseGenerator(_freeze(w))
 
 
 def spectral_gap(spectra) -> tuple[float, float, bool]:

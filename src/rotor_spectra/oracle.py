@@ -46,10 +46,14 @@ class OracleReport:
 
     closed: LimitBasis
     numeric: LimitBasis
-    case: tuple[str, ...]
     residual: np.ndarray
     abs_diff: np.ndarray
     vec_proj_dist: np.ndarray
+
+    @property
+    def case(self) -> tuple[str, ...]:
+        model = self.closed.model
+        return tuple(CASES[s == 0, s == model.S - 1] for s in model.band_index.tolist())
 
     @property
     def max_abs_diff(self) -> float:
@@ -103,7 +107,6 @@ def oracle_crosscheck(model: BandModel, gen: NoiseGenerator, k: int) -> OracleRe
     vdist = [projective_distance(f[:, i], numeric.vectors[:, i]) for i in range(model.N)]
     report = OracleReport(
         closed=closed, numeric=numeric,
-        case=tuple(CASES[s == 0, s == model.S - 1] for s in model.band_index.tolist()),
         residual=_freeze(residual), abs_diff=_freeze(np.abs(lam - numeric.lambda_hat)),
         vec_proj_dist=_freeze(np.array(vdist)))
     worst = float(np.max(residual))

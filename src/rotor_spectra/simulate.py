@@ -42,7 +42,7 @@ matrix; UlamOperator.matrix builds it on read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,15 +84,18 @@ class UlamOperator:
     band s's landing-bin probabilities from bin 0, s(j) = ``model.band_index``,
     and ``w_eps`` (N, N) is W_eps.  Counted operators keep the pooled shift
     ``kernel`` (N, N, M) instead.  ``flagged_rows`` lists the cells that no
-    counted step left.
+    counted step left.  The bin count M is the last axis of either kernel.
     """
 
-    M: int
     model: BandModel
     flagged_rows: tuple[int, ...] = ()
     kernel_rows: np.ndarray | None = None
     w_eps: np.ndarray | None = None
     kernel: np.ndarray | None = None
+
+    @property
+    def M(self) -> int:
+        return (self.kernel_rows if self.kernel is None else self.kernel).shape[-1]
 
     @property
     def mode(self) -> str:
@@ -134,7 +137,7 @@ class Cycle:
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Detected cycles, the solver path ("sector"), the number of sectors
+    """Detected cycles, the solver path (always "sector"), the number of sectors
     decomposed, out of M // 2 + 1, and the worst eigenpair residual
     ||B v - lam v|| (unit v) over the reported cycles, each of which met
     RESIDUAL_TOL times the larger of its sector block B's largest column
@@ -143,7 +146,7 @@ class CycleReport:
 
     M: int
     top_m: int
-    solver: str
+    solver: str = field(init=False, default="sector")
     sectors_solved: int
     max_residual: float
     cycles: tuple[Cycle, ...]
@@ -332,7 +335,7 @@ def ulam_analytic(model: BandModel, gen: NoiseGenerator, eps: float, delta: floa
     check_delta(delta)
     w = w_epsilon(gen, eps)
     rows = np.array([_fibre_kernel_row(beta, delta, M) for beta in model.beta])
-    return UlamOperator(M=int(M), model=model, kernel_rows=_freeze(rows), w_eps=_freeze(w))
+    return UlamOperator(model, kernel_rows=_freeze(rows), w_eps=_freeze(w))
 
 
 def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
@@ -405,8 +408,7 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
     kernel = counts / np.maximum(totals, 1)[:, None, None]
     idle = np.flatnonzero(totals == 0)
     kernel[idle, idle, 0] = 1.0
-    return UlamOperator(M=M, model=batch.model, kernel=_freeze(kernel),
-                        flagged_rows=tuple(int(r) for r in empty))
+    return UlamOperator(batch.model, flagged_rows=tuple(map(int, empty)), kernel=_freeze(kernel))
 
 
 def _nonreal(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -519,5 +521,5 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
     if failed:
         raise NoConvergence(f"sector eigenpair residual {max(failed):.3e} exceeds "
                             f"RESIDUAL_TOL times the sector norm", partial=tuple(cycles))
-    return CycleReport(M=op.M, top_m=int(top_m), solver="sector", sectors_solved=len(solved),
+    return CycleReport(M=op.M, top_m=int(top_m), sectors_solved=len(solved),
                        max_residual=max(residuals), cycles=tuple(cycles))

@@ -11,7 +11,7 @@ sin(2 pi k delta) / (2 pi k delta); eigenvectors are unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,18 +42,22 @@ class LabelledSpectrum:
     phase: about 1 + eps*rho, so the order of descending rho of the limit
     basis.  Vectors are unit norm with the largest-magnitude entry made real
     positive.  ``sinc`` is the delta factor :func:`spectrum` applied (1.0 for
-    none), carried by ``lam``, ``target`` and ``gersh_radius``; eps and delta
-    stay with the caller.
+    none), carried by ``lam``, ``gersh_radius`` and the derived ``target``,
+    ``sinc * model.phases(k)[model.band_index]``; eps and delta stay with the caller.
     """
 
     k: int
     sinc: float
     lam: np.ndarray
-    target: np.ndarray
+    target: np.ndarray = field(init=False)
     vectors: np.ndarray          # column ell
     residual: np.ndarray
     model: BandModel
     gersh_radius: float
+
+    def __post_init__(self):
+        phases = self.model.phases(self.k)[self.model.band_index]
+        object.__setattr__(self, "target", _freeze(self.sinc * phases))
 
 
 def assemble_fourier_block(model: BandModel, gen: NoiseGenerator, k: int,
@@ -171,8 +175,7 @@ def label_spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
             f"at k={k}, eps={eps}")
 
     return LabelledSpectrum(
-        k=int(k), sinc=1.0,
-        lam=_freeze(lam), target=_freeze(targets), residual=_freeze(eig.residuals[order]),
+        k=int(k), sinc=1.0, lam=_freeze(lam), residual=_freeze(eig.residuals[order]),
         vectors=_freeze(_phase_fix(eig.vectors[:, order])), model=model,
         gersh_radius=radius)
 
@@ -208,6 +211,5 @@ def spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     eig = eig_dense_complex(assemble_fourier_block(model, gen, k, eps))
     spec = label_spectrum(model, gen, k, eps, eig)
     s = delta_factor(k, delta)
-    return replace(spec, sinc=s, lam=_freeze(s * spec.lam),
-                   target=_freeze(s * spec.target), gersh_radius=s * spec.gersh_radius)
+    return replace(spec, sinc=s, lam=_freeze(s * spec.lam), gersh_radius=s * spec.gersh_radius)
 

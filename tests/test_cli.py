@@ -851,6 +851,32 @@ def test_records_are_the_one_source_of_their_inputs():
     assert not hasattr(importlib.import_module("rotor_spectra.simulate"), "_sector_cycles")
 
 
+#: each record's constructor: its inputs only, no value derived from them
+RECORD_INPUTS = {
+    "BandModel": ["beta", "L"],
+    "NoiseGenerator": ["wdot"],
+    "UlamOperator": ["model", "flagged_rows", "kernel_rows", "w_eps", "kernel"],
+    "LabelledSpectrum": ["k", "sinc", "lam", "vectors", "residual", "model", "gersh_radius"],
+    "OracleReport": ["closed", "numeric", "residual", "abs_diff", "vec_proj_dist"],
+    "CycleReport": ["M", "top_m", "sectors_solved", "max_residual", "cycles"],
+}
+
+
+def test_records_take_only_their_inputs():
+    # a derived value is no constructor parameter, so it cannot disagree with
+    # the inputs it comes from: 25 parameters where there were 33
+    assert {name: list(inspect.signature(getattr(rs, name)).parameters)
+            for name in RECORD_INPUTS} == RECORD_INPUTS
+    assert sum(map(len, RECORD_INPUTS.values())) == 25
+    # the derived values still read as fields, and cycles.json keeps its keys
+    derived = {name: [f.name for f in dataclasses.fields(getattr(rs, name)) if not f.init]
+               for name in ("BandModel", "LabelledSpectrum", "CycleReport")}
+    assert derived == {"BandModel": ["N", "cum", "alpha", "band_index"],
+                       "LabelledSpectrum": ["target"], "CycleReport": ["solver"]}
+    assert [f.name for f in dataclasses.fields(rs.CycleReport)] == [
+        "M", "top_m", "solver", "sectors_solved", "max_residual", "cycles"]
+
+
 def test_one_response_builder_and_one_fourier_index_rule():
     # response_data builds the ResponseData record itself, and BandModel.phases
     # bounds every Fourier index a command reads (the config bounds its own ks)

@@ -89,6 +89,48 @@ class TestBandLayout:
             assert_array_equal(m.band_index, [s for s in range(m.S) for _ in range(m.L[s])])
 
 
+class TestRecordsDeriveFromTheirInputs:
+    def test_band_model_derives_its_layout(self):
+        # BandModel(beta, L) gives build_band_model's layout bit for bit
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            built = random_banded_model(rng)
+            m = rs.BandModel(built.beta, built.L)
+            assert m.N == built.N and type(m.N) is int and m.cum == built.cum
+            for name in ("alpha", "band_index"):
+                got, want = getattr(m, name), getattr(built, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+
+    def test_band_index_is_computed_once(self, case_model):
+        assert case_model.band_index is case_model.band_index
+
+    @pytest.mark.parametrize("name", ["spectrum", "validate_admissibility", "simulate"])
+    def test_generator_size_is_its_matrix(self, case_model, name):
+        # a 3 x 3 generator declared as 33 fibres passed the size rule, then
+        # ended in a bare ValueError or IndexError
+        gen = NoiseGenerator(wdot=np.eye(3))
+        calls = {"spectrum": lambda: spectrum(case_model, gen, 1, 0.1),
+                 "validate_admissibility": lambda: validate_admissibility(gen, case_model),
+                 "simulate": lambda: simulate(case_model, gen, 0.1, 0.1, 2, 5, 1)}
+        assert gen.N == 3
+        with pytest.raises(DimensionMismatch, match="generator dimension 3 != model dimension 33"):
+            calls[name]()
+
+    def test_counted_operator_bins_are_its_kernel(self, case_model):
+        # an 8-bin kernel under M=4 reported M 4 and built a 132 x 132 matrix
+        kernel = np.zeros((33, 33, 8))
+        kernel[np.arange(33), np.arange(33), 1] = 1.0     # one bin on per step
+        op = rs.UlamOperator(case_model, kernel=kernel)
+        assert op.M == 8 and op.size == 264 and op.matrix.shape == (264, 264)
+        assert detect_cycles(op, case_model, 1).M == 8
+
+    def test_spectrum_target_is_the_scaled_phases(self, case_model, case_gen):
+        spec = spectrum(case_model, case_gen, 2, 0.1, 0.3)
+        want = spec.sinc * case_model.phases(2)[case_model.band_index]
+        assert spec.target.tobytes() == want.tobytes() and not spec.target.flags.writeable
+
+
 class TestLaplacianGenerator:
     def test_n3_stencil(self):
         g = laplacian_generator(3)
@@ -106,6 +148,15 @@ class TestLaplacianGenerator:
     def test_too_small(self):
         with pytest.raises(DimensionTooSmall):
             laplacian_generator(1)
+
+    @pytest.mark.parametrize("size", [3.0, 2.5, "4", True])
+    def test_size_must_be_an_integer(self, size):
+        # 3.0, 2.5 and "4" used to end in a bare TypeError
+        with pytest.raises(DimensionTooSmall, match="an integer N >= 2"):
+            laplacian_generator(size)
+
+    def test_numpy_integer_size(self):
+        assert laplacian_generator(np.int64(3)).N == 3
 
 
 class TestAdmissibility:
@@ -258,6 +309,10 @@ class TestWEpsilon:
 
 @pytest.mark.parametrize("error, call", [
     (InvalidMatrix, lambda: NoiseGenerator.from_matrix([[0.0, 1.0]])),
+    (InvalidMatrix, lambda: NoiseGenerator.from_matrix(np.zeros((0, 0)))),
+    (InvalidMatrix, lambda: NoiseGenerator.from_matrix([[0.0, "a"], ["a", 0.0]])),
+    (InvalidMatrix, lambda: NoiseGenerator.from_matrix([[0.0, {}], [{}, 0.0]])),
+    (InvalidMatrix, lambda: NoiseGenerator.from_matrix([[0.0, 0.0], [0.0]])),
     (DimensionMismatch, lambda: build_band_model([0.1, 0.2], [1])),
     (InvalidSpeeds, lambda: build_band_model([math.nan], [2])),
     (InvalidSpeeds, lambda: build_band_model([0.1, -math.inf], [1, 1])),
@@ -267,7 +322,8 @@ class TestWEpsilon:
     (InvalidMatrix, lambda: eig_dense_complex([[1.0, np.nan], [0.0, 1.0]])),
     (DimensionMismatch, lambda: alpha_response(build_band_model([0.0, 0.25], [1, 1]),
                                               laplacian_generator(2), 1, 0.01, 0, [1.0])),
-], ids=["from_matrix", "band_lengths", "nan_speed", "infinite_speed",
+], ids=["from_matrix", "from_matrix_empty", "from_matrix_non_numeric", "from_matrix_not_a_number",
+        "from_matrix_ragged", "band_lengths", "nan_speed", "infinite_speed",
         "admissibility_dimension",
         "eig_not_square", "eig_non_finite", "alpha_direction"])
 def test_boundary_errors_are_typed(error, call):

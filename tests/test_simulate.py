@@ -719,7 +719,7 @@ class TestDetectCycles:
     def test_identity_has_no_cycles(self, two_band_model):
         kernel = np.zeros((2, 2, 4))
         kernel[[0, 1], [0, 1], 0] = 1.0
-        op = UlamOperator(M=4, model=two_band_model, kernel=kernel)
+        op = UlamOperator(model=two_band_model, kernel=kernel)
         assert_allclose(op.matrix.toarray(), np.eye(8), atol=0)
         with pytest.raises(NoComplexEigenvalues):
             detect_cycles(op, two_band_model, top_m=1)
@@ -1017,7 +1017,7 @@ class TestCellMatrixPath:
         m, _ = single_fibre_model(0.25)
         kernel = np.zeros((1, 1, 4))
         kernel[0, 0, 1] = 1.0
-        op = UlamOperator(M=4, model=m, kernel=kernel)
+        op = UlamOperator(model=m, kernel=kernel)
         report = detect_cycles(op, m, top_m=1)
         assert report.cycles[0].eigenvalue == -1j
         assert report.max_residual <= 1e-15

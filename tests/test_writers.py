@@ -154,7 +154,7 @@ def test_cycles_json_key_order(tmp_path):
                     band_masses=(0.75, 0.25), band=0),
               Cycle(eigenvalue=complex(-0.1, -0.3), magnitude=0.1, arg=-1.9, period_steps=3.3,
                     band_masses=(0.0, 1.0), band=1))
-    report = CycleReport(M=8, top_m=2, solver="sector", sectors_solved=3, max_residual=1e-15,
+    report = CycleReport(M=8, top_m=2, sectors_solved=3, max_residual=1e-15,
                          cycles=cycles)
     assert written(tmp_path, writers.write_cycles_json, report) == lf(
         '{', '  "M": 8,', '  "top_m": 2,', '  "solver": "sector",', '  "sectors_solved": 3,',
