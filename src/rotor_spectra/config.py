@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import model as band_models
 from .errors import ConfigError, InvalidMatrix, RotorSpectraError
-from .model import BandModel, NoiseGenerator, build_band_model, laplacian_generator
+from .model import BandModel, NoiseGenerator, laplacian_generator
 
 SPEED_TOKENS = {
     "pi/20": math.pi / 20.0,
@@ -101,7 +101,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"'beta' and 'L' differ in length: {len(beta)} vs {len(L)}")
     spec = doc.get("generator", "laplacian")
     try:
-        model = build_band_model(beta, L)
+        model = BandModel(beta, L)
         if spec == "laplacian":
             gen = laplacian_generator(model.N)
     except RotorSpectraError as exc:
@@ -109,7 +109,7 @@ def parse_config(text: str) -> RunConfig:
 
     if isinstance(spec, list):
         try:
-            gen = NoiseGenerator.from_matrix(spec)
+            gen = NoiseGenerator(spec)
         except InvalidMatrix as exc:
             raise ConfigError(f"invalid generator matrix: {exc}") from exc
         if gen.N != model.N:

@@ -32,7 +32,7 @@ class InvalidMatrix(RotorSpectraError, ValueError):
 
 
 class InvalidSpeeds(RotorSpectraError, ValueError):
-    """A band speed, or a direction of speeds, is not finite."""
+    """A band speed is not a finite real number, or a direction of speeds is not finite."""
 
 
 class DimensionMismatch(RotorSpectraError, ValueError):
@@ -42,7 +42,7 @@ class DimensionMismatch(RotorSpectraError, ValueError):
 
 
 class EpsOutOfRange(RotorSpectraError):
-    """eps is negative or not finite, or Id + eps*Wdot leaves [0, 1] entrywise."""
+    """eps is not a finite nonnegative number, or Id + eps*Wdot leaves [0, 1] entrywise."""
 
 
 # --- spectra ---
@@ -109,8 +109,9 @@ class MismatchBeyondTolerance(RotorSpectraError):
 
 class InvalidSimulationInput(RotorSpectraError, ValueError):
     """Bins or top_m not an integer >= 2 or >= 1, counts not integers >= 0, a bad delta;
-    or a batch that ulam_empirical cannot count: fibres, positions or shapes
-    out of range, or N^2 M step keys beyond int32."""
+    a batch that ulam_empirical cannot count: fibres, positions or shapes
+    out of range, or N^2 M step keys beyond int32; or an Ulam operator that is
+    not one kind with its model's shapes."""
 
 
 class InsufficientData(RotorSpectraError):

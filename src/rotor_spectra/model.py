@@ -37,6 +37,16 @@ def _integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def _finite_nonnegative(value) -> bool:
+    """Whether ``value`` is a finite number >= 0: the range rule of eps and delta.
+    NaN fails every comparison, and a value that does not compare with numbers
+    (None, a string) is refused rather than raising TypeError."""
+    try:
+        return bool(0 <= value < math.inf)
+    except (TypeError, ValueError):
+        return False
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -47,9 +57,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class BandModel:
     """S-banded speed profile: alpha_j = beta[s] on band s.
 
-    Its inputs are ``beta`` and ``L`` (build_band_model checks them); derived
-    from them once are ``N``, the offsets ``cum`` (0 = N_0 < N_1 < ... < N_S = N;
-    band s occupies ``cum[s]:cum[s+1]``), ``alpha`` and each fibre's band ``band_index``.
+    Its inputs are the band speeds ``beta``, stored as floats, and widths
+    ``L``, stored as ints; the constructor checks them.  Speeds must be
+    finite real numbers (InvalidSpeeds) and are compared exactly
+    (DuplicateSpeed: they are model inputs, not measurements).  There is one
+    width per speed (DimensionMismatch) and at least one band, and each width
+    is a positive integer of an integer type (EmptyBand): a float width is
+    refused, not truncated.  Derived from them once are ``N``, the offsets
+    ``cum`` (0 = N_0 < N_1 < ... < N_S = N; band s occupies
+    ``cum[s]:cum[s+1]``), ``alpha`` and each fibre's band ``band_index``.
     """
 
     beta: tuple[float, ...]
@@ -60,9 +76,26 @@ class BandModel:
     band_index: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        cum, band = np.cumsum((0, *self.L)), np.repeat(np.arange(len(self.beta)), self.L)
-        for name, value in dict(N=int(cum[-1]), cum=tuple(cum.tolist()), band_index=_freeze(band),
-                                alpha=_freeze(np.asarray(self.beta, dtype=float)[band])).items():
+        try:
+            beta = tuple(float(b) for b in self.beta)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidSpeeds(f"band speeds must be real numbers, got {self.beta!r}") from exc
+        L = tuple(self.L)
+        if len(beta) != len(L):
+            raise DimensionMismatch(f"beta and L length mismatch: {len(beta)} vs {len(L)}")
+        if len(beta) == 0:
+            raise EmptyBand("model needs at least one band")
+        if not all(_integer(x) and x >= 1 for x in L):
+            raise EmptyBand(f"band widths must be positive integers, got {L}")
+        if not all(map(math.isfinite, beta)):
+            raise InvalidSpeeds(f"band speeds must be finite, got {beta}")
+        if len(set(beta)) != len(beta):
+            raise DuplicateSpeed(f"band speeds must be pairwise distinct, got {beta}")
+        L = tuple(map(int, L))
+        cum, band = np.cumsum((0, *L)), np.repeat(np.arange(len(beta)), L)
+        for name, value in dict(beta=beta, L=L, N=int(cum[-1]), cum=tuple(cum.tolist()),
+                                band_index=_freeze(band),
+                                alpha=_freeze(np.asarray(beta)[band])).items():
             object.__setattr__(self, name, value)
 
     @property
@@ -86,25 +119,28 @@ class BandModel:
 class NoiseGenerator:
     """Wraps the symmetric generator Wdot of the family W_eps = Id + eps*Wdot.
 
-    ``N`` is ``len(wdot)``.  The constructor checks nothing and :meth:`from_matrix` only the
-    shape and entries (InvalidMatrix); :func:`validate_admissibility` tests admissibility.
+    ``wdot`` is stored as a read-only float array, and ``N`` is ``len(wdot)``.
+    The constructor checks the shape and entries: InvalidMatrix unless numpy
+    reads ``wdot`` as a nonempty square matrix of finite floats.
+    :func:`validate_admissibility` tests admissibility.
     """
 
     wdot: np.ndarray
 
-    @property
-    def N(self) -> int:
-        return len(self.wdot)
-
-    @staticmethod
-    def from_matrix(wdot) -> "NoiseGenerator":
+    def __post_init__(self):
         try:
-            w = np.asarray(wdot, dtype=float)
-        except (TypeError, ValueError) as exc:
+            w = np.asarray(self.wdot, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidMatrix(str(exc)) from exc
         if w.ndim != 2 or w.shape[0] != w.shape[1] or not w.size:
             raise InvalidMatrix(f"generator must be square, got shape {w.shape}")
-        return NoiseGenerator(_freeze(w))
+        if not np.all(np.isfinite(w)):
+            raise InvalidMatrix("generator has non-finite entries")
+        object.__setattr__(self, "wdot", _freeze(w))
+
+    @property
+    def N(self) -> int:
+        return len(self.wdot)
 
     @property
     def eps_max(self) -> float:
@@ -137,26 +173,8 @@ class AdmissibilityReport:
         return self.item_stochastic and self.item_distinct_full and self.item_distinct_blocks
 
 
-def build_band_model(beta, L) -> BandModel:
-    """Assemble a BandModel from band speeds and widths.
-
-    Speeds must be finite (InvalidSpeeds) and are compared exactly (they are
-    model inputs, not measurements).  Widths must be positive integers of an
-    integer type (EmptyBand): a float width is refused, not truncated.
-    """
-    beta = tuple(float(b) for b in beta)
-    L = tuple(L)
-    if len(beta) != len(L):
-        raise DimensionMismatch(f"beta and L length mismatch: {len(beta)} vs {len(L)}")
-    if len(beta) == 0:
-        raise EmptyBand("model needs at least one band")
-    if not all(_integer(x) and x >= 1 for x in L):
-        raise EmptyBand(f"band widths must be positive integers, got {L}")
-    if not all(map(math.isfinite, beta)):
-        raise InvalidSpeeds(f"band speeds must be finite, got {beta}")
-    if len(set(beta)) != len(beta):
-        raise DuplicateSpeed(f"band speeds must be pairwise distinct, got {beta}")
-    return BandModel(beta, tuple(int(x) for x in L))
+#: BandModel under its older name, kept for its callers: the class checks its own inputs
+build_band_model = BandModel
 
 
 def laplacian_generator(N: int) -> NoiseGenerator:
@@ -170,7 +188,7 @@ def laplacian_generator(N: int) -> NoiseGenerator:
     w = np.diag(np.full(N, -1.0)) + 0.5 * (np.eye(N, k=1) + np.eye(N, k=-1))
     w[0, 0] = -0.5
     w[N - 1, N - 1] = -0.5
-    return NoiseGenerator(_freeze(w))
+    return NoiseGenerator(w)
 
 
 def spectral_gap(spectra) -> tuple[float, float, bool]:
@@ -239,7 +257,7 @@ def validate_admissibility(gen: NoiseGenerator, model: BandModel) -> Admissibili
     check_dimension(model, gen)
     w = gen.wdot
     with np.errstate(over="ignore"):          # an overflowing defect reads inf
-        sym = float(np.max(np.abs(w - w.T))) if w.size else 0.0
+        sym = float(np.max(np.abs(w - w.T)))
         row = float(np.max(np.abs(w.sum(axis=1))))
     off = w[~np.eye(gen.N, dtype=bool)]
     min_off = float(off.min()) if off.size else 0.0
@@ -257,22 +275,18 @@ def validate_admissibility(gen: NoiseGenerator, model: BandModel) -> Admissibili
 def w_epsilon(gen: NoiseGenerator, eps: float) -> np.ndarray:
     """The random-walk matrix Id + eps*Wdot; symmetric doubly stochastic.
 
-    EpsOutOfRange unless eps is finite and nonnegative and every entry lies
-    in [0, 1] up to a 1e-14 slack; InvalidMatrix if Wdot has a non-finite
-    entry.
+    EpsOutOfRange unless eps is a finite nonnegative number and every entry
+    lies in [0, 1] up to a 1e-14 slack.
     """
-    # NaN fails every comparison, so the range tests refuse NaN and inf too
-    if not 0 <= eps < math.inf:
+    if not _finite_nonnegative(eps):
         raise EpsOutOfRange(f"eps must be finite and nonnegative, got {eps}")
-    # 0 * inf and an overflowing product make NaN or inf entries, which the
-    # range test below refuses, so numpy need not warn about them
-    with np.errstate(invalid="ignore", over="ignore"):
+    # an overflowing product makes infinite entries, which the range test
+    # below refuses, so numpy need not warn about them
+    with np.errstate(over="ignore"):
         w = np.eye(gen.N) + eps * gen.wdot
-    lo, hi = w.min(), w.max()       # NaN if an entry is NaN
+    lo, hi = w.min(), w.max()
     # small slack for accumulated rounding in eps * wdot
     if not (lo >= -1e-14 and hi <= 1.0 + 1e-14):
-        if not np.all(np.isfinite(gen.wdot)):
-            raise InvalidMatrix("generator has non-finite entries")
         raise EpsOutOfRange(
             f"Id + eps*Wdot leaves [0, 1] at eps={eps} "
             f"(entry range [{lo:.6g}, {hi:.6g}], eps_max={gen.eps_max:.6g})")

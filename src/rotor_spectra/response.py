@@ -35,7 +35,7 @@ import numpy as np
 from . import model as band_models
 from .errors import (DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, InvalidSpeeds,
                      NoConvergence)
-from .model import BandModel, NoiseGenerator, _freeze, _integer, build_band_model, spectral_gap
+from .model import BandModel, NoiseGenerator, _freeze, _integer, spectral_gap
 from .spectra import (_certified, assemble_fourier_block, eig_dense_complex, label_spectrum,
                       nearest_assignment)
 from .zero_noise import LimitBasis, limit_basis, limit_eigenbasis, projective_distance
@@ -100,7 +100,7 @@ def first_order_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBas
     """
     if _terminates(model, k):
         # every fibre has band 0's phase here, so one band of N fibres has the same matrix
-        one_band = build_band_model(model.beta[:1], [model.N])
+        one_band = BandModel(model.beta[:1], (model.N,))
         return replace(limit_eigenbasis(one_band, gen, k), model=model)
     return limit_basis(model, gen, k)
 

@@ -85,6 +85,8 @@ class UlamOperator:
     and ``w_eps`` (N, N) is W_eps.  Counted operators keep the pooled shift
     ``kernel`` (N, N, M) instead.  ``flagged_rows`` lists the cells that no
     counted step left.  The bin count M is the last axis of either kernel.
+    An operator is one kind, with its model's shapes: any other combination
+    of kernels, or shapes other than these, raise InvalidSimulationInput.
     """
 
     model: BandModel
@@ -92,6 +94,19 @@ class UlamOperator:
     kernel_rows: np.ndarray | None = None
     w_eps: np.ndarray | None = None
     kernel: np.ndarray | None = None
+
+    def __post_init__(self):
+        rows, kernel = self.kernel_rows, self.kernel
+        if (rows is None) == (kernel is None) or (rows is None) != (self.w_eps is None):
+            raise InvalidSimulationInput(
+                "an Ulam operator holds kernel_rows with w_eps, or kernel alone")
+        n, m = self.model.N, np.shape(rows if kernel is None else kernel)[-1:]
+        shapes = (dict(kernel_rows=(self.model.S, *m), w_eps=(n, n)) if kernel is None
+                  else dict(kernel=(n, n, *m)))
+        for name, shape in shapes.items():
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise InvalidSimulationInput(f"{name} has shape {got}; the model needs {shape}")
 
     @property
     def M(self) -> int:

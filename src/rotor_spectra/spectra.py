@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import (AmbiguousLabelling, DimensionMismatch, InvalidMatrix,
                      InvalidSimulationInput, NoConvergence)
-from .model import BandModel, NoiseGenerator, _freeze, check_dimension, spectral_gap, w_epsilon
+from .model import (BandModel, NoiseGenerator, _finite_nonnegative, _freeze, check_dimension,
+                    spectral_gap, w_epsilon)
 
 #: relative eigensolver residual ||A v - lambda v|| / ||A||_2 a converged pair meets
 RESIDUAL_TOL = 1e-11
@@ -182,9 +183,8 @@ def label_spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
 
 def check_delta(delta: float) -> None:
     """The fibre-noise rule of spectrum, simulate and ulam_analytic:
-    InvalidSimulationInput unless delta is finite and >= 0."""
-    # NaN fails every comparison, so the range test refuses NaN and inf too
-    if not 0 <= delta < math.inf:
+    InvalidSimulationInput unless delta is a finite number >= 0."""
+    if not _finite_nonnegative(delta):
         raise InvalidSimulationInput(f"delta must be finite and >= 0, got {delta}")
 
 

@@ -272,6 +272,19 @@ class TestSpectrum:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "case").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "spectrum", "simulate"])
+    def test_null_generator_entry_is_a_config_error(self, tmp_path, capsys, command):
+        # JSON null reached the library as NaN: validate wrote row_sum_defect=nan
+        # and exited 1, and spectrum exited 1
+        p = tmp_path / "model.json"
+        p.write_text('{"beta": [0.1, 0.3], "L": [1, 1],'
+                     ' "generator": [[-0.5, null], [0.5, -0.5]]}', encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid generator matrix: generator has non-finite entries\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, extra, message", [
         ('{"beta": [true], "L": [1]}', [], "config error: speed must be a number or token"),
         ('[{"beta": [0.1], "L": [1]}]', [], "config error: top-level config must be an object"),
@@ -875,6 +888,14 @@ def test_records_take_only_their_inputs():
                        "LabelledSpectrum": ["target"], "CycleReport": ["solver"]}
     assert [f.name for f in dataclasses.fields(rs.CycleReport)] == [
         "M", "top_m", "solver", "sectors_solved", "max_residual", "cycles"]
+
+
+def test_each_record_is_built_one_way():
+    # the records check their own inputs, so there is no second, checked
+    # builder, and w_epsilon does not restate the generator's finiteness rule
+    assert rs.build_band_model is rs.BandModel
+    assert not hasattr(rs.NoiseGenerator, "from_matrix")
+    assert "isfinite" not in inspect.getsource(rs.w_epsilon)
 
 
 def test_one_response_builder_and_one_fourier_index_rule():

@@ -131,6 +131,37 @@ class TestRecordsDeriveFromTheirInputs:
         assert spec.target.tobytes() == want.tobytes() and not spec.target.flags.writeable
 
 
+#: JSON-like values: null, bools, numbers (NaN and +-inf among them), strings
+#: and nested arrays, ragged or empty; integers stay small, because a model
+#: lays out its fibres when it is built
+JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+
+
+class TestRecordsCheckTheirInputs:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(beta=st.lists(JSON_LIKE, max_size=4), L=st.lists(JSON_LIKE, max_size=4))
+    def test_band_model_builds_or_refuses(self, beta, L):
+        try:
+            m = rs.BandModel(beta, L)
+        except RotorSpectraError:
+            return
+        assert all(type(b) is float for b in m.beta) and all(type(x) is int for x in m.L)
+        assert m.N == sum(m.L) == len(m.alpha)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(wdot=JSON_LIKE | st.lists(st.lists(JSON_LIKE, min_size=2, max_size=2),
+                                     min_size=2, max_size=2))
+    def test_generator_builds_or_refuses(self, wdot):
+        try:
+            g = NoiseGenerator(wdot)
+        except RotorSpectraError:
+            return
+        assert g.wdot.dtype == float and g.wdot.shape == (g.N, g.N)
+        assert np.all(np.isfinite(g.wdot)) and not g.wdot.flags.writeable
+
+
 class TestLaplacianGenerator:
     def test_n3_stencil(self):
         g = laplacian_generator(3)
@@ -169,7 +200,7 @@ class TestAdmissibility:
 
     def test_zero_generator_fails_distinctness(self):
         m = build_band_model([0.1, 0.2], [2, 1])
-        g = NoiseGenerator.from_matrix(np.zeros((3, 3)))
+        g = NoiseGenerator(np.zeros((3, 3)))
         rep = validate_admissibility(g, m)
         assert rep.item_stochastic          # zero matrix is stochastic-compatible
         assert not rep.item_distinct_full   # all eigenvalues equal 0
@@ -185,13 +216,13 @@ class TestAdmissibility:
     def test_asymmetric_fails(self):
         m = build_band_model([0.1, 0.2], [1, 1])
         w = np.array([[-0.5, 0.5], [0.2, -0.2]])
-        rep = validate_admissibility(NoiseGenerator.from_matrix(w), m)
+        rep = validate_admissibility(NoiseGenerator(w), m)
         assert not rep.item_stochastic
 
     def test_negative_offdiagonal_fails(self):
         m = build_band_model([0.1, 0.2], [1, 1])
         w = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        rep = validate_admissibility(NoiseGenerator.from_matrix(w), m)
+        rep = validate_admissibility(NoiseGenerator(w), m)
         assert not rep.item_stochastic
 
     def test_block_eigenvalues_nonpositive(self):
@@ -272,12 +303,14 @@ class TestWEpsilon:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_generator_is_refused(self, bad):
-        # NaN fails the range test's comparisons, so it needs its own refusal
+        # NaN fails the range test's comparisons, so it needs its own refusal,
+        # which the generator makes when it is built
         wdot = np.array(laplacian_generator(4).wdot)
         wdot[2, 3] = wdot[3, 2] = bad
-        gen, model = NoiseGenerator.from_matrix(wdot), build_band_model([0.1, 0.3], [2, 2])
-        for call in (lambda: w_epsilon(gen, 0.1), lambda: simulate(model, gen, 0.1, 0.1, 2, 5, 1),
-                     lambda: ulam_analytic(model, gen, 0.1, 0.1, 8)):
+        model = build_band_model([0.1, 0.3], [2, 2])
+        for call in (lambda: w_epsilon(NoiseGenerator(wdot), 0.1),
+                     lambda: simulate(model, NoiseGenerator(wdot), 0.1, 0.1, 2, 5, 1),
+                     lambda: ulam_analytic(model, NoiseGenerator(wdot), 0.1, 0.1, 8)):
             with pytest.raises(InvalidMatrix, match="non-finite"):
                 call()
 
@@ -285,13 +318,14 @@ class TestWEpsilon:
         (1.0, math.inf, 0.0, InvalidMatrix), (1e300, None, 1e10, EpsOutOfRange),
     ], ids=["inf-entry-at-eps0", "overflowing-product"])
     def test_refusal_is_silent(self, scale, bad, eps, error):
-        # 0 * inf and an overflowing eps * Wdot are refused by the range test;
-        # numpy must not warn about them first (pytest turns warnings into errors)
+        # an infinite entry is refused when the generator is built, and an
+        # overflowing eps * Wdot by the range test; numpy must not warn about
+        # either first (pytest turns warnings into errors)
         wdot = scale * np.array(laplacian_generator(4).wdot)
         if bad is not None:
             wdot[2, 3] = wdot[3, 2] = bad
         with pytest.raises(error):
-            w_epsilon(NoiseGenerator.from_matrix(wdot), eps)
+            w_epsilon(NoiseGenerator(wdot), eps)
 
     def test_doubly_stochastic_sweep(self):
         rng = np.random.default_rng(3)
@@ -307,15 +341,36 @@ class TestWEpsilon:
             assert w.min() >= 0.0 and w.max() <= 1.0
 
 
+#: a two-band model of four fibres, for hand-built Ulam operators
+FOUR = build_band_model([0.1, 0.3], [2, 2])
+
+
 @pytest.mark.parametrize("error, call", [
-    (InvalidMatrix, lambda: NoiseGenerator.from_matrix([[0.0, 1.0]])),
-    (InvalidMatrix, lambda: NoiseGenerator.from_matrix(np.zeros((0, 0)))),
-    (InvalidMatrix, lambda: NoiseGenerator.from_matrix([[0.0, "a"], ["a", 0.0]])),
-    (InvalidMatrix, lambda: NoiseGenerator.from_matrix([[0.0, {}], [{}, 0.0]])),
-    (InvalidMatrix, lambda: NoiseGenerator.from_matrix([[0.0, 0.0], [0.0]])),
+    (InvalidMatrix, lambda: NoiseGenerator([[0.0, 1.0]])),
+    (InvalidMatrix, lambda: NoiseGenerator(np.zeros((0, 0)))),
+    (InvalidMatrix, lambda: NoiseGenerator([[0.0, "a"], ["a", 0.0]])),
+    (InvalidMatrix, lambda: NoiseGenerator([[0.0, {}], [{}, 0.0]])),
+    (InvalidMatrix, lambda: NoiseGenerator([[0.0, 0.0], [0.0]])),
+    (InvalidMatrix, lambda: NoiseGenerator(np.ones((2, 3)))),
+    (InvalidMatrix, lambda: NoiseGenerator([[0.0, None], [None, 0.0]])),
+    (InvalidMatrix, lambda: NoiseGenerator([[10 ** 400]])),
     (DimensionMismatch, lambda: build_band_model([0.1, 0.2], [1])),
+    (DimensionMismatch, lambda: rs.BandModel((0.1,), (2, 3))),
     (InvalidSpeeds, lambda: build_band_model([math.nan], [2])),
     (InvalidSpeeds, lambda: build_band_model([0.1, -math.inf], [1, 1])),
+    (InvalidSpeeds, lambda: build_band_model([None], [1])),
+    (InvalidSpeeds, lambda: build_band_model(["a"], [1])),
+    (InvalidSpeeds, lambda: build_band_model([10 ** 400], [1])),
+    (InvalidSimulationInput, lambda: detect_cycles(rs.UlamOperator(FOUR), FOUR, 1)),
+    (InvalidSimulationInput, lambda: rs.UlamOperator(FOUR, kernel_rows=np.ones((2, 8)))),
+    (InvalidSimulationInput, lambda: rs.UlamOperator(
+        FOUR, kernel_rows=np.ones((2, 8)), w_eps=np.eye(4), kernel=np.ones((4, 4, 8)))),
+    (InvalidSimulationInput, lambda: rs.UlamOperator(FOUR, kernel=np.ones((3, 3, 8)))),
+    (InvalidSimulationInput, lambda: rs.UlamOperator(FOUR, kernel=np.ones((4, 4)))),
+    (InvalidSimulationInput, lambda: rs.UlamOperator(
+        FOUR, kernel_rows=np.ones((3, 8)), w_eps=np.eye(4))),
+    (InvalidSimulationInput, lambda: rs.UlamOperator(
+        FOUR, kernel_rows=np.ones((2, 8)), w_eps=np.eye(3))),
     (DimensionMismatch, lambda: validate_admissibility(laplacian_generator(3),
                                                        build_band_model([0.1], [2]))),
     (InvalidMatrix, lambda: eig_dense_complex(np.ones((2, 3)))),
@@ -323,11 +378,17 @@ class TestWEpsilon:
     (DimensionMismatch, lambda: alpha_response(build_band_model([0.0, 0.25], [1, 1]),
                                               laplacian_generator(2), 1, 0.01, 0, [1.0])),
 ], ids=["from_matrix", "from_matrix_empty", "from_matrix_non_numeric", "from_matrix_not_a_number",
-        "from_matrix_ragged", "band_lengths", "nan_speed", "infinite_speed",
+        "from_matrix_ragged", "generator_not_square", "generator_null", "generator_int_overflow",
+        "band_lengths", "model_lengths", "nan_speed", "infinite_speed", "none_speed",
+        "string_speed", "int_overflow_speed", "ulam_no_kernel", "ulam_rows_without_w_eps",
+        "ulam_both_kinds", "ulam_kernel_fibres", "ulam_kernel_axes", "ulam_rows_bands",
+        "ulam_w_eps_fibres",
         "admissibility_dimension",
         "eig_not_square", "eig_non_finite", "alpha_direction"])
 def test_boundary_errors_are_typed(error, call):
-    # typed library errors that still satisfy callers catching ValueError
+    # typed library errors that still satisfy callers catching ValueError; the
+    # records refuse what once ended in a bare TypeError, ValueError, IndexError or
+    # OverflowError, or built (a non-square generator, an operator of no kind)
     assert issubclass(error, RotorSpectraError) and issubclass(error, ValueError)
     with pytest.raises(error):
         call()
@@ -346,6 +407,10 @@ GRID = [1e-2, 1e-3, 1e-4, 1e-5]
     (InvalidSimulationInput, "delta", lambda m, g: spectrum(m, g, 1, 0.1, math.nan)),
     (InvalidSimulationInput, "delta", lambda m, g: spectrum(m, g, 1, 0.1, -0.05)),
     (InvalidSimulationInput, "delta", lambda m, g: delta_factor(1, -0.05)),
+    (EpsOutOfRange, "finite", lambda m, g: w_epsilon(g, None)),
+    (EpsOutOfRange, "finite", lambda m, g: spectrum(m, g, 1, "0.1")),
+    (InvalidSimulationInput, "delta", lambda m, g: delta_factor(1, None)),
+    (InvalidSimulationInput, "delta", lambda m, g: ulam_analytic(m, g, 0.1, "0.1", 16)),
     (InvalidSimulationInput, "integer",
      lambda m, g: detect_cycles(ulam_analytic(m, g, 0.1, 0.1, 16), m, 2.5)),
     (InvalidSimulationInput, "integers", lambda m, g: simulate(m, g, 0.1, 0.1, 2.5, 5, 1)),
@@ -382,6 +447,7 @@ GRID = [1e-2, 1e-3, 1e-4, 1e-5]
     (DimensionMismatch, r"labels \[True\] are not", lambda m, g: order_check(m, g, 1, True, GRID)),
 ], ids=["w_eps_nan", "w_eps_inf", "simulate_eps_nan", "ulam_eps_inf", "spectrum_delta_inf",
         "spectrum_delta_nan", "spectrum_delta_negative", "delta_factor_negative",
+        "w_eps_none", "spectrum_eps_string", "delta_factor_none", "ulam_delta_string",
         "top_m_fraction", "paths_fraction", "steps_fraction", "seed_fraction",
         "ulam_bins_fraction", "empirical_bins_fraction", "order_check_label_99",
         "order_check_label_negative", "order_check_label_fraction", "order_checks_label_33", "alpha_response_label_99",
@@ -389,7 +455,8 @@ GRID = [1e-2, 1e-3, 1e-4, 1e-5]
         "oracle_k_huge", "bool_paths", "bool_steps", "bool_seed", "bool_top_m", "bool_bins",
         "bool_spectrum_k", "bool_phases_k", "bool_label"])
 def test_out_of_range_parameters_are_refused(case_model, case_gen, error, match, call):
-    # eps and delta must be finite and >= 0, top_m and the simulation counts
+    # eps and delta must be finite numbers >= 0 (None and strings once ended in
+    # a bare TypeError), top_m and the simulation counts
     # whole, k an integer within +-MAX_INDEX, as the config and the CLI already
     # require, and a label an integer within [0, N): ell = -1 used to check
     # label N - 1 and ell = 1.5 label 1.  A bool is no count or index: True

@@ -130,12 +130,12 @@ class TestCrosscheck:
         with pytest.raises(DimensionTooSmall):
             closed_form_eigendata(m, 1)
         with pytest.raises(DimensionTooSmall):
-            oracle_crosscheck(m, NoiseGenerator.from_matrix([[0.0]]), 1)
+            oracle_crosscheck(m, NoiseGenerator([[0.0]]), 1)
 
     def test_not_laplacian(self, case_model):
         w = np.zeros((33, 33))
         with pytest.raises(NotLaplacian):
-            oracle_crosscheck(case_model, NoiseGenerator.from_matrix(w), 1)
+            oracle_crosscheck(case_model, NoiseGenerator(w), 1)
 
     def test_mismatch_raised_at_absurd_tolerance(self, case_model, case_gen, monkeypatch):
         monkeypatch.setattr(oracle, "ORACLE_TOL", 1e-18)

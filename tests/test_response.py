@@ -81,7 +81,7 @@ def rates_generator(n, rates):
     wdot[np.triu_indices(n, 1)] = rates
     wdot += wdot.T
     wdot -= np.diag(wdot.sum(axis=1))
-    return NoiseGenerator.from_matrix(wdot)
+    return NoiseGenerator(wdot)
 
 
 def draw_generator(data, n, low=0.05):
@@ -340,7 +340,7 @@ class TestOrderCheck:
         # a response record at half of Wdot checks half of Wdot: a second
         # generator beside the record used to be taken without a word, and
         # Wdot's terms against half of it gave dense ladders of slope1 1.00
-        half = NoiseGenerator.from_matrix(0.5 * case_gen.wdot)
+        half = NoiseGenerator(0.5 * case_gen.wdot)
         grid = [1e-2, 1e-3, 1e-4, 1e-5]
         checks = order_checks(response_data(case_model, half, 1), [0, 11, 18], grid)
         for ell, got in zip([0, 11, 18], checks):
@@ -694,7 +694,7 @@ class TestAlphaResponse:
 
     def test_scalar_case(self):
         m = build_band_model([0.37], [1])
-        g = NoiseGenerator.from_matrix([[0.0]])
+        g = NoiseGenerator([[0.0]])
         dlam, df = alpha_response(m, g, 2, 0.5, 0, [1.0])
         want = -2j * np.pi * 2 * np.exp(-2j * np.pi * 2 * 0.37)
         assert_allclose(dlam, want, atol=1e-14)
@@ -761,7 +761,7 @@ class TestAlphaResponse:
     def test_left_vector_at_zero_eigenvalue(self):
         # eps = 1 makes W_eps = [[.5, .5], [.5, .5]] singular: lam = 0 has W_eps f = 0
         m = build_band_model([-0.7034338027445681, 0.5], [1, 1])
-        g = NoiseGenerator.from_matrix([[-0.5, 0.5], [0.5, -0.5]])
+        g = NoiseGenerator([[-0.5, 0.5], [0.5, -0.5]])
         assert_dlam_matches_inverse_row(m, g, 1, 1.0, 0, [0.25, -0.5])
 
     @pytest.mark.parametrize("k, eps", [(1, 0.1), (2, 0.02)])
@@ -795,7 +795,7 @@ class TestAlphaResponse:
 
     def test_eigs_not_simple(self):
         m = build_band_model([0.1, 0.2], [1, 1])
-        g = NoiseGenerator.from_matrix(np.zeros((2, 2)))
+        g = NoiseGenerator(np.zeros((2, 2)))
         with pytest.raises(EigsNotSimple):
             alpha_response(m, g, 0, 0.5, 0, [1.0, 0.0])
 
@@ -803,7 +803,7 @@ class TestAlphaResponse:
         # the phases sit 2 pi 1e-11 ~ 6.3e-11 apart: above 1e-12 of the
         # spectral radius, not above GAP_TOL (1e-9) of it
         m = build_band_model([0.1, 0.1 + 1e-11], [1, 1])
-        g = NoiseGenerator.from_matrix(np.zeros((2, 2)))
+        g = NoiseGenerator(np.zeros((2, 2)))
         gap = abs(np.diff(m.phases(1)))[0]
         assert 1e-12 < gap < 1e-9
         with pytest.raises(EigsNotSimple, match="GAP_TOL"):

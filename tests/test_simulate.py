@@ -23,7 +23,7 @@ simulate_module = importlib.import_module("rotor_spectra.simulate")
 
 
 def single_fibre_model(speed):
-    return build_band_model([speed], [1]), NoiseGenerator.from_matrix([[0.0]])
+    return build_band_model([speed], [1]), NoiseGenerator([[0.0]])
 
 
 def one_fibre_batch(model, x):
@@ -117,7 +117,7 @@ def dense_generator(n):
     """A generator whose off-diagonal rates are all at least 0.05 (fixed seed)."""
     rates = np.random.default_rng(4).uniform(0.05, 1.0, size=(n, n))
     wdot = np.triu(rates, 1) + np.triu(rates, 1).T
-    return NoiseGenerator.from_matrix(wdot - np.diag(wdot.sum(axis=1)))
+    return NoiseGenerator(wdot - np.diag(wdot.sum(axis=1)))
 
 
 def draw_admissible(data, widths, max_cells, sparse=False):
@@ -141,7 +141,7 @@ def draw_admissible(data, widths, max_cells, sparse=False):
     wdot[np.triu_indices(n, 1)] = rates
     wdot += wdot.T
     wdot -= np.diag(wdot.sum(axis=1))
-    gen = NoiseGenerator.from_matrix(wdot)
+    gen = NoiseGenerator(wdot)
     if kind == "laplacian" and n > 1:
         gen = laplacian_generator(n)
     eps = data.draw(st.floats(0.0, 1.0), label="eps_fraction") * min(gen.eps_max, 1.0)
@@ -820,7 +820,7 @@ class TestSectorPath:
     def test_matches_full_eig_on_hand_models(self, name):
         beta, widths, eps, delta, M, top_m = HAND_MODELS[name]
         m = build_band_model(beta, widths)
-        g = laplacian_generator(m.N) if m.N > 1 else NoiseGenerator.from_matrix([[0.0]])
+        g = laplacian_generator(m.N) if m.N > 1 else NoiseGenerator([[0.0]])
         op = ulam_analytic(m, g, eps, delta, M)
         report = detect_cycles(op, m, top_m)
         assert report.solver == "sector"

@@ -229,7 +229,7 @@ class TestLabelSpectrum:
         # a generator outside validate's stochastic item: radius 0, yet the
         # off-diagonals move every eigenvalue off its phase
         w = 0.5 * (np.eye(33, k=1) + np.eye(33, k=-1))
-        gen = NoiseGenerator.from_matrix(w)
+        gen = NoiseGenerator(w)
         assert gershgorin_bound(gen, 0.1) == 0.0
         with pytest.raises(AmbiguousLabelling, match="exceeds Gershgorin radius 0.000e"):
             spectrum(case_model, gen, 1, 0.1)
@@ -241,7 +241,7 @@ class TestGershgorin:
     def test_values(self, case_gen):
         assert gershgorin_bound(case_gen, 0.1) == pytest.approx(0.2)
         assert gershgorin_bound(case_gen, 0.0) == 0.0
-        zero = NoiseGenerator.from_matrix(np.zeros((3, 3)))
+        zero = NoiseGenerator(np.zeros((3, 3)))
         assert gershgorin_bound(zero, 0.7) == 0.0
 
     def test_containment_sweep(self):

@@ -85,7 +85,7 @@ class TestAssembleLimitMatrix:
         for _ in range(60):
             m = random_banded_model(rng)
             w = rng.standard_normal((m.N, m.N)) * (rng.random((m.N, m.N)) < 0.7)
-            g = NoiseGenerator.from_matrix(w + w.T)
+            g = NoiseGenerator(w + w.T)
             phat = assemble_limit_matrix(m, g, k)
             assert np.array_equal(bits(phat), bits(block_loop_limit_matrix(m, g, k)))
             off = m.band_index[:, None] != m.band_index[None, :]
@@ -151,7 +151,7 @@ class TestLimitEigenbasis:
         m = build_band_model([0.1, 0.2], [2, 1])
         w = np.zeros((3, 3))
         with pytest.raises(DegenerateBlock):
-            limit_eigenbasis(m, NoiseGenerator.from_matrix(w), 1)
+            limit_eigenbasis(m, NoiseGenerator(w), 1)
 
     def test_gamma_refusal(self, case_model, case_gen):
         with pytest.raises(GammaViolated):
@@ -179,7 +179,7 @@ class TestSimpleSpectrumRule:
                 sl = model.band_slice(s)
                 block = q @ np.diag(rho) @ q.T
                 wdot[sl, sl] = 0.5 * (block + block.T)
-            gen = NoiseGenerator.from_matrix(wdot)
+            gen = NoiseGenerator(wdot)
             passed = validate_admissibility(gen, model).item_distinct_blocks
             try:
                 limit_basis(model, gen, 1)
@@ -201,7 +201,7 @@ class TestSimpleSpectrumRule:
                 [0, 0, 1e-12, -9.99999e-07, 9.99998e-07],
                 [0.5, 0.5, 9.99998e-07, 9.99998e-07, -1.000001999996]]
         model = build_band_model([0.1, 0.35, 0.7], [2, 2, 1])
-        gen = NoiseGenerator.from_matrix(wdot)
+        gen = NoiseGenerator(wdot)
         report = validate_admissibility(gen, model)
         assert report.item_stochastic and report.item_distinct_full
         assert not report.item_distinct_blocks
@@ -227,7 +227,7 @@ class TestSimpleSpectrumRule:
         # around it: admissibility and both basis builders judge one solve
         def verdicts(t):
             beta, widths, wdot = family(t)
-            model, gen = build_band_model(beta, widths), NoiseGenerator.from_matrix(wdot)
+            model, gen = build_band_model(beta, widths), NoiseGenerator(wdot)
             report = validate_admissibility(gen, model)
             accepted = []
             for build, k in ((limit_basis, 1), (first_order_basis, 0)):
