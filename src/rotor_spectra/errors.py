@@ -20,7 +20,8 @@ class DuplicateSpeed(RotorSpectraError):
 
 
 class EmptyBand(RotorSpectraError):
-    """A band width is not a positive integer, or a model has no band."""
+    """A band width is not a positive integer, a model has no band, or the
+    widths are too large for numpy to lay the fibres out."""
 
 
 class DimensionTooSmall(RotorSpectraError):

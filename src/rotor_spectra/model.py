@@ -13,6 +13,7 @@ read-only) and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -35,6 +36,13 @@ def _integer(value) -> bool:
     """Whether ``value`` is an integer and not a bool: the type rule of every
     count and index, so ``True`` is refused rather than read as 1."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_index(k) -> None:
+    """The Fourier-index rule of BandModel.phases and delta_factor: ConfigError
+    unless k is an integer, not a bool, with |k| <= MAX_INDEX."""
+    if not _integer(k) or abs(k) > MAX_INDEX:
+        raise ConfigError("a Fourier index must be an integer within +-2**32")
 
 
 def _finite_nonnegative(value) -> bool:
@@ -63,9 +71,11 @@ class BandModel:
     (DuplicateSpeed: they are model inputs, not measurements).  There is one
     width per speed (DimensionMismatch) and at least one band, and each width
     is a positive integer of an integer type (EmptyBand): a float width is
-    refused, not truncated.  Derived from them once are ``N``, the offsets
-    ``cum`` (0 = N_0 < N_1 < ... < N_S = N; band s occupies
-    ``cum[s]:cum[s+1]``), ``alpha`` and each fibre's band ``band_index``.
+    refused, not truncated, and so are widths that numpy cannot lay out as
+    fibres (a width or N beyond its index range).  Derived from them once
+    are ``N``, the offsets ``cum`` (exact ints, 0 = N_0 < N_1 < ... < N_S =
+    N; band s occupies ``cum[s]:cum[s+1]``), ``alpha`` and each fibre's band
+    ``band_index``.
     """
 
     beta: tuple[float, ...]
@@ -92,8 +102,12 @@ class BandModel:
         if len(set(beta)) != len(beta):
             raise DuplicateSpeed(f"band speeds must be pairwise distinct, got {beta}")
         L = tuple(map(int, L))
-        cum, band = np.cumsum((0, *L)), np.repeat(np.arange(len(beta)), L)
-        for name, value in dict(beta=beta, L=L, N=int(cum[-1]), cum=tuple(cum.tolist()),
+        try:
+            band = np.repeat(np.arange(len(beta)), L)
+        except (OverflowError, ValueError) as exc:     # N or a width beyond numpy's index range
+            raise EmptyBand(f"band widths too large to lay out as fibres: {exc}") from exc
+        cum = tuple(itertools.accumulate(L, initial=0))
+        for name, value in dict(beta=beta, L=L, N=cum[-1], cum=cum,
                                 band_index=_freeze(band),
                                 alpha=_freeze(np.asarray(beta)[band])).items():
             object.__setattr__(self, name, value)
@@ -110,8 +124,7 @@ class BandModel:
 
         ConfigError unless k is an integer, not a bool, with |k| <= MAX_INDEX.
         """
-        if not _integer(k) or abs(k) > MAX_INDEX:
-            raise ConfigError("a Fourier index must be an integer within +-2**32")
+        _check_index(k)
         return np.exp(-2j * np.pi * k * np.asarray(self.beta))
 
 

@@ -21,7 +21,7 @@ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,15 +40,29 @@ ORACLE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class OracleReport:
-    """Per-label comparison of the closed-form and the numerical limit basis:
-    each label's case, the closed-form pair's residual against the assembled
-    limit matrix, the eigenvalue difference and the projective vector distance."""
+    """Per-label comparison of the closed-form and the numerical limit basis.
+
+    Its inputs are the two bases; derived from them once are each label's
+    closed-form pair's ``residual`` against the limit matrix assembled from
+    ``numeric``'s model, generator and k, the eigenvalue difference
+    ``abs_diff`` and the projective vector distance ``vec_proj_dist``.
+    """
 
     closed: LimitBasis
     numeric: LimitBasis
-    residual: np.ndarray
-    abs_diff: np.ndarray
-    vec_proj_dist: np.ndarray
+    residual: np.ndarray = field(init=False)
+    abs_diff: np.ndarray = field(init=False)
+    vec_proj_dist: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        numeric, f, lam = self.numeric, self.closed.vectors, self.closed.lambda_hat
+        # one expression, so the limit matrix is freed before the norm's temporaries
+        residual = np.linalg.norm(
+            assemble_limit_matrix(numeric.model, numeric.gen, numeric.k) @ f - lam * f, axis=0)
+        vdist = [projective_distance(f[:, i], numeric.vectors[:, i]) for i in range(len(lam))]
+        for name, value in dict(residual=residual, abs_diff=np.abs(lam - numeric.lambda_hat),
+                                vec_proj_dist=np.array(vdist)).items():
+            object.__setattr__(self, name, _freeze(value))
 
     @property
     def case(self) -> tuple[str, ...]:
@@ -100,16 +114,9 @@ def oracle_crosscheck(model: BandModel, gen: NoiseGenerator, k: int) -> OracleRe
     check_dimension(model, gen)
     if not np.array_equal(gen.wdot, laplacian_generator(model.N).wdot):
         raise NotLaplacian("closed forms require the central-difference Laplacian generator")
-    closed = closed_form_eigendata(model, k)
-    numeric = limit_eigenbasis(model, gen, k)
-    f, lam = closed.vectors, closed.lambda_hat
-    residual = np.linalg.norm(assemble_limit_matrix(model, gen, k) @ f - lam * f, axis=0)
-    vdist = [projective_distance(f[:, i], numeric.vectors[:, i]) for i in range(model.N)]
-    report = OracleReport(
-        closed=closed, numeric=numeric,
-        residual=_freeze(residual), abs_diff=_freeze(np.abs(lam - numeric.lambda_hat)),
-        vec_proj_dist=_freeze(np.array(vdist)))
-    worst = float(np.max(residual))
+    report = OracleReport(closed=closed_form_eigendata(model, k),
+                          numeric=limit_eigenbasis(model, gen, k))
+    worst = float(np.max(report.residual))
     if max(worst, report.max_abs_diff, report.max_vec_dist) > ORACLE_TOL:
         raise MismatchBeyondTolerance(
             f"oracle mismatch at k={k}: max closed-form residual {worst:.3e}, "

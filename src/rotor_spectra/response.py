@@ -36,8 +36,8 @@ from . import model as band_models
 from .errors import (DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, InvalidSpeeds,
                      NoConvergence)
 from .model import BandModel, NoiseGenerator, _freeze, _integer, spectral_gap
-from .spectra import (_certified, assemble_fourier_block, eig_dense_complex, label_spectrum,
-                      nearest_assignment)
+from .spectra import (_band_diagonal, _certified, assemble_fourier_block, eig_dense_complex,
+                      label_spectrum, nearest_assignment)
 from .zero_noise import LimitBasis, limit_basis, limit_eigenbasis, projective_distance
 
 
@@ -130,8 +130,8 @@ def response_data(model: BandModel, gen: NoiseGenerator, k: int) -> ResponseData
     gap = lam_hat[None, :] - lam_hat[:, None]            # [r, ell]: lhat_ell - lhat_r
     inv = np.zeros((n, n), dtype=complex)
     np.divide(1.0, d[None, :] - d[:, None], out=inv, where=across)
-    a = d[:, None] * (gen.wdot @ f)                      # D Wdot F
-    b = gen.wdot @ (np.conj(d)[:, None] * f)             # Wdot D* F
+    a = _band_diagonal(model, model.phases(k), gen.wdot @ f)            # D Wdot F
+    b = gen.wdot @ _band_diagonal(model, np.conj(model.phases(k)), f)   # Wdot D* F
     h = b.conj().T @ (a * inv)
     coeff = (f.T @ a) * inv + h / np.where(within, gap, np.inf)
     return ResponseData(basis=basis, lambda_hathat=_freeze(np.diag(h)), f_hat=_freeze(f @ coeff))
@@ -282,7 +282,7 @@ def order_checks(resp: ResponseData, ells, eps_grid) -> tuple[OrderCheck, ...]:
     ells = _check_labels(model, ells)
     eps_grid = check_eps_grid(gen, eps_grid)
     d = model.phases(k)[model.band_index]
-    dw = d[:, None] * gen.wdot                           # D Wdot
+    dw = _band_diagonal(model, model.phases(k), gen.wdot)    # D Wdot
     f, f_hat = basis.vectors, resp.f_hat
     c = f.T @ f_hat
     cf = c @ f.T                                         # C f^T

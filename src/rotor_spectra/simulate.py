@@ -49,7 +49,7 @@ import numpy as np
 from .errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
                      NoComplexEigenvalues, NoConvergence)
 from .model import BandModel, NoiseGenerator, _freeze, _integer, check_dimension, w_epsilon
-from .spectra import check_delta, eig_dense_complex
+from .spectra import _band_diagonal, check_delta, eig_dense_complex
 
 #: |imag| above which an eigenvalue counts as nonreal, relative to its sector bound b(m)
 IMAG_TOL = 1e-9
@@ -497,11 +497,12 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
         def block(m):
             return khat[:, :, m]
     else:
-        qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()[op.model.band_index]   # (N, M//2 + 1)
-        bounds = (np.abs(qhat) * np.abs(op.w_eps).sum(axis=1)[:, None]).max(axis=0)
+        qhat = np.fft.rfft(op.kernel_rows, axis=1).conj()          # (S, M//2 + 1)
+        bounds = (np.abs(qhat)[op.model.band_index]
+                  * np.abs(op.w_eps).sum(axis=1)[:, None]).max(axis=0)
 
         def block(m):
-            return qhat[:, m, None] * op.w_eps                      # Diag(qhat(m)) W_eps
+            return _band_diagonal(op.model, qhat[:, m], op.w_eps)   # Diag(qhat(m)) W_eps
     order = np.argsort(-bounds, kind="stable")
     cuts = (1 + 1e-9) * np.append(bounds[order[1:]], -np.inf)   # next unsolved b(m)
     solved, n = {}, op.model.N

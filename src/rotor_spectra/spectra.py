@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import (AmbiguousLabelling, DimensionMismatch, InvalidMatrix,
                      InvalidSimulationInput, NoConvergence)
-from .model import (BandModel, NoiseGenerator, _finite_nonnegative, _freeze, check_dimension,
-                    spectral_gap, w_epsilon)
+from .model import (BandModel, NoiseGenerator, _check_index, _finite_nonnegative, _freeze,
+                    check_dimension, spectral_gap, w_epsilon)
 
 #: relative eigensolver residual ||A v - lambda v|| / ||A||_2 a converged pair meets
 RESIDUAL_TOL = 1e-11
@@ -61,13 +61,19 @@ class LabelledSpectrum:
         object.__setattr__(self, "target", _freeze(self.sinc * phases))
 
 
+def _band_diagonal(model: BandModel, centres, x: np.ndarray) -> np.ndarray:
+    """Diag(c) x for the fibre diagonal c of the per-band ``centres``: the one
+    product through which a band-constant diagonal (band phases, an exact Ulam
+    sector's kernel transform) enters a matrix."""
+    return np.asarray(centres)[model.band_index][:, None] * x
+
+
 def assemble_fourier_block(model: BandModel, gen: NoiseGenerator, k: int,
                            eps: float) -> np.ndarray:
     """The read-only matrix D_{k,alpha} (Id + eps*Wdot) of Fourier index k."""
     check_dimension(model, gen)
     w = w_epsilon(gen, eps)
-    phases = model.phases(k)[model.band_index]
-    return _freeze(phases[:, None] * w)
+    return _freeze(_band_diagonal(model, model.phases(k), w))
 
 
 def _certified(residuals, scale):
@@ -193,9 +199,11 @@ def delta_factor(k: int, delta: float) -> float:
 
     Exactly zero at nonzero integer arguments 2*k*delta, where floating-point
     sin(pi*n) would leave an O(1e-16) remnant, and where 2*k*delta overflows:
-    delta is then an integer, so 2*k*delta is an even one.  delta must pass
+    delta is then an integer, so 2*k*delta is an even one.  k must pass the
+    Fourier-index rule of BandModel.phases (ConfigError), and delta
     check_delta.
     """
+    _check_index(k)
     check_delta(delta)
     x = 2.0 * float(k) * float(delta)
     if x == 0.0:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateBlock, DimensionMismatch, GammaViolated, InvalidEpsGrid, ZeroVector
 from .model import (BandModel, NoiseGenerator, _freeze, check_dimension, sorted_eigenbasis,
                     spectral_gap)
-from .spectra import spectrum
+from .spectra import _band_diagonal, spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +59,8 @@ def assemble_limit_matrix(model: BandModel, gen: NoiseGenerator, k: int) -> np.n
     """The dense limit matrix D_{k,beta,L} What_L at k: off-band couplings
     dropped (exact +0), block s equal to exp(-2 pi i k beta_s) * What_s."""
     check_dimension(model, gen)
-    band = model.band_index
-    same_band = band[:, None] == band[None, :]
-    return _freeze(np.where(same_band, model.phases(k)[band][:, None] * gen.wdot, 0))
+    same_band = model.band_index[:, None] == model.band_index
+    return _freeze(np.where(same_band, _band_diagonal(model, model.phases(k), gen.wdot), 0))
 
 
 def _band_basis(model: BandModel, gen: NoiseGenerator, k: int, blocks) -> LimitBasis:

@@ -285,6 +285,18 @@ class TestSpectrum:
             "config error: invalid generator matrix: generator has non-finite entries\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "spectrum"])
+    def test_width_too_large_to_lay_out_is_a_config_error(self, tmp_path, capsys, command):
+        # a 301-digit width passed the config's integer rule and ended in an
+        # OverflowError traceback from the fibre layout's np.repeat
+        p = tmp_path / "model.json"
+        p.write_text(f'{{"beta": [0.1, 0.3], "L": [1, 1{"0" * 300}]}}', encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: invalid model: band widths too large to lay out as fibres: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, extra, message", [
         ('{"beta": [true], "L": [1]}', [], "config error: speed must be a number or token"),
         ('[{"beta": [0.1], "L": [1]}]', [], "config error: top-level config must be an object"),
@@ -833,6 +845,30 @@ def test_one_band_block_embedding():
     assert "LimitBasis(" in inspect.getsource(rs.zero_noise._band_basis)
 
 
+def test_one_band_diagonal_product():
+    # Diag(c[band]) X, a diagonal constant on each band times a matrix, has one
+    # spelling, spectra._band_diagonal: the Fourier block, the limit matrix,
+    # the response terms and the exact Ulam sectors all call it, and only it
+    # expands band centres to the fibres inside a product
+    sources = {p.name: p.read_text() for p in sorted(Path(rs.__file__).parent.glob("*.py"))}
+    assert {name: text.count("_band_diagonal(") for name, text in sources.items()
+            if "_band_diagonal(" in text} == {
+        "spectra.py": 2, "zero_noise.py": 1, "response.py": 3, "simulate.py": 1}
+    for fn, calls in ((rs.assemble_fourier_block, 1), (rs.assemble_limit_matrix, 1),
+                      (rs.response_data, 2), (rs.order_checks, 1), (rs.detect_cycles, 1)):
+        assert inspect.getsource(fn).count("_band_diagonal(") == calls, fn.__name__
+    old = ["phases[:, None] * w", "[band][:, None] * gen.wdot", "d[:, None] * gen.wdot",
+           "d[:, None] * (gen.wdot @ f)", "np.conj(d)[:, None] * f", "qhat[:, m, None] *"]
+    assert [(name, o) for name, text in sources.items() for o in old if o in text] == []
+    expanded = {name: len(re.findall(r"band_index\][^\n]*\[:, None\] \*", text))
+                for name, text in sources.items()}
+    assert {name: n for name, n in expanded.items() if n} == {"spectra.py": 1}
+    assert re.search(r"band_index\]\[:, None\] \*",
+                     inspect.getsource(rs.spectra._band_diagonal))
+    # exact sectors keep their transform per band: (S, M//2 + 1), not per fibre
+    assert "rfft(op.kernel_rows, axis=1).conj()[" not in inspect.getsource(rs.detect_cycles)
+
+
 def test_band_layout_is_read_from_the_model():
     # labels run band by band, so model.band_index alone fixes each label's
     # band: both eigen-records carry their model and no copy of its layout
@@ -870,22 +906,24 @@ RECORD_INPUTS = {
     "NoiseGenerator": ["wdot"],
     "UlamOperator": ["model", "flagged_rows", "kernel_rows", "w_eps", "kernel"],
     "LabelledSpectrum": ["k", "sinc", "lam", "vectors", "residual", "model", "gersh_radius"],
-    "OracleReport": ["closed", "numeric", "residual", "abs_diff", "vec_proj_dist"],
+    "OracleReport": ["closed", "numeric"],
     "CycleReport": ["M", "top_m", "sectors_solved", "max_residual", "cycles"],
 }
 
 
 def test_records_take_only_their_inputs():
     # a derived value is no constructor parameter, so it cannot disagree with
-    # the inputs it comes from: 25 parameters where there were 33
+    # the inputs it comes from: 22 parameters where there were 33
     assert {name: list(inspect.signature(getattr(rs, name)).parameters)
             for name in RECORD_INPUTS} == RECORD_INPUTS
-    assert sum(map(len, RECORD_INPUTS.values())) == 25
+    assert sum(map(len, RECORD_INPUTS.values())) == 22
     # the derived values still read as fields, and cycles.json keeps its keys
     derived = {name: [f.name for f in dataclasses.fields(getattr(rs, name)) if not f.init]
-               for name in ("BandModel", "LabelledSpectrum", "CycleReport")}
+               for name in ("BandModel", "LabelledSpectrum", "OracleReport", "CycleReport")}
     assert derived == {"BandModel": ["N", "cum", "alpha", "band_index"],
-                       "LabelledSpectrum": ["target"], "CycleReport": ["solver"]}
+                       "LabelledSpectrum": ["target"],
+                       "OracleReport": ["residual", "abs_diff", "vec_proj_dist"],
+                       "CycleReport": ["solver"]}
     assert [f.name for f in dataclasses.fields(rs.CycleReport)] == [
         "M", "top_m", "solver", "sectors_solved", "max_residual", "cycles"]
 

@@ -57,6 +57,15 @@ class TestBuildBandModel:
         with pytest.raises(EmptyBand, match="positive integers"):
             build_band_model([0.1, 0.3], widths)
 
+    @pytest.mark.parametrize("widths", [(10 ** 300,), (2 ** 63,), (2 ** 62, 2 ** 62)],
+                             ids=["301-digits", "2**63", "two-of-2**62"])
+    def test_widths_too_large_to_lay_out(self, widths):
+        # the fibre layout's np.repeat raised a bare OverflowError for a width
+        # beyond int64, and a bare ValueError (negative dimensions) where the
+        # widths sum past it; each is refused before anything is allocated
+        with pytest.raises(EmptyBand, match="too large to lay out as fibres"):
+            build_band_model([0.1 * s for s in range(1, len(widths) + 1)], widths)
+
     def test_integer_typed_widths(self):
         m = build_band_model([0.1, 0.3], np.array([2, 1]))
         assert m.L == (2, 1) and all(type(x) is int for x in m.L) and m.N == 3
@@ -445,6 +454,11 @@ GRID = [1e-2, 1e-3, 1e-4, 1e-5]
     (ConfigError, "Fourier index", lambda m, g: spectrum(m, g, True, 0.1)),
     (ConfigError, "Fourier index", lambda m, g: m.phases(False)),
     (DimensionMismatch, r"labels \[True\] are not", lambda m, g: order_check(m, g, 1, True, GRID)),
+    (ConfigError, "Fourier index", lambda m, g: delta_factor(None, 0.1)),
+    (ConfigError, "Fourier index", lambda m, g: delta_factor("1", 0.1)),
+    (ConfigError, "Fourier index", lambda m, g: delta_factor(True, 0.1)),
+    (ConfigError, "Fourier index", lambda m, g: delta_factor(1.5, 0.1)),
+    (ConfigError, "Fourier index", lambda m, g: delta_factor(2 ** 32 + 1, 0.1)),
 ], ids=["w_eps_nan", "w_eps_inf", "simulate_eps_nan", "ulam_eps_inf", "spectrum_delta_inf",
         "spectrum_delta_nan", "spectrum_delta_negative", "delta_factor_negative",
         "w_eps_none", "spectrum_eps_string", "delta_factor_none", "ulam_delta_string",
@@ -453,14 +467,18 @@ GRID = [1e-2, 1e-3, 1e-4, 1e-5]
         "order_check_label_negative", "order_check_label_fraction", "order_checks_label_33", "alpha_response_label_99",
         "k_fraction", "k_above_max", "limit_k_huge", "response_k_huge",
         "oracle_k_huge", "bool_paths", "bool_steps", "bool_seed", "bool_top_m", "bool_bins",
-        "bool_spectrum_k", "bool_phases_k", "bool_label"])
+        "bool_spectrum_k", "bool_phases_k", "bool_label", "delta_factor_k_none",
+        "delta_factor_k_string", "delta_factor_k_bool", "delta_factor_k_fraction",
+        "delta_factor_k_above_max"])
 def test_out_of_range_parameters_are_refused(case_model, case_gen, error, match, call):
     # eps and delta must be finite numbers >= 0 (None and strings once ended in
     # a bare TypeError), top_m and the simulation counts
     # whole, k an integer within +-MAX_INDEX, as the config and the CLI already
     # require, and a label an integer within [0, N): ell = -1 used to check
     # label N - 1 and ell = 1.5 label 1.  A bool is no count or index: True
-    # once ran as 1, or failed as a bare TypeError where numpy sized an array by it
+    # once ran as 1, or failed as a bare TypeError where numpy sized an array by it.
+    # delta_factor applies the Fourier-index rule of phases: it read "1" and
+    # True as 1, 1.5 as a sinc argument, and None ended in a bare TypeError
     with pytest.raises(error, match=match):
         call(case_model, case_gen)
 
