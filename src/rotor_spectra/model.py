@@ -47,10 +47,11 @@ def _check_index(k) -> None:
 
 def _finite_nonnegative(value) -> bool:
     """Whether ``value`` is a finite number >= 0: the range rule of eps and delta.
-    NaN fails every comparison, and a value that does not compare with numbers
-    (None, a string) is refused rather than raising TypeError."""
+    A bool is no number here, as for counts; NaN fails every comparison, and a
+    value that does not compare with numbers (None, a string) is refused
+    rather than raising TypeError."""
     try:
-        return bool(0 <= value < math.inf)
+        return not isinstance(value, (bool, np.bool_)) and bool(0 <= value < math.inf)
     except (TypeError, ValueError):
         return False
 
@@ -167,7 +168,8 @@ class AdmissibilityReport:
     """Measured defects and per-hypothesis verdicts for a generator.
 
     ``item_stochastic`` covers symmetry, nonnegative off-diagonals and zero
-    row sums; ``item_distinct_full`` / ``item_distinct_blocks`` cover simple
+    row sums, each within ``DEFECT_TOL``, and is derived from the three
+    defects; ``item_distinct_full`` / ``item_distinct_blocks`` cover simple
     spectra of Wdot and of each band block.
     """
 
@@ -177,9 +179,13 @@ class AdmissibilityReport:
     min_eigen_gap_full: float
     min_eigen_gap_blocks: float
     eps_max: float
-    item_stochastic: bool
+    item_stochastic: bool = field(init=False)
     item_distinct_full: bool
     item_distinct_blocks: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "item_stochastic", self.symmetry_defect <= DEFECT_TOL and
+                           self.row_sum_defect <= DEFECT_TOL and self.min_offdiag >= -DEFECT_TOL)
 
     @property
     def passed(self) -> bool:
@@ -277,12 +283,10 @@ def validate_admissibility(gen: NoiseGenerator, model: BandModel) -> Admissibili
     gap_full, _, item2 = spectral_gap([sorted_eigenbasis(w)[0]])
     gap_blocks, _, item3 = spectral_gap(
         [sorted_eigenbasis(w[sl, sl])[0] for sl in map(model.band_slice, range(model.S))])
-    item1 = sym <= DEFECT_TOL and row <= DEFECT_TOL and min_off >= -DEFECT_TOL
     return AdmissibilityReport(
         row_sum_defect=row, symmetry_defect=sym, min_offdiag=min_off,
         min_eigen_gap_full=gap_full, min_eigen_gap_blocks=gap_blocks,
-        eps_max=gen.eps_max,
-        item_stochastic=item1, item_distinct_full=item2, item_distinct_blocks=item3)
+        eps_max=gen.eps_max, item_distinct_full=item2, item_distinct_blocks=item3)
 
 
 def w_epsilon(gen: NoiseGenerator, eps: float) -> np.ndarray:

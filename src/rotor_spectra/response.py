@@ -38,7 +38,7 @@ from .errors import (DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, 
 from .model import BandModel, NoiseGenerator, _freeze, _integer, spectral_gap
 from .spectra import (_band_diagonal, _certified, assemble_fourier_block, eig_dense_complex,
                       label_spectrum, nearest_assignment)
-from .zero_noise import LimitBasis, limit_basis, limit_eigenbasis, projective_distance
+from .zero_noise import LimitBasis, _eps_points, limit_basis, limit_eigenbasis, projective_distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +202,9 @@ def _check_labels(model: BandModel, ells) -> list[int]:
 
 def check_eps_grid(gen: NoiseGenerator, eps_grid) -> np.ndarray:
     """The distinct points of an order-check grid, descending; InvalidEpsGrid
-    unless there are at least 4, all finite and positive, none above ``gen.eps_max``."""
-    grid = np.asarray(sorted(set(float(e) for e in eps_grid), reverse=True))
+    unless there are at least 4, all real numbers (zero_noise._eps_points),
+    finite and positive, none above ``gen.eps_max``."""
+    grid = np.asarray(sorted(set(_eps_points(eps_grid)), reverse=True))
     if len(grid) < 4:
         raise InvalidEpsGrid("eps grid needs at least 4 distinct points")
     if not np.all(np.isfinite(grid) & (grid > 0)):
@@ -353,12 +354,16 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     (P - lam) df - dlam f = -dP f under the gauge <f, df> = 0: in P's
     eigenbasis (:func:`_eigenbasis`) dlam = left_ell dP f, and df is the
     solve of :func:`_eigenbasis_solve` projected onto the gauge.  A
-    non-finite direction raises InvalidSpeeds, and a spectrum that is not
-    simple by :func:`rotor_spectra.model.spectral_gap` EigsNotSimple.
+    direction that is not finite real numbers raises InvalidSpeeds, and a
+    spectrum that is not simple by :func:`rotor_spectra.model.spectral_gap`
+    EigsNotSimple.
     """
     if eps == 0:
         raise EpsZero("the eps=0 speed response is discontinuous; refused by design")
-    u = np.asarray(direction, dtype=float).ravel()
+    try:
+        u = np.asarray(direction, dtype=float).ravel()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpeeds(f"the speed direction must be real numbers: {exc}") from exc
     if u.shape != (model.N,):
         raise DimensionMismatch(f"direction must have shape ({model.N},)")
     if not np.all(np.isfinite(u)):

@@ -66,12 +66,35 @@ class TrajectoryBatch:
 
     Reproducible: path p consumes only its own counter-based stream keyed by
     (seed, p), so results do not depend on scheduling or batch splits; the
-    seed, eps and delta of :func:`simulate` stay with the caller.
+    seed, eps and delta of :func:`simulate` stay with the caller.  The
+    constructor checks the paths and freezes ``j`` and ``x`` in place,
+    copying neither: j and x that do not share one 2-D shape, a j that is
+    not an integer array of fibres in [0, N), and an x that is not real or
+    lies outside [0, 1] (1.0 counts in the last circle bin) raise
+    InvalidSimulationInput.
     """
 
     j: np.ndarray
     x: np.ndarray
     model: BandModel
+
+    def __post_init__(self):
+        j, x, n = np.asarray(self.j), np.asarray(self.x), self.model.N
+        if j.ndim != 2 or j.shape != x.shape:
+            raise InvalidSimulationInput(f"fibres and positions must share one (paths, steps + 1) "
+                                         f"shape, got {j.shape} and {x.shape}")
+        if not np.issubdtype(j.dtype, np.integer):
+            raise InvalidSimulationInput(f"fibres must be integers, got dtype {j.dtype}")
+        if x.dtype.kind not in "biuf":
+            raise InvalidSimulationInput(f"positions must be real, got dtype {x.dtype}")
+        if j.size and not (0 <= j.min() and j.max() < n):
+            raise InvalidSimulationInput(f"fibres must lie in [0, {n})")
+        # NaN fails every comparison, so this range test refuses it too
+        if x.size and not (0 <= x.min() and x.max() <= 1):
+            raise InvalidSimulationInput("positions must be finite and lie in [0, 1]")
+        for name, a in dict(j=j, x=x).items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,14 +163,31 @@ class UlamOperator:
 
 @dataclass(frozen=True)
 class Cycle:
-    """One detected cycle (a conjugate eigenvalue pair, reported once)."""
+    """One detected cycle (a conjugate eigenvalue pair, reported once).
+
+    Its inputs are the ``eigenvalue`` and the per-band ``band_masses``;
+    derived from them are ``magnitude`` |eigenvalue|, ``arg``, the period
+    2 pi / |arg| in steps and the ``band`` of largest mass.  An eigenvalue
+    of argument 0 (no period) or no band raises InvalidSimulationInput.  The
+    field order is the key order of each cycle in ``cycles.json``.
+    """
 
     eigenvalue: complex
-    magnitude: float
-    arg: float
-    period_steps: float
+    magnitude: float = field(init=False)
+    arg: float = field(init=False)
+    period_steps: float = field(init=False)
     band_masses: tuple[float, ...]
-    band: int
+    band: int = field(init=False)
+
+    def __post_init__(self):
+        arg = float(np.angle(self.eigenvalue))
+        if arg == 0 or len(self.band_masses) == 0:
+            raise InvalidSimulationInput(f"a cycle needs a period and a band, got eigenvalue "
+                                         f"{self.eigenvalue} over {len(self.band_masses)} bands")
+        for name, value in dict(magnitude=float(abs(self.eigenvalue)), arg=arg,
+                                period_steps=float(2 * np.pi / abs(arg)),
+                                band=int(np.argmax(self.band_masses))).items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -293,7 +333,7 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
     _rotate(x, turn, u_noise)
     # free the draws, and each time-major buffer once its copy is made
     del turn, u_walk, u_noise
-    return TrajectoryBatch(j=_freeze(j.T), x=_freeze(x.T), model=model)
+    return TrajectoryBatch(j=np.ascontiguousarray(j.T), x=np.ascontiguousarray(x.T), model=model)
 
 
 def _sum_cdf(t: np.ndarray, h: float, delta: float) -> np.ndarray:
@@ -369,32 +409,16 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
     whole paths, about ``_COUNT_BLOCK`` steps each, so no temporary is of the
     batch's size.
     N^2 M must stay below 2^31, and is refused before anything of the
-    operator's size is allocated.  A j that is not an integer array of
-    fibres in [0, N), an x that is not real or lies outside [0, 1] (1.0
-    counts in bin M - 1), and j and x of different shapes raise
-    InvalidSimulationInput.
+    operator's size is allocated; the batch checked its own paths.
     """
     _check_bins(M)
     M, n, j, x = int(M), batch.model.N, batch.j, batch.x
     size = n * M
-    if j.ndim != 2 or j.shape != x.shape:
-        raise InvalidSimulationInput(
-            f"fibres and positions must share one (paths, steps + 1) shape, "
-            f"got {j.shape} and {x.shape}")
-    if not np.issubdtype(j.dtype, np.integer):
-        raise InvalidSimulationInput(f"fibres must be integers, got dtype {j.dtype}")
-    if np.iscomplexobj(x):
-        raise InvalidSimulationInput(f"positions must be real, got dtype {x.dtype}")
     if n * size >= 2 ** 31:
         raise InvalidSimulationInput(
             f"N^2 M = {n * size} step keys exceed the int32 range (N={n}, M={M})")
     if j[:, 1:].size == 0:
         raise InsufficientData("empty trajectory batch")
-    if not (0 <= j.min() and j.max() < n):
-        raise InvalidSimulationInput(f"fibres must lie in [0, {n})")
-    # NaN fails every comparison, so this range test refuses it too
-    if not (0 <= x.min() and x.max() <= 1):
-        raise InvalidSimulationInput("positions must be finite and lie in [0, 1]")
     # x M truncated into int32 as astype would, with no float copy of the batch
     bins = np.multiply(x, M, out=np.empty_like(x, dtype=np.int32), casting="unsafe")
     np.minimum(bins, M - 1, out=bins)
@@ -526,11 +550,7 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
         mass = mass / mass.sum()
         band_masses = tuple(float(mass[op.model.band_slice(s)].sum())
                             for s in range(op.model.S))
-        arg = float(np.angle(rep))
-        cycles.append(Cycle(
-            eigenvalue=complex(rep), magnitude=float(abs(rep)), arg=arg,
-            period_steps=float(2 * np.pi / abs(arg)),
-            band_masses=band_masses, band=int(np.argmax(band_masses))))
+        cycles.append(Cycle(complex(rep), band_masses))
         residuals.append(float(eig.residuals[c]))
         if not eig.converged[c]:
             failed.append(residuals[-1])

@@ -16,6 +16,7 @@ not certify the full all-k condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -150,6 +151,16 @@ def projector_gap(f_eps, f_limit) -> float:
     return _line_distances(f_eps, f_limit, gap=True)[1]
 
 
+def _eps_points(eps_grid) -> list[float]:
+    """The points of an eps grid as floats, the one conversion of
+    spectrum_convergence and response.check_eps_grid: InvalidEpsGrid unless
+    the grid is a sequence of real numbers (a string or a bool is none)."""
+    points = list(eps_grid) if np.iterable(eps_grid) else None
+    if points is None or not all(isinstance(e, Real) and not isinstance(e, bool) for e in points):
+        raise InvalidEpsGrid(f"an eps grid is a sequence of real numbers, got {eps_grid!r}")
+    return [float(e) for e in points]
+
+
 def spectrum_convergence(basis: LimitBasis, eps_list):
     """Convergence of finite-eps eigendata to the limit basis.
 
@@ -157,18 +168,20 @@ def spectrum_convergence(basis: LimitBasis, eps_list):
     (k, ell, eps, proj_distance, projector_gap, mass_outside) per label and
     eps, with labels paired through the shared ordering convention
     (band-internal descending rho).  InvalidEpsGrid, before any solve,
-    unless every eps is positive: at eps = 0 each band's eigenvalue is
-    L_s-fold, so the solver's vectors are an arbitrary basis of its eigenspace.
+    unless every eps is a positive real number: at eps = 0 each band's
+    eigenvalue is L_s-fold, so the solver's vectors are an arbitrary basis
+    of its eigenspace.
     """
     model, gen, k = basis.model, basis.gen, basis.k
+    eps_list = _eps_points(eps_list)
     if not all(eps > 0 for eps in eps_list):
-        raise InvalidEpsGrid(f"convergence eps points must be positive, got {list(eps_list)}")
+        raise InvalidEpsGrid(f"convergence eps points must be positive, got {eps_list}")
     rows = []
     for eps in eps_list:
         spec = spectrum(model, gen, k, eps)
         mass = support_mass_outside_band(spec).tolist()
         for ell in range(model.N):
-            rows.append((k, ell, float(eps),
+            rows.append((k, ell, eps,
                          *_line_distances(spec.vectors[:, ell], basis.vectors[:, ell], gap=True),
                          mass[ell]))
     return rows

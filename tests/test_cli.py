@@ -908,24 +908,63 @@ RECORD_INPUTS = {
     "LabelledSpectrum": ["k", "sinc", "lam", "vectors", "residual", "model", "gersh_radius"],
     "OracleReport": ["closed", "numeric"],
     "CycleReport": ["M", "top_m", "sectors_solved", "max_residual", "cycles"],
+    "TrajectoryBatch": ["j", "x", "model"],
+    "Cycle": ["eigenvalue", "band_masses"],
+    "AdmissibilityReport": ["row_sum_defect", "symmetry_defect", "min_offdiag",
+                            "min_eigen_gap_full", "min_eigen_gap_blocks", "eps_max",
+                            "item_distinct_full", "item_distinct_blocks"],
 }
+
+#: the records that hold the output of a solve, a parse or a fit: they are
+#: built from what they report, not from inputs they could derive it from
+RESULT_RECORDS = ("EigResult", "LimitBasis", "ResponseData", "OrderCheck", "RunConfig")
 
 
 def test_records_take_only_their_inputs():
     # a derived value is no constructor parameter, so it cannot disagree with
-    # the inputs it comes from: 22 parameters where there were 33
+    # the inputs it comes from: 35 parameters over 9 records
     assert {name: list(inspect.signature(getattr(rs, name)).parameters)
             for name in RECORD_INPUTS} == RECORD_INPUTS
-    assert sum(map(len, RECORD_INPUTS.values())) == 22
-    # the derived values still read as fields, and cycles.json keeps its keys
+    assert sum(map(len, RECORD_INPUTS.values())) == 35
+    # the derived values still read as fields, and cycles.json and
+    # admissibility.json keep their keys
     derived = {name: [f.name for f in dataclasses.fields(getattr(rs, name)) if not f.init]
-               for name in ("BandModel", "LabelledSpectrum", "OracleReport", "CycleReport")}
+               for name in RECORD_INPUTS}
     assert derived == {"BandModel": ["N", "cum", "alpha", "band_index"],
+                       "NoiseGenerator": [], "UlamOperator": [],
                        "LabelledSpectrum": ["target"],
                        "OracleReport": ["residual", "abs_diff", "vec_proj_dist"],
-                       "CycleReport": ["solver"]}
+                       "CycleReport": ["solver"], "TrajectoryBatch": [],
+                       "Cycle": ["magnitude", "arg", "period_steps", "band"],
+                       "AdmissibilityReport": ["item_stochastic"]}
     assert [f.name for f in dataclasses.fields(rs.CycleReport)] == [
         "M", "top_m", "solver", "sectors_solved", "max_residual", "cycles"]
+    assert [f.name for f in dataclasses.fields(rs.Cycle)] == [
+        "eigenvalue", "magnitude", "arg", "period_steps", "band_masses", "band"]
+    assert [f.name for f in dataclasses.fields(rs.AdmissibilityReport)][6:] == [
+        "item_stochastic", "item_distinct_full", "item_distinct_blocks"]
+
+
+def test_every_record_is_classified():
+    # each dataclass of the package either takes only its inputs or holds a
+    # result, so a new record cannot go unclassified
+    found = set()
+    for info in pkgutil.iter_modules(rs.__path__):
+        module = importlib.import_module(f"rotor_spectra.{info.name}")
+        found |= {obj.__name__ for obj in vars(module).values() if isinstance(obj, type)
+                  and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__}
+    assert sorted(found) == sorted([*RECORD_INPUTS, *RESULT_RECORDS])
+    assert set(RECORD_INPUTS).isdisjoint(RESULT_RECORDS)
+
+
+def test_a_trajectory_batch_checks_its_own_paths():
+    # the batch refuses bad paths wherever it is built, so ulam_empirical
+    # keeps only the refusals that depend on its bin count
+    batch_checks = inspect.getsource(rs.TrajectoryBatch.__post_init__)
+    counting = inspect.getsource(rs.ulam_empirical)
+    for reduction in ("j.min()", "j.max()", "x.min()", "x.max()"):
+        assert reduction in batch_checks and reduction not in counting, reduction
+    assert "InvalidSimulationInput" in counting and "_check_bins" in counting
 
 
 def test_each_record_is_built_one_way():

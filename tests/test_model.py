@@ -14,8 +14,9 @@ from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model, del
                            response_data, simulate, spectrum, ulam_analytic, ulam_empirical,
                            validate_admissibility, w_epsilon)
 from rotor_spectra.errors import (ConfigError, DimensionMismatch, DimensionTooSmall,
-                                  DuplicateSpeed, EmptyBand, EpsOutOfRange, InvalidMatrix,
-                                  InvalidSimulationInput, InvalidSpeeds, RotorSpectraError)
+                                  DuplicateSpeed, EmptyBand, EpsOutOfRange, InvalidEpsGrid,
+                                  InvalidMatrix, InvalidSimulationInput, InvalidSpeeds,
+                                  RotorSpectraError)
 from rotor_spectra.model import spectral_gap
 from conftest import CASE_BETA, random_banded_model
 
@@ -480,6 +481,40 @@ def test_out_of_range_parameters_are_refused(case_model, case_gen, error, match,
     # delta_factor applies the Fourier-index rule of phases: it read "1" and
     # True as 1, 1.5 as a sinc argument, and None ended in a bare TypeError
     with pytest.raises(error, match=match):
+        call(case_model, case_gen)
+
+
+@pytest.mark.parametrize("error, call", [
+    (EpsOutOfRange, lambda m, g: w_epsilon(g, True)),
+    (EpsOutOfRange, lambda m, g: spectrum(m, g, 1, np.True_)),
+    (EpsOutOfRange, lambda m, g: simulate(m, g, False, 0.1, 2, 5, 1)),
+    (InvalidSimulationInput, lambda m, g: spectrum(m, g, 1, 0.1, True)),
+    (InvalidSimulationInput, lambda m, g: simulate(m, g, 0.1, True, 2, 5, 1)),
+    (InvalidSimulationInput, lambda m, g: ulam_analytic(m, g, 0.1, np.False_, 16)),
+    (InvalidSimulationInput, lambda m, g: delta_factor(1, True)),
+], ids=["w_eps", "spectrum_eps", "simulate_eps", "spectrum_delta", "simulate_delta",
+        "ulam_delta", "delta_factor"])
+def test_bools_are_no_eps_or_delta(case_model, case_gen, error, call):
+    # eps and delta follow the count rule: True once read as 1, so a spectrum
+    # at delta = True came out all zeros with sinc = 0.0, and simulate ran
+    with pytest.raises(error):
+        call(case_model, case_gen)
+
+
+@pytest.mark.parametrize("error, call", [
+    *[(InvalidEpsGrid, lambda m, g, grid=grid: rs.response.check_eps_grid(g, grid))
+      for grid in ([None, *GRID], ["a", *GRID], ["0.1", *GRID], 0.1)],
+    (InvalidEpsGrid, lambda m, g: order_check(m, g, 1, 0, [*GRID[1:], "0.01"])),
+    (InvalidEpsGrid, lambda m, g: order_checks(response_data(m, g, 1), [0], 0.1)),
+    *[(InvalidEpsGrid, lambda m, g, grid=grid: rs.spectrum_convergence(limit_basis(m, g, 1), grid))
+      for grid in ([None], ["a"], ["0.1"], 0.1)],
+    (InvalidSpeeds, lambda m, g: alpha_response(m, g, 1, 0.01, 0, ["a"] * 33)),
+], ids=["grid_none", "grid_letter", "grid_string", "grid_bare_number", "order_check_string",
+        "order_checks_bare_number", "convergence_none", "convergence_letter",
+        "convergence_string", "convergence_bare_number", "direction_letters"])
+def test_non_numeric_grids_and_directions_are_typed(case_model, case_gen, error, call):
+    # each once ended in a bare TypeError or ValueError, or read "0.1" as a number
+    with pytest.raises(error):
         call(case_model, case_gen)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rotor_spectra import (NoiseGenerator, TrajectoryBatch, build_band_model,
+from rotor_spectra import (Cycle, NoiseGenerator, TrajectoryBatch, build_band_model,
                            case_study_config, detect_cycles, laplacian_generator, simulate,
                            spectra, spectrum, ulam_analytic, ulam_empirical, w_epsilon)
 from rotor_spectra.cli import main
@@ -608,9 +609,8 @@ class TestUlamEmpirical:
     def test_complex_positions_are_typed(self, two_band_model):
         # x + 0.3j once only warned, then counted the real parts
         x = np.array([[0.1, 0.35, 0.6, 0.85, 0.1]]) + 0.3j
-        batch = TrajectoryBatch(j=np.zeros(x.shape, dtype=np.int32), x=x, model=two_band_model)
         with pytest.raises(InvalidSimulationInput, match="positions must be real"):
-            ulam_empirical(batch, 4)
+            TrajectoryBatch(j=np.zeros(x.shape, dtype=np.int32), x=x, model=two_band_model)
 
     @pytest.mark.parametrize("fibre", [2, -1])
     def test_fibres_outside_the_model_are_typed(self, two_band_model, fibre):
@@ -703,6 +703,110 @@ class TestUlamEmpirical:
         finally:
             tracemalloc.stop()
         assert peak < 8 * batch.j.size + (2 << 20)
+
+
+#: the (typical, stray) elements of each dtype a hand-built batch may carry,
+#: about the range a batch of 3 fibres accepts
+BATCH_ELEMENTS = {
+    np.int8: (st.integers(0, 2), st.sampled_from([-1, 3])),
+    np.int64: (st.integers(0, 2), st.sampled_from([-1, 3])),
+    np.uint16: (st.integers(0, 1), st.just(3)),
+    np.float64: (st.floats(0, 1), st.sampled_from([-0.25, 1.25, math.nan, math.inf])),
+    np.bool_: (st.booleans(), st.booleans()),
+    np.complex128: (st.complex_numbers(max_magnitude=1), st.just(0.5j)),
+    object: (st.integers(0, 1) | st.floats(0, 1), st.none() | st.text(max_size=2)),
+}
+
+
+@st.composite
+def batch_array(draw, shape):
+    """An array of the given shape and a drawn dtype, one entry perhaps stray."""
+    dtype = draw(st.sampled_from(list(BATCH_ELEMENTS)), label="dtype")
+    typical, stray = BATCH_ELEMENTS[dtype]
+    size = math.prod(shape)
+    values = draw(st.lists(typical, min_size=size, max_size=size), label="values")
+    if size and draw(st.booleans(), label="stray"):
+        values[draw(st.integers(0, size - 1), label="at")] = draw(stray, label="stray value")
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+#: mostly (paths, steps + 1) shapes, some of another dimension
+SHAPES = st.sampled_from([2] * 7 + [0, 1, 3]).flatmap(
+    lambda ndim: st.tuples(*[st.integers(0, 4)] * ndim))
+
+
+class TestTrajectoryBatch:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_batch_builds_or_refuses(self, data):
+        shape = data.draw(SHAPES, label="shape")
+        other = shape if data.draw(st.integers(0, 3), label="x shape kind") else data.draw(
+            SHAPES, label="x shape")
+        j, x = data.draw(batch_array(shape), label="j"), data.draw(batch_array(other), label="x")
+        model = build_band_model([0.1, 0.4], [1, 2])
+        try:
+            batch = TrajectoryBatch(j=j, x=x, model=model)
+        except RotorSpectraError:
+            return
+        assert batch.j.ndim == 2 and batch.j.shape == batch.x.shape
+        assert np.issubdtype(batch.j.dtype, np.integer) and batch.x.dtype.kind in "biuf"
+        assert np.all((0 <= batch.j) & (batch.j < model.N))
+        assert np.all((0 <= batch.x) & (batch.x <= 1))
+        assert not (batch.j.flags.writeable or batch.x.flags.writeable)
+        # a batch that builds is counted, or refused for too few steps
+        try:
+            ulam_empirical(batch, 4)
+        except InsufficientData:
+            pass
+
+    @pytest.mark.parametrize("j, x", [
+        ([[0, 1, 2]], [[0.1, 0.2, 0.3]]),
+        ([[0, -1, 1]], [[0.1, 0.2, 0.3]]),
+        ([[0.0, 1.5, 1.0]], [[0.1, 0.2, 0.3]]),
+        ([0, 1, 1], [0.1, 0.2, 0.3]),
+        ([[0, 1, 1]], [[0.1, 7.0, 0.3]]),
+        ([[0, 1, 1]], [[0.1, math.nan, 0.3]]),
+    ], ids=["fibre_N", "fibre_negative", "float_fibres", "one_dimensional", "x_seven", "x_nan"])
+    def test_bad_paths_are_refused_when_built(self, two_band_model, tmp_path, j, x):
+        # the trajectory writer once wrote fibres N + 1 and -1 (1-based), truncated
+        # float fibres, 7.0 and nan, or a 1-D batch failed as a bare IndexError
+        with pytest.raises(InvalidSimulationInput):
+            TrajectoryBatch(j=np.array(j), x=np.array(x), model=two_band_model)
+
+    def test_batch_is_frozen_in_place(self, two_band_model):
+        # a transposed view keeps its strides: no copy of either array is made
+        j = np.zeros((5, 2), dtype=np.int32).T
+        x = np.full((5, 2), 0.5).T
+        batch = TrajectoryBatch(j=j, x=x, model=two_band_model)
+        assert batch.j is j and batch.x is x and not j.flags.writeable
+
+    @pytest.mark.parametrize("paths, steps", [(0, 5), (3, 0), (0, 0)])
+    def test_empty_batches_build(self, two_band_model, two_band_gen, paths, steps):
+        batch = simulate(two_band_model, two_band_gen, 0.1, 0.1, paths, steps, 1)
+        assert batch.j.shape == batch.x.shape == (paths, steps + 1)
+
+
+class TestCycle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(re=st.floats(-2, 2), im=st.floats(-2, 2).filter(lambda v: v != 0),
+           masses=st.lists(st.floats(0, 1), min_size=1, max_size=4))
+    def test_derived_fields_are_the_detector_formulas(self, re, im, masses):
+        # the formulas detect_cycles applied to its numpy representative
+        rep = np.complex128(complex(re, im))
+        arg = float(np.angle(rep))
+        want = [float(abs(rep)), arg, float(2 * np.pi / abs(arg))]
+        cycle = Cycle(complex(rep), tuple(masses))
+        assert [v.hex() for v in (cycle.magnitude, cycle.arg, cycle.period_steps)] == [
+            v.hex() for v in want]
+        assert cycle.band == int(np.argmax(masses))
+
+    @pytest.mark.parametrize("eigenvalue, masses", [
+        (0.5 + 0j, (1.0,)), (0j, (0.5, 0.5)), (0.5 - 0.5j, ())],
+        ids=["positive_real", "zero", "no_band"])
+    def test_no_period_or_no_band_is_refused(self, eigenvalue, masses):
+        # a bare ZeroDivisionError (2 pi / 0) or ValueError (argmax of nothing) once
+        with pytest.raises(InvalidSimulationInput, match="needs a period and a band"):
+            Cycle(eigenvalue, masses)
 
 
 class TestDetectCycles:
