@@ -13,12 +13,16 @@ Schema (all keys except ``beta`` and ``L`` optional)::
 
 Only the three listed string tokens are accepted for irrational speeds, so
 the case-study model is expressible exactly; everything else must be a
-decimal literal.  ``L`` holds JSON integers, one per speed.  Every
-Fourier index in ``ks`` has ``|k| <= MAX_INDEX`` (2**32), where ``k*alpha``
-still resolves the turn fraction to about 5e-7 for ``|alpha| <= 1``.
-Non-finite numbers (``NaN``, ``Infinity`` or a literal that overflows a
-float, integer literals included), empty ``epsilons`` or ``ks`` and larger
-indices are refused with ConfigError.
+decimal literal.  The parser keeps the rules of JSON itself: non-finite
+numbers (``NaN``, ``Infinity`` or a literal that overflows a float, integer
+literals included), the object's shape and keys, arrays where arrays are
+due, nonempty ``epsilons`` and ``ks``, the speed tokens and the generator's
+kind.  Every other rule is the model's, applied to the parsed values: the
+speed and width rules of ``BandModel``, ``laplacian_generator``'s size,
+``NoiseGenerator``'s matrix rule, ``check_dimension``, the Fourier-index
+rule ``_check_index`` (``|k| <= 2**32``) for each of ``ks``,
+``check_delta`` and the eps rule ``_check_eps`` of ``w_epsilon``.  Each
+refusal is a ConfigError holding the library's message.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import model as band_models
-from .errors import ConfigError, InvalidMatrix, RotorSpectraError
-from .model import BandModel, NoiseGenerator, laplacian_generator
+from .errors import ConfigError, RotorSpectraError
+from .model import (BandModel, NoiseGenerator, _check_eps, _check_index, check_delta,
+                    check_dimension, laplacian_generator)
 
 SPEED_TOKENS = {
     "pi/20": math.pi / 20.0,
@@ -50,14 +54,12 @@ class RunConfig:
 
 
 def _speed(value):
-    if isinstance(value, str):
-        if value not in SPEED_TOKENS:
-            raise ConfigError(
-                f"unknown speed token {value!r}; allowed: {sorted(SPEED_TOKENS)}")
-        return SPEED_TOKENS[value]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigError(f"speed must be a number or token, got {value!r}")
+    """A speed token's value; any other entry is left to BandModel's speed rule."""
+    if not isinstance(value, str):
+        return value
+    if value not in SPEED_TOKENS:
+        raise ConfigError(f"unknown speed token {value!r}; allowed: {sorted(SPEED_TOKENS)}")
+    return SPEED_TOKENS[value]
 
 
 def _non_finite(token: str):
@@ -77,6 +79,15 @@ def _finite_int(token: str) -> int:
     return int(token)
 
 
+def _apply(what: str, rule, *args):
+    """``rule(*args)``, a library refusal re-raised as ConfigError with the
+    library's message after ``what``."""
+    try:
+        return rule(*args)
+    except RotorSpectraError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def parse_config(text: str) -> RunConfig:
     try:
         doc = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float,
@@ -92,48 +103,25 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("config requires 'beta' and 'L'")
     if not isinstance(doc["beta"], list) or not isinstance(doc["L"], list):
         raise ConfigError("'beta' and 'L' must be arrays")
-    beta = [_speed(b) for b in doc["beta"]]
-    L = doc["L"]
-    bad = [x for x in L if not isinstance(x, int) or isinstance(x, bool)]
-    if bad:
-        raise ConfigError(f"'L' must be an array of integers, got {bad[0]!r}")
-    if len(beta) != len(L):
-        raise ConfigError(f"'beta' and 'L' differ in length: {len(beta)} vs {len(L)}")
+    model = _apply("invalid model", BandModel, [_speed(b) for b in doc["beta"]], doc["L"])
     spec = doc.get("generator", "laplacian")
-    try:
-        model = BandModel(beta, L)
-        if spec == "laplacian":
-            gen = laplacian_generator(model.N)
-    except RotorSpectraError as exc:
-        raise ConfigError(f"invalid model: {exc}") from exc
-
-    if isinstance(spec, list):
-        try:
-            gen = NoiseGenerator(spec)
-        except InvalidMatrix as exc:
-            raise ConfigError(f"invalid generator matrix: {exc}") from exc
-        if gen.N != model.N:
-            raise ConfigError(
-                f"generator is {gen.N}x{gen.N} but the model has N={model.N}")
-    elif spec != "laplacian":
+    if spec == "laplacian":
+        gen = _apply("invalid model", laplacian_generator, model.N)
+    elif isinstance(spec, list):
+        gen = _apply("invalid generator matrix", NoiseGenerator, spec)
+        _apply("invalid generator matrix", check_dimension, model, gen)
+    else:
         raise ConfigError("generator must be 'laplacian' or an explicit matrix")
-
     delta = doc.get("delta", 0.0)
-    if not isinstance(delta, (int, float)) or isinstance(delta, bool) or delta < 0:
-        raise ConfigError(f"delta must be a nonnegative number, got {delta!r}")
-    eps = doc.get("epsilons", [0.1])
-    ks = doc.get("ks", [1])
-    if not isinstance(eps, list) or not eps or not all(
-            isinstance(e, (int, float)) and not isinstance(e, bool) and e >= 0 for e in eps):
-        raise ConfigError("'epsilons' must be a nonempty array of nonnegative numbers")
-    if not isinstance(ks, list) or not ks or not all(
-            isinstance(k, int) and not isinstance(k, bool) for k in ks):
-        raise ConfigError("'ks' must be a nonempty array of integers")
-    if max(abs(k) for k in ks) > band_models.MAX_INDEX:
-        raise ConfigError("'ks' entries must lie within +-2**32")
+    _apply("invalid 'delta'", check_delta, delta)
+    eps, ks = doc.get("epsilons", [0.1]), doc.get("ks", [1])
+    for name, values, rule in (("epsilons", eps, _check_eps), ("ks", ks, _check_index)):
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"'{name}' must be a nonempty array")
+        for value in values:
+            _apply(f"invalid '{name}'", rule, value)
     return RunConfig(model=model, gen=gen, delta=float(delta),
-                     epsilons=tuple(float(e) for e in eps),
-                     ks=tuple(int(k) for k in ks), raw=text)
+                     epsilons=tuple(map(float, eps)), ks=tuple(ks), raw=text)
 
 
 def load_config(path) -> RunConfig:

@@ -16,12 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, DimensionTooSmall, DuplicateSpeed,
-                     EmptyBand, EpsOutOfRange, InvalidMatrix, InvalidSpeeds)
+                     EmptyBand, EpsOutOfRange, InvalidMatrix, InvalidSimulationInput,
+                     InvalidSpeeds)
 
 #: largest symmetry, row-sum and negative off-diagonal defect of an admissible generator
 DEFECT_TOL = 1e-12
@@ -36,6 +37,13 @@ def _integer(value) -> bool:
     """Whether ``value`` is an integer and not a bool: the type rule of every
     count and index, so ``True`` is refused rather than read as 1."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool: the type rule of band
+    speeds and eps points, so ``True``, a string or None is refused rather
+    than read as a number."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _check_index(k) -> None:
@@ -56,6 +64,36 @@ def _finite_nonnegative(value) -> bool:
         return False
 
 
+def _check_eps(eps) -> None:
+    """The noise-level rule of w_epsilon and the config: EpsOutOfRange unless
+    eps is a finite number >= 0."""
+    if not _finite_nonnegative(eps):
+        raise EpsOutOfRange(f"eps must be finite and nonnegative, got {eps}")
+
+
+def check_delta(delta) -> None:
+    """The fibre-noise rule of spectrum, simulate, ulam_analytic and the
+    config: InvalidSimulationInput unless delta is a finite number >= 0."""
+    if not _finite_nonnegative(delta):
+        raise InvalidSimulationInput(f"delta must be finite and >= 0, got {delta}")
+
+
+def _square_matrix(value, dtype, name: str) -> np.ndarray:
+    """``value`` read by numpy as ``dtype``: the one matrix rule of
+    NoiseGenerator and spectra.eig_dense_complex.  InvalidMatrix unless it is
+    a numeric, nonempty, square matrix of finite entries (a ragged or
+    non-numeric value, or an integer beyond the float range, is none)."""
+    try:
+        a = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidMatrix(str(exc)) from exc
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidMatrix(f"{name} has non-finite entries")
+    return a
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -68,15 +106,15 @@ class BandModel:
 
     Its inputs are the band speeds ``beta``, stored as floats, and widths
     ``L``, stored as ints; the constructor checks them.  Speeds must be
-    finite real numbers (InvalidSpeeds) and are compared exactly
-    (DuplicateSpeed: they are model inputs, not measurements).  There is one
-    width per speed (DimensionMismatch) and at least one band, and each width
-    is a positive integer of an integer type (EmptyBand): a float width is
-    refused, not truncated, and so are widths that numpy cannot lay out as
-    fibres (a width or N beyond its index range).  Derived from them once
-    are ``N``, the offsets ``cum`` (exact ints, 0 = N_0 < N_1 < ... < N_S =
-    N; band s occupies ``cum[s]:cum[s+1]``), ``alpha`` and each fibre's band
-    ``band_index``.
+    finite real numbers, a bool or a string being none (InvalidSpeeds), and
+    are compared exactly (DuplicateSpeed: they are model inputs, not
+    measurements).  There is one width per speed (DimensionMismatch) and at
+    least one band, and each width is a positive integer of an integer type
+    (EmptyBand): a float width is refused, not truncated, and so are widths
+    that numpy cannot lay out as fibres (a width or N beyond its index
+    range).  Derived from them once are ``N``, the offsets ``cum`` (exact
+    ints, 0 = N_0 < N_1 < ... < N_S = N; band s occupies
+    ``cum[s]:cum[s+1]``), ``alpha`` and each fibre's band ``band_index``.
     """
 
     beta: tuple[float, ...]
@@ -87,10 +125,13 @@ class BandModel:
     band_index: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        try:
-            beta = tuple(float(b) for b in self.beta)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidSpeeds(f"band speeds must be real numbers, got {self.beta!r}") from exc
+        try:                                           # read once: beta may be an iterator
+            beta = tuple(self.beta)
+            beta = tuple(map(float, beta)) if all(map(_real, beta)) else None
+        except (TypeError, OverflowError):             # not iterable, or beyond the float range
+            beta = None
+        if beta is None:
+            raise InvalidSpeeds(f"band speeds must be real numbers, got {self.beta!r}")
         L = tuple(self.L)
         if len(beta) != len(L):
             raise DimensionMismatch(f"beta and L length mismatch: {len(beta)} vs {len(L)}")
@@ -123,10 +164,14 @@ class BandModel:
     def phases(self, k: int) -> np.ndarray:
         """Band phases exp(-2 pi i k beta_s); the fibre phases are ``phases(k)[band_index]``.
 
-        ConfigError unless k is an integer, not a bool, with |k| <= MAX_INDEX.
+        ``k beta_s`` is reduced mod 1 exactly, on the speed's integer ratio
+        p / q, before the exponent, so the phases keep full precision at
+        every index.  ConfigError unless k is an integer, not a bool, with
+        |k| <= MAX_INDEX.
         """
-        _check_index(k)
-        return np.exp(-2j * np.pi * k * np.asarray(self.beta))
+        _check_index(k)                                # int(k): a numpy integer would wrap in p * k
+        turns = [(p * int(k) % q) / q for p, q in map(float.as_integer_ratio, self.beta)]
+        return np.exp(-2j * np.pi * np.asarray(turns))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,23 +179,16 @@ class NoiseGenerator:
     """Wraps the symmetric generator Wdot of the family W_eps = Id + eps*Wdot.
 
     ``wdot`` is stored as a read-only float array, and ``N`` is ``len(wdot)``.
-    The constructor checks the shape and entries: InvalidMatrix unless numpy
-    reads ``wdot`` as a nonempty square matrix of finite floats.
+    The constructor applies the matrix rule of :func:`_square_matrix`:
+    InvalidMatrix unless numpy reads ``wdot`` as a nonempty square matrix of
+    finite floats.
     :func:`validate_admissibility` tests admissibility.
     """
 
     wdot: np.ndarray
 
     def __post_init__(self):
-        try:
-            w = np.asarray(self.wdot, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidMatrix(str(exc)) from exc
-        if w.ndim != 2 or w.shape[0] != w.shape[1] or not w.size:
-            raise InvalidMatrix(f"generator must be square, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise InvalidMatrix("generator has non-finite entries")
-        object.__setattr__(self, "wdot", _freeze(w))
+        object.__setattr__(self, "wdot", _freeze(_square_matrix(self.wdot, float, "generator")))
 
     @property
     def N(self) -> int:
@@ -295,8 +333,7 @@ def w_epsilon(gen: NoiseGenerator, eps: float) -> np.ndarray:
     EpsOutOfRange unless eps is a finite nonnegative number and every entry
     lies in [0, 1] up to a 1e-14 slack.
     """
-    if not _finite_nonnegative(eps):
-        raise EpsOutOfRange(f"eps must be finite and nonnegative, got {eps}")
+    _check_eps(eps)
     # an overflowing product makes infinite entries, which the range test
     # below refuses, so numpy need not warn about them
     with np.errstate(over="ignore"):

@@ -48,8 +48,9 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
                      NoComplexEigenvalues, NoConvergence)
-from .model import BandModel, NoiseGenerator, _freeze, _integer, check_dimension, w_epsilon
-from .spectra import _band_diagonal, check_delta, eig_dense_complex
+from .model import (BandModel, NoiseGenerator, _freeze, _integer, _real, check_delta,
+                    check_dimension, w_epsilon)
+from .spectra import _band_diagonal, eig_dense_complex
 
 #: |imag| above which an eigenvalue counts as nonreal, relative to its sector bound b(m)
 IMAG_TOL = 1e-9
@@ -68,10 +69,10 @@ class TrajectoryBatch:
     (seed, p), so results do not depend on scheduling or batch splits; the
     seed, eps and delta of :func:`simulate` stay with the caller.  The
     constructor checks the paths and freezes ``j`` and ``x`` in place,
-    copying neither: j and x that do not share one 2-D shape, a j that is
-    not an integer array of fibres in [0, N), and an x that is not real or
-    lies outside [0, 1] (1.0 counts in the last circle bin) raise
-    InvalidSimulationInput.
+    copying neither: j and x that are ragged or do not share one 2-D shape,
+    a j that is not an integer array of fibres in [0, N), and an x that is
+    not real or lies outside [0, 1] (1.0 counts in the last circle bin)
+    raise InvalidSimulationInput.
     """
 
     j: np.ndarray
@@ -79,7 +80,11 @@ class TrajectoryBatch:
     model: BandModel
 
     def __post_init__(self):
-        j, x, n = np.asarray(self.j), np.asarray(self.x), self.model.N
+        try:
+            j, x = np.asarray(self.j), np.asarray(self.x)
+        except ValueError as exc:          # a ragged nested sequence
+            raise InvalidSimulationInput(f"fibres and positions must be arrays: {exc}") from exc
+        n = self.model.N
         if j.ndim != 2 or j.shape != x.shape:
             raise InvalidSimulationInput(f"fibres and positions must share one (paths, steps + 1) "
                                          f"shape, got {j.shape} and {x.shape}")
@@ -168,8 +173,10 @@ class Cycle:
     Its inputs are the ``eigenvalue`` and the per-band ``band_masses``;
     derived from them are ``magnitude`` |eigenvalue|, ``arg``, the period
     2 pi / |arg| in steps and the ``band`` of largest mass.  An eigenvalue
-    of argument 0 (no period) or no band raises InvalidSimulationInput.  The
-    field order is the key order of each cycle in ``cycles.json``.
+    that is not a finite number or has argument 0 (no period), no band, and
+    band masses that are not finite real numbers raise
+    InvalidSimulationInput.  The field order is the key order of each cycle
+    in ``cycles.json``.
     """
 
     eigenvalue: complex
@@ -180,13 +187,22 @@ class Cycle:
     band: int = field(init=False)
 
     def __post_init__(self):
-        arg = float(np.angle(self.eigenvalue))
-        if arg == 0 or len(self.band_masses) == 0:
-            raise InvalidSimulationInput(f"a cycle needs a period and a band, got eigenvalue "
-                                         f"{self.eigenvalue} over {len(self.band_masses)} bands")
-        for name, value in dict(magnitude=float(abs(self.eigenvalue)), arg=arg,
+        ev, masses = self.eigenvalue, self.band_masses
+        # TypeError: a value np.isfinite cannot test (a non-number, an int beyond
+        # float) or masses that are no sequence; ValueError: an array eigenvalue
+        try:
+            arg = float(np.angle(ev)) if np.isfinite(ev) else 0.0
+            valid = arg != 0 and len(masses) > 0 and all(
+                _real(m) and np.isfinite(m) for m in masses)
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise InvalidSimulationInput(
+                f"a cycle needs a period and a band: a finite eigenvalue of nonzero argument and "
+                f"finite real band masses, got eigenvalue {ev!r} over band masses {masses!r}")
+        for name, value in dict(magnitude=float(abs(ev)), arg=arg,
                                 period_steps=float(2 * np.pi / abs(arg)),
-                                band=int(np.argmax(self.band_masses))).items():
+                                band=int(np.argmax(masses))).items():
             object.__setattr__(self, name, value)
 
 

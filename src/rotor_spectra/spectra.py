@@ -15,10 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (AmbiguousLabelling, DimensionMismatch, InvalidMatrix,
-                     InvalidSimulationInput, NoConvergence)
-from .model import (BandModel, NoiseGenerator, _check_index, _finite_nonnegative, _freeze,
-                    check_dimension, spectral_gap, w_epsilon)
+from .errors import AmbiguousLabelling, DimensionMismatch, NoConvergence
+from .model import (BandModel, NoiseGenerator, _check_index, _freeze, _square_matrix,
+                    check_delta, check_dimension, spectral_gap, w_epsilon)
 
 #: relative eigensolver residual ||A v - lambda v|| / ||A||_2 a converged pair meets
 RESIDUAL_TOL = 1e-11
@@ -89,13 +88,11 @@ def eig_dense_complex(matrix: np.ndarray) -> EigResult:
     the relative residual bound ``RESIDUAL_TOL``, reported per pair in
     ``converged``.  Its scale is the larger of the largest column 2-norm and
     the spectral radius: both bound ||A||_2 from below, and neither needs an
-    SVD.  Raises NoConvergence if the QR iteration fails outright.
+    SVD.  The matrix passes the generator's rule, model._square_matrix
+    (InvalidMatrix), read as complex.  Raises NoConvergence if the QR
+    iteration fails outright.
     """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise InvalidMatrix(f"need a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidMatrix("matrix has non-finite entries")
+    a = _square_matrix(matrix, complex, "matrix")
     try:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -187,13 +184,6 @@ def label_spectrum(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
         gersh_radius=radius)
 
 
-def check_delta(delta: float) -> None:
-    """The fibre-noise rule of spectrum, simulate and ulam_analytic:
-    InvalidSimulationInput unless delta is a finite number >= 0."""
-    if not _finite_nonnegative(delta):
-        raise InvalidSimulationInput(f"delta must be finite and >= 0, got {delta}")
-
-
 def delta_factor(k: int, delta: float) -> float:
     """sin(2 pi k delta) / (2 pi k delta), with the 0/0 limit defined as 1.
 
@@ -201,7 +191,7 @@ def delta_factor(k: int, delta: float) -> float:
     sin(pi*n) would leave an O(1e-16) remnant, and where 2*k*delta overflows:
     delta is then an integer, so 2*k*delta is an even one.  k must pass the
     Fourier-index rule of BandModel.phases (ConfigError), and delta
-    check_delta.
+    model.check_delta.
     """
     _check_index(k)
     check_delta(delta)

@@ -16,13 +16,12 @@ not certify the full all-k condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .errors import DegenerateBlock, DimensionMismatch, GammaViolated, InvalidEpsGrid, ZeroVector
-from .model import (BandModel, NoiseGenerator, _freeze, check_dimension, sorted_eigenbasis,
-                    spectral_gap)
+from .model import (BandModel, NoiseGenerator, _freeze, _real, check_dimension,
+                    sorted_eigenbasis, spectral_gap)
 from .spectra import _band_diagonal, spectrum
 
 
@@ -154,9 +153,9 @@ def projector_gap(f_eps, f_limit) -> float:
 def _eps_points(eps_grid) -> list[float]:
     """The points of an eps grid as floats, the one conversion of
     spectrum_convergence and response.check_eps_grid: InvalidEpsGrid unless
-    the grid is a sequence of real numbers (a string or a bool is none)."""
+    the grid is a sequence of real numbers (model._real: a string or a bool is none)."""
     points = list(eps_grid) if np.iterable(eps_grid) else None
-    if points is None or not all(isinstance(e, Real) and not isinstance(e, bool) for e in points):
+    if points is None or not all(map(_real, points)):
         raise InvalidEpsGrid(f"an eps grid is a sequence of real numbers, got {eps_grid!r}")
     return [float(e) for e in points]
 

@@ -298,7 +298,8 @@ class TestSpectrum:
         assert not out.exists()
 
     @pytest.mark.parametrize("config, extra, message", [
-        ('{"beta": [true], "L": [1]}', [], "config error: speed must be a number or token"),
+        ('{"beta": [true], "L": [1]}', [],
+         "config error: invalid model: band speeds must be real numbers, got [True]"),
         ('[{"beta": [0.1], "L": [1]}]', [], "config error: top-level config must be an object"),
         ('{"beta": 0.1, "L": [1]}', [], "config error: 'beta' and 'L' must be arrays"),
         ('{"beta": [0.1, 0.3], "L": [1, 1], "generator": [[0, 0], [0]]}', [],
@@ -395,6 +396,15 @@ class TestOtherCommands:
         assert len(rows) == 33 * 33
         _, conv = read_csv(out / "convergence_k1.csv")
         assert len(conv) == 2 * 33
+
+    def test_limit_at_coinciding_exact_phases_exit1(self, case_cfg, tmp_path, capsys):
+        # the exact phases of bands 0 and 1 lie 7.96e-10 apart at this k, below
+        # GAP_TOL; rounding k * beta once hid it, and the run wrote its files
+        out = tmp_path / "lim"
+        assert main(["limit", "--config", str(case_cfg), "--out", str(out),
+                     "--k", "2615867562"]) == 1
+        assert capsys.readouterr().err == "error: band phases coincide at k=2615867562\n"
+        assert not out.exists()
 
     def test_response_s1_zero_second_order(self, tmp_path):
         p = tmp_path / "s1.json"
@@ -976,13 +986,31 @@ def test_each_record_is_built_one_way():
 
 
 def test_one_response_builder_and_one_fourier_index_rule():
-    # response_data builds the ResponseData record itself, and BandModel.phases
-    # bounds every Fourier index a command reads (the config bounds its own ks)
+    # response_data builds the ResponseData record itself, and the index rule of
+    # BandModel.phases bounds every Fourier index a command reads, ks included
     assert not hasattr(response, "_expansion_terms")
     assert not hasattr(cli, "_index")
     sources = {p.name: p.read_text() for p in sorted(Path(rs.__file__).parent.glob("*.py"))}
-    assert [name for name, text in sources.items() if "MAX_INDEX" in text] == [
-        "config.py", "model.py"]
+    assert [name for name, text in sources.items() if "MAX_INDEX" in text] == ["model.py"]
+
+
+def test_one_matrix_rule():
+    # the generator and the eigensolver read a matrix through one rule, the only
+    # place a package module raises InvalidMatrix
+    for caller in (rs.NoiseGenerator.__post_init__, rs.eig_dense_complex):
+        assert "_square_matrix(" in inspect.getsource(caller)
+    sources = {p.name: p.read_text() for p in sorted(Path(rs.__file__).parent.glob("*.py"))}
+    assert {name: text.count("raise InvalidMatrix(") for name, text in sources.items()
+            if "raise InvalidMatrix(" in text} == {"model.py": 3}
+    assert inspect.getsource(rs.model._square_matrix).count("raise InvalidMatrix(") == 3
+
+
+def test_config_restates_no_library_rule():
+    # the config leaves widths, indices, eps, delta and the generator's size to
+    # the model's rules instead of its own isinstance and size checks
+    source = inspect.getsource(rs.config)
+    assert not re.search(r"isinstance\([^)]*\b(bool|int|float)\b", source)
+    assert "MAX_INDEX" not in source and "gen.N" not in source
 
 
 def test_each_tolerance_name_is_bound_in_one_module():

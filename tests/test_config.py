@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from rotor_spectra import case_study_config, load_config, parse_config
-from rotor_spectra.errors import ConfigError
+from rotor_spectra import (BandModel, NoiseGenerator, case_study_config, laplacian_generator,
+                           load_config, parse_config, w_epsilon)
+from rotor_spectra.errors import ConfigError, RotorSpectraError
+from rotor_spectra.model import _check_index, check_delta, check_dimension
 
 #: an integer literal beyond the float range
 BIG = "1" * 400
+#: a valid two-band model, for the fields that follow it
+TWO = '"beta": [0.1, 0.3], "L": [1, 1]'
 
 
 class TestParseConfig:
@@ -46,18 +50,22 @@ class TestParseConfig:
             parse_config('{"beta": [0.1]}')
 
     def test_generator_size_mismatch(self):
-        with pytest.raises(ConfigError, match="N=2"):
+        with pytest.raises(ConfigError, match="generator dimension 1 != model dimension 2"):
             parse_config('{"beta": [0.1, 0.2], "L": [1, 1], "generator": [[0.0]]}')
 
     def test_duplicate_speed_is_config_error(self):
         with pytest.raises(ConfigError):
             parse_config('{"beta": [0.1, 0.1], "L": [1, 1]}')
 
-    @pytest.mark.parametrize("beta, L", [("[0.1, 0.2]", "[1]"), ("[0.1, 0.2]", "[1.5, 2]"),
-                                         ("[0.1, 0.2]", '[true, "2"]'), ("[0.1]", "[2.0]")],
-                             ids=["length", "float", "bool-string", "integral-float"])
-    def test_bad_widths(self, beta, L):
-        with pytest.raises(ConfigError, match="'L'"):
+    @pytest.mark.parametrize("beta, L, message", [
+        ("[0.1, 0.2]", "[1]", "beta and L length mismatch: 2 vs 1"),
+        ("[0.1, 0.2]", "[1.5, 2]", "band widths must be positive integers, got \\(1.5, 2\\)"),
+        ("[0.1, 0.2]", '[true, "2"]',
+         "band widths must be positive integers, got \\(True, '2'\\)"),
+        ("[0.1]", "[2.0]", "band widths must be positive integers, got \\(2.0,\\)"),
+    ], ids=["length", "float", "bool-string", "integral-float"])
+    def test_bad_widths(self, beta, L, message):
+        with pytest.raises(ConfigError, match=message):
             parse_config(f'{{"beta": {beta}, "L": {L}}}')
 
     def test_negative_delta(self):
@@ -89,6 +97,44 @@ class TestParseConfig:
     def test_ks_at_2_to_32(self):
         cfg = parse_config(f'{{"beta": [0.1], "L": [2], "ks": [{2 ** 32}, {-(2 ** 32)}]}}')
         assert cfg.ks == (2 ** 32, -(2 ** 32))
+
+
+@pytest.mark.parametrize("fields, library", [
+    ('"beta": [0.1, 0.3], "L": [1, 0]', lambda: BandModel([0.1, 0.3], [1, 0])),
+    ('"beta": [0.1, 0.3], "L": [1, 1.5]', lambda: BandModel([0.1, 0.3], [1, 1.5])),
+    ('"beta": [0.1, 0.3], "L": [1, "1"]', lambda: BandModel([0.1, 0.3], [1, "1"])),
+    ('"beta": [0.1, 0.3], "L": [1]', lambda: BandModel([0.1, 0.3], [1])),
+    ('"beta": [], "L": []', lambda: BandModel([], [])),
+    ('"beta": [0.1], "L": [1]', lambda: laplacian_generator(1)),
+    (TWO + ', "generator": [[0.0]]',
+     lambda: check_dimension(BandModel([0.1, 0.3], [1, 1]), NoiseGenerator([[0.0]]))),
+    (TWO + ', "generator": [[0, 1], [1]]', lambda: NoiseGenerator([[0, 1], [1]])),
+    (TWO + ', "ks": [1, 1.5]', lambda: _check_index(1.5)),
+    (TWO + ', "ks": [true]', lambda: _check_index(True)),
+    (TWO + ', "ks": ["1"]', lambda: _check_index("1")),
+    (TWO + f', "ks": [{2 ** 32 + 1}]', lambda: _check_index(2 ** 32 + 1)),
+    ('"beta": [0.1, true], "L": [1, 1]', lambda: BandModel([0.1, True], [1, 1])),
+    ('"beta": [0.1, null], "L": [1, 1]', lambda: BandModel([0.1, None], [1, 1])),
+    ('"beta": [0.1, [0.3]], "L": [1, 1]', lambda: BandModel([0.1, [0.3]], [1, 1])),
+    ('"beta": [0.1, 0.1], "L": [1, 1]', lambda: BandModel([0.1, 0.1], [1, 1])),
+    (TWO + ', "delta": -0.2', lambda: check_delta(-0.2)),
+    (TWO + ', "delta": "0.1"', lambda: check_delta("0.1")),
+    (TWO + ', "delta": false', lambda: check_delta(False)),
+    (TWO + ', "epsilons": [0.1, -1.0]', lambda: w_epsilon(laplacian_generator(2), -1.0)),
+    (TWO + ', "epsilons": [true]', lambda: w_epsilon(laplacian_generator(2), True)),
+    (TWO + ', "epsilons": [null]', lambda: w_epsilon(laplacian_generator(2), None)),
+], ids=["width-zero", "width-float", "width-string", "length", "no-band", "generator-size",
+        "generator-model-size", "generator-ragged", "ks-float", "ks-bool", "ks-string",
+        "ks-beyond-2**32", "speed-bool", "speed-null", "speed-list", "speed-duplicate",
+        "delta-negative", "delta-string", "delta-bool", "eps-negative", "eps-bool", "eps-null"])
+def test_config_refusal_is_the_library_refusal(fields, library):
+    # the config applies the model's rule for each input, so its message is the
+    # library's message for the same value
+    with pytest.raises(RotorSpectraError) as refused:
+        library()
+    with pytest.raises(ConfigError) as config:
+        parse_config(f"{{{fields}}}")
+    assert str(refused.value) in str(config.value)
 
 
 class TestLoadConfig:

@@ -1,4 +1,6 @@
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from rotor_spectra.errors import (ConfigError, DimensionMismatch, DimensionTooSm
                                   DuplicateSpeed, EmptyBand, EpsOutOfRange, InvalidEpsGrid,
                                   InvalidMatrix, InvalidSimulationInput, InvalidSpeeds,
                                   RotorSpectraError)
-from rotor_spectra.model import spectral_gap
+from rotor_spectra.model import MAX_INDEX, spectral_gap
 from conftest import CASE_BETA, random_banded_model
 
 
@@ -77,10 +79,44 @@ class TestBuildBandModel:
         gap, radius, simple = spectral_gap([m.phases(1)])
         assert gap == pytest.approx(abs(1 - np.exp(-2j * np.pi * 0.25)))
         assert radius == pytest.approx(1.0) and simple
-        gap, _, simple = spectral_gap([m.phases(4)])         # 0 and 0.25 coincide
-        assert 1e-16 < gap < 1e-15 and not simple
+        gap, _, simple = spectral_gap([m.phases(4)])         # 0 and 0.25 coincide exactly
+        assert gap == 0.0 and not simple
         assert spectral_gap([m.phases(0)])[:3:2] == (0.0, False)
         assert spectral_gap([build_band_model([0.3], [4]).phases(1)])[::2] == (np.inf, True)
+
+    @pytest.mark.parametrize("speed", [True, np.True_, "0.1", None, [0.1]],
+                             ids=["bool", "numpy_bool", "numeric_string", "none", "list"])
+    def test_speeds_must_be_real_numbers(self, speed):
+        # a bool once built a model as the speed 1.0, and a numeric string as its value
+        with pytest.raises(InvalidSpeeds, match="band speeds must be real numbers"):
+            rs.BandModel((speed, 0.3), (1, 1))
+
+    def test_speeds_are_read_once(self):
+        # an iterator of speeds builds the model its tuple builds
+        m = rs.BandModel(map(float, CASE_BETA), (1, 1, 1))
+        assert m.beta == rs.BandModel(tuple(CASE_BETA), (1, 1, 1)).beta
+
+    @pytest.mark.parametrize("k", [2615867562, -MAX_INDEX])
+    def test_numpy_integer_phases_are_exact(self, k):
+        # p * k in int64 wraps once |k| exceeds about 1.6e3 for the speed pi / 20
+        m = rs.BandModel((math.pi / 20, 0.3), (1, 1))
+        assert m.phases(np.int64(k)).tobytes() == m.phases(k).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(beta=st.floats(-3, 3), k=st.integers(-MAX_INDEX, MAX_INDEX))
+    def test_phases_reduce_exactly(self, beta, k):
+        # k * beta was once rounded before its reduction mod 1, an error of
+        # 3.5e-7 at k = 1e9; the reduction is now exact at every index
+        turn = float(Fraction(beta) * k % 1)
+        exact = cmath.exp(-2j * cmath.pi * turn)
+        assert abs(rs.BandModel((beta,), (1,)).phases(k)[0] - exact) <= 1e-15
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_case_study_phases_at_0_and_1_are_unchanged(self, case_model, k):
+        # speeds in [0, 1) reduce to themselves at k = 0 and 1, so the exact
+        # reduction keeps the old formula's bits there
+        old = np.exp(-2j * np.pi * k * np.asarray(case_model.beta))
+        assert case_model.phases(k).tobytes() == old.tobytes()
 
     def test_immutable(self, case_model):
         with pytest.raises(ValueError):
@@ -159,6 +195,8 @@ class TestRecordsCheckTheirInputs:
             return
         assert all(type(b) is float for b in m.beta) and all(type(x) is int for x in m.L)
         assert m.N == sum(m.L) == len(m.alpha)
+        # only numbers are speeds: no bool, string, None or list built a model
+        assert all(type(b) in (int, float) for b in beta)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(wdot=JSON_LIKE | st.lists(st.lists(JSON_LIKE, min_size=2, max_size=2),
@@ -402,6 +440,16 @@ def test_boundary_errors_are_typed(error, call):
     assert issubclass(error, RotorSpectraError) and issubclass(error, ValueError)
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("matrix", [[["a"]], [[1.0, 2.0], [3.0]], [[10 ** 400]], [[{}]]],
+                         ids=["non_numeric", "ragged", "int_overflow", "not_a_number"])
+def test_eigensolver_applies_the_generator_matrix_rule(matrix):
+    # each once ended in a bare ValueError, OverflowError or TypeError; the
+    # eigensolver now refuses what the generator refuses
+    for call in (eig_dense_complex, NoiseGenerator):
+        with pytest.raises(InvalidMatrix):
+            call(matrix)
 
 
 #: an order-check grid below eps_max of the case study

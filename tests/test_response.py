@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -21,10 +22,16 @@ from rotor_spectra.spectra import (_certified, assemble_fourier_block, eig_dense
                                    label_spectrum)
 
 
+def exact_phases(model, k):
+    """Reference band phases exp(-2 pi i k beta_s), with k beta_s reduced mod 1
+    in exact rational arithmetic."""
+    return np.exp(-2j * np.pi * np.array([float(Fraction(b) * k % 1) for b in model.beta]))
+
+
 def loop_second_order(model, gen, k, ell, basis):
     """Reference: the per-label sum over bands of the module docstring."""
-    phases = np.exp(-2j * np.pi * k * np.asarray(model.beta))
-    d = np.exp(-2j * np.pi * k * model.alpha)
+    phases = exact_phases(model, k)
+    d = phases[model.band_index]
     s_l = int(basis.model.band_index[ell])
     f = basis.vectors[:, ell].astype(complex)
     a = d * (gen.wdot @ f)
@@ -39,8 +46,8 @@ def loop_second_order(model, gen, k, ell, basis):
 
 def loop_eigenvector_response(model, gen, k, ell, basis):
     """Reference: fhat of one label as a loop over the other labels."""
-    phases = np.exp(-2j * np.pi * k * np.asarray(model.beta))
-    d = np.exp(-2j * np.pi * k * model.alpha)
+    phases = exact_phases(model, k)
+    d = phases[model.band_index]
     s_l = int(basis.model.band_index[ell])
     f = basis.vectors[:, ell].astype(complex)
     lam_hat = basis.lambda_hat

@@ -773,6 +773,13 @@ class TestTrajectoryBatch:
         with pytest.raises(InvalidSimulationInput):
             TrajectoryBatch(j=np.array(j), x=np.array(x), model=two_band_model)
 
+    def test_ragged_paths_are_refused_when_built(self, two_band_model):
+        # numpy's bare ValueError (an inhomogeneous shape) once ended the build
+        with pytest.raises(InvalidSimulationInput, match="must be arrays"):
+            TrajectoryBatch(j=[[0, 1], [0]], x=[[0.1, 0.2]], model=two_band_model)
+        with pytest.raises(InvalidSimulationInput, match="must be arrays"):
+            TrajectoryBatch(j=[[0, 1]], x=[[0.1, 0.2], [0.3]], model=two_band_model)
+
     def test_batch_is_frozen_in_place(self, two_band_model):
         # a transposed view keeps its strides: no copy of either array is made
         j = np.zeros((5, 2), dtype=np.int32).T
@@ -806,6 +813,19 @@ class TestCycle:
     def test_no_period_or_no_band_is_refused(self, eigenvalue, masses):
         # a bare ZeroDivisionError (2 pi / 0) or ValueError (argmax of nothing) once
         with pytest.raises(InvalidSimulationInput, match="needs a period and a band"):
+            Cycle(eigenvalue, masses)
+
+    @pytest.mark.parametrize("eigenvalue, masses", [
+        ("a", (1.0,)), (None, (1.0,)), (complex("nan+1j"), (1.0,)), (complex(1, math.inf), (1.0,)),
+        (10 ** 400, (1.0,)), (1j, ("a",)), (1j, (None,)), (1j, (math.nan, 1.0)),
+        (1j, (True,)), (1j, (1j,)), (1j, None), (1j, (10 ** 400,))],
+        ids=["eigenvalue_string", "eigenvalue_none", "eigenvalue_nan", "eigenvalue_inf",
+             "eigenvalue_int_overflow", "mass_string", "mass_none", "mass_nan", "mass_bool",
+             "mass_complex", "masses_none", "mass_int_overflow"])
+    def test_non_finite_or_non_numeric_inputs_are_refused(self, eigenvalue, masses):
+        # a bare TypeError or AttributeError once, or a cycle of NaN magnitude,
+        # arg and period, or of band 0 for a string mass
+        with pytest.raises(InvalidSimulationInput, match="finite real band masses"):
             Cycle(eigenvalue, masses)
 
 
