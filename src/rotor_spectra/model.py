@@ -82,8 +82,12 @@ def _square_matrix(value, dtype, name: str) -> np.ndarray:
     """``value`` read by numpy as ``dtype``: the one matrix rule of
     NoiseGenerator and spectra.eig_dense_complex.  InvalidMatrix unless it is
     a numeric, nonempty, square matrix of finite entries (a ragged or
-    non-numeric value, or an integer beyond the float range, is none)."""
+    non-numeric value, a string entry, which numpy would parse, or an integer
+    beyond the float range, is none)."""
     try:
+        raw = np.asarray(value)
+        if raw.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in raw.flat):
+            raise TypeError(f"{name} has string entries")   # refused as numpy's own misreads
         a = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidMatrix(str(exc)) from exc

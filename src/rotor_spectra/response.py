@@ -123,18 +123,34 @@ def response_data(model: BandModel, gen: NoiseGenerator, k: int) -> ResponseData
     if _terminates(model, k):
         return ResponseData(basis=basis, lambda_hathat=_freeze(np.zeros(n, dtype=complex)),
                             f_hat=_freeze(np.zeros((n, n), dtype=complex)))
-    f, lam_hat = basis.vectors, basis.lambda_hat
-    d = model.phases(k)[model.band_index]
+    f, lam_hat, phases = basis.vectors, basis.lambda_hat, model.phases(k)
+    d = phases[model.band_index]
     across = d[:, None] != d[None, :]                    # [r, ell]: distinct phases
-    within = ~across & ~np.eye(n, dtype=bool)            # [r, ell]: r != ell, same band
-    gap = lam_hat[None, :] - lam_hat[:, None]            # [r, ell]: lhat_ell - lhat_r
-    inv = np.zeros((n, n), dtype=complex)
-    np.divide(1.0, d[None, :] - d[:, None], out=inv, where=across)
-    a = _band_diagonal(model, model.phases(k), gen.wdot @ f)            # D Wdot F
-    b = gen.wdot @ _band_diagonal(model, np.conj(model.phases(k)), f)   # Wdot D* F
-    h = b.conj().T @ (a * inv)
-    coeff = (f.T @ a) * inv + h / np.where(within, gap, np.inf)
-    return ResponseData(basis=basis, lambda_hathat=_freeze(np.diag(h)), f_hat=_freeze(f @ coeff))
+    # at most four N x N complex arrays at once: each term is formed in place
+    # in an array this function already holds, and dropped once read; a
+    # difference is tiled, then taken in place, as a broadcast one into a new
+    # array would also buffer both of its operands
+    b = gen.wdot @ _band_diagonal(model, np.conj(phases), f)    # Wdot D* F
+    np.conj(b, out=b)
+    a = _band_diagonal(model, phases, gen.wdot @ f)             # D Wdot F
+    coeff = f.T @ a
+    inv = np.tile(d, (n, 1))
+    inv -= d[:, None]                                    # exactly 0 on the own band
+    np.divide(1.0, inv, out=inv, where=across)
+    coeff *= inv                                         # out-of-band coefficients
+    a *= inv
+    del inv
+    h = b.T @ a
+    del a, b
+    lam_hh = h.diagonal().copy()
+    gap = np.tile(lam_hat, (n, 1))
+    gap -= lam_hat[:, None]                              # [r, ell]: lhat_ell - lhat_r
+    np.copyto(gap, np.inf, where=across)
+    np.fill_diagonal(gap, np.inf)                        # finite for r != ell in ell's band
+    h /= gap
+    del gap
+    coeff += h
+    return ResponseData(basis=basis, lambda_hathat=_freeze(lam_hh), f_hat=_freeze(f @ coeff))
 
 
 def second_order_eigenvalue(model: BandModel, gen: NoiseGenerator, k: int, ell: int) -> complex:
@@ -158,7 +174,8 @@ def _eigenbasis(d, values, right):
     of column v is conj(d) * v (no conjugate), scaled to meet v once; a zero scale gives inf."""
     left = np.conj(d)[:, None] * right
     with np.errstate(all="ignore"):
-        return values, right, (left / np.sum(left * right, axis=0)).T
+        left /= np.sum(left * right, axis=0)
+    return values, right, left.T
 
 
 def _eigenbasis_solve(basis, own, mu, rhs):
@@ -241,16 +258,27 @@ def _label_disks(f, f_hat, cf, ccf, p, eps):
 
     n = len(f)
     gamma = 2 * (n + 2) * UNIT_ROUNDOFF
-    fe = f + eps * f_hat
-    x = f.T - eps * cf + eps ** 2 * ccf
+    fe = np.multiply(eps, f_hat)
+    np.add(f, fe, out=fe)                                # F
+    x = np.multiply(eps, cf)
+    np.subtract(f.T, x, out=x)
+    x += eps ** 2 * ccf                                  # X
+    norm_x, norm_fe = norm(x), norm(fe)
+    rounding = 3 * gamma * norm_x * norm(p) * norm_fe
+    m = x @ fe
+    np.negative(m, out=m)
+    m.flat[::n + 1] += 1                                 # G, up to signs of zeros: read by norm
+    g = (norm(m) + gamma * norm_x * norm_fe) * (1 + gamma)
+    del m
     m = x @ (p @ fe)
-    rounding = 3 * gamma * norm(x) * norm(p) * norm(fe)
-    g = (norm(np.eye(n) - x @ fe) + gamma * norm(x) * norm(fe)) * (1 + gamma)
+    del x
     spread = g / (1 - g) * (norm(m) + rounding) if g < 1 else np.inf
+    centre = m.diagonal().copy()
     off = np.abs(m)
+    del m
     np.fill_diagonal(off, 0)
-    centre = np.diag(m)
     radius = (np.sum(off, axis=1) + spread + rounding) * (1 + gamma)
+    del off
     clear = (1 - gamma) * np.abs(centre[:, None] - centre[None, :]) > radius[:, None] + radius
     np.fill_diagonal(clear, True)
     return fe, centre, radius, np.all(clear, axis=1)
@@ -276,28 +304,37 @@ def order_checks(resp: ResponseData, ells, eps_grid) -> tuple[OrderCheck, ...]:
     P - lam_0 Id = Diag(d - d_ell) + eps D Wdot, d = diag(D), exactly 0 on
     the band of ell, so mu = lam_eps - lam_0 is O(eps), no entry of size 1
     is rounded, and the ladders keep complex128's relative precision down
-    the grid.  Slopes as in OrderCheck.
+    the grid.  Slopes as in OrderCheck.  Beside C f^T and C^2 f^T it holds one
+    eps's arrays at a time: P, F, the disk basis, one shifted matrix reused
+    for every label and, where a label goes dense, the eigensolve's pairs.
     """
     basis = resp.basis
     model, gen, k = basis.model, basis.gen, basis.k
     ells = _check_labels(model, ells)
     eps_grid = check_eps_grid(gen, eps_grid)
-    d = model.phases(k)[model.band_index]
-    dw = _band_diagonal(model, model.phases(k), gen.wdot)    # D Wdot
+    phases = model.phases(k)
+    d = phases[model.band_index]
     f, f_hat = basis.vectors, resp.f_hat
     c = f.T @ f_hat
     cf = c @ f.T                                         # C f^T
     ccf = c @ cf
+    del c
     ladders = [[] for _ in ells]                         # per label: (r0, r1, r2, vec_r, path)
     for eps in eps_grid:
         p = assemble_fourier_block(model, gen, k, eps)
         fe, centre, radius, isolated = _label_disks(f, f_hat, cf, ccf, p, eps)
         scale = np.sqrt(np.max(np.sum(np.abs(p) ** 2, axis=0)))    # <= ||p||_2
         disks = _eigenbasis(d, centre, fe) if isolated[ells].any() else None
-        eig = None
+        del fe                                           # kept only as the disk basis
+        # eps D Wdot, then each label's P - lam_0 Id in turn; an off-diagonal
+        # zero may be -0 where 0 + eps D Wdot gave +0, which no sum a @ v sees
+        a = _band_diagonal(model, phases, gen.wdot)
+        a *= eps
+        a_diag = a.diagonal().copy()
+        eig = dense = None
         for ell, rows in zip(ells, ladders):
             lhat, lhh = basis.lambda_hat[ell], resp.lambda_hathat[ell]
-            a = np.diag(d - d[ell]) + eps * dw           # exactly 0 on the band of ell
+            np.fill_diagonal(a, d - d[ell] + a_diag)     # exactly 0 on the band of ell
             path = "disk" if isolated[ell] else "dense"
             if path == "disk":
                 mu, vec, res = _refine_eigenpair(a, disks, ell, d[ell])
@@ -326,6 +363,7 @@ def order_checks(resp: ResponseData, ells, eps_grid) -> tuple[OrderCheck, ...]:
                                         "exceeds the residual tolerance", partial=eig)
             rows.append((abs(mu), abs(mu - eps * lhat), abs(mu - eps * lhat - eps ** 2 * lhh),
                          projective_distance(vec, f[:, ell] + eps * f_hat[:, ell]), path))
+        del p, disks, a, eig, dense                      # freed before the next eps's
 
     terminates = _terminates(model, k)
     stationary = np.abs(basis.lambda_hat) <= band_models.GAP_TOL * np.max(np.abs(basis.lambda_hat))

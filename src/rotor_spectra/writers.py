@@ -67,7 +67,7 @@ def _formatted(conv, col, escape=False):
     return np.array(strings, dtype=object).reshape(col.shape)
 
 
-def _write(path, header, fmt, columns, footer=()):
+def _write(path, header, fmt, columns, footer=(), one_based=()):
     """Write the header, one ``fmt`` row per element of the broadcast
     ``columns`` (arrays or scalars, in C order), then the ``footer`` lines.
 
@@ -82,7 +82,10 @@ def _write(path, header, fmt, columns, footer=()):
     ``%`` of the run's template and written at once.  The varying columns stay
     arrays, one row per run, and only a block's slice of them becomes Python
     values, just before its ``%``: beyond its arrays, the table holds at most
-    one block of Python values.
+    one block of Python values.  The columns at the positions ``one_based``
+    hold 0-based indices and are written 1-based: a column converted whole
+    (fixed, or shorter than the table) is shifted at once, a varying
+    full-size one a block at a time, so it is never copied.
     """
     cols = list(map(np.asarray, columns))
     shape = np.broadcast_shapes(*(c.shape for c in cols)) or (1,)
@@ -94,9 +97,13 @@ def _write(path, header, fmt, columns, footer=()):
     # ``template % fields`` is a run's row format: the literal text and the
     # varying columns' conversions escaped, a %s for each fixed column
     texts = [t.replace("%", "%%") for t in re.split(_CONVERSION, fmt)]
-    fixed, varying = [], []
+    fixed, varying, shifts = [], [], []
     for i, (col, conv) in enumerate(zip(cols, re.findall(_CONVERSION, fmt), strict=True)):
-        if all(d == 1 for d in col.shape[-tail:]):
+        constant = all(d == 1 for d in col.shape[-tail:])
+        shift = int(i in one_based)
+        if shift and (constant or col.size < rows):     # converted whole: shifted at once
+            col, shift = col + 1, 0
+        if constant:
             fields = _formatted(conv, col, escape=True)
             fixed.append(np.broadcast_to(fields, shape[:-tail] + (1,) * tail).ravel().tolist())
             texts[i] += "%s"
@@ -104,6 +111,7 @@ def _write(path, header, fmt, columns, footer=()):
         if col.size < rows:
             col, conv = _formatted(conv, col), "%s"
         varying.append(np.broadcast_to(col, shape).reshape(runs, run))
+        shifts.append(shift)
         texts[i] += conv.replace("%", "%%")
     template = "".join(texts) + "\r\n"
     with _open(path) as fh:
@@ -113,8 +121,9 @@ def _write(path, header, fmt, columns, footer=()):
             for start in range(0, run, _BLOCK):
                 n = min(_BLOCK, run - start)
                 flat = [None] * (n * len(varying))
-                for i, col in enumerate(varying):
-                    flat[i::len(varying)] = col[r, start:start + n].tolist()
+                for i, (col, shift) in enumerate(zip(varying, shifts)):
+                    block = col[r, start:start + n]
+                    flat[i::len(varying)] = (block + shift if shift else block).tolist()
                 fh.write((row * n) % tuple(flat))
         fh.writelines(line + "\r\n" for line in footer)
 
@@ -216,7 +225,8 @@ def write_cycles_json(path, report):
 def write_trajectory_csv(path, batch):
     """Path and step are 0-based; the fibre j is 1-based."""
     _write(path, ["path", "step", "j", "x"], "%d,%d,%d,%.17g",
-           [np.arange(len(batch.j))[:, None], np.arange(batch.j.shape[1]), batch.j + 1, batch.x])
+           [np.arange(len(batch.j))[:, None], np.arange(batch.j.shape[1]), batch.j, batch.x],
+           one_based=(2,))
 
 
 def write_grid_csv(path, spec, ells, x_res):

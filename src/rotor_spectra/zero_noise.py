@@ -153,11 +153,15 @@ def projector_gap(f_eps, f_limit) -> float:
 def _eps_points(eps_grid) -> list[float]:
     """The points of an eps grid as floats, the one conversion of
     spectrum_convergence and response.check_eps_grid: InvalidEpsGrid unless
-    the grid is a sequence of real numbers (model._real: a string or a bool is none)."""
+    the grid is a sequence of real numbers (model._real: a string or a bool is
+    none) within the float range."""
     points = list(eps_grid) if np.iterable(eps_grid) else None
     if points is None or not all(map(_real, points)):
         raise InvalidEpsGrid(f"an eps grid is a sequence of real numbers, got {eps_grid!r}")
-    return [float(e) for e in points]
+    try:
+        return [float(e) for e in points]
+    except OverflowError as exc:
+        raise InvalidEpsGrid(f"an eps grid point lies beyond the float range: {exc}") from exc
 
 
 def spectrum_convergence(basis: LimitBasis, eps_list):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,17 @@ def two_band_model():
 @pytest.fixture(scope="session")
 def two_band_gen():
     return laplacian_generator(2)
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak of ``fn(*args)`` in bytes: the most it holds at
+    once of what it allocates, beyond what the caller already holds."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_banded_model(rng, max_bands=4, max_width=5):

@@ -286,6 +286,18 @@ class TestSpectrum:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "spectrum"])
+    def test_string_generator_entries_are_a_config_error(self, tmp_path, capsys, command):
+        # numpy parsed numeric strings: this config ran as the two-fibre Laplacian
+        p = tmp_path / "model.json"
+        p.write_text('{"beta": [0.1, 0.3], "L": [1, 1],'
+                     ' "generator": [["-0.5", "0.5"], ["0.5", "-0.5"]]}', encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid generator matrix: generator has string entries\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "spectrum"])
     def test_width_too_large_to_lay_out_is_a_config_error(self, tmp_path, capsys, command):
         # a 301-digit width passed the config's integer rule and ended in an
         # OverflowError traceback from the fibre layout's np.repeat

@@ -442,11 +442,15 @@ def test_boundary_errors_are_typed(error, call):
         call()
 
 
-@pytest.mark.parametrize("matrix", [[["a"]], [[1.0, 2.0], [3.0]], [[10 ** 400]], [[{}]]],
-                         ids=["non_numeric", "ragged", "int_overflow", "not_a_number"])
+@pytest.mark.parametrize("matrix", [[["a"]], [[1.0, 2.0], [3.0]], [[10 ** 400]], [[{}]],
+                                    [["-0.5", "0.5"], ["0.5", "-0.5"]], [[-0.5, "0.5"], [0.5, -0.5]],
+                                    np.array([["1"]]), [[b"1"]]],
+                         ids=["non_numeric", "ragged", "int_overflow", "not_a_number",
+                              "numeric_strings", "one_numeric_string", "str_array", "bytes"])
 def test_eigensolver_applies_the_generator_matrix_rule(matrix):
-    # each once ended in a bare ValueError, OverflowError or TypeError; the
-    # eigensolver now refuses what the generator refuses
+    # each once ended in a bare ValueError, OverflowError or TypeError, or
+    # (numeric strings, which numpy parses) built or solved; the eigensolver
+    # now refuses what the generator refuses
     for call in (eig_dense_complex, NoiseGenerator):
         with pytest.raises(InvalidMatrix):
             call(matrix)
@@ -557,11 +561,15 @@ def test_bools_are_no_eps_or_delta(case_model, case_gen, error, call):
     *[(InvalidEpsGrid, lambda m, g, grid=grid: rs.spectrum_convergence(limit_basis(m, g, 1), grid))
       for grid in ([None], ["a"], ["0.1"], 0.1)],
     (InvalidSpeeds, lambda m, g: alpha_response(m, g, 1, 0.01, 0, ["a"] * 33)),
+    (InvalidEpsGrid, lambda m, g: rs.response.check_eps_grid(g, [10 ** 400, 0.1, 0.01, 0.001])),
+    (InvalidEpsGrid, lambda m, g: rs.spectrum_convergence(limit_basis(m, g, 1), [10 ** 400])),
 ], ids=["grid_none", "grid_letter", "grid_string", "grid_bare_number", "order_check_string",
         "order_checks_bare_number", "convergence_none", "convergence_letter",
-        "convergence_string", "convergence_bare_number", "direction_letters"])
+        "convergence_string", "convergence_bare_number", "direction_letters",
+        "grid_beyond_float", "convergence_beyond_float"])
 def test_non_numeric_grids_and_directions_are_typed(case_model, case_gen, error, call):
-    # each once ended in a bare TypeError or ValueError, or read "0.1" as a number
+    # each once ended in a bare TypeError, ValueError or (an integer beyond the
+    # float range) OverflowError, or read "0.1" as a number
     with pytest.raises(error):
         call(case_model, case_gen)
 

@@ -20,6 +20,7 @@ from rotor_spectra.model import sorted_eigenbasis, spectral_gap
 from rotor_spectra.response import first_order_basis
 from rotor_spectra.spectra import (_certified, assemble_fourier_block, eig_dense_complex,
                                    label_spectrum)
+from conftest import traced_peak
 
 
 def exact_phases(model, k):
@@ -426,7 +427,7 @@ class TestLabelDisks:
 
         def recording(a, basis, own, shift):
             pair = real(a, basis, own, shift)
-            polished.append((a, pair))
+            polished.append((a.copy(), pair))      # a is reused for the next label
             return pair
 
         with pytest.MonkeyPatch.context() as mp:
@@ -634,6 +635,32 @@ class TestRefineEigenpair:
         package = Path(response.__file__).parent
         for source in sorted(package.glob("*.py")):
             assert "longdouble" not in source.read_text(), source.name
+
+
+class TestWorkingSet:
+    """Traced peaks of the response layer on the N = 99 model (L = 33, 21, 45,
+    the case-study speeds, k = 1, the CLI's order-check grid), in units of
+    one N x N complex array, 16 N^2 bytes.  Forming every term in a fresh
+    array, they were about 8.7 and 15.4 units; in place about 5.4 and 7.8."""
+
+    GRID = [1e-2, 1e-3, 1e-4, 1e-5]
+
+    @pytest.fixture(scope="class")
+    def scaled(self, case_model):
+        model = build_band_model(case_model.beta, [33, 21, 45])
+        gen = laplacian_generator(model.N)
+        resp = response_data(model, gen, 1)
+        labels = [model.cum[s] for s in range(model.S)]
+        order_checks(resp, labels, self.GRID)      # a first call's one-off allocations
+        return model, gen, resp, labels, 16 * model.N ** 2
+
+    def test_response_data_holds_under_7_square_arrays(self, scaled):
+        model, gen, _, _, unit = scaled
+        assert traced_peak(response_data, model, gen, 1) < 7 * unit
+
+    def test_order_checks_hold_under_10_square_arrays(self, scaled):
+        _, _, resp, labels, unit = scaled
+        assert traced_peak(order_checks, resp, labels, self.GRID) < 10 * unit
 
 
 class TestTerminatingExpansion:

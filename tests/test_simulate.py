@@ -1,7 +1,6 @@
 import hashlib
 import importlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from rotor_spectra.config import CASE_STUDY_JSON
 from rotor_spectra.errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
                                   NoComplexEigenvalues, NoConvergence, RotorSpectraError)
 from rotor_spectra.simulate import UlamOperator, _fibre_kernel_row, _pick_cycles
+from conftest import traced_peak
 
 # the package re-exports the function simulate over its submodule
 simulate_module = importlib.import_module("rotor_spectra.simulate")
@@ -640,14 +640,12 @@ class TestUlamEmpirical:
         # N^2 M = 33^2 * 2e6 >= 2^31; the refusal allocates nothing of the
         # operator's size (a counted kernel of 2.2e9 cells)
         batch = one_fibre_batch(case_model, [[0.1, 0.35, 0.6, 0.85, 0.1]])
-        tracemalloc.start()
-        try:
+
+        def refuse():
             with pytest.raises(InvalidSimulationInput, match="int32"):
                 ulam_empirical(batch, 2_000_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+
+        assert traced_peak(refuse) < 1 << 20
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -696,13 +694,7 @@ class TestUlamEmpirical:
         # the int32 buffers of bins and keys take 8 bytes a step; a bincount
         # of every key at once would copy them to intp, 8 bytes a step more
         batch = simulate(case_model, case_gen, 0.1, 0.1, 2000, 1000, 77)
-        tracemalloc.start()
-        try:
-            ulam_empirical(batch, 32)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * batch.j.size + (2 << 20)
+        assert traced_peak(ulam_empirical, batch, 32) < 8 * batch.j.size + (2 << 20)
 
 
 #: the (typical, stray) elements of each dtype a hand-built batch may carry,

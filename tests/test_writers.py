@@ -13,7 +13,6 @@ tables that cross block boundaries up to whole CLI runs.
 
 import math
 import re
-import tracemalloc
 from types import SimpleNamespace as NS
 
 import numpy as np
@@ -23,6 +22,7 @@ from hypothesis import strategies as st
 
 from rotor_spectra import AdmissibilityReport, Cycle, CycleReport, build_band_model, cli, writers
 from rotor_spectra.config import CASE_STUDY_JSON
+from conftest import traced_peak
 
 Z = 0.1 + 0.1j
 VECTORS = np.array([[Z, 0.6 - 0.8j], [-0.3 + 0.4j, 0.0 + 0.0j]])
@@ -281,6 +281,24 @@ def test_write_equals_the_broadcast_row_reference(tmp_path_factory, table, min_r
     assert path.read_bytes() == crlf("h") + naive_rows(fmt, columns)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tables(), st.sampled_from([1, 4, writers._MIN_RUN]), st.sampled_from([1, 3, 128]),
+       st.data())
+def test_one_based_columns_are_written_plus_one(tmp_path_factory, table, min_run, block, data):
+    # at every shape: a full-size column gets its 1 a block at a time, a
+    # smaller one (a fixed column, a row, a scalar) at once
+    fmt, columns = table
+    ints = [i for i, c in enumerate(columns) if c.dtype.kind == "i"]
+    one_based = data.draw(st.sets(st.sampled_from(ints)) if ints else st.just(set()))
+    path = tmp_path_factory.mktemp("write") / "t.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(writers, "_MIN_RUN", min_run)
+        mp.setattr(writers, "_BLOCK", block)
+        writers._write(path, ["h"], fmt, columns, one_based=tuple(one_based))
+    shifted = [c + 1 if i in one_based else c for i, c in enumerate(columns)]
+    assert path.read_bytes() == crlf("h") + naive_rows(fmt, shifted)
+
+
 #: rows per ``%`` in ``_write``
 BLOCK = writers._BLOCK
 
@@ -305,27 +323,23 @@ def test_write_equals_the_reference_across_blocks(tmp_path, rows):
 def long_trajectories():
     rng = np.random.default_rng(1)
     batch = NS(j=rng.integers(0, 99, (200, 1001), dtype=np.int32), x=rng.random((200, 1001)))
-    return writers.write_trajectory_csv, (batch,), batch.j.size
+    # every column is the batch's own or a broadcast, and the 1-based fibre
+    # is shifted a block at a time: no copy of j + 1, 4 bytes a row (0.76 MiB)
+    return writers.write_trajectory_csv, (batch,), 1 << 18
 
 
 def square_vectors():
     rng = np.random.default_rng(2)
     vectors = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
-    return writers.write_vectors_csv, (1, vectors), vectors.size
+    # 8 bytes a row covers |v|, a column the writer computes
+    return writers.write_vectors_csv, (1, vectors), 8 * vectors.size + (1 << 20)
 
 
 @pytest.mark.parametrize("table", [long_trajectories, square_vectors])
 def test_python_values_are_block_sized(tmp_path, table):
-    # 8 bytes a row covers a column the writer computes (j + 1, |v|); a Python
-    # object for every cell would take several times that
-    write, args, rows = table()
-    tracemalloc.start()
-    try:
-        write(tmp_path / "t.csv", *args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * rows + (1 << 20)
+    # a Python object for every cell would take several times each bound
+    write, args, bound = table()
+    assert traced_peak(write, tmp_path / "t.csv", *args) < bound
 
 
 class Counted:
@@ -423,9 +437,9 @@ def test_empty_tables_keep_their_header(tmp_path):
     assert written(tmp_path, writers.write_trajectory_csv, batch) == crlf("path,step,j,x")
 
 
-def row_reference_write(path, header, fmt, columns, footer=()):
+def row_reference_write(path, header, fmt, columns, footer=(), one_based=()):
     """``_write`` as it was before block formatting: one ``row % values`` per row."""
-    cols = list(map(np.asarray, columns))
+    cols = [np.asarray(c) + 1 if i in one_based else np.asarray(c) for i, c in enumerate(columns)]
     rows = math.prod(np.broadcast_shapes(*(c.shape for c in cols)))
     texts = re.split(writers._CONVERSION, fmt)
     for i, conv in enumerate(re.findall(writers._CONVERSION, fmt)):
