@@ -81,11 +81,6 @@ def _load(args) -> RunConfig:
     raise ConfigError("--config is required")
 
 
-def _leading_labels(model):
-    """First label of each band (0-based): the largest-rho member."""
-    return [model.cum[s] for s in range(model.S)]
-
-
 def _spectrum_files(eps: float, spec):
     tag = f"k{spec.k}_eps{eps:g}"
     return [(f"spectrum_{tag}.csv", writers.write_spectrum_csv, spec),
@@ -148,8 +143,9 @@ def cmd_limit(cfg: RunConfig, args):
 
 def cmd_response(cfg: RunConfig, args):
     resps = [response_data(cfg.model, cfg.gen, k) for k in args.k]
+    # each band's first label, its largest-rho member, is checked
     checks = [oc for resp in resps
-              for oc in order_checks(resp, _leading_labels(cfg.model), args.eps)]
+              for oc in order_checks(resp, cfg.model.cum[:-1], args.eps)]
     files = [f for resp in resps for f in _response_files(resp)]
     files += [(f"ordercheck_k{oc.k}_ell{oc.ell + 1}.csv", writers.write_ordercheck_csv, oc)
               for oc in checks]
@@ -189,7 +185,7 @@ def cmd_casestudy(cfg: RunConfig, args):
     files = _spectrum_files(eps, spec) + _limit_files(cfg, k, LIMIT_GRID)
     files += _response_files(response_data(cfg.model, cfg.gen, k))
     files.append((f"eigenfunction_grid_k{k}.csv", writers.write_grid_csv, spec,
-                  _leading_labels(cfg.model), args.x_res))
+                  cfg.model.cum[:-1], args.x_res))
     return 0, files, dict(k=k, eps=eps, delta=args.delta, x_res=args.x_res)
 
 

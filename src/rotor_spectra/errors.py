@@ -29,11 +29,13 @@ class DimensionTooSmall(RotorSpectraError):
 
 
 class InvalidMatrix(RotorSpectraError, ValueError):
-    """A generator or eigensolver matrix is not square, nonempty and finite."""
+    """A generator or eigensolver matrix is not square, nonempty and finite, or
+    holds a string entry, or a complex entry where a real one is due."""
 
 
 class InvalidSpeeds(RotorSpectraError, ValueError):
-    """A band speed is not a finite real number, or a direction of speeds is not finite."""
+    """A band speed is not a finite real number, or a direction of speeds is not
+    finite real numbers."""
 
 
 class DimensionMismatch(RotorSpectraError, ValueError):
@@ -93,7 +95,8 @@ class EpsZero(RotorSpectraError):
 
 
 class InvalidEpsGrid(RotorSpectraError, ValueError):
-    """An order-check or convergence eps grid is too short, non-positive or above eps_max."""
+    """An order-check or convergence eps grid holds a point that is not a finite
+    positive real number, or an order-check grid is too short or above eps_max."""
 
 
 # --- oracle ---

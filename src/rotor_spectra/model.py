@@ -53,14 +53,34 @@ def _check_index(k) -> None:
         raise ConfigError("a Fourier index must be an integer within +-2**32")
 
 
+def _check_count(value, low: int, what: str, error) -> int:
+    """The count rule of every count and resolution (simulate's seed, paths and
+    steps, bins, top_m, N, grid samples): ``value`` as an int; ``error``
+    unless it is an integer >= ``low``, not a bool."""
+    if not (_integer(value) and value >= low):
+        raise error(f"{what} must be >= {low} and an integer, got {what}={value!r}")
+    return int(value)
+
+
+def _check_labels(model: BandModel, ells) -> list[int]:
+    """The label rule of order_checks, alpha_response and writers.write_grid_csv:
+    the labels ``ells`` as ints; DimensionMismatch unless each is an integer in [0, N)."""
+    bad = [ell for ell in ells if not (_integer(ell) and 0 <= ell < model.N)]
+    if bad:
+        raise DimensionMismatch(f"labels {bad} are not integers in [0, {model.N})")
+    return [int(ell) for ell in ells]
+
+
 def _finite_nonnegative(value) -> bool:
     """Whether ``value`` is a finite number >= 0: the range rule of eps and delta.
     A bool is no number here, as for counts; NaN fails every comparison, and a
-    value that does not compare with numbers (None, a string) is refused
-    rather than raising TypeError."""
+    value that does not compare with numbers (None, a string) or lies beyond
+    the float range (an int such as 10**400) is refused rather than raising
+    TypeError or OverflowError."""
     try:
-        return not isinstance(value, (bool, np.bool_)) and bool(0 <= value < math.inf)
-    except (TypeError, ValueError):
+        return (not isinstance(value, (bool, np.bool_)) and bool(0 <= value < math.inf)
+                and float(value) < math.inf)
+    except (TypeError, ValueError, OverflowError):
         return False
 
 
@@ -78,23 +98,35 @@ def check_delta(delta) -> None:
         raise InvalidSimulationInput(f"delta must be finite and >= 0, got {delta}")
 
 
-def _square_matrix(value, dtype, name: str) -> np.ndarray:
-    """``value`` read by numpy as ``dtype``: the one matrix rule of
-    NoiseGenerator and spectra.eig_dense_complex.  InvalidMatrix unless it is
-    a numeric, nonempty, square matrix of finite entries (a ragged or
-    non-numeric value, a string entry, which numpy would parse, or an integer
-    beyond the float range, is none)."""
+def _finite_array(value, dtype, name: str, error) -> np.ndarray:
+    """``value`` read by numpy as ``dtype``: the entry rule of every caller
+    array (a generator, an eigensolver matrix, a speed direction).  ``error``
+    unless numpy reads it as a numeric array of finite entries: a ragged or
+    non-numeric value, a string entry, which numpy would parse, a complex
+    entry read as real, whose imaginary part numpy would drop, and an integer
+    beyond the float range are none."""
     try:
         raw = np.asarray(value)
         if raw.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in raw.flat):
             raise TypeError(f"{name} has string entries")   # refused as numpy's own misreads
+        if raw.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+            raise TypeError(f"{name} has complex entries")
         a = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidMatrix(str(exc)) from exc
+        raise error(str(exc)) from exc
+    if not np.all(np.isfinite(a)):
+        raise error(f"{name} has non-finite entries")
+    return a
+
+
+def _square_matrix(value, dtype, name: str) -> np.ndarray:
+    """``value`` read by numpy as ``dtype``: the one matrix rule of
+    NoiseGenerator and spectra.eig_dense_complex.  InvalidMatrix unless it
+    passes the entry rule :func:`_finite_array` and is a nonempty square
+    matrix."""
+    a = _finite_array(value, dtype, name, InvalidMatrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidMatrix(f"{name} has non-finite entries")
     return a
 
 
@@ -242,10 +274,9 @@ def laplacian_generator(N: int) -> NoiseGenerator:
     """Central-difference Laplacian stencil with reflecting ends.
 
     Tridiagonal with diagonal (-1/2, -1, ..., -1, -1/2) and off-diagonals 1/2.
-    DimensionTooSmall unless N is an integer of at least two fibres.
+    DimensionTooSmall unless N is an integer of at least two fibres (:func:`_check_count`).
     """
-    if not _integer(N) or N < 2:
-        raise DimensionTooSmall(f"laplacian generator needs an integer N >= 2, got {N!r}")
+    _check_count(N, 2, "N", DimensionTooSmall)
     w = np.diag(np.full(N, -1.0)) + 0.5 * (np.eye(N, k=1) + np.eye(N, k=-1))
     w[0, 0] = -0.5
     w[N - 1, N - 1] = -0.5

@@ -35,7 +35,8 @@ import numpy as np
 from . import model as band_models
 from .errors import (DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, InvalidSpeeds,
                      NoConvergence)
-from .model import BandModel, NoiseGenerator, _freeze, _integer, spectral_gap
+from .model import (BandModel, NoiseGenerator, _check_labels, _finite_array, _freeze,
+                    spectral_gap)
 from .spectra import (_band_diagonal, _certified, assemble_fourier_block, eig_dense_complex,
                       label_spectrum, nearest_assignment)
 from .zero_noise import LimitBasis, _eps_points, limit_basis, limit_eigenbasis, projective_distance
@@ -209,23 +210,13 @@ def _refine_eigenpair(a, basis, own, shift):
         return mu, v, np.linalg.norm(a @ v - mu * v)
 
 
-def _check_labels(model: BandModel, ells) -> list[int]:
-    """The labels ``ells`` as ints; DimensionMismatch unless each is an integer in [0, N)."""
-    bad = [ell for ell in ells if not (_integer(ell) and 0 <= ell < model.N)]
-    if bad:
-        raise DimensionMismatch(f"labels {bad} are not integers in [0, {model.N})")
-    return [int(ell) for ell in ells]
-
-
 def check_eps_grid(gen: NoiseGenerator, eps_grid) -> np.ndarray:
     """The distinct points of an order-check grid, descending; InvalidEpsGrid
-    unless there are at least 4, all real numbers (zero_noise._eps_points),
-    finite and positive, none above ``gen.eps_max``."""
+    unless they pass the grid-point rule (zero_noise._eps_points), there are
+    at least 4 and none is above ``gen.eps_max``."""
     grid = np.asarray(sorted(set(_eps_points(eps_grid)), reverse=True))
     if len(grid) < 4:
         raise InvalidEpsGrid("eps grid needs at least 4 distinct points")
-    if not np.all(np.isfinite(grid) & (grid > 0)):
-        raise InvalidEpsGrid(f"eps grid points must be finite and positive, got {grid.tolist()}")
     if grid[0] > gen.eps_max:
         raise InvalidEpsGrid(f"eps grid exceeds eps_max={gen.eps_max:.3g}")
     return grid
@@ -392,20 +383,16 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     (P - lam) df - dlam f = -dP f under the gauge <f, df> = 0: in P's
     eigenbasis (:func:`_eigenbasis`) dlam = left_ell dP f, and df is the
     solve of :func:`_eigenbasis_solve` projected onto the gauge.  A
-    direction that is not finite real numbers raises InvalidSpeeds, and a
+    direction that fails the entry rule of caller arrays
+    (model._finite_array: finite real numbers) raises InvalidSpeeds, and a
     spectrum that is not simple by :func:`rotor_spectra.model.spectral_gap`
     EigsNotSimple.
     """
     if eps == 0:
         raise EpsZero("the eps=0 speed response is discontinuous; refused by design")
-    try:
-        u = np.asarray(direction, dtype=float).ravel()
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidSpeeds(f"the speed direction must be real numbers: {exc}") from exc
+    u = _finite_array(direction, float, "direction", InvalidSpeeds).ravel()
     if u.shape != (model.N,):
         raise DimensionMismatch(f"direction must have shape ({model.N},)")
-    if not np.all(np.isfinite(u)):
-        raise InvalidSpeeds(f"the speed direction must be finite, got {u.tolist()}")
     ell, = _check_labels(model, [ell])
     p = assemble_fourier_block(model, gen, k, eps)
     eig = eig_dense_complex(p)

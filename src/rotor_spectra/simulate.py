@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
                      NoComplexEigenvalues, NoConvergence)
-from .model import (BandModel, NoiseGenerator, _freeze, _integer, _real, check_delta,
+from .model import (BandModel, NoiseGenerator, _check_count, _freeze, _real, check_delta,
                     check_dimension, w_epsilon)
 from .spectra import _band_diagonal, eig_dense_complex
 
@@ -296,16 +296,10 @@ def _rotate(x: np.ndarray, turn: np.ndarray, noise: np.ndarray) -> None:
 
 
 def check_counts(seed: int, n_paths: int, n_steps: int) -> None:
-    """The one count rule of :func:`simulate`: seed, paths and steps are integers
-    >= 0, and not bools."""
-    if not all(map(_integer, (seed, n_paths, n_steps))):
-        raise InvalidSimulationInput(
-            f"seed, path and step counts must be integers, got seed={seed}, "
-            f"n_paths={n_paths}, n_steps={n_steps}")
-    if seed < 0 or n_paths < 0 or n_steps < 0:
-        raise InvalidSimulationInput(
-            f"seed, path and step counts must be >= 0, got seed={seed}, "
-            f"n_paths={n_paths}, n_steps={n_steps}")
+    """The counts of :func:`simulate`: seed, paths and steps pass the count rule
+    (model._check_count) with a least value of 0."""
+    for what, value in dict(seed=seed, n_paths=n_paths, n_steps=n_steps).items():
+        _check_count(value, 0, what, InvalidSimulationInput)
 
 
 def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
@@ -390,18 +384,13 @@ def _fibre_kernel_row(alpha_j: float, delta: float, M: int) -> np.ndarray:
     return q
 
 
-def _check_bins(M: int) -> None:
-    if not _integer(M):
-        raise InvalidSimulationInput(f"the bin count must be an integer, got M={M}")
-    if M < 2:
-        raise InvalidSimulationInput(f"need at least 2 bins, got M={M}")
-
-
 def ulam_analytic(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
                   M: int) -> UlamOperator:
     """Exact cell transition operator of the annealed dynamics, kept as one
-    kernel row per band (the fibres of a band share its speed) and W_eps."""
-    _check_bins(M)
+    kernel row per band (the fibres of a band share its speed) and W_eps.
+    The bin count M passes the count rule (model._check_count) with a least
+    value of 2."""
+    M = _check_count(M, 2, "M", InvalidSimulationInput)
     check_dimension(model, gen)
     check_delta(delta)
     w = w_epsilon(gen, eps)
@@ -425,10 +414,11 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
     whole paths, about ``_COUNT_BLOCK`` steps each, so no temporary is of the
     batch's size.
     N^2 M must stay below 2^31, and is refused before anything of the
-    operator's size is allocated; the batch checked its own paths.
+    operator's size is allocated; the batch checked its own paths, and M
+    passes the count rule (model._check_count) with a least value of 2.
     """
-    _check_bins(M)
-    M, n, j, x = int(M), batch.model.N, batch.j, batch.x
+    M = _check_count(M, 2, "M", InvalidSimulationInput)
+    n, j, x = batch.model.N, batch.j, batch.x
     size = n * M
     if n * size >= 2 ** 31:
         raise InvalidSimulationInput(
@@ -526,8 +516,7 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
     lower bounds of ``||B||_2``; otherwise NoConvergence is raised,
     ``partial`` holding the cycles.
     """
-    if not _integer(top_m) or top_m < 1:
-        raise InvalidSimulationInput(f"top_m must be >= 1 and an integer, got {top_m}")
+    top_m = _check_count(top_m, 1, "top_m", InvalidSimulationInput)
     if model.L != op.model.L:
         raise DimensionMismatch(f"band widths {model.L} differ from the operator's {op.model.L}")
     if op.kernel is not None:
@@ -573,5 +562,5 @@ def detect_cycles(op: UlamOperator, model: BandModel, top_m: int) -> CycleReport
     if failed:
         raise NoConvergence(f"sector eigenpair residual {max(failed):.3e} exceeds "
                             f"RESIDUAL_TOL times the sector norm", partial=tuple(cycles))
-    return CycleReport(M=op.M, top_m=int(top_m), sectors_solved=len(solved),
+    return CycleReport(M=op.M, top_m=top_m, sectors_solved=len(solved),
                        max_residual=max(residuals), cycles=tuple(cycles))

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import AmbiguousLabelling, DimensionMismatch, NoConvergence
-from .model import (BandModel, NoiseGenerator, _check_index, _freeze, _square_matrix,
-                    check_delta, check_dimension, spectral_gap, w_epsilon)
+from .model import (BandModel, NoiseGenerator, _check_eps, _check_index, _freeze,
+                    _square_matrix, check_delta, check_dimension, spectral_gap, w_epsilon)
 
 #: relative eigensolver residual ||A v - lambda v|| / ||A||_2 a converged pair meets
 RESIDUAL_TOL = 1e-11
@@ -116,7 +116,10 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
 
 def gershgorin_bound(gen: NoiseGenerator, eps: float) -> float:
     """Radius 2 * max_j |Wdot_jj| * eps of the eigenvalue inclusion disks;
-    eps scales the diagonal first, so a finite radius cannot overflow."""
+    eps scales the diagonal first, so a finite radius cannot overflow.  eps
+    passes the noise-level rule of w_epsilon (model._check_eps: EpsOutOfRange
+    unless finite and >= 0)."""
+    _check_eps(eps)
     return 2.0 * (float(np.max(np.abs(np.diag(gen.wdot)))) * float(eps))
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBlock, DimensionMismatch, GammaViolated, InvalidEpsGrid, ZeroVector
-from .model import (BandModel, NoiseGenerator, _freeze, _real, check_dimension,
-                    sorted_eigenbasis, spectral_gap)
+from .model import (BandModel, NoiseGenerator, _finite_nonnegative, _freeze, _real,
+                    check_dimension, sorted_eigenbasis, spectral_gap)
 from .spectra import _band_diagonal, spectrum
 
 
@@ -151,17 +151,15 @@ def projector_gap(f_eps, f_limit) -> float:
 
 
 def _eps_points(eps_grid) -> list[float]:
-    """The points of an eps grid as floats, the one conversion of
-    spectrum_convergence and response.check_eps_grid: InvalidEpsGrid unless
+    """The points of an eps grid as floats: the one grid-point rule, of
+    spectrum_convergence and response.check_eps_grid.  InvalidEpsGrid unless
     the grid is a sequence of real numbers (model._real: a string or a bool is
-    none) within the float range."""
+    none), each finite (model._finite_nonnegative) and positive."""
     points = list(eps_grid) if np.iterable(eps_grid) else None
-    if points is None or not all(map(_real, points)):
-        raise InvalidEpsGrid(f"an eps grid is a sequence of real numbers, got {eps_grid!r}")
-    try:
-        return [float(e) for e in points]
-    except OverflowError as exc:
-        raise InvalidEpsGrid(f"an eps grid point lies beyond the float range: {exc}") from exc
+    if points is None or not all(_real(e) and _finite_nonnegative(e) and e > 0 for e in points):
+        raise InvalidEpsGrid(f"eps grid points must be finite and positive real numbers, "
+                             f"got eps_grid={eps_grid!r}")
+    return [float(e) for e in points]
 
 
 def spectrum_convergence(basis: LimitBasis, eps_list):
@@ -171,14 +169,12 @@ def spectrum_convergence(basis: LimitBasis, eps_list):
     (k, ell, eps, proj_distance, projector_gap, mass_outside) per label and
     eps, with labels paired through the shared ordering convention
     (band-internal descending rho).  InvalidEpsGrid, before any solve,
-    unless every eps is a positive real number: at eps = 0 each band's
-    eigenvalue is L_s-fold, so the solver's vectors are an arbitrary basis
-    of its eigenspace.
+    unless every eps passes the grid-point rule of :func:`_eps_points`: at
+    eps = 0 each band's eigenvalue is L_s-fold, so the solver's vectors are
+    an arbitrary basis of its eigenspace.
     """
     model, gen, k = basis.model, basis.gen, basis.k
     eps_list = _eps_points(eps_list)
-    if not all(eps > 0 for eps in eps_list):
-        raise InvalidEpsGrid(f"convergence eps points must be positive, got {eps_list}")
     rows = []
     for eps in eps_list:
         spec = spectrum(model, gen, k, eps)

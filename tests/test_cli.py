@@ -2,6 +2,7 @@ import copy
 import csv
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -592,7 +593,7 @@ class TestOtherCommands:
         assert main(["response", "--config", str(case_cfg), "--out", str(out),
                      "--k", "0,1"]) == 0
         cfg = rs.load_config(case_cfg)
-        for ell in cli._leading_labels(cfg.model):
+        for ell in cfg.model.cum[:-1]:
             footer = (out / f"ordercheck_k0_ell{ell + 1}.csv").read_text().splitlines()[-1]
             slope0 = "" if ell == 0 else "[-+.e0-9]+"
             assert re.fullmatch(rf"slopes,,,{slope0},,,,", footer), footer
@@ -648,8 +649,8 @@ class TestOtherCommands:
 
 
     @pytest.mark.parametrize("extra, message", [
-        (["--bins", "1"], "at least 2 bins"),
-        (["--bins", "0"], "at least 2 bins"),
+        (["--bins", "1"], "M must be >= 2 and an integer, got M=1"),
+        (["--bins", "0"], "M must be >= 2 and an integer, got M=0"),
         (["--top-m", "0"], "top_m must be >= 1"),
         (["--steps", "-5", "--paths", "2"], "n_steps=-5"),
         (["--paths", "-1"], "n_paths=-1"),
@@ -986,7 +987,7 @@ def test_a_trajectory_batch_checks_its_own_paths():
     counting = inspect.getsource(rs.ulam_empirical)
     for reduction in ("j.min()", "j.max()", "x.min()", "x.max()"):
         assert reduction in batch_checks and reduction not in counting, reduction
-    assert "InvalidSimulationInput" in counting and "_check_bins" in counting
+    assert "InvalidSimulationInput" in counting and "_check_count" in counting
 
 
 def test_each_record_is_built_one_way():
@@ -1008,13 +1009,56 @@ def test_one_response_builder_and_one_fourier_index_rule():
 
 def test_one_matrix_rule():
     # the generator and the eigensolver read a matrix through one rule, the only
-    # place a package module raises InvalidMatrix
+    # place a package module raises InvalidMatrix; its entry rule, which the
+    # speed direction of alpha_response reads through too, raises its caller's error
     for caller in (rs.NoiseGenerator.__post_init__, rs.eig_dense_complex):
         assert "_square_matrix(" in inspect.getsource(caller)
     sources = {p.name: p.read_text() for p in sorted(Path(rs.__file__).parent.glob("*.py"))}
-    assert {name: text.count("raise InvalidMatrix(") for name, text in sources.items()
-            if "raise InvalidMatrix(" in text} == {"model.py": 3}
-    assert inspect.getsource(rs.model._square_matrix).count("raise InvalidMatrix(") == 3
+    raising = {name: text.count("raise InvalidMatrix(") + text.count(", InvalidMatrix)")
+               for name, text in sources.items()}
+    assert {name: n for name, n in raising.items() if n} == {"model.py": 2}
+    square = inspect.getsource(rs.model._square_matrix)
+    assert square.count("raise InvalidMatrix(") == 1
+    assert "_finite_array(value, dtype, name, InvalidMatrix)" in square
+    assert inspect.getsource(rs.model._finite_array).count("raise error(") == 2
+    assert "_finite_array(direction, " in inspect.getsource(rs.alpha_response)
+
+
+def test_one_rule_per_run_input():
+    # each run input has one rule, stated once and called wherever the input
+    # enters: counts and resolutions, eps-grid points, labels; only model
+    # applies the integer type rule itself
+    sources = {p.name: p.read_text() for p in sorted(Path(rs.__file__).parent.glob("*.py"))}
+    assert not any("_check_bins" in text for text in sources.values())
+    assert [name for name, text in sources.items()
+            if re.search(r"\b_integer\(", text)] == ["model.py"]
+    counted = importlib.import_module("rotor_spectra.simulate")
+    for fn in (counted.check_counts, rs.ulam_analytic, rs.ulam_empirical, rs.detect_cycles,
+               rs.laplacian_generator, writers.write_grid_csv):
+        assert "_check_count(" in inspect.getsource(fn), fn.__name__
+    for fn in (zero_noise.spectrum_convergence, response.check_eps_grid):
+        text = inspect.getsource(fn)
+        assert "_eps_points(" in text and "isfinite" not in text and "> 0" not in text
+    assert "e > 0" in inspect.getsource(zero_noise._eps_points)
+    assert [name for name, text in sources.items()
+            if "def _check_labels(" in text] == ["model.py"]
+    for fn in (response.order_checks, response.alpha_response, writers.write_grid_csv):
+        assert "_check_labels(" in inspect.getsource(fn), fn.__name__
+    assert "_check_eps(" in inspect.getsource(spectra.gershgorin_bound)
+    assert not hasattr(cli, "_leading_labels")
+
+
+def test_src_lines_counts_code_without_docstrings_comments_and_blanks(tmp_path):
+    # tools/src_lines.py gives the two line counts ROADMAP.md and CHANGES.md quote
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", Path(__file__).resolve().parents[1] / "tools" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    module = tmp_path / "m.py"
+    module.write_text('"""Module\ndocstring."""\n\n# a comment\nX = """not a\ndocstring"""\n\n\n'
+                      'class A:\n    """One line."""\n\n    def f(self):\n        """Two\n'
+                      '        lines."""\n        return 1  # trailing\n', encoding="utf-8")
+    assert src_lines.counts(module) == (15, 5)
 
 
 def test_config_restates_no_library_rule():

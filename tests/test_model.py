@@ -14,7 +14,7 @@ from rotor_spectra import (NoiseGenerator, alpha_response, build_band_model, del
                            detect_cycles, eig_dense_complex, laplacian_generator,
                            limit_basis, oracle_crosscheck, order_check, order_checks,
                            response_data, simulate, spectrum, ulam_analytic, ulam_empirical,
-                           validate_admissibility, w_epsilon)
+                           validate_admissibility, w_epsilon, writers)
 from rotor_spectra.errors import (ConfigError, DimensionMismatch, DimensionTooSmall,
                                   DuplicateSpeed, EmptyBand, EpsOutOfRange, InvalidEpsGrid,
                                   InvalidMatrix, InvalidSimulationInput, InvalidSpeeds,
@@ -231,7 +231,7 @@ class TestLaplacianGenerator:
     @pytest.mark.parametrize("size", [3.0, 2.5, "4", True])
     def test_size_must_be_an_integer(self, size):
         # 3.0, 2.5 and "4" used to end in a bare TypeError
-        with pytest.raises(DimensionTooSmall, match="an integer N >= 2"):
+        with pytest.raises(DimensionTooSmall, match="N must be >= 2 and an integer"):
             laplacian_generator(size)
 
     def test_numpy_integer_size(self):
@@ -425,6 +425,11 @@ FOUR = build_band_model([0.1, 0.3], [2, 2])
     (InvalidMatrix, lambda: eig_dense_complex([[1.0, np.nan], [0.0, 1.0]])),
     (DimensionMismatch, lambda: alpha_response(build_band_model([0.0, 0.25], [1, 1]),
                                               laplacian_generator(2), 1, 0.01, 0, [1.0])),
+    (InvalidMatrix, lambda: NoiseGenerator(np.array([[-0.5 + 1j, 0.5], [0.5, -0.5]]))),
+    (InvalidSpeeds, lambda: alpha_response(build_band_model([0.0, 0.25], [1, 1]),
+                                           laplacian_generator(2), 1, 0.01, 0, ["1"] * 2)),
+    (InvalidSpeeds, lambda: alpha_response(build_band_model([0.0, 0.25], [1, 1]),
+                                           laplacian_generator(2), 1, 0.01, 0, np.full(2, 1j))),
 ], ids=["from_matrix", "from_matrix_empty", "from_matrix_non_numeric", "from_matrix_not_a_number",
         "from_matrix_ragged", "generator_not_square", "generator_null", "generator_int_overflow",
         "band_lengths", "model_lengths", "nan_speed", "infinite_speed", "none_speed",
@@ -432,11 +437,14 @@ FOUR = build_band_model([0.1, 0.3], [2, 2])
         "ulam_both_kinds", "ulam_kernel_fibres", "ulam_kernel_axes", "ulam_rows_bands",
         "ulam_w_eps_fibres",
         "admissibility_dimension",
-        "eig_not_square", "eig_non_finite", "alpha_direction"])
+        "eig_not_square", "eig_non_finite", "alpha_direction", "generator_complex",
+        "alpha_direction_strings", "alpha_direction_complex"])
 def test_boundary_errors_are_typed(error, call):
     # typed library errors that still satisfy callers catching ValueError; the
     # records refuse what once ended in a bare TypeError, ValueError, IndexError or
-    # OverflowError, or built (a non-square generator, an operator of no kind)
+    # OverflowError, or built (a non-square generator, an operator of no kind).
+    # A complex generator once kept its real part, with a ComplexWarning, and
+    # alpha_response parsed a direction of strings and kept a complex one's real part
     assert issubclass(error, RotorSpectraError) and issubclass(error, ValueError)
     with pytest.raises(error):
         call()
@@ -475,9 +483,12 @@ GRID = [1e-2, 1e-3, 1e-4, 1e-5]
     (InvalidSimulationInput, "delta", lambda m, g: ulam_analytic(m, g, 0.1, "0.1", 16)),
     (InvalidSimulationInput, "integer",
      lambda m, g: detect_cycles(ulam_analytic(m, g, 0.1, 0.1, 16), m, 2.5)),
-    (InvalidSimulationInput, "integers", lambda m, g: simulate(m, g, 0.1, 0.1, 2.5, 5, 1)),
-    (InvalidSimulationInput, "integers", lambda m, g: simulate(m, g, 0.1, 0.1, 2, 5.5, 1)),
-    (InvalidSimulationInput, "integers", lambda m, g: simulate(m, g, 0.1, 0.1, 2, 5, 1.5)),
+    (InvalidSimulationInput, "n_paths must be >= 0 and an integer, got n_paths=2.5",
+     lambda m, g: simulate(m, g, 0.1, 0.1, 2.5, 5, 1)),
+    (InvalidSimulationInput, "n_steps must be >= 0 and an integer, got n_steps=5.5",
+     lambda m, g: simulate(m, g, 0.1, 0.1, 2, 5.5, 1)),
+    (InvalidSimulationInput, "seed must be >= 0 and an integer, got seed=1.5",
+     lambda m, g: simulate(m, g, 0.1, 0.1, 2, 5, 1.5)),
     (InvalidSimulationInput, "integer, got M=16.5",
      lambda m, g: ulam_analytic(m, g, 0.1, 0.1, 16.5)),
     (InvalidSimulationInput, "integer, got M=4.5",
@@ -497,9 +508,12 @@ GRID = [1e-2, 1e-3, 1e-4, 1e-5]
     (ConfigError, "Fourier index", lambda m, g: limit_basis(m, g, 10 ** 400)),
     (ConfigError, "Fourier index", lambda m, g: response_data(m, g, 10 ** 400)),
     (ConfigError, "Fourier index", lambda m, g: oracle_crosscheck(m, g, 10 ** 400)),
-    (InvalidSimulationInput, "integers", lambda m, g: simulate(m, g, 0.1, 0.1, True, 5, 1)),
-    (InvalidSimulationInput, "integers", lambda m, g: simulate(m, g, 0.1, 0.1, 2, True, 1)),
-    (InvalidSimulationInput, "integers", lambda m, g: simulate(m, g, 0.1, 0.1, 2, 5, False)),
+    (InvalidSimulationInput, "integer, got n_paths=True",
+     lambda m, g: simulate(m, g, 0.1, 0.1, True, 5, 1)),
+    (InvalidSimulationInput, "integer, got n_steps=True",
+     lambda m, g: simulate(m, g, 0.1, 0.1, 2, True, 1)),
+    (InvalidSimulationInput, "integer, got seed=False",
+     lambda m, g: simulate(m, g, 0.1, 0.1, 2, 5, False)),
     (InvalidSimulationInput, "top_m",
      lambda m, g: detect_cycles(ulam_analytic(m, g, 0.1, 0.1, 16), m, True)),
     (InvalidSimulationInput, "integer, got M=True",
@@ -512,6 +526,11 @@ GRID = [1e-2, 1e-3, 1e-4, 1e-5]
     (ConfigError, "Fourier index", lambda m, g: delta_factor(True, 0.1)),
     (ConfigError, "Fourier index", lambda m, g: delta_factor(1.5, 0.1)),
     (ConfigError, "Fourier index", lambda m, g: delta_factor(2 ** 32 + 1, 0.1)),
+    *[(EpsOutOfRange, "eps must be finite and nonnegative", call)
+      for eps in (math.nan, -1) for call in (
+          lambda m, g, eps=eps: rs.gershgorin_bound(g, eps),
+          lambda m, g, eps=eps: rs.label_spectrum(
+              m, g, 1, eps, eig_dense_complex(rs.assemble_fourier_block(m, g, 1, 0.1))))],
 ], ids=["w_eps_nan", "w_eps_inf", "simulate_eps_nan", "ulam_eps_inf", "spectrum_delta_inf",
         "spectrum_delta_nan", "spectrum_delta_negative", "delta_factor_negative",
         "w_eps_none", "spectrum_eps_string", "delta_factor_none", "ulam_delta_string",
@@ -522,7 +541,8 @@ GRID = [1e-2, 1e-3, 1e-4, 1e-5]
         "oracle_k_huge", "bool_paths", "bool_steps", "bool_seed", "bool_top_m", "bool_bins",
         "bool_spectrum_k", "bool_phases_k", "bool_label", "delta_factor_k_none",
         "delta_factor_k_string", "delta_factor_k_bool", "delta_factor_k_fraction",
-        "delta_factor_k_above_max"])
+        "delta_factor_k_above_max", "gershgorin_eps_nan", "label_spectrum_eps_nan",
+        "gershgorin_eps_negative", "label_spectrum_eps_negative"])
 def test_out_of_range_parameters_are_refused(case_model, case_gen, error, match, call):
     # eps and delta must be finite numbers >= 0 (None and strings once ended in
     # a bare TypeError), top_m and the simulation counts
@@ -531,7 +551,9 @@ def test_out_of_range_parameters_are_refused(case_model, case_gen, error, match,
     # label N - 1 and ell = 1.5 label 1.  A bool is no count or index: True
     # once ran as 1, or failed as a bare TypeError where numpy sized an array by it.
     # delta_factor applies the Fourier-index rule of phases: it read "1" and
-    # True as 1, 1.5 as a sinc argument, and None ended in a bare TypeError
+    # True as 1, 1.5 as a sinc argument, and None ended in a bare TypeError.
+    # The Gershgorin radius applies the eps rule: NaN gave a NaN radius, and
+    # -1 a radius of -2 that labelling judged as AmbiguousLabelling
     with pytest.raises(error, match=match):
         call(case_model, case_gen)
 
@@ -572,6 +594,74 @@ def test_non_numeric_grids_and_directions_are_typed(case_model, case_gen, error,
     # float range) OverflowError, or read "0.1" as a number
     with pytest.raises(error):
         call(case_model, case_gen)
+
+
+#: values that are no count, bin or sample number: a bool, a fraction, a
+#: negative, no number, a numeric string, non-finite and complex numbers
+NO_COUNT = [True, 2.5, -1, None, "1", math.nan, math.inf, -math.inf, 1j]
+#: values that are no eps (2.5 is one), and an integer beyond the float range
+NO_EPS = [True, -1, None, "1", math.nan, math.inf, -math.inf, 1j, 10 ** 400]
+#: values that are no label of a five-fibre model
+NO_LABEL = [*NO_COUNT, 10 ** 400]
+#: values that are no entry of a real caller array (a bool, 2.5 and -1 are)
+NO_ENTRY = [None, "1", math.nan, math.inf, -math.inf, 1j, 10 ** 400]
+
+
+@pytest.fixture(scope="session")
+def run_input_calls(tmp_path_factory):
+    """Each public function that takes a run input, called on a two-band,
+    five-fibre model with that input set to a given value: {(function, input):
+    (call, values invalid for the input)}.  A grid, label list or array gets
+    the value in place of one of its valid elements."""
+    out = tmp_path_factory.mktemp("run_inputs")
+    m, g = build_band_model([0.1, 0.35], [2, 3]), laplacian_generator(5)
+    resp, basis, spec = response_data(m, g, 1), limit_basis(m, g, 1), spectrum(m, g, 1, 0.1)
+    eig = eig_dense_complex(rs.assemble_fourier_block(m, g, 1, 0.1))
+    batch, op = simulate(m, g, 0.1, 0.1, 4, 20, 0), ulam_analytic(m, g, 0.1, 0.1, 8)
+
+    def generator(v):
+        w = g.wdot.tolist()
+        w[0][1] = v
+        return NoiseGenerator(w)
+
+    return {
+        ("simulate", "seed"): (lambda v: simulate(m, g, 0.1, 0.1, 2, 5, v), NO_COUNT),
+        ("simulate", "n_paths"): (lambda v: simulate(m, g, 0.1, 0.1, v, 5, 0), NO_COUNT),
+        ("simulate", "n_steps"): (lambda v: simulate(m, g, 0.1, 0.1, 2, v, 0), NO_COUNT),
+        ("ulam_analytic", "M"): (lambda v: ulam_analytic(m, g, 0.1, 0.1, v), NO_COUNT),
+        ("ulam_empirical", "M"): (lambda v: ulam_empirical(batch, v), NO_COUNT),
+        ("detect_cycles", "top_m"): (lambda v: detect_cycles(op, m, v), NO_COUNT),
+        ("laplacian_generator", "N"): (laplacian_generator, NO_COUNT),
+        ("label_spectrum", "eps"): (lambda v: rs.label_spectrum(m, g, 1, v, eig), NO_EPS),
+        ("gershgorin_bound", "eps"): (lambda v: rs.gershgorin_bound(g, v), NO_EPS),
+        ("spectrum_convergence", "eps point"): (
+            lambda v: rs.spectrum_convergence(basis, [0.1, v]), NO_EPS),
+        ("check_eps_grid", "eps point"): (
+            lambda v: rs.response.check_eps_grid(g, [*GRID, v]), NO_EPS),
+        ("order_checks", "eps point"): (lambda v: order_checks(resp, [0], [*GRID, v]), NO_EPS),
+        ("order_checks", "label"): (lambda v: order_checks(resp, [0, v], GRID), NO_LABEL),
+        ("alpha_response", "label"): (
+            lambda v: alpha_response(m, g, 1, 0.01, v, np.ones(5)), NO_LABEL),
+        ("alpha_response", "direction entry"): (
+            lambda v: alpha_response(m, g, 1, 0.01, 0, [1.0, v, 1.0, 1.0, 1.0]), NO_ENTRY),
+        ("NoiseGenerator", "matrix entry"): (generator, NO_ENTRY),
+        ("write_grid_csv", "label"): (
+            lambda v: writers.write_grid_csv(out / "grid.csv", spec, [0, v], 8), NO_LABEL),
+        ("write_grid_csv", "x_res"): (
+            lambda v: writers.write_grid_csv(out / "grid.csv", spec, [0], v), NO_COUNT),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_run_input_refuses_an_invalid_value(run_input_calls, data):
+    # one rule per run input, applied wherever the input enters: any other
+    # exception, a numpy warning (an error in this suite) or a result fails
+    key = data.draw(st.sampled_from(sorted(run_input_calls)), label="function, input")
+    call, invalid = run_input_calls[key]
+    value = data.draw(st.sampled_from(invalid), label="value")
+    with pytest.raises(RotorSpectraError):
+        call(value)
 
 
 #: every public function that takes a model and a generator (label_spectrum's

@@ -868,7 +868,7 @@ class TestAlphaResponse:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_direction_refused(self, two_band_model, two_band_gen, bad):
-        with pytest.raises(InvalidSpeeds, match="direction must be finite"):
+        with pytest.raises(InvalidSpeeds, match="direction has non-finite entries"):
             alpha_response(two_band_model, two_band_gen, 1, 0.01, 0, [bad, 0.0])
 
     def test_eps_zero_refused(self, two_band_model, two_band_gen):

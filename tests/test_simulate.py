@@ -499,9 +499,9 @@ class TestUlamAnalytic:
     def test_bad_bin_counts_are_typed(self, two_band_model, two_band_gen):
         batch = simulate(two_band_model, two_band_gen, 0.1, 0.1, 4, 10, seed=1)
         for M in (1, 0, -3):
-            with pytest.raises(InvalidSimulationInput, match="at least 2 bins"):
+            with pytest.raises(InvalidSimulationInput, match="M must be >= 2 and an integer"):
                 ulam_analytic(two_band_model, two_band_gen, 0.1, 0.1, M)
-            with pytest.raises(InvalidSimulationInput, match="at least 2 bins"):
+            with pytest.raises(InvalidSimulationInput, match="M must be >= 2 and an integer"):
                 ulam_empirical(batch, M)
         assert issubclass(InvalidSimulationInput, RotorSpectraError)
         assert issubclass(InvalidSimulationInput, ValueError)

@@ -22,10 +22,13 @@ from hypothesis import strategies as st
 
 from rotor_spectra import AdmissibilityReport, Cycle, CycleReport, build_band_model, cli, writers
 from rotor_spectra.config import CASE_STUDY_JSON
+from rotor_spectra.errors import ConfigError, DimensionMismatch
 from conftest import traced_peak
 
 Z = 0.1 + 0.1j
 VECTORS = np.array([[Z, 0.6 - 0.8j], [-0.3 + 0.4j, 0.0 + 0.0j]])
+#: a labelled spectrum at k = 1 as write_grid_csv reads it: its model bounds the labels
+GRID_SPEC = NS(k=1, vectors=VECTORS, model=build_band_model([0.1], [2]))
 
 
 def written(tmp_path, write, *args, **kwargs):
@@ -198,8 +201,7 @@ def test_trajectory(tmp_path):
 
 
 def test_grid(tmp_path):
-    assert written(tmp_path, writers.write_grid_csv, NS(k=1, vectors=VECTORS), [0],
-                   x_res=8) == crlf(
+    assert written(tmp_path, writers.write_grid_csv, GRID_SPEC, [0], x_res=8) == crlf(
         "ell,j,x,abs,arg",
         "1,1,0,0.1414213562373095,0.78539816339744828",
         "1,1,0.125,0.1414213562373095,1.5707963267948966",
@@ -220,11 +222,22 @@ def test_grid(tmp_path):
     )
 
 
+@pytest.mark.parametrize("error, ells, x_res", [
+    (ConfigError, [0], 2.5), (ConfigError, [0], 0), (DimensionMismatch, [99], 8)],
+    ids=["x_res_fraction", "x_res_zero", "label_99"])
+def test_grid_refuses_bad_samples_and_labels(tmp_path, error, ells, x_res):
+    # x_res = 2.5 once wrote a table, x_res = 0 ended in ZeroDivisionError and
+    # label 99 in a bare IndexError; now nothing is written
+    with pytest.raises(error):
+        writers.write_grid_csv(tmp_path / "grid.csv", GRID_SPEC, ells, x_res)
+    assert not (tmp_path / "grid.csv").exists()
+
+
 def test_grid_phase_is_reduced_exactly(tmp_path):
     # 2**32 - 7 is 1 modulo x_res = 8, so every sample sits at the phase of k = 1
-    assert written(tmp_path, writers.write_grid_csv, NS(k=2 ** 32 - 7, vectors=VECTORS), [0],
-                   x_res=8) \
-        == written(tmp_path, writers.write_grid_csv, NS(k=1, vectors=VECTORS), [0], x_res=8)
+    far = NS(k=2 ** 32 - 7, vectors=VECTORS, model=GRID_SPEC.model)
+    assert written(tmp_path, writers.write_grid_csv, far, [0], x_res=8) \
+        == written(tmp_path, writers.write_grid_csv, GRID_SPEC, [0], x_res=8)
 
 
 def naive_rows(fmt, columns):

@@ -374,7 +374,7 @@ class TestConvergence:
         # arbitrary basis of its eigenspace: no point is solved before the refusal
         basis = limit_basis(two_band_model, two_band_gen, 1)
         monkeypatch.setattr(zero_noise, "spectrum", None)
-        with pytest.raises(InvalidEpsGrid, match="must be positive"):
+        with pytest.raises(InvalidEpsGrid, match="must be finite and positive"):
             spectrum_convergence(basis, grid)
 
     def test_spectrum_convergence_rows(self, two_band_model, two_band_gen):
