@@ -7,7 +7,13 @@ from it, and calls the subcommand, which computes its results and returns the
 files to write.  Only then does ``main`` create ``--out``, write the files and
 a ``manifest.json`` (command, config hash, library version, parameters), so a
 run that stops on an error leaves no directory, and reruns are bit-identical
-on the same platform.
+on the same platform.  Should a writer or the manifest fail, ``main``
+removes the files and directories the run created, and nothing else.
+
+Each flag that carries a run input is parsed and then judged by the
+library's rule for that input (``_rule``): ``_check_index`` for each
+``--k``, ``_check_eps`` for each ``--eps``, ``check_delta`` for ``--delta``
+and the count rule for ``--x-res``; a refusal is a usage error.
 
 Exit codes: 0 success, 1 validation or math error (an input too large for
 memory included: ``error: out of memory``), 2 config or usage error, an
@@ -18,17 +24,19 @@ twice included.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
-import math
+import os
 import sys
 from pathlib import Path
 
 from . import __version__, writers
 from .config import RunConfig, case_study_config, load_config
 from .errors import AmbiguousLabelling, ConfigError, RotorSpectraError
-from .model import validate_admissibility
+from .model import (MAX_SIZE, _check_count, _check_eps, _check_index, check_delta,
+                    validate_admissibility)
 from .oracle import oracle_crosscheck
 from .response import order_checks, response_data
 from .simulate import check_counts, detect_cycles, simulate, ulam_analytic
@@ -36,35 +44,30 @@ from .spectra import spectrum
 from .zero_noise import limit_basis, spectrum_convergence
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+def _rule(parse, rule):
+    """Argument type: ``parse`` of a flag's text, judged by the library's
+    ``rule`` for that input.  Text ``parse`` cannot read and a value the rule
+    refuses are argparse's usage error (exit 2), with the message of the
+    refusal."""
+    def parse_checked(text):
+        try:
+            value = parse(text)
+            rule(value)
+        except (ValueError, RotorSpectraError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
+    return parse_checked
 
 
-def _nonnegative(text: str) -> float:
-    value = _finite(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"not a nonnegative number: {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
+#: one Fourier index and one noise level, each by its library rule
+_INDEX, _EPS = _rule(int, _check_index), _rule(float, _check_eps)
 
 
 def _list_of(parse, one=False):
     """Argument type: a nonempty comma-separated list of ``parse`` values,
     of one value only where ``one`` is set."""
     def parse_list(text):
-        try:
-            values = [parse(t) for t in text.split(",") if t.strip()]
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
+        values = [parse(t) for t in text.split(",") if t.strip()]
         if not values:
             raise argparse.ArgumentTypeError("expected at least one value")
         if one and len(values) > 1:
@@ -193,15 +196,16 @@ def cmd_casestudy(cfg: RunConfig, args):
 FLAGS = {
     "--config": dict(help="model configuration JSON"),
     "--out": dict(help="output directory"),
-    "--k": dict(type=_list_of(int), help="comma-separated Fourier indices"),
-    "--eps": dict(type=_list_of(_finite), help="comma-separated noise levels"),
-    "--delta": dict(type=_nonnegative, help="fibre noise radius (overrides config)"),
+    "--k": dict(type=_list_of(_INDEX), help="comma-separated Fourier indices"),
+    "--eps": dict(type=_list_of(_EPS), help="comma-separated noise levels"),
+    "--delta": dict(type=_rule(float, check_delta), help="fibre noise radius (overrides config)"),
     "--bins": dict(type=int, help="circle bins per fibre"),
     "--seed": dict(type=int, help="simulation seed"),
     "--paths": dict(type=int, help="trajectory paths to dump (0 = none)"),
     "--steps": dict(type=int, help="steps per path"),
     "--top-m": dict(type=int, help="cycles to report"),
-    "--x-res": dict(type=_positive_int, help="circle samples in eigenfunction grids"),
+    "--x-res": dict(type=_rule(int, lambda x: _check_count(x, 1, "x_res", ConfigError, MAX_SIZE)),
+                    help="circle samples in eigenfunction grids"),
 }
 
 #: the convergence grid of ``limit`` and ``casestudy``
@@ -234,12 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         for flag, default in {"--config": None, "--out": "out", **flags}.items():
             kwargs = dict(FLAGS[flag], default=default)
-            if name == "response" and flag == "--eps":
-                # check_eps_grid refuses a bad grid, non-finite points included
-                kwargs["type"] = _list_of(float)
             if name in ("simulate", "casestudy") and flag in ("--k", "--eps"):
                 # a run at one (k, eps): a config's lists give their first values
-                kwargs.update(type=_list_of(int if flag == "--k" else _finite, one=True),
+                kwargs.update(type=_list_of(_INDEX if flag == "--k" else _EPS, one=True),
                               help="one Fourier index" if flag == "--k" else "one noise level")
             p.add_argument(flag, **kwargs)
     return parser
@@ -265,14 +266,22 @@ def main(argv=None) -> int:
         manifest = {"command": args.command,
                     "config_sha256": hashlib.sha256(cfg.raw.encode()).hexdigest(),
                     "version": __version__, "parameters": dict(sorted(params.items()))}
+        # what this run creates, deepest first: its files, then its directories
+        new = [out / name for name in [*names, "manifest.json"] if not os.path.lexists(out / name)]
+        new += [d for d in (out, *out.parents) if not os.path.lexists(d)]
         try:
             out.mkdir(parents=True, exist_ok=True)
             for name, write, *data in files:
                 write(out / name, *data)
             (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                                encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot write output directory {out}: {exc}") from exc
+        except BaseException as exc:
+            for path in new:                 # a failed write phase leaves what was there
+                with contextlib.suppress(OSError):
+                    path.rmdir() if path.is_dir() else path.unlink()
+            if isinstance(exc, OSError):
+                raise ConfigError(f"cannot write output directory {out}: {exc}") from exc
+            raise
         if args.command == "casestudy":
             print(f"case-study outputs written to {out}")
         return code

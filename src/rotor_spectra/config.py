@@ -13,16 +13,18 @@ Schema (all keys except ``beta`` and ``L`` optional)::
 
 Only the three listed string tokens are accepted for irrational speeds, so
 the case-study model is expressible exactly; everything else must be a
-decimal literal.  The parser keeps the rules of JSON itself: non-finite
-numbers (``NaN``, ``Infinity`` or a literal that overflows a float, integer
-literals included), the object's shape and keys, arrays where arrays are
-due, nonempty ``epsilons`` and ``ks``, the speed tokens and the generator's
-kind.  Every other rule is the model's, applied to the parsed values: the
-speed and width rules of ``BandModel``, ``laplacian_generator``'s size,
-``NoiseGenerator``'s matrix rule, ``check_dimension``, the Fourier-index
-rule ``_check_index`` (``|k| <= 2**32``) for each of ``ks``,
-``check_delta`` and the eps rule ``_check_eps`` of ``w_epsilon``.  Each
-refusal is a ConfigError holding the library's message.
+decimal literal.  The parser keeps the rules of JSON itself: the object's
+shape and keys, arrays where arrays are due, nonempty ``epsilons`` and
+``ks``, the speed tokens and the generator's kind.  Every number, ``NaN``,
+``Infinity``, an overflowing literal such as ``1e999`` and an integer
+beyond the float range included, is judged only by the model's rule for its
+key, applied to the parsed values: the speed and width rules of
+``BandModel``, ``laplacian_generator``'s size, ``NoiseGenerator``'s matrix
+rule, ``check_dimension``, the Fourier-index rule ``_check_index``
+(``|k| <= 2**32``) for each of ``ks``, ``check_delta`` and the eps rule
+``_check_eps`` of ``w_epsilon``.  Each refusal is a ConfigError holding the
+library's message; text that Python's ``json`` cannot read (an integer of
+over 4300 digits included) is ``invalid JSON``.
 """
 
 from __future__ import annotations
@@ -62,23 +64,6 @@ def _speed(value):
     return SPEED_TOKENS[value]
 
 
-def _non_finite(token: str):
-    shown = token if len(token) <= 24 else f"{token[:12]}... ({len(token)} characters)"
-    raise ConfigError(f"non-finite number {shown} in config")
-
-
-def _finite_float(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):         # an overflowing literal such as 1e999
-        _non_finite(token)
-    return value
-
-
-def _finite_int(token: str) -> int:
-    _finite_float(token)                 # an integer literal beyond the float range
-    return int(token)
-
-
 def _apply(what: str, rule, *args):
     """``rule(*args)``, a library refusal re-raised as ConfigError with the
     library's message after ``what``."""
@@ -90,9 +75,8 @@ def _apply(what: str, rule, *args):
 
 def parse_config(text: str) -> RunConfig:
     try:
-        doc = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float,
-                         parse_int=_finite_int)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except ValueError as exc:            # JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be an object")

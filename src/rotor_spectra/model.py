@@ -31,6 +31,8 @@ DEFECT_TOL = 1e-12
 GAP_TOL = 1e-9
 #: the largest |k| of a Fourier index (phases), the config and ``--k``
 MAX_INDEX = 2 ** 32
+#: the largest size numpy can index: the bound of every count that sizes an array
+MAX_SIZE = int(np.iinfo(np.intp).max)
 
 
 def _integer(value) -> bool:
@@ -53,18 +55,25 @@ def _check_index(k) -> None:
         raise ConfigError("a Fourier index must be an integer within +-2**32")
 
 
-def _check_count(value, low: int, what: str, error) -> int:
+def _check_count(value, low: int, what: str, error, high=math.inf) -> int:
     """The count rule of every count and resolution (simulate's seed, paths and
     steps, bins, top_m, N, grid samples): ``value`` as an int; ``error``
-    unless it is an integer >= ``low``, not a bool."""
+    unless it is an integer >= ``low``, not a bool, and at most ``high``
+    (``MAX_SIZE`` for a count that sizes an array)."""
     if not (_integer(value) and value >= low):
         raise error(f"{what} must be >= {low} and an integer, got {what}={value!r}")
+    if value > high:
+        raise error(f"{what} must be <= {high}, numpy's index range, got {what}={value!r}")
     return int(value)
 
 
 def _check_labels(model: BandModel, ells) -> list[int]:
     """The label rule of order_checks, alpha_response and writers.write_grid_csv:
-    the labels ``ells`` as ints; DimensionMismatch unless each is an integer in [0, N)."""
+    the labels ``ells`` as ints; DimensionMismatch unless they are a sequence
+    of integers in [0, N)."""
+    if not np.iterable(ells):
+        raise DimensionMismatch(f"labels must be a sequence, got {ells!r}")
+    ells = list(ells)
     bad = [ell for ell in ells if not (_integer(ell) and 0 <= ell < model.N)]
     if bad:
         raise DimensionMismatch(f"labels {bad} are not integers in [0, {model.N})")
@@ -274,9 +283,10 @@ def laplacian_generator(N: int) -> NoiseGenerator:
     """Central-difference Laplacian stencil with reflecting ends.
 
     Tridiagonal with diagonal (-1/2, -1, ..., -1, -1/2) and off-diagonals 1/2.
-    DimensionTooSmall unless N is an integer of at least two fibres (:func:`_check_count`).
+    DimensionTooSmall unless N is an integer of at least two fibres and at
+    most MAX_SIZE (:func:`_check_count`).
     """
-    _check_count(N, 2, "N", DimensionTooSmall)
+    _check_count(N, 2, "N", DimensionTooSmall, MAX_SIZE)
     w = np.diag(np.full(N, -1.0)) + 0.5 * (np.eye(N, k=1) + np.eye(N, k=-1))
     w[0, 0] = -0.5
     w[N - 1, N - 1] = -0.5

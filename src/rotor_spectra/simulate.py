@@ -48,8 +48,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
                      NoComplexEigenvalues, NoConvergence)
-from .model import (BandModel, NoiseGenerator, _check_count, _freeze, _real, check_delta,
-                    check_dimension, w_epsilon)
+from .model import (MAX_SIZE, BandModel, NoiseGenerator, _check_count, _freeze, _real,
+                    check_delta, check_dimension, w_epsilon)
 from .spectra import _band_diagonal, eig_dense_complex
 
 #: |imag| above which an eigenvalue counts as nonreal, relative to its sector bound b(m)
@@ -297,9 +297,11 @@ def _rotate(x: np.ndarray, turn: np.ndarray, noise: np.ndarray) -> None:
 
 def check_counts(seed: int, n_paths: int, n_steps: int) -> None:
     """The counts of :func:`simulate`: seed, paths and steps pass the count rule
-    (model._check_count) with a least value of 0."""
-    for what, value in dict(seed=seed, n_paths=n_paths, n_steps=n_steps).items():
-        _check_count(value, 0, what, InvalidSimulationInput)
+    (model._check_count) with a least value of 0, paths and steps, which size
+    arrays, with the bound MAX_SIZE too."""
+    _check_count(seed, 0, "seed", InvalidSimulationInput)
+    for what, value in dict(n_paths=n_paths, n_steps=n_steps).items():
+        _check_count(value, 0, what, InvalidSimulationInput, MAX_SIZE)
 
 
 def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
@@ -389,8 +391,8 @@ def ulam_analytic(model: BandModel, gen: NoiseGenerator, eps: float, delta: floa
     """Exact cell transition operator of the annealed dynamics, kept as one
     kernel row per band (the fibres of a band share its speed) and W_eps.
     The bin count M passes the count rule (model._check_count) with a least
-    value of 2."""
-    M = _check_count(M, 2, "M", InvalidSimulationInput)
+    value of 2 and the bound MAX_SIZE."""
+    M = _check_count(M, 2, "M", InvalidSimulationInput, MAX_SIZE)
     check_dimension(model, gen)
     check_delta(delta)
     w = w_epsilon(gen, eps)
@@ -415,9 +417,10 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
     batch's size.
     N^2 M must stay below 2^31, and is refused before anything of the
     operator's size is allocated; the batch checked its own paths, and M
-    passes the count rule (model._check_count) with a least value of 2.
+    passes the count rule (model._check_count) with a least value of 2 and
+    the bound MAX_SIZE.
     """
-    M = _check_count(M, 2, "M", InvalidSimulationInput)
+    M = _check_count(M, 2, "M", InvalidSimulationInput, MAX_SIZE)
     n, j, x = batch.model.N, batch.j, batch.x
     size = n * M
     if n * size >= 2 ** 31:

@@ -9,6 +9,7 @@ import os
 import pkgutil
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -27,6 +28,8 @@ from rotor_spectra.errors import AmbiguousLabelling
 
 #: an integer literal beyond the float range
 BIG = "1" * 400
+#: the eps rule's refusal of -1
+NEGATIVE_EPS = "eps must be finite and nonnegative, got -1.0"
 
 
 @pytest.fixture()
@@ -365,7 +368,8 @@ class TestFlags:
             main([command, "--config", str(case_cfg), "--out", str(tmp_path / "o"),
                   "--delta=-0.1"])
         assert exc.value.code == 2
-        assert "argument --delta: not a nonnegative number" in capsys.readouterr().err
+        assert ("argument --delta: delta must be finite and >= 0, got -0.1"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("x_res", ["0", "-3", "2.5"])
@@ -376,17 +380,50 @@ class TestFlags:
         assert "argument --x-res" in capsys.readouterr().err
         assert not (tmp_path / "case").exists()
 
-    @pytest.mark.parametrize("argv", [["casestudy", "--k", "1,2"],
-                                      ["casestudy", "--eps", "0.1,0.05"],
-                                      ["casestudy", "--k", "1,4294967297"],
-                                      ["simulate", "--eps", "0.1,0.05"]])
-    def test_one_value_flags_refuse_a_list(self, case_cfg, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, message", [
+        *[([command, "--eps=-1"], f"argument --eps: {NEGATIVE_EPS}")
+          for command in ("spectrum", "limit", "simulate", "casestudy")],
+        (["spectrum", "--eps", "0.1,nan"],
+         "argument --eps: eps must be finite and nonnegative, got nan"),
+        (["response", "--eps", "0.01,0.001,nan,0.0001"],
+         "argument --eps: eps must be finite and nonnegative, got nan"),
+        (["response", "--eps", "0.01,0.001,-1,0.0001"], f"argument --eps: {NEGATIVE_EPS}"),
+        (["spectrum", "--k", "1,4294967297"],
+         "argument --k: a Fourier index must be an integer within +-2**32"),
+        (["spectrum", "--delta", "nan"],
+         "argument --delta: delta must be finite and >= 0, got nan"),
+        (["casestudy", "--x-res", str(10 ** 400)],
+         f"argument --x-res: x_res must be <= {np.iinfo(np.intp).max}, numpy's index range"),
+        (["casestudy", "--x-res", "0"],
+         "argument --x-res: x_res must be >= 1 and an integer, got x_res=0"),
+    ], ids=["spectrum-negative-eps", "limit-negative-eps", "simulate-negative-eps",
+            "casestudy-negative-eps", "spectrum-nan-eps", "response-nan-eps",
+            "response-negative-eps", "spectrum-k-beyond-2**32", "spectrum-nan-delta",
+            "casestudy-x-res-beyond-intp", "casestudy-x-res-zero"])
+    def test_flags_apply_the_library_rules(self, case_cfg, tmp_path, capsys, argv, message):
+        # a flag's value is judged by the library's rule for its input, with
+        # the library's message, as a usage error before the run starts
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(case_cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["casestudy", "--k", "1,2"], "expected one value, got 2"),
+        (["casestudy", "--eps", "0.1,0.05"], "expected one value, got 2"),
+        (["casestudy", "--k", "1,4294967297"],     # each index is judged before the count
+         "argument --k: a Fourier index must be an integer within +-2**32"),
+        (["simulate", "--eps", "0.1,0.05"], "expected one value, got 2")],
+        ids=["argv0", "argv1", "argv2", "argv3"])
+    def test_one_value_flags_refuse_a_list(self, case_cfg, tmp_path, capsys, argv, message):
         # simulate and casestudy run at one (k, eps): a longer flag list used
         # to be cut to its first value without a word
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--config", str(case_cfg), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
-        assert "expected one value, got 2" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_config_lists_give_their_first_value(self, tmp_path):
@@ -485,10 +522,9 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("argv", [
         ["limit", "--k", "1,0"],
-        ["limit", "--eps=-1"],
         ["limit", "--k", "1", "--eps", "0,0.1"],
         ["casestudy", "--k", "0"],
-    ], ids=["limit-k0-after-k1", "limit-negative-eps", "limit-eps0", "casestudy-k0"])
+    ], ids=["limit-k0-after-k1", "limit-eps0", "casestudy-k0"])
     def test_failed_run_leaves_no_directory(self, case_cfg, tmp_path, capsys, argv):
         # each fails after some of its results are computed
         out = tmp_path / "o"
@@ -500,7 +536,6 @@ class TestOtherCommands:
         ("0.01,0.001,0.0001", "at least 4 distinct points"),
         ("5,0.01,0.001,0.0001", "exceeds eps_max"),
         ("0.01,0.001,0.0001,0", "finite and positive"),
-        ("0.01,0.001,nan,0.0001", "finite and positive"),
     ])
     def test_response_bad_grid_exit1(self, case_cfg, tmp_path, capsys, eps, message):
         out = tmp_path / "resp"
@@ -657,6 +692,7 @@ class TestOtherCommands:
         (["--seed", "-1", "--paths", "2"], "seed=-1"),
         (["--steps", "-5"], "n_steps=-5"),        # no paths: the counts are still checked
         (["--seed", "-3"], "seed=-3"),
+        (["--bins", str(10 ** 400)], f"M must be <= {np.iinfo(np.intp).max}, numpy's index range"),
     ])
     def test_simulate_bad_input_exit1(self, case_cfg, tmp_path, capsys, extra, message):
         out = tmp_path / "sim"
@@ -737,6 +773,40 @@ class TestRunLifecycle:
             assert json.loads((out / "manifest.json").read_text())["parameters"][key] == grid
         assert cli.LIMIT_GRID == [1e-1, 1e-2, 1e-3, 1e-4]
         assert {name: row for name, (_, row) in cli.COMMANDS.items()} == rows
+
+    @pytest.mark.parametrize("error, code, message", [
+        (MemoryError("no room"), 1, "error: out of memory: no room\n"),
+        (OSError("disk full"), 2,
+         "config error: cannot write output directory {out}: disk full\n"),
+    ], ids=["memory", "os"])
+    def test_failed_write_phase_leaves_no_directory(self, case_cfg, tmp_path, capsys,
+                                                    monkeypatch, error, code, message):
+        # the third file's writer fails after two files are written: the run
+        # removes its files and the directories it created, deepest first
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(writers, "write_circles_csv", fail)
+        out = tmp_path / "a" / "b" / "o"
+        assert main(["spectrum", "--config", str(case_cfg), "--out", str(out)]) == code
+        assert capsys.readouterr().err == message.format(out=out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case.json"]
+
+    def test_failed_write_phase_keeps_what_was_there(self, case_cfg, tmp_path, monkeypatch):
+        # a run removes only what it created: a file of the same name as one
+        # of its outputs was there before, so it stays, though overwritten
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in ("notes.txt", "spectrum_k1_eps0.1.csv"):
+            (out / name).write_text("mine", encoding="utf-8")
+
+        def fail(*args):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(writers, "write_circles_csv", fail)
+        assert main(["spectrum", "--config", str(case_cfg), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "spectrum_k1_eps0.1.csv"]
+        assert (out / "notes.txt").read_text(encoding="utf-8") == "mine"
 
     @pytest.mark.parametrize("target", ["taken", "taken/sub"], ids=["file", "below-a-file"])
     def test_unwritable_out_exit2(self, case_cfg, tmp_path, target):
@@ -1048,6 +1118,23 @@ def test_one_rule_per_run_input():
     assert not hasattr(cli, "_leading_labels")
 
 
+def test_flags_and_config_numbers_meet_the_library_rules():
+    # the CLI's run-input flags and the config's numbers have no rule of their
+    # own: each flag type is _rule(parse, library rule), and json reads every
+    # number for parse_config's model rules to judge
+    assert not {"_finite", "_nonnegative", "_positive_int", "math"} & set(vars(cli))
+    source = inspect.getsource(cli)
+    for spelling in ["_INDEX, _EPS = _rule(int, _check_index), _rule(float, _check_eps)",
+                     '"--k": dict(type=_list_of(_INDEX)', '"--eps": dict(type=_list_of(_EPS)',
+                     '"--delta": dict(type=_rule(float, check_delta)',
+                     '"--x-res": dict(type=_rule(int, lambda x: _check_count(x, 1, "x_res", ']:
+        assert spelling in source, spelling
+    assert '"response" and flag == "--eps"' not in source
+    config = inspect.getsource(rs.config)
+    assert not {"_non_finite", "_finite_float", "_finite_int"} & set(vars(rs.config))
+    assert "json.loads(text)" in config and "parse_constant" not in config
+
+
 def test_src_lines_counts_code_without_docstrings_comments_and_blanks(tmp_path):
     # tools/src_lines.py gives the two line counts ROADMAP.md and CHANGES.md quote
     spec = importlib.util.spec_from_file_location(
@@ -1059,6 +1146,28 @@ def test_src_lines_counts_code_without_docstrings_comments_and_blanks(tmp_path):
                       'class A:\n    """One line."""\n\n    def f(self):\n        """Two\n'
                       '        lines."""\n        return 1  # trailing\n', encoding="utf-8")
     assert src_lines.counts(module) == (15, 5)
+
+
+def test_equivalence_gate_reports_every_difference(tmp_path):
+    # tools/equivalence.py: a tree against itself differs nowhere; a copy
+    # whose oracle writer spells one header byte otherwise is reported there
+    tool = Path(__file__).resolve().parents[1] / "tools" / "equivalence.py"
+    src = Path(cli.__file__).parents[1]
+    only = ["--only", "^valid-(validate-out|oracle-case)$"]
+    done = run_cli(str(tool), str(src), str(src), *only, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "0 of 2 invocations differ\n")
+    copy = tmp_path / "src"
+    shutil.copytree(src / "rotor_spectra", copy / "rotor_spectra",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    writer = copy / "rotor_spectra" / "writers.py"
+    text = writer.read_text(encoding="utf-8")
+    writer.write_text(text.replace('"abs_diff", "vec_proj_dist"', '"abs_diff", "vec_proj_disT"'),
+                      encoding="utf-8")
+    done = run_cli(str(tool), str(src), str(copy), *only, timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ("valid-oracle-case: o/oracle_k1.csv: differs from line 1\n"
+                           "valid-oracle-case: o/oracle_k2.csv: differs from line 1\n"
+                           "1 of 2 invocations differ\n")
 
 
 def test_config_restates_no_library_rule():

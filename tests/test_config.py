@@ -72,11 +72,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config('{"beta": [0.1], "L": [2], "delta": -0.2}')
 
-    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999",
-                                        pytest.param(BIG, id="int-400-digits"),
-                                        pytest.param("9" * 5000, id="int-5000-digits")])
-    def test_non_finite_numbers(self, number):
-        with pytest.raises(ConfigError, match="non-finite"):
+    @pytest.mark.parametrize("number, message", [
+        ("NaN", "invalid 'epsilons': eps must be finite and nonnegative, got nan$"),
+        ("Infinity", "invalid 'epsilons': eps must be finite and nonnegative, got inf$"),
+        ("-Infinity", "invalid 'epsilons': eps must be finite and nonnegative, got -inf$"),
+        ("1e999", "invalid 'epsilons': eps must be finite and nonnegative, got inf$"),
+        (BIG, f"invalid 'epsilons': eps must be finite and nonnegative, got {BIG}$"),
+        ("9" * 5000, "invalid JSON: Exceeds the limit \\(4300 digits\\)")],
+        ids=["NaN", "Infinity", "-Infinity", "1e999", "int-400-digits", "int-5000-digits"])
+    def test_non_finite_numbers(self, number, message):
+        # JSON's non-finite and oversized numbers meet the eps rule, as any
+        # other number does; Python's json refuses an integer of over 4300 digits
+        with pytest.raises(ConfigError, match=message):
             parse_config(f'{{"beta": [0.1], "L": [2], "epsilons": [{number}]}}')
 
     def test_bad_epsilons(self):
@@ -123,10 +130,17 @@ class TestParseConfig:
     (TWO + ', "epsilons": [0.1, -1.0]', lambda: w_epsilon(laplacian_generator(2), -1.0)),
     (TWO + ', "epsilons": [true]', lambda: w_epsilon(laplacian_generator(2), True)),
     (TWO + ', "epsilons": [null]', lambda: w_epsilon(laplacian_generator(2), None)),
+    (TWO + ', "delta": NaN', lambda: check_delta(math.nan)),
+    ('"beta": [0.1, -Infinity], "L": [1, 1]', lambda: BandModel([0.1, -math.inf], [1, 1])),
+    (TWO + ', "ks": [1e999]', lambda: _check_index(math.inf)),
+    (TWO + f', "epsilons": [{BIG}]', lambda: w_epsilon(laplacian_generator(2), int(BIG))),
+    (TWO + ', "generator": [[-0.5, 0.5], [0.5, Infinity]]',
+     lambda: NoiseGenerator([[-0.5, 0.5], [0.5, math.inf]])),
 ], ids=["width-zero", "width-float", "width-string", "length", "no-band", "generator-size",
         "generator-model-size", "generator-ragged", "ks-float", "ks-bool", "ks-string",
         "ks-beyond-2**32", "speed-bool", "speed-null", "speed-list", "speed-duplicate",
-        "delta-negative", "delta-string", "delta-bool", "eps-negative", "eps-bool", "eps-null"])
+        "delta-negative", "delta-string", "delta-bool", "eps-negative", "eps-bool", "eps-null",
+        "delta-nan", "speed-infinity", "ks-overflow", "eps-400-digits", "generator-infinity"])
 def test_config_refusal_is_the_library_refusal(fields, library):
     # the config applies the model's rule for each input, so its message is the
     # library's message for the same value

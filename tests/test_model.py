@@ -501,6 +501,8 @@ GRID = [1e-2, 1e-3, 1e-4, 1e-5]
      lambda m, g: order_check(m, g, 1, 1.5, GRID)),
     (DimensionMismatch, r"labels \[33\] are not",
      lambda m, g: order_checks(response_data(m, g, 1), [0, 33], GRID)),
+    (DimensionMismatch, "labels must be a sequence, got 0",
+     lambda m, g: order_checks(response_data(m, g, 1), 0, GRID)),
     (DimensionMismatch, r"labels \[99\] are not",
      lambda m, g: alpha_response(m, g, 1, 0.01, 99, np.ones(33))),
     (ConfigError, "Fourier index", lambda m, g: spectrum(m, g, 1.5, 0.1)),
@@ -536,7 +538,8 @@ GRID = [1e-2, 1e-3, 1e-4, 1e-5]
         "w_eps_none", "spectrum_eps_string", "delta_factor_none", "ulam_delta_string",
         "top_m_fraction", "paths_fraction", "steps_fraction", "seed_fraction",
         "ulam_bins_fraction", "empirical_bins_fraction", "order_check_label_99",
-        "order_check_label_negative", "order_check_label_fraction", "order_checks_label_33", "alpha_response_label_99",
+        "order_check_label_negative", "order_check_label_fraction", "order_checks_label_33",
+        "order_checks_bare_label", "alpha_response_label_99",
         "k_fraction", "k_above_max", "limit_k_huge", "response_k_huge",
         "oracle_k_huge", "bool_paths", "bool_steps", "bool_seed", "bool_top_m", "bool_bins",
         "bool_spectrum_k", "bool_phases_k", "bool_label", "delta_factor_k_none",
@@ -599,6 +602,8 @@ def test_non_numeric_grids_and_directions_are_typed(case_model, case_gen, error,
 #: values that are no count, bin or sample number: a bool, a fraction, a
 #: negative, no number, a numeric string, non-finite and complex numbers
 NO_COUNT = [True, 2.5, -1, None, "1", math.nan, math.inf, -math.inf, 1j]
+#: values that are no size of an array: no count, or beyond numpy's index range
+NO_SIZE = [*NO_COUNT, 10 ** 400]
 #: values that are no eps (2.5 is one), and an integer beyond the float range
 NO_EPS = [True, -1, None, "1", math.nan, math.inf, -math.inf, 1j, 10 ** 400]
 #: values that are no label of a five-fibre model
@@ -626,12 +631,12 @@ def run_input_calls(tmp_path_factory):
 
     return {
         ("simulate", "seed"): (lambda v: simulate(m, g, 0.1, 0.1, 2, 5, v), NO_COUNT),
-        ("simulate", "n_paths"): (lambda v: simulate(m, g, 0.1, 0.1, v, 5, 0), NO_COUNT),
-        ("simulate", "n_steps"): (lambda v: simulate(m, g, 0.1, 0.1, 2, v, 0), NO_COUNT),
-        ("ulam_analytic", "M"): (lambda v: ulam_analytic(m, g, 0.1, 0.1, v), NO_COUNT),
-        ("ulam_empirical", "M"): (lambda v: ulam_empirical(batch, v), NO_COUNT),
+        ("simulate", "n_paths"): (lambda v: simulate(m, g, 0.1, 0.1, v, 5, 0), NO_SIZE),
+        ("simulate", "n_steps"): (lambda v: simulate(m, g, 0.1, 0.1, 2, v, 0), NO_SIZE),
+        ("ulam_analytic", "M"): (lambda v: ulam_analytic(m, g, 0.1, 0.1, v), NO_SIZE),
+        ("ulam_empirical", "M"): (lambda v: ulam_empirical(batch, v), NO_SIZE),
         ("detect_cycles", "top_m"): (lambda v: detect_cycles(op, m, v), NO_COUNT),
-        ("laplacian_generator", "N"): (laplacian_generator, NO_COUNT),
+        ("laplacian_generator", "N"): (laplacian_generator, NO_SIZE),
         ("label_spectrum", "eps"): (lambda v: rs.label_spectrum(m, g, 1, v, eig), NO_EPS),
         ("gershgorin_bound", "eps"): (lambda v: rs.gershgorin_bound(g, v), NO_EPS),
         ("spectrum_convergence", "eps point"): (
@@ -648,7 +653,7 @@ def run_input_calls(tmp_path_factory):
         ("write_grid_csv", "label"): (
             lambda v: writers.write_grid_csv(out / "grid.csv", spec, [0, v], 8), NO_LABEL),
         ("write_grid_csv", "x_res"): (
-            lambda v: writers.write_grid_csv(out / "grid.csv", spec, [0], v), NO_COUNT),
+            lambda v: writers.write_grid_csv(out / "grid.csv", spec, [0], v), NO_SIZE),
     }
 
 
@@ -662,6 +667,36 @@ def test_every_run_input_refuses_an_invalid_value(run_input_calls, data):
     value = data.draw(st.sampled_from(invalid), label="value")
     with pytest.raises(RotorSpectraError):
         call(value)
+
+
+@pytest.mark.parametrize("error, what, call", [
+    (InvalidSimulationInput, "n_paths", lambda m, g, v: simulate(m, g, 0.1, 0.1, v, 5, 0)),
+    (InvalidSimulationInput, "n_steps", lambda m, g, v: simulate(m, g, 0.1, 0.1, 2, v, 0)),
+    (InvalidSimulationInput, "M", lambda m, g, v: ulam_analytic(m, g, 0.1, 0.1, v)),
+    (InvalidSimulationInput, "M",
+     lambda m, g, v: ulam_empirical(simulate(m, g, 0.1, 0.1, 2, 5, 0), v)),
+    (DimensionTooSmall, "N", lambda m, g, v: laplacian_generator(v)),
+    (ConfigError, "x_res", lambda m, g, v: writers.write_grid_csv(
+        "never-written.csv", spectrum(m, g, 1, 0.1), [0], v)),
+], ids=["simulate_paths", "simulate_steps", "ulam_analytic_bins", "ulam_empirical_bins",
+        "laplacian_size", "grid_samples"])
+def test_sizes_beyond_numpy_index_range_are_refused(case_model, case_gen, error, what, call):
+    # each size passes the count rule with numpy's index range as its bound:
+    # 10**400 ended in a bare ValueError (simulate's paths, the Laplacian's
+    # N, the grid's samples) or OverflowError (ulam_analytic's bins)
+    with pytest.raises(error, match=f"^{what} must be <= {np.iinfo(np.intp).max}, numpy's "
+                                    f"index range, got {what}=1000"):
+        call(case_model, case_gen, 10 ** 400)
+
+
+def test_seed_and_top_m_take_any_integer(two_band_model, two_band_gen):
+    # neither sizes an array, so neither has the size bound
+    batch = simulate(two_band_model, two_band_gen, 0.1, 0.1, 2, 3, 10 ** 400)
+    assert batch.j.shape == (2, 4)
+    op = ulam_analytic(two_band_model, two_band_gen, 0.1, 0.1, 8)
+    every = detect_cycles(op, two_band_model, 10 ** 400)
+    assert every.top_m == 10 ** 400
+    assert len(every.cycles) >= len(detect_cycles(op, two_band_model, 1).cycles) == 1
 
 
 #: every public function that takes a model and a generator (label_spectrum's

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -462,7 +463,25 @@ class TestLabelDisks:
         eps = scale * gen.eps_max
         try:
             self.assert_reported_pairs_are_dense_eigenvalues(model, gen, k, eps)
-        except NoConvergence:
+        except NoConvergence as exc:
+            self.assert_refusal_holds(model, gen, k, eps, exc)
+
+    @staticmethod
+    def assert_refusal_holds(model, gen, k, eps, exc):
+        tie = re.fullmatch(r"labels (\d+) and (\d+) have second-order predictions within "
+                           r"rounding at eps=(\S+)", str(exc))
+        if tie:
+            # refused where the two labels' second-order predictions lie within
+            # gamma ||P||_inf, gamma = 2 (N + 2) UNIT_ROUNDOFF, so the dense
+            # path's match cannot tell them apart
+            a, b, e = int(tie[1]), int(tie[2]), float(tie[3])
+            resp = response_data(model, gen, k)
+            pred = (model.phases(k)[model.band_index] + e * resp.basis.lambda_hat
+                    + e ** 2 * resp.lambda_hathat)
+            p = assemble_fourier_block(model, gen, k, e)
+            gamma = 2 * (model.N + 2) * response.UNIT_ROUNDOFF
+            assert abs(pred[a] - pred[b]) <= gamma * np.max(np.sum(np.abs(p), axis=1))
+        else:
             # refused only where some eigenvalue on the grid is nearly defective:
             # the left eigenvector of (lam, v) is W_eps v, so its condition
             # number is ||W_eps v|| / |v^T W_eps v| for unit v
@@ -473,6 +492,18 @@ class TestLabelDisks:
                 y = w @ v
                 conditions.extend(np.linalg.norm(y, axis=0) / np.abs(np.sum(v * y, axis=0)))
             assert max(conditions) > 1e6
+
+    def test_tied_predictions_are_refused(self):
+        # a draw of the property test above: at eps = eps_max = 0.5 the
+        # second-order predictions of labels 0 and 1 both lie at -0.25, 6.3e-17
+        # apart, within rounding, while no eigenvalue is nearly defective (the
+        # largest condition number is 1.21)
+        model = build_band_model([0.0, 0.5], [1, 2])
+        gen = rates_generator(3, [1.0, 1.0, 1.0])
+        with pytest.raises(NoConvergence, match="^labels 0 and 1 have second-order "
+                                                "predictions within rounding at eps=0.5$") as exc:
+            self.assert_reported_pairs_are_dense_eigenvalues(model, gen, 1, gen.eps_max)
+        self.assert_refusal_holds(model, gen, 1, gen.eps_max, exc.value)
 
     def test_defective_eigenvalue_is_refused(self):
         # at eps = 1 the Fourier block [[1, 1], [-1, -1]] / 2 is nilpotent: no

@@ -223,11 +223,13 @@ def test_grid(tmp_path):
 
 
 @pytest.mark.parametrize("error, ells, x_res", [
-    (ConfigError, [0], 2.5), (ConfigError, [0], 0), (DimensionMismatch, [99], 8)],
-    ids=["x_res_fraction", "x_res_zero", "label_99"])
+    (ConfigError, [0], 2.5), (ConfigError, [0], 0), (DimensionMismatch, [99], 8),
+    (DimensionMismatch, 0, 8)],
+    ids=["x_res_fraction", "x_res_zero", "label_99", "bare_label"])
 def test_grid_refuses_bad_samples_and_labels(tmp_path, error, ells, x_res):
-    # x_res = 2.5 once wrote a table, x_res = 0 ended in ZeroDivisionError and
-    # label 99 in a bare IndexError; now nothing is written
+    # x_res = 2.5 once wrote a table, x_res = 0 ended in ZeroDivisionError,
+    # label 99 in a bare IndexError and a bare label 0 in place of a list in a
+    # bare TypeError; now nothing is written
     with pytest.raises(error):
         writers.write_grid_csv(tmp_path / "grid.csv", GRID_SPEC, ells, x_res)
     assert not (tmp_path / "grid.csv").exists()
