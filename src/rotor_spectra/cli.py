@@ -13,12 +13,14 @@ removes the files and directories the run created, and nothing else.
 Each flag that carries a run input is parsed and then judged by the
 library's rule for that input (``_rule``): ``_check_index`` for each
 ``--k``, ``_check_eps`` for each ``--eps``, ``check_delta`` for ``--delta``
-and the count rule for ``--x-res``; a refusal is a usage error.
+and the count rule for ``--x-res``; a refusal is a usage error.  Sizes meet
+the library's size rule where they size arrays: paths, steps and bins that
+numpy cannot lay out exit 1, and an ``--x-res`` grid exits 2 from its writer.
 
-Exit codes: 0 success, 1 validation or math error (an input too large for
-memory included: ``error: out of memory``), 2 config or usage error, an
-output directory that cannot be written and a run that names one output file
-twice included.
+Exit codes: 0 success, 1 validation or math error (a size numpy can lay out
+but memory cannot hold included: ``error: out of memory``), 2 config or usage
+error, an output directory that cannot be written and a run that names one
+output file twice included.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import argparse
 import contextlib
 import functools
 import hashlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -35,8 +36,7 @@ from pathlib import Path
 from . import __version__, writers
 from .config import RunConfig, case_study_config, load_config
 from .errors import AmbiguousLabelling, ConfigError, RotorSpectraError
-from .model import (MAX_SIZE, _check_count, _check_eps, _check_index, check_delta,
-                    validate_admissibility)
+from .model import _check_count, _check_eps, _check_index, check_delta, validate_admissibility
 from .oracle import oracle_crosscheck
 from .response import order_checks, response_data
 from .simulate import check_counts, detect_cycles, simulate, ulam_analytic
@@ -204,7 +204,7 @@ FLAGS = {
     "--paths": dict(type=int, help="trajectory paths to dump (0 = none)"),
     "--steps": dict(type=int, help="steps per path"),
     "--top-m": dict(type=int, help="cycles to report"),
-    "--x-res": dict(type=_rule(int, lambda x: _check_count(x, 1, "x_res", ConfigError, MAX_SIZE)),
+    "--x-res": dict(type=_rule(int, lambda x: _check_count(x, 1, "x_res", ConfigError)),
                     help="circle samples in eigenfunction grids"),
 }
 
@@ -273,8 +273,7 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
             for name, write, *data in files:
                 write(out / name, *data)
-            (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
-                                               encoding="utf-8")
+            writers._write_json(out / "manifest.json", manifest)
         except BaseException as exc:
             for path in new:                 # a failed write phase leaves what was there
                 with contextlib.suppress(OSError):

@@ -31,8 +31,18 @@ DEFECT_TOL = 1e-12
 GAP_TOL = 1e-9
 #: the largest |k| of a Fourier index (phases), the config and ``--k``
 MAX_INDEX = 2 ** 32
-#: the largest size numpy can index: the bound of every count that sizes an array
+#: the most bytes numpy lays out in one array: the bound of the size rule
 MAX_SIZE = int(np.iinfo(np.intp).max)
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or a short stand-in where Python refuses to print it
+    (an integer of more than 4300 digits, or a container holding one): the
+    one way a refusal prints the value it refuses."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
 
 
 def _integer(value) -> bool:
@@ -55,16 +65,26 @@ def _check_index(k) -> None:
         raise ConfigError("a Fourier index must be an integer within +-2**32")
 
 
-def _check_count(value, low: int, what: str, error, high=math.inf) -> int:
+def _check_count(value, low: int, what: str, error) -> int:
     """The count rule of every count and resolution (simulate's seed, paths and
     steps, bins, top_m, N, grid samples): ``value`` as an int; ``error``
-    unless it is an integer >= ``low``, not a bool, and at most ``high``
-    (``MAX_SIZE`` for a count that sizes an array)."""
+    unless it is an integer >= ``low``, not a bool."""
     if not (_integer(value) and value >= low):
-        raise error(f"{what} must be >= {low} and an integer, got {what}={value!r}")
-    if value > high:
-        raise error(f"{what} must be <= {high}, numpy's index range, got {what}={value!r}")
+        raise error(f"{what} must be >= {low} and an integer, got {what}={_shown(value)}")
     return int(value)
+
+
+def _check_layout(shape, what: str, error) -> None:
+    """The size rule of every array a run input sizes (simulate's paths and
+    steps, ulam_analytic's bins, the Laplacian's N, the grid's samples, a
+    model's fibres): ``error``, naming ``what`` and printing no count,
+    unless ``shape`` fits in MAX_SIZE bytes at 16 bytes an entry.  complex128
+    is the widest dtype the package allocates, so numpy can lay out each
+    array of a shape it passes, which may still exceed memory.  As numpy
+    does, it multiplies the nonzero extents only: an empty array of a
+    too-long shape is refused too."""
+    if math.prod(filter(None, shape)) * 16 > MAX_SIZE:
+        raise error(f"{what} too large for numpy to lay out")
 
 
 def _check_labels(model: BandModel, ells) -> list[int]:
@@ -72,11 +92,11 @@ def _check_labels(model: BandModel, ells) -> list[int]:
     the labels ``ells`` as ints; DimensionMismatch unless they are a sequence
     of integers in [0, N)."""
     if not np.iterable(ells):
-        raise DimensionMismatch(f"labels must be a sequence, got {ells!r}")
+        raise DimensionMismatch(f"labels must be a sequence, got {_shown(ells)}")
     ells = list(ells)
     bad = [ell for ell in ells if not (_integer(ell) and 0 <= ell < model.N)]
     if bad:
-        raise DimensionMismatch(f"labels {bad} are not integers in [0, {model.N})")
+        raise DimensionMismatch(f"labels {_shown(bad)} are not integers in [0, {model.N})")
     return [int(ell) for ell in ells]
 
 
@@ -97,14 +117,14 @@ def _check_eps(eps) -> None:
     """The noise-level rule of w_epsilon and the config: EpsOutOfRange unless
     eps is a finite number >= 0."""
     if not _finite_nonnegative(eps):
-        raise EpsOutOfRange(f"eps must be finite and nonnegative, got {eps}")
+        raise EpsOutOfRange(f"eps must be finite and nonnegative, got {_shown(eps)}")
 
 
 def check_delta(delta) -> None:
     """The fibre-noise rule of spectrum, simulate, ulam_analytic and the
     config: InvalidSimulationInput unless delta is a finite number >= 0."""
     if not _finite_nonnegative(delta):
-        raise InvalidSimulationInput(f"delta must be finite and >= 0, got {delta}")
+        raise InvalidSimulationInput(f"delta must be finite and >= 0, got {_shown(delta)}")
 
 
 def _finite_array(value, dtype, name: str, error) -> np.ndarray:
@@ -156,10 +176,10 @@ class BandModel:
     measurements).  There is one width per speed (DimensionMismatch) and at
     least one band, and each width is a positive integer of an integer type
     (EmptyBand): a float width is refused, not truncated, and so are widths
-    that numpy cannot lay out as fibres (a width or N beyond its index
-    range).  Derived from them once are ``N``, the offsets ``cum`` (exact
-    ints, 0 = N_0 < N_1 < ... < N_S = N; band s occupies
-    ``cum[s]:cum[s+1]``), ``alpha`` and each fibre's band ``band_index``.
+    whose N fibres numpy cannot lay out (:func:`_check_layout`).  Derived
+    from them once are ``N``, the offsets ``cum`` (exact ints, 0 = N_0 <
+    N_1 < ... < N_S = N; band s occupies ``cum[s]:cum[s+1]``), ``alpha`` and
+    each fibre's band ``band_index``.
     """
 
     beta: tuple[float, ...]
@@ -176,24 +196,22 @@ class BandModel:
         except (TypeError, OverflowError):             # not iterable, or beyond the float range
             beta = None
         if beta is None:
-            raise InvalidSpeeds(f"band speeds must be real numbers, got {self.beta!r}")
+            raise InvalidSpeeds(f"band speeds must be real numbers, got {_shown(self.beta)}")
         L = tuple(self.L)
         if len(beta) != len(L):
             raise DimensionMismatch(f"beta and L length mismatch: {len(beta)} vs {len(L)}")
         if len(beta) == 0:
             raise EmptyBand("model needs at least one band")
         if not all(_integer(x) and x >= 1 for x in L):
-            raise EmptyBand(f"band widths must be positive integers, got {L}")
+            raise EmptyBand(f"band widths must be positive integers, got {_shown(L)}")
         if not all(map(math.isfinite, beta)):
             raise InvalidSpeeds(f"band speeds must be finite, got {beta}")
         if len(set(beta)) != len(beta):
             raise DuplicateSpeed(f"band speeds must be pairwise distinct, got {beta}")
         L = tuple(map(int, L))
-        try:
-            band = np.repeat(np.arange(len(beta)), L)
-        except (OverflowError, ValueError) as exc:     # N or a width beyond numpy's index range
-            raise EmptyBand(f"band widths too large to lay out as fibres: {exc}") from exc
         cum = tuple(itertools.accumulate(L, initial=0))
+        _check_layout((cum[-1],), "band widths", EmptyBand)
+        band = np.repeat(np.arange(len(beta)), L)
         for name, value in dict(beta=beta, L=L, N=cum[-1], cum=cum,
                                 band_index=_freeze(band),
                                 alpha=_freeze(np.asarray(beta)[band])).items():
@@ -283,10 +301,12 @@ def laplacian_generator(N: int) -> NoiseGenerator:
     """Central-difference Laplacian stencil with reflecting ends.
 
     Tridiagonal with diagonal (-1/2, -1, ..., -1, -1/2) and off-diagonals 1/2.
-    DimensionTooSmall unless N is an integer of at least two fibres and at
-    most MAX_SIZE (:func:`_check_count`).
+    DimensionTooSmall unless N is an integer of at least two fibres
+    (:func:`_check_count`) and numpy can lay out the N x N matrix
+    (:func:`_check_layout`).
     """
-    _check_count(N, 2, "N", DimensionTooSmall, MAX_SIZE)
+    _check_count(N, 2, "N", DimensionTooSmall)
+    _check_layout((N, N), "N", DimensionTooSmall)
     w = np.diag(np.full(N, -1.0)) + 0.5 * (np.eye(N, k=1) + np.eye(N, k=-1))
     w[0, 0] = -0.5
     w[N - 1, N - 1] = -0.5

@@ -38,7 +38,7 @@ from .errors import (DimensionMismatch, EigsNotSimple, EpsZero, InvalidEpsGrid, 
 from .model import (BandModel, NoiseGenerator, _check_labels, _finite_array, _freeze,
                     spectral_gap)
 from .spectra import (_band_diagonal, _certified, assemble_fourier_block, eig_dense_complex,
-                      label_spectrum, nearest_assignment)
+                      nearest_assignment, spectrum)
 from .zero_noise import LimitBasis, _eps_points, limit_basis, limit_eigenbasis, projective_distance
 
 
@@ -381,10 +381,12 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     Diag(-2 pi i k u_j exp(-2 pi i k alpha_j)), so dP = that times W_eps, and
     (dlam, df) solve the differentiated eigen-equation
     (P - lam) df - dlam f = -dP f under the gauge <f, df> = 0: in P's
-    eigenbasis (:func:`_eigenbasis`) dlam = left_ell dP f, and df is the
-    solve of :func:`_eigenbasis_solve` projected onto the gauge.  A
+    eigenbasis (:func:`_eigenbasis`), taken in label order from
+    :func:`rotor_spectra.spectra.spectrum`, dlam = left_ell dP f, and df is
+    the solve of :func:`_eigenbasis_solve` projected onto the gauge.  A
     direction that fails the entry rule of caller arrays
-    (model._finite_array: finite real numbers) raises InvalidSpeeds, and a
+    (model._finite_array: finite real numbers) raises InvalidSpeeds, a
+    spectrum that cannot be labelled the labelling's error, and a labelled
     spectrum that is not simple by :func:`rotor_spectra.model.spectral_gap`
     EigsNotSimple.
     """
@@ -394,16 +396,14 @@ def alpha_response(model: BandModel, gen: NoiseGenerator, k: int, eps: float,
     if u.shape != (model.N,):
         raise DimensionMismatch(f"direction must have shape ({model.N},)")
     ell, = _check_labels(model, [ell])
-    p = assemble_fourier_block(model, gen, k, eps)
-    eig = eig_dense_complex(p)
-    gap, radius, simple = spectral_gap([eig.values])
+    spec = spectrum(model, gen, k, eps)                 # P's eigenbasis in label order
+    gap, radius, simple = spectral_gap([spec.lam])
     if not simple:
         raise EigsNotSimple(f"minimum eigenvalue gap {gap:.3e} is not above GAP_TOL "
                             f"times the spectral radius {radius:.3e} at eps={eps}")
-    spec = label_spectrum(model, gen, k, eps, eig)      # P's eigenbasis in label order
     basis = _eigenbasis(model.phases(k)[model.band_index], spec.lam, spec.vectors)
     f = spec.vectors[:, ell]
-    dpf = -2j * np.pi * k * u * (p @ f)
+    dpf = -2j * np.pi * k * u * (assemble_fourier_block(model, gen, k, eps) @ f)
     dlam = basis[2][ell] @ dpf
     df = _eigenbasis_solve(basis, ell, spec.lam[ell], dlam * f - dpf)
     return complex(dlam), df - f * np.vdot(f, df)

@@ -48,8 +48,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
                      NoComplexEigenvalues, NoConvergence)
-from .model import (MAX_SIZE, BandModel, NoiseGenerator, _check_count, _freeze, _real,
-                    check_delta, check_dimension, w_epsilon)
+from .model import (BandModel, NoiseGenerator, _check_count, _check_layout, _freeze, _real,
+                    _shown, check_delta, check_dimension, w_epsilon)
 from .spectra import _band_diagonal, eig_dense_complex
 
 #: |imag| above which an eigenvalue counts as nonreal, relative to its sector bound b(m)
@@ -199,7 +199,8 @@ class Cycle:
         if not valid:
             raise InvalidSimulationInput(
                 f"a cycle needs a period and a band: a finite eigenvalue of nonzero argument and "
-                f"finite real band masses, got eigenvalue {ev!r} over band masses {masses!r}")
+                f"finite real band masses, got eigenvalue {_shown(ev)} over band masses "
+                f"{_shown(masses)}")
         for name, value in dict(magnitude=float(abs(ev)), arg=arg,
                                 period_steps=float(2 * np.pi / abs(arg)),
                                 band=int(np.argmax(masses))).items():
@@ -297,11 +298,11 @@ def _rotate(x: np.ndarray, turn: np.ndarray, noise: np.ndarray) -> None:
 
 def check_counts(seed: int, n_paths: int, n_steps: int) -> None:
     """The counts of :func:`simulate`: seed, paths and steps pass the count rule
-    (model._check_count) with a least value of 0, paths and steps, which size
-    arrays, with the bound MAX_SIZE too."""
-    _check_count(seed, 0, "seed", InvalidSimulationInput)
-    for what, value in dict(n_paths=n_paths, n_steps=n_steps).items():
-        _check_count(value, 0, what, InvalidSimulationInput, MAX_SIZE)
+    (model._check_count) with a least value of 0, and the (steps + 1, paths)
+    buffers they size pass the size rule (model._check_layout)."""
+    for what, value in dict(seed=seed, n_paths=n_paths, n_steps=n_steps).items():
+        _check_count(value, 0, what, InvalidSimulationInput)
+    _check_layout((n_steps + 1, n_paths), "n_paths and n_steps", InvalidSimulationInput)
 
 
 def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
@@ -391,8 +392,10 @@ def ulam_analytic(model: BandModel, gen: NoiseGenerator, eps: float, delta: floa
     """Exact cell transition operator of the annealed dynamics, kept as one
     kernel row per band (the fibres of a band share its speed) and W_eps.
     The bin count M passes the count rule (model._check_count) with a least
-    value of 2 and the bound MAX_SIZE."""
-    M = _check_count(M, 2, "M", InvalidSimulationInput, MAX_SIZE)
+    value of 2, and the (S, M + 1) kernel rows it sizes the size rule
+    (model._check_layout)."""
+    M = _check_count(M, 2, "M", InvalidSimulationInput)
+    _check_layout((model.S, M + 1), "M", InvalidSimulationInput)
     check_dimension(model, gen)
     check_delta(delta)
     w = w_epsilon(gen, eps)
@@ -417,15 +420,15 @@ def ulam_empirical(batch: TrajectoryBatch, M: int) -> UlamOperator:
     batch's size.
     N^2 M must stay below 2^31, and is refused before anything of the
     operator's size is allocated; the batch checked its own paths, and M
-    passes the count rule (model._check_count) with a least value of 2 and
-    the bound MAX_SIZE.
+    passes the count rule (model._check_count) with a least value of 2.
     """
-    M = _check_count(M, 2, "M", InvalidSimulationInput, MAX_SIZE)
+    M = _check_count(M, 2, "M", InvalidSimulationInput)
     n, j, x = batch.model.N, batch.j, batch.x
     size = n * M
     if n * size >= 2 ** 31:
         raise InvalidSimulationInput(
-            f"N^2 M = {n * size} step keys exceed the int32 range (N={n}, M={M})")
+            f"N^2 M = {_shown(n * size)} step keys exceed the int32 range "
+            f"(N={n}, M={_shown(M)})")
     if j[:, 1:].size == 0:
         raise InsufficientData("empty trajectory batch")
     # x M truncated into int32 as astype would, with no float copy of the batch

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .model import MAX_SIZE, _check_count, _check_labels
+from .model import _check_count, _check_labels, _check_layout
 
 #: samples per plotted circle
 CIRCLE_SAMPLES = 256
@@ -235,11 +235,12 @@ def write_trajectory_csv(path, batch):
 def write_grid_csv(path, spec, ells, x_res):
     """Full-cylinder samples |f(j) e^{2 pi i k x}| and arguments of the
     eigenfunctions ``ells`` of a labelled spectrum at ``x_res`` points per
-    circle.  The labels pass the label rule (DimensionMismatch) and x_res the
-    count rule with a least value of 1 and the bound MAX_SIZE (ConfigError),
-    both of model."""
+    circle.  The labels pass the label rule (DimensionMismatch), x_res the
+    count rule with a least value of 1 (ConfigError), and the (ell, j, x)
+    table the size rule (ConfigError), all of model."""
     ells = _check_labels(spec.model, ells)
-    x_res = _check_count(x_res, 1, "x_res", ConfigError, MAX_SIZE)
+    x_res = _check_count(x_res, 1, "x_res", ConfigError)
+    _check_layout((len(ells), spec.model.N, x_res), "x_res", ConfigError)
     f = spec.vectors[:, ells].T[:, :, None]                 # (ell, j, 1)
     # k x mod 1 at x = i / x_res, reduced exactly in integers before any rounding
     e = np.exp(2j * np.pi * ((spec.k % x_res) * np.arange(x_res) % x_res / x_res))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBlock, DimensionMismatch, GammaViolated, InvalidEpsGrid, ZeroVector
-from .model import (BandModel, NoiseGenerator, _finite_nonnegative, _freeze, _real,
+from .model import (BandModel, NoiseGenerator, _finite_nonnegative, _freeze, _real, _shown,
                     check_dimension, sorted_eigenbasis, spectral_gap)
 from .spectra import _band_diagonal, spectrum
 
@@ -108,9 +108,9 @@ def limit_basis(model: BandModel, gen: NoiseGenerator, k: int) -> LimitBasis:
     return limit_eigenbasis(model, gen, k)
 
 
-def _line_distances(u, v, gap):
-    """(projective distance, projector gap) of the lines through u and v, the
-    gap None unless ``gap``, from one check, normalisation and inner product.
+def _line_distances(u, v):
+    """(projective distance, projector gap) of the lines through u and v,
+    from one check, normalisation and inner product.
 
     ZeroVector if either vector is zero, DimensionMismatch if their lengths
     differ.
@@ -125,7 +125,7 @@ def _line_distances(u, v, gap):
     u, v = u / nu, v / nv
     ip = np.vdot(v, u)           # <u, v>
     dist = np.sqrt(2.0) if abs(ip) == 0.0 else np.linalg.norm(u - (ip / abs(ip)) * v)
-    return float(dist), float(min(1.0, np.linalg.norm(u - ip * v))) if gap else None
+    return float(dist), float(min(1.0, np.linalg.norm(u - ip * v)))
 
 
 def projective_distance(u, v) -> float:
@@ -137,7 +137,7 @@ def projective_distance(u, v) -> float:
     machine precision near zero.  ZeroVector for a zero vector,
     DimensionMismatch for vectors of different lengths.
     """
-    return _line_distances(u, v, gap=False)[0]
+    return _line_distances(u, v)[0]
 
 
 def projector_gap(f_eps, f_limit) -> float:
@@ -147,7 +147,7 @@ def projector_gap(f_eps, f_limit) -> float:
     component of u orthogonal to v for accuracy near zero.  ZeroVector for a
     zero vector, DimensionMismatch for vectors of different lengths.
     """
-    return _line_distances(f_eps, f_limit, gap=True)[1]
+    return _line_distances(f_eps, f_limit)[1]
 
 
 def _eps_points(eps_grid) -> list[float]:
@@ -158,7 +158,7 @@ def _eps_points(eps_grid) -> list[float]:
     points = list(eps_grid) if np.iterable(eps_grid) else None
     if points is None or not all(_real(e) and _finite_nonnegative(e) and e > 0 for e in points):
         raise InvalidEpsGrid(f"eps grid points must be finite and positive real numbers, "
-                             f"got eps_grid={eps_grid!r}")
+                             f"got eps_grid={_shown(eps_grid)}")
     return [float(e) for e in points]
 
 
@@ -181,7 +181,7 @@ def spectrum_convergence(basis: LimitBasis, eps_list):
         mass = support_mass_outside_band(spec).tolist()
         for ell in range(model.N):
             rows.append((k, ell, eps,
-                         *_line_distances(spec.vectors[:, ell], basis.vectors[:, ell], gap=True),
+                         *_line_distances(spec.vectors[:, ell], basis.vectors[:, ell]),
                          mass[ell]))
     return rows
 

@@ -309,8 +309,8 @@ class TestSpectrum:
         p.write_text(f'{{"beta": [0.1, 0.3], "L": [1, 1{"0" * 300}]}}', encoding="utf-8")
         out = tmp_path / "o"
         assert main([command, "--config", str(p), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "config error: invalid model: band widths too large to lay out as fibres: ")
+        assert capsys.readouterr().err == (
+            "config error: invalid model: band widths too large for numpy to lay out\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("config, extra, message", [
@@ -392,14 +392,12 @@ class TestFlags:
          "argument --k: a Fourier index must be an integer within +-2**32"),
         (["spectrum", "--delta", "nan"],
          "argument --delta: delta must be finite and >= 0, got nan"),
-        (["casestudy", "--x-res", str(10 ** 400)],
-         f"argument --x-res: x_res must be <= {np.iinfo(np.intp).max}, numpy's index range"),
         (["casestudy", "--x-res", "0"],
          "argument --x-res: x_res must be >= 1 and an integer, got x_res=0"),
     ], ids=["spectrum-negative-eps", "limit-negative-eps", "simulate-negative-eps",
             "casestudy-negative-eps", "spectrum-nan-eps", "response-nan-eps",
             "response-negative-eps", "spectrum-k-beyond-2**32", "spectrum-nan-delta",
-            "casestudy-x-res-beyond-intp", "casestudy-x-res-zero"])
+            "casestudy-x-res-zero"])
     def test_flags_apply_the_library_rules(self, case_cfg, tmp_path, capsys, argv, message):
         # a flag's value is judged by the library's rule for its input, with
         # the library's message, as a usage error before the run starts
@@ -692,7 +690,12 @@ class TestOtherCommands:
         (["--seed", "-1", "--paths", "2"], "seed=-1"),
         (["--steps", "-5"], "n_steps=-5"),        # no paths: the counts are still checked
         (["--seed", "-3"], "seed=-3"),
-        (["--bins", str(10 ** 400)], f"M must be <= {np.iinfo(np.intp).max}, numpy's index range"),
+        (["--bins", str(10 ** 400)], "M too large for numpy"),
+        # sizes numpy cannot lay out are refused before anything is allocated
+        (["--paths", str(2 ** 62), "--steps", "5"], "n_paths and n_steps too large for numpy"),
+        # no paths: numpy refuses even an empty buffer of 2**62 + 1 steps
+        (["--steps", str(2 ** 62)], "n_paths and n_steps too large for numpy"),
+        (["--bins", str(2 ** 62)], "M too large for numpy to lay out"),
     ])
     def test_simulate_bad_input_exit1(self, case_cfg, tmp_path, capsys, extra, message):
         out = tmp_path / "sim"
@@ -702,18 +705,20 @@ class TestOtherCommands:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra", [
-        ["--bins", str(10**15)],
-        ["--paths", str(10**15), "--steps", "1000000"],
+    @pytest.mark.parametrize("extra, message", [
+        (["--bins", str(10**15)], "error: out of memory: "),
+        (["--paths", str(10**15), "--steps", "1000000"],
+         "error: n_paths and n_steps too large for numpy to lay out\n"),
     ], ids=["bins", "paths"])
-    def test_simulate_out_of_memory_exit1(self, case_cfg, tmp_path, extra):
-        # sizes beyond any address space: numpy refuses them without allocating,
+    def test_simulate_out_of_memory_exit1(self, case_cfg, tmp_path, extra, message):
+        # sizes beyond any address space: 10**15 bins numpy lays out and fails
+        # to allocate, 10**15 paths of 10**6 steps the size rule refuses; both
         # before 10**15 seeds would be spawned
         out = tmp_path / "sim"
         done = run_cli("-m", "rotor_spectra.cli", "simulate", "--config", str(case_cfg),
                        "--out", str(out), *extra, timeout=10)
         assert done.returncode == 1
-        assert done.stderr.startswith("error: out of memory: ")
+        assert done.stderr.startswith(message)
         assert "Traceback" not in done.stderr
         assert not out.exists()
 
@@ -807,6 +812,16 @@ class TestRunLifecycle:
         assert main(["spectrum", "--config", str(case_cfg), "--out", str(out)]) == 1
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "spectrum_k1_eps0.1.csv"]
         assert (out / "notes.txt").read_text(encoding="utf-8") == "mine"
+
+    @pytest.mark.parametrize("x_res", [2 ** 62, 10 ** 400], ids=["2**62", "10**400"])
+    def test_grid_numpy_cannot_lay_out_fails_the_write_phase(self, tmp_path, capsys, x_res):
+        # --x-res meets only the count rule when parsed: the grid writer's size
+        # rule refuses the table, and the run removes the files and the
+        # directories it created (2**62 ended in a bare ValueError from numpy)
+        out = tmp_path / "a" / "o"
+        assert main(["casestudy", "--out", str(out), "--x-res", str(x_res)]) == 2
+        assert capsys.readouterr().err == "config error: x_res too large for numpy to lay out\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("target", ["taken", "taken/sub"], ids=["file", "below-a-file"])
     def test_unwritable_out_exit2(self, case_cfg, tmp_path, target):
@@ -1106,6 +1121,18 @@ def test_one_rule_per_run_input():
     for fn in (counted.check_counts, rs.ulam_analytic, rs.ulam_empirical, rs.detect_cycles,
                rs.laplacian_generator, writers.write_grid_csv):
         assert "_check_count(" in inspect.getsource(fn), fn.__name__
+    # one size rule: the count rule has no bound, and only the layout rule
+    # reads MAX_SIZE, at each place a run input sizes arrays
+    assert "high" not in inspect.signature(rs.model._check_count).parameters
+    assert [name for name, text in sources.items() if "MAX_SIZE" in text] == ["model.py"]
+    layout = inspect.getsource(rs.model._check_layout)
+    assert sources["model.py"].count("MAX_SIZE") == 1 + layout.count("MAX_SIZE")
+    post = inspect.getsource(rs.BandModel.__post_init__)
+    assert post.count("try:") == 1
+    assert post.index("try:") < post.index("InvalidSpeeds") < post.index("np.repeat")
+    for fn in (counted.check_counts, rs.ulam_analytic, rs.laplacian_generator,
+               writers.write_grid_csv, rs.BandModel.__post_init__):
+        assert "_check_layout(" in inspect.getsource(fn), fn.__qualname__
     for fn in (zero_noise.spectrum_convergence, response.check_eps_grid):
         text = inspect.getsource(fn)
         assert "_eps_points(" in text and "isfinite" not in text and "> 0" not in text

@@ -66,7 +66,7 @@ class TestBuildBandModel:
         # the fibre layout's np.repeat raised a bare OverflowError for a width
         # beyond int64, and a bare ValueError (negative dimensions) where the
         # widths sum past it; each is refused before anything is allocated
-        with pytest.raises(EmptyBand, match="too large to lay out as fibres"):
+        with pytest.raises(EmptyBand, match="^band widths too large for numpy to lay out$"):
             build_band_model([0.1 * s for s in range(1, len(widths) + 1)], widths)
 
     def test_integer_typed_widths(self):
@@ -600,14 +600,16 @@ def test_non_numeric_grids_and_directions_are_typed(case_model, case_gen, error,
 
 
 #: values that are no count, bin or sample number: a bool, a fraction, a
-#: negative, no number, a numeric string, non-finite and complex numbers
-NO_COUNT = [True, 2.5, -1, None, "1", math.nan, math.inf, -math.inf, 1j]
-#: values that are no size of an array: no count, or beyond numpy's index range
-NO_SIZE = [*NO_COUNT, 10 ** 400]
-#: values that are no eps (2.5 is one), and an integer beyond the float range
-NO_EPS = [True, -1, None, "1", math.nan, math.inf, -math.inf, 1j, 10 ** 400]
+#: negative, no number, a numeric string, non-finite and complex numbers, and
+#: a negative integer too long for Python to print
+NO_COUNT = [True, 2.5, -1, None, "1", math.nan, math.inf, -math.inf, 1j, -10 ** 5000]
+#: values that are no size of an array: no count, or an array numpy cannot lay out
+NO_SIZE = [*NO_COUNT, 2 ** 62, 10 ** 400, 10 ** 5000]
+#: values that are no eps (2.5 is one), and integers beyond the float range
+NO_EPS = [True, -1, None, "1", math.nan, math.inf, -math.inf, 1j, 10 ** 400,
+          10 ** 5000, -10 ** 5000]
 #: values that are no label of a five-fibre model
-NO_LABEL = [*NO_COUNT, 10 ** 400]
+NO_LABEL = [*NO_COUNT, 10 ** 400, 10 ** 5000]
 #: values that are no entry of a real caller array (a bool, 2.5 and -1 are)
 NO_ENTRY = [None, "1", math.nan, math.inf, -math.inf, 1j, 10 ** 400]
 
@@ -669,24 +671,35 @@ def test_every_run_input_refuses_an_invalid_value(run_input_calls, data):
         call(value)
 
 
-@pytest.mark.parametrize("error, what, call", [
-    (InvalidSimulationInput, "n_paths", lambda m, g, v: simulate(m, g, 0.1, 0.1, v, 5, 0)),
-    (InvalidSimulationInput, "n_steps", lambda m, g, v: simulate(m, g, 0.1, 0.1, 2, v, 0)),
-    (InvalidSimulationInput, "M", lambda m, g, v: ulam_analytic(m, g, 0.1, 0.1, v)),
-    (InvalidSimulationInput, "M",
+@pytest.mark.parametrize("error, message, call", [
+    (InvalidSimulationInput, "n_paths and n_steps too large for numpy to lay out$",
+     lambda m, g, v: simulate(m, g, 0.1, 0.1, v, 5, 0)),
+    (InvalidSimulationInput, "n_paths and n_steps too large for numpy to lay out$",
+     lambda m, g, v: simulate(m, g, 0.1, 0.1, 2, v, 0)),
+    # numpy skips a zero extent and still refuses the others' product
+    (InvalidSimulationInput, "n_paths and n_steps too large for numpy to lay out$",
+     lambda m, g, v: simulate(m, g, 0.1, 0.1, 0, v, 0)),
+    (InvalidSimulationInput, "M too large for numpy to lay out$",
+     lambda m, g, v: ulam_analytic(m, g, 0.1, 0.1, v)),
+    # its int32 step keys bound M far below numpy's layout
+    (InvalidSimulationInput, r"N\^2 M = .+ step keys exceed the int32 range \(N=33, M=.+\)$",
      lambda m, g, v: ulam_empirical(simulate(m, g, 0.1, 0.1, 2, 5, 0), v)),
-    (DimensionTooSmall, "N", lambda m, g, v: laplacian_generator(v)),
-    (ConfigError, "x_res", lambda m, g, v: writers.write_grid_csv(
-        "never-written.csv", spectrum(m, g, 1, 0.1), [0], v)),
-], ids=["simulate_paths", "simulate_steps", "ulam_analytic_bins", "ulam_empirical_bins",
-        "laplacian_size", "grid_samples"])
-def test_sizes_beyond_numpy_index_range_are_refused(case_model, case_gen, error, what, call):
-    # each size passes the count rule with numpy's index range as its bound:
-    # 10**400 ended in a bare ValueError (simulate's paths, the Laplacian's
-    # N, the grid's samples) or OverflowError (ulam_analytic's bins)
-    with pytest.raises(error, match=f"^{what} must be <= {np.iinfo(np.intp).max}, numpy's "
-                                    f"index range, got {what}=1000"):
-        call(case_model, case_gen, 10 ** 400)
+    (DimensionTooSmall, "N too large for numpy to lay out$",
+     lambda m, g, v: laplacian_generator(v)),
+    (ConfigError, "x_res too large for numpy to lay out$",
+     lambda m, g, v: writers.write_grid_csv("never-written.csv", spectrum(m, g, 1, 0.1), [0], v)),
+    (ConfigError, "x_res too large for numpy to lay out$",
+     lambda m, g, v: writers.write_grid_csv("never-written.csv", spectrum(m, g, 1, 0.1), [], v)),
+], ids=["simulate_paths", "simulate_steps", "simulate_steps_no_paths", "ulam_analytic_bins",
+        "ulam_empirical_bins", "laplacian_size", "grid_samples", "grid_samples_no_labels"])
+def test_sizes_beyond_numpy_index_range_are_refused(case_model, case_gen, error, message, call):
+    # each size passes the count rule and the arrays it sizes the size rule:
+    # 2**62 and 10**400 ended in a bare ValueError from numpy (simulate's
+    # paths, the Laplacian's N, the grid's samples) or OverflowError
+    # (ulam_analytic's bins), and 10**5000 fails no rule by being printed
+    for size in (2 ** 62, 10 ** 400, 10 ** 5000):
+        with pytest.raises(error, match=f"^{message}"):
+            call(case_model, case_gen, size)
 
 
 def test_seed_and_top_m_take_any_integer(two_band_model, two_band_gen):
@@ -697,6 +710,47 @@ def test_seed_and_top_m_take_any_integer(two_band_model, two_band_gen):
     every = detect_cycles(op, two_band_model, 10 ** 400)
     assert every.top_m == 10 ** 400
     assert len(every.cycles) >= len(detect_cycles(op, two_band_model, 1).cycles) == 1
+
+
+#: an integer beyond Python's 4300-digit limit for printing one
+HUGE = 10 ** 5000
+UNPRINTED = "<int too long to print>"
+
+
+@pytest.mark.parametrize("error, call, message", [
+    (InvalidSimulationInput, lambda m, g: rs.model.check_delta(HUGE),
+     f"delta must be finite and >= 0, got {UNPRINTED}"),
+    (InvalidSimulationInput, lambda m, g: rs.model.check_delta(-HUGE),
+     f"delta must be finite and >= 0, got {UNPRINTED}"),
+    (EpsOutOfRange, lambda m, g: rs.model._check_eps(HUGE),
+     f"eps must be finite and nonnegative, got {UNPRINTED}"),
+    (InvalidSimulationInput, lambda m, g: simulate(m, g, 0.1, 0.1, 2, 5, -HUGE),
+     f"seed must be >= 0 and an integer, got seed={UNPRINTED}"),
+    (InvalidSimulationInput, lambda m, g: detect_cycles(ulam_analytic(m, g, 0.1, 0.1, 8), m, -HUGE),
+     f"top_m must be >= 1 and an integer, got top_m={UNPRINTED}"),
+    (DimensionMismatch, lambda m, g: order_checks(response_data(m, g, 1), [HUGE], GRID),
+     "labels <list too long to print> are not integers in [0, 2)"),
+    (InvalidEpsGrid, lambda m, g: rs.spectrum_convergence(limit_basis(m, g, 1), [HUGE]),
+     "eps grid points must be finite and positive real numbers, "
+     "got eps_grid=<list too long to print>"),
+    (InvalidSpeeds, lambda m, g: build_band_model([HUGE], [3]),
+     "band speeds must be real numbers, got <list too long to print>"),
+    (InvalidSpeeds, lambda m, g: build_band_model([0.1, -HUGE], [1, 2]),
+     "band speeds must be real numbers, got <list too long to print>"),
+    (EmptyBand, lambda m, g: build_band_model([0.1], [-HUGE]),
+     "band widths must be positive integers, got <tuple too long to print>"),
+    (InvalidSimulationInput, lambda m, g: rs.Cycle(HUGE, (1.0,)),
+     "a cycle needs a period and a band: a finite eigenvalue of nonzero argument and finite "
+     f"real band masses, got eigenvalue {UNPRINTED} over band masses (1.0,)"),
+], ids=["delta", "negative-delta", "eps", "seed", "top_m", "label", "eps-grid", "speed",
+        "negative-speed", "width", "cycle-eigenvalue"])
+def test_refusals_print_a_stand_in_for_what_python_cannot_print(
+        two_band_model, two_band_gen, error, call, message):
+    # printing an integer of over 4300 digits raises a bare ValueError; each
+    # rule's message shows a short stand-in for it instead
+    with pytest.raises(error) as exc:
+        call(two_band_model, two_band_gen)
+    assert str(exc.value) == message
 
 
 #: every public function that takes a model and a generator (label_spectrum's

@@ -57,6 +57,8 @@ CONFIGS = {
 }
 
 BIG = str(10 ** 400)
+#: a count within numpy's index range whose arrays numpy cannot lay out
+HUGE = str(2 ** 62)
 
 #: (name, arguments after the subcommand's name) of the invocations besides README's
 INVOCATIONS = [
@@ -87,6 +89,11 @@ INVOCATIONS = [
     ("refuse-casestudy-x-res-beyond", f"casestudy --out o --x-res {BIG}"),
     ("refuse-casestudy-x-res-zero", "casestudy --out o --x-res 0"),
     ("refuse-simulate-bins-beyond", f"simulate --config model.json --out o --bins {BIG}"),
+    ("refuse-simulate-paths-2**62", f"simulate --config model.json --out o --paths {HUGE} "
+                                    "--steps 5"),
+    ("refuse-simulate-steps-2**62", f"simulate --config model.json --out o --steps {HUGE}"),
+    ("refuse-simulate-bins-2**62", f"simulate --config model.json --out o --bins {HUGE}"),
+    ("refuse-casestudy-x-res-2**62", f"casestudy --out o --x-res {HUGE}"),
     *[(f"refuse-config-eps-{name}", f"spectrum --config eps-{name}.json --out o")
       for name in ("negative", "nan", "overflow", "400-digits", "5000-digits")],
 ]
