@@ -12,9 +12,10 @@ A path's next fibre is the first column of its fibre's cumulative W_eps row
 that exceeds its walk uniform.  simulate finds it for every path at once,
 one step at a time, by comparisons only: where W_eps has few distinct
 cumulative sums (a banded generator such as the Laplacian) it ranks the
-uniforms among them and reads the next fibre from a (fibre, rank) table,
-and otherwise it runs one lexicographic search over a complex table of the
-rows.  Either way every fibre equals an argmax over the row, bit for bit.
+uniforms among them, a block of steps at a time, and reads the next fibre
+from a (fibre, rank) table, and otherwise it runs one lexicographic search
+over a complex table of the rows.  Either way every fibre equals an argmax
+over the row, bit for bit.
 
 Dominant nonreal eigenvalues of the cell matrix signal approximately cyclic
 motion: 2 pi / |arg| estimates the period in steps (modulo the usual
@@ -59,6 +60,9 @@ MAX_EMPTY_FRACTION = 0.01
 #: step keys formed and counted at once by ulam_empirical; bincount copies
 #: them to intp, 2^16 keys to 512 KiB
 _COUNT_BLOCK = 1 << 16
+#: walk steps whose ranks one search finds at once (lookup plan of _walk); the
+#: ranks are intp, 64 steps of 200 paths 100 KiB
+_RANK_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,9 +273,12 @@ def _walk_table(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _walk(j: np.ndarray, u_walk: np.ndarray, keys: np.ndarray, table: np.ndarray) -> None:
-    """Fill the fibres j[1:] from j[0], one exact search per step over the
-    keys of :func:`_walk_table`, whose dtype names the plan.  The states are
-    in range, so ``mode="clip"`` only spares ``take`` a buffered copy."""
+    """Fill the fibres j[1:] from j[0] by exact searches over the keys of
+    :func:`_walk_table`, whose dtype names the plan.  The complex plan
+    searches once per step.  The lookup plan ranks the uniforms of
+    ``_RANK_BLOCK`` steps with one search, since a rank does not depend on
+    the fibre, and then takes one add and one ``take`` per step.  The states
+    are in range, so ``mode="clip"`` only spares ``take`` a buffered copy."""
     search = keys.searchsorted
     if keys.dtype == complex:
         key = np.empty(j.shape[1], dtype=complex)
@@ -282,18 +289,26 @@ def _walk(j: np.ndarray, u_walk: np.ndarray, keys: np.ndarray, table: np.ndarray
     width = len(keys) + 1
     key = np.empty(j.shape[1], dtype=np.intp)
     j[0] *= width                # j holds the states j * width until the last step
-    for s_now, s_next, u in zip(j[:-1], j[1:], u_walk):
-        np.add(s_now, search(u, side="right"), out=key)
-        table.take(key, out=s_next, mode="clip")
+    for a in range(0, len(u_walk), _RANK_BLOCK):
+        ranks = search(u_walk[a:a + _RANK_BLOCK], side="right")
+        for s_now, s_next, rank in zip(j[a:], j[a + 1:], ranks):
+            np.add(s_now, rank, out=key)
+            table.take(key, out=s_next, mode="clip")
+        del ranks, rank          # rank views ranks: free both, so one block is held
     j //= width
 
 
 def _rotate(x: np.ndarray, turn: np.ndarray, noise: np.ndarray) -> None:
-    """Fill the positions x[1:] from x[0]: x[t + 1] = (x[t] + turn[t] + noise[t]) % 1."""
+    """Fill the positions x[1:] from x[0]: x[t + 1] = y % 1 for y = x[t] +
+    turn[t] + noise[t].  The wrap is taken as y - floor(y), which for every
+    finite y has the bits of numpy's float remainder by 1 and costs less;
+    like it, it gives 1.0 for a tiny negative y."""
+    whole = np.empty(x.shape[1])
     for x_now, x_next, a, e in zip(x[:-1], x[1:], turn, noise):
         np.add(x_now, a, out=x_next)
         x_next += e
-        x_next %= 1.0
+        np.floor(x_next, out=whole)
+        x_next -= whole
 
 
 def check_counts(seed: int, n_paths: int, n_steps: int) -> None:
@@ -312,15 +327,22 @@ def simulate(model: BandModel, gen: NoiseGenerator, eps: float, delta: float,
     Per path the stream order is: two initial-state uniforms, the walk
     uniforms for all steps, then the noise uniforms for all steps.  Two
     passes over time-major buffers follow: the fibre walk, then the
-    rotation.  Each walk step is exact (:func:`_walk_table`): one search of
-    the uniforms among W_eps's distinct cumulative sums and one lookup in a
-    (fibre, rank) table where the sums are few, as for the Laplacian, and
-    otherwise one lexicographic search over a complex table.
+    rotation.  Each walk step is exact (:func:`_walk_table`).  Where W_eps
+    has few distinct cumulative sums, as for the Laplacian, the uniforms are
+    ranked among them by one search per block of steps, and each step is one
+    lookup in a (fibre, rank) table; otherwise each step is one
+    lexicographic search over a complex table.  The rotation wraps each
+    position as y - floor(y), bit for bit y % 1.  With no paths the checked
+    empty batch is returned at once, whatever ``n_steps``.
     """
     check_counts(seed, n_paths, n_steps)
     check_dimension(model, gen)
     check_delta(delta)
-    keys, table = _walk_table(w_epsilon(gen, eps))
+    w = w_epsilon(gen, eps)
+    if n_paths == 0:
+        return TrajectoryBatch(j=np.empty((0, n_steps + 1), dtype=np.int32),
+                               x=np.empty((0, n_steps + 1)), model=model)
+    keys, table = _walk_table(w)
     # allocated before the seeds are spawned, so a size numpy refuses fails at once
     u_init = np.empty((n_paths, 2))
     u_walk = np.empty((n_steps, n_paths))

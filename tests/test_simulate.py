@@ -1,11 +1,12 @@
 import hashlib
 import importlib
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -14,13 +15,15 @@ from rotor_spectra import (Cycle, NoiseGenerator, TrajectoryBatch, build_band_mo
                            spectra, spectrum, ulam_analytic, ulam_empirical, w_epsilon)
 from rotor_spectra.cli import main
 from rotor_spectra.config import CASE_STUDY_JSON
-from rotor_spectra.errors import (DimensionMismatch, InsufficientData, InvalidSimulationInput,
-                                  NoComplexEigenvalues, NoConvergence, RotorSpectraError)
+from rotor_spectra.errors import (DimensionMismatch, EpsOutOfRange, InsufficientData,
+                                  InvalidSimulationInput, NoComplexEigenvalues, NoConvergence,
+                                  RotorSpectraError)
 from rotor_spectra.simulate import UlamOperator, _fibre_kernel_row, _pick_cycles
 from conftest import traced_peak
 
 # the package re-exports the function simulate over its submodule
 simulate_module = importlib.import_module("rotor_spectra.simulate")
+RANK_BLOCK = simulate_module._RANK_BLOCK
 
 
 def single_fibre_model(speed):
@@ -281,7 +284,8 @@ class TestSimulate:
         delta = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.5, 3.0)),
                           label="delta")
         n_paths = data.draw(st.integers(0, 6), label="n_paths")
-        n_steps = data.draw(st.integers(0, 40), label="n_steps")
+        # past two blocks of the lookup plan's rank search
+        n_steps = data.draw(st.integers(0, 2 * RANK_BLOCK + 10), label="n_steps")
         seed = data.draw(st.integers(0, 2 ** 32), label="seed")
         assert_same_bits(simulate(model, gen, eps, delta, n_paths, n_steps, seed),
                          simulate_reference(model, gen, eps, delta, n_paths, n_steps, seed))
@@ -298,6 +302,67 @@ class TestSimulate:
             assert -1e-14 <= w_epsilon(gen, eps).min() < 0
         assert_same_bits(simulate(model, gen, eps, delta, n_paths, n_steps, 11),
                          simulate_reference(model, gen, eps, delta, n_paths, n_steps, 11))
+
+    @pytest.mark.parametrize("n_paths", [1, 7])
+    @pytest.mark.parametrize("n_steps", [RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1,
+                                         2 * RANK_BLOCK + 1])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_rank_block_edges_equal_the_argmax_loop(self, case_model, case_gen, dense,
+                                                    n_steps, n_paths):
+        # the lookup plan ranks a block of steps at once; the complex plan
+        # searches per step, and both must end each block where the next begins
+        model, gen = ((build_band_model([0.1, -0.35], [2, 3]), dense_generator(5)) if dense
+                      else (case_model, case_gen))
+        eps = 0.5 * gen.eps_max if dense else 0.1
+        assert (simulate_module._walk_table(w_epsilon(gen, eps))[0].dtype == complex) == dense
+        assert_same_bits(simulate(model, gen, eps, 0.7, n_paths, n_steps, 5),
+                         simulate_reference(model, gen, eps, 0.7, n_paths, n_steps, 5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=40))
+    @example(values=[-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     -2.2250738585072009e-308, 2.0 ** 52 - 0.5, 2.0 ** 52, 2.0 ** 52 + 1,
+                     -(2.0 ** 52) - 0.5, -(2.0 ** 52) + 0.5, -(2.0 ** 52), -1e-17, -1.0,
+                     1.0, 1.5, -1.5, 1e300, -1e300, np.nextafter(1.0, 0), -np.nextafter(1.0, 0)])
+    def test_wrap_equals_numpy_remainder_bit_for_bit(self, values):
+        # a turn and a noise of -0.0 add nothing to any value, -0.0 included,
+        # so x[1] is the wrap of x[0] itself
+        y = np.array(values)
+        x = np.stack([y, np.full_like(y, np.nan)])
+        zero = np.full((1, len(y)), -0.0)
+        simulate_module._rotate(x, zero, zero)
+        assert x[1].tobytes() == np.remainder(y, 1.0).tobytes()
+
+    def test_no_paths_return_at_once(self, case_model, case_gen):
+        # the counts, the dimensions, delta and eps are checked first
+        for args, error in [((0.1, -0.1, 0, 5, 1), InvalidSimulationInput),
+                            ((-1.0, 0.1, 0, 5, 1), EpsOutOfRange),
+                            ((0.1, 0.1, 0, -5, 1), InvalidSimulationInput)]:
+            with pytest.raises(error):
+                simulate(case_model, case_gen, *args)
+        with pytest.raises(DimensionMismatch):
+            simulate(case_model, laplacian_generator(5), 0.1, 0.1, 0, 5, 1)
+        start = time.perf_counter()
+        batch = simulate(case_model, case_gen, 0.1, 0.1, 0, 10 ** 12, seed=1)
+        assert time.perf_counter() - start < 0.5
+        assert batch.j.shape == batch.x.shape == (0, 10 ** 12 + 1)
+        assert batch.j.dtype == np.int32 and batch.x.dtype == np.float64
+        for a in (batch.j, batch.x):
+            assert a.flags.c_contiguous and not a.flags.writeable
+
+    def test_peak_holds_one_rank_block(self, case_model, case_gen):
+        block = RANK_BLOCK * 200 * np.dtype(np.intp).itemsize
+        # 5.41 MiB: the batch's buffers, as they were with one search per step.
+        # Ranks of every step would tie with the rotation's positions (8 bytes
+        # a step each) and pass this bound, so the walk is held to one block too
+        assert traced_peak(simulate, case_model, case_gen, 0.1, 0.1, 200, 1000, 1) \
+            <= 5.41 * 2 ** 20 + block
+        keys, table = simulate_module._walk_table(w_epsilon(case_gen, 0.1))
+        assert keys.dtype == float
+        j = np.zeros((1001, 200), dtype=np.int32)
+        u = np.random.default_rng(1).random((1000, 200))
+        assert traced_peak(simulate_module._walk, j, u, keys, table) <= block + (8 << 10)
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_walk_step_at_ties_and_dips(self, dense):

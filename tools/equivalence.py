@@ -72,6 +72,9 @@ INVOCATIONS = [
     ("valid-limit", "limit --config model.json --out o --k 1,2"),
     ("valid-simulate-paths", "simulate --config model.json --out o --paths 20 --steps 1000 "
                              "--seed 3"),
+    # positions go negative before the wrap, and the steps span three rank blocks
+    ("valid-simulate-wrap", "simulate --config model.json --out o --paths 7 --steps 129 "
+                            "--delta 0.7 --seed 3"),
     ("valid-validate-out", "validate --config model.json --out o"),
     ("refuse-spectrum-eps-nan", "spectrum --config model.json --out o --eps nan"),
     ("refuse-spectrum-eps-negative", "spectrum --config model.json --out o --eps=-1"),
